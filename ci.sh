@@ -13,17 +13,11 @@ cargo fmt --check
 echo "== build (release) =="
 cargo build --release --offline
 
-echo "== test (CATNAP_THREADS=1, strictly serial) =="
-CATNAP_THREADS=1 cargo test -q --offline
+echo "== test =="
+cargo test -q --offline
 
-echo "== test (CATNAP_THREADS=4, pooled subnets and shards) =="
-CATNAP_THREADS=4 cargo test -q --offline
-
-echo "== test (CATNAP_THREADS=4, forced-static dispatch) =="
-# Same pooled suites with the adaptive dispatch controller pinned off:
-# the static crossover path must stay bit-identical too.
-CATNAP_FORCE_STATIC_DISPATCH=1 CATNAP_THREADS=4 \
-  cargo test -q --offline --test sharding --test pool --test determinism
+echo "== benchmark smoke (examples/benchmark builds against the libraries and runs) =="
+cargo run -q --release --offline --manifest-path examples/benchmark/Cargo.toml -- --smoke
 
 echo "== hive smoke (3 spawned catnap-serve workers over loopback TCP) =="
 # The hive integration tests (tests/hive.rs) already ran above with

@@ -3,7 +3,7 @@
 //! `bench_out/perf_throughput.json` so the perf trajectory is tracked
 //! alongside the figure series.
 //!
-//! Three speedups are measured in the same run, each against its own
+//! Two speedups are measured in the same run, each against its own
 //! baseline:
 //!
 //! * **worklist** — the drained-router fast path on a light-load
@@ -15,26 +15,13 @@
 //! * **end-to-end** — the same comparison through the whole `MultiNoc`
 //!   (NIs, selection, gating policy, detectors, OR networks), which
 //!   bounds the hot-loop gain by Amdahl's law.
-//! * **parallel subnets** — stepping the four subnets of 4NT-128b on
-//!   the auto-sized thread pool versus `step_threads(1)` serial
-//!   stepping. Auto sizing resolves to the serial loop on a
-//!   single-core host, so this ratio stays ~1.0 there and only climbs
-//!   where cores exist (`host_parallelism` in the JSON).
-//! * **shard scaling** — the `shard_scaling` array: the same busy
-//!   gated workload at forced thread/shard counts 1, 2 and 4, so the
-//!   spatial-sharding trajectory is tracked per thread count even on
-//!   hosts where the attainable speedup is 1.0.
-//! * **adaptive dispatch** — the self-tuning dispatch controller
-//!   (default whenever a pool exists) versus the best static crossover
-//!   configuration for the same workload, plus a `dispatch_decisions`
-//!   section dumping what the controller actually decided (phase and
-//!   subnet arm counts, probes, pool telemetry). The controller only
-//!   picks *how* to schedule — every leg is bit-identical — and
-//!   `adaptive_vs_best_static` tracks how close online tuning gets to
-//!   the hand-picked optimum (floor held at 0.98 by
-//!   tests/perf_smoke.rs).
+//!
+//! Two busy legs with every subnet carrying traffic (`busy_4subnet`
+//! ungated, `busy_gated` power-gated) track the saturated-subnet cost,
+//! and a recording-sink leg prices full telemetry against the `NopSink`
+//! default.
 
-use catnap::{DispatchStats, MultiNoc, MultiNocConfig, SelectorKind};
+use catnap::{MultiNoc, MultiNocConfig, SelectorKind};
 use catnap_bench::{emit_json, print_banner, Table};
 use catnap_noc::power_state::WakeReason;
 use catnap_noc::{Network, NetworkConfig, NodeId};
@@ -63,33 +50,14 @@ catnap_util::impl_to_json_struct!(Scenario {
     packets_delivered,
 });
 
-/// One point of the thread-scaling series: the busy gated workload at
-/// a forced thread/shard count.
-#[derive(Clone, Debug)]
-struct ShardScaling {
-    threads: u64,
-    cycles_per_sec: f64,
-    speedup_vs_serial: f64,
-}
-
-catnap_util::impl_to_json_struct!(ShardScaling {
-    threads,
-    cycles_per_sec,
-    speedup_vs_serial,
-});
-
 /// The whole report written to `bench_out/perf_throughput.json`.
 #[derive(Clone, Debug)]
 struct PerfThroughput {
     host_parallelism: u64,
     worklist_speedup: f64,
     e2e_light_gated_speedup: f64,
-    parallel_subnet_speedup: f64,
-    adaptive_vs_best_static: f64,
     telemetry_recording_slowdown: f64,
     telemetry_events_recorded: u64,
-    shard_scaling: Vec<ShardScaling>,
-    dispatch_decisions: DispatchStats,
     scenarios: Vec<Scenario>,
 }
 
@@ -97,12 +65,8 @@ catnap_util::impl_to_json_struct!(PerfThroughput {
     host_parallelism,
     worklist_speedup,
     e2e_light_gated_speedup,
-    parallel_subnet_speedup,
-    adaptive_vs_best_static,
     telemetry_recording_slowdown,
     telemetry_events_recorded,
-    shard_scaling,
-    dispatch_decisions,
     scenarios,
 });
 
@@ -210,46 +174,6 @@ fn run_timed(
     }
 }
 
-/// [`run_timed`] keeping the network alive afterwards so the dispatch
-/// controller's decision counters (plus the pool telemetry folded into
-/// them) can be read back alongside the timing.
-fn run_timed_dispatch(
-    scenario: &str,
-    cfg: MultiNocConfig,
-    offered: f64,
-    warmup: u64,
-    measure: u64,
-) -> (Scenario, DispatchStats) {
-    let mut net = MultiNoc::new(cfg);
-    let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, offered, 512, net.dims(), 7);
-    for _ in 0..warmup {
-        load.drive(&mut net);
-        net.step();
-    }
-    let before = net.snapshot();
-    let start = Instant::now();
-    for _ in 0..measure {
-        load.drive(&mut net);
-        net.step();
-    }
-    let wall = start.elapsed();
-    let after = net.snapshot();
-    black_box(net.cycle());
-    let window = after.delta(&before);
-    let hops: u64 = window.activity_per_subnet.iter().map(|a| a.link_flits).sum();
-    let secs = wall.as_secs_f64().max(1e-12);
-    let s = Scenario {
-        scenario: scenario.to_string(),
-        cycles: measure,
-        wall_ns: wall.as_nanos() as u64,
-        cycles_per_sec: measure as f64 / secs,
-        flit_hops_per_sec: hops as f64 / secs,
-        packets_delivered: window.delivered_packets,
-    };
-    let stats = net.dispatch_stats();
-    (s, stats)
-}
-
 /// [`run_timed`] with [`RecordingSink`]s on every subnet and the policy
 /// layer: the full-fat telemetry cost (event construction + Vec pushes),
 /// to set against the statically-erased `NopSink` default. Returns the
@@ -312,7 +236,7 @@ fn main() {
     // At 0.01 packets/node/cycle with RCS gating, subnets 1-3 sleep and
     // most routers of subnet 0 are drained; the remaining per-cycle cost
     // is the policy/NI/detector layer, so this ratio is Amdahl-bounded.
-    let gated = || MultiNocConfig::catnap_4x128().gating(true).seed(7).step_threads(1);
+    let gated = || MultiNocConfig::catnap_4x128().gating(true).seed(7);
     let full = run_timed("e2e_light_gated_full_step", gated(), 0.01, 1_000, 20_000, true);
     let fast = run_timed("e2e_light_gated_worklist", gated(), 0.01, 1_000, 20_000, false);
     assert_eq!(
@@ -321,112 +245,23 @@ fn main() {
     );
     let e2e_light_gated_speedup = fast.cycles_per_sec / full.cycles_per_sec;
 
-    // --- Parallel-subnet speedup: all four subnets busy ---
-    // Round-robin selection at a moderate load keeps every subnet
-    // carrying traffic, so there is real per-subnet work to overlap.
-    // The parallel leg uses auto sizing: on a single-core host that is
-    // the plain serial loop (ratio ~1.0, no pool overhead to pay); on a
-    // multi-core host it is the pool at the machine's parallelism.
-    let busy = |threads: Option<usize>| {
-        let cfg = MultiNocConfig::catnap_4x128().selector(SelectorKind::RoundRobin).seed(7);
-        match threads {
-            Some(t) => cfg.step_threads(t).shard_threads(t),
-            None => cfg,
-        }
-    };
-    // Interleaved best-of-three per leg: host jitter over a ~0.3s
-    // window exceeds the difference being measured on a single-core
-    // container, so alternating runs charge drift to both legs evenly.
-    let mut serial = run_timed("busy_4subnet_serial", busy(Some(1)), 0.20, 500, 6_000, false);
-    let mut parallel = run_timed("busy_4subnet_parallel", busy(None), 0.20, 500, 6_000, false);
+    // --- Busy subnets: every subnet carrying traffic ---
+    // Round-robin selection at a moderate load keeps every subnet busy,
+    // ungated and gated. Best of three per leg, interleaved, so host
+    // drift over the ~0.3 s window lands on both legs evenly.
+    let busy = || MultiNocConfig::catnap_4x128().selector(SelectorKind::RoundRobin).seed(7);
+    let mut busy_4subnet = run_timed("busy_4subnet", busy(), 0.20, 500, 6_000, false);
+    let mut busy_gated = run_timed("busy_gated", busy().gating(true), 0.20, 500, 6_000, false);
     for _ in 0..2 {
-        let s2 = run_timed("busy_4subnet_serial", busy(Some(1)), 0.20, 500, 6_000, false);
-        if s2.cycles_per_sec > serial.cycles_per_sec {
-            serial = s2;
+        let b = run_timed("busy_4subnet", busy(), 0.20, 500, 6_000, false);
+        if b.cycles_per_sec > busy_4subnet.cycles_per_sec {
+            busy_4subnet = b;
         }
-        let p2 = run_timed("busy_4subnet_parallel", busy(None), 0.20, 500, 6_000, false);
-        if p2.cycles_per_sec > parallel.cycles_per_sec {
-            parallel = p2;
-        }
-    }
-    assert_eq!(
-        serial.packets_delivered, parallel.packets_delivered,
-        "parallel subnet stepping must be bit-identical to serial"
-    );
-    let parallel_subnet_speedup = parallel.cycles_per_sec / serial.cycles_per_sec;
-
-    // --- Shard scaling: busy gated traffic at forced thread counts ---
-    // Gating keeps run sets irregular (the hard case for static
-    // chunking); each point forces both the lane count and the spatial
-    // shard count so the series is comparable across hosts.
-    let busy_gated = |threads: usize| busy(Some(threads)).gating(true);
-    let mut shard_scaling = Vec::new();
-    let mut base_cps = 0.0;
-    let mut base_pkts = 0;
-    for threads in [1usize, 2, 4] {
-        let point = run_timed(
-            &format!("busy_gated_shards_t{threads}"),
-            busy_gated(threads),
-            0.20,
-            500,
-            6_000,
-            false,
-        );
-        if threads == 1 {
-            base_cps = point.cycles_per_sec;
-            base_pkts = point.packets_delivered;
-        } else {
-            assert_eq!(
-                base_pkts, point.packets_delivered,
-                "sharded stepping must be bit-identical at {threads} threads"
-            );
-        }
-        shard_scaling.push(ShardScaling {
-            threads: threads as u64,
-            cycles_per_sec: point.cycles_per_sec,
-            speedup_vs_serial: point.cycles_per_sec / base_cps,
-        });
-    }
-
-    // --- Adaptive dispatch vs the best static crossover ---
-    // The controller (on by default whenever a pool exists) self-tunes
-    // the subnet fan-out and shard crossovers online; the static legs
-    // pin the historical constants with `.adaptive_dispatch(false)`.
-    // Interleaved best-of-three per leg, same as above: the question is
-    // whether online tuning lands within a whisker of the best
-    // hand-picked configuration, not which leg got the quieter slice of
-    // the host.
-    let adaptive_cfg = || busy(Some(4)).gating(true);
-    let static_cfg = |t: usize| busy(Some(t)).gating(true).adaptive_dispatch(false);
-    let mut static_t1 = run_timed("busy_gated_static_t1", static_cfg(1), 0.20, 500, 6_000, false);
-    let mut static_t4 = run_timed("busy_gated_static_t4", static_cfg(4), 0.20, 500, 6_000, false);
-    let (mut adaptive, mut dispatch_decisions) =
-        run_timed_dispatch("busy_gated_adaptive_t4", adaptive_cfg(), 0.20, 500, 6_000);
-    for _ in 0..2 {
-        let s1 = run_timed("busy_gated_static_t1", static_cfg(1), 0.20, 500, 6_000, false);
-        if s1.cycles_per_sec > static_t1.cycles_per_sec {
-            static_t1 = s1;
-        }
-        let s4 = run_timed("busy_gated_static_t4", static_cfg(4), 0.20, 500, 6_000, false);
-        if s4.cycles_per_sec > static_t4.cycles_per_sec {
-            static_t4 = s4;
-        }
-        let (a, d) = run_timed_dispatch("busy_gated_adaptive_t4", adaptive_cfg(), 0.20, 500, 6_000);
-        if a.cycles_per_sec > adaptive.cycles_per_sec {
-            adaptive = a;
-            dispatch_decisions = d;
+        let g = run_timed("busy_gated", busy().gating(true), 0.20, 500, 6_000, false);
+        if g.cycles_per_sec > busy_gated.cycles_per_sec {
+            busy_gated = g;
         }
     }
-    assert_eq!(
-        static_t1.packets_delivered, adaptive.packets_delivered,
-        "adaptive dispatch must be bit-identical to static serial"
-    );
-    assert_eq!(
-        static_t4.packets_delivered, adaptive.packets_delivered,
-        "adaptive dispatch must be bit-identical to static parallel"
-    );
-    let best_static = static_t1.cycles_per_sec.max(static_t4.cycles_per_sec);
-    let adaptive_vs_best_static = adaptive.cycles_per_sec / best_static;
 
     // --- Telemetry overhead: recording sinks vs the NopSink default ---
     // `MultiNoc::new` elaborates to `MultiNoc<NopSink>`, so the
@@ -442,9 +277,7 @@ fn main() {
     );
     let telemetry_recording_slowdown = fast.cycles_per_sec / rec.cycles_per_sec;
 
-    let scenarios = vec![
-        hot_full, hot_fast, full, fast, serial, parallel, static_t1, static_t4, adaptive, rec,
-    ];
+    let scenarios = vec![hot_full, hot_fast, full, fast, busy_4subnet, busy_gated, rec];
     let mut table = Table::new(["scenario", "cycles", "Mcycles/s", "Mflit-hops/s"]);
     for s in &scenarios {
         table.row([
@@ -458,18 +291,6 @@ fn main() {
     println!("\nhost parallelism:         {host_parallelism}");
     println!("worklist speedup:         {worklist_speedup:.2}x (hot loop, target >= 3x)");
     println!("e2e light-gated speedup:  {e2e_light_gated_speedup:.2}x (Amdahl-bounded)");
-    println!("parallel subnet speedup:  {parallel_subnet_speedup:.2}x (bounded by host cores)");
-    for p in &shard_scaling {
-        println!(
-            "shard scaling t={}:        {:.2}x vs single-thread",
-            p.threads, p.speedup_vs_serial
-        );
-    }
-    println!(
-        "adaptive vs best static:  {adaptive_vs_best_static:.2}x ({} phase fanouts, {} pooled \
-         subnet steps, {} probes)",
-        dispatch_decisions.phase_parallel, dispatch_decisions.subnet_parallel, dispatch_decisions.probes
-    );
     println!(
         "telemetry recording cost: {telemetry_recording_slowdown:.2}x slowdown \
          ({telemetry_events_recorded} events; NopSink default pays none of it)"
@@ -479,12 +300,8 @@ fn main() {
         host_parallelism,
         worklist_speedup,
         e2e_light_gated_speedup,
-        parallel_subnet_speedup,
-        adaptive_vs_best_static,
         telemetry_recording_slowdown,
         telemetry_events_recorded,
-        shard_scaling,
-        dispatch_decisions,
         scenarios,
     };
     emit_json("perf_throughput", &report);

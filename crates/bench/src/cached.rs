@@ -63,9 +63,6 @@ pub struct JobRequest {
     pub config: String,
     /// Power gating on/off.
     pub gating: bool,
-    /// Worker lanes for stepping subnets/shards (scheduling only; never
-    /// part of any fingerprint).
-    pub threads: usize,
     /// Destination pattern.
     pub pattern: SyntheticPattern,
     /// Offered-load schedule over warm-up + measurement.
@@ -86,7 +83,6 @@ impl JobRequest {
         let mut fields = vec![
             ("config".to_string(), Json::Str(self.config.clone())),
             ("gating".to_string(), Json::Bool(self.gating)),
-            ("threads".to_string(), Json::Int(self.threads as i64)),
             ("pattern".to_string(), Json::Str(self.pattern.name().to_string())),
         ];
         if let SyntheticPattern::HotSpot { hotspot, per_mille } = self.pattern {
@@ -112,8 +108,7 @@ impl JobRequest {
 }
 
 /// The [`JobRequest`]s of a constant-load latency sweep: one request per
-/// offered load, single-threaded workers (a fleet parallelizes across
-/// points, not within them). The exact counterpart of
+/// offered load. The exact counterpart of
 /// [`crate::runs::latency_sweep`]'s point list, so a distributed sweep
 /// can be checked byte-for-byte against the serial one.
 #[allow(clippy::too_many_arguments)]
@@ -132,7 +127,6 @@ pub fn sweep_requests(
         .map(|&l| JobRequest {
             config: preset.to_string(),
             gating,
-            threads: 1,
             pattern,
             schedule: LoadSchedule::constant(l),
             packet_bits,
@@ -309,7 +303,7 @@ mod tests {
 
     fn job_at(measure_rate: f64) -> SimJob {
         SimJob {
-            cfg: MultiNocConfig::catnap_2x128_64core().gating(true).step_threads(1),
+            cfg: MultiNocConfig::catnap_2x128_64core().gating(true),
             pattern: SyntheticPattern::UniformRandom,
             schedule: LoadSchedule::piecewise(vec![(0, 0.15), (300, measure_rate)]),
             packet_bits: 512,

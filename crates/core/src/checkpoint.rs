@@ -13,9 +13,7 @@
 //! for driverless runs). Resuming requires the *same resolved
 //! configuration*: the fingerprint over every semantically relevant
 //! config field is embedded in the header and checked before any
-//! payload byte is parsed. `step_threads` is deliberately excluded —
-//! results are bit-identical at any stepping parallelism, so a
-//! checkpoint taken on an 8-lane machine resumes on a laptop.
+//! payload byte is parsed.
 //!
 //! What a checkpoint captures and what it reconstructs is documented in
 //! DESIGN.md §13; the determinism suite asserts save→resume is
@@ -44,9 +42,8 @@ pub const FINGERPRINT_SCHEMA_VERSION: u32 = 1;
 
 /// Stable fingerprint of a resolved configuration: equal fingerprints
 /// guarantee two configs drive bit-identical simulations (every field
-/// that influences results is hashed; `step_threads` and
-/// `shard_threads`, which provably do not, are excluded). Used both to guard checkpoint resume and as
-/// the basis of result-cache keys.
+/// that influences results is hashed). Used both to guard checkpoint
+/// resume and as the basis of result-cache keys.
 pub fn config_fingerprint(cfg: &MultiNocConfig) -> u64 {
     let mut h = Fnv64::new();
     h.write_str(&cfg.name);
@@ -168,29 +165,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fingerprint_ignores_scheduling_knobs_only() {
+    fn fingerprint_covers_material_fields() {
         let base = MultiNocConfig::catnap_4x128().gating(true);
         let fp = config_fingerprint(&base);
-        assert_eq!(
-            fp,
-            config_fingerprint(&base.clone().step_threads(1)),
-            "thread count must not change the key"
-        );
-        assert_eq!(
-            fp,
-            config_fingerprint(&base.clone().shard_threads(8)),
-            "shard count must not change the key"
-        );
-        assert_eq!(
-            fp,
-            config_fingerprint(&base.clone().adaptive_dispatch(false)),
-            "dispatch controller mode must not change the key"
-        );
-        assert_eq!(
-            fp,
-            config_fingerprint(&base.clone().partition_shape(catnap_noc::PartitionShape::Tiles2d)),
-            "partition shape must not change the key"
-        );
+        assert_eq!(fp, config_fingerprint(&base.clone()));
         assert_ne!(fp, config_fingerprint(&base.clone().seed(1)));
         assert_ne!(fp, config_fingerprint(&base.clone().rcs_period(7)));
         assert_ne!(fp, config_fingerprint(&base.clone().selector(SelectorKind::RoundRobin)));

@@ -2,7 +2,7 @@
 
 use crate::congestion::{CongestionMetric, MetricKind};
 use crate::gating::GatingPolicy;
-use catnap_noc::{GatingConfig, MeshDims, NetworkConfig, PartitionShape};
+use catnap_noc::{GatingConfig, MeshDims, NetworkConfig};
 use catnap_power::DelayModel;
 
 /// Which subnet-selection policy to instantiate.
@@ -74,30 +74,6 @@ pub struct MultiNocConfig {
     pub freq_hz: f64,
     /// RNG seed (random selector).
     pub seed: u64,
-    /// Worker lanes for stepping the subnets in parallel. `None` picks
-    /// the `CATNAP_THREADS` override, else the machine parallelism,
-    /// capped at the subnet count; `Some(1)` forces strictly serial
-    /// stepping. Results are bit-identical regardless — the subnets only
-    /// interact through the NIs at cycle boundaries.
-    pub step_threads: Option<usize>,
-    /// Spatial shards per subnet mesh when a subnet steps on the pool.
-    /// `None` matches the pool's lane count; `Some(1)` disables spatial
-    /// sharding (subnet-level parallelism only). Like `step_threads`,
-    /// this is a pure scheduling knob: results are bit-identical at any
-    /// shard count, so it is excluded from the config fingerprint.
-    pub shard_threads: Option<usize>,
-    /// Whether the adaptive dispatch controller tunes the subnet/shard
-    /// fan-out crossovers online. `None` enables it whenever a pool
-    /// exists (unless [`crate::dispatch::FORCE_STATIC_ENV`] pins the
-    /// static constants); `Some(false)` pins the static constants;
-    /// `Some(true)` insists. Pure scheduling — results are bit-identical
-    /// either way, so it is excluded from the config fingerprint.
-    pub adaptive_dispatch: Option<bool>,
-    /// Spatial partition shape for the sharded phase-2 sweep. `None`
-    /// picks from the mesh aspect ratio
-    /// ([`PartitionShape::pick`]). Pure scheduling — bit-identical at
-    /// any shape, excluded from the config fingerprint.
-    pub partition_shape: Option<PartitionShape>,
 }
 
 impl MultiNocConfig {
@@ -124,10 +100,6 @@ impl MultiNocConfig {
             vdd,
             freq_hz: 2.0e9,
             seed: 0xCA7,
-            step_threads: None,
-            shard_threads: None,
-            adaptive_dispatch: None,
-            partition_shape: None,
         }
     }
 
@@ -239,36 +211,6 @@ impl MultiNocConfig {
         self
     }
 
-    /// Builder-style: pins the subnet-stepping parallelism (`1` =
-    /// strictly serial; see [`MultiNocConfig::step_threads`]).
-    pub fn step_threads(mut self, threads: usize) -> Self {
-        self.step_threads = Some(threads);
-        self
-    }
-
-    /// Builder-style: pins the spatial shards per subnet mesh (`1` =
-    /// no spatial sharding; see [`MultiNocConfig::shard_threads`]).
-    pub fn shard_threads(mut self, shards: usize) -> Self {
-        self.shard_threads = Some(shards);
-        self
-    }
-
-    /// Builder-style: pins the adaptive dispatch controller on or off
-    /// (default: on whenever a pool exists; see
-    /// [`MultiNocConfig::adaptive_dispatch`]).
-    pub fn adaptive_dispatch(mut self, adaptive: bool) -> Self {
-        self.adaptive_dispatch = Some(adaptive);
-        self
-    }
-
-    /// Builder-style: pins the spatial partition shape for the sharded
-    /// phase-2 sweep (default: picked from the mesh aspect ratio; see
-    /// [`MultiNocConfig::partition_shape`]).
-    pub fn partition_shape(mut self, shape: PartitionShape) -> Self {
-        self.partition_shape = Some(shape);
-        self
-    }
-
     /// Builder-style: renames the configuration.
     pub fn named(mut self, name: &str) -> Self {
         self.name = name.to_string();
@@ -314,12 +256,6 @@ impl MultiNocConfig {
         }
         if !(0.1..=1.5).contains(&self.vdd) {
             return Err(format!("implausible vdd {}", self.vdd));
-        }
-        if self.step_threads == Some(0) {
-            return Err("step_threads must be at least 1".into());
-        }
-        if self.shard_threads == Some(0) {
-            return Err("shard_threads must be at least 1".into());
         }
         Ok(())
     }

@@ -59,7 +59,6 @@ pub mod cache;
 pub mod checkpoint;
 pub mod config;
 pub mod congestion;
-pub mod dispatch;
 pub mod gating;
 pub mod multinoc;
 pub mod ni;
@@ -68,13 +67,11 @@ pub mod rcs;
 pub mod select;
 
 pub use cache::{CacheStats, SimCache};
-pub use catnap_noc::PartitionShape;
 pub use checkpoint::{config_fingerprint, CHECKPOINT_VERSION, FINGERPRINT_SCHEMA_VERSION};
 pub use config::{MultiNocConfig, SelectorKind};
 pub use congestion::{CongestionMetric, MetricKind};
-pub use dispatch::{force_static_dispatch, DispatchController, DispatchStats, FORCE_STATIC_ENV};
 pub use gating::GatingPolicy;
-pub use multinoc::{MultiNoc, RunReport, SkipStats, Snapshot};
+pub use multinoc::{DispatchStats, MultiNoc, RunReport, SkipStats, Snapshot};
 pub use power_report::MultiNocPowerReport;
 pub use rcs::OrNetwork;
 pub use select::{congestion_mask, SubnetSelector};

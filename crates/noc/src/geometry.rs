@@ -242,157 +242,6 @@ impl MeshDims {
     pub fn nodes(self) -> impl Iterator<Item = NodeId> {
         (0..self.num_nodes() as u16).map(NodeId)
     }
-
-    /// Partitions the mesh into up to `shards` horizontal bands of whole
-    /// rows, balanced to within one row. Node ids are row-major, so each
-    /// band is a **contiguous router-index range** — the unit of work the
-    /// sharded stepper hands to one pool lane. More shards than rows
-    /// collapses to one band per row; `shards == 0` is treated as 1.
-    /// Ranges are non-empty, sorted, and cover `0..num_nodes` exactly.
-    pub fn row_bands(self, shards: usize) -> Vec<std::ops::Range<usize>> {
-        let rows = self.rows as usize;
-        let nb = shards.clamp(1, rows);
-        let cols = self.cols as usize;
-        (0..nb)
-            .map(|b| {
-                let r0 = b * rows / nb;
-                let r1 = (b + 1) * rows / nb;
-                (r0 * cols)..(r1 * cols)
-            })
-            .collect()
-    }
-
-    /// Partitions the mesh into up to `shards` vertical bands of whole
-    /// columns, balanced to within one column. Node ids are row-major,
-    /// so a column band is **not** one contiguous index range — it is
-    /// one contiguous range *per row* (the band's columns within that
-    /// row), listed in ascending row order. More shards than columns
-    /// collapses to one band per column; `shards == 0` is treated as 1.
-    /// Across all bands the segments are disjoint and cover
-    /// `0..num_nodes` exactly.
-    pub fn col_bands(self, shards: usize) -> Vec<Vec<std::ops::Range<usize>>> {
-        let cols = self.cols as usize;
-        let rows = self.rows as usize;
-        let nb = shards.clamp(1, cols);
-        (0..nb)
-            .map(|b| {
-                let c0 = b * cols / nb;
-                let c1 = (b + 1) * cols / nb;
-                (0..rows).map(|r| (r * cols + c0)..(r * cols + c1)).collect()
-            })
-            .collect()
-    }
-
-    /// Partitions the mesh into a `tiles_x` x `tiles_y` grid of
-    /// rectangular tiles (clamped to the mesh extents), each balanced to
-    /// within one column horizontally and one row vertically. A tile is
-    /// a list of contiguous index ranges, one per row it spans, in
-    /// ascending row order; tiles come out in row-major tile order.
-    /// Across all tiles the segments are disjoint and cover
-    /// `0..num_nodes` exactly. Zero tile counts are treated as 1.
-    pub fn tiles2d(self, tiles_x: usize, tiles_y: usize) -> Vec<Vec<std::ops::Range<usize>>> {
-        let cols = self.cols as usize;
-        let rows = self.rows as usize;
-        let tx = tiles_x.clamp(1, cols);
-        let ty = tiles_y.clamp(1, rows);
-        let mut tiles = Vec::with_capacity(tx * ty);
-        for j in 0..ty {
-            let r0 = j * rows / ty;
-            let r1 = (j + 1) * rows / ty;
-            for i in 0..tx {
-                let c0 = i * cols / tx;
-                let c1 = (i + 1) * cols / tx;
-                tiles.push((r0..r1).map(|r| (r * cols + c0)..(r * cols + c1)).collect());
-            }
-        }
-        tiles
-    }
-
-    /// Near-square tile grid `(tiles_x, tiles_y)` for about `shards`
-    /// tiles: the larger factor runs along the larger mesh dimension,
-    /// and both are clamped to the extents. `tiles_x * tiles_y <=
-    /// max(shards, 1)` always holds, so a grid never over-splits the
-    /// requested parallelism.
-    pub fn tile_grid(self, shards: usize) -> (usize, usize) {
-        let s = shards.max(1);
-        let mut a = 1usize;
-        while (a + 1) * (a + 1) <= s {
-            a += 1;
-        }
-        let b = s / a;
-        let (big, small) = (a.max(b), a.min(b));
-        let (tx, ty) = if self.cols >= self.rows {
-            (big, small)
-        } else {
-            (small, big)
-        };
-        (tx.clamp(1, self.cols as usize), ty.clamp(1, self.rows as usize))
-    }
-
-    /// The `shape` partition with about `shards` parts, in the uniform
-    /// segment-list form ([`MeshDims::col_bands`]): each part is a list
-    /// of disjoint contiguous index ranges in ascending order, and the
-    /// segments of all parts tile `0..num_nodes` exactly.
-    pub fn partition(self, shape: PartitionShape, shards: usize) -> Vec<Vec<std::ops::Range<usize>>> {
-        match shape {
-            PartitionShape::RowBands => self.row_bands(shards).into_iter().map(|r| vec![r]).collect(),
-            PartitionShape::ColBands => self.col_bands(shards),
-            PartitionShape::Tiles2d => {
-                let (tx, ty) = self.tile_grid(shards);
-                self.tiles2d(tx, ty)
-            }
-        }
-    }
-}
-
-/// How the sharded phase-2 stepper partitions a mesh across pool lanes.
-/// Purely a scheduling choice: every shape is bit-identical to the
-/// serial sweep (the stepper's merge restores canonical order for any
-/// disjoint exact-cover partition).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum PartitionShape {
-    /// Horizontal bands of whole rows ([`MeshDims::row_bands`]). Best
-    /// when the mesh has at least as many rows as shards.
-    RowBands,
-    /// Vertical bands of whole columns ([`MeshDims::col_bands`]). Fixes
-    /// the row-band load imbalance on short-wide meshes (few rows, many
-    /// columns).
-    ColBands,
-    /// A near-square 2-D tile grid ([`MeshDims::tiles2d`]); the fallback
-    /// when neither dimension alone offers enough parallelism.
-    Tiles2d,
-}
-
-impl PartitionShape {
-    /// Every shape, for test matrices.
-    pub const ALL: [PartitionShape; 3] = [
-        PartitionShape::RowBands,
-        PartitionShape::ColBands,
-        PartitionShape::Tiles2d,
-    ];
-
-    /// Short stable name (telemetry and JSON reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            PartitionShape::RowBands => "row_bands",
-            PartitionShape::ColBands => "col_bands",
-            PartitionShape::Tiles2d => "tiles2d",
-        }
-    }
-
-    /// Picks the shape whose bands stay balanced for `shards` parts on
-    /// this mesh: row bands while there are enough rows, else column
-    /// bands while there are enough columns, else 2-D tiles.
-    pub fn pick(dims: MeshDims, shards: usize) -> PartitionShape {
-        let s = shards.max(1);
-        if dims.rows as usize >= s {
-            PartitionShape::RowBands
-        } else if dims.cols as usize >= s {
-            PartitionShape::ColBands
-        } else {
-            PartitionShape::Tiles2d
-        }
-    }
 }
 
 /// Identifier of a region of the mesh (used by the regional congestion
@@ -512,152 +361,6 @@ mod tests {
     #[should_panic]
     fn zero_dims_panic() {
         MeshDims::new(0, 4);
-    }
-
-    #[test]
-    fn row_bands_cover_exactly_and_balance() {
-        for (cols, rows) in [(8u16, 8u16), (4, 4), (3, 5), (16, 2), (1, 1)] {
-            let m = MeshDims::new(cols, rows);
-            for shards in [0usize, 1, 2, 3, 4, 7, 8, 64] {
-                let bands = m.row_bands(shards);
-                assert!(!bands.is_empty());
-                assert!(bands.len() <= shards.max(1).min(rows as usize));
-                // Contiguous cover of 0..num_nodes, whole rows only.
-                let mut next = 0usize;
-                for band in &bands {
-                    assert_eq!(band.start, next, "bands are contiguous");
-                    assert!(band.end > band.start, "bands are non-empty");
-                    assert_eq!(band.len() % cols as usize, 0, "bands hold whole rows");
-                    next = band.end;
-                }
-                assert_eq!(next, m.num_nodes());
-                // Balanced to within one row.
-                let rows_per: Vec<usize> = bands.iter().map(|b| b.len() / cols as usize).collect();
-                let (min, max) = (rows_per.iter().min().unwrap(), rows_per.iter().max().unwrap());
-                assert!(max - min <= 1, "row balance within one: {rows_per:?}");
-            }
-        }
-    }
-
-    /// Flattens a segment-list partition and asserts the segments are
-    /// disjoint and cover `0..num_nodes` exactly; returns per-part node
-    /// counts.
-    fn assert_exact_cover(m: MeshDims, parts: &[Vec<std::ops::Range<usize>>]) -> Vec<usize> {
-        assert!(!parts.is_empty());
-        let mut segs: Vec<(usize, usize)> = Vec::new();
-        for part in parts {
-            assert!(!part.is_empty(), "parts are non-empty");
-            let mut prev_end = 0usize;
-            for r in part {
-                assert!(r.end > r.start, "segments are non-empty");
-                assert!(r.start >= prev_end, "a part's segments ascend");
-                prev_end = r.end;
-            }
-            for r in part {
-                segs.push((r.start, r.end));
-            }
-        }
-        segs.sort_unstable();
-        let mut next = 0usize;
-        for &(s, e) in &segs {
-            assert_eq!(s, next, "segments tile the index space without gap or overlap");
-            next = e;
-        }
-        assert_eq!(next, m.num_nodes());
-        parts.iter().map(|p| p.iter().map(|r| r.end - r.start).sum()).collect()
-    }
-
-    #[test]
-    fn col_bands_cover_exactly_and_balance() {
-        for (cols, rows) in [(8u16, 8u16), (4, 4), (3, 5), (16, 2), (2, 16), (1, 7), (7, 1), (1, 1)] {
-            let m = MeshDims::new(cols, rows);
-            for shards in [0usize, 1, 2, 3, 4, 7, 8, 64] {
-                let bands = m.col_bands(shards);
-                assert!(bands.len() <= shards.max(1).min(cols as usize));
-                let sizes = assert_exact_cover(m, &bands);
-                // Whole columns only, balanced to within one column.
-                let cols_per: Vec<usize> = sizes
-                    .iter()
-                    .map(|&s| {
-                        assert_eq!(s % rows as usize, 0, "bands hold whole columns");
-                        s / rows as usize
-                    })
-                    .collect();
-                let (min, max) = (cols_per.iter().min().unwrap(), cols_per.iter().max().unwrap());
-                assert!(max - min <= 1, "column balance within one: {cols_per:?}");
-                // Each band spans every row: one segment per row.
-                for band in &bands {
-                    assert_eq!(band.len(), rows as usize);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tiles2d_cover_exactly_and_balance() {
-        for (cols, rows) in [(8u16, 8u16), (4, 4), (3, 5), (16, 2), (2, 16), (1, 7), (7, 1), (1, 1)] {
-            let m = MeshDims::new(cols, rows);
-            for (tx, ty) in [(0usize, 0usize), (1, 1), (2, 2), (3, 2), (2, 3), (4, 4), (64, 64)] {
-                let tiles = m.tiles2d(tx, ty);
-                let txc = tx.clamp(1, cols as usize);
-                let tyc = ty.clamp(1, rows as usize);
-                assert_eq!(tiles.len(), txc * tyc);
-                assert_exact_cover(m, &tiles);
-                // Row-major tile order: tile (i, j) holds tyc-balanced
-                // rows and txc-balanced columns, each within one.
-                let rows_per: Vec<usize> = (0..tyc).map(|j| tiles[j * txc].len()).collect();
-                let (rmin, rmax) = (rows_per.iter().min().unwrap(), rows_per.iter().max().unwrap());
-                assert!(rmax - rmin <= 1, "row balance within one: {rows_per:?}");
-                let cols_per: Vec<usize> = (0..txc).map(|i| tiles[i][0].end - tiles[i][0].start).collect();
-                let (cmin, cmax) = (cols_per.iter().min().unwrap(), cols_per.iter().max().unwrap());
-                assert!(cmax - cmin <= 1, "column balance within one: {cols_per:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn tile_grid_is_near_square_and_bounded() {
-        let m = MeshDims::new(8, 8);
-        for shards in [1usize, 2, 3, 4, 6, 8, 9, 16, 64] {
-            let (tx, ty) = m.tile_grid(shards);
-            assert!(
-                tx * ty <= shards.max(1),
-                "grid never over-splits ({tx}x{ty} for {shards})"
-            );
-            assert!(tx >= 1 && ty >= 1);
-        }
-        assert_eq!(m.tile_grid(4), (2, 2));
-        assert_eq!(m.tile_grid(8), (4, 2), "larger factor along the (tied) column extent");
-        // Clamped by a skinny mesh.
-        assert_eq!(MeshDims::new(2, 16).tile_grid(16), (2, 4));
-        assert_eq!(MeshDims::new(1, 4).tile_grid(64), (1, 4));
-    }
-
-    #[test]
-    fn partition_shapes_all_tile_the_mesh() {
-        for (cols, rows) in [(8u16, 8u16), (3, 5), (16, 2), (1, 7)] {
-            let m = MeshDims::new(cols, rows);
-            for shape in PartitionShape::ALL {
-                for shards in [1usize, 2, 4, 8] {
-                    assert_exact_cover(m, &m.partition(shape, shards));
-                }
-            }
-        }
-        // Row bands stay the contiguous special case.
-        let m = MeshDims::new(4, 4);
-        let parts = m.partition(PartitionShape::RowBands, 2);
-        assert_eq!(parts, vec![vec![0..8], vec![8..16]]);
-    }
-
-    #[test]
-    fn partition_shape_pick_matches_mesh_aspect() {
-        assert_eq!(PartitionShape::pick(MeshDims::new(8, 8), 4), PartitionShape::RowBands);
-        assert_eq!(PartitionShape::pick(MeshDims::new(8, 8), 8), PartitionShape::RowBands);
-        // Short-wide mesh: rows run out before the shard count.
-        assert_eq!(PartitionShape::pick(MeshDims::new(16, 2), 4), PartitionShape::ColBands);
-        // Neither dimension alone is enough.
-        assert_eq!(PartitionShape::pick(MeshDims::new(3, 3), 4), PartitionShape::Tiles2d);
-        assert_eq!(PartitionShape::pick(MeshDims::new(1, 1), 0), PartitionShape::RowBands);
     }
 
     #[test]

@@ -64,8 +64,8 @@ pub mod vc;
 
 pub use config::{GatingConfig, NetworkConfig};
 pub use flit::{Flit, FlitKind, MessageClass, PacketDescriptor, PacketId};
-pub use geometry::{Direction, MeshDims, NodeId, PartitionShape, Port, RegionId, RegionMap};
-pub use network::{Network, SchedStats, SHADOW_REPLAY_MAX, SHARD_DISPATCH_MIN};
+pub use geometry::{Direction, MeshDims, NodeId, Port, RegionId, RegionMap};
+pub use network::{Network, SchedStats, SHADOW_REPLAY_MAX};
 pub use power_state::{PowerState, ResidencySnapshot, WakeReason};
 pub use quiescence::{Quiescence, QuiescenceTracker};
 pub use router::{Router, RouterPowerFingerprint};

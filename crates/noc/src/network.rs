@@ -14,10 +14,6 @@ use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-mod sharded;
-
-pub use sharded::SHARD_DISPATCH_MIN;
-
 /// A single physical network-on-chip (one subnet of a Multi-NoC).
 ///
 /// The network advances in discrete cycles via [`Network::step`]. Flits are
@@ -110,10 +106,6 @@ pub struct Network<S: Sink = NopSink> {
     /// loop reads the routers directly, and releasing the escape hatch
     /// recomputes the cache (`reseed_scheduler`).
     active_mask: Vec<u8>,
-    /// Reusable buffers and engagement census of the spatially sharded
-    /// phase-2 sweep ([`Network::step_sharded`]). Never serialized:
-    /// purely scratch plus diagnostics, bit-invisible to results.
-    shard: sharded::ShardRuntime,
     /// Telemetry sink; [`NopSink`] by default, which erases every
     /// instrumentation point at monomorphization.
     sink: S,
@@ -255,7 +247,6 @@ impl<S: Sink> Network<S> {
             nondrained: 0,
             sched: SchedStats::default(),
             active_mask,
-            shard: sharded::ShardRuntime::default(),
             sink,
             power_shadow: if S::ENABLED {
                 vec![PowerPhase::Active; n]
@@ -411,7 +402,12 @@ impl<S: Sink> Network<S> {
 
     fn sync_all(&mut self) {
         for idx in 0..self.routers.len() {
-            self.sync_to(idx, self.cycle);
+            if self.cursor[idx] != self.cycle {
+                self.sync_to(idx, self.cycle);
+                // Cursor moved: a pending wake-completion entry is now
+                // stale by its stamp, so re-enter it from the new cursor.
+                self.reschedule(idx);
+            }
         }
     }
 
@@ -710,16 +706,6 @@ impl<S: Sink> Network<S> {
 
     /// One cycle of the event scheduler.
     fn step_scheduled(&mut self) {
-        let todo = self.begin_scheduled_cycle();
-        self.finish_scheduled_phase2(todo);
-    }
-
-    /// Run-set collection and phase 1 of a scheduled cycle (everything
-    /// before routers tick). Returns the phase-2 run set; the caller
-    /// finishes the cycle with [`Network::finish_scheduled_phase2`] or
-    /// the sharded sweep. Serial by construction: deliveries and their
-    /// wake pings mutate routers across the whole mesh.
-    fn begin_scheduled_cycle(&mut self) -> BinaryHeap<Reverse<u32>> {
         let cycle = self.cycle;
 
         // Collect this cycle's run set: routers marked by the previous
@@ -781,15 +767,8 @@ impl<S: Sink> Network<S> {
         }
         credits.clear();
         self.staged_credits = credits;
-        todo
-    }
 
-    /// Phase 2 of a scheduled cycle, serial reference form: run the hot
-    /// set in ascending index order on the calling thread.
-    fn finish_scheduled_phase2(&mut self, mut todo: BinaryHeap<Reverse<u32>>) {
-        let cycle = self.cycle;
-        let n = self.cfg.dims.num_nodes();
-        // Run the hot set in index order. Mid-iteration wake
+        // Phase 2: run the hot set in index order. Mid-iteration wake
         // requests may insert indices ahead of the iteration point; the
         // heap keeps the order. When the hot set covers a large part of
         // the mesh (saturated subnet), a dense ascending index scan
@@ -797,6 +776,7 @@ impl<S: Sink> Network<S> {
         // per-element log cost; requests that land ahead of the scan
         // position are picked up by their `hot_stamp` (`mark_in` still
         // pushes to the heap, which the dense mode simply discards).
+        let n = self.cfg.dims.num_nodes();
         let mut stepped: Vec<u32> = Vec::new();
         if todo.len() * 4 >= n {
             for idx in 0..n {
@@ -1081,15 +1061,6 @@ impl<S: Sink> Network<S> {
     /// matters.
     pub fn all_drained(&self) -> bool {
         !self.force_full_step && self.nondrained == 0
-    }
-
-    /// Number of routers currently holding flits (the scheduler's
-    /// non-drained census). O(1); a cheap upper-bound estimate of how
-    /// much phase-2 work the next step will do. The multi-NoC layer
-    /// compares it against a crossover threshold to decide whether
-    /// stepping this subnet is worth a thread-pool dispatch.
-    pub fn busy_routers(&self) -> usize {
-        self.nondrained
     }
 
     /// Sum of router activity counters across the network.

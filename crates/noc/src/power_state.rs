@@ -171,21 +171,6 @@ impl PowerStateMachine {
         }
     }
 
-    /// The state [`PowerStateMachine::tick`] would leave the machine in,
-    /// without mutating it or touching residency counters. Used by the
-    /// sharded stepper to precompute neighbour acceptance masks for
-    /// routers that will tick this cycle (the only self-induced mid-cycle
-    /// transition is a wake-up countdown completing).
-    pub fn state_after_tick(&self) -> PowerState {
-        match self.state {
-            PowerState::WakeUp { remaining } if remaining <= 1 => PowerState::Active,
-            PowerState::WakeUp { remaining } => PowerState::WakeUp {
-                remaining: remaining - 1,
-            },
-            s => s,
-        }
-    }
-
     /// Advances the machine by `dt` cycles in O(1), equivalent to `dt`
     /// calls of [`PowerStateMachine::tick`] **provided no state
     /// transition falls inside the interval**. Active and Sleep are

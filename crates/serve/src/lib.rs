@@ -70,14 +70,9 @@ pub const PROTOCOL_VERSION: u32 = 2;
 /// `tornado`, `neighbor`, or `hotspot` with `hotspot` node index and
 /// optional `hotspot_per_mille`), either `rate` (constant load) or
 /// `schedule` (`[[from_cycle, rate], …]`), `packet_bits` (default 512),
-/// `warmup`, `measure`, `seed` (default 7), and `threads` (worker
-/// lanes for stepping the job's subnets and mesh shards; default 1 =
-/// serial, so concurrent jobs never oversubscribe the host unless
-/// asked to). `threads` also accepts the string `"auto"`: lane count
-/// and dispatch crossovers are then left to the worker's adaptive
-/// controller (auto sizing capped by the host, crossovers self-tuned
-/// online). Thread count is a pure scheduling knob — results and cache
-/// keys are bit-identical at any value, `"auto"` included.
+/// `warmup`, `measure`, and `seed` (default 7). Every job steps its
+/// subnets serially on the worker's connection thread. Unrecognized
+/// fields are ignored — among them `threads`, which older clients send.
 ///
 /// # Errors
 ///
@@ -96,21 +91,7 @@ pub fn parse_job(j: &Json) -> Result<SimJob, String> {
         None => true,
         Some(v) => v.as_bool().ok_or("'gating' must be a bool")?,
     };
-    // `None` = controller-managed (auto lane sizing + adaptive
-    // crossovers); `Some(t)` = pinned lanes and shards.
-    let threads = match j.get("threads") {
-        None => Some(1),
-        Some(Json::Str(s)) if s == "auto" => None,
-        Some(v) => Some(
-            v.as_u64()
-                .filter(|&t| t >= 1)
-                .ok_or("'threads' must be an integer >= 1 or \"auto\"")? as usize,
-        ),
-    };
-    let cfg = match threads {
-        Some(t) => cfg.gating(gating).step_threads(t).shard_threads(t),
-        None => cfg.gating(gating),
-    };
+    let cfg = cfg.gating(gating);
     let nodes = cfg.dims.num_nodes() as u16;
 
     let pattern = match j.get("pattern").and_then(Json::as_str).unwrap_or("uniform-random") {
@@ -494,7 +475,6 @@ mod tests {
             JobRequest {
                 config: "catnap-2x128-64core".to_string(),
                 gating: true,
-                threads: 1,
                 pattern: SyntheticPattern::UniformRandom,
                 schedule: LoadSchedule::constant(0.035),
                 packet_bits: 512,
@@ -505,7 +485,6 @@ mod tests {
             JobRequest {
                 config: "single-noc-128b".to_string(),
                 gating: false,
-                threads: 2,
                 pattern: SyntheticPattern::HotSpot {
                     hotspot: NodeId(5),
                     per_mille: 250,
@@ -527,9 +506,7 @@ mod tests {
                     "single-noc-128b" => MultiNocConfig::single_noc_128b(),
                     other => panic!("unexpected preset {other}"),
                 }
-                .gating(req.gating)
-                .step_threads(req.threads)
-                .shard_threads(req.threads),
+                .gating(req.gating),
                 pattern: req.pattern,
                 schedule: req.schedule.clone(),
                 packet_bits: req.packet_bits,
@@ -538,7 +515,16 @@ mod tests {
                 seed: req.seed,
             };
             assert_eq!(job_fingerprint(&parsed), job_fingerprint(&direct));
-            assert_eq!(parsed.cfg.step_threads, Some(req.threads));
+            // `threads` is no longer part of the protocol: lines that
+            // still carry it resolve to the same job.
+            for threads in [Json::Int(4), Json::Str("auto".to_string())] {
+                let Json::Obj(mut fields) = req.to_job_json() else {
+                    panic!("a job encodes as an object")
+                };
+                fields.push(("threads".to_string(), threads));
+                let legacy = parse_job(&Json::Obj(fields)).expect("a legacy line must parse");
+                assert_eq!(job_fingerprint(&legacy), job_fingerprint(&parsed));
+            }
         }
     }
 

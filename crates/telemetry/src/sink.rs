@@ -19,9 +19,9 @@ use crate::event::Event;
 
 /// A consumer of telemetry events.
 ///
-/// `Send` is a supertrait because per-subnet sinks ride their `Network`
-/// onto the stepping thread pool. Implementations must not observe
-/// simulation state or feed anything back — determinism goldens are
+/// `Send` is a supertrait so a simulator with sinks attached stays
+/// `Send` and can move between threads. Implementations must not
+/// observe simulation state or feed anything back — determinism goldens are
 /// asserted bit-identical with and without a recording sink attached.
 pub trait Sink: Send {
     /// Statically known on/off switch; `false` compiles every

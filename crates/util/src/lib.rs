@@ -17,11 +17,8 @@
 //! * [`check`] — a mini property-testing runner: N seeded cases over
 //!   `SimRng`-driven generators, failing-seed reporting, and
 //!   shrink-by-halving.
-//! * [`pool`] — a scoped work-stealing thread pool with persistent
-//!   workers, deterministic result ordering, and a serial fallback, used
-//!   to step subnet shards and fan out benchmark sweep points.
-//! * [`deque`] — the bounded Chase–Lev work-stealing deque the pool's
-//!   workers balance load with.
+//! * [`pool`] — [`par_map`](pool::par_map), an order-preserving
+//!   parallel map on scoped threads that fans out sweep points.
 //! * [`codec`] — the checkpoint binary format: little-endian
 //!   [`ByteWriter`](codec::ByteWriter)/[`ByteReader`](codec::ByteReader)
 //!   primitives, an incremental FNV-1a hasher, and the versioned
@@ -29,7 +26,6 @@
 
 pub mod check;
 pub mod codec;
-pub mod deque;
 pub mod json;
 pub mod pool;
 pub mod rng;
@@ -37,5 +33,5 @@ pub mod rng;
 pub use check::Checker;
 pub use codec::{ByteReader, ByteWriter, CodecError, Fnv64};
 pub use json::{FromJson, Json, JsonError, ToJson};
-pub use pool::{PoolStats, ThreadPool};
+pub use pool::par_map;
 pub use rng::SimRng;

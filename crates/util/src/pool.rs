@@ -1,771 +1,61 @@
-//! A scoped work-stealing thread pool built on `std` only, keeping the
-//! workspace's hermetic zero-dependency policy.
-//!
-//! The pool runs batches of closures that may borrow from the caller's
-//! stack (like `std::thread::scope`, but with persistent workers so the
-//! per-batch cost is a queue push + condvar wake rather than thread
-//! creation). [`ThreadPool::run`] returns results **in job-submission
-//! order** regardless of which worker finished first, so parallel fan-out
-//! is deterministic for the caller. The submitting thread participates in
-//! draining the work, which means a pool built with parallelism 1 (or
-//! the `CATNAP_THREADS=1` serial fallback) executes every job inline, in
-//! order, on the caller — the exact serial semantics, through the same
-//! code path.
-//!
-//! Scheduling is work-stealing, not static chunking: each worker owns a
-//! bounded [`crate::deque`] Chase–Lev deque and idle workers steal from
-//! busy ones, so one long job on a lane does not strand the short jobs
-//! queued behind it. External submitters feed a shared FIFO injector;
-//! **pool workers may call [`ThreadPool::run`] re-entrantly** — nested
-//! batches go to the worker's own deque (popped LIFO, so the innermost
-//! batch drains first) and are stealable by idle peers. This is what
-//! lets subnet-stepping jobs fan out into per-shard jobs on the same
-//! pool without a second thread team.
-//!
-//! Worker panics are caught, the batch still completes, and the first
-//! panic payload is re-raised on the submitting thread; the pool remains
-//! usable afterwards.
+//! Order-preserving parallel map on scoped threads, built on `std` only
+//! to keep the workspace's hermetic zero-dependency policy.
 
-use std::any::Any;
-use std::cell::Cell;
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::deque::{self, Steal};
-
-/// Name of the environment variable overriding worker parallelism
-/// (`1` forces the serial path; unset or unparsable falls back to the
-/// caller's default, typically [`std::thread::available_parallelism`]).
-pub const THREADS_ENV: &str = "CATNAP_THREADS";
-
-/// Capacity of each worker's private deque; overflow spills to the
-/// shared injector, so this only bounds the uncontended fast path.
-const LANE_QUEUE: usize = 256;
-
-/// Parses a `CATNAP_THREADS`-style override. Returns `None` for absent,
-/// empty, unparsable, or zero values (zero threads cannot run anything,
-/// so it is treated as "no override" rather than a deadlock).
-pub fn parse_threads(value: Option<&str>) -> Option<usize> {
-    value.and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n > 0)
-}
-
-/// Reads the [`THREADS_ENV`] override from the process environment.
-pub fn env_threads() -> Option<usize> {
-    parse_threads(std::env::var(THREADS_ENV).ok().as_deref())
-}
-
-/// Effective parallelism for a job that can use up to `max_useful`
-/// lanes: the env override if set, else the machine parallelism, capped
-/// at `max_useful` and floored at 1.
-pub fn effective_parallelism(max_useful: usize) -> usize {
-    let machine = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    env_threads().unwrap_or(machine).min(max_useful).max(1)
-}
-
-/// A job queued for the workers, with the accounting of the batch it
-/// belongs to. The `'static` bound is produced by [`ThreadPool::run`]
-/// erasing the scope lifetime; safety rests on `run` never returning
-/// (normally or by unwind) before every job of its batch has finished.
-struct Job {
-    work: Box<dyn FnOnce() + Send + 'static>,
-    batch: Arc<Batch>,
-}
-
-impl Job {
-    fn execute(self) {
-        let result = catch_unwind(AssertUnwindSafe(self.work));
-        self.batch.complete(result.err());
+/// Applies `f` to every item and returns the results **in `items`
+/// order**, whichever lane finished first.
+///
+/// Lanes are `available_parallelism().min(items.len())` threads spawned
+/// with [`std::thread::scope`], so `f` and `items` may borrow from the
+/// caller's stack. Each lane pulls the next index from a shared counter,
+/// so one slow item does not strand the items queued behind it. With a
+/// single lane (one item, or a one-core host) `f` runs inline on the
+/// caller, in order. A panic in `f` is re-raised on the caller with its
+/// original payload after every lane has stopped.
+pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let lanes = machine.min(items.len());
+    if lanes <= 1 {
+        return items.iter().map(f).collect();
     }
-}
-
-/// Completion tracking for one `run` call.
-struct Batch {
-    state: Mutex<BatchState>,
-    done_cv: Condvar,
-}
-
-struct BatchState {
-    remaining: usize,
-    panic: Option<Box<dyn Any + Send>>,
-}
-
-impl Batch {
-    fn new(jobs: usize) -> Arc<Self> {
-        Arc::new(Batch {
-            state: Mutex::new(BatchState {
-                remaining: jobs,
-                panic: None,
-            }),
-            done_cv: Condvar::new(),
-        })
-    }
-
-    fn complete(&self, panic: Option<Box<dyn Any + Send>>) {
-        let mut st = self.state.lock().unwrap();
-        st.remaining -= 1;
-        if st.panic.is_none() {
-            st.panic = panic;
-        }
-        if st.remaining == 0 {
-            self.done_cv.notify_all();
-        }
-    }
-
-    /// Blocks until every job of the batch has run, then re-raises the
-    /// first recorded panic, if any.
-    fn wait(&self) {
-        let mut st = self.state.lock().unwrap();
-        while st.remaining > 0 {
-            st = self.done_cv.wait(st).unwrap();
-        }
-        let panic = st.panic.take();
-        drop(st);
-        if let Some(p) = panic {
-            resume_unwind(p);
-        }
-    }
-}
-
-struct Queue {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
-}
-
-/// Cumulative scheduler telemetry, drained as a [`PoolStats`] snapshot
-/// via [`ThreadPool::stats`]. Every executed job is acquired from
-/// exactly one of a worker's own deque, the shared injector, or a steal,
-/// so `jobs_run == lane_pops + injector_pops + steals` holds at rest.
-/// The serial fast path in [`ThreadPool::run`] (single job, or a pool
-/// with no workers) bypasses the queues and leaves every counter
-/// untouched. All increments are relaxed: the counters feed scheduling
-/// heuristics and diagnostics, never correctness.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Jobs executed through the queues (serial fast path excluded).
-    pub jobs_run: u64,
-    /// Successful steals from another lane's deque.
-    pub steals: u64,
-    /// Steal scans that found every other lane empty.
-    pub failed_steals: u64,
-    /// Jobs popped from the shared FIFO injector.
-    pub injector_pops: u64,
-    /// Jobs a worker popped from its own deque (nested batches).
-    pub lane_pops: u64,
-    /// Times a lane parked on the condvar for lack of visible work.
-    pub park_waits: u64,
-}
-
-#[derive(Default)]
-struct Counters {
-    jobs_run: AtomicU64,
-    steals: AtomicU64,
-    failed_steals: AtomicU64,
-    injector_pops: AtomicU64,
-    lane_pops: AtomicU64,
-    park_waits: AtomicU64,
-}
-
-impl Counters {
-    #[inline]
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> PoolStats {
-        PoolStats {
-            jobs_run: self.jobs_run.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            failed_steals: self.failed_steals.load(Ordering::Relaxed),
-            injector_pops: self.injector_pops.load(Ordering::Relaxed),
-            lane_pops: self.lane_pops.load(Ordering::Relaxed),
-            park_waits: self.park_waits.load(Ordering::Relaxed),
-        }
-    }
-}
-
-struct Shared {
-    /// FIFO overflow/entry queue for external submitters; its mutex also
-    /// guards the sleep protocol (push-then-notify under the lock pairs
-    /// with the workers' scan-then-wait under the lock).
-    injector: Mutex<Queue>,
-    work_cv: Condvar,
-    /// One stealer per worker lane, in lane order.
-    stealers: Vec<deque::Stealer<Job>>,
-    /// Scheduler counters (see [`PoolStats`]).
-    stats: Counters,
-}
-
-impl Shared {
-    fn pop_injector(&self) -> Option<Job> {
-        let job = self.injector.lock().unwrap().jobs.pop_front();
-        if job.is_some() {
-            Counters::bump(&self.stats.injector_pops);
-        }
-        job
-    }
-
-    /// Pops the caller's own deque, counting the hit.
-    fn pop_own(&self, own: &deque::Worker<Job>) -> Option<Job> {
-        let job = own.pop();
-        if job.is_some() {
-            Counters::bump(&self.stats.lane_pops);
-        }
-        job
-    }
-
-    /// Steals one job from any lane other than `skip` (pass a
-    /// out-of-range value for "no own lane"). Scan order starts after
-    /// `skip` so victims rotate instead of piling onto lane 0.
-    fn try_steal(&self, skip: usize) -> Option<Job> {
-        let n = self.stealers.len();
-        if n == 0 {
-            return None;
-        }
-        for k in 0..n {
-            let i = skip.wrapping_add(1).wrapping_add(k) % n;
-            if i == skip {
-                continue;
-            }
-            loop {
-                match self.stealers[i].steal() {
-                    Steal::Success(job) => {
-                        Counters::bump(&self.stats.steals);
-                        return Some(job);
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..lanes)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return done;
+                        };
+                        done.push((i, f(item)));
                     }
-                    Steal::Retry => std::hint::spin_loop(),
-                    Steal::Empty => break,
-                }
-            }
-        }
-        Counters::bump(&self.stats.failed_steals);
-        None
-    }
-
-    /// [`Job::execute`] with the run counted.
-    fn execute(&self, job: Job) {
-        Counters::bump(&self.stats.jobs_run);
-        job.execute();
-    }
-}
-
-/// This thread's lane in a pool, recorded thread-locally by
-/// `worker_loop` so a nested [`ThreadPool::run`] from inside a job can
-/// recognise its own pool and push to its own deque.
-#[derive(Clone, Copy)]
-struct LaneTls {
-    shared: *const Shared,
-    lane: usize,
-    deque: *const deque::Worker<Job>,
-}
-
-thread_local! {
-    static LANE: Cell<Option<LaneTls>> = const { Cell::new(None) };
-}
-
-/// A persistent scoped work-stealing thread pool (see the module docs).
-pub struct ThreadPool {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for ThreadPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool").field("parallelism", &self.parallelism()).finish()
-    }
-}
-
-impl ThreadPool {
-    /// Creates a pool with the given total parallelism: `parallelism - 1`
-    /// worker threads are spawned and the thread calling [`ThreadPool::run`]
-    /// acts as the final lane. `parallelism <= 1` spawns no workers at
-    /// all — every job then runs inline on the caller (serial fallback).
-    pub fn new(parallelism: usize) -> Self {
-        let lanes = parallelism.max(1) - 1;
-        let mut owners = Vec::with_capacity(lanes);
-        let mut stealers = Vec::with_capacity(lanes);
-        for _ in 0..lanes {
-            let (w, s) = deque::deque(LANE_QUEUE);
-            owners.push(w);
-            stealers.push(s);
-        }
-        let shared = Arc::new(Shared {
-            injector: Mutex::new(Queue {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-            stealers,
-            stats: Counters::default(),
-        });
-        let workers = owners
-            .into_iter()
-            .enumerate()
-            .map(|(lane, own)| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("catnap-pool-{}", lane + 1))
-                    .spawn(move || worker_loop(&shared, lane, own))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        ThreadPool { shared, workers }
-    }
-
-    /// Total parallel lanes (workers plus the submitting thread).
-    pub fn parallelism(&self) -> usize {
-        self.workers.len() + 1
-    }
-
-    /// Snapshot of the cumulative scheduler counters (see
-    /// [`PoolStats`]). Cheap (six relaxed loads) and monotone between
-    /// snapshots; safe to call concurrently with running batches, in
-    /// which case the individual counters may be mutually skewed by
-    /// in-flight jobs.
-    pub fn stats(&self) -> PoolStats {
-        self.shared.stats.snapshot()
-    }
-
-    /// The calling thread's lane record, if it is a worker of *this*
-    /// pool (a worker of some other pool counts as external here).
-    fn own_lane(&self) -> Option<LaneTls> {
-        LANE.with(|t| t.get())
-            .filter(|tls| std::ptr::eq(tls.shared, Arc::as_ptr(&self.shared)))
-    }
-
-    /// Runs every closure (possibly in parallel) and returns their
-    /// results **in submission order**. Blocks until all jobs finished;
-    /// if any job panicked, the first panic is re-raised here after the
-    /// whole batch has completed (so borrowed data is never observed by
-    /// a still-running job past this call).
-    ///
-    /// Callable from inside a pool job: the nested batch is pushed onto
-    /// the worker's own deque (LIFO, drained before outer work) and
-    /// idle peers steal from it, so recursive fan-out load-balances
-    /// through the same worker team without deadlock.
-    pub fn run<'scope, T, F>(&self, jobs: Vec<F>) -> Vec<T>
-    where
-        T: Send + 'scope,
-        F: FnOnce() -> T + Send + 'scope,
-    {
-        let n = jobs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if n == 1 || self.workers.is_empty() {
-            // Serial fast path: identical semantics, no queue round-trip.
-            return jobs.into_iter().map(|f| f()).collect();
-        }
-        let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-        let batch = Batch::new(n);
-        let mut queued: Vec<Job> = Vec::with_capacity(n);
-        for (i, f) in jobs.into_iter().enumerate() {
-            let results = &results;
-            let work: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let value = f();
-                results.lock().unwrap()[i] = Some(value);
-            });
-            // SAFETY: `Batch::wait` below does not return — normally
-            // or by unwinding — until `remaining == 0`, i.e. until
-            // every closure (and its borrows of `results`/caller
-            // state) has finished running. Erasing the lifetime is
-            // therefore sound: no job outlives this stack frame.
-            let work: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(work) };
-            queued.push(Job {
-                work,
-                batch: Arc::clone(&batch),
-            });
-        }
-        let lane = self.own_lane();
-        match lane {
-            Some(tls) => {
-                // Nested submission from one of our own workers: the
-                // fast path is the worker's private deque; a full ring
-                // spills to the injector.
-                // SAFETY: `tls.deque` points into the live
-                // `worker_loop` frame of *this* thread (we are inside
-                // a job that frame is executing), so the reference is
-                // valid and uniquely owned by this thread.
-                let own = unsafe { &*tls.deque };
-                let mut overflow = VecDeque::new();
-                for job in queued {
-                    if let Err(job) = own.push(job) {
-                        overflow.push_back(job);
-                    }
-                }
-                let mut q = self.shared.injector.lock().unwrap();
-                q.jobs.append(&mut overflow);
-                self.shared.work_cv.notify_all();
-            }
-            None => {
-                let mut q = self.shared.injector.lock().unwrap();
-                q.jobs.extend(queued);
-                self.shared.work_cv.notify_all();
-            }
-        }
-        // The caller is a worker too: help drain until no runnable job
-        // is in sight, then block on batch completion (stolen stragglers
-        // finish on other lanes).
-        loop {
-            let job = match lane {
-                Some(tls) => {
-                    // SAFETY: as above — own `worker_loop` frame.
-                    let own = unsafe { &*tls.deque };
-                    self.shared
-                        .pop_own(own)
-                        .or_else(|| self.shared.pop_injector())
-                        .or_else(|| self.shared.try_steal(tls.lane))
-                }
-                None => self.shared.pop_injector().or_else(|| self.shared.try_steal(usize::MAX)),
-            };
-            match job {
-                Some(job) => self.shared.execute(job),
-                None => break,
-            }
-        }
-        batch.wait();
-        results
-            .into_inner()
-            .unwrap()
-            .into_iter()
-            .map(|slot| slot.expect("every pool job stores its result"))
-            .collect()
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        {
-            let mut q = self.shared.injector.lock().unwrap();
-            q.shutdown = true;
-            self.shared.work_cv.notify_all();
-        }
-        for w in self.workers.drain(..) {
-            // A worker that panicked outside `catch_unwind` (impossible
-            // for queued jobs) would surface here; ignore the result so
-            // drop never panics.
-            let _ = w.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Arc<Shared>, lane: usize, own: deque::Worker<Job>) {
-    LANE.with(|t| {
-        t.set(Some(LaneTls {
-            shared: Arc::as_ptr(shared),
-            lane,
-            deque: &own,
-        }))
-    });
-    loop {
-        // Fast path: own deque (nested batches), then injector, then
-        // steal a straggler from a busy peer.
-        if let Some(job) = shared
-            .pop_own(&own)
-            .or_else(|| shared.pop_injector())
-            .or_else(|| shared.try_steal(lane))
-        {
-            shared.execute(job);
-            continue;
-        }
-        // Nothing visible: re-scan under the injector lock before
-        // sleeping. Submitters publish work *before* taking the lock
-        // and notify while holding it, so a job enqueued concurrently
-        // is either seen by this scan or wakes the wait below — no
-        // lost-wakeup window.
-        let job = {
-            let mut q = shared.injector.lock().unwrap();
-            loop {
-                if let Some(job) = q.jobs.pop_front() {
-                    Counters::bump(&shared.stats.injector_pops);
-                    break job;
-                }
-                if q.shutdown {
-                    LANE.with(|t| t.set(None));
-                    return;
-                }
-                if let Some(job) = shared.try_steal(lane) {
-                    break job;
-                }
-                Counters::bump(&shared.stats.park_waits);
-                q = shared.work_cv.wait(q).unwrap();
-            }
-        };
-        shared.execute(job);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn results_come_back_in_submission_order() {
-        let pool = ThreadPool::new(4);
-        let jobs: Vec<_> = (0..64usize)
-            .map(|i| {
-                move || {
-                    // Earlier jobs spin longer, so completion order is
-                    // roughly reversed — results must still be ordered.
-                    let mut acc = 0u64;
-                    for k in 0..(64 - i) * 500 {
-                        acc = acc.wrapping_add(k as u64);
-                    }
-                    std::hint::black_box(acc);
-                    i * i
-                }
-            })
-            .collect();
-        let got = pool.run(jobs);
-        let want: Vec<usize> = (0..64).map(|i| i * i).collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn borrows_mutable_slices_disjointly() {
-        let pool = ThreadPool::new(3);
-        let mut data = vec![0u64; 16];
-        let jobs: Vec<_> = data
-            .iter_mut()
-            .enumerate()
-            .map(|(i, slot)| move || *slot = i as u64 + 1)
-            .collect();
-        pool.run(jobs);
-        assert_eq!(data, (1..=16).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn serial_pool_runs_inline_in_order() {
-        let pool = ThreadPool::new(1);
-        assert_eq!(pool.parallelism(), 1);
-        let order = Mutex::new(Vec::new());
-        let jobs: Vec<_> = (0..8usize)
-            .map(|i| {
-                let order = &order;
-                move || {
-                    order.lock().unwrap().push(i);
-                    i
-                }
-            })
-            .collect();
-        let got = pool.run(jobs);
-        assert_eq!(got, (0..8).collect::<Vec<usize>>());
-        assert_eq!(
-            *order.lock().unwrap(),
-            (0..8).collect::<Vec<usize>>(),
-            "serial path preserves submission order exactly"
-        );
-    }
-
-    #[test]
-    fn panic_in_worker_propagates_after_batch_completes() {
-        let pool = ThreadPool::new(4);
-        let completed = AtomicUsize::new(0);
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
-            .map(|i| {
-                let completed = &completed;
-                let job: Box<dyn FnOnce() -> usize + Send> = if i == 3 {
-                    Box::new(|| panic!("job 3 exploded"))
-                } else {
-                    Box::new(move || {
-                        completed.fetch_add(1, Ordering::SeqCst);
-                        i
-                    })
-                };
-                job
-            })
-            .collect();
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| pool.run(jobs)))
-            .expect_err("panic must propagate to the submitter");
-        let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
-        assert_eq!(msg, "job 3 exploded");
-        assert_eq!(completed.load(Ordering::SeqCst), 7, "non-panicking jobs all ran");
-        // Pool stays healthy after a panic.
-        let again = pool.run(vec![|| 41usize, || 1]);
-        assert_eq!(again, vec![41, 1]);
-    }
-
-    #[test]
-    fn empty_batch_is_a_noop() {
-        let pool = ThreadPool::new(2);
-        let got: Vec<u32> = pool.run(Vec::<fn() -> u32>::new());
-        assert!(got.is_empty());
-    }
-
-    #[test]
-    fn nested_run_from_worker_jobs_completes() {
-        // Subnet jobs fan out into shard jobs on the same pool; the
-        // nested batches must drain without deadlock and in order.
-        let pool = Arc::new(ThreadPool::new(4));
-        let outer: Vec<_> = (0..6usize)
-            .map(|i| {
-                let pool = Arc::clone(&pool);
-                move || {
-                    let inner: Vec<_> = (0..8usize).map(|j| move || (i * 100 + j) as u64).collect();
-                    pool.run(inner).into_iter().sum::<u64>()
-                }
-            })
-            .collect();
-        let got = pool.run(outer);
-        let want: Vec<u64> = (0..6u64).map(|i| (0..8u64).map(|j| i * 100 + j).sum()).collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn nested_run_three_levels_deep() {
-        let pool = Arc::new(ThreadPool::new(3));
-        let p1 = Arc::clone(&pool);
-        let total: u64 = pool
-            .run(
-                (0..4u64)
-                    .map(|a| {
-                        let p2 = Arc::clone(&p1);
-                        move || {
-                            let p3 = Arc::clone(&p2);
-                            p2.run(
-                                (0..4u64)
-                                    .map(|b| {
-                                        let p4 = Arc::clone(&p3);
-                                        move || {
-                                            p4.run((0..4u64).map(|c| move || a + b + c).collect())
-                                                .into_iter()
-                                                .sum::<u64>()
-                                        }
-                                    })
-                                    .collect(),
-                            )
-                            .into_iter()
-                            .sum::<u64>()
-                        }
-                    })
-                    .collect(),
-            )
-            .into_iter()
-            .sum();
-        let want: u64 = (0..4u64)
-            .flat_map(|a| (0..4u64).flat_map(move |b| (0..4u64).map(move |c| a + b + c)))
-            .sum();
-        assert_eq!(total, want);
-    }
-
-    #[test]
-    fn imbalanced_batch_spreads_across_lanes() {
-        // One huge job plus many tiny ones: with stealing, the tiny
-        // jobs must not all queue behind the huge one. We can't assert
-        // timing portably, but we can assert more than one thread ran
-        // jobs when parallelism allows it (skip on 1-core hosts).
-        if std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) < 2 {
-            return;
-        }
-        let pool = ThreadPool::new(4);
-        let seen = Mutex::new(std::collections::HashSet::new());
-        let jobs: Vec<Box<dyn FnOnce() + Send>> = (0..64usize)
-            .map(|i| {
-                let seen = &seen;
-                let job: Box<dyn FnOnce() + Send> = Box::new(move || {
-                    seen.lock().unwrap().insert(std::thread::current().id());
-                    if i == 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                    }
-                });
-                job
-            })
-            .collect();
-        pool.run(jobs);
-        assert!(seen.lock().unwrap().len() >= 2, "work spread over at least two lanes");
-    }
-
-    #[test]
-    fn parse_threads_accepts_positive_integers_only() {
-        assert_eq!(parse_threads(None), None);
-        assert_eq!(parse_threads(Some("")), None);
-        assert_eq!(parse_threads(Some("banana")), None);
-        assert_eq!(
-            parse_threads(Some("0")),
-            None,
-            "zero lanes would deadlock; treated as unset"
-        );
-        assert_eq!(parse_threads(Some("1")), Some(1));
-        assert_eq!(parse_threads(Some(" 8 ")), Some(8));
-    }
-
-    #[test]
-    fn effective_parallelism_is_capped_and_floored() {
-        // Independent of the machine: capping at 1 always yields 1.
-        assert_eq!(effective_parallelism(1), 1);
-        assert!(effective_parallelism(4) >= 1);
-        assert!(effective_parallelism(4) <= 4);
-    }
-
-    #[test]
-    fn stats_stay_zero_under_the_serial_fallback() {
-        let pool = ThreadPool::new(1);
-        assert_eq!(pool.stats(), PoolStats::default());
-        let got = pool.run((0..16usize).map(|i| move || i * 2).collect::<Vec<_>>());
-        assert_eq!(got, (0..16).map(|i| i * 2).collect::<Vec<usize>>());
-        assert_eq!(
-            pool.stats(),
-            PoolStats::default(),
-            "serial fallback bypasses the queues"
-        );
-        // A single job on a parallel pool also runs inline.
-        let pool = ThreadPool::new(4);
-        pool.run(vec![|| 7usize]);
-        assert_eq!(pool.stats().jobs_run, 0, "single-job fast path bypasses the queues");
-    }
-
-    #[test]
-    fn stats_count_queued_jobs_and_stay_consistent() {
-        let pool = ThreadPool::new(4);
-        // Idle workers may already have parked or scanned before the
-        // first batch; only the job-flow counters start at zero.
-        let base = pool.stats();
-        assert_eq!(base.jobs_run, 0);
-        pool.run((0..64usize).map(|i| move || std::hint::black_box(i)).collect::<Vec<_>>());
-        let after = pool.stats();
-        assert_eq!(after.jobs_run, 64, "every queued job is counted exactly once");
-        assert_eq!(
-            after.jobs_run,
-            after.lane_pops + after.injector_pops + after.steals,
-            "each job is acquired from exactly one source"
-        );
-        // Nested batches route through the worker deques; the balance
-        // equation must keep holding.
-        let pool2 = Arc::new(ThreadPool::new(4));
-        let p = Arc::clone(&pool2);
-        pool2.run(
-            (0..4usize)
-                .map(|i| {
-                    let p = Arc::clone(&p);
-                    move || p.run((0..8usize).map(|j| move || i + j).collect::<Vec<_>>()).len()
                 })
-                .collect::<Vec<_>>(),
-        );
-        let st = pool2.stats();
-        assert_eq!(st.jobs_run, 4 + 4 * 8);
-        assert_eq!(st.jobs_run, st.lane_pops + st.injector_pops + st.steals);
-    }
-
-    #[test]
-    fn stats_are_monotone_across_batches() {
-        let pool = ThreadPool::new(3);
-        let mut prev = pool.stats();
-        for round in 0..4 {
-            pool.run((0..24usize).map(|i| move || i + round).collect::<Vec<_>>());
-            let now = pool.stats();
-            assert!(
-                now.jobs_run >= prev.jobs_run + 24,
-                "jobs_run is monotone by the batch size"
-            );
-            assert!(now.steals >= prev.steals);
-            assert!(now.failed_steals >= prev.failed_steals);
-            assert!(now.injector_pops >= prev.injector_pops);
-            assert!(now.lane_pops >= prev.lane_pops);
-            assert!(now.park_waits >= prev.park_waits);
-            prev = now;
+            })
+            .collect();
+        for worker in workers {
+            match worker.join() {
+                Ok(done) => {
+                    for (i, r) in done {
+                        slots[i] = Some(r);
+                    }
+                }
+                // `scope` joins the remaining lanes before this unwinds.
+                Err(payload) => resume_unwind(payload),
+            }
         }
-    }
+    });
+    slots
+        .into_iter()
+        .map(|r| r.expect("every index is claimed by exactly one lane"))
+        .collect()
 }

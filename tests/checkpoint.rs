@@ -225,3 +225,47 @@ fn rejects_corrupted_version_mismatched_and_foreign_checkpoints() {
         Err(CodecError::FingerprintMismatch { .. })
     ));
 }
+
+/// A checkpoint taken while routers are mid wake-up must not lose their
+/// scheduled wake completions. Saving materializes every deferred router;
+/// a router caught inside its wake-up countdown has to re-enter the
+/// wakeup queue from its new cursor, or a later catch-up would run past
+/// the completion. The grid covers loads where the 64-core gated design
+/// keeps waking and sleeping its second subnet, so some seeds land the
+/// checkpoint inside a countdown.
+#[test]
+fn checkpoint_during_wake_up_keeps_the_run_bit_identical() {
+    const WARMUP: u64 = 2_000;
+    const AFTER: u64 = 8_000;
+    let cfg_for = |seed| MultiNocConfig::catnap_2x128_64core().gating(true).seed(seed);
+    let load_for = |net: &MultiNoc, rate, seed| {
+        SyntheticWorkload::new(SyntheticPattern::UniformRandom, rate, 512, net.dims(), seed)
+    };
+    for seed in [1u64, 2, 3, 4, 5, 30] {
+        for rate in [0.12, 0.125, 0.13] {
+            let mut plain = MultiNoc::new(cfg_for(seed));
+            let mut plain_load = load_for(&plain, rate, seed);
+            for _ in 0..WARMUP + AFTER {
+                plain_load.drive(&mut plain);
+                plain.step();
+            }
+
+            let mut saved = MultiNoc::new(cfg_for(seed));
+            let mut saved_load = load_for(&saved, rate, seed);
+            for _ in 0..WARMUP {
+                saved_load.drive(&mut saved);
+                saved.step();
+            }
+            let _ = saved.save_checkpoint(&saved_load.encode_position());
+            for _ in 0..AFTER {
+                saved_load.drive(&mut saved);
+                saved.step();
+            }
+            assert_eq!(
+                saved.snapshot(),
+                plain.snapshot(),
+                "checkpointing changed the run at seed {seed}, rate {rate}"
+            );
+        }
+    }
+}

@@ -111,7 +111,7 @@ fn light_gated_cycles_per_sec_with<S: Sink>(warmup: u64, measure: u64, sink: S) 
 /// packet every ~300 cycles system-wide), where quiescent stretches
 /// dominate and the engine collapses them into arithmetic skips.
 fn fastforward_cycles_per_sec(cycles: u64) -> (f64, u64) {
-    let cfg = MultiNocConfig::catnap_4x128().gating(true).seed(7).step_threads(1);
+    let cfg = MultiNocConfig::catnap_4x128().gating(true).seed(7);
     let mut net = MultiNoc::new(cfg);
     let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 5e-5, 512, net.dims(), 7);
     let start = Instant::now();
@@ -162,7 +162,7 @@ fn fast_forward_meets_throughput_floor() {
 /// cycles/sec with the event scheduler either engaged or bypassed via
 /// the forced-full-step escape hatch.
 fn busy_gated_cycles_per_sec(cycles: u64, force_full: bool) -> f64 {
-    let cfg = MultiNocConfig::catnap_4x128().gating(true).seed(7).step_threads(1);
+    let cfg = MultiNocConfig::catnap_4x128().gating(true).seed(7);
     let mut net = MultiNoc::new(cfg);
     net.set_force_full_step(force_full);
     let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.05, 512, net.dims(), 7);
@@ -283,208 +283,5 @@ fn telemetry_noop_sink_meets_pre_telemetry_floor() {
         "recording sink slowed the loop {:.2}x, above the {CEILING_RECORDING_SLOWDOWN}x ceiling \
          (noop {noop:.0} vs recording {recording:.0} cycles/sec)",
         noop / recording
-    );
-}
-
-/// Times the busy gated sharding scenario (mirror of the bench's
-/// `busy_gated_shards_t*` series): round-robin 0.20 packets/node/cycle
-/// on 4NT-128b, all four subnets carrying traffic, stepped at a forced
-/// thread/shard count.
-fn busy_sharded_cycles_per_sec(cycles: u64, threads: usize) -> f64 {
-    let cfg = MultiNocConfig::catnap_4x128()
-        .selector(catnap_repro::catnap::SelectorKind::RoundRobin)
-        .gating(true)
-        .seed(7)
-        .step_threads(threads)
-        .shard_threads(threads);
-    let mut net = MultiNoc::new(cfg);
-    let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.20, 512, net.dims(), 7);
-    let start = Instant::now();
-    for _ in 0..cycles {
-        load.drive(&mut net);
-        net.step();
-    }
-    let secs = start.elapsed().as_secs_f64().max(1e-12);
-    cycles as f64 / secs
-}
-
-/// Floor for sharded multi-thread stepping over single-thread on the
-/// busy gated scenario, asserted only on hosts with at least 4 cores
-/// (on fewer cores extra lanes cannot beat serial; the bench still
-/// records the honest ratio in `shard_scaling`).
-const FLOOR_SHARDED_SPEEDUP: f64 = 1.5;
-
-/// Floor for the crossover fix: dispatching only busy subnets to the
-/// pool must keep auto-sized stepping within noise of serial even on a
-/// single-core host (auto sizing resolves to the serial loop there).
-const FLOOR_AUTO_VS_SERIAL: f64 = 0.98;
-
-#[test]
-fn sharded_stepping_scales_on_multicore_hosts() {
-    if std::env::var("CATNAP_PERF_SMOKE").map(|v| v != "1").unwrap_or(true) {
-        eprintln!("perf smoke skipped (set CATNAP_PERF_SMOKE=1 to enable)");
-        return;
-    }
-    let _serialize = perf_guard();
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    if cores < 4 {
-        eprintln!("sharded scaling floor skipped ({cores} cores; needs >= 4)");
-        return;
-    }
-    let _ = busy_sharded_cycles_per_sec(500, 4); // warm
-    let cycles = if cfg!(debug_assertions) { 2_000 } else { 10_000 };
-    let serial = busy_sharded_cycles_per_sec(cycles, 1);
-    let sharded = busy_sharded_cycles_per_sec(cycles, 4);
-    let ratio = sharded / serial;
-    println!(
-        "sharded scaling smoke: 4-thread {sharded:.0} vs 1-thread {serial:.0} cycles/sec ({ratio:.2}x, floor {FLOOR_SHARDED_SPEEDUP}x)"
-    );
-    assert!(
-        ratio >= FLOOR_SHARDED_SPEEDUP,
-        "sharded stepping at {ratio:.2}x of serial, below the {FLOOR_SHARDED_SPEEDUP}x floor on a {cores}-core host"
-    );
-}
-
-/// Floor for the adaptive dispatch controller against the *best* static
-/// configuration of the same scenario: the controller may spend a
-/// little on bootstrap and decayed probing, but converged it must track
-/// whichever static crossover wins on this host. On a single-core host
-/// that means converging onto the serial arms (the fix for the old
-/// `shard_scaling < 1.0` regression); on a multi-core host it means not
-/// giving back the sharded speedup.
-const FLOOR_ADAPTIVE_VS_BEST_STATIC: f64 = 0.98;
-
-/// Times the dispatch scenario at a pinned lane count with the
-/// controller either adapting or pinned to the static crossovers.
-/// `threads == 1` builds no pool at all (the serial baseline). The
-/// first 500 cycles run untimed, mirroring the bench's warmup window:
-/// they cover simulation ramp-up and most of the controller's
-/// interleaved bootstrap, so the timed window measures converged
-/// behavior (which is what the floor is about).
-fn dispatch_cycles_per_sec(cycles: u64, threads: usize, adaptive: bool, rate: f64) -> f64 {
-    let cfg = MultiNocConfig::catnap_4x128()
-        .selector(catnap_repro::catnap::SelectorKind::RoundRobin)
-        .gating(true)
-        .seed(7)
-        .step_threads(threads)
-        .shard_threads(threads)
-        .adaptive_dispatch(adaptive);
-    let mut net = MultiNoc::new(cfg);
-    let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, rate, 512, net.dims(), 7);
-    for _ in 0..500 {
-        load.drive(&mut net);
-        net.step();
-    }
-    let start = Instant::now();
-    for _ in 0..cycles {
-        load.drive(&mut net);
-        net.step();
-    }
-    cycles as f64 / start.elapsed().as_secs_f64().max(1e-12)
-}
-
-#[test]
-fn adaptive_dispatch_tracks_best_static() {
-    if std::env::var("CATNAP_PERF_SMOKE").map(|v| v != "1").unwrap_or(true) {
-        eprintln!("perf smoke skipped (set CATNAP_PERF_SMOKE=1 to enable)");
-        return;
-    }
-    let _serialize = perf_guard();
-    let lanes = 4;
-    let cycles = if cfg!(debug_assertions) { 2_000 } else { 8_000 };
-    // The busy scenario mirrors the bench's `busy_gated` series (all
-    // four subnets carrying traffic); the light one keeps run sets small
-    // so fan-out is usually a loss and the controller must learn to
-    // stay serial. Light cycles are ~4x cheaper, so that leg runs 3x
-    // longer — comparable wall time per sample keeps its medians as
-    // stable as the busy leg's.
-    for (name, rate, cycles) in [("busy_gated", 0.20, cycles), ("light_gated", 0.02, 3 * cycles)] {
-        let _ = dispatch_cycles_per_sec(500, lanes, true, rate); // warm
-                                                                 // Paired rounds: each round times all three legs back to back
-                                                                 // (rotating order) and yields one adaptive / best-static ratio,
-                                                                 // so slow drift in background load cancels within the round.
-                                                                 // The floor checks the *best* round: a genuine controller
-                                                                 // regression (fanning out on one core costs ~15%) drags every
-                                                                 // round down and still fails, while an interference spike that
-                                                                 // happens to land on one adaptive draw only spoils that round.
-        let mut ratios = Vec::new();
-        for round in 0..7 {
-            let mut t1 = 0.0;
-            let mut t4 = 0.0;
-            let mut ada = 0.0;
-            for leg in 0..3 {
-                match (round + leg) % 3 {
-                    0 => t1 = dispatch_cycles_per_sec(cycles, 1, false, rate),
-                    1 => t4 = dispatch_cycles_per_sec(cycles, lanes, false, rate),
-                    _ => ada = dispatch_cycles_per_sec(cycles, lanes, true, rate),
-                }
-            }
-            ratios.push(ada / t1.max(t4));
-        }
-        let ratio = ratios.iter().cloned().fold(f64::MIN, f64::max);
-        println!(
-            "adaptive dispatch smoke [{name}]: best paired round {ratio:.2}x of best static \
-             (floor {FLOOR_ADAPTIVE_VS_BEST_STATIC}x; rounds: {:?})",
-            ratios.iter().map(|r| (r * 100.0).round() / 100.0).collect::<Vec<_>>()
-        );
-        assert!(
-            ratio >= FLOOR_ADAPTIVE_VS_BEST_STATIC,
-            "[{name}] adaptive dispatch ran at {ratio:.2}x of the best static configuration, \
-             below the {FLOOR_ADAPTIVE_VS_BEST_STATIC}x floor"
-        );
-    }
-}
-
-#[test]
-fn auto_sized_stepping_never_loses_to_serial() {
-    if std::env::var("CATNAP_PERF_SMOKE").map(|v| v != "1").unwrap_or(true) {
-        eprintln!("perf smoke skipped (set CATNAP_PERF_SMOKE=1 to enable)");
-        return;
-    }
-    let _serialize = perf_guard();
-    let run = |threads: Option<usize>, cycles: u64| {
-        let cfg = MultiNocConfig::catnap_4x128()
-            .selector(catnap_repro::catnap::SelectorKind::RoundRobin)
-            .seed(7);
-        let cfg = match threads {
-            Some(t) => cfg.step_threads(t).shard_threads(t),
-            None => cfg,
-        };
-        let mut net = MultiNoc::new(cfg);
-        let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.20, 512, net.dims(), 7);
-        let start = Instant::now();
-        for _ in 0..cycles {
-            load.drive(&mut net);
-            net.step();
-        }
-        cycles as f64 / start.elapsed().as_secs_f64().max(1e-12)
-    };
-    let cycles = if cfg!(debug_assertions) { 2_000 } else { 8_000 };
-    let _ = run(Some(1), 500); // warm
-                               // Paired rounds, alternating order: each round times both modes
-                               // back to back and yields one auto / serial ratio, so drifting
-                               // machine contention cancels within the round; the floor checks the
-                               // best round. This is a regression guard against the old
-                               // always-dispatch behavior (which lost ~13% on one core, every
-                               // round), not a microbenchmark.
-    let mut ratios = Vec::new();
-    for round in 0..6 {
-        let (serial, auto) = if round % 2 == 0 {
-            let s = run(Some(1), cycles);
-            (s, run(None, cycles))
-        } else {
-            let a = run(None, cycles);
-            (run(Some(1), cycles), a)
-        };
-        ratios.push(auto / serial);
-    }
-    let ratio = ratios.iter().cloned().fold(f64::MIN, f64::max);
-    println!(
-        "auto-vs-serial smoke: best paired round {ratio:.2}x of serial (floor {FLOOR_AUTO_VS_SERIAL}x; rounds: {:?})",
-        ratios.iter().map(|r| (r * 100.0).round() / 100.0).collect::<Vec<_>>()
-    );
-    assert!(
-        ratio >= FLOOR_AUTO_VS_SERIAL,
-        "auto-sized stepping ran at {ratio:.2}x of serial, below the {FLOOR_AUTO_VS_SERIAL}x floor"
     );
 }

@@ -1,130 +1,93 @@
-//! Integration tests for the in-tree thread pool and for parallel
-//! subnet stepping: the pool must behave like a scoped spawn/join with
-//! deterministic result ordering and panic propagation, and a `MultiNoc`
-//! stepped with parallel subnets must reproduce the exact pinned golden
-//! fingerprints of `tests/determinism.rs` — bit-identical to serial.
+//! Integration tests for `par_map`, the one parallel fan-out in the
+//! workspace: it must behave like a scoped spawn/join with results in
+//! submission order, panic propagation, and an inline single-lane path —
+//! and the latency sweep built on it must equal the serial per-point
+//! loop byte for byte.
 
-use catnap_repro::catnap::{MultiNoc, MultiNocConfig, SelectorKind};
-use catnap_repro::traffic::{SyntheticPattern, SyntheticWorkload};
-use catnap_repro::util::pool::{parse_threads, ThreadPool};
-
-// ---------------------------------------------------------------------
-// Pool semantics
-// ---------------------------------------------------------------------
+use catnap_repro::bench::{latency_sweep, run_synthetic};
+use catnap_repro::catnap::{MultiNocConfig, SelectorKind};
+use catnap_repro::traffic::SyntheticPattern;
+use catnap_repro::util::par_map;
+use catnap_repro::util::ToJson;
 
 #[test]
 fn scoped_spawn_join_borrows_caller_state() {
-    let pool = ThreadPool::new(4);
     let inputs: Vec<u64> = (0..100).collect();
-    let mut outputs = vec![0u64; 100];
-    let jobs: Vec<_> = outputs
-        .iter_mut()
-        .zip(&inputs)
-        .map(|(slot, &x)| move || *slot = x * x)
-        .collect();
-    pool.run(jobs);
-    // `run` returned, so every borrow of `outputs` has ended.
-    assert_eq!(outputs[99], 99 * 99);
-    assert!(outputs.iter().enumerate().all(|(i, &v)| v == (i * i) as u64));
+    let offset = 3u64;
+    let outputs = par_map(&inputs, |&x| x * x + offset);
+    // `par_map` returned, so every borrow of `inputs`/`offset` has ended.
+    assert_eq!(inputs.len(), 100);
+    assert!(outputs.iter().enumerate().all(|(i, &v)| v == (i * i) as u64 + offset));
 }
 
 #[test]
 fn results_ordered_by_submission_not_completion() {
-    let pool = ThreadPool::new(4);
-    for round in 0..20 {
-        let jobs: Vec<_> = (0..32usize)
-            .map(|i| {
-                move || {
-                    let mut acc = round as u64;
-                    for k in 0..(32 - i) * 200 {
-                        acc = acc.wrapping_mul(31).wrapping_add(k as u64);
-                    }
-                    std::hint::black_box(acc);
-                    i
-                }
-            })
-            .collect();
-        assert_eq!(pool.run(jobs), (0..32).collect::<Vec<usize>>());
+    let items: Vec<usize> = (0..32).collect();
+    for round in 0..20u64 {
+        // Earlier items spin longer, so completion order is roughly
+        // reversed on a multi-core host; results must still be ordered.
+        let got = par_map(&items, |&i| {
+            let mut acc = round;
+            for k in 0..(32 - i) * 200 {
+                acc = acc.wrapping_mul(31).wrapping_add(k as u64);
+            }
+            std::hint::black_box(acc);
+            i
+        });
+        assert_eq!(got, items);
     }
 }
 
 #[test]
 fn panic_in_worker_reaches_submitter() {
-    let pool = ThreadPool::new(3);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        pool.run(
-            (0..6usize)
-                .map(|i| move || if i == 4 { panic!("boom {i}") } else { i })
-                .collect::<Vec<_>>(),
-        )
-    }));
-    assert!(result.is_err(), "worker panic must propagate");
-    // The pool is still usable after a propagated panic.
-    assert_eq!(pool.run(vec![|| 7usize]), vec![7]);
+    let items: Vec<usize> = (0..6).collect();
+    let err = std::panic::catch_unwind(|| par_map(&items, |&i| if i == 4 { panic!("boom 4") } else { i }))
+        .expect_err("a panicking item must propagate");
+    let msg = err
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| err.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("");
+    assert_eq!(msg, "boom 4", "the original payload reaches the caller");
+    // Nothing is left behind: the next call works as usual.
+    assert_eq!(par_map(&items, |&i| i + 1), vec![1, 2, 3, 4, 5, 6]);
 }
 
 #[test]
 fn serial_fallback_parallelism_one() {
-    // CATNAP_THREADS=1 resolves to a pool with zero workers; jobs run
-    // inline on the caller in submission order.
-    assert_eq!(parse_threads(Some("1")), Some(1));
-    let pool = ThreadPool::new(parse_threads(Some("1")).unwrap());
-    assert_eq!(pool.parallelism(), 1);
+    // One item means one lane, which runs inline on the caller.
     let current = std::thread::current().id();
-    let ids = pool.run((0..4).map(|_| move || std::thread::current().id()).collect::<Vec<_>>());
-    assert!(
-        ids.iter().all(|&id| id == current),
-        "serial fallback must run on the caller"
-    );
+    let ids = par_map(&[()], |_| std::thread::current().id());
+    assert_eq!(ids, vec![current], "a single lane must run on the caller");
+    let empty: Vec<u32> = par_map(&[] as &[u32], |&x| x);
+    assert!(empty.is_empty());
 }
 
-// ---------------------------------------------------------------------
-// Parallel-subnet determinism against the pinned goldens
-// ---------------------------------------------------------------------
-
-/// Same fixture as `tests/determinism.rs::golden_fingerprint`, with the
-/// subnet-stepping parallelism pinned explicitly.
-fn golden_fingerprint_threads(selector: SelectorKind, gating: bool, threads: usize) -> (u64, u64, u64) {
+#[test]
+fn latency_sweep_matches_serial_per_point_loop() {
     let cfg = MultiNocConfig::catnap_4x128()
-        .selector(selector)
-        .gating(gating)
-        .seed(7)
-        .step_threads(threads);
-    let mut net = MultiNoc::new(cfg);
-    assert_eq!(net.step_parallelism(), threads.min(4));
-    let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.08, 512, net.dims(), 7);
-    for _ in 0..1_500 {
-        load.drive(&mut net);
-        net.step();
-    }
-    let snap = net.snapshot();
-    let report = net.finish();
-    (report.packets_delivered, snap.latency_sum, snap.or_switch_events)
-}
-
-/// The pinned goldens from `tests/determinism.rs` — kept literally in
-/// sync so a re-pin there must be mirrored here.
-const GOLDENS: [(SelectorKind, bool, (u64, u64, u64)); 6] = [
-    (SelectorKind::RoundRobin, true, (7416, 290007, 325)),
-    (SelectorKind::RoundRobin, false, (7502, 167583, 0)),
-    (SelectorKind::Random, true, (7430, 288557, 331)),
-    (SelectorKind::Random, false, (7504, 168413, 0)),
-    (SelectorKind::CatnapPriority, true, (7443, 248092, 222)),
-    (SelectorKind::CatnapPriority, false, (7447, 225011, 99)),
-];
-
-#[test]
-fn parallel_subnets_reproduce_pinned_goldens() {
-    for (selector, gating, want) in GOLDENS {
-        let got = golden_fingerprint_threads(selector, gating, 4);
-        assert_eq!(got, want, "parallel golden changed for {selector:?} gating={gating}");
-    }
-}
-
-#[test]
-fn serial_threads_one_reproduces_pinned_goldens() {
-    for (selector, gating, want) in GOLDENS {
-        let got = golden_fingerprint_threads(selector, gating, 1);
-        assert_eq!(got, want, "serial golden changed for {selector:?} gating={gating}");
-    }
+        .selector(SelectorKind::CatnapPriority)
+        .gating(true)
+        .seed(7);
+    let loads = [0.02, 0.05, 0.08];
+    let canon = |p: &catnap_repro::bench::SweepPoint| p.to_json().to_compact_string();
+    let swept: Vec<String> = latency_sweep(&cfg, SyntheticPattern::UniformRandom, &loads, 512, 300, 600, 7)
+        .iter()
+        .map(canon)
+        .collect();
+    let serial: Vec<String> = loads
+        .iter()
+        .map(|&l| {
+            canon(&run_synthetic(
+                cfg.clone(),
+                SyntheticPattern::UniformRandom,
+                l,
+                512,
+                300,
+                600,
+                7,
+            ))
+        })
+        .collect();
+    assert_eq!(swept, serial, "the parallel sweep diverged from the serial loop");
 }

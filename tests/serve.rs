@@ -83,59 +83,6 @@ fn jsonl_batch_round_trip() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `"threads": "auto"` hands lane sizing and dispatch crossovers to the
-/// adaptive controller; a numeric value pins them. Both are pure
-/// scheduling knobs, so the served result — and the job fingerprint the
-/// cache is keyed by — must be byte-identical either way. Separate cache
-/// directories keep the runs honest: each side simulates for itself
-/// rather than reading the other's cached answer.
-#[test]
-fn auto_threads_matches_pinned_threads_byte_for_byte() {
-    let job_with_threads = |id: &str, threads: &str| -> String {
-        format!(
-            r#"{{"id":"{id}","job":{{"config":"catnap-4x128","pattern":"uniform-random","rate":0.05,"warmup":150,"measure":150,"seed":11,"threads":{threads}}}}}"#
-        )
-    };
-
-    let (auto_cache, auto_dir) = temp_cache("threads-auto");
-    let (pinned_cache, pinned_dir) = temp_cache("threads-pinned");
-    let mut auto_server = Server::new(auto_cache);
-    let mut pinned_server = Server::new(pinned_cache);
-
-    let auto = Json::parse(&auto_server.process_line(&job_with_threads("a", "\"auto\""))).unwrap();
-    let pinned = Json::parse(&pinned_server.process_line(&job_with_threads("p", "2"))).unwrap();
-    assert_eq!(auto.get("status").unwrap().as_str(), Some("ok"));
-    assert_eq!(pinned.get("status").unwrap().as_str(), Some("ok"));
-    assert_eq!(auto.get("cache").unwrap().as_str(), Some("miss"));
-    assert_eq!(pinned.get("cache").unwrap().as_str(), Some("miss"));
-    assert_eq!(
-        auto.get("fingerprint").unwrap(),
-        pinned.get("fingerprint").unwrap(),
-        "thread mode must not enter the cache key"
-    );
-    assert_eq!(
-        auto.get("result").unwrap().to_compact_string(),
-        pinned.get("result").unwrap().to_compact_string(),
-        "controller-managed run diverged from the pinned run"
-    );
-
-    // And both match the plain uncached path.
-    let request = Json::parse(&job_with_threads("x", "\"auto\"")).unwrap();
-    let job = parse_job(request.get("job").unwrap()).unwrap();
-    assert_eq!(job.cfg.step_threads, None, "auto must leave lanes unpinned");
-    let direct = run_job_uncached(&job).to_json();
-    assert_eq!(
-        auto.get("result").unwrap().to_compact_string(),
-        direct.to_compact_string()
-    );
-
-    let bad = Json::parse(&auto_server.process_line(&job_with_threads("bad", "\"turbo\""))).unwrap();
-    assert_eq!(bad.get("status").unwrap().as_str(), Some("error"));
-
-    let _ = std::fs::remove_dir_all(&auto_dir);
-    let _ = std::fs::remove_dir_all(&pinned_dir);
-}
-
 /// The same protocol over a real TCP socket, across *two* connections:
 /// the server's memo and disk cache persist between clients, so a
 /// reconnecting client's duplicate job is answered from memory.
