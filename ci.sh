@@ -16,6 +16,11 @@ cargo build --release --offline
 echo "== test =="
 cargo test -q --offline
 
+echo "== trace diff (production step vs the per-cycle oracle at near-idle load) =="
+# Diffs full telemetry traces and CSV timelines; exits 1 on a
+# divergence, naming the first divergent cycle.
+cargo run -q --release --offline --example trace_diff -- --demo
+
 echo "== benchmark smoke (examples/benchmark builds against the libraries and runs) =="
 cargo run -q --release --offline --manifest-path examples/benchmark/Cargo.toml -- --smoke
 

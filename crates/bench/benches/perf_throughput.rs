@@ -15,6 +15,9 @@
 //! * **end-to-end** — the same comparison through the whole `MultiNoc`
 //!   (NIs, selection, gating policy, detectors, OR networks), which
 //!   bounds the hot-loop gain by Amdahl's law.
+//! * **busy event-driven** — the same comparison at a load that holds
+//!   one subnet near saturation while the other three sleep, so real
+//!   allocator work dominates every cycle.
 //!
 //! Two busy legs with every subnet carrying traffic (`busy_4subnet`
 //! ungated, `busy_gated` power-gated) track the saturated-subnet cost,
@@ -56,6 +59,7 @@ struct PerfThroughput {
     host_parallelism: u64,
     worklist_speedup: f64,
     e2e_light_gated_speedup: f64,
+    busy_eventdriven_speedup: f64,
     telemetry_recording_slowdown: f64,
     telemetry_events_recorded: u64,
     scenarios: Vec<Scenario>,
@@ -65,6 +69,7 @@ catnap_util::impl_to_json_struct!(PerfThroughput {
     host_parallelism,
     worklist_speedup,
     e2e_light_gated_speedup,
+    busy_eventdriven_speedup,
     telemetry_recording_slowdown,
     telemetry_events_recorded,
     scenarios,
@@ -254,6 +259,19 @@ fn main() {
     );
     let e2e_light_gated_speedup = fast.cycles_per_sec / full.cycles_per_sec;
 
+    // --- Busy event-driven: the same comparison with real work ---
+    // At 0.05 packets/node/cycle subnet 0 runs near saturation and the
+    // other three stay gated. The win is Amdahl-bound: the saturated
+    // subnet's allocator and traversal work is shared by both steps, and
+    // only the gated subnets' scan is eliminated outright.
+    let busy_full = run_timed("busy_gated_full_step", gated(), 0.05, 0, 20_000, true);
+    let busy_event = run_timed("busy_gated_eventdriven", gated(), 0.05, 0, 20_000, false);
+    assert_eq!(
+        busy_full.packets_delivered, busy_event.packets_delivered,
+        "event-driven step must be observably identical to the reference step"
+    );
+    let busy_eventdriven_speedup = busy_event.cycles_per_sec / busy_full.cycles_per_sec;
+
     // --- Busy subnets: every subnet carrying traffic ---
     // Round-robin selection at a moderate load keeps every subnet busy,
     // ungated and gated. Best of three per leg, interleaved, so host
@@ -286,7 +304,17 @@ fn main() {
     );
     let telemetry_recording_slowdown = fast.cycles_per_sec / rec.cycles_per_sec;
 
-    let scenarios = vec![hot_full, hot_fast, full, fast, busy_4subnet, busy_gated, rec];
+    let scenarios = vec![
+        hot_full,
+        hot_fast,
+        full,
+        fast,
+        busy_full,
+        busy_event,
+        busy_4subnet,
+        busy_gated,
+        rec,
+    ];
     let mut table = Table::new(["scenario", "cycles", "Mcycles/s", "Mflit-hops/s"]);
     for s in &scenarios {
         table.row([
@@ -300,6 +328,7 @@ fn main() {
     println!("\nhost parallelism:         {host_parallelism}");
     println!("worklist speedup:         {worklist_speedup:.2}x (hot loop, target >= 3x)");
     println!("e2e light-gated speedup:  {e2e_light_gated_speedup:.2}x (Amdahl-bounded)");
+    println!("busy event-driven:        {busy_eventdriven_speedup:.2}x (saturated subnet)");
     println!(
         "telemetry recording cost: {telemetry_recording_slowdown:.2}x slowdown \
          ({telemetry_events_recorded} events; NopSink default pays none of it)"
@@ -309,6 +338,7 @@ fn main() {
         host_parallelism,
         worklist_speedup,
         e2e_light_gated_speedup,
+        busy_eventdriven_speedup,
         telemetry_recording_slowdown,
         telemetry_events_recorded,
         scenarios,

@@ -190,98 +190,6 @@ impl LocalDetector {
         }
     }
 
-    /// Upper bound on how many *quiescent* cycles may be fast-forwarded
-    /// through this detector before an [`LocalDetector::update`] could do
-    /// something other than the closed form in
-    /// [`LocalDetector::fast_forward`].
-    ///
-    /// Quiescence means the observed values are pinned: zero occupancy,
-    /// zero injections, no router activity. Under those inputs the
-    /// occupancy metrics are fixed-point (unbounded skip), while the
-    /// windowed metrics are only closed-formable once their window carries
-    /// no history — a window that already saw flits (InjectionRate) or
-    /// whose cumulative router counters moved since the last latch (Delay)
-    /// must be allowed to latch normally, so the bound stops one cycle
-    /// short of the window boundary. Degenerate thresholds that a
-    /// zero-valued sample still reaches force per-cycle stepping (bound
-    /// 0).
-    pub fn skip_bound(&self, metric: &CongestionMetric, router: &Router) -> u64 {
-        match *metric {
-            CongestionMetric::Bfm { set, .. } => {
-                if set == 0 {
-                    0
-                } else {
-                    u64::MAX
-                }
-            }
-            CongestionMetric::Bfa { set, .. } => {
-                if set <= 0.0 {
-                    0
-                } else {
-                    u64::MAX
-                }
-            }
-            CongestionMetric::IqOcc { set, .. } => {
-                if set == 0 {
-                    0
-                } else {
-                    u64::MAX
-                }
-            }
-            CongestionMetric::InjectionRate { threshold, window } => {
-                if threshold <= 0.0 {
-                    0
-                } else if self.window_flits > 0 {
-                    u64::from(window - self.window_pos).saturating_sub(1)
-                } else {
-                    u64::MAX
-                }
-            }
-            CongestionMetric::Delay { threshold, window } => {
-                let stale = router.activity.head_blocked_cycles != self.last_blocked
-                    || router.activity.buffer_reads != self.last_reads;
-                if threshold <= 0.0 {
-                    0
-                } else if stale {
-                    u64::from(window - self.window_pos).saturating_sub(1)
-                } else {
-                    u64::MAX
-                }
-            }
-        }
-    }
-
-    /// Applies `dt` quiescent-cycle updates in closed form. Equivalent to
-    /// calling [`LocalDetector::update`] `dt` times with an idle router
-    /// and zeroed [`NodeSignals`], provided
-    /// `dt <= self.skip_bound(metric, router)` held beforehand.
-    pub fn fast_forward(&mut self, metric: &CongestionMetric, dt: u64) {
-        debug_assert!(!self.congested, "fast-forward through a congested detector");
-        match *metric {
-            // Occupancy hysteresis over pinned-zero samples is a
-            // fixed-point: congested stays false.
-            CongestionMetric::Bfm { .. } | CongestionMetric::Bfa { .. } | CongestionMetric::IqOcc { .. } => {}
-            CongestionMetric::InjectionRate { window, .. } => {
-                debug_assert_eq!(
-                    self.window_flits, 0,
-                    "injection window carries history; skip was not bounded"
-                );
-                let pos = u64::from(self.window_pos) + dt;
-                if pos >= u64::from(window) {
-                    // Every boundary crossed latches an all-zero window.
-                    self.rate_estimate = 0.0;
-                }
-                self.window_pos = (pos % u64::from(window)) as u32;
-            }
-            CongestionMetric::Delay { window, .. } => {
-                // Boundaries latch zero deltas (avg 0.0 < threshold);
-                // last-seen counters already equal the router's.
-                let pos = u64::from(self.window_pos) + dt;
-                self.window_pos = (pos % u64::from(window)) as u32;
-            }
-        }
-    }
-
     /// Serializes the detector (checkpointing). Every field is mutable
     /// state — window history must survive a resume so windowed metrics
     /// latch on the same cycle they would have straight through.
@@ -442,99 +350,6 @@ mod tests {
             d.update(&metric, &r, &NodeSignals::default());
         }
         assert!(d.is_congested(), "waiting flits with zero reads are infinite delay");
-    }
-
-    #[test]
-    fn fast_forward_matches_idle_updates_for_all_metrics() {
-        let idle = router_with_flits(0);
-        let quiet = NodeSignals::default();
-        for kind in [
-            MetricKind::Bfm,
-            MetricKind::Bfa,
-            MetricKind::InjectionRate,
-            MetricKind::IqOcc,
-            MetricKind::Delay,
-        ] {
-            let metric = CongestionMetric::paper_default(kind);
-            // Build some window history, then let it drain below the set
-            // threshold so the detector is quiet but mid-window.
-            let mut stepped = LocalDetector::default();
-            for _ in 0..5 {
-                stepped.update(
-                    &metric,
-                    &idle,
-                    &NodeSignals {
-                        injected_flits_this_cycle: 0,
-                        ..Default::default()
-                    },
-                );
-            }
-            assert!(!stepped.is_congested());
-            let mut skipped = stepped.clone();
-            let dt = stepped.skip_bound(&metric, &idle).min(997);
-            for _ in 0..dt {
-                stepped.update(&metric, &idle, &quiet);
-            }
-            skipped.fast_forward(&metric, dt);
-            assert_eq!(skipped, stepped, "{kind:?} closed form diverged over {dt} cycles");
-        }
-    }
-
-    #[test]
-    fn skip_bound_stops_short_of_dirty_windows() {
-        let idle = router_with_flits(0);
-        let metric = CongestionMetric::InjectionRate {
-            threshold: 0.5,
-            window: 10,
-        };
-        let mut d = LocalDetector::default();
-        // Three injecting cycles: quiet (estimate not latched yet) but the
-        // window carries history.
-        for _ in 0..3 {
-            d.update(
-                &metric,
-                &idle,
-                &NodeSignals {
-                    injected_flits_this_cycle: 1,
-                    ..Default::default()
-                },
-            );
-        }
-        assert!(!d.is_congested());
-        assert_eq!(
-            d.skip_bound(&metric, &idle),
-            6,
-            "skip must stop before the cycle that latches the window"
-        );
-
-        // Delay: router counters moved since the last latch -> dirty.
-        let delay = CongestionMetric::Delay {
-            threshold: 1.5,
-            window: 32,
-        };
-        let mut blocked = router_with_flits(1);
-        let mut out = catnap_noc::router::RouterOutput::default();
-        let mut blocked_nbrs = [true; 5];
-        blocked_nbrs[Port::East.index()] = false;
-        blocked.step(&blocked_nbrs, &mut out);
-        let mut d = LocalDetector::default();
-        d.update(&delay, &blocked, &NodeSignals::default());
-        assert_eq!(d.skip_bound(&delay, &blocked), 32 - 1 - 1);
-        // Degenerate thresholds force per-cycle stepping.
-        assert_eq!(
-            LocalDetector::default().skip_bound(&CongestionMetric::Bfm { set: 0, clear: 0 }, &idle),
-            0
-        );
-        assert_eq!(
-            LocalDetector::default().skip_bound(
-                &CongestionMetric::Delay {
-                    threshold: 0.0,
-                    window: 8
-                },
-                &idle
-            ),
-            0
-        );
     }
 
     #[test]

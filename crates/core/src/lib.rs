@@ -71,7 +71,7 @@ pub use checkpoint::{config_fingerprint, CHECKPOINT_VERSION, FINGERPRINT_SCHEMA_
 pub use config::{MultiNocConfig, SelectorKind};
 pub use congestion::{CongestionMetric, MetricKind};
 pub use gating::GatingPolicy;
-pub use multinoc::{DispatchStats, MultiNoc, RunReport, SkipStats, Snapshot};
+pub use multinoc::{DispatchStats, MultiNoc, RunReport, Snapshot};
 pub use power_report::MultiNocPowerReport;
 pub use rcs::OrNetwork;
 pub use select::{congestion_mask, SubnetSelector};

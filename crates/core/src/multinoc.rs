@@ -8,11 +8,10 @@ use crate::ni::NodeNi;
 use crate::rcs::OrNetwork;
 use crate::select::{congestion_mask, CatnapPriority, RandomSelect, RoundRobin, SubnetSelector};
 use catnap_noc::checkpoint::{get_flit, put_flit};
-use catnap_noc::quiescence::{Quiescence, QuiescenceTracker};
 use catnap_noc::stats::{GatingActivity, RouterActivity};
 use catnap_noc::{Flit, MeshDims, Network, NodeId, PacketDescriptor, RegionMap};
 use catnap_telemetry::{Event, NopSink, Sink, SinkScope, Trace, TraceMeta};
-use catnap_traffic::generator::{PacketSink, TrafficSource};
+use catnap_traffic::generator::PacketSink;
 use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
 
 /// A multiple network-on-chip with Catnap policies.
@@ -65,13 +64,6 @@ pub struct MultiNoc<S: Sink = NopSink> {
     eject_buf: Vec<(NodeId, Flit)>,
     /// Reusable per-subnet congestion mask handed to the selector.
     congested_buf: Vec<bool>,
-    /// Per-subnet quiescence trackers driving `step_until`'s multi-cycle
-    /// fast-forward.
-    trackers: Vec<QuiescenceTracker>,
-    /// Fast-forward invocations so far.
-    skips: u64,
-    /// Cycles covered by fast-forwards (also counted in `cycle`).
-    skipped_cycles: u64,
     /// Sink for policy-layer events (selection, congestion flips,
     /// packet lifecycle); the subnets carry their own.
     policy_sink: S,
@@ -149,9 +141,6 @@ impl<S: Sink> MultiNoc<S> {
             lcs_set: vec![0; k],
             eject_buf: Vec::new(),
             congested_buf: Vec::with_capacity(k),
-            trackers: vec![QuiescenceTracker::new(); k],
-            skips: 0,
-            skipped_cycles: 0,
             policy_sink: sinks(SinkScope::Policy),
             cfg,
         }
@@ -314,8 +303,8 @@ impl<S: Sink> MultiNoc<S> {
     /// through [`Network::step_reference`]. Bit-identical to `step`
     /// (asserted by `tests/eventdriven.rs`), and freely interleavable
     /// with it. The per-cycle loop `drive(); step_reference()` is the
-    /// baseline the differential suites and benchmarks compare
-    /// [`MultiNoc::step_until`] against.
+    /// baseline the differential suites and benchmarks compare the
+    /// production loop `drive(); step()` against.
     pub fn step_reference(&mut self) {
         self.advance::<true>();
     }
@@ -476,151 +465,6 @@ impl<S: Sink> MultiNoc<S> {
         ni.end_cycle();
     }
 
-    /// Drives the whole system to `target_cycle` with `source`, skipping
-    /// quiescent stretches in closed form.
-    ///
-    /// Bit-identical to the canonical per-cycle loop
-    /// `while cycle < target { source.drive(net); net.step(); }`: every
-    /// cycle with any activity — flits in flight, power-state countdowns
-    /// about to expire, gate-ripe routers, congestion windows carrying
-    /// history, packet arrivals — is stepped normally; only stretches
-    /// where *every* intervening cycle is a provable no-op are replaced
-    /// by one [`MultiNoc::fast_forward`]. The skip horizon is the
-    /// minimum over the per-subnet [`QuiescenceTracker`] horizons, the
-    /// per-node congestion-detector bounds, and the traffic source's
-    /// [`TrafficSource::next_arrival_cycle`].
-    ///
-    /// The audited baseline for equivalence checks is the per-cycle loop
-    /// through [`MultiNoc::step_reference`].
-    pub fn step_until<T: TrafficSource>(&mut self, source: &mut T, target_cycle: u64) {
-        while self.cycle < target_cycle {
-            source.drive(self);
-            let horizon = self.assess_skip();
-            if horizon >= 2 {
-                let next_arrival = source.next_arrival_cycle(self.cycle + 1, target_cycle);
-                let dt = horizon.min(next_arrival - self.cycle);
-                // Landing exactly on the arrival cycle is fine: its
-                // drive() runs at the top of the next iteration, before
-                // anything else observes the cycle.
-                if dt >= 2 {
-                    self.fast_forward(dt);
-                    continue;
-                }
-            }
-            self.step();
-        }
-    }
-
-    /// Whether the whole system is quiescent: no packet queued or in
-    /// flight anywhere, and every congestion status bit (local and
-    /// latched regional) clear. In this state a cycle can only change
-    /// power-state counters.
-    pub fn is_quiescent(&self) -> bool {
-        self.packets_outstanding() == 0
-            && self.lcs_set.iter().all(|&c| c == 0)
-            && self.or_nets.iter().all(|or| !or.any())
-    }
-
-    /// How many cycles may be fast-forwarded from the current state: 0
-    /// when anything is busy, else the minimum over subnet horizons and
-    /// detector window bounds (arrival times are the caller's concern).
-    fn assess_skip(&mut self) -> u64 {
-        if !self.is_quiescent() {
-            return 0;
-        }
-        debug_assert!(
-            self.nis.iter().all(NodeNi::is_idle),
-            "no outstanding packets but an NI is busy"
-        );
-        debug_assert!(
-            self.head_wait.iter().all(|&w| w == 0),
-            "quiescent NIs cannot have waiting heads"
-        );
-        let mut dt = u64::MAX;
-        for s in 0..self.cfg.subnets {
-            let may_sleep = self.cfg.gating_policy.subnet_gateable(s);
-            match self.trackers[s].assess(&self.subnets[s], may_sleep) {
-                Quiescence::Busy => return 0,
-                Quiescence::QuietFor(h) => dt = dt.min(h),
-            }
-            if dt == 0 {
-                return 0;
-            }
-            for idx in 0..self.nis.len() {
-                let router = self.subnets[s].router(NodeId(idx as u16));
-                dt = dt.min(self.detectors[s][idx].skip_bound(&self.cfg.metric, router));
-                if dt == 0 {
-                    return 0;
-                }
-            }
-        }
-        dt
-    }
-
-    /// Advances the whole system `dt` cycles in closed form — O(routers)
-    /// arithmetic instead of `dt` full steps. Callers must have
-    /// established that the skip is safe (see
-    /// [`MultiNoc::step_until`]); debug builds verify the precondition
-    /// and, for skips up to [`catnap_noc::SHADOW_REPLAY_MAX`] cycles,
-    /// shadow-replay the detectors and OR networks cycle-by-cycle and
-    /// compare.
-    pub fn fast_forward(&mut self, dt: u64) {
-        if dt == 0 {
-            return;
-        }
-        debug_assert!(self.is_quiescent(), "fast-forward of a non-quiescent system");
-        #[cfg(debug_assertions)]
-        let shadow = (dt <= catnap_noc::SHADOW_REPLAY_MAX).then(|| (self.detectors.clone(), self.or_nets.clone()));
-        for net in &mut self.subnets {
-            net.fast_forward(dt);
-        }
-        self.cycle = self.subnets[0].cycle();
-        for s in 0..self.cfg.subnets {
-            for det in &mut self.detectors[s] {
-                det.fast_forward(&self.cfg.metric, dt);
-            }
-            self.or_nets[s].fast_forward(dt);
-        }
-        self.skips += 1;
-        self.skipped_cycles += dt;
-        #[cfg(debug_assertions)]
-        if let Some((mut dets, mut ors)) = shadow {
-            // Idle routers are static in everything a detector reads
-            // (occupancy, cumulative activity), so replaying against the
-            // post-skip router observes the same values every cycle.
-            for s in 0..self.cfg.subnets {
-                for (idx, det) in dets[s].iter_mut().enumerate() {
-                    let router = self.subnets[s].router(NodeId(idx as u16));
-                    for _ in 0..dt {
-                        det.update(&self.cfg.metric, router, &NodeSignals::default());
-                    }
-                }
-                for _ in 0..dt {
-                    ors[s].tick(|_| false);
-                }
-            }
-            debug_assert_eq!(
-                dets, self.detectors,
-                "detector closed form diverged from per-cycle replay"
-            );
-            debug_assert_eq!(
-                ors, self.or_nets,
-                "OR-network closed form diverged from per-cycle replay"
-            );
-        }
-    }
-
-    /// Fast-forward effectiveness counters (all zero unless
-    /// [`MultiNoc::step_until`] skipped something).
-    pub fn skip_stats(&self) -> SkipStats {
-        SkipStats {
-            skips: self.skips,
-            skipped_cycles: self.skipped_cycles,
-            assessments: self.trackers.iter().map(QuiescenceTracker::assessments).sum(),
-            quiescent_assessments: self.trackers.iter().map(QuiescenceTracker::quiescent_hits).sum(),
-        }
-    }
-
     /// Enables per-packet delivery tracking (off by default so open-loop
     /// runs don't accumulate an unbounded buffer).
     pub fn set_track_deliveries(&mut self, on: bool) {
@@ -706,12 +550,8 @@ impl<S: Sink> MultiNoc<S> {
                 det.encode(w);
             }
             self.or_nets[s].encode(w);
-            w.put_u64(self.trackers[s].assessments());
-            w.put_u64(self.trackers[s].quiescent_hits());
         }
         self.selector.encode_state(w);
-        w.put_u64(self.skips);
-        w.put_u64(self.skipped_cycles);
         for net in &mut self.subnets {
             net.save_state(w);
         }
@@ -784,16 +624,8 @@ impl<S: Sink> MultiNoc<S> {
                 *det = LocalDetector::decode(r)?;
             }
             self.or_nets[s] = OrNetwork::decode(r, self.or_nets[s].regions().clone(), self.cfg.rcs_period)?;
-            let assessments = r.get_u64()?;
-            let hits = r.get_u64()?;
-            if hits > assessments {
-                return Err(CodecError::Invalid("quiescence counters inconsistent"));
-            }
-            self.trackers[s] = QuiescenceTracker::from_counters(assessments, hits);
         }
         self.selector.decode_state(r)?;
-        self.skips = r.get_u64()?;
-        self.skipped_cycles = r.get_u64()?;
         for net in self.subnets.iter_mut() {
             net.load_state(r)?;
         }
@@ -884,19 +716,6 @@ impl<S: Sink> std::fmt::Debug for MultiNoc<S> {
             .field("delivered", &self.delivered_packets)
             .finish_non_exhaustive()
     }
-}
-
-/// Fast-forward effectiveness counters of a [`MultiNoc`] run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SkipStats {
-    /// Fast-forward invocations.
-    pub skips: u64,
-    /// Total cycles covered by fast-forwards.
-    pub skipped_cycles: u64,
-    /// Per-subnet quiescence assessments made (summed over subnets).
-    pub assessments: u64,
-    /// Assessments that found the subnet quiescent.
-    pub quiescent_assessments: u64,
 }
 
 /// Subnet-phase and pool counters of a [`MultiNoc`] run
@@ -1205,33 +1024,6 @@ mod tests {
         let net = MultiNoc::new(MultiNocConfig::catnap_4x128());
         let s = format!("{net:?}");
         assert!(s.contains("MultiNoc") && s.contains("4NT-128b"));
-    }
-
-    #[test]
-    fn step_until_skips_idle_stretches_bit_identically() {
-        let cfg = MultiNocConfig::catnap_2x128_64core().gating(true).seed(11);
-        let load = |dims| SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.001, 512, dims, 5);
-
-        let mut stepped = MultiNoc::new(cfg.clone());
-        let mut ls = load(stepped.dims());
-        for _ in 0..4_000 {
-            ls.drive(&mut stepped);
-            stepped.step();
-        }
-
-        let mut skipped = MultiNoc::new(cfg);
-        let mut lk = load(skipped.dims());
-        skipped.step_until(&mut lk, 4_000);
-
-        let stats = skipped.skip_stats();
-        assert!(
-            stats.skipped_cycles > 0,
-            "a 0.001-rate run must have skippable stretches: {stats:?}"
-        );
-        assert!(stats.quiescent_assessments <= stats.assessments);
-        assert_eq!(skipped.cycle(), stepped.cycle());
-        assert_eq!(skipped.snapshot(), stepped.snapshot());
-        assert_eq!(skipped.finish(), stepped.finish());
     }
 
     #[test]

@@ -129,12 +129,11 @@ impl OrNetwork {
     /// [`OrNetwork::tick`] with an all-false LCS sample while every
     /// latched RCS bit is already false.
     ///
-    /// Under that precondition every latch edge crossed during the skip
-    /// re-latches false-from-false: no switching events, no rising or
-    /// changed flags — only the countdown phase moves, so RCS latch edges
-    /// never bound the fast-forward horizon. (Latched-true bits cannot
-    /// occur during a skip: the multi-NoC quiescence predicate requires
-    /// all LCS *and* RCS bits clear.)
+    /// Under that precondition every latch edge crossed re-latches
+    /// false-from-false: no switching events, no rising or changed
+    /// flags — only the countdown phase moves. `MultiNoc::step` uses it
+    /// to elide the tick of a subnet whose LCS and RCS bits are all
+    /// clear.
     pub fn fast_forward(&mut self, dt: u64) {
         debug_assert!(
             !self.any(),

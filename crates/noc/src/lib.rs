@@ -57,7 +57,6 @@ pub mod flit;
 pub mod geometry;
 pub mod network;
 pub mod power_state;
-pub mod quiescence;
 pub mod router;
 pub mod stats;
 pub mod vc;
@@ -65,9 +64,8 @@ pub mod vc;
 pub use config::{GatingConfig, NetworkConfig};
 pub use flit::{Flit, FlitKind, MessageClass, PacketDescriptor, PacketId};
 pub use geometry::{Direction, MeshDims, NodeId, Port, RegionId, RegionMap};
-pub use network::{Network, SchedStats, SHADOW_REPLAY_MAX};
+pub use network::{Network, SchedStats};
 pub use power_state::{PowerState, ResidencySnapshot, WakeReason};
-pub use quiescence::{Quiescence, QuiescenceTracker};
 pub use router::{Router, RouterPowerFingerprint};
 pub use stats::{NetworkStats, RouterActivity};
 pub use vc::MAX_VC_DEPTH;

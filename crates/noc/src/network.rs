@@ -143,13 +143,13 @@ pub struct SchedStats {
     pub stalled_runs: u64,
 }
 
-/// Debug builds cross-check [`Network::fast_forward`] against a
-/// cycle-by-cycle replay of cloned routers for skips up to this many
-/// cycles (longer skips would make debug runs quadratic; the bounded
-/// replay still covers every horizon-limited skip shape, since idle
-/// maturation, wake-up countdowns and detector windows are all far
-/// shorter than this).
-pub const SHADOW_REPLAY_MAX: u64 = 512;
+/// Debug builds cross-check each deferred-stretch materialization
+/// ([`Network::sync_to`]) against a cycle-by-cycle replay of a cloned
+/// router for stretches up to this many cycles (longer ones would make
+/// debug runs quadratic; the bounded replay still covers every shape,
+/// since idle maturation and wake-up countdowns are far shorter).
+#[cfg(debug_assertions)]
+const SHADOW_REPLAY_MAX: u64 = 512;
 
 impl Network {
     /// Builds a network from a validated configuration, without
@@ -414,8 +414,7 @@ impl<S: Sink> Network<S> {
 
     /// Materializes router `idx`'s deferred idle stretch through cycle
     /// `target` in closed form. In debug builds the closed form is
-    /// shadow-replayed tick by tick (the scheduler-audit extension of
-    /// the fast-forward replay machinery).
+    /// shadow-replayed tick by tick and must match field for field.
     fn sync_to(&mut self, idx: usize, target: u64) {
         debug_assert!(self.cursor[idx] <= target, "cursor beyond target at router {idx}");
         let lag = target - self.cursor[idx];
@@ -1031,7 +1030,7 @@ impl<S: Sink> Network<S> {
     /// register. O(1) via the scheduler's census counter; conservatively
     /// `false` right after a reference step (the counter is recounted by
     /// the next `step`). Flits on links or in staging are *not* covered
-    /// — pair with [`Network::is_quiescent`] when that matters.
+    /// (see [`Network::flits_in_network`]).
     pub fn all_drained(&self) -> bool {
         !self.sched_stale && self.nondrained == 0
     }
@@ -1084,92 +1083,6 @@ impl<S: Sink> Network<S> {
     pub fn flits_in_network(&self) -> usize {
         let in_routers: usize = self.routers.iter().map(Router::occupancy).sum();
         in_routers + self.staged_flits.len() + self.link_stage.len()
-    }
-
-    /// Whether the subnet is *quiescent*: no flit anywhere (buffers,
-    /// crossbar registers, links, staging) and no credit in flight. In
-    /// this state a [`Network::step`] degenerates to one `idle_tick`
-    /// per router, which is what [`Network::fast_forward`] replaces
-    /// with closed-form arithmetic.
-    pub fn is_quiescent(&self) -> bool {
-        self.staged_credits.is_empty() && self.ejected.is_empty() && self.flits_in_network() == 0
-    }
-
-    /// How many consecutive cycles can be skipped before some router of
-    /// this subnet changes power-state class (wake-up completing, or —
-    /// when `may_sleep` says the gating policy issues sleep requests to
-    /// this subnet every cycle — an idle counter maturing past
-    /// `t_idle_detect`). See [`Router::skip_horizon`]. Only meaningful
-    /// while [`Network::is_quiescent`] holds.
-    pub fn skip_horizon(&self, may_sleep: bool) -> u64 {
-        self.routers
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let h = r.skip_horizon(may_sleep);
-                if h == u64::MAX {
-                    h
-                } else {
-                    // Deferred routers computed their horizon as of
-                    // their cursor; the lag has already elapsed.
-                    h.saturating_sub(self.cycle - self.cursor[i])
-                }
-            })
-            .min()
-            .unwrap_or(u64::MAX)
-    }
-
-    /// Advances a **quiescent** network by `dt` cycles in O(routers)
-    /// arithmetic: the clock, cycle statistics, idle counters and
-    /// power-state residencies move exactly as `dt` [`Network::step`]
-    /// calls would have moved them, with no per-cycle work. The caller
-    /// must keep `dt` within [`Network::skip_horizon`], so no
-    /// power-phase transition can fall inside the interval — which is
-    /// also why no telemetry event is ever emitted (or missed) here.
-    ///
-    /// In debug builds, skips up to [`SHADOW_REPLAY_MAX`] cycles are
-    /// shadow-replayed: the routers are cloned and ticked cycle by
-    /// cycle, and the closed form must match field-for-field.
-    pub fn fast_forward(&mut self, dt: u64) {
-        debug_assert!(self.is_quiescent(), "fast_forward on a non-quiescent network");
-        if dt == 0 {
-            return;
-        }
-        // Materialize any deferred stretches first (each router's own
-        // closed form, shadow-audited in debug builds), so the skip
-        // below starts from a fully synchronized network exactly as
-        // before the scheduler existed.
-        self.sync_all();
-        #[cfg(debug_assertions)]
-        let shadow: Option<Vec<Router>> = (dt <= SHADOW_REPLAY_MAX).then(|| self.routers.clone());
-        self.cycle += dt;
-        self.stats.cycles += dt;
-        for r in &mut self.routers {
-            r.fast_forward(dt);
-        }
-        let cycle = self.cycle;
-        for idx in 0..self.routers.len() {
-            self.cursor[idx] = cycle;
-            // Cursor moved: refresh any pending wake-completion entry
-            // (old ones are invalidated by their stamp).
-            self.reschedule(idx);
-        }
-        #[cfg(debug_assertions)]
-        if let Some(mut shadow) = shadow {
-            for r in &mut shadow {
-                for _ in 0..dt {
-                    r.idle_tick();
-                }
-            }
-            for (replayed, skipped) in shadow.iter().zip(&self.routers) {
-                debug_assert_eq!(
-                    replayed.power_fingerprint(),
-                    skipped.power_fingerprint(),
-                    "fast_forward({dt}) diverged from cycle-by-cycle replay at {}",
-                    skipped.node()
-                );
-            }
-        }
     }
 
     /// Closes out gating accounting (call once at the end of a run before

@@ -175,15 +175,16 @@ impl PowerStateMachine {
     /// calls of [`PowerStateMachine::tick`] **provided no state
     /// transition falls inside the interval**. Active and Sleep are
     /// stable (nothing external calls `enter_sleep`/`request_wake`
-    /// during a fast-forwarded stretch by construction); a wake-up
-    /// countdown is only stable for `remaining - 1` more ticks, which
-    /// the caller's skip horizon must respect.
+    /// during a deferred stretch by construction); a wake-up countdown
+    /// is only stable for `remaining - 1` more ticks, which the
+    /// network's scheduler respects by ticking the router on the
+    /// completing cycle.
     ///
     /// # Panics
     ///
-    /// Panics if `dt` would complete a wake-up countdown (the horizon
-    /// computation is wrong in that case — the completing tick must be
-    /// simulated normally so telemetry sees the Wake→Active edge).
+    /// Panics if `dt` would complete a wake-up countdown (the scheduler
+    /// is wrong in that case — the completing tick must be simulated
+    /// normally so telemetry sees the Wake→Active edge).
     pub fn fast_forward(&mut self, dt: u64) {
         match self.state {
             PowerState::Active => self.active_cycles += dt,

@@ -629,9 +629,11 @@ impl Router {
 
     /// Advances a **drained** router by `dt` cycles in O(ports)
     /// arithmetic, equivalent to `dt` calls of [`Router::idle_tick`]
-    /// provided `dt` does not exceed [`Router::skip_horizon`]: no
-    /// power-state machine may complete a wake-up inside the interval
-    /// (idle counters would reset and telemetry would miss the edge).
+    /// provided no power-state machine completes a wake-up inside the
+    /// interval (idle counters would reset and telemetry would miss the
+    /// edge): `dt` must stay below [`Router::next_wake_completion`],
+    /// which the network's scheduler guarantees by running the router
+    /// on the completing cycle.
     pub fn fast_forward(&mut self, dt: u64) {
         debug_assert!(self.is_drained(), "fast_forward on a non-drained router {}", self.node);
         if dt == 0 {
@@ -650,37 +652,6 @@ impl Router {
                 p.fast_forward(dt);
             }
         }
-    }
-
-    /// How many consecutive [`Router::idle_tick`]-equivalent cycles can
-    /// be skipped without this router changing state class.
-    ///
-    /// `may_sleep` says whether the active gating policy issues sleep
-    /// requests to this router's subnet each cycle: if so, an active
-    /// router (or port, with port gating) is only stable until its idle
-    /// counter reaches `t_idle_detect`, at which point the next policy
-    /// pass would gate it — that cycle must be simulated normally so
-    /// the Active→Sleep edge lands on the right cycle. Wake-up
-    /// countdowns are stable for `remaining - 1` cycles; Sleep (and
-    /// never-gated Active routers, whose idle counters merely saturate)
-    /// is stable indefinitely.
-    pub fn skip_horizon(&self, may_sleep: bool) -> u64 {
-        let mut dt = u64::MAX;
-        if let Some(stable) = self.psm.stable_ticks() {
-            dt = dt.min(stable);
-        } else if may_sleep && self.port_psm.is_none() && self.psm.state().is_active() {
-            dt = dt.min((self.t_idle_detect as u64).saturating_sub(self.idle_cycles as u64));
-        }
-        if let Some(psms) = &self.port_psm {
-            for (i, p) in psms.iter().enumerate() {
-                if let Some(stable) = p.stable_ticks() {
-                    dt = dt.min(stable);
-                } else if may_sleep && p.state().is_active() {
-                    dt = dt.min((self.t_idle_detect as u64).saturating_sub(self.port_idle[i] as u64));
-                }
-            }
-        }
-        dt
     }
 
     /// Everything `idle_tick` can touch, for shadow-replay equality
@@ -1556,19 +1527,16 @@ mod tests {
 
     #[test]
     fn fast_forward_matches_idle_ticks() {
-        // Drained active router, whole-router granularity.
+        // Drained active router, whole-router granularity, up to the
+        // cycle its idle detect matures.
         let mut a = router();
         let mut b = a.clone();
-        let dt = a.skip_horizon(true);
-        assert_eq!(dt, 4, "fresh router is stable until idle detect matures");
-        for _ in 0..dt {
+        for _ in 0..4 {
             a.idle_tick();
         }
-        b.fast_forward(dt);
+        b.fast_forward(4);
         assert_eq!(a.power_fingerprint(), b.power_fingerprint());
-        // Unbounded when the policy never gates this router.
-        assert_eq!(a.skip_horizon(false), u64::MAX);
-        // Sleeping router: unbounded, and closed form still matches.
+        // Sleeping router: the closed form matches over any stretch.
         a.enter_sleep(4);
         let mut c = a.clone();
         for _ in 0..1000 {
@@ -1576,9 +1544,9 @@ mod tests {
         }
         c.fast_forward(1000);
         assert_eq!(a.power_fingerprint(), c.power_fingerprint());
-        // Waking router: stable for remaining-1 ticks only.
+        // Waking router: the closed form holds up to the tick before the
+        // countdown completes.
         a.request_wake(1004, WakeReason::External);
-        assert_eq!(a.skip_horizon(false), 9);
         let mut d = a.clone();
         for _ in 0..9 {
             a.idle_tick();
@@ -1596,16 +1564,12 @@ mod tests {
             a.step(&ALL_ACTIVE, &mut out);
         }
         a.enter_port_sleep(Port::East, 4);
-        assert_eq!(a.skip_horizon(true), 0, "remaining active ports are gate-ripe");
         let mut b = a.clone();
         for _ in 0..700 {
             a.idle_tick();
         }
         b.fast_forward(700);
         assert_eq!(a.power_fingerprint(), b.power_fingerprint());
-        assert_eq!(a.skip_horizon(false), u64::MAX);
-        a.request_wake_port(Port::East, 800, WakeReason::External);
-        assert_eq!(a.skip_horizon(false), 9);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Trace comparison: find where two runs stopped agreeing.
 //!
-//! The fast-forward engine (`catnap::MultiNoc::step_until`), the
-//! parallel subnet stepping and the determinism goldens all make the
-//! same promise: *bit-identical results*. When that promise breaks, an
-//! end-of-run aggregate only says "different"; what a debugging session
-//! needs is the **first divergent cycle** and a summary of what kind of
-//! activity went missing or appeared. This module provides that for both
+//! The event-driven stepper (`catnap::MultiNoc::step`, diffed against
+//! its per-cycle oracle `step_reference`), checkpoint resume and the
+//! determinism goldens all make the same promise: *bit-identical
+//! results*. When that promise breaks, an end-of-run aggregate only
+//! says "different"; what debugging needs is the **first divergent
+//! cycle** and a summary of what kind of activity went missing or
+//! appeared. This module provides that for both
 //! representations a run produces: the in-memory [`Trace`]
 //! ([`diff_traces`]) and the exported per-epoch CSV timeline
 //! ([`diff_csv_timelines`]).

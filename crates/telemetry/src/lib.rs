@@ -22,7 +22,7 @@
 //!   ([`power_timeline_csv`]);
 //! * [`diff`] — trace and CSV-timeline comparison ([`diff_traces`],
 //!   [`diff_csv_timelines`]): first divergent cycle plus per-kind event
-//!   count deltas, used by the fast-forward equivalence suite and the
+//!   count deltas, used by the event-driven differential suite and the
 //!   `trace_diff` example CLI.
 //!
 //! The crate depends only on `catnap-util` (for its JSON value type) and

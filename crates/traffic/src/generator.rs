@@ -2,10 +2,9 @@
 
 use crate::patterns::SyntheticPattern;
 use crate::schedule::LoadSchedule;
-use catnap_noc::{MeshDims, MessageClass, NodeId, PacketDescriptor, PacketId};
+use catnap_noc::{MeshDims, MessageClass, PacketDescriptor, PacketId};
 use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
 use catnap_util::SimRng;
-use std::collections::VecDeque;
 
 /// Anything that can accept generated packets: the Multi-NoC network
 /// interface layer implements this.
@@ -14,51 +13,6 @@ pub trait PacketSink {
     fn now(&self) -> u64;
     /// Submits a packet to the source queue of `desc.src`.
     fn submit(&mut self, desc: PacketDescriptor);
-}
-
-/// A packet source that can be driven cycle-by-cycle *and* asked when
-/// its next packet will arrive, which is what lets
-/// `MultiNoc::step_until` fast-forward across provably packet-free
-/// stretches.
-///
-/// The contract binding the two methods: after `drive` has been called
-/// with `now() == c`, `next_arrival_cycle(c + 1, limit)` returns the
-/// first cycle in `[c + 1, limit)` at which a future `drive` would
-/// submit at least one packet, or `limit` if there is none. Sources
-/// backed by an RNG may *pre-draw* future cycles to answer — the draws
-/// are buffered and replayed by later `drive` calls, so the overall
-/// random stream is consumed in exactly the same order as pure
-/// cycle-by-cycle driving (the determinism goldens depend on this).
-pub trait TrafficSource {
-    /// Submits this cycle's packets into `sink` (once per simulated
-    /// cycle, before stepping the network).
-    fn drive<S: PacketSink>(&mut self, sink: &mut S);
-
-    /// First cycle in `[from, limit)` with an arrival, else `limit`.
-    fn next_arrival_cycle(&mut self, from: u64, limit: u64) -> u64;
-}
-
-/// A [`TrafficSource`] that never generates anything — for drain phases
-/// (`step_until` past the last arrival) and idle-power measurements.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IdleSource;
-
-impl TrafficSource for IdleSource {
-    fn drive<S: PacketSink>(&mut self, _sink: &mut S) {}
-    fn next_arrival_cycle(&mut self, _from: u64, limit: u64) -> u64 {
-        limit
-    }
-}
-
-/// An arrival drawn ahead of its simulation cycle by
-/// [`SyntheticWorkload::next_arrival_cycle`], waiting for `drive` to
-/// submit it. Ids are assigned at submission so `generated()` keeps its
-/// "packets handed to the sink" meaning.
-#[derive(Clone, Copy, Debug)]
-struct PendingArrival {
-    cycle: u64,
-    src: NodeId,
-    dst: NodeId,
 }
 
 /// A [`PacketSink`] that just collects packets (for tests and trace
@@ -96,10 +50,6 @@ pub struct SyntheticWorkload {
     rng: SimRng,
     next_id: u64,
     generated: u64,
-    /// Cycles `< scanned_to` have had their Bernoulli/pattern draws
-    /// taken; their arrivals sit in `pending` until driven.
-    scanned_to: u64,
-    pending: VecDeque<PendingArrival>,
 }
 
 impl SyntheticWorkload {
@@ -125,8 +75,6 @@ impl SyntheticWorkload {
             rng: SimRng::seed_from_u64(seed),
             next_id: 0,
             generated: 0,
-            scanned_to: 0,
-            pending: VecDeque::new(),
         }
     }
 
@@ -141,30 +89,29 @@ impl SyntheticWorkload {
     }
 
     /// Generates this cycle's packets into `sink` (call once per cycle,
-    /// before stepping the network).
+    /// before stepping the network). Each node takes one Bernoulli draw
+    /// and, on success, its destination draws, in node order; the
+    /// determinism goldens pin that RNG order.
     pub fn drive<S: PacketSink>(&mut self, sink: &mut S) {
         let cycle = sink.now();
-        // Cycles the caller never drove generate nothing and draw
-        // nothing (the pre-buffering behaviour); skipping over them
-        // only happens for cycles `next_arrival_cycle` already scanned.
-        if self.scanned_to < cycle {
-            self.scanned_to = cycle;
+        let rate = self.schedule.rate_at(cycle);
+        if rate <= 0.0 {
+            return;
         }
-        if self.scanned_to == cycle {
-            self.scan_one_cycle();
-        }
-        while let Some(p) = self.pending.front() {
-            if p.cycle > cycle {
-                break;
+        for src in self.dims.nodes() {
+            if self.rng.gen::<f64>() >= rate {
+                continue;
             }
-            let p = self.pending.pop_front().expect("front just checked");
+            let Some(dst) = self.pattern.destination(src, self.dims, &mut self.rng) else {
+                continue;
+            };
             let desc = PacketDescriptor {
                 id: PacketId(self.next_id),
-                src: p.src,
-                dst: p.dst,
+                src,
+                dst,
                 bits: self.packet_bits,
                 class: MessageClass::Synthetic,
-                created_cycle: p.cycle,
+                created_cycle: cycle,
             };
             self.next_id += 1;
             self.generated += 1;
@@ -172,12 +119,12 @@ impl SyntheticWorkload {
         }
     }
 
-    /// Serializes the workload's *position* — RNG stream, id counters,
-    /// scan cursor, and pre-drawn pending arrivals — as an opaque blob
-    /// for checkpointing (typically stored as the driver section of a
-    /// `catnap` checkpoint). The workload *parameters* (pattern,
-    /// schedule, packet size, mesh) are part of the job description and
-    /// are not serialized; see [`SyntheticWorkload::decode_position`].
+    /// Serializes the workload's *position* — RNG stream and id
+    /// counters — as an opaque blob for checkpointing (typically stored
+    /// inside a `catnap` checkpoint, next to the network state). The
+    /// workload *parameters* (pattern, schedule, packet size, mesh) are
+    /// part of the job description and are not serialized; see
+    /// [`SyntheticWorkload::decode_position`].
     pub fn encode_position(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         for word in self.rng.state() {
@@ -185,13 +132,6 @@ impl SyntheticWorkload {
         }
         w.put_u64(self.next_id);
         w.put_u64(self.generated);
-        w.put_u64(self.scanned_to);
-        w.put_usize(self.pending.len());
-        for p in &self.pending {
-            w.put_u64(p.cycle);
-            w.put_u16(p.src.0);
-            w.put_u16(p.dst.0);
-        }
         w.into_inner()
     }
 
@@ -204,8 +144,7 @@ impl SyntheticWorkload {
     ///
     /// # Errors
     ///
-    /// [`CodecError`] on a truncated blob or a position inconsistent
-    /// with `dims` (pending arrivals out of range or unsorted).
+    /// [`CodecError`] on a truncated blob or one with trailing bytes.
     pub fn decode_position(
         pattern: SyntheticPattern,
         schedule: LoadSchedule,
@@ -222,78 +161,10 @@ impl SyntheticWorkload {
         w.rng = SimRng::from_state(state);
         w.next_id = r.get_u64()?;
         w.generated = r.get_u64()?;
-        w.scanned_to = r.get_u64()?;
-        let len = r.get_usize()?;
-        if len > (1 << 24) {
-            return Err(CodecError::Invalid("implausible pending-arrival count"));
-        }
-        let nodes = dims.num_nodes() as u16;
-        let mut last = 0u64;
-        for _ in 0..len {
-            let cycle = r.get_u64()?;
-            let src = r.get_u16()?;
-            let dst = r.get_u16()?;
-            if cycle < last || cycle >= w.scanned_to {
-                return Err(CodecError::Invalid("pending arrival outside scanned range"));
-            }
-            if src >= nodes || dst >= nodes {
-                return Err(CodecError::Invalid("pending arrival node out of mesh"));
-            }
-            last = cycle;
-            w.pending.push_back(PendingArrival {
-                cycle,
-                src: NodeId(src),
-                dst: NodeId(dst),
-            });
-        }
         if !r.is_empty() {
             return Err(CodecError::Invalid("trailing bytes in workload position"));
         }
         Ok(w)
-    }
-
-    /// Takes cycle `self.scanned_to`'s random draws — in exactly the
-    /// order the pre-buffering `drive` loop used to take them inline —
-    /// and buffers any resulting arrivals.
-    fn scan_one_cycle(&mut self) {
-        let cycle = self.scanned_to;
-        self.scanned_to += 1;
-        let rate = self.schedule.rate_at(cycle);
-        if rate <= 0.0 {
-            return;
-        }
-        for src in self.dims.nodes() {
-            if self.rng.gen::<f64>() >= rate {
-                continue;
-            }
-            let Some(dst) = self.pattern.destination(src, self.dims, &mut self.rng) else {
-                continue;
-            };
-            self.pending.push_back(PendingArrival { cycle, src, dst });
-        }
-    }
-}
-
-impl TrafficSource for SyntheticWorkload {
-    fn drive<S: PacketSink>(&mut self, sink: &mut S) {
-        SyntheticWorkload::drive(self, sink);
-    }
-
-    fn next_arrival_cycle(&mut self, from: u64, limit: u64) -> u64 {
-        // Arrivals already drawn (pending is sorted by cycle): a
-        // stale entry below `from` is still an arrival the next `drive`
-        // will submit, so it counts as "now".
-        if let Some(p) = self.pending.front() {
-            return p.cycle.max(from).min(limit);
-        }
-        while self.scanned_to < limit {
-            let scanned = self.scanned_to;
-            self.scan_one_cycle();
-            if !self.pending.is_empty() {
-                return scanned.max(from);
-            }
-        }
-        limit
     }
 }
 
@@ -364,100 +235,61 @@ mod tests {
         assert!(sink.packets.len() > 2000, "burst should generate ~3200 packets");
     }
 
-    #[test]
-    fn next_arrival_prescan_preserves_rng_order() {
-        // Interleaving next_arrival_cycle lookahead with drive must
-        // yield exactly the stream pure per-cycle driving yields.
-        let mk = || SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.01, 512, mesh8(), 42);
-        let mut plain = mk();
-        let mut plain_sink = CollectSink::default();
-        for c in 0..4000 {
-            plain_sink.cycle = c;
-            plain.drive(&mut plain_sink);
-        }
-        let mut skippy = mk();
-        let mut skip_sink = CollectSink::default();
-        let mut c = 0u64;
-        while c < 4000 {
-            skip_sink.cycle = c;
-            skippy.drive(&mut skip_sink);
-            // Jump straight to the next arrival, like step_until does.
-            c = TrafficSource::next_arrival_cycle(&mut skippy, c + 1, 4000);
-        }
-        assert_eq!(skip_sink.packets, plain_sink.packets);
-        assert_eq!(skippy.generated(), plain.generated());
-    }
-
-    #[test]
-    fn next_arrival_zero_rate_is_limit() {
-        let sched = LoadSchedule::piecewise(vec![(0, 0.0), (500, 0.9)]);
-        let mut w = SyntheticWorkload::with_schedule(SyntheticPattern::UniformRandom, sched, 512, mesh8(), 9);
-        assert_eq!(w.next_arrival_cycle(0, 400), 400, "no draws before the burst");
-        assert_eq!(
-            w.next_arrival_cycle(0, 501),
-            500,
-            "burst at 0.9/node fires on its first cycle"
-        );
-        let mut w2 = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.0, 512, mesh8(), 9);
-        assert_eq!(w2.next_arrival_cycle(7, 1_000_000), 1_000_000);
-    }
-
-    #[test]
-    fn idle_source_never_arrives() {
-        let mut idle = IdleSource;
-        assert_eq!(idle.next_arrival_cycle(3, 99), 99);
+    /// Drives `w` over `cycles` into a fresh sink.
+    fn drive_range(w: &mut SyntheticWorkload, cycles: std::ops::Range<u64>) -> Vec<PacketDescriptor> {
         let mut sink = CollectSink::default();
-        TrafficSource::drive(&mut idle, &mut sink);
-        assert!(sink.packets.is_empty());
-    }
-
-    #[test]
-    fn position_round_trip_mid_lookahead_is_bit_identical() {
-        // Capture the position at an awkward spot: after a lookahead has
-        // pre-drawn arrivals into `pending`, so every field is non-trivial.
-        let mut w = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.05, 512, mesh8(), 42);
-        let mut sink = CollectSink::default();
-        for c in 0..200 {
+        for c in cycles {
             sink.cycle = c;
             w.drive(&mut sink);
         }
-        let next = TrafficSource::next_arrival_cycle(&mut w, 200, 400);
-        assert!(next < 400, "0.05/node load should arrive well before 400");
-        assert!(!w.pending.is_empty());
+        sink.packets
+    }
 
-        let blob = w.encode_position();
-        let mut restored = SyntheticWorkload::decode_position(
+    fn decode(bytes: &[u8]) -> Result<SyntheticWorkload, CodecError> {
+        SyntheticWorkload::decode_position(
             SyntheticPattern::UniformRandom,
             LoadSchedule::constant(0.05),
             512,
             mesh8(),
-            &blob,
+            bytes,
         )
-        .unwrap();
+    }
 
-        let mut a = CollectSink::default();
-        let mut b = CollectSink::default();
-        for c in 200..600 {
-            a.cycle = c;
-            b.cycle = c;
-            w.drive(&mut a);
-            restored.drive(&mut b);
-        }
-        assert_eq!(a.packets, b.packets);
+    #[test]
+    fn position_round_trip_mid_run_is_bit_identical() {
+        let mut w = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.05, 512, mesh8(), 42);
+        assert!(!drive_range(&mut w, 0..200).is_empty());
+        let mut restored = decode(&w.encode_position()).unwrap();
+        assert_eq!(drive_range(&mut restored, 200..600), drive_range(&mut w, 200..600));
         assert_eq!(w.generated(), restored.generated());
+    }
 
-        // Corruption is rejected, not misparsed.
-        let mut bad = blob.clone();
-        let last = bad.len() - 2;
-        bad[last] = 0xff; // pending dst -> out of mesh
-        assert!(SyntheticWorkload::decode_position(
-            SyntheticPattern::UniformRandom,
-            LoadSchedule::constant(0.05),
-            512,
-            mesh8(),
-            &bad
-        )
-        .is_err());
+    #[test]
+    fn position_rejects_truncated_blob() {
+        let mut w = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.05, 512, mesh8(), 42);
+        drive_range(&mut w, 0..50);
+        let blob = w.encode_position();
+        for len in 0..blob.len() {
+            assert_eq!(
+                decode(&blob[..len]).err(),
+                Some(CodecError::UnexpectedEof),
+                "{len}-byte prefix"
+            );
+        }
+    }
+
+    #[test]
+    fn position_rejects_trailing_bytes() {
+        let mut w = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.05, 512, mesh8(), 42);
+        drive_range(&mut w, 0..50);
+        for extra in [&[0u8][..], &[0xff; 9]] {
+            let mut blob = w.encode_position();
+            blob.extend_from_slice(extra);
+            assert_eq!(
+                decode(&blob).err(),
+                Some(CodecError::Invalid("trailing bytes in workload position"))
+            );
+        }
     }
 
     #[test]

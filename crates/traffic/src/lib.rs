@@ -21,7 +21,7 @@ pub mod schedule;
 pub mod trace;
 pub mod workload;
 
-pub use generator::{IdleSource, PacketSink, SyntheticWorkload, TrafficSource};
+pub use generator::{PacketSink, SyntheticWorkload};
 pub use patterns::SyntheticPattern;
 pub use schedule::LoadSchedule;
 pub use workload::{Benchmark, WorkloadMix};

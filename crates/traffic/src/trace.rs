@@ -174,21 +174,6 @@ impl TracePlayer {
     }
 }
 
-impl crate::generator::TrafficSource for TracePlayer {
-    fn drive<S: PacketSink>(&mut self, sink: &mut S) {
-        TracePlayer::drive(self, sink);
-    }
-
-    fn next_arrival_cycle(&mut self, from: u64, limit: u64) -> u64 {
-        // A record at or before `from` is submitted by the next
-        // `drive` (catch-up semantics), so it arrives "at `from`".
-        match self.records.get(self.pos) {
-            Some(rec) => rec.cycle.max(from).min(limit),
-            None => limit,
-        }
-    }
-}
-
 /// A [`PacketSink`] adapter that records everything passing through it
 /// while forwarding to an inner sink.
 #[derive(Debug)]

@@ -11,13 +11,13 @@
 //! cargo run --release --example trace_diff -- --demo
 //! ```
 //!
-//! With `--demo` it generates the comparison in-process: one
-//! `4NT-128b-PG` run stepped cycle-by-cycle through the reference
-//! oracle (`MultiNoc::step_reference`) and one driven through
-//! `step_until`'s quiescence fast-forward, then diffs the full event
-//! traces and the exported CSV timelines (both must come out
-//! identical). Exits 0 when identical, 1 on divergence, 2 on usage
-//! errors.
+//! With `--demo` it generates the comparison in-process: two
+//! `4NT-128b-PG` runs at a near-idle load, one stepped through the
+//! reference oracle (`MultiNoc::step_reference`) and one through the
+//! production event-driven `step`, which defers idle routers across
+//! the long all-drained stretches; it then diffs the full event traces
+//! and the exported CSV timelines (both must come out identical).
+//! Exits 0 when identical, 1 on divergence, 2 on usage errors.
 
 use catnap_repro::catnap::{MultiNoc, MultiNocConfig};
 use catnap_repro::telemetry::{diff_csv_timelines, diff_traces, power_timeline_csv, RecordingSink};
@@ -31,25 +31,34 @@ fn demo() -> ExitCode {
     let cfg = || MultiNocConfig::catnap_4x128().gating(true).seed(23);
     let load = |dims| SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.0005, 512, dims, 23);
 
-    let mut baseline = MultiNoc::with_sinks(cfg(), |_| RecordingSink::new());
-    let mut lb = load(baseline.dims());
-    for _ in 0..DEMO_CYCLES {
-        lb.drive(&mut baseline);
-        baseline.step_reference();
+    let run = |reference: bool| {
+        let mut net = MultiNoc::with_sinks(cfg(), |_| RecordingSink::new());
+        let mut l = load(net.dims());
+        for _ in 0..DEMO_CYCLES {
+            l.drive(&mut net);
+            if reference {
+                net.step_reference();
+            } else {
+                net.step();
+            }
+        }
+        net
+    };
+    let mut baseline = run(true);
+    let mut event = run(false);
+    let ta = baseline.take_trace();
+    let tb = event.take_trace();
+
+    // `finish` materializes the stretches still deferred at the end.
+    event.finish();
+    for s in 0..event.num_subnets() {
+        let sched = event.subnet(s).sched_stats();
+        println!(
+            "subnet {s}: {} deferred idle stretches, covering {} router-cycles",
+            sched.syncs, sched.synced_cycles
+        );
     }
 
-    let mut fast = MultiNoc::with_sinks(cfg(), |_| RecordingSink::new());
-    let mut lf = load(fast.dims());
-    fast.step_until(&mut lf, DEMO_CYCLES);
-
-    let skips = fast.skip_stats();
-    println!(
-        "fast-forward: {} skips covering {} of {DEMO_CYCLES} cycles",
-        skips.skips, skips.skipped_cycles
-    );
-
-    let ta = baseline.take_trace();
-    let tb = fast.take_trace();
     let trace_diff = diff_traces(&ta, &tb);
     println!("trace diff:    {trace_diff}");
     let csv_diff = diff_csv_timelines(

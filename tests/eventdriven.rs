@@ -11,15 +11,17 @@
 //!
 //! Three layers of evidence: the six pinned determinism goldens (stats
 //! fingerprints, full snapshots, per-packet latency histograms), the
-//! recording-telemetry trace and CSV-timeline diffs, and a randomized
-//! property over topology / subnet count / buffer shape / gating policy
-//! under bursty and saturating loads, which reports the first divergent
-//! cycle on failure.
+//! recording-telemetry trace and CSV-timeline diffs under moderate,
+//! near-idle and bursty trace-driven traffic, and a randomized property
+//! over topology / subnet count / buffer shape / gating policy /
+//! congestion metric under bursty and saturating loads, which reports
+//! the first divergent cycle on failure.
 
 use catnap_repro::catnap::{CongestionMetric, GatingPolicy, MetricKind, MultiNoc, MultiNocConfig, SelectorKind};
-use catnap_repro::noc::{MeshDims, SchedStats};
+use catnap_repro::noc::{MeshDims, MessageClass, SchedStats};
 use catnap_repro::telemetry::{diff_csv_timelines, diff_traces, power_timeline_csv, RecordingSink, Sink};
 use catnap_repro::traffic::schedule::LoadSchedule;
+use catnap_repro::traffic::trace::{TracePlayer, TraceRecord};
 use catnap_repro::traffic::{SyntheticPattern, SyntheticWorkload};
 use catnap_repro::util::check::Checker;
 use std::collections::BTreeMap;
@@ -95,21 +97,20 @@ fn goldens_bit_identical_eventdriven_vs_full_step() {
     }
 }
 
-/// Recording telemetry on every scope: the event-driven twin must
-/// produce byte-identical event traces and exported CSV timelines.
-/// Divergences go through the trace-diff tooling so a failure names the
-/// first bad cycle.
-#[test]
-fn eventdriven_preserves_traces_and_timelines() {
-    const CYCLES: u64 = 6_000;
-    let cfg = || MultiNocConfig::catnap_4x128().gating(true).seed(31);
-    let load = |dims| SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.02, 512, dims, 31);
-
+/// Runs `cfg` for `cycles` under the production step and under the
+/// oracle, both with recording telemetry on every scope and each fed by
+/// its own copy of `traffic`: snapshots, reports, event traces and
+/// exported CSV timelines must all be identical. Divergences go through
+/// the trace-diff tooling so a failure names the first bad cycle.
+fn assert_traces_and_timelines_match<D>(name: &str, cfg: MultiNocConfig, cycles: u64, traffic: impl Fn(MeshDims) -> D)
+where
+    D: FnMut(&mut MultiNoc<RecordingSink>),
+{
     let run = |reference: bool| {
-        let mut net = MultiNoc::with_sinks(cfg(), |_| RecordingSink::new());
-        let mut l = load(net.dims());
-        for _ in 0..CYCLES {
-            l.drive(&mut net);
+        let mut net = MultiNoc::with_sinks(cfg.clone(), |_| RecordingSink::new());
+        let mut drive = traffic(net.dims());
+        for _ in 0..cycles {
+            drive(&mut net);
             step(&mut net, reference);
         }
         let trace = net.take_trace();
@@ -118,17 +119,66 @@ fn eventdriven_preserves_traces_and_timelines() {
     let (snap_full, report_full, trace_full) = run(true);
     let (snap_event, report_event, trace_event) = run(false);
 
-    assert_eq!(snap_event, snap_full);
-    assert_eq!(report_event, report_full);
+    assert!(snap_full.delivered_packets > 0, "{name}: no traffic delivered");
+    assert_eq!(snap_event, snap_full, "{name}: snapshots diverged");
+    assert_eq!(report_event, report_full, "{name}: final reports diverged");
     let d = diff_traces(&trace_full, &trace_event);
-    assert!(d.is_identical(), "event traces diverged:\n{d}");
+    assert!(d.is_identical(), "{name}: event traces diverged:\n{d}");
     for epoch in [64u64, 512, 4096] {
         let cd = diff_csv_timelines(
             &power_timeline_csv(&trace_full, epoch),
             &power_timeline_csv(&trace_event, epoch),
         );
-        assert!(cd.is_identical(), "CSV timelines diverged at epoch {epoch}:\n{cd}");
+        assert!(
+            cd.is_identical(),
+            "{name}: CSV timelines diverged at epoch {epoch}:\n{cd}"
+        );
     }
+}
+
+/// The event-driven twin must produce byte-identical event traces and
+/// CSV timelines under three traffic shapes: a moderate load that keeps
+/// subnet 0 busy, a near-idle load whose long all-drained stretches
+/// leave every router deferred for hundreds of cycles, and a bursty
+/// hand-built trace whose 2,400-cycle silences leave the whole system
+/// drained between bursts.
+#[test]
+fn eventdriven_preserves_traces_and_timelines() {
+    for (rate, seed, cycles) in [(0.02, 31, 6_000), (0.0005, 23, 20_000)] {
+        assert_traces_and_timelines_match(
+            &format!("{rate} load"),
+            MultiNocConfig::catnap_4x128().gating(true).seed(seed),
+            cycles,
+            |dims| {
+                let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, rate, 512, dims, seed);
+                move |net: &mut MultiNoc<RecordingSink>| load.drive(net)
+            },
+        );
+    }
+
+    let mut records = Vec::new();
+    for burst in 0..6u64 {
+        let start = burst * 2_400;
+        for i in 0..5u64 {
+            let src = ((11 * i + 3 * burst) % 64) as u16;
+            records.push(TraceRecord {
+                cycle: start + i,
+                src,
+                dst: (src + 17) % 64,
+                bits: 512,
+                class: MessageClass::Synthetic,
+            });
+        }
+    }
+    assert_traces_and_timelines_match(
+        "bursty trace",
+        MultiNocConfig::catnap_4x128().gating(true),
+        15_000,
+        |_| {
+            let mut player = TracePlayer::new(records.clone());
+            move |net: &mut MultiNoc<RecordingSink>| player.drive(net)
+        },
+    );
 }
 
 /// The oracle runs no scheduler at all: a run stepped only by
@@ -250,7 +300,13 @@ fn prop_eventdriven_equals_percycle() {
                 GatingPolicy::LocalIdlePort,
                 GatingPolicy::CatnapRcs,
             ]),
-            metric: *rng.choose(&[MetricKind::Bfm, MetricKind::IqOcc, MetricKind::Delay]),
+            metric: *rng.choose(&[
+                MetricKind::Bfm,
+                MetricKind::Bfa,
+                MetricKind::InjectionRate,
+                MetricKind::IqOcc,
+                MetricKind::Delay,
+            ]),
             on_rate: 0.15 + rng.gen::<f64>() * 0.35,
             off_rate: rng.gen::<f64>() * 0.002,
             seed: rng.gen_range(0u64..10_000),

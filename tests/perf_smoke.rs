@@ -41,16 +41,6 @@ fn perf_guard() -> std::sync::MutexGuard<'static, ()> {
 const FLOOR_DEBUG_CPS: f64 = 30_000.0;
 const FLOOR_RELEASE_CPS: f64 = 1_500_000.0;
 
-/// Pinned cycles/sec floors for the quiescence fast-forward scenario
-/// below (light intermittent load through `MultiNoc::step_until`). The
-/// debug floor is low because debug builds shadow-replay every skip
-/// (routers, detectors and OR networks are re-run per skipped cycle as
-/// a cross-check, so skips cost as much as stepping); the release floor
-/// is where the engine earns its keep — well above what per-cycle
-/// stepping of the same scenario can reach (~50k cycles/sec).
-const FLOOR_FF_DEBUG_CPS: f64 = 10_000.0;
-const FLOOR_FF_RELEASE_CPS: f64 = 700_000.0;
-
 /// Mirror of the bench's `hotloop_light_gated_worklist` scenario: one
 /// gated 8x8 subnet, a single-flit packet every 48 cycles, a periodic
 /// sleep scan, worklist fast path enabled (the default).
@@ -106,73 +96,25 @@ fn light_gated_cycles_per_sec_with<S: Sink>(warmup: u64, measure: u64, sink: S) 
     measure as f64 / secs
 }
 
-/// Times `MultiNoc::step_until` on the fast-forward target regime: the
-/// gated 4NT-128b configuration under a light intermittent load (one
-/// packet every ~300 cycles system-wide), where quiescent stretches
-/// dominate and the engine collapses them into arithmetic skips.
-fn fastforward_cycles_per_sec(cycles: u64) -> (f64, u64) {
-    let cfg = MultiNocConfig::catnap_4x128().gating(true).seed(7);
-    let mut net = MultiNoc::new(cfg);
-    let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 5e-5, 512, net.dims(), 7);
-    let start = Instant::now();
-    net.step_until(&mut load, cycles);
-    let secs = start.elapsed().as_secs_f64().max(1e-12);
-    let skipped = net.skip_stats().skipped_cycles;
-    (cycles as f64 / secs, skipped)
-}
-
-#[test]
-fn fast_forward_meets_throughput_floor() {
-    if std::env::var("CATNAP_PERF_SMOKE").map(|v| v != "1").unwrap_or(true) {
-        eprintln!("perf smoke skipped (set CATNAP_PERF_SMOKE=1 to enable)");
-        return;
-    }
-    let _serialize = perf_guard();
-    let floor = if cfg!(debug_assertions) {
-        FLOOR_FF_DEBUG_CPS
-    } else {
-        FLOOR_FF_RELEASE_CPS
-    };
-    // Untimed pass first so page faults, lazy init and CPU clocks settle.
-    let _ = fastforward_cycles_per_sec(5_000);
-    let cycles = if cfg!(debug_assertions) { 30_000 } else { 200_000 };
-    let (cps, skipped) = fastforward_cycles_per_sec(cycles);
-    println!(
-        "fast-forward smoke: {:.0} cycles/sec over {} cycles ({} skipped; floor {:.0}, fail below {:.0})",
-        cps,
-        cycles,
-        skipped,
-        floor,
-        floor / 3.0
-    );
-    assert!(
-        skipped > cycles / 2,
-        "light load must skip most cycles, skipped only {skipped}"
-    );
-    assert!(
-        cps >= floor / 3.0,
-        "fast-forward ran at {cps:.0} cycles/sec, more than 3x below the pinned floor of {floor:.0}"
-    );
-}
-
-/// Times the busy bench scenario (`busy_gated_*` in
-/// `bench_out/perf_fastforward.json`): uniform-random 0.05
-/// packets/node/cycle on the gated 4NT-128b configuration, which holds
-/// one subnet near saturation while the other three sleep. Returns
-/// cycles/sec of `step_until` (event scheduler engaged) or of the
-/// per-cycle `step_reference` oracle loop.
+/// Times the busy bench pair (`busy_gated_full_step` and
+/// `busy_gated_eventdriven` in `bench_out/perf_throughput.json`):
+/// uniform-random 0.05 packets/node/cycle on the gated 4NT-128b
+/// configuration, which holds one subnet near saturation while the
+/// other three sleep. Returns cycles/sec of the per-cycle loop through
+/// `step` (event scheduler engaged) or through the `step_reference`
+/// oracle.
 fn busy_gated_cycles_per_sec(cycles: u64, reference: bool) -> f64 {
     let cfg = MultiNocConfig::catnap_4x128().gating(true).seed(7);
     let mut net = MultiNoc::new(cfg);
     let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.05, 512, net.dims(), 7);
     let start = Instant::now();
-    if reference {
-        for _ in 0..cycles {
-            load.drive(&mut net);
+    for _ in 0..cycles {
+        load.drive(&mut net);
+        if reference {
             net.step_reference();
+        } else {
+            net.step();
         }
-    } else {
-        net.step_until(&mut load, cycles);
     }
     let secs = start.elapsed().as_secs_f64().max(1e-12);
     cycles as f64 / secs
@@ -184,7 +126,7 @@ fn busy_gated_cycles_per_sec(cycles: u64, reference: bool) -> f64 {
 /// subnet has real router work every cycle that both modes must do, so
 /// the scheduler's win there comes from the mask-driven allocator and
 /// from eliminating the three gated subnets' scan; only a light load
-/// lets it skip almost everything (see the fast-forward floor above).
+/// lets it skip almost everything (see the hot-loop floor below).
 /// The floor is set with ~25% margin under the measured ratio; a drop
 /// below it means the busy-path scheduling or the allocator fast path
 /// structurally regressed.
