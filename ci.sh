@@ -16,6 +16,13 @@ cargo build --release --offline
 echo "== test =="
 cargo test -q --offline
 
+echo "== test (release: differential, checkpoint and determinism suites) =="
+# Release builds wrap on integer overflow instead of panicking and
+# compile out the debug_assert cross-checks (buffered-flit and in-flight
+# counters against the rings), so the router buffer index arithmetic
+# must also pass these suites as the benchmark runs it.
+cargo test -q --release --offline --test eventdriven --test checkpoint --test determinism
+
 echo "== trace diff (production step vs the per-cycle oracle at near-idle load) =="
 # Diffs full telemetry traces and CSV timelines; exits 1 on a
 # divergence, naming the first divergent cycle.

@@ -29,7 +29,7 @@ use catnap_util::codec::{self, ByteReader, ByteWriter, CodecError, Fnv64};
 /// Current checkpoint format version. Bump on any layout change — old
 /// checkpoints are rejected with
 /// [`CodecError::UnsupportedVersion`], never misparsed.
-pub const CHECKPOINT_VERSION: u32 = 3;
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Version of the [`config_fingerprint`] *input schema*: which config
 /// fields are hashed, and in what encoding. Bump whenever that set or

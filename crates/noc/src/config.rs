@@ -135,7 +135,7 @@ impl NetworkConfig {
         }
         if self.vc_depth > crate::vc::MAX_VC_DEPTH {
             return Err(format!(
-                "vc_depth {} exceeds the inline VC ring capacity {}",
+                "vc_depth {} exceeds the validation bound MAX_VC_DEPTH = {}",
                 self.vc_depth,
                 crate::vc::MAX_VC_DEPTH
             ));

@@ -145,9 +145,9 @@ pub struct Flit {
 }
 
 impl Flit {
-    /// An inert filler flit used to initialize fixed-capacity storage
-    /// (the inline VC ring buffers). Never enters the network: slots
-    /// holding it are outside the live `head..head+len` window.
+    /// An inert filler flit that initializes the router buffer slab.
+    /// Never enters the network: a slot is only read while it is inside
+    /// its VC's live `head..head+len` window, which a push fills first.
     pub const PLACEHOLDER: Flit = Flit {
         packet: PacketId(u64::MAX),
         kind: FlitKind::Single,

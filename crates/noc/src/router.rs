@@ -23,7 +23,7 @@ use crate::flit::Flit;
 use crate::geometry::{NodeId, Port, NUM_PORTS};
 use crate::power_state::{PowerState, PowerStateMachine, ResidencySnapshot, WakeReason};
 use crate::stats::{GatingActivity, RouterActivity};
-use crate::vc::{Binding, InputVc};
+use crate::vc::{Binding, InputBuffers, MAX_VC_DEPTH};
 use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
 
 /// Snapshot of all router state `idle_tick` can touch; two routers that
@@ -91,8 +91,9 @@ pub struct Router {
     node: NodeId,
     vcs: usize,
     vc_depth: usize,
-    /// Input VC buffers, flattened `[port][vc]`.
-    inputs: Vec<InputVc>,
+    /// Input VC buffers of every port, with their occupancy counters,
+    /// non-empty and bound masks, and the wormhole bindings.
+    inputs: InputBuffers,
     /// Which ports have a physical link (edge routers have fewer).
     connected: [bool; NUM_PORTS],
     /// Per output port, bitmask of downstream VCs currently allocated to a
@@ -121,24 +122,6 @@ pub struct Router {
     /// granularity only.
     port_psm: Option<Vec<PowerStateMachine>>,
     port_idle: [u32; NUM_PORTS],
-    /// Total flits currently buffered across all input VCs (kept in sync
-    /// by `deliver`/`allocate` so drain checks are O(1)).
-    buffered: u32,
-    /// Flits buffered per input port (same invariant, per port).
-    port_occ: [u32; NUM_PORTS],
-    /// Per input port, bitmask of non-empty VCs. The `InputVc` rings
-    /// store flits inline and are large; these masks (with
-    /// `vc_bound`/`bind_cache` below) let the allocator skip empty and
-    /// unbound VCs without touching their cache-cold storage. Kept in
-    /// sync by the `push_input`/`pop_input` wrappers.
-    vc_nonempty: [u64; NUM_PORTS],
-    /// Per input port, bitmask of VCs holding a wormhole binding
-    /// (maintained by `bind_input`/`unbind_input`).
-    vc_bound: [u64; NUM_PORTS],
-    /// Dense mirror of each VC's binding, valid iff its `vc_bound` bit
-    /// is set, so switch arbitration reads two bytes per request
-    /// instead of the VC struct.
-    bind_cache: Vec<Binding>,
     /// Event counters for the power model.
     pub activity: RouterActivity,
 }
@@ -157,14 +140,12 @@ impl Router {
         t_breakeven: u32,
         t_idle_detect: u32,
     ) -> Self {
-        assert!(vcs > 0 && vcs <= 64, "vcs must be in 1..=64");
         assert!(connected[Port::Local.index()], "local port must be connected");
-        let inputs = (0..NUM_PORTS * vcs).map(|_| InputVc::new(vc_depth)).collect();
         Router {
             node,
             vcs,
             vc_depth,
-            inputs,
+            inputs: InputBuffers::new(vcs, vc_depth),
             connected,
             out_owned: [0; NUM_PORTS],
             credits: vec![vc_depth as u16; NUM_PORTS * vcs],
@@ -179,17 +160,6 @@ impl Router {
             t_breakeven,
             port_psm: None,
             port_idle: [0; NUM_PORTS],
-            buffered: 0,
-            port_occ: [0; NUM_PORTS],
-            vc_nonempty: [0; NUM_PORTS],
-            vc_bound: [0; NUM_PORTS],
-            bind_cache: vec![
-                Binding {
-                    out_port: Port::Local,
-                    out_vc: 0,
-                };
-                NUM_PORTS * vcs
-            ],
             activity: RouterActivity::default(),
         }
     }
@@ -263,10 +233,7 @@ impl Router {
         let Some(psms) = &self.port_psm else { return false };
         psms[port.index()].state().is_active()
             && self.port_idle[port.index()] >= self.t_idle_detect
-            && (0..self.vcs).all(|v| {
-                let slot = self.input(port, v);
-                slot.is_empty() && slot.binding().is_none()
-            })
+            && self.port_vcs_free(port)
     }
 
     /// Lag-aware variant of [`Router::port_sleep_guard_ok`] (see
@@ -277,10 +244,13 @@ impl Router {
         let Some(psms) = &self.port_psm else { return false };
         psms[port.index()].state().is_active()
             && self.port_idle[port.index()] as u64 + lag >= self.t_idle_detect as u64
-            && (0..self.vcs).all(|v| {
-                let slot = self.input(port, v);
-                slot.is_empty() && slot.binding().is_none()
-            })
+            && self.port_vcs_free(port)
+    }
+
+    /// Whether every VC of `port` is empty and unbound.
+    fn port_vcs_free(&self, port: Port) -> bool {
+        let pi = port.index();
+        self.inputs.nonempty(pi) == 0 && self.inputs.bound(pi) == 0
     }
 
     /// Ticks until the earliest pending wake-up countdown (the router's
@@ -347,48 +317,9 @@ impl Router {
         self.vc_depth
     }
 
-    fn input(&self, port: Port, vc: usize) -> &InputVc {
-        &self.inputs[port.index() * self.vcs + vc]
-    }
-
-    /// Enqueues into `(port index, vc)`, maintaining the non-empty mask.
-    /// All input-buffer mutation goes through these wrappers so the
-    /// masks and the binding mirror never drift from the rings.
-    #[inline]
-    fn push_input(&mut self, pi: usize, vc: usize, flit: Flit) {
-        self.inputs[pi * self.vcs + vc].push(flit);
-        self.vc_nonempty[pi] |= 1u64 << vc;
-    }
-
-    /// Dequeues from `(port index, vc)`, maintaining the non-empty mask.
-    #[inline]
-    fn pop_input(&mut self, pi: usize, vc: usize) -> Option<Flit> {
-        let slot = &mut self.inputs[pi * self.vcs + vc];
-        let flit = slot.pop();
-        if slot.is_empty() {
-            self.vc_nonempty[pi] &= !(1u64 << vc);
-        }
-        flit
-    }
-
-    /// Binds `(port index, vc)`, maintaining the bound mask and mirror.
-    #[inline]
-    fn bind_input(&mut self, pi: usize, vc: usize, binding: Binding) {
-        self.inputs[pi * self.vcs + vc].bind(binding);
-        self.vc_bound[pi] |= 1u64 << vc;
-        self.bind_cache[pi * self.vcs + vc] = binding;
-    }
-
-    /// Unbinds `(port index, vc)`, maintaining the bound mask.
-    #[inline]
-    fn unbind_input(&mut self, pi: usize, vc: usize) {
-        self.inputs[pi * self.vcs + vc].unbind();
-        self.vc_bound[pi] &= !(1u64 << vc);
-    }
-
     /// Total flits buffered at one input port (across its VCs).
     pub fn port_occupancy(&self, port: Port) -> usize {
-        self.port_occ[port.index()] as usize
+        self.inputs.port_occ()[port.index()] as usize
     }
 
     /// Maximum input-port occupancy, in flits: the paper's **BFM** local
@@ -397,7 +328,7 @@ impl Router {
     /// over connected ports.
     pub fn max_port_occupancy(&self) -> usize {
         let mut max = 0u32;
-        for &occ in &self.port_occ {
+        for &occ in self.inputs.port_occ() {
             max = max.max(occ);
         }
         max as usize
@@ -406,35 +337,40 @@ impl Router {
     /// Mean input-port occupancy over connected ports, in flits: the
     /// paper's **BFA** alternative metric (Section 3.4.2).
     pub fn avg_port_occupancy(&self) -> f64 {
-        let ports: Vec<Port> = Port::ALL.iter().copied().filter(|p| self.connected[p.index()]).collect();
-        if ports.is_empty() {
+        let (mut total, mut ports) = (0u32, 0u32);
+        for (&occ, &connected) in self.inputs.port_occ().iter().zip(&self.connected) {
+            if connected {
+                total += occ;
+                ports += 1;
+            }
+        }
+        if ports == 0 {
             return 0.0;
         }
-        let total: usize = ports.iter().map(|&p| self.port_occupancy(p)).sum();
-        total as f64 / ports.len() as f64
+        total as f64 / ports as f64
     }
 
     /// Free slots in a local-port VC (used by the network interface for
     /// injection).
     pub fn local_vc_free_space(&self, vc: usize) -> usize {
-        self.input(Port::Local, vc).free_space()
+        self.inputs.free_space(Port::Local.index(), vc)
     }
 
     /// Whether all input buffers and the crossbar register are empty.
     pub fn is_drained(&self) -> bool {
         debug_assert_eq!(
-            self.buffered as usize,
-            self.inputs.iter().map(InputVc::len).sum::<usize>(),
+            self.inputs.buffered() as usize,
+            self.inputs.ring_total(),
             "buffered-flit counter out of sync at {}",
             self.node
         );
-        self.buffered == 0 && self.xbar_reg.is_empty()
+        self.inputs.buffered() == 0 && self.xbar_reg.is_empty()
     }
 
     /// Flits currently inside the router (input buffers plus the crossbar
     /// pipeline register).
     pub fn occupancy(&self) -> usize {
-        self.buffered as usize + self.xbar_reg.len()
+        self.inputs.buffered() as usize + self.xbar_reg.len()
     }
 
     /// Whether the buffer-empty condition has held for `t_idle_detect`
@@ -480,9 +416,7 @@ impl Router {
         let vc = flit.vc as usize;
         assert!(vc < self.vcs, "flit VC out of range");
         let ping = (flit.kind.is_head() && flit.lookahead != Port::Local).then_some(flit.lookahead);
-        self.push_input(port.index(), vc, flit);
-        self.buffered += 1;
-        self.port_occ[port.index()] += 1;
+        self.inputs.push(port.index(), vc, flit);
         self.activity.buffer_writes += 1;
         self.idle_cycles = 0;
         self.port_idle[port.index()] = 0;
@@ -580,7 +514,7 @@ impl Router {
             self.idle_cycles = 0;
         }
         for pi in 0..NUM_PORTS {
-            if self.port_occ[pi] == 0 {
+            if self.inputs.port_occ()[pi] == 0 {
                 self.port_idle[pi] = self.port_idle[pi].saturating_add(1);
             } else {
                 self.port_idle[pi] = 0;
@@ -690,7 +624,7 @@ impl Router {
     /// on empty inputs, which reads nothing, writes nothing, and leaves
     /// every round-robin pointer untouched.
     fn allocate(&mut self, neighbor_active: &[bool; NUM_PORTS], out: &mut RouterOutput) {
-        if self.buffered == 0 {
+        if self.inputs.buffered() == 0 {
             // No buffered flit anywhere: no head to allocate, no
             // candidate to arbitrate, nothing blocked. The reference
             // scan is a pure no-op in this state.
@@ -707,11 +641,11 @@ impl Router {
         // bit-identical — including the order of wake pings.
         for port in Port::ALL {
             let pi = port.index();
-            let mut pending = self.vc_nonempty[pi] & !self.vc_bound[pi];
+            let mut pending = self.inputs.nonempty(pi) & !self.inputs.bound(pi);
             while pending != 0 {
                 let vc = pending.trailing_zeros() as usize;
                 pending &= pending - 1;
-                let head = self.input(port, vc).front().expect("non-empty by mask");
+                let head = self.inputs.front(pi, vc).expect("non-empty by mask");
                 debug_assert!(head.kind.is_head(), "unbound VC fronted by a non-head flit");
                 let out_port = head.lookahead;
                 debug_assert!(
@@ -742,7 +676,7 @@ impl Router {
                 let next = ovc + 1;
                 self.vc_rr[out_port.index()] = if next == vcs { 0 } else { next };
                 self.out_owned[out_port.index()] |= 1u64 << ovc;
-                self.bind_input(
+                self.inputs.bind(
                     pi,
                     vc,
                     Binding {
@@ -765,12 +699,12 @@ impl Router {
         let mut any_candidate = false;
         for port in Port::ALL {
             let pi = port.index();
-            let ne = self.vc_nonempty[pi];
+            let ne = self.inputs.nonempty(pi);
             if ne == 0 {
                 continue;
             }
             nonempty_vcs += u64::from(ne.count_ones());
-            let bound = ne & self.vc_bound[pi];
+            let bound = ne & self.inputs.bound(pi);
             if bound == 0 {
                 continue;
             }
@@ -783,7 +717,7 @@ impl Router {
                 while segment != 0 {
                     let vc = base + segment.trailing_zeros() as usize;
                     segment &= segment - 1;
-                    let binding = self.bind_cache[pi * vcs + vc];
+                    let binding = self.inputs.bound_binding(pi, vc);
                     let opi = binding.out_port.index();
                     if binding.out_port != Port::Local && !neighbor_active[opi] {
                         // Liveness: keep requesting the sleeping
@@ -852,9 +786,7 @@ impl Router {
                 grants += 1;
                 let next = vc + 1;
                 self.in_rr[pi] = if next == vcs { 0 } else { next };
-                let mut flit = self.pop_input(pi, vc).expect("granted VC must be non-empty");
-                self.buffered -= 1;
-                self.port_occ[pi] -= 1;
+                let mut flit = self.inputs.pop(pi, vc).expect("granted VC must be non-empty");
                 self.activity.buffer_reads += 1;
                 flit.vc = binding.out_vc;
                 let opi = binding.out_port.index();
@@ -864,7 +796,7 @@ impl Router {
                     self.credits[cidx] -= 1;
                 }
                 if flit.kind.is_tail() {
-                    self.unbind_input(pi, vc);
+                    self.inputs.unbind(pi, vc);
                     self.out_owned[opi] &= !(1u64 << binding.out_vc);
                 }
                 if in_port != Port::Local {
@@ -891,10 +823,12 @@ impl Router {
     fn allocate_reference(&mut self, neighbor_active: &[bool; NUM_PORTS], out: &mut RouterOutput) {
         // --- VC allocation for head flits without a binding ---
         for port in Port::ALL {
+            let pi = port.index();
             for vc in 0..self.vcs {
-                let slot = self.input(port, vc);
-                let Some(head) = slot.front() else { continue };
-                if !head.kind.is_head() || slot.binding().is_some() {
+                let Some(head) = self.inputs.front(pi, vc) else {
+                    continue;
+                };
+                if !head.kind.is_head() || self.inputs.binding(pi, vc).is_some() {
                     continue;
                 }
                 let out_port = head.lookahead;
@@ -926,8 +860,8 @@ impl Router {
                 if let Some(ovc) = chosen {
                     self.vc_rr[out_port.index()] = (ovc + 1) % self.vcs;
                     self.out_owned[out_port.index()] |= 1u64 << ovc;
-                    self.bind_input(
-                        port.index(),
+                    self.inputs.bind(
+                        pi,
                         vc,
                         Binding {
                             out_port,
@@ -947,12 +881,13 @@ impl Router {
             let start = self.in_rr[pi];
             for off in 0..self.vcs {
                 let vc = (start + off) % self.vcs;
-                let slot = self.input(port, vc);
-                if slot.is_empty() {
+                if self.inputs.len(pi, vc) == 0 {
                     continue;
                 }
                 nonempty_vcs += 1;
-                let Some(binding) = slot.binding() else { continue };
+                let Some(binding) = self.inputs.binding(pi, vc) else {
+                    continue;
+                };
                 let opi = binding.out_port.index();
                 if binding.out_port != Port::Local && !neighbor_active[opi] {
                     // Liveness: keep requesting the sleeping neighbour's
@@ -999,9 +934,7 @@ impl Router {
             let Some((vc, binding)) = granted[pi] else { continue };
             grants += 1;
             self.in_rr[pi] = (vc + 1) % self.vcs;
-            let mut flit = self.pop_input(pi, vc).expect("granted VC must be non-empty");
-            self.buffered -= 1;
-            self.port_occ[pi] -= 1;
+            let mut flit = self.inputs.pop(pi, vc).expect("granted VC must be non-empty");
             self.activity.buffer_reads += 1;
             flit.vc = binding.out_vc;
             let opi = binding.out_port.index();
@@ -1011,7 +944,7 @@ impl Router {
                 self.credits[cidx] -= 1;
             }
             if flit.kind.is_tail() {
-                self.unbind_input(pi, vc);
+                self.inputs.unbind(pi, vc);
                 self.out_owned[opi] &= !(1u64 << binding.out_vc);
             }
             if in_port != Port::Local {
@@ -1108,11 +1041,11 @@ impl Router {
         }
     }
 
-    /// Serializes the full router state (checkpointing). The redundant
-    /// occupancy and mask caches (`buffered`, `port_occ`, `vc_nonempty`,
-    /// `vc_bound`, `bind_cache`) are *not* captured — they are pure
-    /// functions of the input rings and [`Router::decode`] recomputes
-    /// them, so a checkpoint cannot carry a desynchronized cache.
+    /// Serializes the full router state (checkpointing). The input
+    /// buffers' occupancy counters and non-empty mask are *not* captured
+    /// — they are pure functions of the ring contents, which
+    /// [`Router::decode`] replays into fresh buffers, so a checkpoint
+    /// cannot carry a desynchronized cache.
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
         w.put_u16(self.node.0);
         w.put_usize(self.vcs);
@@ -1120,9 +1053,7 @@ impl Router {
         for c in self.connected {
             w.put_bool(c);
         }
-        for vc in &self.inputs {
-            vc.encode(w);
-        }
+        self.inputs.encode(w);
         for m in self.out_owned {
             w.put_u64(m);
         }
@@ -1163,8 +1094,7 @@ impl Router {
         checkpoint::put_router_activity(w, &self.activity);
     }
 
-    /// Rebuilds a router serialized by [`Router::encode`], recomputing
-    /// the derived occupancy caches from the decoded input rings.
+    /// Rebuilds a router serialized by [`Router::encode`].
     pub(crate) fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let node = NodeId(r.get_u16()?);
         let vcs = r.get_usize()?;
@@ -1172,7 +1102,7 @@ impl Router {
             return Err(CodecError::Invalid("router vcs out of range"));
         }
         let vc_depth = r.get_usize()?;
-        if vc_depth == 0 || vc_depth > crate::vc::MAX_VC_DEPTH {
+        if vc_depth == 0 || vc_depth > MAX_VC_DEPTH {
             return Err(CodecError::Invalid("router vc_depth out of range"));
         }
         let mut connected = [false; NUM_PORTS];
@@ -1184,13 +1114,7 @@ impl Router {
         }
         // Gating timings land below (after the PSM); zeros are placeholders.
         let mut router = Router::new(node, vcs, vc_depth, connected, 0, 0, 0);
-        for slot in router.inputs.iter_mut() {
-            let vc = InputVc::decode(r)?;
-            if vc.depth() != vc_depth {
-                return Err(CodecError::Invalid("VC depth mismatch"));
-            }
-            *slot = vc;
-        }
+        router.inputs = InputBuffers::decode(r, vcs, vc_depth)?;
         for m in router.out_owned.iter_mut() {
             *m = r.get_u64()?;
         }
@@ -1245,31 +1169,7 @@ impl Router {
             *pi = r.get_u32()?;
         }
         router.activity = checkpoint::get_router_activity(r)?;
-        router.rebuild_caches();
         Ok(router)
-    }
-
-    /// Recomputes every derived cache from the input rings (decode path).
-    fn rebuild_caches(&mut self) {
-        self.buffered = 0;
-        self.port_occ = [0; NUM_PORTS];
-        self.vc_nonempty = [0; NUM_PORTS];
-        self.vc_bound = [0; NUM_PORTS];
-        for pi in 0..NUM_PORTS {
-            for vc in 0..self.vcs {
-                let slot = &self.inputs[pi * self.vcs + vc];
-                let n = slot.len() as u32;
-                self.buffered += n;
-                self.port_occ[pi] += n;
-                if n > 0 {
-                    self.vc_nonempty[pi] |= 1u64 << vc;
-                }
-                if let Some(b) = slot.binding() {
-                    self.vc_bound[pi] |= 1u64 << vc;
-                    self.bind_cache[pi * self.vcs + vc] = b;
-                }
-            }
-        }
     }
 }
 
@@ -1523,6 +1423,14 @@ mod tests {
         assert_eq!(r.port_occupancy(Port::North), 1);
         assert_eq!(r.max_port_occupancy(), 2);
         assert!((r.avg_port_occupancy() - 3.0 / 5.0).abs() < 1e-12);
+
+        // BFA averages over connected ports only: a corner router (no
+        // North or West link) divides by three.
+        let mut corner = Router::new(NodeId(0), 4, 4, [false, true, true, false, true], 10, 12, 4);
+        corner.deliver(Port::East, flit(1, FlitKind::Head, 0, 9, Port::South, 0));
+        corner.deliver(Port::East, flit(1, FlitKind::Body, 1, 9, Port::South, 0));
+        corner.deliver(Port::Local, flit(2, FlitKind::Head, 0, 9, Port::South, 1));
+        assert!((corner.avg_port_occupancy() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -9,21 +9,23 @@
 //! compared here are two genuinely distinct code paths, not one
 //! implementation diffed against itself.
 //!
-//! Three layers of evidence: the six pinned determinism goldens (stats
+//! Four layers of evidence: the six pinned determinism goldens (stats
 //! fingerprints, full snapshots, per-packet latency histograms), the
 //! recording-telemetry trace and CSV-timeline diffs under moderate,
-//! near-idle and bursty trace-driven traffic, and a randomized property
+//! near-idle and bursty trace-driven traffic, protocol-class packets
+//! through the class-restricted VC masks, and a randomized property
 //! over topology / subnet count / buffer shape / gating policy /
 //! congestion metric under bursty and saturating loads, which reports
 //! the first divergent cycle on failure.
 
 use catnap_repro::catnap::{CongestionMetric, GatingPolicy, MetricKind, MultiNoc, MultiNocConfig, SelectorKind};
-use catnap_repro::noc::{MeshDims, MessageClass, SchedStats};
+use catnap_repro::noc::{MeshDims, MessageClass, NodeId, PacketDescriptor, PacketId, SchedStats};
 use catnap_repro::telemetry::{diff_csv_timelines, diff_traces, power_timeline_csv, RecordingSink, Sink};
 use catnap_repro::traffic::schedule::LoadSchedule;
 use catnap_repro::traffic::trace::{TracePlayer, TraceRecord};
-use catnap_repro::traffic::{SyntheticPattern, SyntheticWorkload};
+use catnap_repro::traffic::{PacketSink, SyntheticPattern, SyntheticWorkload};
 use catnap_repro::util::check::Checker;
+use catnap_repro::util::rng::SimRng;
 use std::collections::BTreeMap;
 
 /// Per-packet latency histogram (exact cycle resolution): drains the
@@ -218,6 +220,69 @@ fn step_reference_bypasses_scheduler_entirely() {
     assert_eq!(report_event, report_full);
 }
 
+/// Coherence-protocol traffic: `Request` and `Forward` packets may only
+/// use their own VC and `Response` packets only theirs (at two VCs,
+/// requests and forwards share VC 0), so the allocators' class masks
+/// decide every downstream VC. Only the closed-loop `System` sends these
+/// classes in production; here the same shapes — 1-flit 72-bit control
+/// packets and 5-flit 584-bit data packets on 128-bit subnets — enter
+/// through `PacketSink::submit` at a load that keeps the restricted VCs
+/// contended, and the production step must match the oracle.
+#[test]
+fn protocol_class_traffic_matches_the_oracle() {
+    const CYCLES: u64 = 3_000;
+    for (vcs, seed) in [(2usize, 41u64), (3, 42), (4, 43)] {
+        let run = |reference: bool| {
+            let mut cfg = MultiNocConfig::catnap_4x128().gating(true).seed(seed);
+            cfg.vcs = vcs;
+            let mut net = MultiNoc::new(cfg);
+            net.set_track_deliveries(true);
+            let nodes = net.dims().num_nodes() as u64;
+            let mut rng = SimRng::new(seed);
+            let mut next_id = 0u64;
+            let mut tails = Vec::new();
+            for _ in 0..CYCLES {
+                for src in 0..nodes {
+                    if !rng.gen_bool(0.06) {
+                        continue;
+                    }
+                    let class = *rng.choose(&[MessageClass::Request, MessageClass::Forward, MessageClass::Response]);
+                    let dst = (src + 1 + rng.u64_below(nodes - 1)) % nodes;
+                    let desc = PacketDescriptor {
+                        id: PacketId(next_id),
+                        src: NodeId::new(src as u16),
+                        dst: NodeId::new(dst as u16),
+                        bits: if class == MessageClass::Response { 584 } else { 72 },
+                        class,
+                        created_cycle: net.now(),
+                    };
+                    next_id += 1;
+                    net.submit(desc);
+                }
+                step(&mut net, reference);
+                tails.extend(net.drain_delivered());
+            }
+            (tails, net.snapshot(), net.finish())
+        };
+        let (tails_full, snap_full, report_full) = run(true);
+        let (tails_event, snap_event, report_event) = run(false);
+
+        for class in [MessageClass::Request, MessageClass::Forward, MessageClass::Response] {
+            assert!(
+                tails_full.iter().any(|t| t.class == class),
+                "{vcs} VCs: no {class:?} packet delivered"
+            );
+        }
+        assert!(
+            tails_full.iter().any(|t| t.packet_len == 5),
+            "{vcs} VCs: responses must be 5-flit packets"
+        );
+        assert_eq!(tails_event, tails_full, "{vcs} VCs: ejection streams diverged");
+        assert_eq!(snap_event, snap_full, "{vcs} VCs: snapshots diverged");
+        assert_eq!(report_event, report_full, "{vcs} VCs: final reports diverged");
+    }
+}
+
 /// Input of the randomized differential property.
 #[derive(Debug)]
 struct PropInput {
@@ -287,8 +352,8 @@ fn prop_eventdriven_equals_percycle() {
         |rng| PropInput {
             dims: *rng.choose(&[MeshDims::new(3, 3), MeshDims::new(4, 4), MeshDims::new(5, 3)]),
             subnets: *rng.choose(&[1usize, 2, 4]),
-            vcs: *rng.choose(&[2usize, 4]),
-            vc_depth: *rng.choose(&[2usize, 4, 8]),
+            vcs: *rng.choose(&[1usize, 2, 4, 8]),
+            vc_depth: *rng.choose(&[1usize, 2, 3, 4, 8, 16]),
             selector: *rng.choose(&[
                 SelectorKind::RoundRobin,
                 SelectorKind::Random,
