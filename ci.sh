@@ -35,6 +35,9 @@ echo "== hive smoke (3 spawned catnap-serve workers over loopback TCP) =="
 # The hive integration tests (tests/hive.rs) already ran above with
 # in-process fleets; this exercises the real multi-process path:
 # catnap-hive forks catnap-serve children sharing one cache directory.
+# The root build above does not build the worker binary, so build it
+# here; otherwise a fresh target directory has no catnap-serve to spawn.
+cargo build -q --release --offline -p catnap-serve
 HIVE_TMP="$(mktemp -d)"
 trap 'rm -rf "$HIVE_TMP"' EXIT
 cargo run -q --release --offline -p catnap-hive -- sweep \
@@ -46,5 +49,10 @@ test -s "$HIVE_TMP/sweep.json" || { echo "hive smoke produced no output"; exit 1
 
 echo "== clippy (workspace, all targets, -D warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (workspace, -D warnings) =="
+# Broken, private or ambiguous intra-doc links fail the gate, so docs
+# cannot keep pointing at renamed or deleted items.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "ci.sh: all green"

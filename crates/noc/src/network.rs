@@ -11,8 +11,6 @@ use crate::router::{Router, RouterOutput};
 use crate::stats::{GatingActivity, NetworkStats, RouterActivity};
 use catnap_telemetry::{Event, NopSink, PowerPhase, Sink};
 use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A single physical network-on-chip (one subnet of a Multi-NoC).
 ///
@@ -63,34 +61,33 @@ pub struct Network<S: Sink = NopSink> {
     /// deferred stretch is a run of pure idle ticks, materializable in
     /// closed form by [`Network::sync_to`].
     cursor: Vec<u64>,
-    /// Scheduling epoch per router: the cycle for which the router is
-    /// already queued to run (deduplicates hot-set insertion).
-    hot_stamp: Vec<u64>,
-    /// Routers queued to run on the *next* step (stamped `cycle + 1`).
-    next_hot: Vec<u32>,
-    /// Routers queued to run on the current step, popped in index order
+    /// Run set of the step in progress, scanned in ascending index order
     /// (index order is load-bearing: wake completions flip `port_active`
     /// mid-phase at the completing router's position, and later routers
-    /// must observe that exactly as the per-cycle loop would). A heap,
-    /// not a sorted list, because in-step wake requests may insert
-    /// not-yet-reached indices mid-iteration.
-    todo: BinaryHeap<Reverse<u32>>,
-    /// Time-ordered wakeup queue: `(due_cycle, router, cursor stamp)`.
-    /// An entry is valid only while the router's cursor still equals the
-    /// stamp it was pushed with (lazy invalidation: any materialization
-    /// or re-request simply pushes a fresh entry). A *deferred* router
-    /// with a pending wake-up countdown always holds a valid entry whose
-    /// `due_cycle` is exactly the cycle its countdown completes.
-    wakeups: BinaryHeap<Reverse<(u64, u32, u64)>>,
+    /// must observe that exactly as the per-cycle loop would). The scan
+    /// re-reads the set after every run, so an in-step wake request for
+    /// a router ahead of it still runs this cycle. Empty between steps.
+    hot: RouterSet,
+    /// Routers queued to run on the next step; it becomes `hot` when the
+    /// step starts. At a cycle edge this is exactly the set of
+    /// non-drained routers.
+    next: RouterSet,
+    /// Deferred routers with a pending wake-up countdown, which
+    /// completes on cycle `wake_due[i]`. A deferred stretch shortens a
+    /// countdown by exactly its length, so materializing the stretch
+    /// never moves the due cycle. Queued routers are never in here: they
+    /// run anyway, and re-enter when they settle drained.
+    waking: RouterSet,
+    /// Absolute wake-up completion cycle per router, meaningful while its
+    /// `waking` bit is set.
+    wake_due: Vec<u64>,
     /// Routers whose whole-router machine is in Sleep (for the policy
     /// layer's all-asleep elision).
     sleepers: usize,
-    /// Non-drained routers (recounted when the scheduler is re-seeded).
-    nondrained: usize,
-    /// Set by [`Network::step_reference`], which leaves `nondrained`,
-    /// `active_mask` and the wakeup queue unmaintained; the next
-    /// [`Network::step`] re-seeds them from live state first. Keeps the
-    /// oracle's per-cycle cost to its scan alone.
+    /// Set by [`Network::step_reference`], which leaves `next`, `waking`
+    /// and `active_mask` unmaintained; the next [`Network::step`]
+    /// re-seeds them from live state first. Keeps the oracle's per-cycle
+    /// cost to its scan alone.
     sched_stale: bool,
     /// Event-scheduler effectiveness counters (left untouched by
     /// [`Network::step_reference`] — the regression suite asserts the
@@ -119,6 +116,51 @@ pub struct Network<S: Sink = NopSink> {
 /// Marker in the adjacency table for "no link in this direction".
 const NO_NEIGHBOR: usize = usize::MAX;
 
+/// A set of router indices, one bit per router in `u64` words.
+#[derive(Clone, Debug)]
+struct RouterSet(Vec<u64>);
+
+impl RouterSet {
+    fn new(n: usize) -> Self {
+        RouterSet(vec![0; n.div_ceil(64)])
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.0[i / 64] &= !(1 << (i % 64));
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.0[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.iter().all(|&w| w == 0)
+    }
+
+    fn clear(&mut self) {
+        self.0.fill(0);
+    }
+
+    /// The smallest member `>= from`. Reads the words afresh on every
+    /// call, so a scan sees members inserted ahead of it since its last
+    /// call.
+    fn next_from(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = *self.0.get(w)? & (!0u64 << (from % 64));
+        loop {
+            if bits != 0 {
+                return Some(w * 64 + bits.trailing_zeros() as usize);
+            }
+            w += 1;
+            bits = *self.0.get(w)?;
+        }
+    }
+}
+
 /// Effectiveness counters of the event scheduler in [`Network::step`].
 /// All remain zero over a run stepped only by
 /// [`Network::step_reference`] — the differential suite asserts the
@@ -129,9 +171,12 @@ pub struct SchedStats {
     pub router_runs: u64,
     /// Phase-2 runs that were scheduled idle ticks of drained routers.
     pub idle_runs: u64,
-    /// Wakeup-queue entries popped at their due cycle.
+    /// Deferred routers whose wake-up countdown completed, each run on
+    /// its completion cycle.
     pub wakeup_pops: u64,
-    /// Wakeup-queue entries dropped as stale (cursor stamp mismatch).
+    /// No longer counted: the scheduler holds no entries that can go
+    /// stale. Kept only because the repository benchmark builds this
+    /// struct by literal.
     pub stale_wakeups: u64,
     /// Deferred idle stretches materialized via the closed form.
     pub syncs: u64,
@@ -238,12 +283,11 @@ impl<S: Sink> Network<S> {
             route_lut,
             inflight: vec![0; n * NUM_PORTS],
             cursor: vec![0; n],
-            hot_stamp: vec![0; n],
-            next_hot: Vec::new(),
-            todo: BinaryHeap::new(),
-            wakeups: BinaryHeap::new(),
+            hot: RouterSet::new(n),
+            next: RouterSet::new(n),
+            waking: RouterSet::new(n),
+            wake_due: vec![0; n],
             sleepers: 0,
-            nondrained: 0,
             sched_stale: false,
             sched: SchedStats::default(),
             active_mask,
@@ -343,9 +387,6 @@ impl<S: Sink> Network<S> {
         // tick for the current cycle already happened) and schedule it
         // for the next step.
         self.sync_to(idx, self.cycle);
-        if self.routers[idx].is_drained() {
-            self.nondrained += 1;
-        }
         self.mark_next(idx);
         if let Some(ping_dir) = self.routers[idx].deliver(Port::Local, flit) {
             self.wake_neighbor_prestep(node, ping_dir);
@@ -380,35 +421,44 @@ impl<S: Sink> Network<S> {
 
     fn sync_all(&mut self) {
         for idx in 0..self.routers.len() {
-            if self.cursor[idx] != self.cycle {
-                self.sync_to(idx, self.cycle);
-                // Cursor moved: a pending wake-completion entry is now
-                // stale by its stamp, so re-enter it from the new cursor.
-                self.reschedule(idx);
-            }
+            self.sync_to(idx, self.cycle);
         }
     }
 
     /// Rebuilds the scheduler's derived state from the live routers:
     /// non-drained routers are queued for the next step, drained ones
-    /// get wakeup-queue entries for any pending countdown. Used by the
-    /// first `step` after a reference step and at checkpoint resume,
-    /// where every cursor is current. Entries already in `next_hot`
-    /// (injections since the reference step) are kept; the wakeup queue
-    /// is rebuilt from scratch.
+    /// with a pending countdown enter the waking set. Used by the first
+    /// `step` after a reference step and at checkpoint resume, where
+    /// every cursor is current.
     fn reseed_scheduler(&mut self) {
         self.sched_stale = false;
-        self.wakeups.clear();
-        self.nondrained = 0;
+        self.next.clear();
+        self.waking.clear();
         for idx in 0..self.routers.len() {
             debug_assert_eq!(self.cursor[idx], self.cycle);
             self.active_mask[idx] = self.routers[idx].port_active_mask();
             if self.routers[idx].is_drained() {
                 self.reschedule(idx);
             } else {
-                self.nondrained += 1;
                 self.mark_next(idx);
             }
+        }
+    }
+
+    /// Debug cross-check at a cycle edge: `next` holds exactly the
+    /// non-drained routers, and `waking` exactly the drained ones with a
+    /// pending countdown, each due on the cycle its countdown completes.
+    #[cfg(debug_assertions)]
+    fn check_scheduler(&self) {
+        for (idx, r) in self.routers.iter().enumerate() {
+            let drained = r.is_drained();
+            assert_eq!(self.next.contains(idx), !drained, "run set out of sync at router {idx}");
+            let due = r.next_wake_completion().filter(|_| drained).map(|dt| self.cursor[idx] + dt);
+            assert_eq!(
+                self.waking.contains(idx).then(|| self.wake_due[idx]),
+                due,
+                "waking set out of sync at router {idx}"
+            );
         }
     }
 
@@ -441,32 +491,30 @@ impl<S: Sink> Network<S> {
         }
     }
 
-    /// Pushes a wakeup-queue entry for router `idx` if it has a pending
-    /// wake-up countdown. Called whenever a router settles into (or
-    /// mutates while in) the deferred state; entries made stale by later
-    /// cursor movement are dropped lazily at pop time.
+    /// Enters router `idx` into the waking set if it is deferred with a
+    /// pending wake-up countdown. Called whenever a router settles drained
+    /// after a run or a wake request lands on it; a queued router is left
+    /// out, as it runs anyway.
     fn reschedule(&mut self, idx: usize) {
+        if self.next.contains(idx) {
+            return;
+        }
         if let Some(dt) = self.routers[idx].next_wake_completion() {
-            let cursor = self.cursor[idx];
-            self.wakeups.push(Reverse((cursor + dt, idx as u32, cursor)));
+            self.wake_due[idx] = self.cursor[idx] + dt;
+            self.waking.insert(idx);
         }
     }
 
     /// Queues router `idx` to run on the next step.
     fn mark_next(&mut self, idx: usize) {
-        let at = self.cycle + 1;
-        if self.hot_stamp[idx] != at {
-            self.hot_stamp[idx] = at;
-            self.next_hot.push(idx as u32);
-        }
+        self.next.insert(idx);
+        self.waking.remove(idx);
     }
 
     /// Queues router `idx` to run later in the *current* step's phase 2.
-    fn mark_in(&mut self, idx: usize, todo: &mut BinaryHeap<Reverse<u32>>) {
-        if self.hot_stamp[idx] != self.cycle {
-            self.hot_stamp[idx] = self.cycle;
-            todo.push(Reverse(idx as u32));
-        }
+    fn mark_in(&mut self, idx: usize) {
+        self.hot.insert(idx);
+        self.waking.remove(idx);
     }
 
     /// Whether `node` can accept NI injections right now (its router and,
@@ -479,7 +527,7 @@ impl<S: Sink> Network<S> {
     /// its local input port). Called between steps: the target's tick
     /// for the current cycle already happened, so its deferred stretch
     /// is materialized through `cycle` before the request, and any new
-    /// countdown is entered into the wakeup queue.
+    /// countdown enters the waking set.
     pub fn request_wake(&mut self, node: NodeId, reason: WakeReason) {
         let idx = node.index();
         self.sync_to(idx, self.cycle);
@@ -629,9 +677,6 @@ impl<S: Sink> Network<S> {
             let cycle = self.cycle;
             self.routers[idx].enter_port_sleep(port, cycle);
             self.active_mask[idx] = self.routers[idx].port_active_mask();
-            // The sync moved the cursor: any still-waking sibling port
-            // needs a fresh wakeup-queue entry.
-            self.reschedule(idx);
             true
         } else {
             false
@@ -654,42 +699,33 @@ impl<S: Sink> Network<S> {
 
     /// Advances the network by one cycle through the event scheduler: a
     /// cycle only touches routers that have work (non-drained), receive
-    /// a delivery, or whose wake-up countdown expires this cycle;
-    /// everything else stays deferred (its idle time materialized lazily
-    /// by [`Network::sync_to`]). Bit-identical to
+    /// a delivery, or whose wake-up countdown completes this cycle;
+    /// everything else stays deferred, its idle time materialized in
+    /// closed form when something next touches it. Bit-identical to
     /// [`Network::step_reference`] (asserted by the differential suite in
     /// `tests/eventdriven.rs`).
     pub fn step(&mut self) {
         if self.sched_stale {
             self.reseed_scheduler();
         }
+        #[cfg(debug_assertions)]
+        self.check_scheduler();
         self.cycle += 1;
         self.stats.cycles += 1;
         let cycle = self.cycle;
 
-        // Collect this cycle's run set: routers marked by the previous
-        // step, plus wakeup-queue entries coming due. Entries whose
-        // stamp no longer matches the cursor are stale (the router was
-        // materialized or re-requested since) and are dropped.
-        let mut todo = std::mem::take(&mut self.todo);
-        debug_assert!(todo.is_empty());
-        for idx in self.next_hot.drain(..) {
-            todo.push(Reverse(idx));
-        }
-        while let Some(&Reverse((due, idx, stamp))) = self.wakeups.peek() {
-            if due > cycle {
-                break;
+        // Collect this cycle's run set: routers queued by the previous
+        // step, plus deferred routers whose countdown completes now.
+        std::mem::swap(&mut self.hot, &mut self.next);
+        let mut from = 0;
+        while let Some(i) = self.waking.next_from(from) {
+            from = i + 1;
+            debug_assert!(self.wake_due[i] >= cycle, "wake-up completion missed at router {i}");
+            if self.wake_due[i] == cycle {
+                self.sched.wakeup_pops += 1;
+                self.sync_to(i, cycle - 1);
+                self.mark_in(i);
             }
-            self.wakeups.pop();
-            let i = idx as usize;
-            if self.cursor[i] != stamp {
-                self.sched.stale_wakeups += 1;
-                continue;
-            }
-            self.sched.wakeup_pops += 1;
-            debug_assert_eq!(due, cycle, "valid wakeup entry slipped into the past");
-            self.sync_to(i, cycle - 1);
-            self.mark_in(i, &mut todo);
         }
 
         // Phase 1: deliver flits that completed their link cycle, and
@@ -700,16 +736,13 @@ impl<S: Sink> Network<S> {
         for &(idx, port, flit) in &delivered {
             self.inflight[idx * NUM_PORTS + port.index()] -= 1;
             self.sync_to(idx, cycle - 1);
-            if self.routers[idx].is_drained() {
-                self.nondrained += 1;
-            }
             let node = self.routers[idx].node();
             let ping = self.routers[idx].deliver(port, flit);
-            self.mark_in(idx, &mut todo);
+            self.mark_in(idx);
             if let Some(ping_dir) = ping {
                 // Position 0: every router's tick for this cycle is
                 // still ahead.
-                self.wake_neighbor_instep(node, ping_dir, 0, &mut todo);
+                self.wake_neighbor_instep(node, ping_dir, 0);
             }
         }
         // Rotate buffers so their capacity is reused: flits placed on
@@ -727,41 +760,29 @@ impl<S: Sink> Network<S> {
         credits.clear();
         self.staged_credits = credits;
 
-        // Phase 2: run the hot set in index order. Mid-iteration wake
-        // requests may insert indices ahead of the iteration point; the
-        // heap keeps the order. When the hot set covers a large part of
-        // the mesh (saturated subnet), a dense ascending index scan
-        // visits the same routers in the same order without the heap's
-        // per-element log cost; requests that land ahead of the scan
-        // position are picked up by their `hot_stamp` (`mark_in` still
-        // pushes to the heap, which the dense mode simply discards).
-        let n = self.cfg.dims.num_nodes();
-        let mut stepped: Vec<u32> = Vec::new();
-        if todo.len() * 4 >= n {
-            for idx in 0..n {
-                if self.hot_stamp[idx] == cycle {
-                    self.run_scheduled_router(idx, cycle, &mut todo, &mut stepped);
-                }
-            }
-            todo.clear();
-        } else {
-            while let Some(Reverse(idxu)) = todo.pop() {
-                self.run_scheduled_router(idxu as usize, cycle, &mut todo, &mut stepped);
-            }
+        // Phase 2: run the hot set in ascending index order. A wake
+        // request raised mid-phase inserts its target ahead of the scan,
+        // which reaches it.
+        let mut from = 0;
+        while let Some(idx) = self.hot.next_from(from) {
+            from = idx + 1;
+            self.run_scheduled_router(idx, cycle);
         }
-        self.todo = todo;
 
         // Telemetry: catch transitions that happened inside the router
         // steps themselves (wake-up countdowns completing in
         // `psm.tick`), which no explicit request call observed. Only
-        // routers that ticked this cycle can have transitioned; the run
-        // set was popped in ascending index order, so the sweep emits
-        // events in the same order as the full loop's 0..n sweep.
+        // routers that ticked this cycle can have transitioned, and the
+        // sweep visits them in ascending order, as the full loop's 0..n
+        // sweep does.
         if S::ENABLED {
-            for &idx in &stepped {
-                self.note_power(idx as usize);
+            let mut from = 0;
+            while let Some(idx) = self.hot.next_from(from) {
+                from = idx + 1;
+                self.note_power(idx);
             }
         }
+        self.hot.clear();
     }
 
     /// Runs one router of the current cycle's hot set (phase 2 of
@@ -770,13 +791,7 @@ impl<S: Sink> Network<S> {
     /// in-step wake requests. Refreshes the `active_mask` cache after
     /// the tick so later routers in the same phase observe wake-up
     /// countdowns that completed inside it.
-    fn run_scheduled_router(
-        &mut self,
-        idx: usize,
-        cycle: u64,
-        todo: &mut BinaryHeap<Reverse<u32>>,
-        stepped: &mut Vec<u32>,
-    ) {
+    fn run_scheduled_router(&mut self, idx: usize, cycle: u64) {
         debug_assert_eq!(self.cursor[idx], cycle - 1, "scheduled router not at the cycle edge");
         self.sched.router_runs += 1;
         if self.routers[idx].is_drained() {
@@ -837,19 +852,15 @@ impl<S: Sink> Network<S> {
                 self.record_ejection(node, flit);
             }
             for &ping in &out.wake_pings {
-                self.wake_neighbor_instep(node, ping, idx, todo);
+                self.wake_neighbor_instep(node, ping, idx);
             }
             self.scratch = out;
 
             if self.routers[idx].is_drained() {
-                self.nondrained -= 1;
                 self.reschedule(idx);
             } else {
                 self.mark_next(idx);
             }
-        }
-        if S::ENABLED {
-            stepped.push(idx as u32);
         }
     }
 
@@ -862,11 +873,11 @@ impl<S: Sink> Network<S> {
     /// time it as the naive baseline.
     ///
     /// Calls may be freely interleaved with `step`: deferred routers
-    /// are materialized first, and the scheduler's queues are dropped
-    /// afterwards and marked stale, so the next `step` re-seeds them
-    /// from live state. A run stepped only by this method leaves
-    /// [`Network::sched_stats`] at zero and does no scheduler work
-    /// beyond the initial cursor check.
+    /// are materialized first, and the scheduler's sets are marked stale
+    /// afterwards, so the next `step` re-seeds them from live state. A
+    /// run stepped only by this method leaves [`Network::sched_stats`]
+    /// at zero and does no scheduler work beyond the initial cursor
+    /// check.
     pub fn step_reference(&mut self) {
         self.sync_all();
         self.cycle += 1;
@@ -941,10 +952,6 @@ impl<S: Sink> Network<S> {
                 self.note_power(idx);
             }
         }
-        // Dropping the queues keeps them bounded over a long oracle-only
-        // run (injections and wake requests keep pushing entries).
-        self.next_hot.clear();
-        self.wakeups.clear();
         self.sched_stale = true;
     }
 
@@ -989,7 +996,7 @@ impl<S: Sink> Network<S> {
     /// - otherwise the target ticks later in this same cycle: the
     ///   request lands with the target at the cycle edge, and the target
     ///   joins the current run set so its tick happens in phase 2.
-    fn wake_neighbor_instep(&mut self, node: NodeId, dir_port: Port, pos: usize, todo: &mut BinaryHeap<Reverse<u32>>) {
+    fn wake_neighbor_instep(&mut self, node: NodeId, dir_port: Port, pos: usize) {
         if let Some(dir) = dir_port.direction() {
             if let Some(nbr) = self.cfg.dims.neighbor(node, dir) {
                 let idx = nbr.index();
@@ -1002,7 +1009,7 @@ impl<S: Sink> Network<S> {
                 } else {
                     self.sync_to(idx, cycle - 1);
                     self.apply_wake(idx, in_port, WakeReason::LookaheadSignal);
-                    self.mark_in(idx, todo);
+                    self.mark_in(idx);
                 }
             }
         }
@@ -1027,12 +1034,13 @@ impl<S: Sink> Network<S> {
     }
 
     /// Whether no router holds any flit in its input buffers or crossbar
-    /// register. O(1) via the scheduler's census counter; conservatively
-    /// `false` right after a reference step (the counter is recounted by
-    /// the next `step`). Flits on links or in staging are *not* covered
-    /// (see [`Network::flits_in_network`]).
+    /// register: the scheduler queues exactly the non-drained routers for
+    /// the next step, so this reads whether that set is empty.
+    /// Conservatively `false` right after a reference step (the set is
+    /// rebuilt by the next `step`). Flits on links or in staging are
+    /// *not* covered (see [`Network::flits_in_network`]).
     pub fn all_drained(&self) -> bool {
-        !self.sched_stale && self.nondrained == 0
+        !self.sched_stale && self.next.is_empty()
     }
 
     /// Sum of router activity counters across the network.
@@ -1106,14 +1114,12 @@ impl<S: Sink> Network<S> {
     /// What is *not* captured and instead reconstructed by
     /// [`Network::load_state`]: the adjacency/route tables (functions of
     /// the config), the in-flight counters (recounted from staging), the
-    /// event-scheduler queues (reseeded from live state), and the
+    /// event-scheduler sets (reseeded from live state), and the
     /// telemetry sink (a resumed recording sink starts empty — the trace
     /// *suffix* after the checkpoint is bit-identical, which is what the
     /// checkpoint suite asserts). Scheduler effectiveness counters are
-    /// carried over verbatim, but a resumed run may count slightly fewer
-    /// stale wakeup entries than a straight-through run (reseeding drops
-    /// entries lazy invalidation would have counted); simulation results
-    /// are unaffected.
+    /// carried over verbatim, and the reseeded sets equal the saved
+    /// run's, so they keep counting identically.
     pub fn save_state(&mut self, w: &mut ByteWriter) {
         self.sync_all();
         w.put_u64(self.cycle);
@@ -1153,8 +1159,8 @@ impl<S: Sink> Network<S> {
     /// (the config itself is not in the byte stream; the core crate's
     /// checkpoint container guards it with a fingerprint). Derived
     /// structures — in-flight counters, occupancy caches, the event
-    /// scheduler's queues and censuses, telemetry shadows — are all
-    /// recomputed from the decoded state.
+    /// scheduler's sets and the sleeper census, telemetry shadows — are
+    /// all recomputed from the decoded state.
     ///
     /// # Errors
     ///
@@ -1229,9 +1235,6 @@ impl<S: Sink> Network<S> {
             self.inflight[idx * NUM_PORTS + port.index()] += 1;
         }
         self.cursor = vec![self.cycle; n];
-        self.hot_stamp = vec![0; n];
-        self.next_hot.clear();
-        self.todo.clear();
         self.sleepers = self.routers.iter().filter(|r| r.power_state().is_sleeping()).count();
         if S::ENABLED {
             self.power_shadow = self.routers.iter().map(|r| PowerPhase::from(r.power_state())).collect();
@@ -1497,21 +1500,25 @@ mod tests {
         }
     }
 
-    #[test]
-    fn step_reference_interleaves_with_step_bit_identically() {
-        // One network stepped by the scheduler only, its twin switching
-        // between the scheduler and the reference oracle every 3 cycles,
-        // under traffic plus periodic sleep sweeps so the switches land
-        // on deferred, sleeping and waking routers, and right after
-        // injections (which queue the router for the next step).
-        let mut plain = small_net(true);
-        let mut mixed = small_net(true);
+    /// One network stepped by the scheduler only, its twin switching
+    /// between the scheduler and the reference oracle every 3 cycles,
+    /// under traffic plus periodic sleep sweeps so the switches land on
+    /// deferred, sleeping and waking routers, and right after injections
+    /// (which queue the router for the next step).
+    fn assert_interleaving_matches(dims: MeshDims, port_gating: bool) {
+        let cfg = NetworkConfig::with_width(128)
+            .dims(dims)
+            .gating_enabled(true)
+            .port_gating(port_gating);
+        let n = dims.num_nodes() as u16;
+        let mut plain = Network::new(cfg.clone());
+        let mut mixed = Network::new(cfg);
         let mut pending = [std::collections::VecDeque::new(), std::collections::VecDeque::new()];
         let mut sched_runs = 0;
         for c in 0..600u16 {
             for (net, queue) in [&mut plain, &mut mixed].into_iter().zip(&mut pending) {
                 if c % 2 == 0 && c < 400 {
-                    queue.push_back((NodeId((c * 3) % 16), NodeId((c * 7 + 5) % 16)));
+                    queue.push_back((NodeId((c * 3) % n), NodeId((c * 7 + 5) % n)));
                 }
                 if let Some(&(src, dst)) = queue.front() {
                     let cycle = net.cycle();
@@ -1523,8 +1530,14 @@ mod tests {
                     }
                 }
                 if c % 16 == 0 {
-                    for node in net.dims().nodes() {
-                        net.request_sleep(node);
+                    for node in dims.nodes() {
+                        if port_gating {
+                            for port in Port::ALL {
+                                net.request_sleep_port(node, port);
+                            }
+                        } else {
+                            net.request_sleep(node);
+                        }
                     }
                 }
             }
@@ -1548,12 +1561,23 @@ mod tests {
         plain.materialize();
         mixed.materialize();
         assert_eq!(plain.power_state_census(), mixed.power_state_census());
-        for node in plain.dims().nodes() {
+        for node in dims.nodes() {
             assert_eq!(
                 plain.router(node).power_fingerprint(),
                 mixed.router(node).power_fingerprint(),
                 "power state diverged at {node}"
             );
+        }
+    }
+
+    #[test]
+    fn step_reference_interleaves_with_step_bit_identically() {
+        // 9x8 has 72 routers: the scheduler's sets span two words, with
+        // the word boundary in the middle of a mesh row.
+        for dims in [MeshDims::new(4, 4), MeshDims::new(9, 8)] {
+            for port_gating in [false, true] {
+                assert_interleaving_matches(dims, port_gating);
+            }
         }
     }
 

@@ -257,8 +257,8 @@ impl Router {
     /// machine or any gated port's) completes: after exactly that many
     /// idle ticks the machine reaches Active. `None` when no countdown is
     /// pending — Sleep and Active are stable indefinitely under idle
-    /// ticks, so a deferred router in those classes needs no wakeup-queue
-    /// entry.
+    /// ticks, so a deferred router in those classes never needs to be
+    /// woken by the scheduler.
     pub fn next_wake_completion(&self) -> Option<u64> {
         let mut due: Option<u64> = None;
         let fold = |stable: Option<u64>, due: &mut Option<u64>| {

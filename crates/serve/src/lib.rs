@@ -565,6 +565,24 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_an_error_and_serving_continues() {
+        let (mut server, dir) = test_server("nested");
+        let input = format!("{}\n{{\"id\":2,\"cmd\":\"ping\"}}\n", "[".repeat(200_000));
+        let mut out = Vec::new();
+        server.serve_lines(input.as_bytes(), &mut out).unwrap();
+        let lines: Vec<Json> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| Json::parse(l).unwrap())
+            .collect();
+        assert_eq!(lines.len(), 2);
+        assert_eq!(lines[0].get("status").unwrap().as_str(), Some("error"));
+        assert_eq!(lines[1].get("status").unwrap().as_str(), Some("ok"));
+        assert_eq!(lines[1].get("pong").unwrap().as_bool(), Some(true));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn shutdown_ends_the_tcp_accept_loop() {
         use std::io::{BufRead, Write};
         let (server, dir) = test_server("tcp-shutdown");

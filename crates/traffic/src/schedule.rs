@@ -53,8 +53,8 @@ impl LoadSchedule {
     /// `off_cycles`, repeating for `periods` periods (then `off_rate`
     /// forever). The square wave alternates saturating bursts with
     /// near-idle valleys — the regime that exercises both halves of the
-    /// event scheduler (hot-set stepping and wakeup-queue deferral) in
-    /// one run.
+    /// event scheduler (hot-set stepping and deferral of drained and
+    /// waking routers) in one run.
     ///
     /// # Panics
     ///

@@ -33,6 +33,11 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// Deepest nesting of arrays and objects that [`Json::parse`] accepts.
+/// The committed `bench_out` JSON nests at most 5 deep; the bound stops
+/// hostile input from recursing the parser off the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Error from [`Json::parse`] or [`FromJson`] conversions.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JsonError {
@@ -184,11 +189,12 @@ impl Json {
     /// # Errors
     ///
     /// Returns a [`JsonError`] describing the first syntax error and
-    /// its byte offset.
+    /// its byte offset, including nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -267,6 +273,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -308,11 +316,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(JsonError::new(format!("unexpected input at byte {}", self.pos))),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, JsonError>) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -708,6 +731,19 @@ mod tests {
             "[1] extra",
         ] {
             assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // Deep enough to overflow the stack without the bound.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        for nest in [arrays, objects] {
+            assert!(Json::parse(&nest(MAX_DEPTH)).is_ok(), "nesting at the bound parses");
+            let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.msg.contains("nesting deeper than"), "{err}");
         }
     }
 

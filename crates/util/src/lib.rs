@@ -8,21 +8,21 @@
 //! `serde_json`, `proptest`, `criterion`) is replaced by the three
 //! small modules here.
 //!
-//! * [`rng`] — [`SimRng`](rng::SimRng), a seedable xoshiro256\*\*
-//!   generator with SplitMix64 seeding, uniform ranges, shuffling, and
-//!   independent named streams for decorrelated simulation components.
+//! * [`rng`] — [`SimRng`], a seedable xoshiro256\*\* generator with
+//!   SplitMix64 seeding, uniform ranges, shuffling, and independent
+//!   named streams for decorrelated simulation components.
 //! * [`json`] — a minimal JSON value type with a serializer, a parser,
-//!   and [`ToJson`](json::ToJson)/[`FromJson`](json::FromJson) traits
-//!   used by the trace format and the benchmark output files.
+//!   and [`ToJson`]/[`FromJson`] traits used by the trace format and
+//!   the benchmark output files.
 //! * [`check`] — a mini property-testing runner: N seeded cases over
 //!   `SimRng`-driven generators, failing-seed reporting, and
 //!   shrink-by-halving.
-//! * [`pool`] — [`par_map`](pool::par_map), an order-preserving
-//!   parallel map on scoped threads that fans out sweep points.
+//! * [`pool`] — [`par_map`], an order-preserving parallel map on
+//!   scoped threads that fans out sweep points.
 //! * [`codec`] — the checkpoint binary format: little-endian
-//!   [`ByteWriter`](codec::ByteWriter)/[`ByteReader`](codec::ByteReader)
-//!   primitives, an incremental FNV-1a hasher, and the versioned
-//!   magic + fingerprint + checksum container (`seal`/`open`).
+//!   [`ByteWriter`]/[`ByteReader`] primitives, an incremental FNV-1a
+//!   hasher, and the versioned magic + fingerprint + checksum container
+//!   (`seal`/`open`).
 
 pub mod check;
 pub mod codec;

@@ -20,8 +20,9 @@
 //! * [`telemetry`] — cycle-level tracing and metrics: typed events,
 //!   statically-dispatched sinks, HDR-style histograms, Chrome-trace and
 //!   CSV exporters.
-//! * [`bench`] — benchmark harnesses regenerating the paper's figures,
-//!   plus the fingerprint-keyed simulation cache front-end.
+//! * [`bench`](mod@bench) — benchmark harnesses regenerating the
+//!   paper's figures, plus the fingerprint-keyed simulation cache
+//!   front-end.
 //! * [`serve`] — batch simulation server: a JSONL job queue (stdin/stdout
 //!   or TCP) deduplicated through the result cache.
 //! * [`hive`] — distributed sweep coordinator over `catnap-serve`

@@ -41,8 +41,9 @@ fn golden_load<S: catnap_repro::telemetry::Sink>(net: &MultiNoc<S>) -> Synthetic
 }
 
 /// Save → resume at `SPLIT_CYCLE` must reproduce the straight-through
-/// run exactly, for every golden: the pinned fingerprint tuple, and the
-/// complete cumulative `Snapshot` (per-subnet flit counts included).
+/// run exactly, for every golden: the pinned fingerprint tuple, the
+/// complete cumulative `Snapshot` (per-subnet flit counts included), and
+/// every subnet's event-scheduler counters.
 #[test]
 fn resume_is_bit_identical_to_straight_through_for_every_golden() {
     for (selector, gating, want) in PINNED {
@@ -62,6 +63,7 @@ fn resume_is_bit_identical_to_straight_through_for_every_golden() {
             net.step();
         }
         let straight_snap = net.snapshot();
+        let straight_sched: Vec<_> = (0..net.num_subnets()).map(|s| net.subnet(s).sched_stats()).collect();
         let straight = (
             net.finish().packets_delivered,
             straight_snap.latency_sum,
@@ -92,6 +94,13 @@ fn resume_is_bit_identical_to_straight_through_for_every_golden() {
         assert_eq!(
             resumed_snap, straight_snap,
             "resumed snapshot diverged from straight-through for {selector:?} gating={gating}"
+        );
+        // The scheduler is rebuilt from live state on resume; it must
+        // then do exactly the work the straight-through run did.
+        let resumed_sched: Vec<_> = (0..resumed.num_subnets()).map(|s| resumed.subnet(s).sched_stats()).collect();
+        assert_eq!(
+            resumed_sched, straight_sched,
+            "resumed scheduler counters diverged for {selector:?} gating={gating}"
         );
         let got = (
             resumed.finish().packets_delivered,
@@ -228,9 +237,9 @@ fn rejects_corrupted_version_mismatched_and_foreign_checkpoints() {
 
 /// A checkpoint taken while routers are mid wake-up must not lose their
 /// scheduled wake completions. Saving materializes every deferred router;
-/// a router caught inside its wake-up countdown has to re-enter the
-/// wakeup queue from its new cursor, or a later catch-up would run past
-/// the completion. The grid covers loads where the 64-core gated design
+/// a router caught inside its wake-up countdown must still run on the
+/// cycle its countdown completes, or a later catch-up would run past the
+/// completion. The grid covers loads where the 64-core gated design
 /// keeps waking and sleeping its second subnet, so some seeds land the
 /// checkpoint inside a countdown.
 #[test]
