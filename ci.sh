@@ -35,9 +35,8 @@ echo "== hive smoke (3 spawned catnap-serve workers over loopback TCP) =="
 # The hive integration tests (tests/hive.rs) already ran above with
 # in-process fleets; this exercises the real multi-process path:
 # catnap-hive forks catnap-serve children sharing one cache directory.
-# The root build above does not build the worker binary, so build it
-# here; otherwise a fresh target directory has no catnap-serve to spawn.
-cargo build -q --release --offline -p catnap-serve
+# The release build above built the worker binary (every crate is a
+# default workspace member).
 HIVE_TMP="$(mktemp -d)"
 trap 'rm -rf "$HIVE_TMP"' EXIT
 cargo run -q --release --offline -p catnap-hive -- sweep \

@@ -229,9 +229,8 @@ fn measure_window(net: &mut MultiNoc, load: &mut SyntheticWorkload, job: &SimJob
     }
 }
 
-/// Runs a job straight through with no cache involved (the baseline the
-/// cached paths are measured against).
-pub fn run_job_uncached(job: &SimJob) -> SweepPoint {
+/// Builds the job's network and traffic and runs its warm-up window.
+fn warm_up(job: &SimJob) -> (MultiNoc, SyntheticWorkload) {
     let mut net = MultiNoc::new(job.cfg.clone());
     let mut load =
         SyntheticWorkload::with_schedule(job.pattern, job.schedule.clone(), job.packet_bits, net.dims(), job.seed);
@@ -239,6 +238,13 @@ pub fn run_job_uncached(job: &SimJob) -> SweepPoint {
         load.drive(&mut net);
         net.step();
     }
+    (net, load)
+}
+
+/// Runs a job straight through with no cache involved (the baseline the
+/// cached paths are measured against).
+pub fn run_job_uncached(job: &SimJob) -> SweepPoint {
+    let (mut net, mut load) = warm_up(job);
     measure_window(&mut net, &mut load, job)
 }
 
@@ -268,27 +274,13 @@ pub fn run_synthetic_cached(cache: &mut SimCache, job: &SimJob) -> (SweepPoint, 
     let (point, outcome) = if let Some((mut net, mut load)) = try_resume(cache, job, wkey) {
         (measure_window(&mut net, &mut load, job), CacheOutcome::Resume)
     } else {
-        let mut net = MultiNoc::new(job.cfg.clone());
-        let mut load =
-            SyntheticWorkload::with_schedule(job.pattern, job.schedule.clone(), job.packet_bits, net.dims(), job.seed);
-        for _ in 0..job.warmup {
-            load.drive(&mut net);
-            net.step();
-        }
+        let (mut net, mut load) = warm_up(job);
         let blob = net.save_checkpoint(&load.encode_position());
         let _ = cache.put_checkpoint(wkey, &blob);
         (measure_window(&mut net, &mut load, job), CacheOutcome::Miss)
     };
     let _ = cache.put_result(key, &point.to_json().to_compact_string());
     (point, outcome)
-}
-
-/// Runs a batch of jobs through the cache in order, returning each
-/// point with how it was satisfied. Points sharing a warm-up prefix
-/// simulate it once (the first miss stores the checkpoint; the rest
-/// resume).
-pub fn sweep_cached(cache: &mut SimCache, jobs: &[SimJob]) -> Vec<(SweepPoint, CacheOutcome)> {
-    jobs.iter().map(|job| run_synthetic_cached(cache, job)).collect()
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Common measurement procedures shared by the figure benches.
 
-use crate::cached::{sweep_cached, SimJob};
-use catnap::{MultiNoc, MultiNocConfig, MultiNocPowerReport, SimCache};
+use crate::cached::{run_job_uncached, SimJob};
+use catnap::{MultiNoc, MultiNocConfig, MultiNocPowerReport};
 use catnap_multicore::{System, SystemConfig, SystemReport};
 use catnap_power::TechParams;
 use catnap_telemetry::{RecordingSink, Trace};
@@ -54,7 +54,8 @@ impl SweepPoint {
 }
 
 /// Runs synthetic traffic at a constant offered load: `warmup` cycles
-/// excluded, `measure` cycles measured.
+/// excluded, `measure` cycles measured. The constant-load case of
+/// [`run_job_uncached`].
 pub fn run_synthetic(
     cfg: MultiNocConfig,
     pattern: SyntheticPattern,
@@ -64,32 +65,15 @@ pub fn run_synthetic(
     measure: u64,
     seed: u64,
 ) -> SweepPoint {
-    let name = cfg.name.clone();
-    let tech = TechParams::catnap_32nm();
-    let mut net = MultiNoc::new(cfg);
-    let mut load = SyntheticWorkload::new(pattern, offered, packet_bits, net.dims(), seed);
-    for _ in 0..warmup {
-        load.drive(&mut net);
-        net.step();
-    }
-    let start = net.snapshot();
-    for _ in 0..measure {
-        load.drive(&mut net);
-        net.step();
-    }
-    let end = net.snapshot();
-    let d = end.delta(&start);
-    let power = net.power_between(&start, &end, tech);
-    let nodes = net.dims().num_nodes();
-    SweepPoint {
-        config: name,
-        offered,
-        accepted: d.accepted_packets_per_node_cycle(nodes),
-        latency: d.avg_latency(),
-        csc: d.total_gating().csc_fraction(),
-        dynamic_w: power.dynamic.total(),
-        static_w: power.static_.total(),
-    }
+    run_job_uncached(&SimJob {
+        cfg,
+        pattern,
+        schedule: LoadSchedule::constant(offered),
+        packet_bits,
+        warmup,
+        measure,
+        seed,
+    })
 }
 
 /// Runs synthetic traffic with recording sinks attached to every subnet
@@ -122,11 +106,6 @@ pub fn trace_synthetic(
 /// threads via [`par_map`]; results come back in load order, and each
 /// point is a deterministic function of its inputs, so the output is
 /// identical to the serial per-point [`run_synthetic`] loop.
-///
-/// When `CATNAP_CACHE_DIR` is set, the sweep routes through the
-/// fingerprint-keyed [`SimCache`] instead ([`latency_sweep_cached`]):
-/// regenerating a figure whose points are already cached becomes O(1)
-/// disk reads, and results are bit-identical either way.
 pub fn latency_sweep(
     cfg: &MultiNocConfig,
     pattern: SyntheticPattern,
@@ -136,47 +115,9 @@ pub fn latency_sweep(
     measure: u64,
     seed: u64,
 ) -> Vec<SweepPoint> {
-    if std::env::var_os("CATNAP_CACHE_DIR").is_some() {
-        let mut cache = SimCache::from_env_or("catnap-cache").expect("CATNAP_CACHE_DIR must be a writable directory");
-        return latency_sweep_cached(&mut cache, cfg, pattern, loads, packet_bits, warmup, measure, seed);
-    }
     par_map(loads, |&l| {
         run_synthetic(cfg.clone(), pattern, l, packet_bits, warmup, measure, seed)
     })
-}
-
-/// [`latency_sweep`] through an explicit result cache: each point is an
-/// O(1) read when previously computed, a checkpoint resume when another
-/// job shares its warm-up prefix, and a full (stored) simulation
-/// otherwise. Points run serially — the cache is the speedup here, and
-/// misses at different constant rates do not share a warm-up prefix
-/// anyway (a warm-up at rate 0.02 is a different warm-up than at 0.05;
-/// use a piecewise [`LoadSchedule`] via [`crate::cached::SimJob`] to
-/// share one).
-#[allow(clippy::too_many_arguments)]
-pub fn latency_sweep_cached(
-    cache: &mut SimCache,
-    cfg: &MultiNocConfig,
-    pattern: SyntheticPattern,
-    loads: &[f64],
-    packet_bits: u32,
-    warmup: u64,
-    measure: u64,
-    seed: u64,
-) -> Vec<SweepPoint> {
-    let jobs: Vec<SimJob> = loads
-        .iter()
-        .map(|&l| SimJob {
-            cfg: cfg.clone(),
-            pattern,
-            schedule: LoadSchedule::constant(l),
-            packet_bits,
-            warmup,
-            measure,
-            seed,
-        })
-        .collect();
-    sweep_cached(cache, &jobs).into_iter().map(|(point, _)| point).collect()
 }
 
 /// Result of a closed-loop multiprogrammed run.
@@ -305,46 +246,6 @@ mod tests {
             our_keys, fixture_keys,
             "SweepPoint keys drifted from the fig06 series shape"
         );
-    }
-
-    /// The cached sweep path must be a pure wall-clock optimization:
-    /// byte-identical points to the plain parallel sweep, and a repeated
-    /// sweep served entirely from the result cache.
-    #[test]
-    fn cached_sweep_is_bit_identical_to_plain_sweep() {
-        use catnap_util::ToJson;
-        let dir = std::env::temp_dir().join(format!("catnap-runs-sweep-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cache = SimCache::new(&dir, 64).unwrap();
-        let cfg = MultiNocConfig::catnap_2x128_64core().gating(true);
-        let loads = [0.02, 0.05];
-        let canon = |pts: &[SweepPoint]| pts.iter().map(|p| p.to_json().to_compact_string()).collect::<Vec<_>>();
-
-        let plain = latency_sweep(&cfg, SyntheticPattern::UniformRandom, &loads, 512, 200, 200, 7);
-        let first = latency_sweep_cached(
-            &mut cache,
-            &cfg,
-            SyntheticPattern::UniformRandom,
-            &loads,
-            512,
-            200,
-            200,
-            7,
-        );
-        let second = latency_sweep_cached(
-            &mut cache,
-            &cfg,
-            SyntheticPattern::UniformRandom,
-            &loads,
-            512,
-            200,
-            200,
-            7,
-        );
-        assert_eq!(canon(&plain), canon(&first), "cached sweep altered results");
-        assert_eq!(canon(&plain), canon(&second), "cache replay altered results");
-        assert_eq!(cache.stats().result_hits, 2, "second sweep must be all hits");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// serialize ∘ parse is a string-level fixed point on the committed

@@ -2,10 +2,10 @@
 //!
 //! * [`ThreadFleet`] — in-process workers, each a thread running a
 //!   [`catnap_serve::Server`] behind its own ephemeral loopback
-//!   listener. Hermetic (no binary needed), used by the tests and the
-//!   `perf_hive` bench. Supports fault injection: a worker can be told
-//!   to die after serving N jobs, which exercises the coordinator's
-//!   re-dispatch path deterministically.
+//!   listener. Hermetic (no binary needed), used by the tests. Supports
+//!   fault injection: a worker can be told to die after serving N jobs,
+//!   which exercises the coordinator's re-dispatch path
+//!   deterministically.
 //! * [`ProcessFleet`] — `catnap-hive sweep --spawn N`: real
 //!   `catnap-serve --tcp 127.0.0.1:0` child processes, their ephemeral
 //!   ports scraped from the `listening on` stderr line, retired via the

@@ -43,7 +43,9 @@
 //!   This is how `catnap-hive` retires the local workers it spawned.
 //!
 //! Malformed lines never kill the server: they produce
-//! `{"status": "error", …}` responses with the parse failure.
+//! `{"status": "error", …}` responses with the parse failure. That
+//! includes lines that are not UTF-8 and lines longer than 1 MiB, whose
+//! excess is skipped without being buffered.
 
 use catnap::{MultiNocConfig, SimCache, FINGERPRINT_SCHEMA_VERSION};
 use catnap_bench::{job_fingerprint, run_synthetic_cached, CacheOutcome, SimJob};
@@ -52,7 +54,7 @@ use catnap_traffic::{LoadSchedule, SyntheticPattern};
 use catnap_util::json::ToJson;
 use catnap_util::Json;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 
 /// Version of the line protocol itself: the command set and response
@@ -60,6 +62,11 @@ use std::net::TcpListener;
 /// v2: adds `ping` and `shutdown`). Reported by `ping` so a coordinator
 /// can tell what a worker speaks before relying on it.
 pub const PROTOCOL_VERSION: u32 = 2;
+
+/// Longest request line served, in bytes, excluding its newline. A job
+/// line is a few hundred bytes; the bound keeps a client that never
+/// sends a newline from growing the server's memory without limit.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Parses the `"job"` object of a request into a resolved [`SimJob`].
 ///
@@ -323,18 +330,39 @@ impl Server {
     /// Serves a whole request stream: one response line per non-empty
     /// request line, flushed after each so a pipelined client sees
     /// results as they complete. Returns early (after responding) when a
-    /// `shutdown` command arrives.
+    /// `shutdown` command arrives. A line that is not UTF-8 or is longer
+    /// than 1 MiB gets an error response (the rest of an over-long line
+    /// is skipped without buffering it) and serving continues.
     ///
     /// # Errors
     ///
     /// [`std::io::Error`] from the underlying reader or writer.
-    pub fn serve_lines<R: BufRead, W: Write>(&mut self, reader: R, mut writer: W) -> std::io::Result<()> {
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
+    pub fn serve_lines<R: BufRead, W: Write>(&mut self, mut reader: R, mut writer: W) -> std::io::Result<()> {
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            // One byte past the bound tells an over-long line from one
+            // that fills the bound exactly.
+            let read = (&mut reader).take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut buf)?;
+            if read == 0 {
+                break;
             }
-            writeln!(writer, "{}", self.process_line(&line))?;
+            let response = if buf.last() != Some(&b'\n') && read > MAX_LINE_BYTES {
+                reader.skip_until(b'\n')?;
+                let error = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                self.error_response(Json::Null, error).to_compact_string()
+            } else {
+                let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+                let line = line.strip_suffix(b"\r").unwrap_or(line);
+                match std::str::from_utf8(line) {
+                    Ok(line) if line.trim().is_empty() => continue,
+                    Ok(line) => self.process_line(line),
+                    Err(e) => self
+                        .error_response(Json::Null, format!("request line is not UTF-8: {e}"))
+                        .to_compact_string(),
+                }
+            };
+            writeln!(writer, "{response}")?;
             writer.flush()?;
             if self.shutting_down {
                 break;

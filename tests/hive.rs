@@ -1,12 +1,15 @@
 //! End-to-end tests of the `catnap-hive` distributed sweep coordinator
-//! at the workspace level: a real multi-worker fleet over loopback TCP
-//! with an injected mid-sweep worker kill, cross-checked byte-for-byte
-//! against the serial sweep path, plus the deterministic retry/backoff
-//! schedule and cycle-exact divergence bisection.
+//! at the workspace level: real multi-worker fleets over loopback TCP,
+//! healthy at several sizes and with an injected mid-sweep worker kill,
+//! cross-checked byte-for-byte against the serial sweep path, plus the
+//! deterministic retry/backoff schedule and cycle-exact divergence
+//! bisection.
 
-use catnap_repro::bench::{latency_sweep, sweep_requests};
+use catnap_repro::bench::{latency_sweep, sweep_requests, JobRequest};
 use catnap_repro::catnap::MultiNocConfig;
-use catnap_repro::hive::{bisect_jobs, first_divergence_linear, run_sweep, Backoff, HiveConfig, ThreadFleet};
+use catnap_repro::hive::{
+    bisect_jobs, first_divergence_linear, run_sweep, Backoff, HiveConfig, SweepOutcome, ThreadFleet,
+};
 use catnap_repro::serve::parse_job;
 use catnap_repro::traffic::{LoadSchedule, SyntheticPattern};
 use catnap_repro::util::json::ToJson;
@@ -34,15 +37,9 @@ fn test_cfg() -> HiveConfig {
 
 const LOADS: [f64; 8] = [0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08];
 
-/// The acceptance test: three workers, one of which dies mid-sweep
-/// (after serving its first job it drops the connection without
-/// responding and refuses everything afterwards). The coordinator must
-/// re-dispatch the lost work and the final result set must be
-/// byte-identical to the serial `latency_sweep` of the same points.
-#[test]
-fn three_worker_sweep_with_mid_sweep_kill_matches_serial_latency_sweep() {
-    let root = temp_root("kill");
-    let requests = sweep_requests(
+/// The 8-point sweep every fleet-vs-serial test distributes.
+fn sweep_8() -> Vec<JobRequest> {
+    sweep_requests(
         "catnap-2x128-64core",
         true,
         SyntheticPattern::UniformRandom,
@@ -51,7 +48,36 @@ fn three_worker_sweep_with_mid_sweep_kill_matches_serial_latency_sweep() {
         150,
         150,
         7,
-    );
+    )
+}
+
+/// The distributed results must be byte-identical to the serial
+/// `latency_sweep` of the same points.
+fn assert_matches_serial_sweep(outcome: &SweepOutcome) {
+    let cfg = MultiNocConfig::catnap_2x128_64core().gating(true);
+    let serial = latency_sweep(&cfg, SyntheticPattern::UniformRandom, &LOADS, 512, 150, 150, 7);
+    assert_eq!(serial.len(), outcome.results.len());
+    for fp in &outcome.fingerprints {
+        assert_eq!(fp.len(), 16, "fingerprints are %016x: {fp}");
+    }
+    for (distributed, point) in outcome.results.iter().zip(&serial) {
+        assert_eq!(
+            distributed.to_compact_string(),
+            point.to_json().to_compact_string(),
+            "distributed result diverged from the serial sweep"
+        );
+    }
+}
+
+/// The acceptance test: three workers, one of which dies mid-sweep
+/// (after serving its first job it drops the connection without
+/// responding and refuses everything afterwards). The coordinator must
+/// re-dispatch the lost work and the final result set must be
+/// byte-identical to the serial `latency_sweep` of the same points.
+#[test]
+fn three_worker_sweep_with_mid_sweep_kill_matches_serial_latency_sweep() {
+    let root = temp_root("kill");
+    let requests = sweep_8();
 
     // Worker 1 dies when its second job arrives, mid-request.
     let fleet = ThreadFleet::spawn(&root, &[None, Some(1), None]).expect("fleet spawns");
@@ -60,23 +86,25 @@ fn three_worker_sweep_with_mid_sweep_kill_matches_serial_latency_sweep() {
 
     assert_eq!(outcome.stats.dead_workers, 1, "exactly the faulted worker died");
     assert!(outcome.stats.redispatches >= 1, "the lost job was re-dispatched");
-    assert_eq!(outcome.results.len(), requests.len());
-    for fp in &outcome.fingerprints {
-        assert_eq!(fp.len(), 16, "fingerprints are %016x: {fp}");
-    }
-
-    // Serial reference: the plain in-process sweep over the same points.
-    let cfg = MultiNocConfig::catnap_2x128_64core().gating(true);
-    let serial = latency_sweep(&cfg, SyntheticPattern::UniformRandom, &LOADS, 512, 150, 150, 7);
-    assert_eq!(serial.len(), outcome.results.len());
-    for (distributed, point) in outcome.results.iter().zip(&serial) {
-        assert_eq!(
-            distributed.to_compact_string(),
-            point.to_json().to_compact_string(),
-            "distributed result diverged from the serial sweep"
-        );
-    }
+    assert_matches_serial_sweep(&outcome);
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The hive's core promise: the result bytes never depend on how many
+/// workers served the sweep. Healthy fleets of one and four workers
+/// (fresh caches each) both reproduce the serial sweep.
+#[test]
+fn healthy_fleets_of_one_and_four_workers_match_serial_latency_sweep() {
+    let requests = sweep_8();
+    for workers in [1, 4] {
+        let root = temp_root(&format!("healthy-{workers}"));
+        let fleet = ThreadFleet::spawn(&root, &vec![None; workers]).expect("fleet spawns");
+        let outcome = run_sweep(&fleet.addrs(), &requests, &test_cfg()).expect("sweep completes");
+        fleet.shutdown();
+        assert_eq!(outcome.stats.dead_workers, 0, "{workers}-worker fleet stays healthy");
+        assert_matches_serial_sweep(&outcome);
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
 
 /// Same fleet shape, same fault schedule, run twice: the coordinator's
@@ -104,8 +132,7 @@ fn faulted_sweep_outcome_is_reproducible() {
     };
     let first = run("repro-a");
     let second = run("repro-b");
-    let bytes =
-        |o: &catnap_repro::hive::SweepOutcome| o.results.iter().map(|r| r.to_compact_string()).collect::<Vec<_>>();
+    let bytes = |o: &SweepOutcome| o.results.iter().map(|r| r.to_compact_string()).collect::<Vec<_>>();
     assert_eq!(bytes(&first), bytes(&second));
     assert_eq!(first.fingerprints, second.fingerprints);
     assert_eq!(first.stats.dead_workers, second.stats.dead_workers);

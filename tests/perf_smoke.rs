@@ -1,24 +1,32 @@
-//! Environment-gated throughput smoke test.
+//! Environment-gated perf smoke tests.
 //!
 //! Timing assertions do not belong in the default suite (CI machines
-//! and debug builds vary wildly), so this test is a no-op unless
-//! `CATNAP_PERF_SMOKE=1` is set. When enabled it times the light-load
-//! gated hot loop — the workload the active-router worklist optimizes —
-//! in whatever profile the test was compiled under, and fails only if
-//! throughput lands more than 3x below the pinned floor for that
-//! profile: a regression of that size means the worklist fast path (or
-//! something equally structural) broke, not that the machine was busy.
+//! and debug builds vary wildly), so every test here is a no-op unless
+//! `CATNAP_PERF_SMOKE=1` is set. When enabled they check structural
+//! speed contracts with wide margins, each after asserting that the
+//! fast and slow paths it times produce the same results:
 //!
-//! The floors were measured on the reference container (single-core).
-//! If a legitimate change shifts throughput, re-measure with
-//! `CATNAP_PERF_SMOKE=1 cargo test --test perf_smoke -- --nocapture`
-//! and update the constants.
+//! * the light-load gated `Network` hot loop stays within 3x of its
+//!   pinned floor, with and without recording telemetry;
+//! * the busy event-driven `MultiNoc::step` stays at least 1.4x faster
+//!   than the `step_reference` oracle;
+//! * the result cache and warm-up checkpoints keep their speedups on a
+//!   shared-warm-up sweep.
+//!
+//! The floors were measured in release builds, so run them as
+//! `CATNAP_PERF_SMOKE=1 cargo test --release --offline --test perf_smoke
+//! -- --nocapture`. Debug builds keep per-step consistency walks that
+//! only `step` pays (see `busy_path_eventdriven_beats_full_step`). If a
+//! legitimate change shifts throughput, re-measure with that command and
+//! update the constants.
 
-use catnap_repro::catnap::{MultiNoc, MultiNocConfig};
+use catnap_repro::bench::{run_job_uncached, run_synthetic_cached, CacheOutcome, SimJob};
+use catnap_repro::catnap::{MultiNoc, MultiNocConfig, SimCache, Snapshot};
 use catnap_repro::noc::power_state::WakeReason;
 use catnap_repro::noc::{Network, NetworkConfig, NodeId};
 use catnap_repro::telemetry::{NopSink, RecordingSink, Sink};
-use catnap_repro::traffic::{SyntheticPattern, SyntheticWorkload};
+use catnap_repro::traffic::{LoadSchedule, SyntheticPattern, SyntheticWorkload};
+use catnap_repro::util::json::ToJson;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -32,18 +40,28 @@ fn perf_guard() -> std::sync::MutexGuard<'static, ()> {
     PERF_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Whether `CATNAP_PERF_SMOKE=1` is set; says so on stderr when not.
+fn perf_smoke_enabled() -> bool {
+    let enabled = std::env::var("CATNAP_PERF_SMOKE").is_ok_and(|v| v == "1");
+    if !enabled {
+        eprintln!("perf smoke skipped (set CATNAP_PERF_SMOKE=1 to enable)");
+    }
+    enabled
+}
+
 /// Pinned cycles/sec floors for the scenario below, by compile profile.
 /// Debug is what `cargo test` runs; release is what `cargo test
-/// --release` and the bench harness run. The debug floor is far below
-/// the release one because debug builds keep the `debug_assert!`
-/// cross-checks that re-derive the occupancy and in-flight counters by
-/// linear scan every cycle.
+/// --release` runs. The debug floor is far below the release one
+/// because debug builds keep the `debug_assert!` cross-checks that
+/// re-derive the occupancy and in-flight counters by linear scan every
+/// cycle.
 const FLOOR_DEBUG_CPS: f64 = 30_000.0;
 const FLOOR_RELEASE_CPS: f64 = 1_500_000.0;
 
-/// Mirror of the bench's `hotloop_light_gated_worklist` scenario: one
-/// gated 8x8 subnet, a single-flit packet every 48 cycles, a periodic
-/// sleep scan, worklist fast path enabled (the default).
+/// The light-load gated hot loop: one gated 8x8 subnet driven at the
+/// `Network` API the way the policy layer drives it, a single-flit
+/// packet every 48 cycles (waking the source on demand), a periodic
+/// sleep scan, no RNG.
 fn light_gated_cycles_per_sec(warmup: u64, measure: u64) -> f64 {
     light_gated_cycles_per_sec_with(warmup, measure, NopSink)
 }
@@ -96,14 +114,12 @@ fn light_gated_cycles_per_sec_with<S: Sink>(warmup: u64, measure: u64, sink: S) 
     measure as f64 / secs
 }
 
-/// Times the busy bench pair (`busy_gated_full_step` and
-/// `busy_gated_eventdriven` in `bench_out/perf_throughput.json`):
-/// uniform-random 0.05 packets/node/cycle on the gated 4NT-128b
-/// configuration, which holds one subnet near saturation while the
-/// other three sleep. Returns cycles/sec of the per-cycle loop through
-/// `step` (event scheduler engaged) or through the `step_reference`
-/// oracle.
-fn busy_gated_cycles_per_sec(cycles: u64, reference: bool) -> f64 {
+/// Times the busy pair: uniform-random 0.05 packets/node/cycle on the
+/// gated 4NT-128b configuration, which holds one subnet near saturation
+/// while the other three sleep. Returns cycles/sec of the per-cycle loop
+/// through `step` (event scheduler engaged) or through the
+/// `step_reference` oracle, and the run's final counters.
+fn busy_gated_run(cycles: u64, reference: bool) -> (f64, Snapshot) {
     let cfg = MultiNocConfig::catnap_4x128().gating(true).seed(7);
     let mut net = MultiNoc::new(cfg);
     let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.05, 512, net.dims(), 7);
@@ -117,7 +133,7 @@ fn busy_gated_cycles_per_sec(cycles: u64, reference: bool) -> f64 {
         }
     }
     let secs = start.elapsed().as_secs_f64().max(1e-12);
-    cycles as f64 / secs
+    (cycles as f64 / secs, net.snapshot())
 }
 
 /// Event-driven over reference-step throughput floor on the busy
@@ -129,21 +145,27 @@ fn busy_gated_cycles_per_sec(cycles: u64, reference: bool) -> f64 {
 /// lets it skip almost everything (see the hot-loop floor below).
 /// The floor is set with ~25% margin under the measured ratio; a drop
 /// below it means the busy-path scheduling or the allocator fast path
-/// structurally regressed.
+/// structurally regressed. Release builds only: in debug builds
+/// `Network::check_scheduler` walks every router at the start of each
+/// `step`, a cost `step_reference` does not pay, and pulls the ratio
+/// under the floor.
 const FLOOR_BUSY_EVENTDRIVEN_RATIO: f64 = 1.4;
 
 #[test]
 fn busy_path_eventdriven_beats_full_step() {
-    if std::env::var("CATNAP_PERF_SMOKE").map(|v| v != "1").unwrap_or(true) {
-        eprintln!("perf smoke skipped (set CATNAP_PERF_SMOKE=1 to enable)");
+    if !perf_smoke_enabled() {
         return;
     }
     let _serialize = perf_guard();
     // Untimed pass first so page faults, lazy init and CPU clocks settle.
-    let _ = busy_gated_cycles_per_sec(2_000, false);
+    let _ = busy_gated_run(2_000, false);
     let cycles = if cfg!(debug_assertions) { 4_000 } else { 20_000 };
-    let full = busy_gated_cycles_per_sec(cycles, true);
-    let event = busy_gated_cycles_per_sec(cycles, false);
+    let (full, full_end) = busy_gated_run(cycles, true);
+    let (event, event_end) = busy_gated_run(cycles, false);
+    assert_eq!(
+        event_end, full_end,
+        "event-driven busy run diverged from the reference step"
+    );
     let ratio = event / full;
     println!(
         "busy-path smoke: event-driven {event:.0} vs reference {full:.0} cycles/sec ({ratio:.2}x, floor {FLOOR_BUSY_EVENTDRIVEN_RATIO}x)"
@@ -156,8 +178,7 @@ fn busy_path_eventdriven_beats_full_step() {
 
 #[test]
 fn gated_hot_loop_meets_throughput_floor() {
-    if std::env::var("CATNAP_PERF_SMOKE").map(|v| v != "1").unwrap_or(true) {
-        eprintln!("perf smoke skipped (set CATNAP_PERF_SMOKE=1 to enable)");
+    if !perf_smoke_enabled() {
         return;
     }
     let _serialize = perf_guard();
@@ -182,11 +203,11 @@ fn gated_hot_loop_meets_throughput_floor() {
 }
 
 /// Recording-sink slowdown ceiling. Measured ~1.26x on the reference
-/// container (`telemetry_recording_slowdown` in
-/// `bench_out/perf_throughput.json`); the ceiling sits at roughly
-/// double the measurement so machine noise passes but an accidental
-/// per-event scan or allocation storm fails. ROADMAP and DESIGN.md §10
-/// cite this constant — keep all three in sync when re-measuring.
+/// container with recording sinks on a light-load gated `MultiNoc`; the
+/// ceiling sits at roughly double the measurement so machine noise
+/// passes but an accidental per-event scan or allocation storm fails.
+/// DESIGN.md §10 cites this constant — keep both in sync when
+/// re-measuring.
 const CEILING_RECORDING_SLOWDOWN: f64 = 2.5;
 
 /// Telemetry overhead contract (DESIGN.md §10): the default `NopSink`
@@ -202,8 +223,7 @@ const CEILING_RECORDING_SLOWDOWN: f64 = 2.5;
 ///    relative to the no-op run.
 #[test]
 fn telemetry_noop_sink_meets_pre_telemetry_floor() {
-    if std::env::var("CATNAP_PERF_SMOKE").map(|v| v != "1").unwrap_or(true) {
-        eprintln!("perf smoke skipped (set CATNAP_PERF_SMOKE=1 to enable)");
+    if !perf_smoke_enabled() {
         return;
     }
     let _serialize = perf_guard();
@@ -231,5 +251,94 @@ fn telemetry_noop_sink_meets_pre_telemetry_floor() {
         "recording sink slowed the loop {:.2}x, above the {CEILING_RECORDING_SLOWDOWN}x ceiling \
          (noop {noop:.0} vs recording {recording:.0} cycles/sec)",
         noop / recording
+    );
+}
+
+/// The sweep the serving caches exist for: 16 points on the gated
+/// 4NT-128b configuration that share an expensive 1,500-cycle warm-up
+/// at 0.25 packets/node/cycle and differ only in a light 500-cycle
+/// measurement window at 0.005 + 0.0025·i.
+fn shared_warmup_sweep() -> Vec<SimJob> {
+    const WARMUP: u64 = 1_500;
+    (0..16)
+        .map(|i| SimJob {
+            cfg: MultiNocConfig::catnap_4x128().gating(true),
+            pattern: SyntheticPattern::UniformRandom,
+            schedule: LoadSchedule::piecewise(vec![(0, 0.25), (WARMUP, 0.005 + 0.0025 * f64::from(i))]),
+            packet_bits: 512,
+            warmup: WARMUP,
+            measure: 500,
+            seed: 7,
+        })
+        .collect()
+}
+
+/// Speedup floors of the cached passes over the uncached one on
+/// [`shared_warmup_sweep`]. The cold pass pays one warm-up and resumes
+/// it fifteen times; the warm pass only reads results back. Measured
+/// 8.2x and ~21,000x in release on a 2-vCPU host (6.9–7.1x and
+/// ~80,000x in debug).
+const FLOOR_WARM_RESUME_SPEEDUP: f64 = 5.0;
+const FLOOR_CACHE_HIT_SPEEDUP: f64 = 50.0;
+
+#[test]
+fn cached_sweep_resume_and_hit_speedups_meet_floors() {
+    if !perf_smoke_enabled() {
+        return;
+    }
+    let _serialize = perf_guard();
+    let jobs = shared_warmup_sweep();
+    let dir = std::env::temp_dir().join(format!("catnap-perf-smoke-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cache = SimCache::new(&dir, 64).expect("create the sweep cache");
+
+    let start = Instant::now();
+    let uncached: Vec<_> = jobs.iter().map(run_job_uncached).collect();
+    let uncached_s = start.elapsed().as_secs_f64();
+    let mut cached_pass = || {
+        let start = Instant::now();
+        let points: Vec<_> = jobs.iter().map(|job| run_synthetic_cached(&mut cache, job)).collect();
+        (points, start.elapsed().as_secs_f64().max(1e-12))
+    };
+    let (cold, cold_s) = cached_pass();
+    let (warm, warm_s) = cached_pass();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Correctness before speed: the speedups are for the same answers.
+    for (pass, points) in [("cold", &cold), ("warm", &warm)] {
+        for (i, (reference, (point, _))) in uncached.iter().zip(points).enumerate() {
+            assert_eq!(
+                point.to_json().to_compact_string(),
+                reference.to_json().to_compact_string(),
+                "{pass}-cache point {i} diverged from the straight-through run"
+            );
+        }
+    }
+    let outcomes = |points: &[(_, CacheOutcome)]| points.iter().map(|&(_, o)| o).collect::<Vec<_>>();
+    let mut cold_expected = vec![CacheOutcome::Resume; jobs.len()];
+    cold_expected[0] = CacheOutcome::Miss;
+    assert_eq!(outcomes(&cold), cold_expected, "cold pass: one miss, then resumes");
+    assert_eq!(
+        outcomes(&warm),
+        vec![CacheOutcome::Hit; jobs.len()],
+        "warm pass: all hits"
+    );
+
+    let warm_resume = uncached_s / cold_s;
+    let cache_hit = uncached_s / warm_s;
+    println!(
+        "cache smoke: uncached {:.1} ms, cold {:.1} ms ({warm_resume:.2}x, floor {FLOOR_WARM_RESUME_SPEEDUP}x), \
+         warm {:.3} ms ({cache_hit:.0}x, floor {FLOOR_CACHE_HIT_SPEEDUP}x)",
+        uncached_s * 1e3,
+        cold_s * 1e3,
+        warm_s * 1e3
+    );
+    assert!(
+        warm_resume >= FLOOR_WARM_RESUME_SPEEDUP,
+        "shared warm-up resume ran at {warm_resume:.2}x, below the {FLOOR_WARM_RESUME_SPEEDUP}x floor"
+    );
+    assert!(
+        cache_hit >= FLOOR_CACHE_HIT_SPEEDUP,
+        "result-cache hits ran at {cache_hit:.2}x, below the {FLOOR_CACHE_HIT_SPEEDUP}x floor"
     );
 }

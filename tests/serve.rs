@@ -128,3 +128,49 @@ fn tcp_round_trip_and_cross_connection_dedupe() {
     assert_eq!(again.get("result").unwrap(), first.get("result").unwrap());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Serves `input` through `serve_lines` and parses every response line.
+fn serve_bytes(tag: &str, input: &[u8]) -> Vec<Json> {
+    let (cache, dir) = temp_cache(tag);
+    let mut server = Server::new(cache);
+    let mut out = Vec::new();
+    server
+        .serve_lines(input, &mut out)
+        .expect("a hostile line must not end the stream");
+    let _ = std::fs::remove_dir_all(&dir);
+    String::from_utf8(out)
+        .unwrap()
+        .lines()
+        .map(|l| Json::parse(l).unwrap())
+        .collect()
+}
+
+fn assert_error_then_pong(lines: &[Json]) {
+    assert_eq!(lines.len(), 2, "one response per line: {lines:?}");
+    assert_eq!(lines[0].get("status").unwrap().as_str(), Some("error"));
+    assert_eq!(lines[1].get("status").unwrap().as_str(), Some("ok"));
+    assert_eq!(lines[1].get("id").unwrap().as_u64(), Some(2));
+    assert_eq!(lines[1].get("pong").unwrap().as_bool(), Some(true));
+}
+
+/// A request line past the 1 MiB bound is refused, even when it would
+/// parse, and the next line is still served.
+#[test]
+fn over_long_line_is_an_error_and_serving_continues() {
+    let padded_ping = format!(r#"{{"id":1,"cmd":"ping","pad":"{}"}}"#, "x".repeat(2 << 20));
+    let input = format!("{padded_ping}\n{{\"id\":2,\"cmd\":\"ping\"}}\n");
+    let lines = serve_bytes("long-line", input.as_bytes());
+    assert_error_then_pong(&lines);
+    let error = lines[0].get("error").unwrap().as_str().unwrap();
+    assert!(error.contains("longer than"), "{error}");
+}
+
+/// A line that is not UTF-8 gets an error response instead of ending
+/// the stream.
+#[test]
+fn non_utf8_line_is_an_error_and_serving_continues() {
+    let lines = serve_bytes("non-utf8", b"\xff\xfe\n{\"id\":2,\"cmd\":\"ping\"}\n");
+    assert_error_then_pong(&lines);
+    let error = lines[0].get("error").unwrap().as_str().unwrap();
+    assert!(error.contains("UTF-8"), "{error}");
+}
