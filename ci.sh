@@ -28,6 +28,22 @@ echo "== trace diff (production step vs the per-cycle oracle at near-idle load) 
 # divergence, naming the first divergent cycle.
 cargo run -q --release --offline --example trace_diff -- --demo
 
+echo "== closed-loop CLI (System via mix, CacheSystem via cache: two runs, same bytes) =="
+# Outside the tests, `cache` is CacheSystem's only caller, and nothing
+# else runs either subcommand. Each runs twice at one seed; the outputs
+# must match byte for byte.
+CLI_TMP="$(mktemp -d)"
+trap 'rm -rf "$CLI_TMP"' EXIT
+for sub in "mix --mix heavy" "cache --workload heavy"; do
+  for run in 1 2; do
+    # $sub is left unquoted so it splits into the subcommand and its flags.
+    # shellcheck disable=SC2086
+    target/release/catnap-sim $sub --cycles 1200 --gating --seed 7 > "$CLI_TMP/$run.out"
+  done
+  cmp "$CLI_TMP/1.out" "$CLI_TMP/2.out"
+done
+rm -rf "$CLI_TMP"
+
 echo "== benchmark smoke (examples/benchmark builds against the libraries and runs) =="
 cargo run -q --release --offline --manifest-path examples/benchmark/Cargo.toml -- --smoke
 

@@ -113,11 +113,6 @@ impl SetAssocCache {
         (set, tag)
     }
 
-    /// Block-aligned address for `addr`.
-    pub fn block_addr(&self, addr: u64) -> u64 {
-        addr & !(self.cfg.block_bytes as u64 - 1)
-    }
-
     /// Accesses `addr`; on a miss the caller must later call
     /// [`SetAssocCache::fill`].
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessOutcome {

@@ -31,8 +31,16 @@
 //!   inclusive directory state) usable as an alternative to the
 //!   probabilistic hit/miss model, and validated by tests.
 //! * [`memory`] — bandwidth-limited memory controllers.
-//! * [`system`] — ties cores, protocol and memory to a
-//!   [`catnap::MultiNoc`] and reports system performance.
+//! * [`system`] — the probabilistic closed loop: cores draw each miss's
+//!   transaction from their benchmark's probabilities; reports system
+//!   performance.
+//! * [`system_cache`] — the cache-accurate closed loop: L1s, L2 slices
+//!   and directories decide each miss's transaction.
+//! * `transactions` (crate-private) — the one coherence-transaction
+//!   engine both systems drive: it injects each leg on the
+//!   [`catnap::MultiNoc`], waits out service delays, queues memory legs
+//!   at the controllers (retrying refused ones) and reports completed
+//!   misses back to the system.
 
 pub mod cache;
 pub mod config;
@@ -41,6 +49,7 @@ pub mod memory;
 pub mod protocol;
 pub mod system;
 pub mod system_cache;
+mod transactions;
 
 pub use config::SystemConfig;
 pub use system::{System, SystemReport};

@@ -1,23 +1,15 @@
-//! The full closed-loop system: cores, coherence protocol, memory
-//! controllers and the Catnap Multi-NoC.
+//! The probabilistic closed-loop system: each core draws its misses'
+//! coherence transactions from its benchmark's probabilities, and the
+//! shared transaction engine runs them on the Catnap Multi-NoC.
 
 use crate::config::SystemConfig;
 use crate::core_model::{Core, MissId, MissRequest};
-use crate::memory::{MemToken, MemoryController};
 use crate::protocol::{self, TransactionScript};
+use crate::transactions::Transactions;
 use catnap::{MultiNoc, MultiNocConfig, RunReport};
-use catnap_noc::{MessageClass, NodeId, PacketDescriptor, PacketId};
-use catnap_traffic::generator::PacketSink;
+use catnap_noc::NodeId;
 use catnap_traffic::WorkloadMix;
 use catnap_util::SimRng;
-use std::collections::{BTreeMap, HashMap};
-
-struct Tx {
-    core: usize,
-    miss: Option<MissId>,
-    script: TransactionScript,
-    issued_cycle: u64,
-}
 
 /// The simulated many-core system.
 pub struct System {
@@ -25,22 +17,12 @@ pub struct System {
     /// The network under evaluation (public for power/stat queries).
     pub net: MultiNoc,
     cores: Vec<Core>,
-    txs: HashMap<u64, Tx>,
-    pkt_to_tx: HashMap<PacketId, (u64, usize)>,
-    /// Legs waiting out a fixed service delay: cycle -> (tx, leg).
-    events: BTreeMap<u64, Vec<(u64, usize)>>,
-    mcs: Vec<MemoryController>,
-    mc_index_of_node: HashMap<NodeId, usize>,
-    mc_tokens: HashMap<u64, (u64, usize)>,
-    mc_retry: Vec<(usize, u64, usize)>,
+    /// Transactions in flight; a miss carries its id and issue cycle.
+    tx: Transactions<(MissId, u64)>,
     rng: SimRng,
-    next_tx: u64,
-    next_packet: u64,
-    next_token: u64,
     misses_issued: u64,
     misses_completed: u64,
     miss_latency_sum: u64,
-    ready_buf: Vec<MemToken>,
     issued_buf: Vec<MissRequest>,
 }
 
@@ -49,7 +31,7 @@ impl System {
     pub fn new(cfg: SystemConfig, net_cfg: MultiNocConfig, mix: WorkloadMix, seed: u64) -> Self {
         cfg.validate().unwrap_or_else(|e| panic!("invalid system config: {e}"));
         let mut net = MultiNoc::new(net_cfg);
-        net.set_track_deliveries(true);
+        let tx = Transactions::new(&cfg, &mut net);
         let num_cores = cfg.num_cores(net.dims());
         let assignment = mix.assign(num_cores);
         let cores = assignment
@@ -57,31 +39,15 @@ impl System {
             .enumerate()
             .map(|(i, b)| Core::new(b, cfg.commit_width, cfg.window, cfg.mshrs, seed ^ (i as u64) << 20))
             .collect();
-        let mc_nodes = cfg.mc_nodes(net.dims());
-        let mcs = mc_nodes
-            .iter()
-            .map(|_| MemoryController::new(cfg.memory_latency, cfg.mc_requests_per_cycle, cfg.mc_queue_depth))
-            .collect();
-        let mc_index_of_node = mc_nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
         System {
             cfg,
             net,
             cores,
-            txs: HashMap::new(),
-            pkt_to_tx: HashMap::new(),
-            events: BTreeMap::new(),
-            mcs,
-            mc_index_of_node,
-            mc_tokens: HashMap::new(),
-            mc_retry: Vec::new(),
+            tx,
             rng: SimRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1),
-            next_tx: 0,
-            next_packet: 0,
-            next_token: 0,
             misses_issued: 0,
             misses_completed: 0,
             miss_latency_sum: 0,
-            ready_buf: Vec::new(),
             issued_buf: Vec::new(),
         }
     }
@@ -101,13 +67,8 @@ impl System {
     }
 
     fn random_mc_node(&mut self) -> NodeId {
-        let i = self.rng.gen_range(0..self.mcs.len());
-        *self
-            .mc_index_of_node
-            .iter()
-            .find(|(_, &idx)| idx == i)
-            .map(|(n, _)| n)
-            .expect("mc index maps to a node")
+        let mc_nodes = self.tx.mc_nodes();
+        mc_nodes[self.rng.gen_range(0..mc_nodes.len())]
     }
 
     fn build_script(&mut self, core_idx: usize, req: &MissRequest) -> TransactionScript {
@@ -131,92 +92,12 @@ impl System {
         protocol::read_l2_hit(node, home, &self.cfg)
     }
 
-    fn submit_leg_packet(&mut self, tx_id: u64, leg_idx: usize, now: u64) {
-        let leg = self.txs[&tx_id].script.legs[leg_idx];
-        debug_assert_ne!(leg.from, leg.to);
-        let pid = PacketId(self.next_packet);
-        self.next_packet += 1;
-        self.pkt_to_tx.insert(pid, (tx_id, leg_idx));
-        self.net.submit(PacketDescriptor {
-            id: pid,
-            src: leg.from,
-            dst: leg.to,
-            bits: leg.bits,
-            class: leg.class,
-            created_cycle: now,
-        });
-    }
-
-    /// Starts leg `leg_idx`, chaining through zero-delay self-legs.
-    fn start_leg(&mut self, tx_id: u64, mut leg_idx: usize, now: u64) {
-        loop {
-            let (from, to) = {
-                let leg = &self.txs[&tx_id].script.legs[leg_idx];
-                (leg.from, leg.to)
-            };
-            if from != to {
-                self.submit_leg_packet(tx_id, leg_idx, now);
-                return;
-            }
-            // Self-leg: delivered instantly.
-            match self.after_delivery(tx_id, leg_idx, now) {
-                Some(next) => leg_idx = next,
-                None => return,
-            }
-        }
-    }
-
-    /// Handles delivery of leg `leg_idx`; returns `Some(next_leg)` when the
-    /// next leg should start immediately (zero delay, not via MC).
-    fn after_delivery(&mut self, tx_id: u64, leg_idx: usize, now: u64) -> Option<usize> {
-        let (completes_at, legs_len, core, miss, issued_cycle) = {
-            let tx = &self.txs[&tx_id];
-            (
-                tx.script.completes_at,
-                tx.script.legs.len(),
-                tx.core,
-                tx.miss,
-                tx.issued_cycle,
-            )
-        };
-        if leg_idx == completes_at {
-            if let Some(miss) = miss {
-                self.cores[core].complete(miss);
-                self.misses_completed += 1;
-                self.miss_latency_sum += now.saturating_sub(issued_cycle);
-            }
-        }
-        let next = leg_idx + 1;
-        if next >= legs_len {
-            self.txs.remove(&tx_id);
-            return None;
-        }
-        let (via_mc, delay, mc_node) = {
-            let leg = &self.txs[&tx_id].script.legs[next];
-            (leg.via_mc, leg.delay_before, leg.from)
-        };
-        if via_mc {
-            let mc_idx = *self
-                .mc_index_of_node
-                .get(&mc_node)
-                .expect("via_mc leg must originate at a memory controller node");
-            self.enqueue_mc(mc_idx, tx_id, next);
-            return None;
-        }
-        if delay > 0 {
-            self.events.entry(now + u64::from(delay)).or_default().push((tx_id, next));
-            return None;
-        }
-        Some(next)
-    }
-
-    fn enqueue_mc(&mut self, mc_idx: usize, tx_id: u64, leg_idx: usize) {
-        let token = MemToken(self.next_token);
-        self.next_token += 1;
-        if self.mcs[mc_idx].accept(token) {
-            self.mc_tokens.insert(token.0, (tx_id, leg_idx));
-        } else {
-            self.mc_retry.push((mc_idx, tx_id, leg_idx));
+    /// Applies the misses the last engine call completed at `now`.
+    fn complete_misses(&mut self, now: u64) {
+        for (core, (miss, issued_cycle)) in self.tx.completed.drain(..) {
+            self.cores[core].complete(miss);
+            self.misses_completed += 1;
+            self.miss_latency_sum += now.saturating_sub(issued_cycle);
         }
     }
 
@@ -232,83 +113,40 @@ impl System {
             for req in &issued {
                 self.misses_issued += 1;
                 let script = self.build_script(ci, req);
-                let tx_id = self.next_tx;
-                self.next_tx += 1;
-                self.txs.insert(
-                    tx_id,
-                    Tx {
-                        core: ci,
-                        miss: Some(req.id),
-                        script,
-                        issued_cycle: now,
-                    },
-                );
-                self.start_leg(tx_id, 0, now);
+                self.tx.start(&mut self.net, script, Some((ci, (req.id, now))), now);
+                self.complete_misses(now);
                 // Dirty eviction accompanying the fill.
                 let bench = self.cores[ci].benchmark();
                 if self.rng.gen::<f64>() < bench.write_fraction {
                     let node = self.cfg.node_of_core(ci);
                     let home = self.random_node();
                     if home != node {
-                        let wb_id = self.next_tx;
-                        self.next_tx += 1;
-                        self.txs.insert(
-                            wb_id,
-                            Tx {
-                                core: ci,
-                                miss: None,
-                                script: protocol::writeback(node, home, &self.cfg),
-                                issued_cycle: now,
-                            },
-                        );
-                        self.start_leg(wb_id, 0, now);
+                        let script = protocol::writeback(node, home, &self.cfg);
+                        self.tx.start(&mut self.net, script, None, now);
                     }
                 }
             }
             self.issued_buf = issued;
         }
 
-        // Delayed legs whose service time elapsed.
-        let due: Vec<(u64, usize)> = {
-            let keys: Vec<u64> = self.events.range(..=now).map(|(&k, _)| k).collect();
-            keys.into_iter()
-                .flat_map(|k| self.events.remove(&k).expect("key exists"))
-                .collect()
-        };
-        for (tx_id, leg_idx) in due {
-            self.start_leg(tx_id, leg_idx, now);
-        }
+        self.tx.start_due(&mut self.net, now);
+        self.complete_misses(now);
+        self.tx.retry_memory();
+        // Known defect, kept so pinned results hold: this drops the
+        // memory legs the retry refused again, and their transactions
+        // never finish. No controller has ticked since their first
+        // refusal, so that is every refused leg. Deleting this line is
+        // the fix queued in ROADMAP.md's first open item; it re-pins
+        // `table3_heavy` and the System closed-loop golden in
+        // tests/determinism.rs.
+        self.tx.mc_retry.clear();
+        self.tx.tick_memory(&mut self.net, now);
+        self.complete_misses(now);
 
-        // Memory controllers.
-        let mut retry = std::mem::take(&mut self.mc_retry);
-        for (mc_idx, tx_id, leg_idx) in retry.drain(..) {
-            self.enqueue_mc(mc_idx, tx_id, leg_idx);
-        }
-        self.mc_retry = retry;
-        let mut ready = std::mem::take(&mut self.ready_buf);
-        for i in 0..self.mcs.len() {
-            ready.clear();
-            self.mcs[i].tick(now, &mut ready);
-            for token in &ready {
-                let (tx_id, leg_idx) = self.mc_tokens.remove(&token.0).expect("unknown memory token");
-                self.start_leg(tx_id, leg_idx, now);
-            }
-        }
-        self.ready_buf = ready;
-
-        // The network.
         self.net.step();
         let now = self.net.cycle();
-
-        // Deliveries advance transactions.
-        for tail in self.net.drain_delivered() {
-            debug_assert!(tail.class != MessageClass::Synthetic);
-            if let Some((tx_id, leg_idx)) = self.pkt_to_tx.remove(&tail.packet) {
-                if let Some(next) = self.after_delivery(tx_id, leg_idx, now) {
-                    self.start_leg(tx_id, next, now);
-                }
-            }
-        }
+        self.tx.deliver(&mut self.net, now);
+        self.complete_misses(now);
     }
 
     /// Runs `cycles` cycles.

@@ -19,13 +19,11 @@
 
 use crate::cache::{AccessOutcome, AddressStream, CacheConfig, Directory, DirectoryAction, MesiState, SetAssocCache};
 use crate::config::SystemConfig;
-use crate::memory::{MemToken, MemoryController};
-use crate::protocol::{self, TransactionScript};
+use crate::protocol;
+use crate::transactions::Transactions;
 use catnap::{MultiNoc, MultiNocConfig, RunReport};
-use catnap_noc::{NodeId, PacketDescriptor, PacketId};
-use catnap_traffic::generator::PacketSink;
+use catnap_noc::NodeId;
 use catnap_util::SimRng;
-use std::collections::{BTreeMap, HashMap};
 
 /// Per-core parameters of the cache-accurate mode.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -73,14 +71,6 @@ struct CacheCore {
     outstanding: Vec<(u64, u64)>, // (miss id, deadline insts)
     next_miss: u64,
     instructions: u64,
-    stall_cycles: u64,
-}
-
-struct Tx {
-    core: usize,
-    miss: Option<u64>,
-    fill: Option<(u64, MesiState)>, // L1 fill on completion
-    script: TransactionScript,
 }
 
 /// The cache-accurate closed-loop system.
@@ -91,17 +81,10 @@ pub struct CacheSystem {
     cores: Vec<CacheCore>,
     l2: Vec<SetAssocCache>,
     dirs: Vec<Directory>,
-    txs: HashMap<u64, Tx>,
-    pkt_to_tx: HashMap<PacketId, (u64, usize)>,
-    events: BTreeMap<u64, Vec<(u64, usize)>>,
-    mcs: Vec<MemoryController>,
-    mc_nodes: Vec<NodeId>,
-    mc_tokens: HashMap<u64, (u64, usize)>,
-    mc_retry: Vec<(usize, u64, usize)>,
+    /// Transactions in flight; a miss carries its id and the address and
+    /// state its L1 fill installs on completion.
+    tx: Transactions<(u64, u64, MesiState)>,
     rng: SimRng,
-    next_tx: u64,
-    next_packet: u64,
-    next_token: u64,
     misses_issued: u64,
     misses_completed: u64,
     /// Count of transactions by kind, for validation:
@@ -114,7 +97,7 @@ impl CacheSystem {
     pub fn new(cfg: SystemConfig, net_cfg: MultiNocConfig, workload: CacheWorkload, seed: u64) -> Self {
         cfg.validate().unwrap_or_else(|e| panic!("invalid system config: {e}"));
         let mut net = MultiNoc::new(net_cfg);
-        net.set_track_deliveries(true);
+        let tx = Transactions::new(&cfg, &mut net);
         let num_cores = cfg.num_cores(net.dims());
         let cores = (0..num_cores)
             .map(|i| CacheCore {
@@ -130,32 +113,17 @@ impl CacheSystem {
                 outstanding: Vec::new(),
                 next_miss: 0,
                 instructions: 0,
-                stall_cycles: 0,
             })
             .collect();
         let nodes = net.dims().num_nodes();
-        let mc_nodes = cfg.mc_nodes(net.dims());
-        let mcs = mc_nodes
-            .iter()
-            .map(|_| MemoryController::new(cfg.memory_latency, cfg.mc_requests_per_cycle, cfg.mc_queue_depth))
-            .collect();
         CacheSystem {
             cfg,
             net,
             cores,
             l2: (0..nodes).map(|_| SetAssocCache::new(CacheConfig::l2_slice())).collect(),
             dirs: (0..nodes).map(|_| Directory::default()).collect(),
-            txs: HashMap::new(),
-            pkt_to_tx: HashMap::new(),
-            events: BTreeMap::new(),
-            mcs,
-            mc_nodes,
-            mc_tokens: HashMap::new(),
-            mc_retry: Vec::new(),
+            tx,
             rng: SimRng::seed_from_u64(seed | 1),
-            next_tx: 0,
-            next_packet: 0,
-            next_token: 0,
             misses_issued: 0,
             misses_completed: 0,
             tx_kinds: [0; 5],
@@ -224,8 +192,9 @@ impl CacheSystem {
         NodeId(((block ^ (block >> 17)) % nodes) as u16)
     }
 
-    fn mc_for(&mut self, block: u64) -> NodeId {
-        self.mc_nodes[(block % self.mc_nodes.len() as u64) as usize]
+    fn mc_for(&self, block: u64) -> NodeId {
+        let mc_nodes = self.tx.mc_nodes();
+        mc_nodes[(block % mc_nodes.len() as u64) as usize]
     }
 
     /// Total instructions committed.
@@ -249,88 +218,17 @@ impl CacheSystem {
         self.dirs.iter().all(Directory::check_invariants)
     }
 
-    fn start_tx(&mut self, tx: Tx, now: u64) {
-        let tx_id = self.next_tx;
-        self.next_tx += 1;
-        self.txs.insert(tx_id, tx);
-        self.start_leg(tx_id, 0, now);
-    }
-
-    fn start_leg(&mut self, tx_id: u64, mut leg_idx: usize, now: u64) {
-        loop {
-            let (from, to) = {
-                let leg = &self.txs[&tx_id].script.legs[leg_idx];
-                (leg.from, leg.to)
-            };
-            if from != to {
-                let leg = self.txs[&tx_id].script.legs[leg_idx];
-                let pid = PacketId(self.next_packet);
-                self.next_packet += 1;
-                self.pkt_to_tx.insert(pid, (tx_id, leg_idx));
-                self.net.submit(PacketDescriptor {
-                    id: pid,
-                    src: leg.from,
-                    dst: leg.to,
-                    bits: leg.bits,
-                    class: leg.class,
-                    created_cycle: now,
-                });
-                return;
+    /// Applies the misses the last engine call completed: frees the
+    /// core's miss slot and fills its L1.
+    fn complete_misses(&mut self) {
+        for (core, (miss, addr, state)) in self.tx.completed.drain(..) {
+            let c = &mut self.cores[core];
+            if let Some(pos) = c.outstanding.iter().position(|&(id, _)| id == miss) {
+                c.outstanding.swap_remove(pos);
             }
-            match self.after_delivery(tx_id, leg_idx, now) {
-                Some(next) => leg_idx = next,
-                None => return,
-            }
+            c.l1.fill(addr, state);
+            self.misses_completed += 1;
         }
-    }
-
-    fn after_delivery(&mut self, tx_id: u64, leg_idx: usize, now: u64) -> Option<usize> {
-        let (completes_at, legs_len, core, miss) = {
-            let tx = &self.txs[&tx_id];
-            (tx.script.completes_at, tx.script.legs.len(), tx.core, tx.miss)
-        };
-        if leg_idx == completes_at {
-            if let Some(miss) = miss {
-                let fill = self.txs[&tx_id].fill;
-                let c = &mut self.cores[core];
-                if let Some(pos) = c.outstanding.iter().position(|&(id, _)| id == miss) {
-                    c.outstanding.swap_remove(pos);
-                }
-                if let Some((addr, state)) = fill {
-                    c.l1.fill(addr, state);
-                }
-                self.misses_completed += 1;
-            }
-        }
-        let next = leg_idx + 1;
-        if next >= legs_len {
-            self.txs.remove(&tx_id);
-            return None;
-        }
-        let (via_mc, delay, mc_node) = {
-            let leg = &self.txs[&tx_id].script.legs[next];
-            (leg.via_mc, leg.delay_before, leg.from)
-        };
-        if via_mc {
-            let mc_idx = self
-                .mc_nodes
-                .iter()
-                .position(|&n| n == mc_node)
-                .expect("via_mc leg from an MC node");
-            let token = MemToken(self.next_token);
-            self.next_token += 1;
-            if self.mcs[mc_idx].accept(token) {
-                self.mc_tokens.insert(token.0, (tx_id, next));
-            } else {
-                self.mc_retry.push((mc_idx, tx_id, next));
-            }
-            return None;
-        }
-        if delay > 0 {
-            self.events.entry(now + u64::from(delay)).or_default().push((tx_id, next));
-            return None;
-        }
-        Some(next)
     }
 
     /// Issues the coherence transaction for one L1 miss, consulting the
@@ -383,13 +281,8 @@ impl CacheSystem {
                 for &s in sharers.iter().skip(1) {
                     let sn = self.cfg.node_of_core(s as usize);
                     if sn != home {
-                        let inv = Tx {
-                            core: core_idx,
-                            miss: None,
-                            fill: None,
-                            script: protocol::write_invalidate(node, home, sn, &self.cfg),
-                        };
-                        self.start_tx(inv, now);
+                        let inv = protocol::write_invalidate(node, home, sn, &self.cfg);
+                        self.tx.start(&mut self.net, inv, None, now);
                     }
                 }
                 if first == node || first == home {
@@ -400,15 +293,11 @@ impl CacheSystem {
             }
         };
         self.tx_kinds[kind] += 1;
-        self.start_tx(
-            Tx {
-                core: core_idx,
-                miss: Some(miss_id),
-                fill: Some((addr, fill_state)),
-                script,
-            },
-            now,
-        );
+        let miss = Some((core_idx, (miss_id, addr, fill_state)));
+        self.tx.start(&mut self.net, script, miss, now);
+        // A miss that completes at once fills the L1 before the core's
+        // next access.
+        self.complete_misses();
     }
 
     fn issue_writeback(&mut self, core_idx: usize, victim_addr: u64, now: u64) {
@@ -418,15 +307,8 @@ impl CacheSystem {
         self.dirs[home.index()].put_m(block, core_idx as u32);
         if home != node {
             self.tx_kinds[4] += 1;
-            self.start_tx(
-                Tx {
-                    core: core_idx,
-                    miss: None,
-                    fill: None,
-                    script: protocol::writeback(node, home, &self.cfg),
-                },
-                now,
-            );
+            let script = protocol::writeback(node, home, &self.cfg);
+            self.tx.start(&mut self.net, script, None, now);
         }
     }
 
@@ -471,51 +353,18 @@ impl CacheSystem {
                 self.cores[ci].instructions += 1;
                 committed += 1;
             }
-            if committed == 0 {
-                self.cores[ci].stall_cycles += 1;
-            }
         }
 
-        // Delayed legs.
-        let keys: Vec<u64> = self.events.range(..=now).map(|(&k, _)| k).collect();
-        for k in keys {
-            for (tx_id, leg_idx) in self.events.remove(&k).expect("key exists") {
-                self.start_leg(tx_id, leg_idx, now);
-            }
-        }
-
-        // Memory controllers.
-        let mut retry = std::mem::take(&mut self.mc_retry);
-        for (mc_idx, tx_id, leg_idx) in retry.drain(..) {
-            let token = MemToken(self.next_token);
-            self.next_token += 1;
-            if self.mcs[mc_idx].accept(token) {
-                self.mc_tokens.insert(token.0, (tx_id, leg_idx));
-            } else {
-                self.mc_retry.push((mc_idx, tx_id, leg_idx));
-            }
-        }
-        drop(retry);
-        let mut ready = Vec::new();
-        for i in 0..self.mcs.len() {
-            ready.clear();
-            self.mcs[i].tick(now, &mut ready);
-            let tokens: Vec<MemToken> = ready.clone();
-            for token in tokens {
-                let (tx_id, leg_idx) = self.mc_tokens.remove(&token.0).expect("unknown token");
-                self.start_leg(tx_id, leg_idx, now);
-            }
-        }
+        self.tx.start_due(&mut self.net, now);
+        self.complete_misses();
+        self.tx.retry_memory();
+        self.tx.tick_memory(&mut self.net, now);
+        self.complete_misses();
 
         self.net.step();
         let now = self.net.cycle();
-        for tail in self.net.drain_delivered() {
-            if let Some((tx_id, leg_idx)) = self.pkt_to_tx.remove(&tail.packet) {
-                if let Some(next) = self.after_delivery(tx_id, leg_idx, now) {
-                    self.start_leg(tx_id, next, now);
-                }
-            }
-        }
+        self.tx.deliver(&mut self.net, now);
+        self.complete_misses();
     }
 
     /// Runs `cycles` cycles.

@@ -300,12 +300,6 @@ impl<S: Sink> Network<S> {
         }
     }
 
-    /// Mutable access to the telemetry sink (to drain a recording sink
-    /// or read a counting one).
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
-    }
-
     /// Hands back the events the sink accumulated so far, leaving it
     /// empty. Returns nothing for sinks that retain nothing.
     pub fn take_events(&mut self) -> Vec<Event> {
@@ -549,29 +543,6 @@ impl<S: Sink> Network<S> {
         r.request_wake_port(port, cycle, reason);
         self.active_mask[idx] = self.routers[idx].port_active_mask();
         self.note_power(idx);
-    }
-
-    /// Requests wake-up of every router (used when the lower-order
-    /// subnet's regional congestion turns on).
-    pub fn request_wake_all(&mut self, reason: WakeReason) {
-        let cycle = self.cycle;
-        for idx in 0..self.routers.len() {
-            // Only sleeping routers change state (the request is a no-op
-            // from Active and WakeUp), so only they need materializing.
-            if !self.routers[idx].power_state().is_sleeping() {
-                continue;
-            }
-            self.sync_to(idx, cycle);
-            self.routers[idx].request_wake(cycle, reason);
-            self.sleepers -= 1;
-            self.active_mask[idx] = self.routers[idx].port_active_mask();
-            self.reschedule(idx);
-        }
-        if S::ENABLED {
-            for idx in 0..self.routers.len() {
-                self.note_power(idx);
-            }
-        }
     }
 
     /// Whether `node`'s router may be safely gated right now: the
@@ -1060,15 +1031,6 @@ impl<S: Sink> Network<S> {
             .enumerate()
             .map(|(i, r)| r.gating_activity_lagged(self.cycle, self.cycle - self.cursor[i]))
             .fold(GatingActivity::default(), GatingActivity::merged)
-    }
-
-    /// Per-router gating residency (indexed by node; lag-aware).
-    pub fn gating_by_node(&self) -> Vec<GatingActivity> {
-        self.routers
-            .iter()
-            .enumerate()
-            .map(|(i, r)| r.gating_activity_lagged(self.cycle, self.cycle - self.cursor[i]))
-            .collect()
     }
 
     /// Number of routers currently in each power state:

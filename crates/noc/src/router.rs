@@ -207,15 +207,6 @@ impl Router {
         }
     }
 
-    /// Power state of one input port (port-gating mode) or of the whole
-    /// router.
-    pub fn port_power_state(&self, port: Port) -> PowerState {
-        match &self.port_psm {
-            Some(psms) => psms[port.index()].state(),
-            None => self.psm.state(),
-        }
-    }
-
     /// Requests a wake-up of one input port (no-op without port gating or
     /// unless that port sleeps).
     pub fn request_wake_port(&mut self, port: Port, cycle: u64, reason: WakeReason) {
@@ -299,12 +290,6 @@ impl Router {
     /// Current power state.
     pub fn power_state(&self) -> PowerState {
         self.psm.state()
-    }
-
-    /// Current power state as the telemetry-side phase (the wake-up
-    /// countdown erased).
-    pub fn power_phase(&self) -> catnap_telemetry::PowerPhase {
-        self.psm.state().into()
     }
 
     /// Virtual channels per port.

@@ -12,7 +12,7 @@
 //! * NI flit transits per node-cycle: `2 L` (one inject + one eject port).
 
 use crate::breakdown::PowerBreakdown;
-use crate::model::{directed_links, NetworkPowerModel, RouterPowerModel};
+use crate::model::{NetworkPowerModel, RouterPowerModel};
 use crate::params::TechParams;
 use catnap_noc::MeshDims;
 
@@ -140,11 +140,6 @@ impl DesignPoint {
 
         (dynamic, static_)
     }
-}
-
-/// Number of directed links of the design's mesh (per subnet).
-pub fn subnet_links(d: &DesignPoint) -> usize {
-    directed_links(d.dims)
 }
 
 #[cfg(test)]

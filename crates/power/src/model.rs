@@ -5,7 +5,7 @@
 use crate::breakdown::PowerBreakdown;
 use crate::params::TechParams;
 use catnap_noc::stats::{GatingActivity, RouterActivity};
-use catnap_noc::{MeshDims, Network};
+use catnap_noc::MeshDims;
 
 const PJ: f64 = 1e-12;
 
@@ -136,27 +136,6 @@ impl NetworkPowerModel {
             num_links: directed_links(dims),
             link_factor,
         }
-    }
-
-    /// Convenience: builds the model directly from a simulated network
-    /// (whatever its telemetry sink).
-    pub fn for_network<S: catnap_telemetry::Sink>(
-        net: &Network<S>,
-        vdd: f64,
-        freq_hz: f64,
-        tech: TechParams,
-        link_factor: f64,
-    ) -> Self {
-        let cfg = net.config();
-        let router = RouterPowerModel {
-            width_bits: cfg.link_width_bits,
-            vcs: cfg.vcs_per_port,
-            vc_depth: cfg.vc_depth,
-            vdd,
-            freq_hz,
-            tech,
-        };
-        NetworkPowerModel::for_mesh(cfg.dims, router, link_factor)
     }
 
     /// Ungated leakage of the whole subnet (routers plus links).

@@ -131,7 +131,7 @@ impl Event {
         }
     }
 
-    /// Dense index of the event kind (for counting sinks and summaries).
+    /// Dense index of the event kind (for summaries).
     pub fn kind_index(&self) -> usize {
         match self {
             Event::Power { .. } => 0,

@@ -43,4 +43,4 @@ pub use csv::power_timeline_csv;
 pub use diff::{diff_csv_timelines, diff_traces, CsvDiff, TraceDiff};
 pub use event::{Event, PowerPhase, SinkScope, Trace, TraceMeta};
 pub use metrics::{Histogram, Registry};
-pub use sink::{CountingSink, NopSink, RecordingSink, Sink};
+pub use sink::{NopSink, RecordingSink, Sink};

@@ -111,42 +111,6 @@ impl Sink for RecordingSink {
     }
 }
 
-/// Counts events per kind without storing them — constant memory, useful
-/// for overhead measurements and smoke assertions.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CountingSink {
-    counts: [u64; 6],
-}
-
-impl CountingSink {
-    /// A fresh counter.
-    pub fn new() -> Self {
-        CountingSink::default()
-    }
-
-    /// Count of one event kind (index as in [`Event::kind_index`]).
-    pub fn count_of(&self, kind_index: usize) -> u64 {
-        self.counts[kind_index]
-    }
-
-    /// Total events seen.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// All per-kind counts, indexed like [`Event::kind_index`].
-    pub fn counts(&self) -> [u64; 6] {
-        self.counts
-    }
-}
-
-impl Sink for CountingSink {
-    #[inline]
-    fn record(&mut self, event: Event) {
-        self.counts[event.kind_index()] += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,22 +154,5 @@ mod tests {
         }
         assert_eq!(s.len(), 2);
         assert_eq!(s.dropped(), 3);
-    }
-
-    #[test]
-    fn counting_sink_counts_by_kind() {
-        let mut s = CountingSink::new();
-        s.record(ev(1));
-        s.record(Event::Select {
-            cycle: 2,
-            node: 0,
-            subnet: 1,
-            congested_mask: 1,
-        });
-        s.record(ev(3));
-        assert_eq!(s.count_of(0), 2);
-        assert_eq!(s.count_of(3), 1);
-        assert_eq!(s.total(), 3);
-        assert!(s.drain().is_empty(), "counting sink retains no events");
     }
 }

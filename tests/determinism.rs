@@ -1,6 +1,7 @@
 //! Reproducibility: identical seeds give identical simulations, for both
 //! open-loop synthetic runs and the closed-loop multicore system — plus
-//! pinned golden fingerprints per selector × gating combination.
+//! pinned golden fingerprints per selector × gating combination and for
+//! both closed-loop systems.
 //!
 //! The goldens pin the exact behaviour of the in-tree [`SimRng`] streams;
 //! any change to the RNG, the selection policy, or the router pipeline
@@ -11,9 +12,10 @@
 //! [`SimRng`]: catnap_repro::util::SimRng
 
 use catnap_repro::catnap::{MultiNoc, MultiNocConfig, SelectorKind};
-use catnap_repro::multicore::{System, SystemConfig};
+use catnap_repro::multicore::{CacheSystem, CacheWorkload, System, SystemConfig};
 use catnap_repro::telemetry::RecordingSink;
 use catnap_repro::traffic::{SyntheticPattern, SyntheticWorkload, WorkloadMix};
+use std::fmt::Debug;
 
 fn synthetic_fingerprint(seed: u64) -> (u64, u64, u64, String) {
     let mut net = MultiNoc::new(MultiNocConfig::catnap_4x128().gating(true).seed(seed));
@@ -79,15 +81,21 @@ fn golden_fingerprint(selector: SelectorKind, gating: bool) -> (u64, u64, u64) {
     (report.packets_delivered, snap.latency_sum, snap.or_switch_events)
 }
 
-/// Asserts a pinned `(packets_delivered, latency_sum, or_switch_events)`
-/// tuple, or prints the observed one under `CATNAP_PRINT_GOLDENS=1`.
-fn assert_golden(selector: SelectorKind, gating: bool, want: (u64, u64, u64)) {
-    let got = golden_fingerprint(selector, gating);
+/// Asserts a pinned fingerprint, or prints the observed one under
+/// `CATNAP_PRINT_GOLDENS=1`.
+fn pin<T: Debug + PartialEq>(name: &str, got: T, want: T) {
     if std::env::var_os("CATNAP_PRINT_GOLDENS").is_some() {
-        println!("golden {selector:?} gating={gating}: {got:?}");
+        println!("golden {name}: {got:?}");
         return;
     }
-    assert_eq!(got, want, "golden fingerprint changed for {selector:?} gating={gating}");
+    assert_eq!(got, want, "golden fingerprint changed for {name}");
+}
+
+/// Asserts a pinned `(packets_delivered, latency_sum, or_switch_events)`
+/// tuple.
+fn assert_golden(selector: SelectorKind, gating: bool, want: (u64, u64, u64)) {
+    let got = golden_fingerprint(selector, gating);
+    pin(&format!("{selector:?} gating={gating}"), got, want);
 }
 
 #[test]
@@ -118,6 +126,65 @@ fn golden_catnap_priority_gated() {
 #[test]
 fn golden_catnap_priority_ungated() {
     assert_golden(SelectorKind::CatnapPriority, false, (7447, 225011, 99));
+}
+
+/// Closed-loop golden for the probabilistic [`System`]: the Heavy mix on
+/// gated 4NT-128b for 1,200 cycles, enough for full memory controllers
+/// to refuse legs, so the refused-leg path is pinned too. Pins
+/// `((instructions, misses issued, misses completed, packets delivered),
+/// average miss latency bits)`.
+#[test]
+fn golden_closed_loop_system_heavy() {
+    let mut sys = System::new(
+        SystemConfig::paper(),
+        MultiNocConfig::catnap_4x128().gating(true).seed(7),
+        WorkloadMix::Heavy,
+        7,
+    );
+    sys.run(1_200);
+    let r = sys.report();
+    let got = (
+        (
+            r.total_instructions,
+            r.misses_issued,
+            r.misses_completed,
+            r.network.packets_delivered,
+        ),
+        r.avg_miss_latency.to_bits(),
+    );
+    pin(
+        "closed-loop System Heavy",
+        got,
+        ((210962, 3411, 2537, 10946), 0x4072477fa59673a4),
+    );
+}
+
+/// Closed-loop golden for the cache-accurate [`CacheSystem`]: the heavy
+/// workload on the same network, warmed, then 1,200 timed cycles. Pins
+/// `(transactions by kind, instructions, misses completed, packets
+/// delivered)`.
+#[test]
+fn golden_closed_loop_cache_heavy() {
+    let mut sys = CacheSystem::new(
+        SystemConfig::paper(),
+        MultiNocConfig::catnap_4x128().gating(true).seed(7),
+        CacheWorkload::heavy(),
+        7,
+    );
+    sys.warm(1_000);
+    sys.run(1_200);
+    let r = sys.report();
+    let got = (
+        r.tx_kinds,
+        r.total_instructions,
+        r.misses_completed,
+        r.network.packets_delivered,
+    );
+    pin(
+        "closed-loop CacheSystem heavy",
+        got,
+        ([288, 113, 5546, 127, 1476], 17725, 1405, 16526),
+    );
 }
 
 /// [`golden_fingerprint`] with a [`RecordingSink`] on every subnet and
