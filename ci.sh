@@ -24,8 +24,9 @@ echo "== test (release: differential, checkpoint and determinism suites) =="
 cargo test -q --release --offline --test eventdriven --test checkpoint --test determinism
 
 echo "== trace diff (production step vs the per-cycle oracle at near-idle load) =="
-# Diffs full telemetry traces and CSV timelines; exits 1 on a
-# divergence, naming the first divergent cycle.
+# Diffs full telemetry traces and CSV timelines at router granularity
+# (CatnapRcs) and at port granularity (LocalIdlePort); exits 1 on a
+# divergence in either, naming the first divergent cycle.
 cargo run -q --release --offline --example trace_diff -- --demo
 
 echo "== closed-loop CLI (System via mix, CacheSystem via cache: two runs, same bytes) =="

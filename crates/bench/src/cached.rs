@@ -286,6 +286,8 @@ pub fn run_synthetic_cached(cache: &mut SimCache, job: &SimJob) -> (SweepPoint, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use catnap::CHECKPOINT_VERSION;
+    use catnap_util::codec;
 
     fn temp_cache(tag: &str) -> (SimCache, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!("catnap-cached-test-{tag}-{}", std::process::id()));
@@ -330,6 +332,32 @@ mod tests {
         let (p_hit, o_hit) = run_synthetic_cached(&mut cache, &a);
         assert_eq!(o_hit, CacheOutcome::Hit);
         assert_eq!(canon(&p_hit), canon(&p_miss), "hit replays the stored result");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A warm-up checkpoint in the previous checkpoint format, as a cache
+    /// primed by an older build holds it, reads as a miss: the job
+    /// simulates in full, matches the uncached run and rewrites the
+    /// checkpoint in the current format, so the next job sharing the
+    /// warm-up resumes. Every format bump relies on this path.
+    #[test]
+    fn previous_format_warm_up_checkpoint_is_a_miss_and_is_rewritten() {
+        let (mut cache, dir) = temp_cache("previous-format");
+        let a = job_at(0.02);
+        let b = job_at(0.05); // same warm-up prefix, different measure rate
+
+        let (mut net, load) = warm_up(&a);
+        let blob = net.save_checkpoint(&load.encode_position());
+        let fp = config_fingerprint(&a.cfg);
+        let payload = codec::open(&blob, CHECKPOINT_VERSION, fp).expect("fresh blob opens");
+        let stale = codec::seal(CHECKPOINT_VERSION - 1, fp, payload);
+        cache.put_checkpoint(warmup_fingerprint(&a), &stale).unwrap();
+
+        let (point, outcome) = run_synthetic_cached(&mut cache, &a);
+        assert_eq!(outcome, CacheOutcome::Miss, "a stale checkpoint must not resume");
+        assert_eq!(canon(&point), canon(&run_job_uncached(&a)), "miss path == plain run");
+        let (_, outcome) = run_synthetic_cached(&mut cache, &b);
+        assert_eq!(outcome, CacheOutcome::Resume, "the miss rewrote the checkpoint");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

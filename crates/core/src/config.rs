@@ -229,13 +229,13 @@ impl MultiNocConfig {
 
     /// The per-subnet [`NetworkConfig`].
     pub fn subnet_config(&self) -> NetworkConfig {
-        let mut cfg = NetworkConfig::with_width(self.subnet_width_bits)
-            .dims(self.dims)
-            .buffers(self.vcs, self.vc_depth)
-            .gating_enabled(self.gating_policy.gates())
-            .port_gating(self.gating_policy.is_port_granularity());
-        cfg.gating = self.gating_cfg;
-        cfg
+        NetworkConfig {
+            dims: self.dims,
+            vcs_per_port: self.vcs,
+            vc_depth: self.vc_depth,
+            gating: self.gating_cfg,
+            granularity: self.gating_policy.granularity(),
+        }
     }
 
     /// Validates the configuration.
@@ -246,6 +246,9 @@ impl MultiNocConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.subnets == 0 {
             return Err("need at least one subnet".into());
+        }
+        if self.subnet_width_bits == 0 {
+            return Err("subnet_width_bits must be non-zero".into());
         }
         self.subnet_config().validate()?;
         if self.rcs_period == 0 {
@@ -264,6 +267,7 @@ impl MultiNocConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use catnap_noc::Granularity;
 
     #[test]
     fn paper_design_points() {
@@ -314,10 +318,14 @@ mod tests {
     #[test]
     fn subnet_config_propagates_gating() {
         let cfg = MultiNocConfig::catnap_4x128().gating(true).subnet_config();
-        assert!(cfg.gating_enabled);
+        assert_eq!(cfg.granularity, Granularity::Router);
         assert_eq!(cfg.gating.t_wakeup, 10);
         let off = MultiNocConfig::catnap_4x128().subnet_config();
-        assert!(!off.gating_enabled);
+        assert_eq!(off.granularity, Granularity::Off);
+        let port = MultiNocConfig::catnap_4x128()
+            .gating_policy(GatingPolicy::LocalIdlePort)
+            .subnet_config();
+        assert_eq!(port.granularity, Granularity::Port);
     }
 
     #[test]
@@ -340,6 +348,9 @@ mod tests {
         assert!(cfg.validate().is_err());
         let mut cfg = MultiNocConfig::catnap_4x128();
         cfg.vdd = 5.0;
+        assert!(cfg.validate().is_err());
+        let mut cfg = MultiNocConfig::catnap_4x128();
+        cfg.subnet_width_bits = 0;
         assert!(cfg.validate().is_err());
     }
 }

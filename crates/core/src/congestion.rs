@@ -221,7 +221,8 @@ mod tests {
     use catnap_noc::{Flit, FlitKind, MessageClass, NodeId, PacketId, Port};
 
     fn router_with_flits(n: usize) -> Router {
-        let mut r = Router::new(NodeId(0), 4, 4, [true; 5], 10, 12, 4);
+        // An inner router of the paper's 8x8 mesh: every port is linked.
+        let mut r = Router::new(NodeId(9), &catnap_noc::NetworkConfig::paper());
         for i in 0..n {
             let vc = (i / 4) as u8; // fill VCs of the West port 4-deep
             r.deliver(

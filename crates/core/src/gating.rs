@@ -8,7 +8,7 @@
 use crate::ni::NodeNi;
 use crate::rcs::OrNetwork;
 use catnap_noc::power_state::WakeReason;
-use catnap_noc::{MeshDims, Network, Port};
+use catnap_noc::{Granularity, MeshDims, Network, Port};
 use catnap_telemetry::Sink;
 
 /// Which power-gating policy a [`MultiNoc`](crate::MultiNoc) runs.
@@ -34,24 +34,13 @@ pub enum GatingPolicy {
 }
 
 impl GatingPolicy {
-    /// Whether this policy ever gates routers.
-    pub fn gates(self) -> bool {
-        self != GatingPolicy::None
-    }
-
-    /// Whether subnet `subnet` may have routers gated at all under this
-    /// policy.
-    pub fn subnet_gateable(self, subnet: usize) -> bool {
+    /// The gating granularity this policy drives the subnets at.
+    pub fn granularity(self) -> Granularity {
         match self {
-            GatingPolicy::None => false,
-            GatingPolicy::LocalIdle | GatingPolicy::LocalIdlePort => true,
-            GatingPolicy::CatnapRcs => subnet > 0,
+            GatingPolicy::None => Granularity::Off,
+            GatingPolicy::LocalIdle | GatingPolicy::CatnapRcs => Granularity::Router,
+            GatingPolicy::LocalIdlePort => Granularity::Port,
         }
-    }
-
-    /// Whether the policy gates individual ports rather than routers.
-    pub fn is_port_granularity(self) -> bool {
-        self == GatingPolicy::LocalIdlePort
     }
 
     /// Display name.
@@ -88,30 +77,26 @@ impl GatingPolicy {
         let k = subnets.len();
         match self {
             GatingPolicy::None => {}
-            GatingPolicy::LocalIdle => {
-                for net in subnets.iter_mut() {
+            GatingPolicy::LocalIdle | GatingPolicy::LocalIdlePort => {
+                // Port units never gate the local port out from under an
+                // in-flight NI injection. A router unit has no such veto:
+                // NI demand wakes it instead.
+                let veto_local = self.granularity() == Granularity::Port;
+                for (s, net) in subnets.iter_mut().enumerate() {
                     // A fully sleeping subnet rejects every request (the
                     // sleep guard needs an Active machine), so the sweep
-                    // is a provable no-op.
+                    // is a provable no-op. Never true at port
+                    // granularity, where routers never sleep whole.
                     if elide && net.all_asleep() {
                         continue;
                     }
                     for node in dims.nodes() {
-                        net.request_sleep(node);
-                    }
-                }
-            }
-            GatingPolicy::LocalIdlePort => {
-                for (s, net) in subnets.iter_mut().enumerate() {
-                    for node in dims.nodes() {
-                        for port in Port::ALL {
-                            // Never gate the local port out from under an
-                            // in-flight NI injection.
-                            if port == Port::Local && nis[node.index()].wants_subnet(s) {
-                                continue;
-                            }
-                            net.request_sleep_port(node, port);
-                        }
+                        let keep_awake = if veto_local && nis[node.index()].wants_subnet(s) {
+                            1 << Port::Local.index()
+                        } else {
+                            0
+                        };
+                        net.request_sleep(node, keep_awake);
                     }
                 }
             }
@@ -128,7 +113,7 @@ impl GatingPolicy {
                         if or_nets[h - 1].rcs_at(node) {
                             subnets[h].request_wake(node, WakeReason::RegionalCongestion);
                         } else {
-                            subnets[h].request_sleep(node);
+                            subnets[h].request_sleep(node, 0);
                         }
                     }
                 }
@@ -140,20 +125,31 @@ impl GatingPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MultiNoc, MultiNocConfig};
+
+    /// Routers asleep per subnet after `cycles` idle cycles under
+    /// `policy` on the two-subnet 64-core design.
+    fn sleepers_after_idle(policy: GatingPolicy, cycles: u64) -> Vec<usize> {
+        let mut net = MultiNoc::new(MultiNocConfig::catnap_2x128_64core().gating_policy(policy));
+        for _ in 0..cycles {
+            net.step();
+        }
+        (0..net.num_subnets()).map(|s| net.subnet(s).power_state_census().1).collect()
+    }
 
     #[test]
     fn subnet_zero_protected_only_by_catnap() {
-        assert!(!GatingPolicy::CatnapRcs.subnet_gateable(0));
-        assert!(GatingPolicy::CatnapRcs.subnet_gateable(1));
-        assert!(GatingPolicy::LocalIdle.subnet_gateable(0));
-        assert!(!GatingPolicy::None.subnet_gateable(0));
+        assert_eq!(sleepers_after_idle(GatingPolicy::CatnapRcs, 20), [0, 16]);
+        assert_eq!(sleepers_after_idle(GatingPolicy::LocalIdle, 20), [16, 16]);
+        assert_eq!(sleepers_after_idle(GatingPolicy::None, 20), [0, 0]);
     }
 
     #[test]
     fn gates_flag() {
-        assert!(!GatingPolicy::None.gates());
-        assert!(GatingPolicy::LocalIdle.gates());
-        assert!(GatingPolicy::CatnapRcs.gates());
+        assert_eq!(GatingPolicy::None.granularity(), Granularity::Off);
+        assert_eq!(GatingPolicy::LocalIdle.granularity(), Granularity::Router);
+        assert_eq!(GatingPolicy::CatnapRcs.granularity(), Granularity::Router);
+        assert_eq!(GatingPolicy::LocalIdlePort.granularity(), Granularity::Port);
     }
 
     #[test]

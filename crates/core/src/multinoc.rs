@@ -589,7 +589,7 @@ impl<S: Sink> MultiNoc<S> {
         }
         self.delivered_tails.clear();
         for _ in 0..tails {
-            self.delivered_tails.push(get_flit(r)?);
+            self.delivered_tails.push(get_flit(r, nodes, self.cfg.vcs)?);
         }
         for hw in self.head_wait.iter_mut() {
             *hw = r.get_u32()?;
@@ -630,13 +630,7 @@ impl<S: Sink> MultiNoc<S> {
             net.load_state(r)?;
         }
         for idx in 0..nodes {
-            self.nis[idx] = crate::ni::NodeNi::decode(
-                r,
-                NodeId(idx as u16),
-                k,
-                self.cfg.subnet_width_bits,
-                self.cfg.ni_queue_flits,
-            )?;
+            self.nis[idx] = crate::ni::NodeNi::decode(r, NodeId(idx as u16), &self.cfg)?;
         }
         if self.generated_packets < self.delivered_packets {
             return Err(CodecError::Invalid("delivered more packets than generated"));

@@ -2,6 +2,7 @@
 //! and the RCS OR networks).
 
 use crate::multinoc::{MultiNoc, Snapshot};
+use catnap_noc::Granularity;
 use catnap_power::model::{NetworkPowerModel, RouterPowerModel};
 use catnap_power::{PowerBreakdown, TechParams};
 
@@ -70,7 +71,7 @@ impl<S: catnap_telemetry::Sink> MultiNoc<S> {
 
         let mut dynamic = PowerBreakdown::default();
         let mut static_ = PowerBreakdown::default();
-        let port_mode = cfg.gating_policy.is_port_granularity();
+        let port_mode = cfg.gating_policy.granularity() == Granularity::Port;
         for s in 0..cfg.subnets {
             let rep = if port_mode {
                 model.report_fine_grained(

@@ -53,9 +53,6 @@ pub struct HiveConfig {
     pub straggler_after: Duration,
     /// Jitter seed (see [`crate::seed_from_env`]).
     pub seed: u64,
-    /// Ping each new connection and refuse workers whose fingerprint
-    /// schema differs from this build's.
-    pub check_schema: bool,
 }
 
 impl Default for HiveConfig {
@@ -68,7 +65,6 @@ impl Default for HiveConfig {
             backoff_cap: Duration::from_millis(500),
             straggler_after: Duration::from_secs(10),
             seed: crate::seed_from_env(),
-            check_schema: true,
         }
     }
 }
@@ -384,8 +380,10 @@ pub fn run_sweep(addrs: &[String], requests: &[JobRequest], cfg: &HiveConfig) ->
 }
 
 /// Opens (if needed) and validates a connection, then performs the
-/// round-trip. A schema mismatch is returned as a distinguished error
-/// so the caller can retire the worker without burning retries.
+/// round-trip. Every new connection is pinged first, and a worker whose
+/// fingerprint schema differs from this build's is refused: the
+/// mismatch is returned as a distinguished error so the caller can
+/// retire the worker without burning retries.
 fn checked_roundtrip(
     conn: &mut Option<Connection>,
     addr: &str,
@@ -395,17 +393,15 @@ fn checked_roundtrip(
     let transient = |e: io::Error| (e, false);
     if conn.is_none() {
         let mut fresh = Connection::open(addr, cfg.connect_timeout, cfg.request_timeout).map_err(transient)?;
-        if cfg.check_schema {
-            let info = ping(&mut fresh).map_err(transient)?;
-            let ours = u64::from(FINGERPRINT_SCHEMA_VERSION);
-            if info.fingerprint_schema != ours {
-                let msg = format!(
-                    "worker {addr} speaks fingerprint schema {} but this build speaks {ours}; \
-                     mixed fleets would corrupt shared caches",
-                    info.fingerprint_schema
-                );
-                return Err((io::Error::new(io::ErrorKind::InvalidData, msg), true));
-            }
+        let info = ping(&mut fresh).map_err(transient)?;
+        let ours = u64::from(FINGERPRINT_SCHEMA_VERSION);
+        if info.fingerprint_schema != ours {
+            let msg = format!(
+                "worker {addr} speaks fingerprint schema {} but this build speaks {ours}; \
+                 mixed fleets would corrupt shared caches",
+                info.fingerprint_schema
+            );
+            return Err((io::Error::new(io::ErrorKind::InvalidData, msg), true));
         }
         *conn = Some(fresh);
     }

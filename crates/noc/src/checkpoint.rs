@@ -97,13 +97,16 @@ pub fn put_flit(w: &mut ByteWriter, f: &Flit) {
     w.put_u64(f.net_inject_cycle);
 }
 
-/// Decodes a [`Flit`].
+/// Decodes a [`Flit`] of a network with `nodes` routers and `vcs` VCs
+/// per port.
 ///
 /// # Errors
 ///
-/// Propagates reader errors and bad tags.
-pub fn get_flit(r: &mut ByteReader<'_>) -> Result<Flit, CodecError> {
-    Ok(Flit {
+/// Propagates reader errors and bad tags; [`CodecError::Invalid`] on a
+/// source or destination outside the mesh or a VC at or past `vcs`
+/// (either would index routing tables or buffers out of range).
+pub fn get_flit(r: &mut ByteReader<'_>, nodes: usize, vcs: usize) -> Result<Flit, CodecError> {
+    let flit = Flit {
         packet: PacketId(r.get_u64()?),
         kind: get_flit_kind(r)?,
         src: NodeId(r.get_u16()?),
@@ -115,7 +118,20 @@ pub fn get_flit(r: &mut ByteReader<'_>) -> Result<Flit, CodecError> {
         vc: r.get_u8()?,
         created_cycle: r.get_u64()?,
         net_inject_cycle: r.get_u64()?,
-    })
+    };
+    check_nodes(flit.src, flit.dst, nodes)?;
+    if flit.vc as usize >= vcs {
+        return Err(CodecError::Invalid("flit VC out of range"));
+    }
+    Ok(flit)
+}
+
+/// Rejects a source or destination outside a mesh of `nodes` routers.
+fn check_nodes(src: NodeId, dst: NodeId, nodes: usize) -> Result<(), CodecError> {
+    if src.index() >= nodes || dst.index() >= nodes {
+        return Err(CodecError::Invalid("node id outside the mesh"));
+    }
+    Ok(())
 }
 
 /// Encodes a [`PacketDescriptor`].
@@ -128,20 +144,23 @@ pub fn put_packet_descriptor(w: &mut ByteWriter, d: &PacketDescriptor) {
     w.put_u64(d.created_cycle);
 }
 
-/// Decodes a [`PacketDescriptor`].
+/// Decodes a [`PacketDescriptor`] of a network with `nodes` routers.
 ///
 /// # Errors
 ///
-/// Propagates reader errors and bad tags.
-pub fn get_packet_descriptor(r: &mut ByteReader<'_>) -> Result<PacketDescriptor, CodecError> {
-    Ok(PacketDescriptor {
+/// Propagates reader errors and bad tags; [`CodecError::Invalid`] on a
+/// source or destination outside the mesh.
+pub fn get_packet_descriptor(r: &mut ByteReader<'_>, nodes: usize) -> Result<PacketDescriptor, CodecError> {
+    let desc = PacketDescriptor {
         id: PacketId(r.get_u64()?),
         src: NodeId(r.get_u16()?),
         dst: NodeId(r.get_u16()?),
         bits: r.get_u32()?,
         class: get_message_class(r)?,
         created_cycle: r.get_u64()?,
-    })
+    };
+    check_nodes(desc.src, desc.dst, nodes)?;
+    Ok(desc)
 }
 
 /// Encodes [`NetworkStats`].
@@ -151,8 +170,6 @@ pub fn put_network_stats(w: &mut ByteWriter, s: &NetworkStats) {
     w.put_u64(s.flits_ejected);
     w.put_u64(s.packets_ejected);
     w.put_u64(s.net_latency_sum);
-    w.put_u64(s.net_latency_max);
-    w.put_u64(s.hops_sum);
 }
 
 /// Decodes [`NetworkStats`].
@@ -167,8 +184,6 @@ pub fn get_network_stats(r: &mut ByteReader<'_>) -> Result<NetworkStats, CodecEr
         flits_ejected: r.get_u64()?,
         packets_ejected: r.get_u64()?,
         net_latency_sum: r.get_u64()?,
-        net_latency_max: r.get_u64()?,
-        hops_sum: r.get_u64()?,
     })
 }
 
@@ -253,8 +268,17 @@ mod tests {
         put_flit(&mut w, &f);
         let bytes = w.into_inner();
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(get_flit(&mut r).unwrap(), f);
+        assert_eq!(get_flit(&mut r, 64, 4).unwrap(), f);
         assert!(r.is_empty());
+        // The same bytes name a node and a VC outside a smaller network.
+        assert_eq!(
+            get_flit(&mut ByteReader::new(&bytes), 60, 4),
+            Err(CodecError::Invalid("node id outside the mesh"))
+        );
+        assert_eq!(
+            get_flit(&mut ByteReader::new(&bytes), 64, 2),
+            Err(CodecError::Invalid("flit VC out of range"))
+        );
     }
 
     #[test]

@@ -35,6 +35,21 @@ impl Default for GatingConfig {
     }
 }
 
+/// What one power-gating unit covers, or no gating at all.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Granularity {
+    /// No power gating: sleep requests are refused and every router
+    /// stays on (baselines without power gating).
+    Off,
+    /// Whole-router gating (the paper's policies): one gating unit per
+    /// router.
+    Router,
+    /// Fine-grained per-input-port gating (Matsutani et al., TCAD '11):
+    /// five gating units per router, one per input port (its buffers and
+    /// incoming link), while crossbar, control and clock stay powered.
+    Port,
+}
+
 /// Static configuration of one physical network (one subnet).
 #[derive(Clone, Debug, PartialEq)]
 pub struct NetworkConfig {
@@ -46,48 +61,23 @@ pub struct NetworkConfig {
     /// Buffer depth per virtual channel, in flits (paper: 4; constant
     /// across subnet widths because flits shrink with the datapath).
     pub vc_depth: usize,
-    /// Datapath / link width in bits (512 for the Single-NoC, 128 per
-    /// subnet in the four-subnet Multi-NoC).
-    pub link_width_bits: u32,
     /// Power-gating timing parameters.
     pub gating: GatingConfig,
-    /// If false, sleep requests are ignored: the network is always on
-    /// (baselines without power gating).
-    pub gating_enabled: bool,
-    /// Fine-grained per-input-port gating (Matsutani et al., TCAD '11)
-    /// instead of whole-router gating: each input port's buffers and
-    /// incoming link gate independently while crossbar/control/clock stay
-    /// powered. Requires `gating_enabled`.
-    pub port_gating: bool,
+    /// Power-gating granularity.
+    pub granularity: Granularity,
 }
 
 impl NetworkConfig {
-    /// A 512-bit Single-NoC subnet on an 8x8 mesh (the paper's 1NT-512b).
-    pub fn single_noc_512b() -> Self {
-        NetworkConfig::with_width(512)
-    }
-
-    /// A 128-bit under-provisioned Single-NoC (the paper's 1NT-128b).
-    pub fn single_noc_128b() -> Self {
-        NetworkConfig::with_width(128)
-    }
-
-    /// One 128-bit subnet of the paper's four-subnet Multi-NoC (4NT-128b).
-    pub fn catnap_subnet_128b() -> Self {
-        NetworkConfig::with_width(128)
-    }
-
-    /// An 8x8 mesh subnet with the paper's router parameters and the given
-    /// datapath width.
-    pub fn with_width(link_width_bits: u32) -> Self {
+    /// An 8x8 mesh with the paper's router parameters and power gating
+    /// off. Datapath width does not enter the network model: flits are
+    /// counted, and the network interface sizes packets into flits.
+    pub fn paper() -> Self {
         NetworkConfig {
             dims: MeshDims::new(8, 8),
             vcs_per_port: 4,
             vc_depth: 4,
-            link_width_bits,
             gating: GatingConfig::paper(),
-            gating_enabled: false,
-            port_gating: false,
+            granularity: Granularity::Off,
         }
     }
 
@@ -97,15 +87,9 @@ impl NetworkConfig {
         self
     }
 
-    /// Builder-style: enables or disables power gating.
-    pub fn gating_enabled(mut self, enabled: bool) -> Self {
-        self.gating_enabled = enabled;
-        self
-    }
-
-    /// Builder-style: switches to fine-grained per-port gating.
-    pub fn port_gating(mut self, enabled: bool) -> Self {
-        self.port_gating = enabled;
+    /// Builder-style: sets the power-gating granularity.
+    pub fn granularity(mut self, granularity: Granularity) -> Self {
+        self.granularity = granularity;
         self
     }
 
@@ -114,11 +98,6 @@ impl NetworkConfig {
         self.vcs_per_port = vcs;
         self.vc_depth = depth;
         self
-    }
-
-    /// Maximum occupancy of one input port, in flits.
-    pub fn port_capacity_flits(&self) -> usize {
-        self.vcs_per_port * self.vc_depth
     }
 
     /// Validates the configuration.
@@ -140,9 +119,6 @@ impl NetworkConfig {
                 crate::vc::MAX_VC_DEPTH
             ));
         }
-        if self.link_width_bits == 0 {
-            return Err("link_width_bits must be non-zero".to_string());
-        }
         if self.dims.num_nodes() < 2 {
             return Err("mesh must have at least two nodes".to_string());
         }
@@ -152,7 +128,7 @@ impl NetworkConfig {
 
 impl Default for NetworkConfig {
     fn default() -> Self {
-        NetworkConfig::single_noc_512b()
+        NetworkConfig::paper()
     }
 }
 
@@ -170,41 +146,31 @@ mod tests {
 
     #[test]
     fn presets_have_paper_router_params() {
-        for cfg in [
-            NetworkConfig::single_noc_512b(),
-            NetworkConfig::single_noc_128b(),
-            NetworkConfig::catnap_subnet_128b(),
-        ] {
-            assert_eq!(cfg.dims, MeshDims::new(8, 8));
-            assert_eq!(cfg.vcs_per_port, 4);
-            assert_eq!(cfg.vc_depth, 4);
-            assert_eq!(cfg.port_capacity_flits(), 16);
-            cfg.validate().unwrap();
-        }
-        assert_eq!(NetworkConfig::single_noc_512b().link_width_bits, 512);
-        assert_eq!(NetworkConfig::catnap_subnet_128b().link_width_bits, 128);
+        let cfg = NetworkConfig::paper();
+        assert_eq!(cfg.dims, MeshDims::new(8, 8));
+        assert_eq!(cfg.vcs_per_port, 4);
+        assert_eq!(cfg.vc_depth, 4);
+        assert_eq!(cfg.granularity, Granularity::Off);
+        cfg.validate().unwrap();
     }
 
     #[test]
     fn validation_rejects_bad_configs() {
-        assert!(NetworkConfig::with_width(512).buffers(0, 4).validate().is_err());
-        assert!(NetworkConfig::with_width(512).buffers(4, 0).validate().is_err());
-        let mut cfg = NetworkConfig::with_width(512);
-        cfg.link_width_bits = 0;
-        assert!(cfg.validate().is_err());
-        let one = NetworkConfig::with_width(512).dims(MeshDims::new(1, 1));
+        assert!(NetworkConfig::paper().buffers(0, 4).validate().is_err());
+        assert!(NetworkConfig::paper().buffers(4, 0).validate().is_err());
+        assert!(NetworkConfig::paper().buffers(4, 17).validate().is_err());
+        let one = NetworkConfig::paper().dims(MeshDims::new(1, 1));
         assert!(one.validate().is_err());
     }
 
     #[test]
     fn builder_methods_compose() {
-        let cfg = NetworkConfig::with_width(256)
+        let cfg = NetworkConfig::paper()
             .dims(MeshDims::new(4, 4))
-            .gating_enabled(true)
+            .granularity(Granularity::Port)
             .buffers(2, 8);
-        assert_eq!(cfg.link_width_bits, 256);
         assert_eq!(cfg.dims.num_nodes(), 16);
-        assert!(cfg.gating_enabled);
-        assert_eq!(cfg.port_capacity_flits(), 16);
+        assert_eq!(cfg.granularity, Granularity::Port);
+        assert_eq!((cfg.vcs_per_port, cfg.vc_depth), (2, 8));
     }
 }

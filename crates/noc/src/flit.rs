@@ -162,15 +162,15 @@ impl Flit {
         net_inject_cycle: 0,
     };
 
-    /// Number of flits needed to carry `packet_bits` over a `link_width_bits`
+    /// Number of flits needed to carry `packet_bits` over a `width_bits`
     /// datapath (at least one).
     ///
     /// # Panics
     ///
-    /// Panics if `link_width_bits` is zero.
-    pub fn flits_for_bits(packet_bits: u32, link_width_bits: u32) -> u16 {
-        assert!(link_width_bits > 0, "link width must be non-zero");
-        packet_bits.div_ceil(link_width_bits).max(1) as u16
+    /// Panics if `width_bits` is zero.
+    pub fn flits_for_bits(packet_bits: u32, width_bits: u32) -> u16 {
+        assert!(width_bits > 0, "link width must be non-zero");
+        packet_bits.div_ceil(width_bits).max(1) as u16
     }
 }
 
@@ -195,8 +195,8 @@ pub struct PacketDescriptor {
 
 impl PacketDescriptor {
     /// Number of flits this packet occupies on a subnet of the given width.
-    pub fn len_flits(&self, link_width_bits: u32) -> u16 {
-        Flit::flits_for_bits(self.bits, link_width_bits)
+    pub fn len_flits(&self, width_bits: u32) -> u16 {
+        Flit::flits_for_bits(self.bits, width_bits)
     }
 
     /// Materializes flit `seq` of this packet for a subnet of the given
@@ -205,8 +205,8 @@ impl PacketDescriptor {
     /// # Panics
     ///
     /// Panics if `seq` is out of range for the packet length.
-    pub fn flit(&self, seq: u16, link_width_bits: u32, lookahead: Port, net_inject_cycle: u64) -> Flit {
-        let len = self.len_flits(link_width_bits);
+    pub fn flit(&self, seq: u16, width_bits: u32, lookahead: Port, net_inject_cycle: u64) -> Flit {
+        let len = self.len_flits(width_bits);
         assert!(seq < len, "flit seq {seq} out of range for packet of {len} flits");
         let kind = match (seq, len) {
             (0, 1) => FlitKind::Single,

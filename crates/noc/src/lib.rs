@@ -26,7 +26,8 @@
 //!   (route is already known via look-ahead routing), stage 2 = switch
 //!   traversal, followed by a one-cycle link — three cycles per hop at zero
 //!   load.
-//! * Power gating: a router can be put to sleep when its buffers have been
+//! * Power gating: a gating unit — the whole router, or one input port at
+//!   [`Granularity::Port`] — can be put to sleep when its inputs have been
 //!   empty for [`GatingConfig::t_idle_detect`] consecutive cycles and no
 //!   upstream router holds a wormhole binding towards it; waking takes
 //!   [`GatingConfig::t_wakeup`] cycles, partially hidden by wake-up signals
@@ -37,7 +38,7 @@
 //! ```
 //! use catnap_noc::{Network, NetworkConfig, Flit, NodeId};
 //!
-//! let cfg = NetworkConfig::catnap_subnet_128b();
+//! let cfg = NetworkConfig::paper();
 //! let mut net = Network::new(cfg);
 //! let src = NodeId::new(0);
 //! let dst = NodeId::new(63);
@@ -61,11 +62,11 @@ pub mod router;
 pub mod stats;
 pub mod vc;
 
-pub use config::{GatingConfig, NetworkConfig};
+pub use config::{GatingConfig, Granularity, NetworkConfig};
 pub use flit::{Flit, FlitKind, MessageClass, PacketDescriptor, PacketId};
 pub use geometry::{Direction, MeshDims, NodeId, Port, RegionId, RegionMap};
 pub use network::{Network, SchedStats};
-pub use power_state::{PowerState, ResidencySnapshot, WakeReason};
-pub use router::{Router, RouterPowerFingerprint};
+pub use power_state::{PowerState, WakeReason};
+pub use router::Router;
 pub use stats::{NetworkStats, RouterActivity};
 pub use vc::MAX_VC_DEPTH;

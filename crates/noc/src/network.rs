@@ -3,7 +3,7 @@
 //! are independent of router iteration order.
 
 use crate::checkpoint;
-use crate::config::NetworkConfig;
+use crate::config::{Granularity, NetworkConfig};
 use crate::flit::{Flit, FlitKind, MessageClass, PacketId};
 use crate::geometry::{MeshDims, NodeId, Port, NUM_PORTS};
 use crate::power_state::{PowerState, WakeReason};
@@ -81,8 +81,8 @@ pub struct Network<S: Sink = NopSink> {
     /// Absolute wake-up completion cycle per router, meaningful while its
     /// `waking` bit is set.
     wake_due: Vec<u64>,
-    /// Routers whose whole-router machine is in Sleep (for the policy
-    /// layer's all-asleep elision).
+    /// Routers whose router-level power state is Sleep (for the policy
+    /// layer's all-asleep elision; never counted at port granularity).
     sleepers: usize,
     /// Set by [`Network::step_reference`], which leaves `next`, `waking`
     /// and `active_mask` unmaintained; the next [`Network::step`]
@@ -223,31 +223,7 @@ impl<S: Sink> Network<S> {
             panic!("invalid network configuration: {e}");
         }
         let dims = cfg.dims;
-        let routers: Vec<Router> = dims
-            .nodes()
-            .map(|node| {
-                let mut connected = [false; NUM_PORTS];
-                connected[Port::Local.index()] = true;
-                for dir in crate::geometry::Direction::ALL {
-                    if dims.neighbor(node, dir).is_some() {
-                        connected[Port::from(dir).index()] = true;
-                    }
-                }
-                let mut router = Router::new(
-                    node,
-                    cfg.vcs_per_port,
-                    cfg.vc_depth,
-                    connected,
-                    cfg.gating.t_wakeup,
-                    cfg.gating.t_breakeven,
-                    cfg.gating.t_idle_detect,
-                );
-                if cfg.port_gating {
-                    router.enable_port_gating();
-                }
-                router
-            })
-            .collect();
+        let routers: Vec<Router> = dims.nodes().map(|node| Router::new(node, &cfg)).collect();
         let n = dims.num_nodes();
         let adj = dims
             .nodes()
@@ -398,8 +374,8 @@ impl<S: Sink> Network<S> {
     /// Materializes every router's deferred idle stretch (cursors catch
     /// up to the current cycle). Results are unchanged — the scheduler's
     /// laziness is purely an internal representation — but raw per-router
-    /// reads (e.g. [`Router::power_fingerprint`]) are only meaningful on
-    /// a materialized network, so differential tests call this before
+    /// reads (idle counters, power-state residencies) are only meaningful
+    /// on a materialized network, so differential tests call this before
     /// comparing router state field-for-field.
     pub fn materialize(&mut self) {
         self.sync_all();
@@ -477,8 +453,8 @@ impl<S: Sink> Network<S> {
                 shadow.idle_tick();
             }
             debug_assert_eq!(
-                shadow.power_fingerprint(),
-                self.routers[idx].power_fingerprint(),
+                shadow.units(),
+                self.routers[idx].units(),
                 "deferred-stretch materialization diverged from replay at {} over {lag} cycles",
                 self.routers[idx].node()
             );
@@ -511,17 +487,18 @@ impl<S: Sink> Network<S> {
         self.waking.remove(idx);
     }
 
-    /// Whether `node` can accept NI injections right now (its router and,
-    /// with port gating, its local input port are powered).
+    /// Whether `node` can accept NI injections right now (the unit that
+    /// powers its local input port is active).
     pub fn can_inject(&self, node: NodeId) -> bool {
         self.routers[node.index()].port_active(Port::Local)
     }
 
-    /// Requests a wake-up of `node`'s router (and, with port gating, of
-    /// its local input port). Called between steps: the target's tick
-    /// for the current cycle already happened, so its deferred stretch
-    /// is materialized through `cycle` before the request, and any new
-    /// countdown enters the waking set.
+    /// Requests a wake-up of the unit that powers `node`'s local input
+    /// port: the whole router, or only that port at port granularity.
+    /// Called between steps: the target's tick for the current cycle
+    /// already happened, so its deferred stretch is materialized through
+    /// `cycle` before the request, and any new countdown enters the
+    /// waking set.
     pub fn request_wake(&mut self, node: NodeId, reason: WakeReason) {
         let idx = node.index();
         self.sync_to(idx, self.cycle);
@@ -529,106 +506,68 @@ impl<S: Sink> Network<S> {
         self.reschedule(idx);
     }
 
-    /// Applies a wake request to router `idx` and input port `port`,
-    /// maintaining the sleeper count and telemetry. The caller is
-    /// responsible for cursor discipline (sync before, reschedule or
-    /// queue after).
+    /// Applies a wake request to the unit of router `idx` that powers
+    /// input port `port`, maintaining the sleeper count and telemetry.
+    /// The caller is responsible for cursor discipline (sync before,
+    /// reschedule or queue after).
     fn apply_wake(&mut self, idx: usize, port: Port, reason: WakeReason) {
         let cycle = self.cycle;
         let r = &mut self.routers[idx];
         if r.power_state().is_sleeping() {
             self.sleepers -= 1;
         }
-        r.request_wake(cycle, reason);
-        r.request_wake_port(port, cycle, reason);
+        r.request_wake(port, cycle, reason);
         self.active_mask[idx] = self.routers[idx].port_active_mask();
         self.note_power(idx);
     }
 
-    /// Whether `node`'s router may be safely gated right now: the
-    /// router-local guard holds (drained, idle long enough) *and* no
-    /// neighbour holds an open wormhole towards it or has flits in flight
-    /// to it.
-    pub fn can_sleep(&self, node: NodeId) -> bool {
-        if !self.cfg.gating_enabled {
+    /// Whether the gating unit that powers input port `port` of `node`'s
+    /// router may be safely gated right now (see
+    /// [`Network::request_sleep`]). At router granularity every port
+    /// names the one router unit.
+    pub fn can_sleep(&self, node: NodeId, port: Port) -> bool {
+        let idx = node.index();
+        self.unit_can_sleep(idx, self.routers[idx].unit_of(port))
+    }
+
+    /// Whether gating unit `unit` of router `idx` may be gated: gating is
+    /// on, the router-local guard holds (the unit is active and idle long
+    /// enough, its inputs are empty), no flit is in flight toward any
+    /// port the unit powers, and no upstream router holds an open
+    /// wormhole or a crossbar flit toward one of them. A unit powering
+    /// the local port additionally relies on the NI's wake-on-demand.
+    fn unit_can_sleep(&self, idx: usize, unit: usize) -> bool {
+        if self.cfg.granularity == Granularity::Off {
             return false;
         }
-        let router = &self.routers[node.index()];
-        if !router.sleep_guard_ok_lagged(self.cycle - self.cursor[node.index()]) {
+        let router = &self.routers[idx];
+        if !router.sleep_guard_ok(unit, self.cycle - self.cursor[idx]) {
             return false;
         }
-        // No in-flight flits on links towards this node.
-        let base = node.index() * NUM_PORTS;
+        let ports = router.unit_ports(unit);
+        let powers = |port: Port| ports & (1 << port.index()) != 0;
         debug_assert_eq!(
-            self.inflight[base..base + NUM_PORTS].iter().map(|&c| c as usize).sum::<usize>(),
+            Port::ALL
+                .into_iter()
+                .filter(|&p| powers(p))
+                .map(|p| self.inflight[idx * NUM_PORTS + p.index()] as usize)
+                .sum::<usize>(),
             self.staged_flits
                 .iter()
                 .chain(self.link_stage.iter())
-                .filter(|(idx, _, _)| *idx == node.index())
+                .filter(|&&(i, p, _)| i == idx && powers(p))
                 .count(),
-            "in-flight counters out of sync at {node}"
+            "in-flight counters out of sync at {}",
+            router.node()
         );
-        if self.inflight[base..base + NUM_PORTS].iter().any(|&c| c > 0) {
-            return false;
-        }
-        // No neighbour with an open wormhole or crossbar flit towards us.
-        for port in [Port::North, Port::East, Port::South, Port::West] {
-            let nbr = self.adj[node.index()][port.index()];
-            if nbr == NO_NEIGHBOR {
+        for port in Port::ALL {
+            if !powers(port) {
                 continue;
             }
-            let towards_us = port.opposite();
-            let nr = &self.routers[nbr];
-            if nr.outbound_binding_ports()[towards_us.index()] || nr.xbar_holds_toward(towards_us) {
+            if self.inflight[idx * NUM_PORTS + port.index()] > 0 {
                 return false;
             }
-        }
-        true
-    }
-
-    /// Gates `node`'s router if [`Network::can_sleep`] holds. Returns
-    /// whether the router was put to sleep.
-    pub fn request_sleep(&mut self, node: NodeId) -> bool {
-        if self.can_sleep(node) {
-            let idx = node.index();
-            self.sync_to(idx, self.cycle);
-            let cycle = self.cycle;
-            self.routers[idx].enter_sleep(cycle);
-            self.sleepers += 1;
-            self.active_mask[idx] = self.routers[idx].port_active_mask();
-            self.note_power(idx);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether input port `port` of `node`'s router may be gated: the
-    /// port-local guard holds, no flit is in flight on its link, and the
-    /// upstream router holds no wormhole towards it. The local port
-    /// additionally relies on the NI's wake-on-demand.
-    pub fn can_sleep_port(&self, node: NodeId, port: Port) -> bool {
-        if !self.cfg.gating_enabled {
-            return false;
-        }
-        let router = &self.routers[node.index()];
-        if !router.port_sleep_guard_ok_lagged(port, self.cycle - self.cursor[node.index()]) {
-            return false;
-        }
-        debug_assert_eq!(
-            self.inflight[node.index() * NUM_PORTS + port.index()] as usize,
-            self.staged_flits
-                .iter()
-                .chain(self.link_stage.iter())
-                .filter(|(idx, p, _)| *idx == node.index() && *p == port)
-                .count(),
-            "in-flight counter out of sync at {node}:{port}"
-        );
-        if self.inflight[node.index() * NUM_PORTS + port.index()] > 0 {
-            return false;
-        }
-        if port != Port::Local {
-            let upstream = self.adj[node.index()][port.index()];
+            let upstream = self.adj[idx][port.index()];
             if upstream != NO_NEIGHBOR {
                 let towards_us = port.opposite();
                 let ur = &self.routers[upstream];
@@ -640,18 +579,30 @@ impl<S: Sink> Network<S> {
         true
     }
 
-    /// Gates one input port if [`Network::can_sleep_port`] holds.
-    pub fn request_sleep_port(&mut self, node: NodeId, port: Port) -> bool {
-        if self.can_sleep_port(node, port) {
-            let idx = node.index();
+    /// Gates every unit of `node`'s router for which
+    /// [`Network::can_sleep`] holds, except units that power a port in
+    /// `keep_awake` (a bitmask over port indices). Returns whether any
+    /// unit was put to sleep.
+    pub fn request_sleep(&mut self, node: NodeId, keep_awake: u8) -> bool {
+        let idx = node.index();
+        let mut slept = false;
+        for unit in 0..self.routers[idx].units().len() {
+            if self.routers[idx].unit_ports(unit) & keep_awake != 0 || !self.unit_can_sleep(idx, unit) {
+                continue;
+            }
             self.sync_to(idx, self.cycle);
             let cycle = self.cycle;
-            self.routers[idx].enter_port_sleep(port, cycle);
-            self.active_mask[idx] = self.routers[idx].port_active_mask();
-            true
-        } else {
-            false
+            self.routers[idx].enter_sleep(unit, cycle);
+            slept = true;
         }
+        if slept {
+            if self.routers[idx].power_state().is_sleeping() {
+                self.sleepers += 1;
+            }
+            self.active_mask[idx] = self.routers[idx].port_active_mask();
+            self.note_power(idx);
+        }
+        slept
     }
 
     /// Drains flits ejected during the most recent step, with their
@@ -776,11 +727,11 @@ impl<S: Sink> Network<S> {
             let adj = self.adj[idx];
             let node = self.routers[idx].node();
             // Snapshot which neighbours can accept flits this cycle:
-            // the downstream router must be active and (with port
-            // gating) so must the specific input port our link
-            // feeds. Deferred neighbours read exactly: their state
-            // class is constant across the deferred stretch, and the
-            // mask cache is refreshed at every power transition.
+            // the downstream unit powering the input port our link
+            // feeds must be active. Deferred neighbours read exactly:
+            // their state class is constant across the deferred
+            // stretch, and the mask cache is refreshed at every power
+            // transition.
             let mut neighbor_active = [true; NUM_PORTS];
             for port in [Port::North, Port::East, Port::South, Port::West] {
                 let pi = port.index();
@@ -933,8 +884,6 @@ impl<S: Sink> Network<S> {
             self.stats.packets_ejected += 1;
             let lat = self.cycle.saturating_sub(flit.net_inject_cycle);
             self.stats.net_latency_sum += lat;
-            self.stats.net_latency_max = self.stats.net_latency_max.max(lat);
-            self.stats.hops_sum += u64::from(self.cfg.dims.hop_distance(flit.src, flit.dst));
         }
         self.ejected.push((node, flit));
     }
@@ -998,8 +947,8 @@ impl<S: Sink> Network<S> {
     }
 
     /// Whether every router is in the `Sleep` power state. O(1) via the
-    /// scheduler's census counter; always `false` under port gating
-    /// (whole-router sleep never entered).
+    /// scheduler's census counter; always `false` at port granularity
+    /// (the router-level state never leaves Active).
     pub fn all_asleep(&self) -> bool {
         self.sleepers == self.routers.len()
     }
@@ -1029,11 +978,11 @@ impl<S: Sink> Network<S> {
         self.routers
             .iter()
             .enumerate()
-            .map(|(i, r)| r.gating_activity_lagged(self.cycle, self.cycle - self.cursor[i]))
+            .map(|(i, r)| r.gating_activity(self.cycle, self.cycle - self.cursor[i]))
             .fold(GatingActivity::default(), GatingActivity::merged)
     }
 
-    /// Number of routers currently in each power state:
+    /// Number of routers currently in each router-level power state:
     /// `(active, sleeping, waking)`.
     pub fn power_state_census(&self) -> (usize, usize, usize) {
         let mut census = (0, 0, 0);
@@ -1127,21 +1076,19 @@ impl<S: Sink> Network<S> {
     /// # Errors
     ///
     /// [`CodecError`] if the stream is truncated or internally
-    /// inconsistent (bad tags, router/index out of range). On error the
+    /// inconsistent (bad tags; a router, node id or VC out of range; a
+    /// gating-unit count that does not match the granularity). On error the
     /// network is left in an unspecified but memory-safe state and must
     /// be discarded.
     pub fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         let n = self.routers.len();
+        let vcs = self.cfg.vcs_per_port;
         self.cycle = r.get_u64()?;
         self.next_packet_id = r.get_u64()?;
         self.stats = checkpoint::get_network_stats(r)?;
         self.sched = checkpoint::get_sched_stats(r)?;
         for idx in 0..n {
-            let router = Router::decode(r)?;
-            if router.node().index() != idx {
-                return Err(CodecError::Invalid("router out of order"));
-            }
-            self.routers[idx] = router;
+            self.routers[idx] = Router::decode(r, NodeId(idx as u16), &self.cfg)?;
         }
         let decode_staged = |r: &mut ByteReader<'_>| -> Result<Vec<(usize, Port, Flit)>, CodecError> {
             let len = r.get_usize()?;
@@ -1155,7 +1102,7 @@ impl<S: Sink> Network<S> {
                     return Err(CodecError::Invalid("staged router index out of range"));
                 }
                 let port = checkpoint::get_port(r)?;
-                let flit = checkpoint::get_flit(r)?;
+                let flit = checkpoint::get_flit(r, n, vcs)?;
                 out.push((idx, port, flit));
             }
             Ok(out)
@@ -1174,6 +1121,9 @@ impl<S: Sink> Network<S> {
             }
             let port = checkpoint::get_port(r)?;
             let vc = r.get_u8()?;
+            if vc as usize >= vcs {
+                return Err(CodecError::Invalid("staged credit VC out of range"));
+            }
             self.staged_credits.push((idx, port, vc));
         }
         let ejected_len = r.get_usize()?;
@@ -1186,7 +1136,7 @@ impl<S: Sink> Network<S> {
             if node.index() >= n {
                 return Err(CodecError::Invalid("ejected node out of range"));
             }
-            let flit = checkpoint::get_flit(r)?;
+            let flit = checkpoint::get_flit(r, n, vcs)?;
             self.ejected.push((node, flit));
         }
 
@@ -1234,8 +1184,8 @@ mod tests {
     use crate::geometry::MeshDims;
 
     fn small_net(gating: bool) -> Network {
-        let cfg = NetworkConfig::with_width(128).dims(MeshDims::new(4, 4)).gating_enabled(gating);
-        Network::new(cfg)
+        let granularity = if gating { Granularity::Router } else { Granularity::Off };
+        Network::new(NetworkConfig::paper().dims(MeshDims::new(4, 4)).granularity(granularity))
     }
 
     #[test]
@@ -1305,8 +1255,8 @@ mod tests {
             net.step();
         }
         for node in net.dims().nodes() {
-            assert!(net.can_sleep(node), "idle router must be gateable");
-            assert!(net.request_sleep(node));
+            assert!(net.can_sleep(node, Port::Local), "idle router must be gateable");
+            assert!(net.request_sleep(node, 0));
         }
         let (active, sleeping, _) = net.power_state_census();
         assert_eq!(active, 0);
@@ -1343,8 +1293,8 @@ mod tests {
         for _ in 0..10 {
             net.step();
         }
-        assert!(!net.can_sleep(NodeId(5)));
-        assert!(!net.request_sleep(NodeId(5)));
+        assert!(!net.can_sleep(NodeId(5), Port::Local));
+        assert!(!net.request_sleep(NodeId(5), 0));
     }
 
     #[test]
@@ -1386,7 +1336,7 @@ mod tests {
         // open or flits are in flight, even if its buffers are empty.
         let mut denied_while_traffic = false;
         for _ in 0..4 {
-            if !net.can_sleep(NodeId(2)) {
+            if !net.can_sleep(NodeId(2), Port::West) {
                 denied_while_traffic = true;
             }
             net.step();
@@ -1420,7 +1370,7 @@ mod tests {
             net.step();
         }
         for node in dims.nodes() {
-            net.request_sleep(node);
+            net.request_sleep(node, 0);
         }
         net.step();
 
@@ -1455,8 +1405,8 @@ mod tests {
         resumed.materialize();
         for node in dims.nodes() {
             assert_eq!(
-                net.router(node).power_fingerprint(),
-                resumed.router(node).power_fingerprint(),
+                net.router(node).units(),
+                resumed.router(node).units(),
                 "power state diverged at {node}"
             );
         }
@@ -1467,11 +1417,8 @@ mod tests {
     /// under traffic plus periodic sleep sweeps so the switches land on
     /// deferred, sleeping and waking routers, and right after injections
     /// (which queue the router for the next step).
-    fn assert_interleaving_matches(dims: MeshDims, port_gating: bool) {
-        let cfg = NetworkConfig::with_width(128)
-            .dims(dims)
-            .gating_enabled(true)
-            .port_gating(port_gating);
+    fn assert_interleaving_matches(dims: MeshDims, granularity: Granularity) {
+        let cfg = NetworkConfig::paper().dims(dims).granularity(granularity);
         let n = dims.num_nodes() as u16;
         let mut plain = Network::new(cfg.clone());
         let mut mixed = Network::new(cfg);
@@ -1493,13 +1440,7 @@ mod tests {
                 }
                 if c % 16 == 0 {
                     for node in dims.nodes() {
-                        if port_gating {
-                            for port in Port::ALL {
-                                net.request_sleep_port(node, port);
-                            }
-                        } else {
-                            net.request_sleep(node);
-                        }
+                        net.request_sleep(node, 0);
                     }
                 }
             }
@@ -1525,8 +1466,8 @@ mod tests {
         assert_eq!(plain.power_state_census(), mixed.power_state_census());
         for node in dims.nodes() {
             assert_eq!(
-                plain.router(node).power_fingerprint(),
-                mixed.router(node).power_fingerprint(),
+                plain.router(node).units(),
+                mixed.router(node).units(),
                 "power state diverged at {node}"
             );
         }
@@ -1537,9 +1478,32 @@ mod tests {
         // 9x8 has 72 routers: the scheduler's sets span two words, with
         // the word boundary in the middle of a mesh row.
         for dims in [MeshDims::new(4, 4), MeshDims::new(9, 8)] {
-            for port_gating in [false, true] {
-                assert_interleaving_matches(dims, port_gating);
+            for granularity in [Granularity::Router, Granularity::Port] {
+                assert_interleaving_matches(dims, granularity);
             }
+        }
+    }
+
+    /// A checkpoint whose staged flit names a VC or a node outside the
+    /// network is refused with a typed error at load, before a step can
+    /// index a buffer or the route table out of range.
+    #[test]
+    fn load_rejects_flits_outside_the_network() {
+        let vcs = small_net(false).config().vcs_per_port as u8;
+        for (vc, dst) in [(vcs, NodeId(1)), (0, NodeId(16))] {
+            let mut net = small_net(false);
+            let mut flit = net.make_single_flit_packet(NodeId(0), NodeId(1), 0);
+            flit.vc = vc;
+            flit.dst = dst;
+            net.staged_flits.push((1, Port::West, flit));
+            let mut w = ByteWriter::new();
+            net.save_state(&mut w);
+            let bytes = w.into_inner();
+            let loaded = small_net(false).load_state(&mut ByteReader::new(&bytes));
+            assert!(
+                matches!(loaded, Err(CodecError::Invalid(_))),
+                "VC {vc}, destination {dst}: {loaded:?}"
+            );
         }
     }
 
@@ -1565,12 +1529,8 @@ mod port_gating_tests {
     use crate::geometry::MeshDims;
 
     fn net(gating: bool) -> Network {
-        Network::new(
-            NetworkConfig::with_width(128)
-                .dims(MeshDims::new(4, 4))
-                .gating_enabled(gating)
-                .port_gating(true),
-        )
+        let granularity = if gating { Granularity::Port } else { Granularity::Off };
+        Network::new(NetworkConfig::paper().dims(MeshDims::new(4, 4)).granularity(granularity))
     }
 
     #[test]
@@ -1580,13 +1540,18 @@ mod port_gating_tests {
             n.step();
         }
         let node = NodeId(5);
-        assert!(n.can_sleep_port(node, Port::North));
-        assert!(n.request_sleep_port(node, Port::North));
+        assert!(n.can_sleep(node, Port::North));
+        let all_but_north = !(1 << Port::North.index());
+        assert!(n.request_sleep(node, all_but_north));
         assert!(!n.router(node).port_active(Port::North));
         assert!(n.router(node).port_active(Port::East), "other ports unaffected");
         assert!(n.router(node).power_state().is_active(), "router itself stays on");
-        // Whole-router gating is unavailable in port mode.
-        assert!(!n.can_sleep(node));
+        // With every port gated the router-level state stays Active:
+        // crossbar, control and clock never gate at port granularity.
+        assert!(n.request_sleep(node, 0));
+        assert_eq!(n.router(node).port_active_mask(), 0);
+        assert!(n.router(node).power_state().is_active());
+        assert!(!n.all_asleep());
     }
 
     #[test]
@@ -1597,11 +1562,8 @@ mod port_gating_tests {
         }
         let mut gated = 0;
         for node in n.dims().nodes() {
-            for port in Port::ALL {
-                if n.request_sleep_port(node, port) {
-                    gated += 1;
-                }
-            }
+            n.request_sleep(node, 0);
+            gated += NUM_PORTS as u32 - n.router(node).port_active_mask().count_ones();
         }
         assert!(gated > 60, "most ports should gate, got {gated}");
         let f = n.make_single_flit_packet(NodeId(0), NodeId(15), 0);
@@ -1641,7 +1603,7 @@ mod port_gating_tests {
         for _ in 0..10 {
             n.step();
         }
-        assert!(!n.can_sleep_port(NodeId(3), Port::West));
-        assert!(!n.request_sleep_port(NodeId(3), Port::West));
+        assert!(!n.can_sleep(NodeId(3), Port::West));
+        assert!(!n.request_sleep(NodeId(3), 0));
     }
 }

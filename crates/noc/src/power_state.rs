@@ -71,8 +71,11 @@ pub enum WakeReason {
     External,
 }
 
-/// Power-state machine plus gating statistics for one router.
-#[derive(Clone, Debug)]
+/// Power-state machine plus gating statistics for one gating unit (a
+/// router, or one input port at port granularity). Equality compares
+/// every field, which the debug-mode shadow replay uses to check a
+/// closed-form fast-forward against cycle-by-cycle ticking.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PowerStateMachine {
     state: PowerState,
     t_wakeup: u32,
@@ -212,21 +215,6 @@ impl PowerStateMachine {
         }
     }
 
-    /// Full observable state, for shadow-replay equality checks.
-    pub fn residency_snapshot(&self) -> ResidencySnapshot {
-        ResidencySnapshot {
-            state: self.state,
-            sleep_started: self.sleep_started,
-            sleep_cycles: self.sleep_cycles,
-            wakeup_cycles: self.wakeup_cycles,
-            active_cycles: self.active_cycles,
-            sleep_transitions: self.sleep_transitions,
-            compensated_sleep_cycles: self.compensated_sleep_cycles,
-            raw_sleep_period_cycles: self.raw_sleep_period_cycles,
-            wake_reasons: self.wake_reasons,
-        }
-    }
-
     /// Compensated sleep cycles including the in-progress period (if any)
     /// up to `cycle`.
     pub fn compensated_at(&self, cycle: u64) -> u64 {
@@ -303,31 +291,6 @@ impl PowerStateMachine {
         }
         Ok(m)
     }
-}
-
-/// Every observable field of a [`PowerStateMachine`], used by the
-/// debug-mode shadow replay to assert a closed-form fast-forward equals
-/// cycle-by-cycle ticking.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ResidencySnapshot {
-    /// Current power state.
-    pub state: PowerState,
-    /// Start cycle of the open sleep period.
-    pub sleep_started: u64,
-    /// Total sleep cycles.
-    pub sleep_cycles: u64,
-    /// Total wake-up cycles.
-    pub wakeup_cycles: u64,
-    /// Total active cycles.
-    pub active_cycles: u64,
-    /// Sleep-period count.
-    pub sleep_transitions: u64,
-    /// Compensated sleep cycles over closed periods.
-    pub compensated_sleep_cycles: u64,
-    /// Raw sleep cycles over closed periods.
-    pub raw_sleep_period_cycles: u64,
-    /// Wake-reason histogram.
-    pub wake_reasons: [u64; 4],
 }
 
 #[cfg(test)]
@@ -442,11 +405,7 @@ mod tests {
                 ticked.tick();
             }
             skipped.fast_forward(dt);
-            assert_eq!(
-                skipped.residency_snapshot(),
-                ticked.residency_snapshot(),
-                "setup {setup}"
-            );
+            assert_eq!(skipped, ticked, "setup {setup}");
         }
     }
 

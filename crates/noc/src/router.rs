@@ -19,26 +19,29 @@
 //! returned when the downstream router dequeues a flit.
 
 use crate::checkpoint;
+use crate::config::{Granularity, NetworkConfig};
 use crate::flit::Flit;
-use crate::geometry::{NodeId, Port, NUM_PORTS};
-use crate::power_state::{PowerState, PowerStateMachine, ResidencySnapshot, WakeReason};
+use crate::geometry::{Direction, NodeId, Port, NUM_PORTS};
+use crate::power_state::{PowerState, PowerStateMachine, WakeReason};
 use crate::stats::{GatingActivity, RouterActivity};
-use crate::vc::{Binding, InputBuffers, MAX_VC_DEPTH};
+use crate::vc::{Binding, InputBuffers};
 use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
 
-/// Snapshot of all router state `idle_tick` can touch; two routers that
-/// compare equal here are indistinguishable to the gating layer. Used
-/// by the debug-mode shadow replay of [`Router::fast_forward`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct RouterPowerFingerprint {
-    /// Whole-router power-state machine.
-    pub psm: ResidencySnapshot,
-    /// Consecutive drained cycles.
-    pub idle_cycles: u32,
-    /// Per-port idle counters.
-    pub port_idle: [u32; NUM_PORTS],
-    /// Per-port machines when port gating is enabled.
-    pub port_psm: Option<Vec<ResidencySnapshot>>,
+/// Port mask of a unit that powers every input port.
+const ALL_PORTS: u8 = (1 << NUM_PORTS) - 1;
+
+/// One power-gating unit: a power-state machine and its idle-detect
+/// counter. A router gates as one unit (router granularity, also used
+/// with gating off) or as five, one per input port, indexed like
+/// [`Port::index`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct GatingUnit {
+    psm: PowerStateMachine,
+    /// Consecutive cycles, while the router was up, in which the unit's
+    /// inputs held no flit: drained cycles (buffers and crossbar
+    /// register empty) for a router unit, cycles with its port's buffers
+    /// empty for a port unit.
+    idle: u32,
 }
 
 /// A flit leaving a router through a mesh output port, to be delivered to
@@ -111,36 +114,33 @@ pub struct Router {
     out_rr: [usize; NUM_PORTS],
     /// Round-robin pointer per output port for VC allocation.
     vc_rr: [usize; NUM_PORTS],
-    psm: PowerStateMachine,
-    /// Consecutive cycles with empty buffers and an empty crossbar register.
-    idle_cycles: u32,
+    /// Power-gating units: one for the whole router, or one per input
+    /// port at [`Granularity::Port`].
+    units: Vec<GatingUnit>,
     t_idle_detect: u32,
-    t_wakeup: u32,
-    t_breakeven: u32,
-    /// Fine-grained port gating (Matsutani et al., TCAD '11): per-input-
-    /// port power-state machines and idle counters. `None` = whole-router
-    /// granularity only.
-    port_psm: Option<Vec<PowerStateMachine>>,
-    port_idle: [u32; NUM_PORTS],
     /// Event counters for the power model.
     pub activity: RouterActivity,
 }
 
 impl Router {
-    /// Creates a router.
-    ///
-    /// `connected[p]` tells whether port `p` has a link (the local port must
-    /// always be connected).
-    pub fn new(
-        node: NodeId,
-        vcs: usize,
-        vc_depth: usize,
-        connected: [bool; NUM_PORTS],
-        t_wakeup: u32,
-        t_breakeven: u32,
-        t_idle_detect: u32,
-    ) -> Self {
-        assert!(connected[Port::Local.index()], "local port must be connected");
+    /// Creates the router of `node` in a network configured by `cfg`:
+    /// its links follow the mesh, and its gating units the granularity.
+    pub fn new(node: NodeId, cfg: &NetworkConfig) -> Self {
+        let mut connected = [false; NUM_PORTS];
+        connected[Port::Local.index()] = true;
+        for dir in Direction::ALL {
+            connected[Port::from(dir).index()] = cfg.dims.neighbor(node, dir).is_some();
+        }
+        let (vcs, vc_depth) = (cfg.vcs_per_port, cfg.vc_depth);
+        let unit = GatingUnit {
+            psm: PowerStateMachine::new(cfg.gating.t_wakeup, cfg.gating.t_breakeven),
+            idle: 0,
+        };
+        let units = if cfg.granularity == Granularity::Port {
+            NUM_PORTS
+        } else {
+            1
+        };
         Router {
             node,
             vcs,
@@ -153,38 +153,40 @@ impl Router {
             in_rr: [0; NUM_PORTS],
             out_rr: [0; NUM_PORTS],
             vc_rr: [0; NUM_PORTS],
-            psm: PowerStateMachine::new(t_wakeup, t_breakeven),
-            idle_cycles: 0,
-            t_idle_detect,
-            t_wakeup,
-            t_breakeven,
-            port_psm: None,
-            port_idle: [0; NUM_PORTS],
+            units: vec![unit; units],
+            t_idle_detect: cfg.gating.t_idle_detect,
             activity: RouterActivity::default(),
         }
     }
 
-    /// Enables fine-grained per-input-port power gating: each input port
-    /// (buffers plus incoming link) has its own power-state machine; the
-    /// crossbar, control and clock stay powered. The policy layer uses
-    /// either this or whole-router gating, never both.
-    pub fn enable_port_gating(&mut self) {
-        let (tw, tb) = (self.t_wakeup, self.t_breakeven);
-        self.port_psm = Some((0..NUM_PORTS).map(|_| PowerStateMachine::new(tw, tb)).collect());
+    /// The gating units, for state comparisons.
+    pub(crate) fn units(&self) -> &[GatingUnit] {
+        &self.units
     }
 
-    /// Whether per-port gating is enabled.
-    pub fn port_gating(&self) -> bool {
-        self.port_psm.is_some()
-    }
-
-    /// Whether `port` can receive flits this cycle (its buffers are
-    /// powered). With whole-router granularity this is the router state.
-    pub fn port_active(&self, port: Port) -> bool {
-        match &self.port_psm {
-            Some(psms) => self.psm.state().is_active() && psms[port.index()].state().is_active(),
-            None => self.psm.state().is_active(),
+    /// The gating unit that powers input port `port`.
+    pub(crate) fn unit_of(&self, port: Port) -> usize {
+        if self.units.len() == 1 {
+            0
+        } else {
+            port.index()
         }
+    }
+
+    /// The input ports gating unit `unit` powers, as a bitmask over port
+    /// indices.
+    pub(crate) fn unit_ports(&self, unit: usize) -> u8 {
+        if self.units.len() == 1 {
+            ALL_PORTS
+        } else {
+            1 << unit
+        }
+    }
+
+    /// Whether `port` can receive flits this cycle: the unit that powers
+    /// it is active.
+    pub fn port_active(&self, port: Port) -> bool {
+        self.units[self.unit_of(port)].psm.state().is_active()
     }
 
     /// [`Router::port_active`] for all ports at once, as a bitmask over
@@ -192,94 +194,71 @@ impl Router {
     /// stepping router reads its four neighbours' acceptance state
     /// without touching their (cache-cold) structs.
     pub fn port_active_mask(&self) -> u8 {
-        if !self.psm.state().is_active() {
-            return 0;
-        }
-        match &self.port_psm {
-            Some(psms) => {
-                let mut mask = 0u8;
-                for (i, p) in psms.iter().enumerate() {
-                    mask |= u8::from(p.state().is_active()) << i;
-                }
-                mask
+        let mut mask = 0;
+        for (u, unit) in self.units.iter().enumerate() {
+            if unit.psm.state().is_active() {
+                mask |= self.unit_ports(u);
             }
-            None => (1u8 << NUM_PORTS) - 1,
         }
+        mask
     }
 
-    /// Requests a wake-up of one input port (no-op without port gating or
-    /// unless that port sleeps).
-    pub fn request_wake_port(&mut self, port: Port, cycle: u64, reason: WakeReason) {
-        if let Some(psms) = &mut self.port_psm {
-            psms[port.index()].request_wake(cycle, reason);
-        }
+    /// Requests a wake-up of the unit that powers input port `port`
+    /// (no-op unless it sleeps).
+    pub(crate) fn request_wake(&mut self, port: Port, cycle: u64, reason: WakeReason) {
+        let u = self.unit_of(port);
+        self.units[u].psm.request_wake(cycle, reason);
     }
 
-    /// Whether one input port satisfies the local sleep guard: empty for
-    /// `t_idle_detect` cycles, no open wormhole binding on any of its VCs
-    /// (a packet may still have flits upstream of the router — e.g. in
-    /// the NI — while the buffer is momentarily empty), and port gating
-    /// enabled.
-    pub fn port_sleep_guard_ok(&self, port: Port) -> bool {
-        let Some(psms) = &self.port_psm else { return false };
-        psms[port.index()].state().is_active()
-            && self.port_idle[port.index()] >= self.t_idle_detect
-            && self.port_vcs_free(port)
-    }
-
-    /// Lag-aware variant of [`Router::port_sleep_guard_ok`] (see
-    /// [`Router::sleep_guard_ok_lagged`]): per-port idle counters advance
-    /// every deferred cycle too (the router machine stays active in
-    /// port-gating mode), so the deferred stretch is credited directly.
-    pub fn port_sleep_guard_ok_lagged(&self, port: Port, lag: u64) -> bool {
-        let Some(psms) = &self.port_psm else { return false };
-        psms[port.index()].state().is_active()
-            && self.port_idle[port.index()] as u64 + lag >= self.t_idle_detect as u64
-            && self.port_vcs_free(port)
-    }
-
-    /// Whether every VC of `port` is empty and unbound.
-    fn port_vcs_free(&self, port: Port) -> bool {
-        let pi = port.index();
-        self.inputs.nonempty(pi) == 0 && self.inputs.bound(pi) == 0
-    }
-
-    /// Ticks until the earliest pending wake-up countdown (the router's
-    /// machine or any gated port's) completes: after exactly that many
-    /// idle ticks the machine reaches Active. `None` when no countdown is
-    /// pending — Sleep and Active are stable indefinitely under idle
-    /// ticks, so a deferred router in those classes never needs to be
-    /// woken by the scheduler.
-    pub fn next_wake_completion(&self) -> Option<u64> {
-        let mut due: Option<u64> = None;
-        let fold = |stable: Option<u64>, due: &mut Option<u64>| {
-            if let Some(s) = stable {
-                let d = s + 1;
-                *due = Some(due.map_or(d, |x| x.min(d)));
-            }
+    /// Whether gating unit `unit` satisfies the router-local sleep guard,
+    /// crediting `lag` cycles that the event scheduler has deferred but
+    /// not yet materialized into its idle counter: the unit is active,
+    /// its idle count plus `lag` reaches `t_idle_detect`, and its inputs
+    /// are empty. For a router unit that means drained (buffers and
+    /// crossbar register); for a port unit, no flit and no open wormhole
+    /// binding on any VC of its port (a packet may still have flits
+    /// upstream of the router — e.g. in the NI — while the buffer is
+    /// momentarily empty). The network adds link-level conditions (no
+    /// inbound wormholes or in-flight flits) before actually gating.
+    ///
+    /// Crediting the lag is exact: a deferred router is drained and no
+    /// unit's state class changes across the deferred stretch, so every
+    /// deferred cycle of an active unit advanced its counter (an active
+    /// router unit keeps the router up, and port units never take it
+    /// down).
+    pub(crate) fn sleep_guard_ok(&self, unit: usize, lag: u64) -> bool {
+        let u = &self.units[unit];
+        let empty = if self.units.len() == 1 {
+            self.is_drained()
+        } else {
+            self.inputs.nonempty(unit) == 0 && self.inputs.bound(unit) == 0
         };
-        fold(self.psm.stable_ticks(), &mut due);
-        if let Some(psms) = &self.port_psm {
-            for p in psms {
-                fold(p.stable_ticks(), &mut due);
-            }
-        }
-        due
+        u.psm.state().is_active() && u64::from(u.idle) + lag >= u64::from(self.t_idle_detect) && empty
     }
 
-    /// Gates one input port.
+    /// Gates unit `unit`. The caller must have checked
+    /// [`Router::sleep_guard_ok`] and the network-level inbound
+    /// conditions.
     ///
     /// # Panics
     ///
-    /// Panics if the guard does not hold or port gating is disabled.
-    pub fn enter_port_sleep(&mut self, port: Port, cycle: u64) {
-        assert!(self.port_sleep_guard_ok(port), "port sleep guard violated");
-        self.port_psm
-            .as_mut()
-            .expect("port gating enabled")
-            .get_mut(port.index())
-            .expect("valid port")
-            .enter_sleep(cycle);
+    /// Panics if the guard does not hold.
+    pub(crate) fn enter_sleep(&mut self, unit: usize, cycle: u64) {
+        assert!(
+            self.sleep_guard_ok(unit, 0),
+            "sleep guard violated for {} unit {unit}",
+            self.node
+        );
+        self.units[unit].psm.enter_sleep(cycle);
+    }
+
+    /// Ticks until the earliest pending wake-up countdown of any unit
+    /// completes: after exactly that many idle ticks the machine reaches
+    /// Active. `None` when no countdown is pending — Sleep and Active
+    /// are stable indefinitely under idle ticks, so a deferred router in
+    /// those classes never needs to be woken by the scheduler.
+    pub fn next_wake_completion(&self) -> Option<u64> {
+        self.units.iter().filter_map(|u| u.psm.stable_ticks()).map(|s| s + 1).min()
     }
 
     /// This router's node id.
@@ -287,9 +266,15 @@ impl Router {
         self.node
     }
 
-    /// Current power state.
+    /// Router-level power state: the router unit's state, and Active at
+    /// port granularity, where crossbar, control and clock stay powered.
+    /// The router is up — runs allocation and traversal, and its idle
+    /// counters advance — exactly when this is Active.
     pub fn power_state(&self) -> PowerState {
-        self.psm.state()
+        match &self.units[..] {
+            [router] => router.psm.state(),
+            _ => PowerState::Active,
+        }
     }
 
     /// Virtual channels per port.
@@ -358,12 +343,6 @@ impl Router {
         self.inputs.buffered() as usize + self.xbar_reg.len()
     }
 
-    /// Whether the buffer-empty condition has held for `t_idle_detect`
-    /// consecutive cycles (paper Section 3.3).
-    pub fn idle_long_enough(&self) -> bool {
-        self.idle_cycles >= self.t_idle_detect
-    }
-
     /// Bitmask over mesh ports of outputs with at least one downstream VC
     /// currently allocated (an open wormhole towards that neighbour).
     pub fn outbound_binding_ports(&self) -> [bool; NUM_PORTS] {
@@ -390,8 +369,8 @@ impl Router {
     ///
     /// # Panics
     ///
-    /// Panics if the router is not active (the flow-control protocol never
-    /// delivers flits to gated routers) or on buffer overflow.
+    /// Panics if the port is not powered (the flow-control protocol never
+    /// delivers flits to gated routers or ports) or on buffer overflow.
     pub fn deliver(&mut self, port: Port, flit: Flit) -> Option<Port> {
         assert!(
             self.port_active(port),
@@ -403,8 +382,8 @@ impl Router {
         let ping = (flit.kind.is_head() && flit.lookahead != Port::Local).then_some(flit.lookahead);
         self.inputs.push(port.index(), vc, flit);
         self.activity.buffer_writes += 1;
-        self.idle_cycles = 0;
-        self.port_idle[port.index()] = 0;
+        let u = self.unit_of(port);
+        self.units[u].idle = 0;
         ping
     }
 
@@ -421,43 +400,6 @@ impl Router {
         );
     }
 
-    /// Requests a wake-up (no-op unless sleeping).
-    pub fn request_wake(&mut self, cycle: u64, reason: WakeReason) {
-        self.psm.request_wake(cycle, reason);
-    }
-
-    /// Whether the router-local sleep guard holds: active, drained, and
-    /// idle for long enough. The network adds link-level conditions (no
-    /// inbound wormholes or in-flight flits) before actually gating.
-    /// Whole-router gating is unavailable when per-port gating is in use.
-    pub fn sleep_guard_ok(&self) -> bool {
-        self.port_psm.is_none() && self.psm.state().is_active() && self.is_drained() && self.idle_long_enough()
-    }
-
-    /// Lag-aware variant of [`Router::sleep_guard_ok`] for the event
-    /// scheduler: credits `lag` additional drained-Active cycles that the
-    /// scheduler has deferred but not yet materialized into
-    /// `idle_cycles`. Exact because a deferred router is drained and its
-    /// power-state class cannot change across the deferred stretch, so
-    /// every deferred cycle would have incremented the idle counter.
-    pub fn sleep_guard_ok_lagged(&self, lag: u64) -> bool {
-        self.port_psm.is_none()
-            && self.psm.state().is_active()
-            && self.is_drained()
-            && self.idle_cycles as u64 + lag >= self.t_idle_detect as u64
-    }
-
-    /// Gates the router. The caller must have checked [`Router::sleep_guard_ok`]
-    /// and the network-level inbound conditions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the guard does not hold.
-    pub fn enter_sleep(&mut self, cycle: u64) {
-        assert!(self.sleep_guard_ok(), "sleep guard violated for {}", self.node);
-        self.psm.enter_sleep(cycle);
-    }
-
     /// One cycle of router operation. `neighbor_active[p]` tells whether
     /// the router across output port `p` can accept flits this cycle
     /// (`true` for the local port).
@@ -465,7 +407,7 @@ impl Router {
     /// Outputs are written into `out` (cleared first).
     pub fn step(&mut self, neighbor_active: &[bool; NUM_PORTS], out: &mut RouterOutput) {
         out.clear();
-        if self.psm.state().is_active() {
+        if self.power_state().is_active() {
             self.switch_traversal(out);
             self.allocate(neighbor_active, out);
             self.update_idle_counters();
@@ -482,7 +424,7 @@ impl Router {
     /// the naive per-cycle walk.
     pub fn step_reference(&mut self, neighbor_active: &[bool; NUM_PORTS], out: &mut RouterOutput) {
         out.clear();
-        if self.psm.state().is_active() {
+        if self.power_state().is_active() {
             self.switch_traversal(out);
             self.allocate_reference(neighbor_active, out);
             self.update_idle_counters();
@@ -490,41 +432,30 @@ impl Router {
         self.tick_power();
     }
 
-    /// Idle detection after the move stages: buffers and pipeline empty
-    /// this cycle.
+    /// Idle detection after the move stages: each unit counts a cycle in
+    /// which its inputs held no flit (see [`GatingUnit`]'s counter).
     fn update_idle_counters(&mut self) {
-        if self.is_drained() {
-            self.idle_cycles = self.idle_cycles.saturating_add(1);
-        } else {
-            self.idle_cycles = 0;
-        }
-        for pi in 0..NUM_PORTS {
-            if self.inputs.port_occ()[pi] == 0 {
-                self.port_idle[pi] = self.port_idle[pi].saturating_add(1);
-            } else {
-                self.port_idle[pi] = 0;
-            }
+        let drained = self.is_drained();
+        let whole = self.units.len() == 1;
+        let occ = self.inputs.port_occ();
+        for (u, unit) in self.units.iter_mut().enumerate() {
+            let empty = if whole { drained } else { occ[u] == 0 };
+            unit.idle = if empty { unit.idle.saturating_add(1) } else { 0 };
         }
     }
 
     /// Advances the power-state machines by one tick.
     fn tick_power(&mut self) {
-        let was_active = self.psm.state().is_active();
-        self.psm.tick();
-        if !was_active && self.psm.state().is_active() {
-            // A freshly woken router must stay up long enough for the
-            // in-flight flit that caused the wake-up to arrive; otherwise
-            // an eager gating controller could re-gate it instantly and
-            // strand the packet (the wake ping is one-shot).
-            self.idle_cycles = 0;
-        }
-        if let Some(psms) = &mut self.port_psm {
-            for (i, p) in psms.iter_mut().enumerate() {
-                let was = p.state().is_active();
-                p.tick();
-                if !was && p.state().is_active() {
-                    self.port_idle[i] = 0;
-                }
+        for unit in &mut self.units {
+            let was_active = unit.psm.state().is_active();
+            unit.psm.tick();
+            if !was_active && unit.psm.state().is_active() {
+                // A freshly woken unit must stay up long enough for the
+                // in-flight flit that caused the wake-up to arrive;
+                // otherwise an eager gating controller could re-gate it
+                // instantly and strand the packet (the wake ping is
+                // one-shot).
+                unit.idle = 0;
             }
         }
     }
@@ -537,16 +468,15 @@ impl Router {
     /// routers without computing their `neighbor_active` masks.
     pub fn idle_tick(&mut self) {
         debug_assert!(self.is_drained(), "idle_tick on a non-drained router {}", self.node);
-        if self.psm.state().is_active() {
-            self.idle_cycles = self.idle_cycles.saturating_add(1);
-            for pi in 0..NUM_PORTS {
-                self.port_idle[pi] = self.port_idle[pi].saturating_add(1);
+        if self.power_state().is_active() {
+            for unit in &mut self.units {
+                unit.idle = unit.idle.saturating_add(1);
             }
         }
         self.tick_power();
     }
 
-    /// Advances a **drained** router by `dt` cycles in O(ports)
+    /// Advances a **drained** router by `dt` cycles in O(units)
     /// arithmetic, equivalent to `dt` calls of [`Router::idle_tick`]
     /// provided no power-state machine completes a wake-up inside the
     /// interval (idle counters would reset and telemetry would miss the
@@ -559,31 +489,12 @@ impl Router {
             return;
         }
         let d32 = dt.min(u32::MAX as u64) as u32;
-        if self.psm.state().is_active() {
-            self.idle_cycles = self.idle_cycles.saturating_add(d32);
-            for pi in 0..NUM_PORTS {
-                self.port_idle[pi] = self.port_idle[pi].saturating_add(d32);
+        let up = self.power_state().is_active();
+        for unit in &mut self.units {
+            if up {
+                unit.idle = unit.idle.saturating_add(d32);
             }
-        }
-        self.psm.fast_forward(dt);
-        if let Some(psms) = &mut self.port_psm {
-            for p in psms {
-                p.fast_forward(dt);
-            }
-        }
-    }
-
-    /// Everything `idle_tick` can touch, for shadow-replay equality
-    /// checks of [`Router::fast_forward`].
-    pub fn power_fingerprint(&self) -> RouterPowerFingerprint {
-        RouterPowerFingerprint {
-            psm: self.psm.residency_snapshot(),
-            idle_cycles: self.idle_cycles,
-            port_idle: self.port_idle,
-            port_psm: self
-                .port_psm
-                .as_ref()
-                .map(|psms| psms.iter().map(PowerStateMachine::residency_snapshot).collect()),
+            unit.psm.fast_forward(dt);
         }
     }
 
@@ -947,40 +858,20 @@ impl Router {
         self.activity.head_blocked_cycles += nonempty_vcs.saturating_sub(grants);
     }
 
-    /// Power-gating residency statistics. `cycle` is the current
-    /// simulation cycle, used to credit compensated sleep cycles of a
-    /// still-open sleep period. With port gating enabled, the residencies
-    /// are summed over the five ports (so totals are in port-cycles).
-    pub fn gating_activity(&self, cycle: u64) -> GatingActivity {
-        match &self.port_psm {
-            None => GatingActivity {
-                active_cycles: self.psm.active_cycles,
-                sleep_cycles: self.psm.sleep_cycles,
-                wakeup_cycles: self.psm.wakeup_cycles,
-                sleep_transitions: self.psm.sleep_transitions,
-                compensated_sleep_cycles: self.psm.compensated_at(cycle),
-            },
-            Some(psms) => psms
-                .iter()
-                .map(|p| GatingActivity {
-                    active_cycles: p.active_cycles,
-                    sleep_cycles: p.sleep_cycles,
-                    wakeup_cycles: p.wakeup_cycles,
-                    sleep_transitions: p.sleep_transitions,
-                    compensated_sleep_cycles: p.compensated_at(cycle),
-                })
-                .fold(GatingActivity::default(), GatingActivity::merged),
-        }
-    }
-
-    /// Lag-aware variant of [`Router::gating_activity`] for the event
-    /// scheduler: credits `lag` deferred idle ticks to whichever
-    /// residency counter the machine's *current* state class accrues
-    /// into. Exact because the class is constant across a deferred
-    /// stretch (the scheduler materializes a router before any class
-    /// transition can land), and `compensated_at` is already time-based.
-    pub fn gating_activity_lagged(&self, cycle: u64, lag: u64) -> GatingActivity {
-        fn one(p: &PowerStateMachine, cycle: u64, lag: u64) -> GatingActivity {
+    /// Power-gating residency statistics summed over the gating units
+    /// (router-cycles, or port-cycles at port granularity). `cycle` is
+    /// the current simulation cycle, used to credit compensated sleep
+    /// cycles of a still-open sleep period. `lag` deferred idle ticks
+    /// that the event scheduler has not materialized are credited to
+    /// whichever residency counter each machine's *current* state class
+    /// accrues into — exact because the class is constant across a
+    /// deferred stretch (the scheduler materializes a router before any
+    /// class transition can land), and `compensated_at` is already
+    /// time-based.
+    pub fn gating_activity(&self, cycle: u64, lag: u64) -> GatingActivity {
+        let mut total = GatingActivity::default();
+        for unit in &self.units {
+            let p = &unit.psm;
             let mut g = GatingActivity {
                 active_cycles: p.active_cycles,
                 sleep_cycles: p.sleep_cycles,
@@ -993,22 +884,16 @@ impl Router {
                 PowerState::Sleep => g.sleep_cycles += lag,
                 PowerState::WakeUp { .. } => g.wakeup_cycles += lag,
             }
-            g
+            total = total.merged(g);
         }
-        match &self.port_psm {
-            None => one(&self.psm, cycle, lag),
-            Some(psms) => psms
-                .iter()
-                .map(|p| one(p, cycle, lag))
-                .fold(GatingActivity::default(), GatingActivity::merged),
-        }
+        total
     }
 
-    /// Power state as it would read after `lag` further idle ticks (a
-    /// wake-up countdown shortened by the deferred stretch; Sleep and
-    /// Active unchanged).
+    /// Router-level power state as it would read after `lag` further idle
+    /// ticks (a wake-up countdown shortened by the deferred stretch;
+    /// Sleep and Active unchanged).
     pub fn power_state_lagged(&self, lag: u64) -> PowerState {
-        match self.psm.state() {
+        match self.power_state() {
             PowerState::WakeUp { remaining } => PowerState::WakeUp {
                 remaining: remaining - (lag.min(u64::from(remaining) - 1) as u32),
             },
@@ -1018,26 +903,21 @@ impl Router {
 
     /// Closes the power-state accounting at the end of a simulation.
     pub fn finalize(&mut self, cycle: u64) {
-        self.psm.finalize(cycle);
-        if let Some(psms) = &mut self.port_psm {
-            for p in psms {
-                p.finalize(cycle);
-            }
+        for unit in &mut self.units {
+            unit.psm.finalize(cycle);
         }
     }
 
-    /// Serializes the full router state (checkpointing). The input
-    /// buffers' occupancy counters and non-empty mask are *not* captured
-    /// — they are pure functions of the ring contents, which
+    /// Serializes the router's simulation state (checkpointing). What
+    /// the configuration fixes — links, buffer geometry, idle-detect
+    /// threshold — is not written; the unit count is, as a cross-check
+    /// against the granularity. The input buffers' occupancy counters
+    /// and non-empty mask are *not* captured either — they are pure
+    /// functions of the ring contents, which
     /// [`Router::decode`] replays into fresh buffers, so a checkpoint
     /// cannot carry a desynchronized cache.
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
         w.put_u16(self.node.0);
-        w.put_usize(self.vcs);
-        w.put_usize(self.vc_depth);
-        for c in self.connected {
-            w.put_bool(c);
-        }
         self.inputs.encode(w);
         for m in self.out_owned {
             w.put_u64(m);
@@ -1059,47 +939,23 @@ impl Router {
         for rr in self.vc_rr {
             w.put_usize(rr);
         }
-        self.psm.encode(w);
-        w.put_u32(self.idle_cycles);
-        w.put_u32(self.t_idle_detect);
-        w.put_u32(self.t_wakeup);
-        w.put_u32(self.t_breakeven);
-        match &self.port_psm {
-            None => w.put_bool(false),
-            Some(psms) => {
-                w.put_bool(true);
-                for p in psms {
-                    p.encode(w);
-                }
-            }
-        }
-        for pi in self.port_idle {
-            w.put_u32(pi);
+        w.put_u8(self.units.len() as u8);
+        for unit in &self.units {
+            unit.psm.encode(w);
+            w.put_u32(unit.idle);
         }
         checkpoint::put_router_activity(w, &self.activity);
     }
 
-    /// Rebuilds a router serialized by [`Router::encode`].
-    pub(crate) fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let node = NodeId(r.get_u16()?);
-        let vcs = r.get_usize()?;
-        if vcs == 0 || vcs > 64 {
-            return Err(CodecError::Invalid("router vcs out of range"));
+    /// Rebuilds router `node` of a network configured by `cfg` from
+    /// [`Router::encode`] output.
+    pub(crate) fn decode(r: &mut ByteReader<'_>, node: NodeId, cfg: &NetworkConfig) -> Result<Self, CodecError> {
+        if r.get_u16()? != node.0 {
+            return Err(CodecError::Invalid("router out of order"));
         }
-        let vc_depth = r.get_usize()?;
-        if vc_depth == 0 || vc_depth > MAX_VC_DEPTH {
-            return Err(CodecError::Invalid("router vc_depth out of range"));
-        }
-        let mut connected = [false; NUM_PORTS];
-        for c in connected.iter_mut() {
-            *c = r.get_bool()?;
-        }
-        if !connected[Port::Local.index()] {
-            return Err(CodecError::Invalid("local port disconnected"));
-        }
-        // Gating timings land below (after the PSM); zeros are placeholders.
-        let mut router = Router::new(node, vcs, vc_depth, connected, 0, 0, 0);
-        router.inputs = InputBuffers::decode(r, vcs, vc_depth)?;
+        let mut router = Router::new(node, cfg);
+        let (vcs, vc_depth, nodes) = (router.vcs, router.vc_depth, cfg.dims.num_nodes());
+        router.inputs = InputBuffers::decode(r, vcs, vc_depth, nodes)?;
         for m in router.out_owned.iter_mut() {
             *m = r.get_u64()?;
         }
@@ -1114,9 +970,8 @@ impl Router {
         if xbar_len > NUM_PORTS {
             return Err(CodecError::Invalid("crossbar register overfull"));
         }
-        router.xbar_reg.clear();
         for _ in 0..xbar_len {
-            let flit = checkpoint::get_flit(r)?;
+            let flit = checkpoint::get_flit(r, nodes, vcs)?;
             let port = checkpoint::get_port(r)?;
             router.xbar_reg.push((flit, port));
         }
@@ -1138,20 +993,12 @@ impl Router {
                 return Err(CodecError::Invalid("VC round-robin pointer out of range"));
             }
         }
-        router.psm = PowerStateMachine::decode(r)?;
-        router.idle_cycles = r.get_u32()?;
-        router.t_idle_detect = r.get_u32()?;
-        router.t_wakeup = r.get_u32()?;
-        router.t_breakeven = r.get_u32()?;
-        if r.get_bool()? {
-            let mut psms = Vec::with_capacity(NUM_PORTS);
-            for _ in 0..NUM_PORTS {
-                psms.push(PowerStateMachine::decode(r)?);
-            }
-            router.port_psm = Some(psms);
+        if usize::from(r.get_u8()?) != router.units.len() {
+            return Err(CodecError::Invalid("gating units do not match the granularity"));
         }
-        for pi in router.port_idle.iter_mut() {
-            *pi = r.get_u32()?;
+        for unit in router.units.iter_mut() {
+            unit.psm = PowerStateMachine::decode(r)?;
+            unit.idle = r.get_u32()?;
         }
         router.activity = checkpoint::get_router_activity(r)?;
         Ok(router)
@@ -1165,8 +1012,11 @@ mod tests {
 
     const ALL_ACTIVE: [bool; NUM_PORTS] = [true; NUM_PORTS];
 
+    /// An inner router (every port linked) of the paper's 8x8 mesh:
+    /// 4 VCs of depth 4, `t_wakeup` 10, `t_breakeven` 12, `t_idle_detect`
+    /// 4.
     fn router() -> Router {
-        Router::new(NodeId(9), 4, 4, [true; NUM_PORTS], 10, 12, 4)
+        Router::new(NodeId(9), &NetworkConfig::paper())
     }
 
     fn flit(packet: u64, kind: FlitKind, seq: u16, len: u16, lookahead: Port, vc: u8) -> Flit {
@@ -1352,15 +1202,19 @@ mod tests {
     fn idle_detection_counts_consecutive_empty_cycles() {
         let mut r = router();
         let mut out = RouterOutput::default();
-        assert!(!r.idle_long_enough());
-        for _ in 0..4 {
+        assert!(!r.sleep_guard_ok(0, 0));
+        for _ in 0..3 {
             r.step(&ALL_ACTIVE, &mut out);
         }
-        assert!(r.idle_long_enough());
-        assert!(r.sleep_guard_ok());
+        assert_eq!(r.units[0].idle, 3);
+        assert!(!r.sleep_guard_ok(0, 0));
+        // The lag-aware guard credits deferred idle cycles.
+        assert!(r.sleep_guard_ok(0, 1));
+        r.step(&ALL_ACTIVE, &mut out);
+        assert!(r.sleep_guard_ok(0, 0));
         // A delivery resets idleness.
         r.deliver(Port::West, flit(1, FlitKind::Single, 0, 1, Port::East, 0));
-        assert!(!r.idle_long_enough());
+        assert_eq!(r.units[0].idle, 0);
     }
 
     #[test]
@@ -1370,18 +1224,18 @@ mod tests {
         for _ in 0..4 {
             r.step(&ALL_ACTIVE, &mut out);
         }
-        r.enter_sleep(4);
+        r.enter_sleep(0, 4);
         assert!(r.power_state().is_sleeping());
         // Sleeping routers do nothing.
         r.step(&ALL_ACTIVE, &mut out);
         assert!(out.outbound.is_empty());
-        r.request_wake(6, WakeReason::LookaheadSignal);
+        r.request_wake(Port::East, 6, WakeReason::LookaheadSignal);
         for _ in 0..10 {
             assert!(!r.power_state().is_active());
             r.step(&ALL_ACTIVE, &mut out);
         }
         assert!(r.power_state().is_active());
-        let g = r.gating_activity(20);
+        let g = r.gating_activity(20, 0);
         assert_eq!(g.sleep_transitions, 1);
         assert!(g.wakeup_cycles == 10);
     }
@@ -1394,7 +1248,7 @@ mod tests {
         for _ in 0..4 {
             r.step(&ALL_ACTIVE, &mut out);
         }
-        r.enter_sleep(4);
+        r.enter_sleep(0, 4);
         r.deliver(Port::West, flit(1, FlitKind::Single, 0, 1, Port::East, 0));
     }
 
@@ -1411,7 +1265,8 @@ mod tests {
 
         // BFA averages over connected ports only: a corner router (no
         // North or West link) divides by three.
-        let mut corner = Router::new(NodeId(0), 4, 4, [false, true, true, false, true], 10, 12, 4);
+        let mut corner = Router::new(NodeId(0), &NetworkConfig::paper());
+        assert_eq!(corner.connected, [false, true, true, false, true]);
         corner.deliver(Port::East, flit(1, FlitKind::Head, 0, 9, Port::South, 0));
         corner.deliver(Port::East, flit(1, FlitKind::Body, 1, 9, Port::South, 0));
         corner.deliver(Port::Local, flit(2, FlitKind::Head, 0, 9, Port::South, 1));
@@ -1428,41 +1283,45 @@ mod tests {
             a.idle_tick();
         }
         b.fast_forward(4);
-        assert_eq!(a.power_fingerprint(), b.power_fingerprint());
+        assert_eq!(a.units, b.units);
         // Sleeping router: the closed form matches over any stretch.
-        a.enter_sleep(4);
+        a.enter_sleep(0, 4);
         let mut c = a.clone();
         for _ in 0..1000 {
             a.idle_tick();
         }
         c.fast_forward(1000);
-        assert_eq!(a.power_fingerprint(), c.power_fingerprint());
+        assert_eq!(a.units, c.units);
         // Waking router: the closed form holds up to the tick before the
         // countdown completes.
-        a.request_wake(1004, WakeReason::External);
+        a.request_wake(Port::Local, 1004, WakeReason::External);
         let mut d = a.clone();
         for _ in 0..9 {
             a.idle_tick();
         }
         d.fast_forward(9);
-        assert_eq!(a.power_fingerprint(), d.power_fingerprint());
+        assert_eq!(a.units, d.units);
     }
 
     #[test]
     fn fast_forward_matches_idle_ticks_with_port_gating() {
-        let mut a = router();
-        a.enable_port_gating();
+        let mut a = Router::new(NodeId(9), &NetworkConfig::paper().granularity(Granularity::Port));
+        assert_eq!(a.units.len(), NUM_PORTS);
         let mut out = RouterOutput::default();
         for _ in 0..4 {
             a.step(&ALL_ACTIVE, &mut out);
         }
-        a.enter_port_sleep(Port::East, 4);
+        a.enter_sleep(a.unit_of(Port::East), 4);
+        assert_eq!(a.port_active_mask(), ALL_PORTS & !(1 << Port::East.index()));
+        assert!(a.power_state().is_active(), "the router core never gates");
         let mut b = a.clone();
         for _ in 0..700 {
             a.idle_tick();
         }
         b.fast_forward(700);
-        assert_eq!(a.power_fingerprint(), b.power_fingerprint());
+        assert_eq!(a.units, b.units);
+        // A sleeping port's counter keeps advancing while the router is up.
+        assert_eq!(a.units[Port::East.index()].idle, 704);
     }
 
     #[test]

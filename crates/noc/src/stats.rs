@@ -104,10 +104,6 @@ pub struct NetworkStats {
     /// Sum of network latencies (tail ejection − head network injection) of
     /// ejected packets.
     pub net_latency_sum: u64,
-    /// Maximum observed network latency.
-    pub net_latency_max: u64,
-    /// Sum of hop counts of ejected packets' head flits.
-    pub hops_sum: u64,
 }
 
 impl NetworkStats {

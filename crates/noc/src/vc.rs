@@ -270,10 +270,11 @@ impl InputBuffers {
 
     /// Rebuilds buffers serialized by [`InputBuffers::encode`] for a
     /// router of `vcs` VCs of `depth` flits (both already range-checked
-    /// by the caller). The masks and counters are rebuilt by the same
-    /// `push`/`bind` calls the simulation makes, so a checkpoint cannot
-    /// carry a desynchronized cache.
-    pub(crate) fn decode(r: &mut ByteReader<'_>, vcs: usize, depth: usize) -> Result<Self, CodecError> {
+    /// by the caller) in a mesh of `nodes` routers. The masks and
+    /// counters are rebuilt by the same `push`/`bind` calls the
+    /// simulation makes, so a checkpoint cannot carry a desynchronized
+    /// cache.
+    pub(crate) fn decode(r: &mut ByteReader<'_>, vcs: usize, depth: usize, nodes: usize) -> Result<Self, CodecError> {
         let mut buffers = InputBuffers::new(vcs, depth);
         for pi in 0..NUM_PORTS {
             for vc in 0..vcs {
@@ -282,7 +283,7 @@ impl InputBuffers {
                     return Err(CodecError::Invalid("VC occupancy exceeds depth"));
                 }
                 for _ in 0..len {
-                    buffers.push(pi, vc, checkpoint::get_flit(r)?);
+                    buffers.push(pi, vc, checkpoint::get_flit(r, nodes, vcs)?);
                 }
                 if r.get_bool()? {
                     let out_port = checkpoint::get_port(r)?;
@@ -466,7 +467,7 @@ mod tests {
         buf.encode(&mut w);
         let bytes = w.into_inner();
         let mut r = ByteReader::new(&bytes);
-        let mut back = InputBuffers::decode(&mut r, 3, 3).unwrap();
+        let mut back = InputBuffers::decode(&mut r, 3, 3, 2).unwrap();
         assert!(r.is_empty());
         assert_eq!(back.binding(4, 1), Some(B));
         assert_eq!((back.buffered(), back.nonempty(4)), (3, 0b10));
@@ -484,7 +485,7 @@ mod tests {
         w.put_u8(3); // port 0, VC 0: three flits in a depth-2 ring
         let bytes = w.into_inner();
         assert!(matches!(
-            InputBuffers::decode(&mut ByteReader::new(&bytes), 1, 2),
+            InputBuffers::decode(&mut ByteReader::new(&bytes), 1, 2, 2),
             Err(CodecError::Invalid(_))
         ));
 
@@ -495,7 +496,7 @@ mod tests {
         w.put_u8(1); // downstream VC 1 of a 1-VC router
         let bytes = w.into_inner();
         assert!(matches!(
-            InputBuffers::decode(&mut ByteReader::new(&bytes), 1, 2),
+            InputBuffers::decode(&mut ByteReader::new(&bytes), 1, 2, 2),
             Err(CodecError::Invalid(_))
         ));
     }

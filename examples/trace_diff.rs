@@ -11,15 +11,19 @@
 //! cargo run --release --example trace_diff -- --demo
 //! ```
 //!
-//! With `--demo` it generates the comparison in-process: two
-//! `4NT-128b-PG` runs at a near-idle load, one stepped through the
-//! reference oracle (`MultiNoc::step_reference`) and one through the
-//! production event-driven `step`, which defers idle routers across
-//! the long all-drained stretches; it then diffs the full event traces
-//! and the exported CSV timelines (both must come out identical).
-//! Exits 0 when identical, 1 on divergence, 2 on usage errors.
+//! With `--demo` it generates the comparison in-process, at a near-idle
+//! load, for two gating granularities: `4NT-128b-PG` (Catnap RCS gating,
+//! one gating unit per router) and `4NT-128b` under `LocalIdlePort`
+//! (five gating units per router, one per input port). Each design runs
+//! twice, once stepped through the reference oracle
+//! (`MultiNoc::step_reference`) and once through the production
+//! event-driven `step`, which defers idle routers across the long
+//! all-drained stretches, so the lag-aware sleep guard decides most
+//! sleeps; the demo diffs the full event traces and the exported CSV
+//! timelines (both must come out identical for both designs).
+//! Exits 0 when identical, 1 on any divergence, 2 on usage errors.
 
-use catnap_repro::catnap::{MultiNoc, MultiNocConfig};
+use catnap_repro::catnap::{GatingPolicy, MultiNoc, MultiNocConfig};
 use catnap_repro::telemetry::{diff_csv_timelines, diff_traces, power_timeline_csv, RecordingSink};
 use catnap_repro::traffic::{SyntheticPattern, SyntheticWorkload};
 use std::process::ExitCode;
@@ -27,12 +31,13 @@ use std::process::ExitCode;
 const DEMO_CYCLES: u64 = 20_000;
 const DEMO_EPOCH: u64 = 512;
 
-fn demo() -> ExitCode {
-    let cfg = || MultiNocConfig::catnap_4x128().gating(true).seed(23);
+/// Runs `cfg` through the oracle and through `step`, prints the deferred
+/// stretches and both diffs, and returns whether both are identical.
+fn demo_pair(name: &str, cfg: MultiNocConfig) -> bool {
+    println!("== {name} ==");
     let load = |dims| SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.0005, 512, dims, 23);
-
     let run = |reference: bool| {
-        let mut net = MultiNoc::with_sinks(cfg(), |_| RecordingSink::new());
+        let mut net = MultiNoc::with_sinks(cfg.clone(), |_| RecordingSink::new());
         let mut l = load(net.dims());
         for _ in 0..DEMO_CYCLES {
             l.drive(&mut net);
@@ -66,8 +71,25 @@ fn demo() -> ExitCode {
         &power_timeline_csv(&tb, DEMO_EPOCH),
     );
     println!("timeline diff: {csv_diff}");
+    trace_diff.is_identical() && csv_diff.is_identical()
+}
 
-    if trace_diff.is_identical() && csv_diff.is_identical() {
+fn demo() -> ExitCode {
+    let designs = [
+        (
+            "4NT-128b-PG, CatnapRcs (router units)",
+            MultiNocConfig::catnap_4x128().gating(true),
+        ),
+        (
+            "4NT-128b, LocalIdlePort (port units)",
+            MultiNocConfig::catnap_4x128().gating_policy(GatingPolicy::LocalIdlePort),
+        ),
+    ];
+    let mut identical = true;
+    for (name, cfg) in designs {
+        identical &= demo_pair(name, cfg.seed(23));
+    }
+    if identical {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -1,7 +1,8 @@
 //! Checkpoint/resume round-trips for every determinism golden.
 //!
-//! For each pinned `(selector, gating)` golden from `tests/determinism.rs`
-//! the run is split at cycle 750 of 1500: the full simulator state plus
+//! For each pinned `(selector, gating)` golden from `tests/determinism.rs`,
+//! and for the port-gated (`LocalIdlePort`) gating golden there, the run
+//! is split at cycle 750 of 1500: the full simulator state plus
 //! the workload position is sealed into a checkpoint blob, a fresh
 //! simulator is rebuilt from the blob, and both halves are driven to the
 //! end. The resumed run must be **bit-identical** to the straight-through
@@ -12,7 +13,9 @@
 //!
 //! [`Snapshot`]: catnap_repro::catnap::Snapshot
 
-use catnap_repro::catnap::{config_fingerprint, MultiNoc, MultiNocConfig, SelectorKind, CHECKPOINT_VERSION};
+use catnap_repro::catnap::{
+    config_fingerprint, GatingPolicy, MultiNoc, MultiNocConfig, SelectorKind, CHECKPOINT_VERSION,
+};
 use catnap_repro::telemetry::RecordingSink;
 use catnap_repro::traffic::{LoadSchedule, SyntheticPattern, SyntheticWorkload};
 use catnap_repro::util::codec::{self, CodecError};
@@ -29,6 +32,34 @@ const PINNED: [(SelectorKind, bool, (u64, u64, u64)); 6] = [
     (SelectorKind::CatnapPriority, false, (7447, 225011, 99)),
 ];
 
+/// The port-granularity gating golden from `tests/determinism.rs`
+/// (`LocalIdlePort`, five gating units per router), kept in sync the
+/// same way.
+const PORT_GATED: (u64, u64, u64) = (7250, 505537, 1132);
+
+/// Every golden configuration with a name and its pinned tuple: the six
+/// selector × gating goldens plus the port-gated one.
+fn golden_cases() -> Vec<(String, MultiNocConfig, (u64, u64, u64))> {
+    let mut cases: Vec<_> = PINNED
+        .iter()
+        .map(|&(selector, gating, want)| {
+            (
+                format!("{selector:?} gating={gating}"),
+                golden_cfg(selector, gating),
+                want,
+            )
+        })
+        .collect();
+    cases.push((
+        "LocalIdlePort".to_string(),
+        MultiNocConfig::catnap_4x128()
+            .gating_policy(GatingPolicy::LocalIdlePort)
+            .seed(7),
+        PORT_GATED,
+    ));
+    cases
+}
+
 const TOTAL_CYCLES: u64 = 1_500;
 const SPLIT_CYCLE: u64 = 750;
 
@@ -41,14 +72,13 @@ fn golden_load<S: catnap_repro::telemetry::Sink>(net: &MultiNoc<S>) -> Synthetic
 }
 
 /// Save → resume at `SPLIT_CYCLE` must reproduce the straight-through
-/// run exactly, for every golden: the pinned fingerprint tuple, the
-/// complete cumulative `Snapshot` (per-subnet flit counts included), and
-/// every subnet's event-scheduler counters.
+/// run exactly, for every golden (the port-gated one included): the
+/// pinned fingerprint tuple, the complete cumulative `Snapshot`
+/// (per-subnet flit counts included), and every subnet's
+/// event-scheduler counters.
 #[test]
 fn resume_is_bit_identical_to_straight_through_for_every_golden() {
-    for (selector, gating, want) in PINNED {
-        let cfg = golden_cfg(selector, gating);
-
+    for (name, cfg, want) in golden_cases() {
         // Straight-through run, checkpointing (but not using the blob)
         // at the split so both runs share one code path up to it.
         let mut net = MultiNoc::new(cfg.clone());
@@ -71,13 +101,9 @@ fn resume_is_bit_identical_to_straight_through_for_every_golden() {
         );
 
         // Resumed run: fresh simulator and workload rebuilt from the blob.
-        let (mut resumed, driver) = MultiNoc::resume_from(cfg.clone(), &blob)
-            .unwrap_or_else(|e| panic!("resume failed for {selector:?} gating={gating}: {e:?}"));
-        assert_eq!(
-            resumed.cycle(),
-            SPLIT_CYCLE,
-            "checkpoint cycle for {selector:?} gating={gating}"
-        );
+        let (mut resumed, driver) =
+            MultiNoc::resume_from(cfg.clone(), &blob).unwrap_or_else(|e| panic!("resume failed for {name}: {e:?}"));
+        assert_eq!(resumed.cycle(), SPLIT_CYCLE, "checkpoint cycle for {name}");
         let mut rload = SyntheticWorkload::decode_position(
             SyntheticPattern::UniformRandom,
             LoadSchedule::constant(0.08),
@@ -93,27 +119,24 @@ fn resume_is_bit_identical_to_straight_through_for_every_golden() {
         let resumed_snap = resumed.snapshot();
         assert_eq!(
             resumed_snap, straight_snap,
-            "resumed snapshot diverged from straight-through for {selector:?} gating={gating}"
+            "resumed snapshot diverged from straight-through for {name}"
         );
         // The scheduler is rebuilt from live state on resume; it must
         // then do exactly the work the straight-through run did.
         let resumed_sched: Vec<_> = (0..resumed.num_subnets()).map(|s| resumed.subnet(s).sched_stats()).collect();
         assert_eq!(
             resumed_sched, straight_sched,
-            "resumed scheduler counters diverged for {selector:?} gating={gating}"
+            "resumed scheduler counters diverged for {name}"
         );
         let got = (
             resumed.finish().packets_delivered,
             resumed_snap.latency_sum,
             resumed_snap.or_switch_events,
         );
-        assert_eq!(
-            got, straight,
-            "resumed fingerprint diverged for {selector:?} gating={gating}"
-        );
+        assert_eq!(got, straight, "resumed fingerprint diverged for {name}");
 
         if std::env::var_os("CATNAP_PRINT_GOLDENS").is_none() {
-            assert_eq!(got, want, "golden fingerprint changed for {selector:?} gating={gating}");
+            assert_eq!(got, want, "golden fingerprint changed for {name}");
         }
     }
 }
@@ -125,9 +148,7 @@ fn resume_is_bit_identical_to_straight_through_for_every_golden() {
 /// covers only the suffix, which is exactly what this splices back.)
 #[test]
 fn recorded_trace_prefix_plus_resumed_suffix_equals_straight_through() {
-    for (selector, gating, _) in PINNED {
-        let cfg = golden_cfg(selector, gating);
-
+    for (name, cfg, _) in golden_cases() {
         let mut net = MultiNoc::with_sinks(cfg.clone(), |_| RecordingSink::new());
         let mut load = golden_load(&net);
         for _ in 0..TOTAL_CYCLES {
@@ -135,10 +156,7 @@ fn recorded_trace_prefix_plus_resumed_suffix_equals_straight_through() {
             net.step();
         }
         let full = net.take_trace();
-        assert!(
-            full.num_events() > 0,
-            "straight-through trace is empty for {selector:?} gating={gating}"
-        );
+        assert!(full.num_events() > 0, "straight-through trace is empty for {name}");
 
         let mut net = MultiNoc::with_sinks(cfg.clone(), |_| RecordingSink::new());
         let mut load = golden_load(&net);
@@ -169,7 +187,7 @@ fn recorded_trace_prefix_plus_resumed_suffix_equals_straight_through() {
         spliced_policy.extend_from_slice(&suffix.policy);
         assert_eq!(
             spliced_policy, full.policy,
-            "policy-layer trace diverged across the checkpoint for {selector:?} gating={gating}"
+            "policy-layer trace diverged across the checkpoint for {name}"
         );
         assert_eq!(prefix.subnets.len(), full.subnets.len());
         assert_eq!(suffix.subnets.len(), full.subnets.len());
@@ -178,7 +196,7 @@ fn recorded_trace_prefix_plus_resumed_suffix_equals_straight_through() {
             spliced.extend_from_slice(&suffix.subnets[s]);
             assert_eq!(
                 &spliced, whole,
-                "subnet {s} trace diverged across the checkpoint for {selector:?} gating={gating}"
+                "subnet {s} trace diverged across the checkpoint for {name}"
             );
         }
     }

@@ -11,8 +11,9 @@
 //!
 //! [`SimRng`]: catnap_repro::util::SimRng
 
-use catnap_repro::catnap::{MultiNoc, MultiNocConfig, SelectorKind};
+use catnap_repro::catnap::{GatingPolicy, MultiNoc, MultiNocConfig, SelectorKind};
 use catnap_repro::multicore::{CacheSystem, CacheWorkload, System, SystemConfig};
+use catnap_repro::noc::stats::GatingActivity;
 use catnap_repro::telemetry::RecordingSink;
 use catnap_repro::traffic::{SyntheticPattern, SyntheticWorkload, WorkloadMix};
 use std::fmt::Debug;
@@ -66,10 +67,11 @@ fn closed_loop_runs_differ_across_seeds() {
     assert_ne!(system_fingerprint(33), system_fingerprint(34));
 }
 
-/// Fixed-seed fingerprint for the golden tests: uniform-random load at
-/// 0.08 packets/node/cycle on the paper's 4NT-128b design.
-fn golden_fingerprint(selector: SelectorKind, gating: bool) -> (u64, u64, u64) {
-    let cfg = MultiNocConfig::catnap_4x128().selector(selector).gating(gating).seed(7);
+/// One golden run: uniform-random load at 0.08 packets/node/cycle,
+/// 512-bit packets, seed 7, 1,500 cycles on `cfg`. Returns the
+/// `(packets_delivered, latency_sum, or_switch_events)` tuple and the
+/// gating counters the power model reads (`snapshot().total_gating()`).
+fn golden_run(cfg: MultiNocConfig) -> ((u64, u64, u64), GatingActivity) {
     let mut net = MultiNoc::new(cfg);
     let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.08, 512, net.dims(), 7);
     for _ in 0..1_500 {
@@ -77,8 +79,18 @@ fn golden_fingerprint(selector: SelectorKind, gating: bool) -> (u64, u64, u64) {
         net.step();
     }
     let snap = net.snapshot();
+    let gating = snap.total_gating();
     let report = net.finish();
-    (report.packets_delivered, snap.latency_sum, snap.or_switch_events)
+    (
+        (report.packets_delivered, snap.latency_sum, snap.or_switch_events),
+        gating,
+    )
+}
+
+/// Fixed-seed fingerprint for the golden tests on the paper's 4NT-128b
+/// design (see [`golden_run`]).
+fn golden_fingerprint(selector: SelectorKind, gating: bool) -> (u64, u64, u64) {
+    golden_run(MultiNocConfig::catnap_4x128().selector(selector).gating(gating).seed(7)).0
 }
 
 /// Asserts a pinned fingerprint, or prints the observed one under
@@ -126,6 +138,58 @@ fn golden_catnap_priority_gated() {
 #[test]
 fn golden_catnap_priority_ungated() {
     assert_golden(SelectorKind::CatnapPriority, false, (7447, 225011, 99));
+}
+
+/// `(active, sleep, wake-up, sleep transitions, compensated sleep
+/// cycles)` of a [`GatingActivity`].
+type GatingCounters = (u64, u64, u64, u64, u64);
+
+/// Asserts a pinned gating golden: [`golden_run`]'s tuple plus the
+/// [`GatingCounters`], summed over subnets and over each router's gating
+/// units (router-cycles, or port-cycles at port granularity).
+fn assert_gating_golden(name: &str, cfg: MultiNocConfig, want: ((u64, u64, u64), GatingCounters)) {
+    let (tuple, g) = golden_run(cfg.seed(7));
+    let counters = (
+        g.active_cycles,
+        g.sleep_cycles,
+        g.wakeup_cycles,
+        g.sleep_transitions,
+        g.compensated_sleep_cycles,
+    );
+    pin(name, (tuple, counters), want);
+}
+
+/// Router units under `LocalIdle` (the round-robin design's natural
+/// policy).
+#[test]
+fn golden_gating_router_units_local_idle() {
+    assert_gating_golden(
+        "gating LocalIdle (router units)",
+        MultiNocConfig::catnap_4x128().selector(SelectorKind::RoundRobin).gating(true),
+        ((7416, 290007, 325), (251865, 64000, 68135, 6877, 19687)),
+    );
+}
+
+/// Router units under `CatnapRcs`.
+#[test]
+fn golden_gating_router_units_catnap_rcs() {
+    assert_gating_golden(
+        "gating CatnapRcs (router units)",
+        MultiNocConfig::catnap_4x128().gating(true),
+        ((7443, 248092, 222), (151641, 207968, 24391, 2629, 180289)),
+    );
+}
+
+/// Port units under `LocalIdlePort`: five per router, so the residencies
+/// sum to 5 x 64 routers x 4 subnets x 1,500 cycles = 1,920,000
+/// port-cycles.
+#[test]
+fn golden_gating_port_units_local_idle_port() {
+    assert_gating_golden(
+        "gating LocalIdlePort (port units)",
+        MultiNocConfig::catnap_4x128().gating_policy(GatingPolicy::LocalIdlePort),
+        ((7250, 505537, 1132), (502623, 1182146, 235231, 24366, 934461)),
+    );
 }
 
 /// Closed-loop golden for the probabilistic [`System`]: the Heavy mix on

@@ -3,7 +3,7 @@
 //! hold; subnet 0 is never gated under the Catnap policy.
 
 use catnap_repro::catnap::{GatingPolicy, MultiNoc, MultiNocConfig};
-use catnap_repro::noc::{MeshDims, Network, NetworkConfig, NodeId};
+use catnap_repro::noc::{Granularity, MeshDims, Network, NetworkConfig, NodeId};
 use catnap_repro::traffic::{LoadSchedule, SyntheticPattern, SyntheticWorkload};
 
 #[test]
@@ -131,9 +131,13 @@ fn packet_injected_at_sleep_transition_is_still_delivered() {
     // that router enters sleep must still be delivered. Two mechanisms
     // cooperate: the allocator re-issues its one-shot wake ping while a
     // wormhole stays open toward a sleeping neighbour, and a freshly
-    // woken router resets `idle_cycles` so an eager gating controller
+    // woken router resets its idle counter so an eager gating controller
     // cannot re-gate it before the in-flight flit lands.
-    let mut net = Network::new(NetworkConfig::with_width(128).dims(MeshDims::new(4, 4)).gating_enabled(true));
+    let mut net = Network::new(
+        NetworkConfig::paper()
+            .dims(MeshDims::new(4, 4))
+            .granularity(Granularity::Router),
+    );
     // Idle out, then inject a corner-to-corner packet and, in the same
     // pre-step instant, gate every router on (and off) its path.
     for _ in 0..10 {
@@ -142,7 +146,7 @@ fn packet_injected_at_sleep_transition_is_still_delivered() {
     let flit = net.make_single_flit_packet(NodeId(0), NodeId(15), net.cycle());
     assert!(net.try_inject_flit(NodeId(0), 0, flit));
     for node in net.dims().nodes() {
-        net.request_sleep(node); // refused where the guard says no
+        net.request_sleep(node, 0); // refused where the guard says no
     }
     let (_, sleeping, _) = net.power_state_census();
     assert!(
@@ -157,7 +161,7 @@ fn packet_injected_at_sleep_transition_is_still_delivered() {
         net.step();
         ejected.extend(net.drain_ejected());
         for node in net.dims().nodes() {
-            net.request_sleep(node);
+            net.request_sleep(node, 0);
         }
     }
     assert_eq!(ejected.len(), 1, "packet stranded by sleep transition");

@@ -36,27 +36,27 @@ fn run_all_pairs(cfg: NetworkConfig) {
 
 #[test]
 fn rectangular_wide_mesh() {
-    run_all_pairs(NetworkConfig::with_width(128).dims(MeshDims::new(8, 2)));
+    run_all_pairs(NetworkConfig::paper().dims(MeshDims::new(8, 2)));
 }
 
 #[test]
 fn rectangular_tall_mesh() {
-    run_all_pairs(NetworkConfig::with_width(128).dims(MeshDims::new(2, 6)));
+    run_all_pairs(NetworkConfig::paper().dims(MeshDims::new(2, 6)));
 }
 
 #[test]
 fn minimal_two_node_mesh() {
-    run_all_pairs(NetworkConfig::with_width(64).dims(MeshDims::new(2, 1)));
+    run_all_pairs(NetworkConfig::paper().dims(MeshDims::new(2, 1)));
 }
 
 #[test]
 fn single_vc_network_still_delivers() {
-    run_all_pairs(NetworkConfig::with_width(128).dims(MeshDims::new(3, 3)).buffers(1, 4));
+    run_all_pairs(NetworkConfig::paper().dims(MeshDims::new(3, 3)).buffers(1, 4));
 }
 
 #[test]
 fn deep_buffers_shallow_vcs() {
-    run_all_pairs(NetworkConfig::with_width(256).dims(MeshDims::new(4, 4)).buffers(2, 16));
+    run_all_pairs(NetworkConfig::paper().dims(MeshDims::new(4, 4)).buffers(2, 16));
 }
 
 #[test]

@@ -23,7 +23,7 @@
 use catnap_repro::bench::{run_job_uncached, run_synthetic_cached, CacheOutcome, SimJob};
 use catnap_repro::catnap::{MultiNoc, MultiNocConfig, SimCache, Snapshot};
 use catnap_repro::noc::power_state::WakeReason;
-use catnap_repro::noc::{Network, NetworkConfig, NodeId};
+use catnap_repro::noc::{Granularity, Network, NetworkConfig, NodeId};
 use catnap_repro::telemetry::{NopSink, RecordingSink, Sink};
 use catnap_repro::traffic::{LoadSchedule, SyntheticPattern, SyntheticWorkload};
 use catnap_repro::util::json::ToJson;
@@ -69,7 +69,7 @@ fn light_gated_cycles_per_sec(warmup: u64, measure: u64) -> f64 {
 /// Same scenario with an explicit telemetry sink attached, so the no-op
 /// and recording builds can be timed against each other in-process.
 fn light_gated_cycles_per_sec_with<S: Sink>(warmup: u64, measure: u64, sink: S) -> f64 {
-    let mut net = Network::with_sink(NetworkConfig::with_width(128).gating_enabled(true), sink);
+    let mut net = Network::with_sink(NetworkConfig::paper().granularity(Granularity::Router), sink);
     let nodes = net.dims().num_nodes() as u64;
     let mut eject = Vec::new();
     let mut pending: Option<(NodeId, NodeId)> = None;
@@ -95,7 +95,7 @@ fn light_gated_cycles_per_sec_with<S: Sink>(warmup: u64, measure: u64, sink: S) 
         }
         if cycle.is_multiple_of(16) {
             for node in net.dims().nodes() {
-                net.request_sleep(node);
+                net.request_sleep(node, 0);
             }
         }
         net.step();

@@ -275,7 +275,7 @@ fn delay_model_inverts() {
 /// packet arrives last and exactly once, and flits are conserved.
 #[test]
 fn flits_arrive_in_order_per_packet() {
-    use catnap_repro::noc::{MeshDims, Network, NetworkConfig};
+    use catnap_repro::noc::MeshDims;
     use catnap_repro::traffic::{SyntheticPattern, SyntheticWorkload};
     use std::collections::HashMap;
     Checker::new("flits_arrive_in_order_per_packet").cases(16).run(
@@ -287,7 +287,6 @@ fn flits_arrive_in_order_per_packet() {
             )
         },
         |&(seed, rate, width)| {
-            let _ = Network::new(NetworkConfig::with_width(width).dims(MeshDims::new(4, 4)));
             let mut cfg = MultiNocConfig::catnap_4x128();
             cfg.subnet_width_bits = width;
             cfg.dims = MeshDims::new(4, 4);
