@@ -48,20 +48,26 @@ rm -rf "$CLI_TMP"
 echo "== benchmark smoke (examples/benchmark builds against the libraries and runs) =="
 cargo run -q --release --offline --manifest-path examples/benchmark/Cargo.toml -- --smoke
 
-echo "== hive smoke (3 spawned catnap-serve workers over loopback TCP) =="
+echo "== hive smoke (3 spawned catnap-serve workers over loopback TCP, two fleets, one cache) =="
 # The hive integration tests (tests/hive.rs) already ran above with
-# in-process fleets; this exercises the real multi-process path:
-# catnap-hive forks catnap-serve children sharing one cache directory.
-# The release build above built the worker binary (every crate is a
-# default workspace member).
+# in-process fleets, each worker with a private cache; this exercises
+# the real multi-process path: catnap-hive forks catnap-serve children
+# sharing one cache directory. The second pass spawns a fresh fleet over
+# the same directory, so it is answered from the first fleet's
+# result-cache entries, and its output must equal the first pass's byte
+# for byte. The release build above built the worker binary (every
+# crate is a default workspace member).
 HIVE_TMP="$(mktemp -d)"
 trap 'rm -rf "$HIVE_TMP"' EXIT
-cargo run -q --release --offline -p catnap-hive -- sweep \
-  --spawn 3 --worker-bin target/release/catnap-serve \
-  --config single-noc-128b --pattern transpose --loads 0.02,0.04,0.06 \
-  --packet-bits 128 --warmup 60 --measure 60 --seed 11 \
-  --cache "$HIVE_TMP/cache" --out "$HIVE_TMP/sweep.json"
-test -s "$HIVE_TMP/sweep.json" || { echo "hive smoke produced no output"; exit 1; }
+for pass in 1 2; do
+  cargo run -q --release --offline -p catnap-hive -- sweep \
+    --spawn 3 --worker-bin target/release/catnap-serve \
+    --config single-noc-128b --pattern transpose --loads 0.02,0.04,0.06 \
+    --packet-bits 128 --warmup 60 --measure 60 --seed 11 \
+    --cache "$HIVE_TMP/cache" --out "$HIVE_TMP/sweep-$pass.json"
+done
+test -s "$HIVE_TMP/sweep-1.json" || { echo "hive smoke produced no output"; exit 1; }
+cmp "$HIVE_TMP/sweep-1.json" "$HIVE_TMP/sweep-2.json"
 
 echo "== clippy (workspace, all targets, -D warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings

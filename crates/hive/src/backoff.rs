@@ -11,7 +11,8 @@
 //! [`catnap_util::SimRng`] stream keyed by `(seed, worker index)`: the
 //! delay of a worker's n-th retry is a pure function of the hive seed,
 //! the worker's index, and n. Replaying a failure schedule under the
-//! same `CATNAP_SEED` replays the exact same retry timings.
+//! same [`crate::HiveConfig::seed`] replays the exact same retry
+//! timings.
 
 use catnap_util::SimRng;
 use std::time::Duration;
@@ -46,12 +47,6 @@ impl Backoff {
         let half = full / 2;
         Duration::from_millis(half + self.rng.u64_below(full - half + 1))
     }
-}
-
-/// The hive's jitter seed: `CATNAP_SEED` when set and parseable, else a
-/// fixed default — either way the whole retry schedule is reproducible.
-pub fn seed_from_env() -> u64 {
-    std::env::var("CATNAP_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0xCA7)
 }
 
 #[cfg(test)]

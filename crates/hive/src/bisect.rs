@@ -28,8 +28,9 @@
 //! One caveat shapes the implementation: *taking* a checkpoint forces
 //! the event-driven scheduler to materialize deferred idle work
 //! (`sync_all` inside `save_state`), which nudges pure bookkeeping
-//! counters — skip tallies, scheduler stats — that live in the
-//! serialized payload without affecting simulated behaviour. Digests
+//! counters — the scheduler's `SchedStats::{syncs, synced_cycles}` —
+//! that live in the serialized payload without affecting simulated
+//! behaviour. Digests
 //! are therefore only comparable between two sides probed through the
 //! **identical cycle sequence**, which is exactly how both
 //! [`bisect_jobs`] and [`first_divergence_linear`] drive them: every

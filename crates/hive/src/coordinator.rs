@@ -1,28 +1,28 @@
 //! The sweep coordinator: a fleet of `catnap-serve` workers drained
-//! through the deterministic [`WorkQueue`].
+//! through one work queue.
 //!
 //! One OS thread per worker address. Each thread claims a job under the
 //! shared queue mutex, performs the JSONL round-trip over its own TCP
-//! connection, and reports the outcome back under the lock. Transport
-//! failures (connect refused, timeout, mid-request disconnect, garbled
-//! reply) release the claim — the job re-queues at the front — and cost
-//! the worker one strike; [`HiveConfig::max_attempts`] consecutive
-//! strikes retire the worker for the rest of the sweep. Between strikes
-//! the thread sleeps a deterministic jittered backoff
-//! ([`crate::Backoff`]).
+//! connection, and reports the outcome back under the lock. A claimed
+//! job is held by that thread alone until it completes or is released,
+//! so every job has exactly one result. Transport failures (connect
+//! refused, timeout, mid-request disconnect, garbled reply) release the
+//! job, which re-queues at the front, and cost the worker one strike;
+//! [`HiveConfig::max_attempts`] consecutive strikes retire the worker
+//! for the rest of the sweep. Between strikes the thread sleeps a
+//! deterministic jittered backoff ([`crate::Backoff`]). A worker that
+//! hangs holds its job for [`HiveConfig::request_timeout`], then
+//! releases it like any other transport failure.
 //!
 //! **Determinism.** Scheduling is timing-dependent — which worker runs
 //! which job depends on the failure schedule — but the *result set* is
 //! not: every job's response is a pure function of the job (the
 //! simulator is bit-deterministic and the cache is fingerprint-keyed),
 //! so any schedule that completes yields byte-identical results in job
-//! order. Speculative duplicates are checked against that promise: a
-//! second completion whose fingerprint or result bytes disagree with
-//! the first poisons the whole sweep ([`HiveError::ResultMismatch`])
-//! rather than silently picking one.
+//! order.
 
 use crate::backoff::Backoff;
-use crate::queue::{Claim, Completion, WorkQueue};
+use crate::queue::{Claim, WorkQueue};
 use catnap::FINGERPRINT_SCHEMA_VERSION;
 use catnap_bench::JobRequest;
 use catnap_util::Json;
@@ -31,40 +31,35 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Tuning knobs for one sweep. The defaults suit a localhost fleet;
-/// raise the timeouts for big jobs or a real network.
+/// TCP connect timeout per attempt.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+/// First retry backoff; doubles per consecutive failure.
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
+/// Ceiling on the retry backoff.
+const BACKOFF_CAP: Duration = Duration::from_millis(500);
+
+/// Settings for one sweep. The defaults suit a localhost fleet; raise
+/// the request timeout for big jobs or a real network.
 #[derive(Clone, Debug)]
 pub struct HiveConfig {
-    /// TCP connect timeout per attempt.
-    pub connect_timeout: Duration,
-    /// Read/write timeout for one job round-trip (must exceed the
-    /// longest expected simulation).
+    /// Read/write timeout for one job round-trip. It must exceed the
+    /// longest expected simulation, and it is how long a hung worker
+    /// holds its job before the job returns to the queue.
     pub request_timeout: Duration,
     /// Consecutive transport failures before a worker is retired.
     pub max_attempts: u32,
-    /// First backoff delay; doubles per consecutive failure.
-    pub backoff_base: Duration,
-    /// Ceiling on the backoff delay.
-    pub backoff_cap: Duration,
-    /// Age after which an in-flight claim may be speculatively
-    /// re-dispatched to an idle worker.
-    pub straggler_after: Duration,
-    /// Jitter seed (see [`crate::seed_from_env`]).
+    /// Retry jitter seed (see [`crate::Backoff`]).
     pub seed: u64,
 }
 
 impl Default for HiveConfig {
     fn default() -> Self {
         HiveConfig {
-            connect_timeout: Duration::from_secs(2),
             request_timeout: Duration::from_secs(120),
             max_attempts: 3,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(500),
-            straggler_after: Duration::from_secs(10),
-            seed: crate::seed_from_env(),
+            seed: 0xCA7,
         }
     }
 }
@@ -80,12 +75,6 @@ pub enum HiveError {
         completed: usize,
         /// Total jobs in the sweep.
         total: usize,
-    },
-    /// Two workers returned different bytes for the same job —
-    /// determinism is broken (mixed builds in one fleet, most likely).
-    ResultMismatch {
-        /// The job whose duplicates disagreed.
-        job: usize,
     },
     /// A worker rejected a job with a protocol-level error. Rejections
     /// are deterministic (every worker would refuse the same line), so
@@ -105,9 +94,6 @@ impl fmt::Display for HiveError {
             HiveError::AllWorkersDead { completed, total } => {
                 write!(f, "all workers died with {completed}/{total} jobs complete")
             }
-            HiveError::ResultMismatch { job } => {
-                write!(f, "workers disagreed on job {job}: results must be byte-identical")
-            }
             HiveError::Rejected { job, error } => write!(f, "job {job} rejected: {error}"),
         }
     }
@@ -126,13 +112,17 @@ pub struct HiveStats {
     pub dead_workers: usize,
     /// Transport failures across all workers (each costs one retry).
     pub retries: u64,
-    /// Jobs returned to the queue after a failed claim.
+    /// Jobs returned to the front of the queue after their worker
+    /// failed.
     pub redispatches: u64,
-    /// Extra speculative claims handed out against stragglers.
+    /// Always 0: a job is never dispatched to a second worker while one
+    /// holds it. Kept only because the repository benchmark reads it.
     pub speculative: u64,
-    /// Duplicate completions (all byte-identical, or the sweep errored).
+    /// Always 0: every job has exactly one result. Kept only because
+    /// the repository benchmark reads it.
     pub duplicates: u64,
-    /// Completions per worker, indexed like the input address list.
+    /// Jobs each worker returned a result for, indexed like the input
+    /// address list; they sum to `jobs` when the sweep succeeds.
     pub per_worker: Vec<u64>,
 }
 
@@ -154,7 +144,7 @@ pub struct Connection {
 }
 
 impl Connection {
-    /// Connects to `addr` (a `host:port` string) within the configured
+    /// Connects to `addr` (a `host:port` string) within the given
     /// timeouts.
     ///
     /// # Errors
@@ -274,14 +264,18 @@ fn interpret(line: &str, index: usize) -> Reply {
 
 struct Shared {
     queue: Mutex<WorkQueue>,
+    /// Notified on every release, result and abort: the only events
+    /// that change what a waiting worker's claim returns.
     cv: Condvar,
     fatal: Mutex<Option<HiveError>>,
-    start: Instant,
 }
 
 impl Shared {
-    fn now_ms(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64
+    /// Returns a failed job to the front of the queue and wakes the
+    /// waiting workers.
+    fn release(&self, index: usize) {
+        self.queue.lock().expect("queue lock").release(index);
+        self.cv.notify_all();
     }
 
     fn poison(&self, err: HiveError) {
@@ -321,13 +315,9 @@ pub fn run_sweep(addrs: &[String], requests: &[JobRequest], cfg: &HiveConfig) ->
         queue: Mutex::new(WorkQueue::new(requests.len())),
         cv: Condvar::new(),
         fatal: Mutex::new(None),
-        start: Instant::now(),
     };
     let retries = AtomicU64::new(0);
     let dead = AtomicU64::new(0);
-    // Claim cap = fleet size: with every worker idle, each job can be
-    // speculated at most once per worker — and never beyond that.
-    let max_claims = addrs.len() as u32;
 
     let mut per_worker = vec![0u64; addrs.len()];
     std::thread::scope(|scope| {
@@ -336,7 +326,7 @@ pub fn run_sweep(addrs: &[String], requests: &[JobRequest], cfg: &HiveConfig) ->
             .enumerate()
             .map(|(w, addr)| {
                 let (shared, lines, retries, dead) = (&shared, &lines, &retries, &dead);
-                scope.spawn(move || worker_loop(w, addr, lines, shared, cfg, max_claims, retries, dead))
+                scope.spawn(move || worker_loop(w, addr, lines, shared, cfg, retries, dead))
             })
             .collect();
         for (w, handle) in handles.into_iter().enumerate() {
@@ -348,7 +338,7 @@ pub fn run_sweep(addrs: &[String], requests: &[JobRequest], cfg: &HiveConfig) ->
         return Err(err);
     }
     let queue = shared.queue.into_inner().expect("queue lock");
-    let qstats = queue.stats();
+    let redispatches = queue.redispatches();
     let mut results = Vec::with_capacity(requests.len());
     let mut fingerprints = Vec::with_capacity(requests.len());
     let slots = queue.into_results();
@@ -360,7 +350,7 @@ pub fn run_sweep(addrs: &[String], requests: &[JobRequest], cfg: &HiveConfig) ->
                 total: requests.len(),
             });
         };
-        results.push(Json::parse(&text).expect("canonical result bytes are valid JSON"));
+        results.push(Json::parse(&text).expect("result bytes are valid JSON"));
         fingerprints.push(fp);
     }
     Ok(SweepOutcome {
@@ -371,9 +361,9 @@ pub fn run_sweep(addrs: &[String], requests: &[JobRequest], cfg: &HiveConfig) ->
             workers: addrs.len(),
             dead_workers: dead.load(Ordering::Relaxed) as usize,
             retries: retries.load(Ordering::Relaxed),
-            redispatches: qstats.redispatches,
-            speculative: qstats.speculative,
-            duplicates: qstats.duplicates,
+            redispatches,
+            speculative: 0,
+            duplicates: 0,
             per_worker,
         },
     })
@@ -392,7 +382,7 @@ fn checked_roundtrip(
 ) -> Result<String, (io::Error, bool)> {
     let transient = |e: io::Error| (e, false);
     if conn.is_none() {
-        let mut fresh = Connection::open(addr, cfg.connect_timeout, cfg.request_timeout).map_err(transient)?;
+        let mut fresh = Connection::open(addr, CONNECT_TIMEOUT, cfg.request_timeout).map_err(transient)?;
         let info = ping(&mut fresh).map_err(transient)?;
         let ours = u64::from(FINGERPRINT_SCHEMA_VERSION);
         if info.fingerprint_schema != ours {
@@ -411,76 +401,52 @@ fn checked_roundtrip(
         .map_err(transient)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     widx: usize,
     addr: &str,
     lines: &[String],
     shared: &Shared,
     cfg: &HiveConfig,
-    max_claims: u32,
     retries: &AtomicU64,
     dead: &AtomicU64,
 ) -> u64 {
-    let mut backoff = Backoff::new(cfg.seed, widx, cfg.backoff_base, cfg.backoff_cap);
+    let mut backoff = Backoff::new(cfg.seed, widx, BACKOFF_BASE, BACKOFF_CAP);
     let mut conn: Option<Connection> = None;
     let mut failures = 0u32;
     let mut completed = 0u64;
-    let straggler_ms = cfg.straggler_after.as_millis() as u64;
 
     loop {
-        let claim = {
+        let index = {
             let mut q = shared.queue.lock().expect("queue lock");
             loop {
-                match q.claim(shared.now_ms(), straggler_ms, max_claims) {
-                    Claim::Wait => {
-                        // Timed wait: straggler aging is time-driven, so a
-                        // notify is not guaranteed to arrive.
-                        q = shared.cv.wait_timeout(q, Duration::from_millis(20)).expect("queue lock").0;
-                    }
-                    other => break other,
+                match q.claim() {
+                    Claim::Job(index) => break index,
+                    Claim::Wait => q = shared.cv.wait(q).expect("queue lock"),
+                    Claim::Done => return completed,
                 }
             }
-        };
-        let index = match claim {
-            Claim::Done => break,
-            Claim::Job { index, .. } => index,
-            Claim::Wait => unreachable!("wait handled above"),
         };
 
         match checked_roundtrip(&mut conn, addr, &lines[index], cfg) {
             Ok(reply) => match interpret(&reply, index) {
                 Reply::Ok { fingerprint, result } => {
                     failures = 0;
-                    let outcome = {
-                        let mut q = shared.queue.lock().expect("queue lock");
-                        q.complete(index, &fingerprint, &result)
-                    };
+                    shared.queue.lock().expect("queue lock").complete(index, fingerprint, result);
                     shared.cv.notify_all();
-                    match outcome {
-                        Completion::Mismatch => {
-                            shared.poison(HiveError::ResultMismatch { job: index });
-                            break;
-                        }
-                        Completion::First | Completion::Duplicate => completed += 1,
-                    }
+                    completed += 1;
                 }
                 Reply::Rejected(error) => {
                     // Deterministic refusal: every worker would reject the
                     // same line, so retrying elsewhere cannot help.
-                    {
-                        let mut q = shared.queue.lock().expect("queue lock");
-                        q.fail(index);
-                    }
+                    shared.release(index);
                     shared.poison(HiveError::Rejected { job: index, error });
-                    break;
+                    return completed;
                 }
                 Reply::Garbled => {
                     // Treat like a transport failure: drop the connection
                     // and let the retry ladder decide.
                     conn = None;
                     if transport_failure(shared, cfg, index, &mut failures, &mut backoff, retries) {
-                        dead.fetch_add(1, Ordering::Relaxed);
                         break;
                     }
                 }
@@ -488,25 +454,21 @@ fn worker_loop(
             Err((_, permanent)) => {
                 conn = None;
                 if permanent {
-                    // Schema mismatch: retire immediately, releasing the claim.
-                    let mut q = shared.queue.lock().expect("queue lock");
-                    q.fail(index);
-                    drop(q);
-                    shared.cv.notify_all();
-                    dead.fetch_add(1, Ordering::Relaxed);
+                    // Schema mismatch: retire immediately, releasing the job.
+                    shared.release(index);
                     break;
                 }
                 if transport_failure(shared, cfg, index, &mut failures, &mut backoff, retries) {
-                    dead.fetch_add(1, Ordering::Relaxed);
                     break;
                 }
             }
         }
     }
+    dead.fetch_add(1, Ordering::Relaxed);
     completed
 }
 
-/// Books one transport failure: releases the claim, counts the retry,
+/// Books one transport failure: releases the job, counts the retry,
 /// sleeps the backoff. Returns `true` when the worker is out of
 /// attempts and must retire.
 fn transport_failure(
@@ -517,11 +479,7 @@ fn transport_failure(
     backoff: &mut Backoff,
     retries: &AtomicU64,
 ) -> bool {
-    {
-        let mut q = shared.queue.lock().expect("queue lock");
-        q.fail(index);
-    }
-    shared.cv.notify_all();
+    shared.release(index);
     retries.fetch_add(1, Ordering::Relaxed);
     *failures += 1;
     if *failures >= cfg.max_attempts {

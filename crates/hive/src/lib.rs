@@ -4,8 +4,8 @@
 //!
 //! A distributed sweep coordinator for Catnap simulations: partitions a
 //! latency sweep into `catnap-serve` jobs and drives a fleet of workers
-//! over the JSONL protocol, surviving worker crashes, hangs and
-//! stragglers without ever changing a result byte.
+//! over the JSONL protocol, surviving worker crashes and hangs without
+//! ever changing a result byte.
 //!
 //! ## Protocol
 //!
@@ -21,16 +21,17 @@
 //!
 //! ## Failure model
 //!
-//! Anything transport-shaped — connect refused, request timeout, EOF
-//! mid-request, a garbled reply — releases the job back to the front of
-//! the queue and costs the worker one strike; a worker dies after
+//! Every job is in exactly one place: pending, held by one worker, or
+//! done. A job goes back to the front of the queue when its worker
+//! crashes, refuses the connection, sends a garbled reply, or hangs
+//! past [`HiveConfig::request_timeout`]; each such failure costs the
+//! worker one strike, and a worker dies after
 //! [`HiveConfig::max_attempts`] consecutive strikes, sleeping a
-//! deterministic jittered backoff ([`Backoff`]) between them. When the
-//! queue is empty but claims are still in flight, idle workers
-//! speculatively re-dispatch claims older than
-//! [`HiveConfig::straggler_after`], bounded to one claim per worker per
-//! job. Protocol-level *rejections* are deterministic (every worker
-//! would refuse the same line) and fail the sweep immediately.
+//! deterministic jittered backoff ([`Backoff`]) between them. A hung
+//! worker therefore costs one request timeout per strike. A worker
+//! speaking another fingerprint schema is retired at once.
+//! Protocol-level *rejections* are deterministic (every worker would
+//! refuse the same line) and fail the sweep immediately.
 //!
 //! ## Determinism argument
 //!
@@ -39,12 +40,10 @@
 //! the job itself. Scheduling therefore affects only *who* computes
 //! each result, never the bytes — any worker count and any failure
 //! schedule that completes yields the identical result vector, in job
-//! order. The coordinator *checks* this instead of assuming it:
-//! duplicate completions from speculation must match the canonical
-//! result byte-for-byte or the sweep is poisoned
-//! ([`HiveError::ResultMismatch`]). The only nondeterminism left is in
-//! wall-clock timing, and even the retry jitter replays exactly under a
-//! fixed `CATNAP_SEED` ([`seed_from_env`]).
+//! order. No job is ever run twice at once, so there are no duplicate
+//! results to reconcile. The only nondeterminism left is in wall-clock
+//! timing, and even the retry jitter replays exactly under a fixed
+//! [`HiveConfig::seed`].
 //!
 //! ## Divergence bisection
 //!
@@ -59,12 +58,11 @@ pub mod backoff;
 pub mod bisect;
 pub mod coordinator;
 pub mod fleet;
-pub mod queue;
+mod queue;
 
-pub use backoff::{seed_from_env, Backoff};
+pub use backoff::Backoff;
 pub use bisect::{bisect_jobs, first_divergence_linear, BisectReport, WindowReport};
 pub use coordinator::{
     ping, run_sweep, shutdown_workers, Connection, HiveConfig, HiveError, HiveStats, PingInfo, SweepOutcome,
 };
 pub use fleet::{default_worker_bin, ProcessFleet, ThreadFleet};
-pub use queue::{Claim, Completion, QueueStats, WorkQueue};

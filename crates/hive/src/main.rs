@@ -7,7 +7,7 @@
 //!                    [--pattern NAME] [--gating BOOL] [--packet-bits N]
 //!                    [--warmup N] [--measure N] [--seed N]
 //!                    [--cache DIR] [--worker-bin PATH] [--out FILE]
-//!                    [--request-timeout-ms N] [--straggler-ms N] [--retries N]
+//!                    [--request-timeout-ms N] [--retries N]
 //! catnap-hive bisect --job-a JSON --job-b JSON [--cycles N] [--window N]
 //! catnap-hive ping   --workers HOST:PORT[,…]
 //! ```
@@ -19,6 +19,11 @@
 //! `--out` when given). `bisect` takes two job objects in the protocol's
 //! `"job"` format and reports the first cycle at which their simulations
 //! diverge. `ping` health-checks a fleet.
+//!
+//! A worker that crashes, refuses connections or garbles a reply has its
+//! job re-queued at once; one that hangs holds its job for
+//! `--request-timeout-ms` (default 120000). `--retries` consecutive
+//! failures (default 3) retire a worker.
 
 use catnap_bench::{sweep_requests, SweepPoint, Table};
 use catnap_hive::{bisect_jobs, ping, run_sweep, Connection, HiveConfig, ProcessFleet};
@@ -33,9 +38,11 @@ fn usage() -> ! {
     eprintln!(
         "usage: catnap-hive sweep  (--workers A,B,… | --spawn N) --config PRESET --loads L1,L2,… \
          [--pattern P] [--gating BOOL] [--packet-bits N] [--warmup N] [--measure N] [--seed N] \
-         [--cache DIR] [--worker-bin PATH] [--out FILE] [--request-timeout-ms N] [--straggler-ms N] [--retries N]\n\
+         [--cache DIR] [--worker-bin PATH] [--out FILE] [--request-timeout-ms N] [--retries N]\n\
          \x20      catnap-hive bisect --job-a JSON --job-b JSON [--cycles N] [--window N]\n\
-         \x20      catnap-hive ping   --workers A,B,…"
+         \x20      catnap-hive ping   --workers A,B,…\n\
+         A failed job is re-queued at once; a hung worker holds its job for --request-timeout-ms \
+         (default 120000). --retries consecutive failures (default 3) retire a worker."
     );
     exit(2);
 }
@@ -98,9 +105,6 @@ fn hive_config(args: &mut Args) -> HiveConfig {
     let mut cfg = HiveConfig::default();
     if let Some(ms) = args.take_parsed::<u64>("--request-timeout-ms") {
         cfg.request_timeout = Duration::from_millis(ms);
-    }
-    if let Some(ms) = args.take_parsed::<u64>("--straggler-ms") {
-        cfg.straggler_after = Duration::from_millis(ms);
     }
     if let Some(n) = args.take_parsed::<u32>("--retries") {
         cfg.max_attempts = n.max(1);
@@ -187,8 +191,8 @@ fn cmd_sweep(args: &mut Args) {
     table.print();
     let s = &outcome.stats;
     eprintln!(
-        "catnap-hive: {} jobs over {} workers ({} dead), {} retries, {} redispatches, {} speculative, {} duplicates; per-worker {:?}",
-        s.jobs, s.workers, s.dead_workers, s.retries, s.redispatches, s.speculative, s.duplicates, s.per_worker
+        "catnap-hive: {} jobs over {} workers ({} dead), {} retries, {} redispatches; per-worker {:?}",
+        s.jobs, s.workers, s.dead_workers, s.retries, s.redispatches, s.per_worker
     );
     let json = Json::Arr(outcome.results).to_compact_string();
     match out {

@@ -1,214 +1,97 @@
-//! The coordinator's deterministic work queue.
+//! The coordinator's work queue.
 //!
 //! All scheduling state lives here, behind one mutex in the
-//! coordinator: which jobs are pending, which are claimed and since
-//! when, and the canonical result of each completed job. The methods
-//! are pure state transitions on explicit inputs (the caller passes the
-//! clock in), so the dispatch/re-dispatch policy is unit-testable
+//! coordinator. Every job is in exactly one place: pending in the
+//! queue, held by one worker, or done with its result. The methods are
+//! pure state transitions, so the dispatch policy is unit-testable
 //! without sockets or threads.
 //!
-//! Invariants:
-//!
-//! * A job completes exactly once; later completions of the same job
-//!   (from speculative duplicates) must carry the byte-identical
-//!   fingerprint and result or the whole sweep is declared poisoned
-//!   ([`Completion::Mismatch`]).
-//! * A failed claim returns the job to the *front* of the queue — a
-//!   transient worker failure delays one job by one round-trip instead
-//!   of pushing it behind the entire backlog.
-//! * Speculation is bounded: a job is re-dispatched to an extra worker
-//!   only when the queue is otherwise empty, the existing claim has
-//!   aged past the straggler threshold, and fewer than `max_claims`
-//!   workers already hold it.
+//! * A claimed job is held by its worker alone until that worker
+//!   completes or releases it; no other worker is ever handed it.
+//! * A released job returns to the *front* of the queue: a transient
+//!   worker failure delays one job by one round-trip instead of pushing
+//!   it behind the entire backlog.
+//! * A job completes once, and that completion is its result.
 
 use std::collections::VecDeque;
 
 /// What [`WorkQueue::claim`] handed the asking worker.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Claim {
-    /// Run job `index`. `speculative` marks a duplicate dispatch of a
-    /// job some other worker is still holding.
-    Job {
-        /// Index into the sweep's job list.
-        index: usize,
-        /// Whether this claim races an older claim on the same job.
-        speculative: bool,
-    },
-    /// Nothing claimable right now, but the sweep is not finished —
-    /// wait and ask again.
-    Wait,
-    /// Every job is complete (or the sweep was aborted); the worker
-    /// should exit.
-    Done,
-}
-
-/// Outcome of reporting a completed job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Completion {
-    /// First completion: the result is now canonical.
-    First,
-    /// A duplicate completion that matched the canonical bytes exactly.
-    Duplicate,
-    /// A duplicate completion that *disagreed* — determinism is broken
-    /// somewhere and no result from this sweep can be trusted.
-    Mismatch,
-}
-
-/// Dispatch counters, exposed on the final [`crate::HiveStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct QueueStats {
-    /// Jobs returned to the queue after a failed claim.
-    pub redispatches: u64,
-    /// Extra claims handed out against stragglers.
-    pub speculative: u64,
-    /// Duplicate completions that matched the canonical result.
-    pub duplicates: u64,
-}
-
-#[derive(Debug)]
-struct Slot {
-    done: bool,
-    /// Claims currently outstanding on this job.
-    claims: u32,
-    /// Coordinator clock (ms) at the most recent claim.
-    last_claim_ms: u64,
-    /// Canonical `(fingerprint, compact result)` once completed.
-    result: Option<(String, String)>,
+pub(crate) enum Claim {
+    /// Run the job with this index into the sweep's job list.
+    Job(usize),
+    /// Nothing is pending, but jobs are still held: wait for a
+    /// release, a completion or an abort, then ask again.
+    Wait,
+    /// Every job is done (or the sweep was aborted); the worker should
+    /// exit.
+    Done,
 }
 
 /// Scheduling state for one sweep. See the module docs for the policy.
 #[derive(Debug)]
-pub struct WorkQueue {
+pub(crate) struct WorkQueue {
     pending: VecDeque<usize>,
-    slots: Vec<Slot>,
+    /// `(fingerprint, compact result)` of each done job.
+    results: Vec<Option<(String, String)>>,
     outstanding: usize,
     aborted: bool,
-    stats: QueueStats,
+    redispatches: u64,
 }
 
 impl WorkQueue {
     /// A queue over jobs `0..jobs`, all pending, in index order.
-    pub fn new(jobs: usize) -> Self {
+    pub(crate) fn new(jobs: usize) -> Self {
         WorkQueue {
             pending: (0..jobs).collect(),
-            slots: (0..jobs)
-                .map(|_| Slot {
-                    done: false,
-                    claims: 0,
-                    last_claim_ms: 0,
-                    result: None,
-                })
-                .collect(),
+            results: vec![None; jobs],
             outstanding: jobs,
             aborted: false,
-            stats: QueueStats::default(),
+            redispatches: 0,
         }
     }
 
-    /// Dispatch counters so far.
-    pub fn stats(&self) -> QueueStats {
-        self.stats
+    /// Jobs returned to the queue by [`WorkQueue::release`] so far.
+    pub(crate) fn redispatches(&self) -> u64 {
+        self.redispatches
     }
 
     /// Marks the sweep poisoned: every subsequent [`WorkQueue::claim`]
     /// returns [`Claim::Done`] so workers drain out promptly.
-    pub fn abort(&mut self) {
+    pub(crate) fn abort(&mut self) {
         self.aborted = true;
     }
 
-    /// Whether every job has a canonical result.
-    pub fn finished(&self) -> bool {
-        self.outstanding == 0
-    }
-
-    /// Hands the asking worker its next job. `now_ms` is the
-    /// coordinator clock; `straggler_after_ms` and `max_claims` bound
-    /// speculation as described in the module docs.
-    pub fn claim(&mut self, now_ms: u64, straggler_after_ms: u64, max_claims: u32) -> Claim {
+    /// Hands the asking worker the job at the front of the queue.
+    pub(crate) fn claim(&mut self) -> Claim {
         if self.aborted || self.outstanding == 0 {
             return Claim::Done;
         }
-        while let Some(i) = self.pending.pop_front() {
-            let s = &mut self.slots[i];
-            if s.done {
-                continue; // completed by a speculative duplicate while queued
-            }
-            s.claims += 1;
-            s.last_claim_ms = now_ms;
-            return Claim::Job {
-                index: i,
-                speculative: false,
-            };
-        }
-        // Queue empty: consider doubling up on the oldest straggler.
-        let mut best: Option<usize> = None;
-        for (i, s) in self.slots.iter().enumerate() {
-            if s.done || s.claims == 0 || s.claims >= max_claims {
-                continue;
-            }
-            if now_ms.saturating_sub(s.last_claim_ms) < straggler_after_ms {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some(b) => {
-                    let sb = &self.slots[b];
-                    (s.claims, s.last_claim_ms, i) < (sb.claims, sb.last_claim_ms, b)
-                }
-            };
-            if better {
-                best = Some(i);
-            }
-        }
-        if let Some(i) = best {
-            let s = &mut self.slots[i];
-            s.claims += 1;
-            s.last_claim_ms = now_ms;
-            self.stats.speculative += 1;
-            return Claim::Job {
-                index: i,
-                speculative: true,
-            };
-        }
-        Claim::Wait
-    }
-
-    /// Releases a claim whose request failed in transit. The job goes
-    /// back to the front of the queue unless another worker still holds
-    /// a live claim (or already completed it).
-    pub fn fail(&mut self, index: usize) {
-        let s = &mut self.slots[index];
-        s.claims = s.claims.saturating_sub(1);
-        if !s.done && s.claims == 0 {
-            self.pending.push_front(index);
-            self.stats.redispatches += 1;
+        match self.pending.pop_front() {
+            Some(index) => Claim::Job(index),
+            None => Claim::Wait,
         }
     }
 
-    /// Records a completed job. The first completion is canonical;
-    /// duplicates are checked byte-for-byte against it.
-    pub fn complete(&mut self, index: usize, fingerprint: &str, result: &str) -> Completion {
-        let s = &mut self.slots[index];
-        s.claims = s.claims.saturating_sub(1);
-        match &s.result {
-            None => {
-                s.result = Some((fingerprint.to_string(), result.to_string()));
-                s.done = true;
-                self.outstanding -= 1;
-                Completion::First
-            }
-            Some((fp, prev)) if fp == fingerprint && prev == result => {
-                self.stats.duplicates += 1;
-                Completion::Duplicate
-            }
-            Some(_) => Completion::Mismatch,
-        }
+    /// Takes a held job back from a worker whose request failed; it
+    /// goes to the front of the queue.
+    pub(crate) fn release(&mut self, index: usize) {
+        debug_assert!(self.results[index].is_none(), "job {index} released after it completed");
+        self.pending.push_front(index);
+        self.redispatches += 1;
     }
 
-    /// The canonical `(fingerprint, result)` pairs in job order;
-    /// `None` for jobs that never completed (dead-fleet sweeps).
-    pub fn into_results(self) -> Vec<Option<(String, String)>> {
-        self.slots.into_iter().map(|s| s.result).collect()
+    /// Records a held job's result.
+    pub(crate) fn complete(&mut self, index: usize, fingerprint: String, result: String) {
+        debug_assert!(self.results[index].is_none(), "job {index} completed twice");
+        self.results[index] = Some((fingerprint, result));
+        self.outstanding -= 1;
+    }
+
+    /// The `(fingerprint, result)` pairs in job order; `None` for jobs
+    /// that never completed (dead-fleet sweeps).
+    pub(crate) fn into_results(self) -> Vec<Option<(String, String)>> {
+        self.results
     }
 }
 
@@ -219,83 +102,51 @@ mod tests {
     #[test]
     fn dispatches_in_index_order_and_requeues_failures_in_front() {
         let mut q = WorkQueue::new(3);
-        assert_eq!(
-            q.claim(0, 1000, 2),
-            Claim::Job {
-                index: 0,
-                speculative: false
-            }
-        );
-        assert_eq!(
-            q.claim(0, 1000, 2),
-            Claim::Job {
-                index: 1,
-                speculative: false
-            }
-        );
-        q.fail(0);
-        // The failed job jumps the remaining backlog.
-        assert_eq!(
-            q.claim(1, 1000, 2),
-            Claim::Job {
-                index: 0,
-                speculative: false
-            }
-        );
-        assert_eq!(q.stats().redispatches, 1);
+        assert_eq!(q.claim(), Claim::Job(0));
+        assert_eq!(q.claim(), Claim::Job(1));
+        q.release(0);
+        // The released job jumps the remaining backlog.
+        assert_eq!(q.claim(), Claim::Job(0));
+        assert_eq!(q.claim(), Claim::Job(2));
+        assert_eq!(q.redispatches(), 1);
     }
 
     #[test]
-    fn speculation_waits_for_the_straggler_threshold() {
+    fn held_job_is_never_claimed_twice() {
         let mut q = WorkQueue::new(1);
-        assert!(matches!(q.claim(0, 500, 3), Claim::Job { index: 0, .. }));
-        assert_eq!(q.claim(100, 500, 3), Claim::Wait, "too young to speculate");
-        assert_eq!(
-            q.claim(600, 500, 3),
-            Claim::Job {
-                index: 0,
-                speculative: true
-            }
-        );
-        // Claim cap: one original + one speculative = 2 < 3, third asks
-        // again before the *newest* claim has aged.
-        assert_eq!(q.claim(700, 500, 3), Claim::Wait);
-        assert!(matches!(
-            q.claim(1200, 500, 3),
-            Claim::Job {
-                index: 0,
-                speculative: true
-            }
-        ));
-        assert_eq!(q.claim(9999, 500, 3), Claim::Wait, "claim cap reached");
-        assert_eq!(q.stats().speculative, 2);
+        assert_eq!(q.claim(), Claim::Job(0));
+        // However long the job is held, another worker only waits.
+        assert_eq!(q.claim(), Claim::Wait);
+        assert_eq!(q.claim(), Claim::Wait);
+        q.release(0);
+        assert_eq!(q.claim(), Claim::Job(0));
+        assert_eq!(q.claim(), Claim::Wait);
     }
 
     #[test]
-    fn duplicate_completions_must_match_bytes() {
-        let mut q = WorkQueue::new(1);
-        let _ = q.claim(0, 10, 3);
-        let _ = q.claim(20, 10, 3); // speculative duplicate
-        assert_eq!(q.complete(0, "fp", "{\"x\":1}"), Completion::First);
-        assert!(q.finished());
-        assert_eq!(q.complete(0, "fp", "{\"x\":1}"), Completion::Duplicate);
-        let mut q2 = WorkQueue::new(1);
-        let _ = q2.claim(0, 10, 3);
-        let _ = q2.claim(20, 10, 3);
-        assert_eq!(q2.complete(0, "fp", "{\"x\":1}"), Completion::First);
+    fn complete_records_the_only_result() {
+        let mut q = WorkQueue::new(2);
+        assert_eq!(q.claim(), Claim::Job(0));
+        assert_eq!(q.claim(), Claim::Job(1));
+        q.complete(1, "fp1".to_string(), "{\"x\":1}".to_string());
+        assert_eq!(q.claim(), Claim::Wait, "job 0 is still held");
+        q.complete(0, "fp0".to_string(), "{\"x\":0}".to_string());
+        assert_eq!(q.claim(), Claim::Done);
         assert_eq!(
-            q2.complete(0, "fp", "{\"x\":2}"),
-            Completion::Mismatch,
-            "byte difference must poison the sweep"
+            q.into_results(),
+            vec![
+                Some(("fp0".to_string(), "{\"x\":0}".to_string())),
+                Some(("fp1".to_string(), "{\"x\":1}".to_string())),
+            ]
         );
     }
 
     #[test]
     fn abort_drains_workers() {
         let mut q = WorkQueue::new(5);
-        let _ = q.claim(0, 10, 2);
+        assert_eq!(q.claim(), Claim::Job(0));
         q.abort();
-        assert_eq!(q.claim(1, 10, 2), Claim::Done);
-        assert!(!q.finished(), "abort is not completion");
+        assert_eq!(q.claim(), Claim::Done);
+        assert!(q.into_results().iter().all(Option::is_none), "abort is not completion");
     }
 }

@@ -49,31 +49,16 @@ impl Sink for NopSink {
     fn record(&mut self, _event: Event) {}
 }
 
-/// Buffers every event in memory, optionally bounded.
-///
-/// With a bound, events beyond it are counted in
-/// [`RecordingSink::dropped`] rather than stored, so a runaway run
-/// degrades to a truncated trace instead of unbounded memory growth.
+/// Buffers every event in memory.
 #[derive(Clone, Debug, Default)]
 pub struct RecordingSink {
     events: Vec<Event>,
-    limit: Option<usize>,
-    dropped: u64,
 }
 
 impl RecordingSink {
-    /// An unbounded recording sink.
+    /// An empty recording sink.
     pub fn new() -> Self {
         RecordingSink::default()
-    }
-
-    /// A recording sink that stores at most `limit` events.
-    pub fn with_limit(limit: usize) -> Self {
-        RecordingSink {
-            events: Vec::new(),
-            limit: Some(limit),
-            dropped: 0,
-        }
     }
 
     /// Events currently buffered.
@@ -86,11 +71,6 @@ impl RecordingSink {
         self.events.is_empty()
     }
 
-    /// Events discarded because the buffer limit was reached.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Read access to the buffered events.
     pub fn events(&self) -> &[Event] {
         &self.events
@@ -99,11 +79,7 @@ impl RecordingSink {
 
 impl Sink for RecordingSink {
     fn record(&mut self, event: Event) {
-        if self.limit.is_some_and(|l| self.events.len() >= l) {
-            self.dropped += 1;
-        } else {
-            self.events.push(event);
-        }
+        self.events.push(event);
     }
 
     fn drain(&mut self) -> Vec<Event> {
@@ -144,15 +120,5 @@ mod tests {
         assert_eq!(evs.len(), 2);
         assert!(s.is_empty());
         assert_eq!(evs[1].cycle(), 2);
-    }
-
-    #[test]
-    fn recording_sink_limit_drops_and_counts() {
-        let mut s = RecordingSink::with_limit(2);
-        for c in 0..5 {
-            s.record(ev(c));
-        }
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.dropped(), 3);
     }
 }

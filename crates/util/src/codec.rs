@@ -284,11 +284,6 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    /// Reads `n` raw bytes.
-    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        self.take(n)
-    }
-
     /// Reads length-prefixed bytes written by [`ByteWriter::put_bytes`].
     pub fn get_bytes(&mut self) -> Result<&'a [u8], CodecError> {
         let n = self.get_usize()?;
@@ -357,22 +352,6 @@ pub fn open(bytes: &[u8], version: u32, fingerprint: u64) -> Result<&[u8], Codec
     Ok(&body[HEADER..])
 }
 
-/// Reads the fingerprint field of a sealed container without
-/// validating the payload (magic and length are still checked).
-///
-/// # Errors
-///
-/// [`CodecError::BadMagic`] or [`CodecError::UnexpectedEof`].
-pub fn peek_fingerprint(bytes: &[u8]) -> Result<u64, CodecError> {
-    if bytes.len() < 28 {
-        return Err(CodecError::UnexpectedEof);
-    }
-    if bytes[..8] != CHECKPOINT_MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    Ok(u64::from_le_bytes(bytes[12..20].try_into().expect("size checked")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,7 +409,6 @@ mod tests {
     fn container_round_trips() {
         let sealed = seal(3, 0xF00D, b"payload");
         assert_eq!(open(&sealed, 3, 0xF00D).unwrap(), b"payload");
-        assert_eq!(peek_fingerprint(&sealed).unwrap(), 0xF00D);
     }
 
     #[test]

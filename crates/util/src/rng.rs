@@ -71,11 +71,6 @@ impl SimRng {
         SimRng::seed_from_u64(seed ^ fnv1a(name.as_bytes()))
     }
 
-    /// Forks an independent child generator, advancing `self`.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::seed_from_u64(self.next_u64())
-    }
-
     /// The raw 256-bit generator state, for checkpointing. Restoring it
     /// with [`SimRng::from_state`] resumes the stream exactly where it
     /// left off.
@@ -367,15 +362,6 @@ mod tests {
         let va: Vec<u64> = (0..32).map(|_| a.next_u64()).collect();
         assert_eq!(va, (0..32).map(|_| a2.next_u64()).collect::<Vec<u64>>());
         assert_ne!(va, (0..32).map(|_| b.next_u64()).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn fork_diverges_from_parent() {
-        let mut parent = SimRng::seed_from_u64(10);
-        let mut child = parent.fork();
-        let p: Vec<u64> = (0..16).map(|_| parent.next_u64()).collect();
-        let c: Vec<u64> = (0..16).map(|_| child.next_u64()).collect();
-        assert_ne!(p, c);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! End-to-end tests of the `catnap-hive` distributed sweep coordinator
 //! at the workspace level: real multi-worker fleets over loopback TCP,
-//! healthy at several sizes and with an injected mid-sweep worker kill,
-//! cross-checked byte-for-byte against the serial sweep path, plus the
-//! deterministic retry/backoff schedule and cycle-exact divergence
-//! bisection.
+//! healthy at several sizes, with an injected mid-sweep worker kill and
+//! with a hung worker, cross-checked byte-for-byte against the serial
+//! sweep path, plus the deterministic retry/backoff schedule and
+//! cycle-exact divergence bisection.
 
 use catnap_repro::bench::{latency_sweep, sweep_requests, JobRequest};
 use catnap_repro::catnap::MultiNocConfig;
@@ -13,6 +13,7 @@ use catnap_repro::hive::{
 use catnap_repro::serve::parse_job;
 use catnap_repro::traffic::{LoadSchedule, SyntheticPattern};
 use catnap_repro::util::json::ToJson;
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -22,15 +23,12 @@ fn temp_root(tag: &str) -> PathBuf {
     dir
 }
 
-/// A coordinator config tuned for tests: fail fast, re-dispatch fast.
+/// A coordinator config for tests: a generous request timeout for debug
+/// builds, and the default three strikes per worker.
 fn test_cfg() -> HiveConfig {
     HiveConfig {
-        connect_timeout: Duration::from_millis(500),
         request_timeout: Duration::from_secs(60),
         max_attempts: 3,
-        backoff_base: Duration::from_millis(5),
-        backoff_cap: Duration::from_millis(40),
-        straggler_after: Duration::from_millis(300),
         ..HiveConfig::default()
     }
 }
@@ -90,9 +88,40 @@ fn three_worker_sweep_with_mid_sweep_kill_matches_serial_latency_sweep() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A worker that hangs: the test's listener is bound but never calls
+/// `accept`, so the kernel completes the handshake and the coordinator's
+/// `ping` is never answered. The job it holds must return to the queue
+/// after `request_timeout` and be served by the healthy worker.
+#[test]
+fn hung_worker_releases_its_job_after_the_request_timeout() {
+    let root = temp_root("hung");
+    let requests = sweep_8();
+    let fleet = ThreadFleet::spawn(&root, &[None]).expect("fleet spawns");
+    let hung = TcpListener::bind("127.0.0.1:0").expect("hung listener binds");
+    // The hung address comes first, so its coordinator thread starts
+    // first and claims a job while the healthy worker is still busy.
+    let addrs = vec![hung.local_addr().unwrap().to_string(), fleet.addrs()[0].clone()];
+    let cfg = HiveConfig {
+        request_timeout: Duration::from_secs(1),
+        ..test_cfg()
+    };
+    let outcome = run_sweep(&addrs, &requests, &cfg).expect("sweep survives the hung worker");
+    fleet.shutdown();
+    drop(hung);
+
+    assert!(
+        outcome.stats.redispatches >= 1,
+        "the hung worker's job was re-dispatched"
+    );
+    assert_eq!(outcome.stats.per_worker[0], 0, "the hung worker returned nothing");
+    assert_matches_serial_sweep(&outcome);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// The hive's core promise: the result bytes never depend on how many
 /// workers served the sweep. Healthy fleets of one and four workers
-/// (fresh caches each) both reproduce the serial sweep.
+/// (fresh caches each) both reproduce the serial sweep, and every job is
+/// sent exactly once.
 #[test]
 fn healthy_fleets_of_one_and_four_workers_match_serial_latency_sweep() {
     let requests = sweep_8();
@@ -101,7 +130,19 @@ fn healthy_fleets_of_one_and_four_workers_match_serial_latency_sweep() {
         let fleet = ThreadFleet::spawn(&root, &vec![None; workers]).expect("fleet spawns");
         let outcome = run_sweep(&fleet.addrs(), &requests, &test_cfg()).expect("sweep completes");
         fleet.shutdown();
-        assert_eq!(outcome.stats.dead_workers, 0, "{workers}-worker fleet stays healthy");
+        let stats = &outcome.stats;
+        assert_eq!(stats.dead_workers, 0, "{workers}-worker fleet stays healthy");
+        assert_eq!(
+            stats.per_worker.iter().sum::<u64>(),
+            requests.len() as u64,
+            "one result per job: {:?}",
+            stats.per_worker
+        );
+        assert_eq!(
+            (stats.retries, stats.redispatches),
+            (0, 0),
+            "a healthy fleet never retries"
+        );
         assert_matches_serial_sweep(&outcome);
         let _ = std::fs::remove_dir_all(&root);
     }
