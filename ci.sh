@@ -29,13 +29,12 @@ echo "== trace diff (production step vs the per-cycle oracle at near-idle load) 
 # divergence in either, naming the first divergent cycle.
 cargo run -q --release --offline --example trace_diff -- --demo
 
-echo "== closed-loop CLI (System via mix, CacheSystem via cache: two runs, same bytes) =="
-# Outside the tests, `cache` is CacheSystem's only caller, and nothing
-# else runs either subcommand. Each runs twice at one seed; the outputs
-# must match byte for byte.
+echo "== CLI (System via mix, the open-loop network via synthetic: two runs, same bytes) =="
+# Outside the tests, nothing else runs either subcommand. Each runs
+# twice at one seed; the outputs must match byte for byte.
 CLI_TMP="$(mktemp -d)"
 trap 'rm -rf "$CLI_TMP"' EXIT
-for sub in "mix --mix heavy" "cache --workload heavy"; do
+for sub in "mix --mix heavy" "synthetic --config 4NT-128b --load 0.05"; do
   for run in 1 2; do
     # $sub is left unquoted so it splits into the subcommand and its flags.
     # shellcheck disable=SC2086

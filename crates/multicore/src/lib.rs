@@ -11,7 +11,9 @@
 //! **Substitution note** (DESIGN.md §3): the paper replays Pin-collected
 //! instruction traces; we generate each core's memory behaviour
 //! synthetically from the per-benchmark parameters in
-//! [`catnap_traffic::workload`]. What the network observes — message
+//! [`catnap_traffic::workload`]. No cache is simulated: whether a miss
+//! hits in L2, goes to memory or meets a sharer is drawn from the same
+//! parameters. What the network observes — message
 //! rates, burstiness, destination spread, control/data packet mix, and
 //! the closed-loop throttling of cores by network latency and bandwidth —
 //! is modelled faithfully; absolute IPC values are not meaningful, only
@@ -27,30 +29,21 @@
 //!   3/4-hop directory forwards, memory fetches, invalidations and
 //!   writebacks, each leg a control (1-flit) or data (cache block)
 //!   packet.
-//! * [`cache`] — a real set-associative cache simulator (tags, LRU,
-//!   inclusive directory state) usable as an alternative to the
-//!   probabilistic hit/miss model, and validated by tests.
 //! * [`memory`] — bandwidth-limited memory controllers.
-//! * [`system`] — the probabilistic closed loop: cores draw each miss's
-//!   transaction from their benchmark's probabilities; reports system
-//!   performance.
-//! * [`system_cache`] — the cache-accurate closed loop: L1s, L2 slices
-//!   and directories decide each miss's transaction.
-//! * `transactions` (crate-private) — the one coherence-transaction
-//!   engine both systems drive: it injects each leg on the
+//! * [`system`] — the closed loop: cores draw each miss's transaction
+//!   from their benchmark's probabilities; reports system performance.
+//! * `transactions` (crate-private) — the coherence-transaction engine
+//!   the system drives: it injects each leg on the
 //!   [`catnap::MultiNoc`], waits out service delays, queues memory legs
 //!   at the controllers (retrying refused ones) and reports completed
 //!   misses back to the system.
 
-pub mod cache;
 pub mod config;
 pub mod core_model;
 pub mod memory;
 pub mod protocol;
 pub mod system;
-pub mod system_cache;
 mod transactions;
 
 pub use config::SystemConfig;
 pub use system::{System, SystemReport};
-pub use system_cache::{CacheSystem, CacheSystemReport, CacheWorkload};

@@ -8,10 +8,9 @@
 //! carry a 64-byte cache block (paper Section 4.1).
 //!
 //! The scripts below model the paper's 4-hop MESI directory protocol
-//! transaction shapes; which shape a given miss takes is drawn from the
-//! benchmark's `l2_miss_ratio` and `sharing_fraction` parameters in the
-//! probabilistic mode, or decided by the real cache/directory simulator
-//! in [`crate::cache`] mode.
+//! transaction shapes; [`crate::system`] draws which shape a given miss
+//! takes from the benchmark's `l2_miss_ratio` and `sharing_fraction`
+//! parameters.
 
 use crate::config::SystemConfig;
 use catnap_noc::{MessageClass, NodeId};

@@ -1,9 +1,9 @@
-//! The probabilistic closed-loop system: each core draws its misses'
-//! coherence transactions from its benchmark's probabilities, and the
-//! shared transaction engine runs them on the Catnap Multi-NoC.
+//! The closed-loop system: each core draws its misses' coherence
+//! transactions from its benchmark's probabilities, and the transaction
+//! engine runs them on the Catnap Multi-NoC.
 
 use crate::config::SystemConfig;
-use crate::core_model::{Core, MissId, MissRequest};
+use crate::core_model::{Core, MissRequest};
 use crate::protocol::{self, TransactionScript};
 use crate::transactions::Transactions;
 use catnap::{MultiNoc, MultiNocConfig, RunReport};
@@ -17,8 +17,8 @@ pub struct System {
     /// The network under evaluation (public for power/stat queries).
     pub net: MultiNoc,
     cores: Vec<Core>,
-    /// Transactions in flight; a miss carries its id and issue cycle.
-    tx: Transactions<(MissId, u64)>,
+    /// Transactions in flight.
+    tx: Transactions,
     rng: SimRng,
     misses_issued: u64,
     misses_completed: u64,
@@ -92,9 +92,10 @@ impl System {
         protocol::read_l2_hit(node, home, &self.cfg)
     }
 
-    /// Applies the misses the last engine call completed at `now`.
+    /// Applies the misses the engine completed since the last drain, at
+    /// `now`.
     fn complete_misses(&mut self, now: u64) {
-        for (core, (miss, issued_cycle)) in self.tx.completed.drain(..) {
+        for (core, miss, issued_cycle) in self.tx.completed.drain(..) {
             self.cores[core].complete(miss);
             self.misses_completed += 1;
             self.miss_latency_sum += now.saturating_sub(issued_cycle);
@@ -113,8 +114,7 @@ impl System {
             for req in &issued {
                 self.misses_issued += 1;
                 let script = self.build_script(ci, req);
-                self.tx.start(&mut self.net, script, Some((ci, (req.id, now))), now);
-                self.complete_misses(now);
+                self.tx.start(&mut self.net, script, Some((ci, req.id, now)), now);
                 // Dirty eviction accompanying the fill.
                 let bench = self.cores[ci].benchmark();
                 if self.rng.gen::<f64>() < bench.write_fraction {
@@ -130,7 +130,6 @@ impl System {
         }
 
         self.tx.start_due(&mut self.net, now);
-        self.complete_misses(now);
         self.tx.retry_memory();
         // Known defect, kept so pinned results hold: this drops the
         // memory legs the retry refused again, and their transactions
@@ -141,6 +140,8 @@ impl System {
         // tests/determinism.rs.
         self.tx.mc_retry.clear();
         self.tx.tick_memory(&mut self.net, now);
+        // One drain for every completion at this cycle's `now`: a miss
+        // completed by `start` belongs to a core that has already ticked.
         self.complete_misses(now);
 
         self.net.step();

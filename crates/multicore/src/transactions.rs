@@ -1,15 +1,17 @@
-//! The coherence-transaction engine shared by [`crate::System`] and
-//! [`crate::CacheSystem`].
+//! The coherence-transaction engine [`crate::System`] drives.
 //!
-//! A system decides *which* transaction a miss takes; the engine runs
+//! The system decides *which* transaction a miss takes; the engine runs
 //! it: it injects each leg's packet, waits out fixed service delays,
 //! queues memory responses at bandwidth-limited controllers (retrying
 //! legs a full controller refused), and walks zero-delay self-legs
 //! instantly. When the leg a core waits on is delivered, the engine
-//! queues a completion in [`Transactions::completed`]; the system applies
-//! it as soon as the engine call returns, with that call's `now`.
+//! queues a completion in [`Transactions::completed`]. Every call before
+//! the network steps shares one `now`, so the system drains the queue
+//! twice a cycle: after [`Transactions::tick_memory`] and after
+//! [`Transactions::deliver`].
 
 use crate::config::SystemConfig;
+use crate::core_model::MissId;
 use crate::memory::{MemToken, MemoryController};
 use crate::protocol::TransactionScript;
 use catnap::MultiNoc;
@@ -17,16 +19,19 @@ use catnap_noc::{MessageClass, NodeId, PacketDescriptor, PacketId};
 use catnap_traffic::generator::PacketSink;
 use std::collections::{BTreeMap, HashMap};
 
-struct Tx<T> {
+/// A miss a core waits on: (core, miss, issue cycle).
+pub(crate) type Miss = (usize, MissId, u64);
+
+struct Tx {
     script: TransactionScript,
-    /// The core waiting on this transaction and its miss, taken when the
+    /// The miss waiting on this transaction, taken when the
     /// `completes_at` leg is delivered (`None` for background traffic).
-    miss: Option<(usize, T)>,
+    miss: Option<Miss>,
 }
 
 /// Running coherence transactions and the memory controllers they use.
-pub(crate) struct Transactions<T> {
-    txs: HashMap<u64, Tx<T>>,
+pub(crate) struct Transactions {
+    txs: HashMap<u64, Tx>,
     pkt_to_tx: HashMap<PacketId, (u64, usize)>,
     /// Legs waiting out a fixed service delay: cycle -> (tx, leg).
     delayed: BTreeMap<u64, Vec<(u64, usize)>>,
@@ -39,11 +44,11 @@ pub(crate) struct Transactions<T> {
     next_packet: u64,
     next_token: u64,
     ready: Vec<MemToken>,
-    /// Misses completed by the last call: (core, miss).
-    pub(crate) completed: Vec<(usize, T)>,
+    /// Misses completed since the system last drained them.
+    pub(crate) completed: Vec<Miss>,
 }
 
-impl<T> Transactions<T> {
+impl Transactions {
     /// Builds the memory controllers of `cfg` on `net`'s mesh and turns
     /// on the delivery tracking the engine reads.
     pub(crate) fn new(cfg: &SystemConfig, net: &mut MultiNoc) -> Self {
@@ -74,9 +79,9 @@ impl<T> Transactions<T> {
         &self.mc_nodes
     }
 
-    /// Starts a transaction at its first leg; `miss` is the core and miss
-    /// its `completes_at` leg completes.
-    pub(crate) fn start(&mut self, net: &mut MultiNoc, script: TransactionScript, miss: Option<(usize, T)>, now: u64) {
+    /// Starts a transaction at its first leg; `miss` is the miss its
+    /// `completes_at` leg completes.
+    pub(crate) fn start(&mut self, net: &mut MultiNoc, script: TransactionScript, miss: Option<Miss>, now: u64) {
         let tx_id = self.next_tx;
         self.next_tx += 1;
         self.txs.insert(tx_id, Tx { script, miss });
@@ -217,7 +222,7 @@ mod tests {
         let mc = txs.mc_nodes()[0];
         for miss in 0..6u64 {
             let script = protocol::read_memory(NodeId(9), NodeId(18), mc, &cfg);
-            txs.start(&mut net, script, Some((0, miss)), 0);
+            txs.start(&mut net, script, Some((0, MissId(miss), 0)), 0);
         }
         let mut done = Vec::new();
         let mut most_refused = 0;
@@ -231,7 +236,7 @@ mod tests {
             let now = net.cycle();
             txs.deliver(&mut net, now);
             most_refused = most_refused.max(txs.mc_retry.len());
-            done.extend(txs.completed.drain(..).map(|(_, miss)| miss));
+            done.extend(txs.completed.drain(..).map(|(_, miss, _)| miss.0));
         }
         done.sort_unstable();
         assert_eq!(done, [0, 1, 2, 3, 4, 5], "every refused fetch completes");

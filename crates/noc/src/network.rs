@@ -1103,6 +1103,9 @@ impl<S: Sink> Network<S> {
                 }
                 let port = checkpoint::get_port(r)?;
                 let flit = checkpoint::get_flit(r, n, vcs)?;
+                if flit.lookahead != self.route_lut[idx * n + flit.dst.index()] {
+                    return Err(CodecError::Invalid("staged flit's look-ahead off its route"));
+                }
                 out.push((idx, port, flit));
             }
             Ok(out)
@@ -1490,11 +1493,17 @@ mod tests {
     #[test]
     fn load_rejects_flits_outside_the_network() {
         let vcs = small_net(false).config().vcs_per_port as u8;
-        for (vc, dst) in [(vcs, NodeId(1)), (0, NodeId(16))] {
+        // Staged for router 1, a flit to node 1 must look ahead to Local.
+        for (vc, dst, lookahead) in [
+            (vcs, NodeId(1), Port::Local),
+            (0, NodeId(16), Port::Local),
+            (0, NodeId(1), Port::East),
+        ] {
             let mut net = small_net(false);
             let mut flit = net.make_single_flit_packet(NodeId(0), NodeId(1), 0);
             flit.vc = vc;
             flit.dst = dst;
+            flit.lookahead = lookahead;
             net.staged_flits.push((1, Port::West, flit));
             let mut w = ByteWriter::new();
             net.save_state(&mut w);
@@ -1502,7 +1511,7 @@ mod tests {
             let loaded = small_net(false).load_state(&mut ByteReader::new(&bytes));
             assert!(
                 matches!(loaded, Err(CodecError::Invalid(_))),
-                "VC {vc}, destination {dst}: {loaded:?}"
+                "VC {vc}, destination {dst}, look-ahead {lookahead:?}: {loaded:?}"
             );
         }
     }

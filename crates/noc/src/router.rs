@@ -207,7 +207,17 @@ impl Router {
     /// (no-op unless it sleeps).
     pub(crate) fn request_wake(&mut self, port: Port, cycle: u64, reason: WakeReason) {
         let u = self.unit_of(port);
-        self.units[u].psm.request_wake(cycle, reason);
+        let unit = &mut self.units[u];
+        if unit.psm.state().is_sleeping() {
+            unit.psm.request_wake(cycle, reason);
+            if unit.psm.state().is_active() {
+                // Woken at once (`t_wakeup` 0): restart the idle count as
+                // a completed countdown does in `tick_power`, or the
+                // policy re-gates the unit before the pinging head
+                // arrives.
+                unit.idle = 0;
+            }
+        }
     }
 
     /// Whether gating unit `unit` satisfies the router-local sleep guard,
@@ -956,6 +966,13 @@ impl Router {
         let mut router = Router::new(node, cfg);
         let (vcs, vc_depth, nodes) = (router.vcs, router.vc_depth, cfg.dims.num_nodes());
         router.inputs = InputBuffers::decode(r, vcs, vc_depth, nodes)?;
+        // A flit's look-ahead is the X-Y route at the router holding it:
+        // any other value could name a port with no link, and the flit
+        // would wait for a grant forever.
+        let route = |flit: &Flit| cfg.dims.xy_route(node, flit.dst);
+        if router.inputs.flits().any(|f| f.lookahead != route(f)) {
+            return Err(CodecError::Invalid("buffered flit's look-ahead off its route"));
+        }
         for m in router.out_owned.iter_mut() {
             *m = r.get_u64()?;
         }
@@ -973,6 +990,9 @@ impl Router {
         for _ in 0..xbar_len {
             let flit = checkpoint::get_flit(r, nodes, vcs)?;
             let port = checkpoint::get_port(r)?;
+            if flit.lookahead != route(&flit) || port != flit.lookahead {
+                return Err(CodecError::Invalid("crossbar flit or port off its route"));
+            }
             router.xbar_reg.push((flit, port));
         }
         for rr in router.in_rr.iter_mut() {
@@ -1333,5 +1353,37 @@ mod tests {
         assert_eq!(no_ping, None);
         let local = r.deliver(Port::North, flit(2, FlitKind::Single, 0, 1, Port::Local, 0));
         assert_eq!(local, None, "ejecting flits need no wake ping");
+    }
+
+    /// Corner router 0 has no North link. A buffered head whose
+    /// look-ahead names North would never be granted, and a crossbar
+    /// entry must leave by its look-ahead, so decode rejects both; the
+    /// head with its X-Y route (East, toward node 63) decodes.
+    #[test]
+    fn decode_rejects_a_lookahead_off_the_route() {
+        let cfg = NetworkConfig::paper();
+        let node = NodeId(0);
+        let decode = |r: &Router| {
+            let mut w = ByteWriter::new();
+            r.encode(&mut w);
+            let bytes = w.into_inner();
+            Router::decode(&mut ByteReader::new(&bytes), node, &cfg).map(|_| ())
+        };
+        let head = |lookahead| flit(1, FlitKind::Head, 0, 2, lookahead, 0);
+        let mut r = Router::new(node, &cfg);
+        r.deliver(Port::Local, head(Port::East));
+        assert_eq!(decode(&r), Ok(()));
+        let mut r = Router::new(node, &cfg);
+        r.deliver(Port::Local, head(Port::North));
+        assert!(
+            matches!(decode(&r), Err(CodecError::Invalid(_))),
+            "buffered head to North"
+        );
+        let mut r = Router::new(node, &cfg);
+        r.xbar_reg.push((head(Port::East), Port::South));
+        assert!(
+            matches!(decode(&r), Err(CodecError::Invalid(_))),
+            "crossbar entry leaving South"
+        );
     }
 }

@@ -153,6 +153,12 @@ impl InputBuffers {
         (self.len[i] > 0).then(|| &self.slab[self.slot(i, self.head[i])])
     }
 
+    /// Every buffered flit, VC by VC, each VC in FIFO order.
+    pub(crate) fn flits(&self) -> impl Iterator<Item = &Flit> {
+        (0..self.len.len())
+            .flat_map(move |i| (0..self.len[i]).map(move |k| &self.slab[self.slot(i, (self.head[i] + k) % self.depth)]))
+    }
+
     /// Enqueues an arriving flit into VC `(port index, vc)`.
     ///
     /// # Panics

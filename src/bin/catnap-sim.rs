@@ -4,9 +4,11 @@
 //! catnap-sim synthetic [--config NAME] [--pattern P] [--load L]
 //!                      [--cycles N] [--packet-bits B] [--gating] [--seed S]
 //! catnap-sim mix       [--config NAME] [--mix M] [--cycles N] [--gating] [--seed S]
-//! catnap-sim cache     [--config NAME] [--workload light|heavy] [--cycles N] [--gating]
 //! catnap-sim list
 //! ```
+//!
+//! Each subcommand accepts only its own flags, each at most once;
+//! `--gating` is a switch and every other flag takes a value.
 //!
 //! Examples:
 //!
@@ -16,27 +18,42 @@
 //! ```
 
 use catnap_repro::catnap::{MultiNoc, MultiNocConfig};
-use catnap_repro::multicore::{CacheSystem, CacheWorkload, System, SystemConfig};
+use catnap_repro::multicore::{System, SystemConfig};
 use catnap_repro::power::TechParams;
 use catnap_repro::traffic::{SyntheticPattern, SyntheticWorkload, WorkloadMix};
 use std::process::ExitCode;
+
+/// The flags of `synthetic`.
+const SYNTHETIC_FLAGS: &[&str] = &["config", "gating", "seed", "cycles", "pattern", "load", "packet-bits"];
+/// The flags of `mix`.
+const MIX_FLAGS: &[&str] = &["config", "gating", "seed", "cycles", "mix"];
 
 struct Args {
     flags: Vec<(String, Option<String>)>,
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Result<Args, String> {
+    /// Parses `raw` against the subcommand's flags `allowed`: `--gating`
+    /// is the one switch, and every other flag takes a value.
+    fn parse(raw: &[String], allowed: &[&str]) -> Result<Args, String> {
         let mut flags = Vec::new();
         let mut it = raw.iter().peekable();
         while let Some(a) = it.next() {
             let Some(name) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument {a}"));
             };
-            let value = match it.peek() {
-                Some(v) if !v.starts_with("--") => Some(it.next().expect("peeked").clone()),
-                _ => None,
-            };
+            if !allowed.contains(&name) {
+                return Err(format!("unknown flag --{name}"));
+            }
+            if flags.iter().any(|(n, _)| n == name) {
+                return Err(format!("repeated flag --{name}"));
+            }
+            let value = it.next_if(|v| !v.starts_with("--")).cloned();
+            match (name == "gating", &value) {
+                (true, Some(v)) => return Err(format!("flag --gating takes no value, got {v}")),
+                (false, None) => return Err(format!("missing value for --{name}")),
+                _ => {}
+            }
             flags.push((name.to_string(), value));
         }
         Ok(Args { flags })
@@ -94,11 +111,10 @@ fn mix_by_name(name: &str) -> Option<WorkloadMix> {
 
 fn usage() {
     eprintln!(
-        "usage: catnap-sim <synthetic|mix|cache|list> [options]\n\
+        "usage: catnap-sim <synthetic|mix|list> [options]\n\
          \n\
          synthetic: --config NAME --pattern P --load L --cycles N --packet-bits B [--gating] --seed S\n\
          mix:       --config NAME --mix light|medium-light|medium-heavy|heavy --cycles N [--gating] --seed S\n\
-         cache:     --config NAME --workload light|heavy --cycles N [--gating] --seed S\n\
          list:      show available configurations, patterns and mixes"
     );
 }
@@ -109,7 +125,16 @@ fn run() -> Result<(), String> {
         usage();
         return Err("missing subcommand".into());
     };
-    let args = Args::parse(&argv[1..])?;
+    let allowed: &[&str] = match cmd.as_str() {
+        "synthetic" => SYNTHETIC_FLAGS,
+        "mix" => MIX_FLAGS,
+        "list" => &[],
+        other => {
+            usage();
+            return Err(format!("unknown subcommand {other}"));
+        }
+    };
+    let args = Args::parse(&argv[1..], allowed)?;
     let tech = TechParams::catnap_32nm();
 
     let mut cfg = {
@@ -127,7 +152,6 @@ fn run() -> Result<(), String> {
             println!("configs:  1NT-512b 1NT-128b 2NT-256b 4NT-128b 8NT-64b 64core-1NT-256b 64core-2NT-128b");
             println!("patterns: uniform transpose bit-complement tornado neighbor");
             println!("mixes:    light medium-light medium-heavy heavy");
-            println!("cache workloads: light heavy");
             Ok(())
         }
         "synthetic" => {
@@ -195,38 +219,7 @@ fn run() -> Result<(), String> {
             );
             Ok(())
         }
-        "cache" => {
-            let workload = match args.get("workload").unwrap_or("light") {
-                "light" => CacheWorkload::light(),
-                "heavy" => CacheWorkload::heavy(),
-                other => return Err(format!("unknown cache workload {other}")),
-            };
-            let seed: u64 = args.num("seed", 1u64)?;
-            println!("running {} | cache-accurate mode, {cycles} cycles", cfg.name);
-            let mut sys = CacheSystem::new(SystemConfig::paper(), cfg, workload, seed);
-            sys.warm(2_000);
-            sys.run(cycles);
-            let power = sys.net.power_report(tech);
-            let rep = sys.report();
-            println!(
-                "IPC {:.1} | L1 miss rate {:.2}% | tx kinds [hit fwd mem inv wb] = {:?}",
-                rep.ipc,
-                rep.l1_miss_rate * 100.0,
-                rep.tx_kinds
-            );
-            println!(
-                "power: dynamic {:.2} W + static {:.2} W = {:.2} W | CSC {:.1}%",
-                power.dynamic.total(),
-                power.static_.total(),
-                power.total(),
-                power.csc_fraction * 100.0
-            );
-            Ok(())
-        }
-        other => {
-            usage();
-            Err(format!("unknown subcommand {other}"))
-        }
+        _ => unreachable!("subcommand checked above"),
     }
 }
 

@@ -1,7 +1,7 @@
 //! Reproducibility: identical seeds give identical simulations, for both
 //! open-loop synthetic runs and the closed-loop multicore system — plus
 //! pinned golden fingerprints per selector × gating combination and for
-//! both closed-loop systems.
+//! the closed-loop system.
 //!
 //! The goldens pin the exact behaviour of the in-tree [`SimRng`] streams;
 //! any change to the RNG, the selection policy, or the router pipeline
@@ -12,7 +12,7 @@
 //! [`SimRng`]: catnap_repro::util::SimRng
 
 use catnap_repro::catnap::{GatingPolicy, MultiNoc, MultiNocConfig, SelectorKind};
-use catnap_repro::multicore::{CacheSystem, CacheWorkload, System, SystemConfig};
+use catnap_repro::multicore::{System, SystemConfig};
 use catnap_repro::noc::stats::GatingActivity;
 use catnap_repro::telemetry::RecordingSink;
 use catnap_repro::traffic::{SyntheticPattern, SyntheticWorkload, WorkloadMix};
@@ -220,34 +220,6 @@ fn golden_closed_loop_system_heavy() {
         "closed-loop System Heavy",
         got,
         ((210962, 3411, 2537, 10946), 0x4072477fa59673a4),
-    );
-}
-
-/// Closed-loop golden for the cache-accurate [`CacheSystem`]: the heavy
-/// workload on the same network, warmed, then 1,200 timed cycles. Pins
-/// `(transactions by kind, instructions, misses completed, packets
-/// delivered)`.
-#[test]
-fn golden_closed_loop_cache_heavy() {
-    let mut sys = CacheSystem::new(
-        SystemConfig::paper(),
-        MultiNocConfig::catnap_4x128().gating(true).seed(7),
-        CacheWorkload::heavy(),
-        7,
-    );
-    sys.warm(1_000);
-    sys.run(1_200);
-    let r = sys.report();
-    let got = (
-        r.tx_kinds,
-        r.total_instructions,
-        r.misses_completed,
-        r.network.packets_delivered,
-    );
-    pin(
-        "closed-loop CacheSystem heavy",
-        got,
-        ([288, 113, 5546, 127, 1476], 17725, 1405, 16526),
     );
 }
 

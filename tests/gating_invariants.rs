@@ -213,3 +213,57 @@ fn wakeup_costs_show_up_in_latency_not_loss() {
         ungated.avg_packet_latency
     );
 }
+
+/// Outstanding packets after 2,000 cycles of uniform 0.01 traffic
+/// (512-bit packets, workload seed 3) and then at most 5,000 cycles of
+/// draining, with gating units that wake at once (`t_wakeup` 0).
+fn outstanding_after_drain_at_zero_wakeup(policy: GatingPolicy, t_idle_detect: u32) -> u64 {
+    let mut cfg = MultiNocConfig::catnap_4x128().gating_policy(policy).seed(3);
+    cfg.gating_cfg.t_wakeup = 0;
+    cfg.gating_cfg.t_breakeven = 12;
+    cfg.gating_cfg.t_idle_detect = t_idle_detect;
+    let mut net = MultiNoc::new(cfg);
+    let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.01, 512, net.dims(), 3);
+    for _ in 0..2_000 {
+        load.drive(&mut net);
+        net.step();
+    }
+    for _ in 0..5_000 {
+        if net.packets_outstanding() == 0 {
+            break;
+        }
+        net.step();
+    }
+    net.packets_outstanding()
+}
+
+/// A unit woken at once must restart its idle count, or the policy
+/// re-gates it before the head that pinged it is granted, and the head
+/// pings again forever.
+#[test]
+fn immediate_wake_up_drains_every_packet() {
+    for (policy, t_idle_detect) in [
+        (GatingPolicy::LocalIdle, 4),
+        (GatingPolicy::LocalIdle, 1),
+        (GatingPolicy::LocalIdlePort, 4),
+        (GatingPolicy::CatnapRcs, 4),
+    ] {
+        assert_eq!(
+            outstanding_after_drain_at_zero_wakeup(policy, t_idle_detect),
+            0,
+            "{policy:?} at t_idle_detect {t_idle_detect}"
+        );
+    }
+}
+
+/// Port units at `t_idle_detect` 1 still strand packets: an in-step wake
+/// can land on a router later in the step order than the upstream that
+/// pinged it, whose own tick then counts the wake cycle as idle.
+#[test]
+#[ignore = "ROADMAP item 9: in-step wake ordering, still open"]
+fn immediate_wake_up_drains_every_packet_with_port_units_at_idle_detect_1() {
+    assert_eq!(
+        outstanding_after_drain_at_zero_wakeup(GatingPolicy::LocalIdlePort, 1),
+        0
+    );
+}

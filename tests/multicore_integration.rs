@@ -1,9 +1,8 @@
 //! Integration tests of the closed-loop multicore substrate against the
-//! full network stack, including cross-validation of the probabilistic
-//! and cache-accurate modes.
+//! full network stack.
 
 use catnap_repro::catnap::MultiNocConfig;
-use catnap_repro::multicore::{CacheSystem, CacheWorkload, System, SystemConfig};
+use catnap_repro::multicore::{System, SystemConfig};
 use catnap_repro::traffic::WorkloadMix;
 
 #[test]
@@ -19,8 +18,7 @@ fn probabilistic_mode_mixes_rank_by_intensity() {
 }
 
 #[test]
-fn both_modes_agree_gating_helps_multi_but_not_single() {
-    // Probabilistic mode.
+fn gating_helps_multi_but_not_single() {
     let power_of = |cfg: MultiNocConfig| {
         let mut sys = System::new(SystemConfig::paper(), cfg, WorkloadMix::Light, 3);
         sys.run(5_000);
@@ -30,46 +28,7 @@ fn both_modes_agree_gating_helps_multi_but_not_single() {
     let multi = power_of(MultiNocConfig::catnap_4x128().gating(true));
     assert!(
         multi < 0.6 * single,
-        "probabilistic mode: gated Multi-NoC {multi:.1} W must be well below gated Single-NoC {single:.1} W"
-    );
-
-    // Cache-accurate mode reaches the same conclusion.
-    let cache_power_of = |cfg: MultiNocConfig| {
-        let mut sys = CacheSystem::new(SystemConfig::paper(), cfg, CacheWorkload::light(), 3);
-        sys.warm(1_500);
-        sys.run(5_000);
-        sys.net.power_report(catnap_repro::power::TechParams::catnap_32nm()).total()
-    };
-    let csingle = cache_power_of(MultiNocConfig::single_noc_512b().gating(true));
-    let cmulti = cache_power_of(MultiNocConfig::catnap_4x128().gating(true));
-    assert!(
-        cmulti < 0.7 * csingle,
-        "cache mode: gated Multi-NoC {cmulti:.1} W vs gated Single-NoC {csingle:.1} W"
-    );
-}
-
-#[test]
-fn cache_mode_protocol_traffic_shape() {
-    let mut sys = CacheSystem::new(
-        SystemConfig::paper(),
-        MultiNocConfig::single_noc_512b(),
-        CacheWorkload::heavy(),
-        7,
-    );
-    sys.warm(1_500);
-    sys.run(4_000);
-    assert!(sys.directories_consistent());
-    let rep = sys.report();
-    // Heavy working sets must produce real memory traffic and writebacks.
-    assert!(rep.tx_kinds[2] > 100, "memory fetches: {:?}", rep.tx_kinds);
-    assert!(rep.tx_kinds[4] > 50, "writebacks: {:?}", rep.tx_kinds);
-    assert!(rep.misses_completed > 0);
-    // The network must have carried both control and data packets:
-    // average flits per packet strictly between the two sizes.
-    let flits_per_packet = rep.network.accepted_flits_per_node_cycle / rep.network.accepted_packets_per_node_cycle;
-    assert!(
-        flits_per_packet > 1.05 && flits_per_packet < 2.0,
-        "512-bit subnets: ctrl=1 flit, data=2 flits, mix gives {flits_per_packet:.2}"
+        "gated Multi-NoC {multi:.1} W must be well below gated Single-NoC {single:.1} W"
     );
 }
 
