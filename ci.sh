@@ -20,7 +20,11 @@ echo "== test (release: differential, checkpoint and determinism suites) =="
 # Release builds wrap on integer overflow instead of panicking and
 # compile out the debug_assert cross-checks (buffered-flit and in-flight
 # counters against the rings), so the router buffer index arithmetic
-# must also pass these suites as the benchmark runs it.
+# must also pass these suites as the benchmark runs it. The checkpoint
+# suite's mutation test
+# (mutated_checkpoints_fail_typed_or_run_but_never_panic: 10,000
+# re-sealed hostile payloads, none may panic) is compiled for release
+# only and runs here.
 cargo test -q --release --offline --test eventdriven --test checkpoint --test determinism
 
 echo "== trace diff (production step vs the per-cycle oracle at near-idle load) =="
@@ -67,6 +71,15 @@ for pass in 1 2; do
 done
 test -s "$HIVE_TMP/sweep-1.json" || { echo "hive smoke produced no output"; exit 1; }
 cmp "$HIVE_TMP/sweep-1.json" "$HIVE_TMP/sweep-2.json"
+# The divergence bisector over checkpoint digests: a constant load
+# against a schedule that steps up at cycle 150 first differs in the
+# state after cycle 151's traffic, and a job never diverges from itself.
+BISECT_A='{"config":"catnap-2x128-64core","rate":0.05,"warmup":100,"measure":200,"seed":7}'
+BISECT_B='{"config":"catnap-2x128-64core","schedule":[[0,0.05],[150,0.3]],"warmup":100,"measure":200,"seed":7}'
+target/release/catnap-hive bisect --job-a "$BISECT_A" --job-b "$BISECT_B" > "$HIVE_TMP/bisect.out"
+grep -q "^first divergent cycle: 151 " "$HIVE_TMP/bisect.out" || { cat "$HIVE_TMP/bisect.out"; exit 1; }
+target/release/catnap-hive bisect --job-a "$BISECT_A" --job-b "$BISECT_A" > "$HIVE_TMP/bisect.out"
+grep -q "^states identical" "$HIVE_TMP/bisect.out" || { cat "$HIVE_TMP/bisect.out"; exit 1; }
 
 echo "== clippy (workspace, all targets, -D warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -9,7 +9,7 @@ use crate::rcs::OrNetwork;
 use crate::select::{congestion_mask, CatnapPriority, RandomSelect, RoundRobin, SubnetSelector};
 use catnap_noc::checkpoint::{get_flit, put_flit};
 use catnap_noc::stats::{GatingActivity, RouterActivity};
-use catnap_noc::{Flit, MeshDims, Network, NodeId, PacketDescriptor, RegionMap};
+use catnap_noc::{Flit, MeshDims, Network, NodeId, PacketDescriptor, Port, RegionMap};
 use catnap_telemetry::{Event, NopSink, Sink, SinkScope, Trace, TraceMeta};
 use catnap_traffic::generator::PacketSink;
 use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
@@ -509,15 +509,16 @@ impl<S: Sink> MultiNoc<S> {
             .fold((0, 0, 0), |(a, s, w), (a2, s2, w2)| (a + a2, s + s2, w + w2))
     }
 
-    /// Serializes the complete simulation state (checkpointing). Must be
-    /// called at a cycle edge — after a [`MultiNoc::step`], before the
-    /// next cycle's traffic drive. The configuration itself is not part
-    /// of the stream; [`MultiNoc::load_state`] overlays onto a fresh
+    /// Serializes the simulation state (checkpointing). Must be called
+    /// at a cycle edge — after a [`MultiNoc::step`], before the next
+    /// cycle's traffic drive. The configuration itself is not part of
+    /// the stream; [`MultiNoc::load_state`] overlays onto a fresh
     /// instance of the *same* configuration (the public checkpoint
     /// container in [`crate::checkpoint`] guards that with a
-    /// fingerprint). Telemetry sinks are not captured: a resumed
-    /// recording sink starts empty and its suffix matches a
-    /// straight-through run's suffix bit for bit.
+    /// fingerprint), and rebuilds what follows from the stored state:
+    /// the busy-NI worklist and the local congestion bits. Telemetry
+    /// sinks are not captured: a resumed recording sink starts empty and
+    /// its suffix matches a straight-through run's suffix bit for bit.
     pub(crate) fn save_state(&mut self, w: &mut ByteWriter) {
         let k = self.cfg.subnets;
         w.put_u64(self.cycle);
@@ -538,14 +539,7 @@ impl<S: Sink> MultiNoc<S> {
         for &hw in &self.head_wait {
             w.put_u32(hw);
         }
-        w.put_usize(self.busy_nis.len());
-        for &idx in &self.busy_nis {
-            w.put_u32(idx);
-        }
         for s in 0..k {
-            for &b in &self.lcs[s] {
-                w.put_bool(b);
-            }
             for det in &self.detectors[s] {
                 det.encode(w);
             }
@@ -562,8 +556,10 @@ impl<S: Sink> MultiNoc<S> {
 
     /// Overlays serialized state from [`MultiNoc::save_state`] onto this
     /// freshly-built instance (same configuration). Derived structures —
-    /// the per-subnet set-bit censuses, the busy-NI membership flags,
-    /// scratch buffers — are recomputed, never deserialized.
+    /// the busy-NI worklist (the NIs that are not idle, in node order)
+    /// and its membership flags, the local congestion bits (each
+    /// detector's status) and their per-subnet censuses, scratch
+    /// buffers — are recomputed, never deserialized.
     ///
     /// # Errors
     ///
@@ -589,37 +585,12 @@ impl<S: Sink> MultiNoc<S> {
         }
         self.delivered_tails.clear();
         for _ in 0..tails {
-            self.delivered_tails.push(get_flit(r, nodes, self.cfg.vcs)?);
+            self.delivered_tails.push(get_flit(r, nodes, self.cfg.vcs, |_| Port::Local)?);
         }
         for hw in self.head_wait.iter_mut() {
             *hw = r.get_u32()?;
         }
-        let busy = r.get_usize()?;
-        if busy > nodes {
-            return Err(CodecError::Invalid("busy worklist larger than the mesh"));
-        }
-        self.busy_nis.clear();
-        self.ni_busy = vec![false; nodes];
-        for _ in 0..busy {
-            let idx = r.get_u32()?;
-            if idx as usize >= nodes {
-                return Err(CodecError::Invalid("busy NI index out of range"));
-            }
-            if self.busy_nis.last().is_some_and(|&prev| prev >= idx) {
-                return Err(CodecError::Invalid("busy worklist not sorted"));
-            }
-            self.busy_nis.push(idx);
-            self.ni_busy[idx as usize] = true;
-        }
         for s in 0..k {
-            self.lcs_set[s] = 0;
-            for idx in 0..nodes {
-                let on = r.get_bool()?;
-                self.lcs[s][idx] = on;
-                if on {
-                    self.lcs_set[s] += 1;
-                }
-            }
             for det in self.detectors[s].iter_mut() {
                 *det = LocalDetector::decode(r)?;
             }
@@ -635,6 +606,14 @@ impl<S: Sink> MultiNoc<S> {
         if self.generated_packets < self.delivered_packets {
             return Err(CodecError::Invalid("delivered more packets than generated"));
         }
+        for s in 0..k {
+            for (lcs, det) in self.lcs[s].iter_mut().zip(&self.detectors[s]) {
+                *lcs = det.is_congested();
+            }
+            self.lcs_set[s] = self.lcs[s].iter().filter(|&&on| on).count();
+        }
+        self.ni_busy = self.nis.iter().map(|ni| !ni.is_idle()).collect();
+        self.busy_nis = (0..nodes as u32).filter(|&idx| self.ni_busy[idx as usize]).collect();
         self.eject_buf.clear();
         self.congested_buf.clear();
         Ok(())

@@ -2,7 +2,6 @@
 //! and the RCS OR networks).
 
 use crate::multinoc::{MultiNoc, Snapshot};
-use catnap_noc::Granularity;
 use catnap_power::model::{NetworkPowerModel, RouterPowerModel};
 use catnap_power::{PowerBreakdown, TechParams};
 
@@ -71,23 +70,14 @@ impl<S: catnap_telemetry::Sink> MultiNoc<S> {
 
         let mut dynamic = PowerBreakdown::default();
         let mut static_ = PowerBreakdown::default();
-        let port_mode = cfg.gating_policy.granularity() == Granularity::Port;
         for s in 0..cfg.subnets {
-            let rep = if port_mode {
-                model.report_fine_grained(
-                    &d.activity_per_subnet[s],
-                    &d.gating_per_subnet[s],
-                    cycles,
-                    cfg.gating_cfg.t_breakeven,
-                )
-            } else {
-                model.report(
-                    &d.activity_per_subnet[s],
-                    &d.gating_per_subnet[s],
-                    cycles,
-                    cfg.gating_cfg.t_breakeven,
-                )
-            };
+            let rep = model.report(
+                &d.activity_per_subnet[s],
+                &d.gating_per_subnet[s],
+                cycles,
+                cfg.gating_cfg.t_breakeven,
+                cfg.gating_policy.granularity(),
+            );
             dynamic += rep.dynamic;
             static_ += rep.static_;
         }

@@ -22,11 +22,10 @@ pub struct OrNetwork {
     countdown: u32,
     /// Latched RCS value per region.
     latched: Vec<bool>,
-    /// Rising-edge flags from the most recent latch (consumed by the
-    /// power-gating controller to wake routers).
-    rose: Vec<bool>,
     /// Change flags (either edge) from the most recent latch (consumed
-    /// by telemetry to emit one event per RCS flip).
+    /// by telemetry to emit one event per RCS flip). Read only on a
+    /// cycle that latches, and every latch rewrites them, so checkpoints
+    /// do not store them.
     changed: Vec<bool>,
     /// Total bit-switching events (for OR-network energy accounting).
     switch_events: u64,
@@ -47,7 +46,6 @@ impl OrNetwork {
             period,
             countdown: period,
             latched: vec![false; n],
-            rose: vec![false; n],
             changed: vec![false; n],
             switch_events: 0,
         }
@@ -78,15 +76,6 @@ impl OrNetwork {
         self.latched.iter().any(|&b| b)
     }
 
-    /// Regions whose RCS rose at the most recent latch.
-    pub fn rising_regions(&self) -> impl Iterator<Item = RegionId> + '_ {
-        self.rose
-            .iter()
-            .enumerate()
-            .filter(|&(_, &r)| r)
-            .map(|(i, _)| RegionId(i as u8))
-    }
-
     /// Regions whose RCS changed (either edge) at the most recent latch.
     /// Only meaningful on a cycle where [`OrNetwork::tick`] returned
     /// `true`; the flags persist until the next latch.
@@ -115,7 +104,6 @@ impl OrNetwork {
         for i in 0..self.latched.len() {
             let region = RegionId(i as u8);
             let new = self.regions.nodes_in(region).any(&mut lcs);
-            self.rose[i] = new && !self.latched[i];
             self.changed[i] = new != self.latched[i];
             if new != self.latched[i] {
                 self.switch_events += 1;
@@ -130,8 +118,8 @@ impl OrNetwork {
     /// latched RCS bit is already false.
     ///
     /// Under that precondition every latch edge crossed re-latches
-    /// false-from-false: no switching events, no rising or changed
-    /// flags — only the countdown phase moves. `MultiNoc::step` uses it
+    /// false-from-false: no switching events, no changed flags — only
+    /// the countdown phase moves. `MultiNoc::step` uses it
     /// to elide the tick of a subnet whose LCS and RCS bits are all
     /// clear.
     pub fn fast_forward(&mut self, dt: u64) {
@@ -144,7 +132,6 @@ impl OrNetwork {
             // At least one latch crossed; flags are overwritten to false.
             let into_period = (dt - cd) % u64::from(self.period);
             self.countdown = self.period - into_period as u32;
-            self.rose.fill(false);
             self.changed.fill(false);
         } else {
             self.countdown = (cd - dt) as u32;
@@ -159,12 +146,6 @@ impl OrNetwork {
         for &b in &self.latched {
             w.put_bool(b);
         }
-        for &b in &self.rose {
-            w.put_bool(b);
-        }
-        for &b in &self.changed {
-            w.put_bool(b);
-        }
         w.put_u64(self.switch_events);
     }
 
@@ -177,12 +158,6 @@ impl OrNetwork {
             return Err(CodecError::Invalid("RCS countdown out of phase"));
         }
         for b in or.latched.iter_mut() {
-            *b = r.get_bool()?;
-        }
-        for b in or.rose.iter_mut() {
-            *b = r.get_bool()?;
-        }
-        for b in or.changed.iter_mut() {
             *b = r.get_bool()?;
         }
         or.switch_events = r.get_u64()?;
@@ -238,16 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn rising_edges_reported_once() {
-        let mut or = OrNetwork::new(quadrants(), 1);
-        or.tick(|n| n == NodeId(0));
-        let rising: Vec<RegionId> = or.rising_regions().collect();
-        assert_eq!(rising, vec![RegionId(0)]);
-        or.tick(|n| n == NodeId(0));
-        assert_eq!(or.rising_regions().count(), 0, "no edge while level-stable");
-    }
-
-    #[test]
     fn switch_events_count_transitions() {
         let mut or = OrNetwork::new(quadrants(), 1);
         or.tick(|_| true); // 4 regions rise
@@ -266,7 +231,6 @@ mod tests {
         or.tick(|_| false);
         let changed: Vec<RegionId> = or.changed_regions().collect();
         assert_eq!(changed, vec![RegionId(0)], "fall is a change too");
-        assert_eq!(or.rising_regions().count(), 0);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! the traffic source's position, with the sealed container's header
 //! (which embeds the config fingerprint) and trailing checksum
 //! stripped, so two *different* configs can still be compared by state.
-//! Because the checkpoint suite guarantees the payload fully determines
-//! future behaviour, "digests equal at `c`" is exactly the bisection
-//! invariant "not yet diverged at `c`".
+//! The payload holds simulation state only, whatever cycles the side
+//! was probed at before, and the checkpoint suite guarantees it fully
+//! determines future behaviour, so "digests equal at `c`" is exactly
+//! the bisection invariant "not yet diverged at `c`".
 //!
 //! Each probed cycle's checkpoint is retained in a ladder
 //! (`BTreeMap<cycle, blob>`), so seeking backwards resumes from the
@@ -24,19 +25,6 @@
 //! as one straight run. Once the first divergent cycle is found, both
 //! sides are re-run over a short bracketing window with recording
 //! sinks and the event-level [`diff_traces`] report is attached.
-//!
-//! One caveat shapes the implementation: *taking* a checkpoint forces
-//! the event-driven scheduler to materialize deferred idle work
-//! (`sync_all` inside `save_state`), which nudges pure bookkeeping
-//! counters — the scheduler's `SchedStats::{syncs, synced_cycles}` —
-//! that live in the serialized payload without affecting simulated
-//! behaviour. Digests
-//! are therefore only comparable between two sides probed through the
-//! **identical cycle sequence**, which is exactly how both
-//! [`bisect_jobs`] and [`first_divergence_linear`] drive them: every
-//! probe hits side A and side B at the same cycle with the same retain
-//! decision, so equal semantic states always produce equal digests and
-//! the bisection invariant holds.
 
 use catnap::{config_fingerprint, MultiNoc, MultiNocConfig, CHECKPOINT_VERSION};
 use catnap_bench::SimJob;
@@ -293,20 +281,36 @@ mod tests {
 
     #[test]
     fn symmetric_probing_keeps_equal_sides_equal() {
-        // The soundness condition of the search (see module docs): two
-        // sides in the same semantic state produce the same digest as
-        // long as they are probed through the same cycle sequence —
-        // including backward seeks that resume from the ladder.
+        // The soundness condition of the search: a digest is a function
+        // of the simulated state alone, so two sides of one job agree at
+        // every cycle however each was probed before — through different
+        // cycle sequences, with and without backward seeks that resume
+        // from the ladder.
         let a = job(LoadSchedule::constant(0.08), 7);
-        let mut sa = Side::new(&a);
-        let mut sb = Side::new(&a.clone());
-        for (cycle, retain) in [(80, true), (40, true), (60, false), (20, false), (75, false)] {
+        let probe = |probes: &[(u64, bool)]| {
+            let mut side = Side::new(&a);
+            probes
+                .iter()
+                .map(|&(cycle, retain)| (cycle, side.digest_at(cycle, retain)))
+                .collect::<BTreeMap<_, _>>()
+        };
+        let zigzag = probe(&[(80, true), (40, true), (60, false), (20, false), (75, false)]);
+        let ascending = probe(&[
+            (10, true),
+            (20, false),
+            (35, true),
+            (40, false),
+            (60, true),
+            (75, true),
+            (80, false),
+        ]);
+        let common: Vec<u64> = zigzag.keys().filter(|c| ascending.contains_key(c)).copied().collect();
+        assert_eq!(common, [20, 40, 60, 75, 80]);
+        for cycle in common {
             assert_eq!(
-                sa.digest_at(cycle, retain),
-                sb.digest_at(cycle, retain),
-                "identical jobs must agree at cycle {cycle} under zigzag probing"
+                zigzag[&cycle], ascending[&cycle],
+                "one job's digests differ at cycle {cycle} between probe sequences"
             );
         }
-        assert_eq!(sa.stepped, sb.stepped, "seek work itself is deterministic");
     }
 }

@@ -5,12 +5,11 @@
 //! plain-data types with public fields — flits, stats counters, port
 //! tags — are encoded here so the `catnap` core crate can reuse the
 //! exact same byte layout for its own state (NI queues, delivered
-//! tails). See DESIGN.md §13 for the container format and the
-//! capture/reconstruct split.
+//! tails). See DESIGN.md §13 for the container format and for what is
+//! stored and what decode rebuilds.
 
 use crate::flit::{Flit, FlitKind, MessageClass, PacketDescriptor, PacketId};
 use crate::geometry::{NodeId, Port};
-use crate::network::SchedStats;
 use crate::stats::{NetworkStats, RouterActivity};
 use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
 
@@ -82,7 +81,9 @@ pub fn get_message_class(r: &mut ByteReader<'_>) -> Result<MessageClass, CodecEr
     })
 }
 
-/// Encodes a [`Flit`] (every field, bit-exact).
+/// Encodes a [`Flit`], bit-exact except for its look-ahead, which is
+/// the X-Y route at the router holding the flit and is recomputed on
+/// decode.
 pub fn put_flit(w: &mut ByteWriter, f: &Flit) {
     w.put_u64(f.packet.0);
     put_flit_kind(w, f.kind);
@@ -91,22 +92,28 @@ pub fn put_flit(w: &mut ByteWriter, f: &Flit) {
     w.put_u16(f.seq);
     w.put_u16(f.packet_len);
     put_message_class(w, f.class);
-    put_port(w, f.lookahead);
     w.put_u8(f.vc);
     w.put_u64(f.created_cycle);
     w.put_u64(f.net_inject_cycle);
 }
 
 /// Decodes a [`Flit`] of a network with `nodes` routers and `vcs` VCs
-/// per port.
+/// per port. `route` maps the flit's destination to its look-ahead:
+/// the X-Y route at the router holding the flit, or [`Port::Local`] for
+/// a flit that has reached its destination.
 ///
 /// # Errors
 ///
 /// Propagates reader errors and bad tags; [`CodecError::Invalid`] on a
 /// source or destination outside the mesh or a VC at or past `vcs`
 /// (either would index routing tables or buffers out of range).
-pub fn get_flit(r: &mut ByteReader<'_>, nodes: usize, vcs: usize) -> Result<Flit, CodecError> {
-    let flit = Flit {
+pub fn get_flit(
+    r: &mut ByteReader<'_>,
+    nodes: usize,
+    vcs: usize,
+    route: impl FnOnce(NodeId) -> Port,
+) -> Result<Flit, CodecError> {
+    let mut flit = Flit {
         packet: PacketId(r.get_u64()?),
         kind: get_flit_kind(r)?,
         src: NodeId(r.get_u16()?),
@@ -114,7 +121,7 @@ pub fn get_flit(r: &mut ByteReader<'_>, nodes: usize, vcs: usize) -> Result<Flit
         seq: r.get_u16()?,
         packet_len: r.get_u16()?,
         class: get_message_class(r)?,
-        lookahead: get_port(r)?,
+        lookahead: Port::Local,
         vc: r.get_u8()?,
         created_cycle: r.get_u64()?,
         net_inject_cycle: r.get_u64()?,
@@ -123,6 +130,7 @@ pub fn get_flit(r: &mut ByteReader<'_>, nodes: usize, vcs: usize) -> Result<Flit
     if flit.vc as usize >= vcs {
         return Err(CodecError::Invalid("flit VC out of range"));
     }
+    flit.lookahead = route(flit.dst);
     Ok(flit)
 }
 
@@ -217,34 +225,6 @@ pub fn get_router_activity(r: &mut ByteReader<'_>) -> Result<RouterActivity, Cod
     })
 }
 
-/// Encodes [`SchedStats`].
-pub fn put_sched_stats(w: &mut ByteWriter, s: &SchedStats) {
-    w.put_u64(s.router_runs);
-    w.put_u64(s.idle_runs);
-    w.put_u64(s.wakeup_pops);
-    w.put_u64(s.stale_wakeups);
-    w.put_u64(s.syncs);
-    w.put_u64(s.synced_cycles);
-    w.put_u64(s.stalled_runs);
-}
-
-/// Decodes [`SchedStats`].
-///
-/// # Errors
-///
-/// Propagates reader errors.
-pub fn get_sched_stats(r: &mut ByteReader<'_>) -> Result<SchedStats, CodecError> {
-    Ok(SchedStats {
-        router_runs: r.get_u64()?,
-        idle_runs: r.get_u64()?,
-        wakeup_pops: r.get_u64()?,
-        stale_wakeups: r.get_u64()?,
-        syncs: r.get_u64()?,
-        synced_cycles: r.get_u64()?,
-        stalled_runs: r.get_u64()?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,15 +248,17 @@ mod tests {
         put_flit(&mut w, &f);
         let bytes = w.into_inner();
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(get_flit(&mut r, 64, 4).unwrap(), f);
+        // The look-ahead is not in the bytes: the caller's route gives it.
+        let route = |dst: NodeId| if dst == NodeId(60) { Port::West } else { Port::Local };
+        assert_eq!(get_flit(&mut r, 64, 4, route).unwrap(), f);
         assert!(r.is_empty());
         // The same bytes name a node and a VC outside a smaller network.
         assert_eq!(
-            get_flit(&mut ByteReader::new(&bytes), 60, 4),
+            get_flit(&mut ByteReader::new(&bytes), 60, 4, route),
             Err(CodecError::Invalid("node id outside the mesh"))
         );
         assert_eq!(
-            get_flit(&mut ByteReader::new(&bytes), 64, 2),
+            get_flit(&mut ByteReader::new(&bytes), 64, 2, route),
             Err(CodecError::Invalid("flit VC out of range"))
         );
     }

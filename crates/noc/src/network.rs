@@ -91,7 +91,7 @@ pub struct Network<S: Sink = NopSink> {
     sched_stale: bool,
     /// Event-scheduler effectiveness counters (left untouched by
     /// [`Network::step_reference`] — the regression suite asserts the
-    /// oracle truly bypasses the scheduler).
+    /// oracle truly bypasses the scheduler). Not checkpointed.
     sched: SchedStats,
     /// Cache of [`Router::port_active_mask`] per router, so a stepping
     /// router's four neighbour-acceptance reads hit one dense byte
@@ -164,7 +164,9 @@ impl RouterSet {
 /// Effectiveness counters of the event scheduler in [`Network::step`].
 /// All remain zero over a run stepped only by
 /// [`Network::step_reference`] — the differential suite asserts the
-/// oracle bypasses the scheduler by observing exactly that.
+/// oracle bypasses the scheduler by observing exactly that. They are
+/// instrumentation, not simulation state: checkpoints do not store them,
+/// and a resumed network counts its own work from zero.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Routers run in phase 2 (full steps plus scheduled idle ticks).
@@ -1015,42 +1017,36 @@ impl<S: Sink> Network<S> {
         }
     }
 
-    /// Serializes the subnet's complete simulation state (checkpointing).
+    /// Serializes the subnet's simulation state (checkpointing).
     ///
     /// Must be called at a cycle edge (between steps). Deferred idle
     /// stretches are materialized first so every router's counters are
     /// exact; materialization is representation-only, so saving does not
-    /// perturb the run. What is captured: clock, packet-id counter,
-    /// statistics, every router, and all link/staging/ejection buffers.
-    /// What is *not* captured and instead reconstructed by
-    /// [`Network::load_state`]: the adjacency/route tables (functions of
-    /// the config), the in-flight counters (recounted from staging), the
-    /// event-scheduler sets (reseeded from live state), and the
-    /// telemetry sink (a resumed recording sink starts empty — the trace
-    /// *suffix* after the checkpoint is bit-identical, which is what the
-    /// checkpoint suite asserts). Scheduler effectiveness counters are
-    /// carried over verbatim, and the reseeded sets equal the saved
-    /// run's, so they keep counting identically.
+    /// perturb the run. What is stored: clock, packet-id counter,
+    /// statistics, every router, the link and staging buffers, the
+    /// credits in flight and the ejected flits. Everything else is
+    /// derived, and [`Network::load_state`] rebuilds it: the adjacency
+    /// and route tables (functions of the config), every flit's
+    /// look-ahead, the routers' credits, the in-flight counters, the
+    /// event-scheduler sets and the telemetry shadows. The scheduler's
+    /// [`SchedStats`] are instrumentation, not simulation state: a
+    /// resumed network counts its own work from zero, so checkpoints of
+    /// equal state are equal bytes however often the run was saved.
     pub fn save_state(&mut self, w: &mut ByteWriter) {
         self.sync_all();
         w.put_u64(self.cycle);
         w.put_u64(self.next_packet_id);
         checkpoint::put_network_stats(w, &self.stats);
-        checkpoint::put_sched_stats(w, &self.sched);
         for r in &self.routers {
             r.encode(w);
         }
-        w.put_usize(self.link_stage.len());
-        for (idx, port, flit) in &self.link_stage {
-            w.put_u32(*idx as u32);
-            checkpoint::put_port(w, *port);
-            checkpoint::put_flit(w, flit);
-        }
-        w.put_usize(self.staged_flits.len());
-        for (idx, port, flit) in &self.staged_flits {
-            w.put_u32(*idx as u32);
-            checkpoint::put_port(w, *port);
-            checkpoint::put_flit(w, flit);
+        for stage in [&self.link_stage, &self.staged_flits] {
+            w.put_usize(stage.len());
+            for (idx, port, flit) in stage {
+                w.put_u32(*idx as u32);
+                checkpoint::put_port(w, *port);
+                checkpoint::put_flit(w, flit);
+            }
         }
         w.put_usize(self.staged_credits.len());
         for (idx, port, vc) in &self.staged_credits {
@@ -1058,9 +1054,9 @@ impl<S: Sink> Network<S> {
             checkpoint::put_port(w, *port);
             w.put_u8(*vc);
         }
+        // An ejected flit's node is its destination.
         w.put_usize(self.ejected.len());
-        for (node, flit) in &self.ejected {
-            w.put_u16(node.0);
+        for (_, flit) in &self.ejected {
             checkpoint::put_flit(w, flit);
         }
     }
@@ -1068,25 +1064,26 @@ impl<S: Sink> Network<S> {
     /// Overlays serialized state from [`Network::save_state`] onto this
     /// network, which must have been built from the *same configuration*
     /// (the config itself is not in the byte stream; the core crate's
-    /// checkpoint container guards it with a fingerprint). Derived
-    /// structures — in-flight counters, occupancy caches, the event
-    /// scheduler's sets and the sleeper census, telemetry shadows — are
-    /// all recomputed from the decoded state.
+    /// checkpoint container guards it with a fingerprint), and rebuilds
+    /// every derived value from the decoded state.
     ///
     /// # Errors
     ///
-    /// [`CodecError`] if the stream is truncated or internally
-    /// inconsistent (bad tags; a router, node id or VC out of range; a
-    /// gating-unit count that does not match the granularity). On error the
-    /// network is left in an unspecified but memory-safe state and must
-    /// be discarded.
+    /// [`CodecError`] if the stream is truncated or names a state the
+    /// simulation cannot reach: bad tags; a router, node id or VC out of
+    /// range; a gating-unit count that does not match the granularity; a
+    /// flit or binding at an input port without a link; a downstream VC
+    /// bound twice; a staged flit that does not enter through a linked,
+    /// powered mesh port; a crossbar flit toward a gated port; a staged
+    /// credit for a port without a link; or a downstream VC owing more
+    /// flits and credits than its depth. On error the network is left in
+    /// an unspecified but memory-safe state and must be discarded.
     pub fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         let n = self.routers.len();
         let vcs = self.cfg.vcs_per_port;
         self.cycle = r.get_u64()?;
         self.next_packet_id = r.get_u64()?;
         self.stats = checkpoint::get_network_stats(r)?;
-        self.sched = checkpoint::get_sched_stats(r)?;
         for idx in 0..n {
             self.routers[idx] = Router::decode(r, NodeId(idx as u16), &self.cfg)?;
         }
@@ -1101,11 +1098,15 @@ impl<S: Sink> Network<S> {
                 if idx >= n {
                     return Err(CodecError::Invalid("staged router index out of range"));
                 }
+                // Only a link (never the local port) carries a staged
+                // flit. The sender's allocation saw the receiving unit
+                // active, and a unit with a flit in flight toward it
+                // cannot gate.
                 let port = checkpoint::get_port(r)?;
-                let flit = checkpoint::get_flit(r, n, vcs)?;
-                if flit.lookahead != self.route_lut[idx * n + flit.dst.index()] {
-                    return Err(CodecError::Invalid("staged flit's look-ahead off its route"));
+                if self.adj[idx][port.index()] == NO_NEIGHBOR || !self.routers[idx].port_active(port) {
+                    return Err(CodecError::Invalid("staged flit not entering a linked, powered port"));
                 }
+                let flit = checkpoint::get_flit(r, n, vcs, |dst| self.route_lut[idx * n + dst.index()])?;
                 out.push((idx, port, flit));
             }
             Ok(out)
@@ -1123,6 +1124,9 @@ impl<S: Sink> Network<S> {
                 return Err(CodecError::Invalid("staged credit index out of range"));
             }
             let port = checkpoint::get_port(r)?;
+            if self.adj[idx][port.index()] == NO_NEIGHBOR {
+                return Err(CodecError::Invalid("staged credit for a port without a link"));
+            }
             let vc = r.get_u8()?;
             if vc as usize >= vcs {
                 return Err(CodecError::Invalid("staged credit VC out of range"));
@@ -1135,15 +1139,24 @@ impl<S: Sink> Network<S> {
         }
         self.ejected.clear();
         for _ in 0..ejected_len {
-            let node = NodeId(r.get_u16()?);
-            if node.index() >= n {
-                return Err(CodecError::Invalid("ejected node out of range"));
+            let flit = checkpoint::get_flit(r, n, vcs, |_| Port::Local)?;
+            self.ejected.push((flit.dst, flit));
+        }
+        // A granted flit crosses its crossbar next cycle into a
+        // downstream unit that was active at the grant and cannot gate
+        // while the flit is headed for it. (Its port is its X-Y route,
+        // which always has a link.)
+        for idx in 0..n {
+            for &(_, port) in self.routers[idx].xbar_entries() {
+                if port != Port::Local && !self.routers[self.adj[idx][port.index()]].port_active(port.opposite()) {
+                    return Err(CodecError::Invalid("crossbar flit toward a gated port"));
+                }
             }
-            let flit = checkpoint::get_flit(r, n, vcs)?;
-            self.ejected.push((node, flit));
         }
 
         // Everything below is derived: recomputed, never deserialized.
+        self.rebuild_credits()?;
+        self.sched = SchedStats::default();
         self.scratch = RouterOutput::default();
         self.inflight = vec![0; n * NUM_PORTS];
         for &(idx, port, _) in self.link_stage.iter().chain(&self.staged_flits) {
@@ -1155,6 +1168,42 @@ impl<S: Sink> Network<S> {
             self.power_shadow = self.routers.iter().map(|r| PowerPhase::from(r.power_state())).collect();
         }
         self.reseed_scheduler();
+        Ok(())
+    }
+
+    /// Rebuilds every router's credits from the decoded flits and
+    /// credits (credit-based flow control's invariant): a mesh output
+    /// VC's credit is `vc_depth` less the flits in the downstream VC, on
+    /// the link toward it and in this router's crossbar register toward
+    /// it, less the credits on their way back for it.
+    fn rebuild_credits(&mut self) -> Result<(), CodecError> {
+        let vcs = self.cfg.vcs_per_port;
+        let at = |idx: usize, out: Port, vc: usize| (idx * NUM_PORTS + out.index()) * vcs + vc;
+        let mut owed = vec![0u32; self.routers.len() * NUM_PORTS * vcs];
+        for (idx, router) in self.routers.iter().enumerate() {
+            for in_port in Port::ALL {
+                let upstream = self.adj[idx][in_port.index()];
+                if upstream != NO_NEIGHBOR {
+                    for vc in 0..vcs {
+                        owed[at(upstream, in_port.opposite(), vc)] += router.vc_occupancy(in_port, vc) as u32;
+                    }
+                }
+            }
+            for &(flit, out) in router.xbar_entries() {
+                if out != Port::Local {
+                    owed[at(idx, out, flit.vc as usize)] += 1;
+                }
+            }
+        }
+        for &(idx, in_port, flit) in self.link_stage.iter().chain(&self.staged_flits) {
+            owed[at(self.adj[idx][in_port.index()], in_port.opposite(), flit.vc as usize)] += 1;
+        }
+        for &(idx, out, vc) in &self.staged_credits {
+            owed[at(idx, out, vc as usize)] += 1;
+        }
+        for (router, owed) in self.routers.iter_mut().zip(owed.chunks(NUM_PORTS * vcs)) {
+            router.restore_credits(owed)?;
+        }
         Ok(())
     }
 
@@ -1487,33 +1536,96 @@ mod tests {
         }
     }
 
+    /// Saves `net` and loads the bytes into a fresh network of the same
+    /// configuration.
+    fn reload(net: &mut Network) -> Result<Network, CodecError> {
+        let mut w = ByteWriter::new();
+        net.save_state(&mut w);
+        let bytes = w.into_inner();
+        let mut back = Network::new(net.config().clone());
+        back.load_state(&mut ByteReader::new(&bytes)).map(|()| back)
+    }
+
+    /// A flit from router 0 staged into router 1 through its West port,
+    /// the link between them; at router 1, its destination, it looks
+    /// ahead to Local.
+    fn staged_into_1(net: &mut Network) -> Flit {
+        let mut flit = net.make_single_flit_packet(NodeId(0), NodeId(1), 0);
+        flit.lookahead = Port::Local;
+        flit
+    }
+
     /// A checkpoint whose staged flit names a VC or a node outside the
     /// network is refused with a typed error at load, before a step can
     /// index a buffer or the route table out of range.
     #[test]
     fn load_rejects_flits_outside_the_network() {
         let vcs = small_net(false).config().vcs_per_port as u8;
-        // Staged for router 1, a flit to node 1 must look ahead to Local.
-        for (vc, dst, lookahead) in [
-            (vcs, NodeId(1), Port::Local),
-            (0, NodeId(16), Port::Local),
-            (0, NodeId(1), Port::East),
-        ] {
+        for (vc, dst) in [(vcs, NodeId(1)), (0, NodeId(16))] {
             let mut net = small_net(false);
-            let mut flit = net.make_single_flit_packet(NodeId(0), NodeId(1), 0);
+            let mut flit = staged_into_1(&mut net);
             flit.vc = vc;
             flit.dst = dst;
-            flit.lookahead = lookahead;
             net.staged_flits.push((1, Port::West, flit));
-            let mut w = ByteWriter::new();
-            net.save_state(&mut w);
-            let bytes = w.into_inner();
-            let loaded = small_net(false).load_state(&mut ByteReader::new(&bytes));
+            let loaded = reload(&mut net).map(|_| ());
             assert!(
                 matches!(loaded, Err(CodecError::Invalid(_))),
-                "VC {vc}, destination {dst}, look-ahead {lookahead:?}: {loaded:?}"
+                "VC {vc}, destination {dst}: {loaded:?}"
             );
         }
+    }
+
+    /// Staged flits cross a link into a powered input port. One staged
+    /// into a gated router, or through a port without a link (corner
+    /// router 0 has no West neighbour), is refused at load instead of
+    /// panicking at delivery or returning its credit to no router.
+    #[test]
+    fn load_rejects_staged_flits_into_gated_or_unlinked_ports() {
+        let mut net = small_net(true);
+        for _ in 0..10 {
+            net.step();
+        }
+        let flit = staged_into_1(&mut net);
+        net.staged_flits.push((1, Port::West, flit));
+        let mut back = reload(&mut net).expect("an active receiver loads");
+        for _ in 0..10 {
+            back.step();
+        }
+        let ejected = back.drain_ejected();
+        assert_eq!(ejected.len(), 1);
+        assert_eq!((ejected[0].0, ejected[0].1.packet), (NodeId(1), flit.packet));
+
+        net.staged_flits.clear();
+        assert!(net.request_sleep(NodeId(1), 0));
+        net.staged_flits.push((1, Port::West, flit));
+        assert!(
+            matches!(reload(&mut net), Err(CodecError::Invalid(_))),
+            "gated receiver"
+        );
+
+        let mut net = small_net(true);
+        let mut flit = net.make_single_flit_packet(NodeId(1), NodeId(0), 0);
+        flit.lookahead = Port::Local;
+        net.staged_flits.push((0, Port::West, flit));
+        assert!(matches!(reload(&mut net), Err(CodecError::Invalid(_))), "no link");
+    }
+
+    /// Credits are rebuilt from the flits they stand for, so a flit
+    /// staged into a VC whose depth is already buffered over-commits it.
+    #[test]
+    fn load_rejects_a_staged_flit_into_a_full_vc() {
+        let mut net = small_net(false);
+        let flit = staged_into_1(&mut net);
+        for _ in 1..net.config().vc_depth {
+            net.routers[1].deliver(Port::West, flit);
+        }
+        net.staged_flits.push((1, Port::West, flit));
+        assert!(reload(&mut net).is_ok(), "the VC's depth in flits fits");
+        net.routers[1].deliver(Port::West, flit);
+        assert_eq!(
+            reload(&mut net).map(|_| ()),
+            Err(CodecError::Invalid("downstream VC over-committed"))
+        );
     }
 
     #[test]

@@ -94,8 +94,6 @@ pub struct PowerStateMachine {
     /// Sum over completed sleep periods of `max(0, length - t_breakeven)`:
     /// the compensated sleep cycles.
     pub compensated_sleep_cycles: u64,
-    /// Sum over completed sleep periods of their raw length.
-    pub raw_sleep_period_cycles: u64,
     /// Count of wake reasons, indexed like [`WakeReason`] discriminants.
     pub wake_reasons: [u64; 4],
 }
@@ -113,7 +111,6 @@ impl PowerStateMachine {
             active_cycles: 0,
             sleep_transitions: 0,
             compensated_sleep_cycles: 0,
-            raw_sleep_period_cycles: 0,
             wake_reasons: [0; 4],
         }
     }
@@ -142,7 +139,6 @@ impl PowerStateMachine {
     pub fn request_wake(&mut self, cycle: u64, reason: WakeReason) {
         if self.state == PowerState::Sleep {
             let period = cycle.saturating_sub(self.sleep_started);
-            self.raw_sleep_period_cycles += period;
             self.compensated_sleep_cycles += period.saturating_sub(self.t_breakeven as u64);
             self.wake_reasons[reason as usize] += 1;
             if self.t_wakeup == 0 {
@@ -233,13 +229,13 @@ impl PowerStateMachine {
     pub fn finalize(&mut self, cycle: u64) {
         if self.state == PowerState::Sleep {
             let period = cycle.saturating_sub(self.sleep_started);
-            self.raw_sleep_period_cycles += period;
             self.compensated_sleep_cycles += period.saturating_sub(self.t_breakeven as u64);
             self.sleep_started = cycle;
         }
     }
 
-    /// Serializes the full machine state (checkpointing).
+    /// Serializes the machine's state (checkpointing). The timings come
+    /// from the configuration and are not written.
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
         match self.state {
             PowerState::Active => w.put_u8(0),
@@ -249,22 +245,20 @@ impl PowerStateMachine {
                 w.put_u32(remaining);
             }
         }
-        w.put_u32(self.t_wakeup);
-        w.put_u32(self.t_breakeven);
         w.put_u64(self.sleep_started);
         w.put_u64(self.sleep_cycles);
         w.put_u64(self.wakeup_cycles);
         w.put_u64(self.active_cycles);
         w.put_u64(self.sleep_transitions);
         w.put_u64(self.compensated_sleep_cycles);
-        w.put_u64(self.raw_sleep_period_cycles);
         for n in self.wake_reasons {
             w.put_u64(n);
         }
     }
 
-    /// Rebuilds a machine serialized by [`PowerStateMachine::encode`].
-    pub(crate) fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+    /// Rebuilds a machine serialized by [`PowerStateMachine::encode`],
+    /// with the configured gating timings.
+    pub(crate) fn decode(r: &mut ByteReader<'_>, t_wakeup: u32, t_breakeven: u32) -> Result<Self, CodecError> {
         let state = match r.get_u8()? {
             0 => PowerState::Active,
             1 => PowerState::Sleep,
@@ -277,7 +271,7 @@ impl PowerStateMachine {
             }
             _ => return Err(CodecError::Invalid("power state tag")),
         };
-        let mut m = PowerStateMachine::new(r.get_u32()?, r.get_u32()?);
+        let mut m = PowerStateMachine::new(t_wakeup, t_breakeven);
         m.state = state;
         m.sleep_started = r.get_u64()?;
         m.sleep_cycles = r.get_u64()?;
@@ -285,7 +279,6 @@ impl PowerStateMachine {
         m.active_cycles = r.get_u64()?;
         m.sleep_transitions = r.get_u64()?;
         m.compensated_sleep_cycles = r.get_u64()?;
-        m.raw_sleep_period_cycles = r.get_u64()?;
         for slot in m.wake_reasons.iter_mut() {
             *slot = r.get_u64()?;
         }
@@ -320,7 +313,6 @@ mod tests {
         m.enter_sleep(0);
         m.request_wake(50, WakeReason::RegionalCongestion);
         assert_eq!(m.compensated_sleep_cycles, 38);
-        assert_eq!(m.raw_sleep_period_cycles, 50);
         // Unprofitable period of 5 cycles: contributes 0, not negative.
         for _ in 0..10 {
             m.tick();
@@ -328,7 +320,6 @@ mod tests {
         m.enter_sleep(100);
         m.request_wake(105, WakeReason::LookaheadSignal);
         assert_eq!(m.compensated_sleep_cycles, 38);
-        assert_eq!(m.raw_sleep_period_cycles, 55);
         assert_eq!(m.sleep_transitions, 2);
     }
 
@@ -378,7 +369,6 @@ mod tests {
         let mut m = PowerStateMachine::new(10, 12);
         m.enter_sleep(100);
         m.finalize(200);
-        assert_eq!(m.raw_sleep_period_cycles, 100);
         assert_eq!(m.compensated_sleep_cycles, 88);
     }
 

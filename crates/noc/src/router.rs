@@ -373,6 +373,17 @@ impl Router {
         self.xbar_reg.len()
     }
 
+    /// The crossbar pipeline register: each flit with the output port it
+    /// leaves through.
+    pub(crate) fn xbar_entries(&self) -> &[(Flit, Port)] {
+        &self.xbar_reg
+    }
+
+    /// Flits buffered in VC `vc` of input port `port`.
+    pub(crate) fn vc_occupancy(&self, port: Port, vc: usize) -> usize {
+        self.inputs.len(port.index(), vc)
+    }
+
     /// Delivers an arriving flit into the input buffer `(port, flit.vc)`.
     /// Returns the direction to send a look-ahead wake-up ping, if the flit
     /// is a head flit bound for a mesh neighbour.
@@ -919,26 +930,21 @@ impl Router {
     }
 
     /// Serializes the router's simulation state (checkpointing). What
-    /// the configuration fixes — links, buffer geometry, idle-detect
-    /// threshold — is not written; the unit count is, as a cross-check
-    /// against the granularity. The input buffers' occupancy counters
-    /// and non-empty mask are *not* captured either — they are pure
-    /// functions of the ring contents, which
-    /// [`Router::decode`] replays into fresh buffers, so a checkpoint
-    /// cannot carry a desynchronized cache.
+    /// the configuration fixes — links, buffer geometry, gating timings
+    /// — is not written; the unit count is, as a cross-check against
+    /// the granularity. Nor is anything derivable: the buffers'
+    /// counters and masks (functions of the ring contents), the
+    /// downstream-VC ownership masks (functions of the bindings), the
+    /// crossbar ports (each flit's look-ahead) and the credits (rebuilt
+    /// by [`Network::load_state`](crate::Network::load_state) from the
+    /// flits and credits in flight), so a checkpoint cannot carry a
+    /// desynchronized copy.
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
         w.put_u16(self.node.0);
         self.inputs.encode(w);
-        for m in self.out_owned {
-            w.put_u64(m);
-        }
-        for &c in &self.credits {
-            w.put_u16(c);
-        }
         w.put_usize(self.xbar_reg.len());
-        for (flit, port) in &self.xbar_reg {
+        for (flit, _) in &self.xbar_reg {
             checkpoint::put_flit(w, flit);
-            checkpoint::put_port(w, *port);
         }
         for rr in self.in_rr {
             w.put_usize(rr);
@@ -958,42 +964,44 @@ impl Router {
     }
 
     /// Rebuilds router `node` of a network configured by `cfg` from
-    /// [`Router::encode`] output.
+    /// [`Router::encode`] output. Every flit's look-ahead is the X-Y
+    /// route at this router, and a crossbar flit leaves through its
+    /// look-ahead. The credits stay at `vc_depth` until the network
+    /// calls [`Router::restore_credits`].
     pub(crate) fn decode(r: &mut ByteReader<'_>, node: NodeId, cfg: &NetworkConfig) -> Result<Self, CodecError> {
         if r.get_u16()? != node.0 {
             return Err(CodecError::Invalid("router out of order"));
         }
         let mut router = Router::new(node, cfg);
         let (vcs, vc_depth, nodes) = (router.vcs, router.vc_depth, cfg.dims.num_nodes());
-        router.inputs = InputBuffers::decode(r, vcs, vc_depth, nodes)?;
-        // A flit's look-ahead is the X-Y route at the router holding it:
-        // any other value could name a port with no link, and the flit
-        // would wait for a grant forever.
-        let route = |flit: &Flit| cfg.dims.xy_route(node, flit.dst);
-        if router.inputs.flits().any(|f| f.lookahead != route(f)) {
-            return Err(CodecError::Invalid("buffered flit's look-ahead off its route"));
-        }
-        for m in router.out_owned.iter_mut() {
-            *m = r.get_u64()?;
-        }
-        for c in router.credits.iter_mut() {
-            let credit = r.get_u16()?;
-            if credit as usize > vc_depth {
-                return Err(CodecError::Invalid("credit exceeds VC depth"));
+        let route = |dst| cfg.dims.xy_route(node, dst);
+        router.inputs = InputBuffers::decode(r, vcs, vc_depth, nodes, route)?;
+        for port in Port::ALL {
+            let pi = port.index();
+            // Only a link fills a mesh input port; a flit there would
+            // return its credit to no router.
+            if !router.connected[pi] && (router.inputs.nonempty(pi) | router.inputs.bound(pi)) != 0 {
+                return Err(CodecError::Invalid("flit or binding at an input port without a link"));
             }
-            *c = credit;
+            let mut bound = router.inputs.bound(pi);
+            while bound != 0 {
+                let vc = bound.trailing_zeros() as usize;
+                bound &= bound - 1;
+                let b = router.inputs.bound_binding(pi, vc);
+                let owned = &mut router.out_owned[b.out_port.index()];
+                if *owned & (1 << b.out_vc) != 0 {
+                    return Err(CodecError::Invalid("downstream VC bound twice"));
+                }
+                *owned |= 1 << b.out_vc;
+            }
         }
         let xbar_len = r.get_usize()?;
         if xbar_len > NUM_PORTS {
             return Err(CodecError::Invalid("crossbar register overfull"));
         }
         for _ in 0..xbar_len {
-            let flit = checkpoint::get_flit(r, nodes, vcs)?;
-            let port = checkpoint::get_port(r)?;
-            if flit.lookahead != route(&flit) || port != flit.lookahead {
-                return Err(CodecError::Invalid("crossbar flit or port off its route"));
-            }
-            router.xbar_reg.push((flit, port));
+            let flit = checkpoint::get_flit(r, nodes, vcs, route)?;
+            router.xbar_reg.push((flit, flit.lookahead));
         }
         for rr in router.in_rr.iter_mut() {
             *rr = r.get_usize()?;
@@ -1017,11 +1025,26 @@ impl Router {
             return Err(CodecError::Invalid("gating units do not match the granularity"));
         }
         for unit in router.units.iter_mut() {
-            unit.psm = PowerStateMachine::decode(r)?;
+            unit.psm = PowerStateMachine::decode(r, cfg.gating.t_wakeup, cfg.gating.t_breakeven)?;
             unit.idle = r.get_u32()?;
         }
         router.activity = checkpoint::get_router_activity(r)?;
         Ok(router)
+    }
+
+    /// Sets the credit counters at checkpoint decode: each output VC's
+    /// credit is `vc_depth` less what the network counted against it,
+    /// `owed`, indexed like the counters (`port * vcs + vc`).
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Invalid`] if a VC owes more than its depth.
+    pub(crate) fn restore_credits(&mut self, owed: &[u32]) -> Result<(), CodecError> {
+        for (credit, &owed) in self.credits.iter_mut().zip(owed) {
+            let left = (self.vc_depth as u32).checked_sub(owed);
+            *credit = left.ok_or(CodecError::Invalid("downstream VC over-committed"))? as u16;
+        }
+        Ok(())
     }
 }
 
@@ -1355,35 +1378,67 @@ mod tests {
         assert_eq!(local, None, "ejecting flits need no wake ping");
     }
 
-    /// Corner router 0 has no North link. A buffered head whose
-    /// look-ahead names North would never be granted, and a crossbar
-    /// entry must leave by its look-ahead, so decode rejects both; the
-    /// head with its X-Y route (East, toward node 63) decodes.
+    fn round_trip(r: &Router) -> Result<Router, CodecError> {
+        let mut w = ByteWriter::new();
+        r.encode(&mut w);
+        let bytes = w.into_inner();
+        Router::decode(&mut ByteReader::new(&bytes), r.node, &NetworkConfig::paper())
+    }
+
+    /// Look-aheads are not stored: decode gives every buffered and
+    /// crossbar flit the X-Y route at its router, and a crossbar entry
+    /// leaves through it. Corner router 0 has no North link; a head
+    /// saved looking ahead North, and a crossbar entry saved leaving
+    /// South, come back routed East, toward node 63.
     #[test]
-    fn decode_rejects_a_lookahead_off_the_route() {
-        let cfg = NetworkConfig::paper();
-        let node = NodeId(0);
-        let decode = |r: &Router| {
-            let mut w = ByteWriter::new();
-            r.encode(&mut w);
-            let bytes = w.into_inner();
-            Router::decode(&mut ByteReader::new(&bytes), node, &cfg).map(|_| ())
-        };
+    fn decoded_lookaheads_follow_the_route() {
         let head = |lookahead| flit(1, FlitKind::Head, 0, 2, lookahead, 0);
-        let mut r = Router::new(node, &cfg);
-        r.deliver(Port::Local, head(Port::East));
-        assert_eq!(decode(&r), Ok(()));
-        let mut r = Router::new(node, &cfg);
+        let mut r = Router::new(NodeId(0), &NetworkConfig::paper());
         r.deliver(Port::Local, head(Port::North));
-        assert!(
-            matches!(decode(&r), Err(CodecError::Invalid(_))),
-            "buffered head to North"
+        r.xbar_reg.push((head(Port::North), Port::South));
+        let back = round_trip(&r).unwrap();
+        let buffered = back.inputs.front(Port::Local.index(), 0).map(|f| f.lookahead);
+        assert_eq!(buffered, Some(Port::East));
+        assert_eq!(back.xbar_reg, [(head(Port::East), Port::East)]);
+    }
+
+    /// The downstream-VC ownership masks are rebuilt from the bindings,
+    /// so two input VCs bound to one downstream VC cannot decode.
+    #[test]
+    fn decode_rejects_a_downstream_vc_bound_twice() {
+        let to = |out_vc| Binding {
+            out_port: Port::East,
+            out_vc,
+        };
+        let mut r = router();
+        r.inputs.bind(Port::West.index(), 0, to(0));
+        r.inputs.bind(Port::North.index(), 1, to(1));
+        let back = round_trip(&r).unwrap();
+        assert_eq!(back.out_owned[Port::East.index()], 0b11);
+        r.inputs.bind(Port::South.index(), 2, to(1));
+        assert_eq!(
+            round_trip(&r).map(|_| ()),
+            Err(CodecError::Invalid("downstream VC bound twice"))
         );
-        let mut r = Router::new(node, &cfg);
-        r.xbar_reg.push((head(Port::East), Port::South));
-        assert!(
-            matches!(decode(&r), Err(CodecError::Invalid(_))),
-            "crossbar entry leaving South"
+    }
+
+    /// Corner router 0 has no West link, so nothing can be buffered or
+    /// bound at its West input.
+    #[test]
+    fn decode_rejects_state_at_an_input_port_without_a_link() {
+        let mut r = Router::new(NodeId(0), &NetworkConfig::paper());
+        r.inputs
+            .push(Port::West.index(), 0, flit(1, FlitKind::Single, 0, 1, Port::East, 0));
+        assert!(matches!(round_trip(&r), Err(CodecError::Invalid(_))));
+        let mut r = Router::new(NodeId(0), &NetworkConfig::paper());
+        r.inputs.bind(
+            Port::West.index(),
+            0,
+            Binding {
+                out_port: Port::East,
+                out_vc: 0,
+            },
         );
+        assert!(matches!(round_trip(&r), Err(CodecError::Invalid(_))));
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::checkpoint;
 use crate::flit::Flit;
-use crate::geometry::{Port, NUM_PORTS};
+use crate::geometry::{NodeId, Port, NUM_PORTS};
 use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
 
 /// Largest VC buffer depth, in flits, that `NetworkConfig::validate`
@@ -153,12 +153,6 @@ impl InputBuffers {
         (self.len[i] > 0).then(|| &self.slab[self.slot(i, self.head[i])])
     }
 
-    /// Every buffered flit, VC by VC, each VC in FIFO order.
-    pub(crate) fn flits(&self) -> impl Iterator<Item = &Flit> {
-        (0..self.len.len())
-            .flat_map(move |i| (0..self.len[i]).map(move |k| &self.slab[self.slot(i, (self.head[i] + k) % self.depth)]))
-    }
-
     /// Enqueues an arriving flit into VC `(port index, vc)`.
     ///
     /// # Panics
@@ -276,11 +270,18 @@ impl InputBuffers {
 
     /// Rebuilds buffers serialized by [`InputBuffers::encode`] for a
     /// router of `vcs` VCs of `depth` flits (both already range-checked
-    /// by the caller) in a mesh of `nodes` routers. The masks and
+    /// by the caller) in a mesh of `nodes` routers; `route` gives a
+    /// buffered flit's look-ahead from its destination. The masks and
     /// counters are rebuilt by the same `push`/`bind` calls the
     /// simulation makes, so a checkpoint cannot carry a desynchronized
     /// cache.
-    pub(crate) fn decode(r: &mut ByteReader<'_>, vcs: usize, depth: usize, nodes: usize) -> Result<Self, CodecError> {
+    pub(crate) fn decode(
+        r: &mut ByteReader<'_>,
+        vcs: usize,
+        depth: usize,
+        nodes: usize,
+        route: impl Fn(NodeId) -> Port,
+    ) -> Result<Self, CodecError> {
         let mut buffers = InputBuffers::new(vcs, depth);
         for pi in 0..NUM_PORTS {
             for vc in 0..vcs {
@@ -289,7 +290,7 @@ impl InputBuffers {
                     return Err(CodecError::Invalid("VC occupancy exceeds depth"));
                 }
                 for _ in 0..len {
-                    buffers.push(pi, vc, checkpoint::get_flit(r, nodes, vcs)?);
+                    buffers.push(pi, vc, checkpoint::get_flit(r, nodes, vcs, &route)?);
                 }
                 if r.get_bool()? {
                     let out_port = checkpoint::get_port(r)?;
@@ -309,7 +310,6 @@ impl InputBuffers {
 mod tests {
     use super::*;
     use crate::flit::{FlitKind, MessageClass, PacketId};
-    use crate::geometry::NodeId;
 
     fn flit(seq: u16) -> Flit {
         Flit {
@@ -473,7 +473,7 @@ mod tests {
         buf.encode(&mut w);
         let bytes = w.into_inner();
         let mut r = ByteReader::new(&bytes);
-        let mut back = InputBuffers::decode(&mut r, 3, 3, 2).unwrap();
+        let mut back = InputBuffers::decode(&mut r, 3, 3, 2, |_| Port::East).unwrap();
         assert!(r.is_empty());
         assert_eq!(back.binding(4, 1), Some(B));
         assert_eq!((back.buffered(), back.nonempty(4)), (3, 0b10));
@@ -491,7 +491,7 @@ mod tests {
         w.put_u8(3); // port 0, VC 0: three flits in a depth-2 ring
         let bytes = w.into_inner();
         assert!(matches!(
-            InputBuffers::decode(&mut ByteReader::new(&bytes), 1, 2, 2),
+            InputBuffers::decode(&mut ByteReader::new(&bytes), 1, 2, 2, |_| Port::East),
             Err(CodecError::Invalid(_))
         ));
 
@@ -502,7 +502,7 @@ mod tests {
         w.put_u8(1); // downstream VC 1 of a 1-VC router
         let bytes = w.into_inner();
         assert!(matches!(
-            InputBuffers::decode(&mut ByteReader::new(&bytes), 1, 2, 2),
+            InputBuffers::decode(&mut ByteReader::new(&bytes), 1, 2, 2, |_| Port::East),
             Err(CodecError::Invalid(_))
         ));
     }

@@ -5,7 +5,7 @@
 use crate::breakdown::PowerBreakdown;
 use crate::params::TechParams;
 use catnap_noc::stats::{GatingActivity, RouterActivity};
-use catnap_noc::MeshDims;
+use catnap_noc::{Granularity, MeshDims};
 
 const PJ: f64 = 1e-12;
 
@@ -148,83 +148,61 @@ impl NetworkPowerModel {
     /// Computes the subnet power over a measurement window.
     ///
     /// * `activity` — event counts summed over all routers in the window;
-    /// * `gating` — gating residency summed over all routers (for an
+    /// * `gating` — gating residency summed over the gating units (for an
     ///   ungated run pass active = `num_routers * cycles`);
     /// * `cycles` — window length in cycles;
     /// * `t_breakeven` — leakage-equivalent cycles charged per sleep
-    ///   transition.
+    ///   transition;
+    /// * `granularity` — what one gating unit powers. A router unit (also
+    ///   used with gating off) gates every component, and clock and
+    ///   control are charged for its active cycles. Port units
+    ///   (fine-grained gating, Matsutani et al., TCAD '11) gate only the
+    ///   buffers and links; crossbar, control and clock stay powered and
+    ///   clocked the whole time — the granularity/savings trade-off of
+    ///   port-level gating.
+    ///
+    /// Gated components leak for the units' powered fraction: active and
+    /// wake-up cycles plus `t_breakeven` cycles per sleep transition
+    /// (sleep-transistor switching and decap recharge), over all unit
+    /// cycles.
     pub fn report(
         &self,
         activity: &RouterActivity,
         gating: &GatingActivity,
         cycles: u64,
         t_breakeven: u32,
+        granularity: Granularity,
     ) -> SubnetPowerReport {
         if cycles == 0 {
             return SubnetPowerReport::default();
         }
         let time_s = cycles as f64 / self.router.freq_hz;
+        let port_units = granularity == Granularity::Port;
 
         let mut energy = self.router.event_energy_j(activity);
         energy.link *= self.link_factor;
-        energy += self.router.per_cycle_energy_j(gating.active_cycles);
+        let clocked = if port_units {
+            self.num_routers as u64 * cycles
+        } else {
+            gating.active_cycles
+        };
+        energy += self.router.per_cycle_energy_j(clocked);
         let dynamic = energy * (1.0 / time_s);
 
-        // Static: leakage is consumed during active and wake-up cycles,
-        // plus t_breakeven cycles of equivalent energy per sleep
-        // transition (sleep-transistor switching and decap recharge).
-        let router_cycles = self.num_routers as f64 * cycles as f64;
+        let unit_cycles = (gating.active_cycles + gating.sleep_cycles + gating.wakeup_cycles).max(1) as f64;
         let powered = gating.active_cycles as f64
             + gating.wakeup_cycles as f64
             + gating.sleep_transitions as f64 * t_breakeven as f64;
-        let powered_frac = (powered / router_cycles).min(1.0);
-        let static_ = self.leakage_w() * powered_frac;
-
-        SubnetPowerReport {
-            dynamic,
-            static_,
-            csc_fraction: gating.csc_fraction(),
-        }
-    }
-
-    /// Computes subnet power under *fine-grained per-port* gating
-    /// (Matsutani et al., TCAD '11): `gating` residencies are summed over
-    /// input ports (five per router). Only the buffers and links are
-    /// gated; crossbar, control and clock stay powered (and clocked) the
-    /// whole time — the granularity/savings trade-off of port-level
-    /// gating.
-    pub fn report_fine_grained(
-        &self,
-        activity: &RouterActivity,
-        gating: &GatingActivity,
-        cycles: u64,
-        t_breakeven: u32,
-    ) -> SubnetPowerReport {
-        if cycles == 0 {
-            return SubnetPowerReport::default();
-        }
-        let time_s = cycles as f64 / self.router.freq_hz;
-
-        let mut energy = self.router.event_energy_j(activity);
-        energy.link *= self.link_factor;
-        // Clock and control never gate in port mode.
-        energy += self.router.per_cycle_energy_j(self.num_routers as u64 * cycles);
-        let dynamic = energy * (1.0 / time_s);
-
-        let total_units = (gating.active_cycles + gating.sleep_cycles + gating.wakeup_cycles).max(1) as f64;
-        let powered = gating.active_cycles as f64
-            + gating.wakeup_cycles as f64
-            + gating.sleep_transitions as f64 * t_breakeven as f64;
-        let port_frac = (powered / total_units).min(1.0);
-
+        let powered_frac = (powered / unit_cycles).min(1.0);
         let full = self.leakage_w();
-        let static_ = PowerBreakdown {
-            buffer: full.buffer * port_frac,
-            link: full.link * port_frac,
-            crossbar: full.crossbar,
-            control: full.control,
-            clock: full.clock,
-            ni: full.ni,
+        let static_ = if port_units {
+            PowerBreakdown {
+                buffer: full.buffer * powered_frac,
+                link: full.link * powered_frac,
+                ..full
+            }
+        } else {
+            full * powered_frac
         };
 
         SubnetPowerReport {
@@ -350,14 +328,14 @@ mod tests {
             active_cycles: 64 * cycles,
             ..Default::default()
         };
-        let on = m.report(&a, &all_on, cycles, 12);
+        let on = m.report(&a, &all_on, cycles, 12, Granularity::Router);
         // Half the router-cycles asleep, no transitions charged.
         let half = GatingActivity {
             active_cycles: 32 * cycles,
             sleep_cycles: 32 * cycles,
             ..Default::default()
         };
-        let h = m.report(&a, &half, cycles, 12);
+        let h = m.report(&a, &half, cycles, 12, Granularity::Router);
         assert!((h.static_.total() / on.static_.total() - 0.5).abs() < 1e-9);
     }
 
@@ -372,7 +350,7 @@ mod tests {
             sleep_transitions: 64,
             ..Default::default()
         };
-        let rep = m.report(&a, &gating, cycles, 12);
+        let rep = m.report(&a, &gating, cycles, 12, Granularity::Router);
         let expected_frac = (64.0 * 12.0) / (64.0 * cycles as f64);
         assert!((rep.static_.total() / m.leakage_w().total() - expected_frac).abs() < 1e-9);
     }
@@ -380,7 +358,13 @@ mod tests {
     #[test]
     fn zero_cycles_reports_zero() {
         let m = single_noc_model();
-        let rep = m.report(&RouterActivity::default(), &GatingActivity::default(), 0, 12);
+        let rep = m.report(
+            &RouterActivity::default(),
+            &GatingActivity::default(),
+            0,
+            12,
+            Granularity::Router,
+        );
         assert_eq!(rep.total(), 0.0);
     }
 

@@ -16,6 +16,7 @@
 use catnap_repro::catnap::{
     config_fingerprint, GatingPolicy, MultiNoc, MultiNocConfig, SelectorKind, CHECKPOINT_VERSION,
 };
+use catnap_repro::noc::SchedStats;
 use catnap_repro::telemetry::RecordingSink;
 use catnap_repro::traffic::{LoadSchedule, SyntheticPattern, SyntheticWorkload};
 use catnap_repro::util::codec::{self, CodecError};
@@ -71,11 +72,29 @@ fn golden_load<S: catnap_repro::telemetry::Sink>(net: &MultiNoc<S>) -> Synthetic
     SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.08, 512, net.dims(), 7)
 }
 
+/// Every subnet's event-scheduler counters.
+fn sched_stats<S: catnap_repro::telemetry::Sink>(net: &MultiNoc<S>) -> Vec<SchedStats> {
+    (0..net.num_subnets()).map(|s| net.subnet(s).sched_stats()).collect()
+}
+
+/// The scheduler work counted between two readings of one subnet.
+fn work_since(end: SchedStats, start: SchedStats) -> SchedStats {
+    SchedStats {
+        router_runs: end.router_runs - start.router_runs,
+        idle_runs: end.idle_runs - start.idle_runs,
+        wakeup_pops: end.wakeup_pops - start.wakeup_pops,
+        stale_wakeups: end.stale_wakeups - start.stale_wakeups,
+        syncs: end.syncs - start.syncs,
+        synced_cycles: end.synced_cycles - start.synced_cycles,
+        stalled_runs: end.stalled_runs - start.stalled_runs,
+    }
+}
+
 /// Save → resume at `SPLIT_CYCLE` must reproduce the straight-through
 /// run exactly, for every golden (the port-gated one included): the
 /// pinned fingerprint tuple, the complete cumulative `Snapshot`
 /// (per-subnet flit counts included), and every subnet's
-/// event-scheduler counters.
+/// event-scheduler work after the split.
 #[test]
 fn resume_is_bit_identical_to_straight_through_for_every_golden() {
     for (name, cfg, want) in golden_cases() {
@@ -88,12 +107,17 @@ fn resume_is_bit_identical_to_straight_through_for_every_golden() {
             net.step();
         }
         let blob = net.save_checkpoint(&load.encode_position());
+        let at_split = sched_stats(&net);
         for _ in SPLIT_CYCLE..TOTAL_CYCLES {
             load.drive(&mut net);
             net.step();
         }
         let straight_snap = net.snapshot();
-        let straight_sched: Vec<_> = (0..net.num_subnets()).map(|s| net.subnet(s).sched_stats()).collect();
+        let straight_sched: Vec<_> = sched_stats(&net)
+            .into_iter()
+            .zip(at_split)
+            .map(|(end, start)| work_since(end, start))
+            .collect();
         let straight = (
             net.finish().packets_delivered,
             straight_snap.latency_sum,
@@ -121,9 +145,11 @@ fn resume_is_bit_identical_to_straight_through_for_every_golden() {
             resumed_snap, straight_snap,
             "resumed snapshot diverged from straight-through for {name}"
         );
-        // The scheduler is rebuilt from live state on resume; it must
-        // then do exactly the work the straight-through run did.
-        let resumed_sched: Vec<_> = (0..resumed.num_subnets()).map(|s| resumed.subnet(s).sched_stats()).collect();
+        // The scheduler is rebuilt from live state on resume, and its
+        // counters, which checkpoints do not store, start from zero; it
+        // must then do exactly the work the straight-through run did
+        // after the split.
+        let resumed_sched = sched_stats(&resumed);
         assert_eq!(
             resumed_sched, straight_sched,
             "resumed scheduler counters diverged for {name}"
@@ -251,6 +277,97 @@ fn rejects_corrupted_version_mismatched_and_foreign_checkpoints() {
         MultiNoc::resume_from(foreign, &blob),
         Err(CodecError::FingerprintMismatch { .. })
     ));
+}
+
+/// Checkpoints of equal state are equal bytes: saving at cycle 400 as
+/// well must not change the checkpoint written at cycle 800. (Saving
+/// materializes deferred idle work, which moves only the scheduler's
+/// instrumentation counters; those are not simulation state and are not
+/// stored.)
+#[test]
+fn an_extra_save_leaves_later_checkpoints_byte_identical() {
+    let cfg = MultiNocConfig::catnap_4x128().gating(true).seed(7);
+    let checkpoint_at_800 = |extra_save: bool| {
+        let mut net = MultiNoc::new(cfg.clone());
+        let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.03, 512, net.dims(), 7);
+        for cycle in 0..800 {
+            if extra_save && cycle == 400 {
+                let _ = net.save_checkpoint(&load.encode_position());
+            }
+            load.drive(&mut net);
+            net.step();
+        }
+        net.save_checkpoint(&load.encode_position())
+    };
+    let plain = checkpoint_at_800(false);
+    let probed = checkpoint_at_800(true);
+    let differing = plain.iter().zip(&probed).filter(|(a, b)| a != b).count();
+    assert_eq!(plain.len(), probed.len(), "checkpoint lengths differ");
+    assert_eq!(
+        differing, 0,
+        "an extra save changed {differing} bytes of a later checkpoint"
+    );
+}
+
+/// Hostile payloads fail with a typed error, never with a panic: each
+/// trial changes one to three bytes of a mid-run payload (flip a bit,
+/// add one, or overwrite with a random byte), re-seals it so the
+/// checksum holds, resumes, and steps the resumed network. Release
+/// only: debug builds still trip two wormhole `debug_assert`s (an
+/// unbound VC fronted by a non-head flit, a flit ejected at the wrong
+/// node) on buffer contents that decode does not reject yet.
+#[cfg(not(debug_assertions))]
+#[test]
+fn mutated_checkpoints_fail_typed_or_run_but_never_panic() {
+    use catnap_repro::util::SimRng;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    const TRIALS: usize = 10_000;
+    let cfg = MultiNocConfig::catnap_2x128_64core().gating(true).seed(5);
+    let mut net = MultiNoc::new(cfg.clone());
+    let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.25, 512, net.dims(), 5);
+    for _ in 0..400 {
+        load.drive(&mut net);
+        net.step();
+    }
+    let fp = config_fingerprint(&cfg);
+    let blob = net.save_checkpoint(&[]);
+    let payload = codec::open(&blob, CHECKPOINT_VERSION, fp).expect("fresh blob opens").to_vec();
+
+    let mut rng = SimRng::new(1);
+    let (mut typed, mut clean, mut panics) = (0, 0, Vec::new());
+    for trial in 0..TRIALS {
+        let mut bytes = payload.clone();
+        for _ in 0..1 + rng.u64_below(3) {
+            let at = rng.u64_below(bytes.len() as u64) as usize;
+            bytes[at] = match rng.u64_below(3) {
+                0 => bytes[at] ^ (1 << rng.u64_below(8)),
+                1 => bytes[at].wrapping_add(1),
+                _ => rng.next_u64() as u8,
+            };
+        }
+        let sealed = codec::seal(CHECKPOINT_VERSION, fp, &bytes);
+        let outcome = catch_unwind(AssertUnwindSafe(|| match MultiNoc::resume_from(cfg.clone(), &sealed) {
+            Err(_) => false,
+            Ok((mut resumed, _)) => {
+                for _ in 0..300 {
+                    resumed.step();
+                }
+                true
+            }
+        }));
+        match outcome {
+            Ok(false) => typed += 1,
+            Ok(true) => clean += 1,
+            Err(_) => panics.push(trial),
+        }
+    }
+    assert!(typed > 0 && clean > 0, "{typed} typed errors, {clean} clean runs");
+    assert!(
+        panics.is_empty(),
+        "{} of {TRIALS} mutated checkpoints panicked (trials {panics:?}); {typed} typed errors, {clean} clean runs",
+        panics.len()
+    );
 }
 
 /// A checkpoint taken while routers are mid wake-up must not lose their
