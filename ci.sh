@@ -22,9 +22,9 @@ echo "== test (release: differential, checkpoint and determinism suites) =="
 # counters against the rings), so the router buffer index arithmetic
 # must also pass these suites as the benchmark runs it. The checkpoint
 # suite's mutation test
-# (mutated_checkpoints_fail_typed_or_run_but_never_panic: 10,000
-# re-sealed hostile payloads, none may panic) is compiled for release
-# only and runs here.
+# (mutated_checkpoints_fail_typed_or_run_but_never_panic: re-sealed
+# hostile payloads, none may panic) runs 10,000 trials here; the debug
+# run above, with the wormhole debug_asserts live, ran 2,000.
 cargo test -q --release --offline --test eventdriven --test checkpoint --test determinism
 
 echo "== trace diff (production step vs the per-cycle oracle at near-idle load) =="
@@ -47,6 +47,18 @@ for sub in "mix --mix heavy" "synthetic --config 4NT-128b --load 0.05"; do
   cmp "$CLI_TMP/1.out" "$CLI_TMP/2.out"
 done
 rm -rf "$CLI_TMP"
+
+echo "== serve cache cap (catnap-serve on stdin, cache named by CATNAP_CACHE_DIR) =="
+# Each job stores a result and a warm-up checkpoint: six entries without
+# a cap. --max-entries must hold however the directory was named.
+SERVE_TMP="$(mktemp -d)"
+trap 'rm -rf "$SERVE_TMP"' EXIT
+for rate in 0.01 0.02 0.03; do
+  echo "{\"job\": {\"config\": \"catnap-2x128-64core\", \"rate\": $rate, \"warmup\": 50, \"measure\": 50, \"seed\": 7}}"
+done | CATNAP_CACHE_DIR="$SERVE_TMP/cache" target/release/catnap-serve --max-entries 1 > "$SERVE_TMP/out.jsonl"
+ENTRIES="$(find "$SERVE_TMP/cache" -type f | wc -l)"
+test "$ENTRIES" -eq 1 || { echo "catnap-serve --max-entries 1 left $ENTRIES cache entries"; exit 1; }
+rm -rf "$SERVE_TMP"
 
 echo "== benchmark smoke (examples/benchmark builds against the libraries and runs) =="
 cargo run -q --release --offline --manifest-path examples/benchmark/Cargo.toml -- --smoke

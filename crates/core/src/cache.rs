@@ -80,20 +80,6 @@ impl SimCache {
         })
     }
 
-    /// Opens the cache at `$CATNAP_CACHE_DIR`, falling back to `default`
-    /// when the variable is unset or empty. Capacity defaults to 512
-    /// entries.
-    ///
-    /// # Errors
-    ///
-    /// [`io::Error`] if the directory cannot be created.
-    pub fn from_env_or(default: impl Into<PathBuf>) -> io::Result<Self> {
-        match std::env::var("CATNAP_CACHE_DIR") {
-            Ok(dir) if !dir.is_empty() => SimCache::new(dir, 512),
-            _ => SimCache::new(default, 512),
-        }
-    }
-
     /// The cache directory.
     pub fn dir(&self) -> &Path {
         &self.dir

@@ -163,9 +163,9 @@ impl LocalDetector {
                     self.window_pos = 0;
                     let a = router.activity;
                     let blocked = a.head_blocked_cycles - self.last_blocked;
-                    let reads = a.buffer_reads - self.last_reads;
+                    let reads = a.buffer_reads() - self.last_reads;
                     self.last_blocked = a.head_blocked_cycles;
-                    self.last_reads = a.buffer_reads;
+                    self.last_reads = a.buffer_reads();
                     // Average blocking delay per switched flit in the
                     // window. With no movement at all but waiting flits,
                     // treat as congested.

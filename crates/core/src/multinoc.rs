@@ -7,9 +7,8 @@ use crate::congestion::{CongestionMetric, LocalDetector, NodeSignals};
 use crate::ni::NodeNi;
 use crate::rcs::OrNetwork;
 use crate::select::{congestion_mask, CatnapPriority, RandomSelect, RoundRobin, SubnetSelector};
-use catnap_noc::checkpoint::{get_flit, put_flit};
 use catnap_noc::stats::{GatingActivity, RouterActivity};
-use catnap_noc::{Flit, MeshDims, Network, NodeId, PacketDescriptor, Port, RegionMap};
+use catnap_noc::{Flit, MeshDims, Network, NodeId, PacketDescriptor, RegionMap};
 use catnap_telemetry::{Event, NopSink, Sink, SinkScope, Trace, TraceMeta};
 use catnap_traffic::generator::PacketSink;
 use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
@@ -26,6 +25,10 @@ use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
 /// attaches one sink per [`SinkScope`] — the policy layer plus one per
 /// subnet — and [`MultiNoc::take_trace`] merges them into a [`Trace`]
 /// for the exporters.
+///
+/// The subnets own the clock and every network count (injections,
+/// ejections, network latency); the Multi-NoC counts only what no
+/// subnet sees: packets generated and end-to-end latency.
 pub struct MultiNoc<S: Sink = NopSink> {
     cfg: MultiNocConfig,
     subnets: Vec<Network<S>>,
@@ -34,16 +37,12 @@ pub struct MultiNoc<S: Sink = NopSink> {
     lcs: Vec<Vec<bool>>,
     or_nets: Vec<OrNetwork>,
     selector: Box<dyn SubnetSelector + Send>,
-    cycle: u64,
     generated_packets: u64,
-    delivered_packets: u64,
-    delivered_flits: u64,
     latency_sum: u64,
     latency_max: u64,
-    ejected_flits_per_subnet: Vec<u64>,
-    injected_flits_per_subnet: Vec<u64>,
-    delivered_tails: Vec<catnap_noc::Flit>,
-    track_deliveries: bool,
+    /// Tails of the packets delivered in the last cycle, until drained
+    /// or the next cycle starts.
+    delivered: Vec<Flit>,
     /// Cycles each node's NI-queue head has waited behind a busy slot.
     head_wait: Vec<u32>,
     /// Whether each NI is on the busy worklist (`busy_nis`).
@@ -125,16 +124,10 @@ impl<S: Sink> MultiNoc<S> {
             lcs: vec![vec![false; nodes]; k],
             or_nets,
             selector,
-            cycle: 0,
             generated_packets: 0,
-            delivered_packets: 0,
-            delivered_flits: 0,
             latency_sum: 0,
             latency_max: 0,
-            ejected_flits_per_subnet: vec![0; k],
-            injected_flits_per_subnet: vec![0; k],
-            delivered_tails: Vec::new(),
-            track_deliveries: false,
+            delivered: Vec::new(),
             head_wait: vec![0; nodes],
             ni_busy: vec![false; nodes],
             busy_nis: Vec::new(),
@@ -155,7 +148,7 @@ impl<S: Sink> MultiNoc<S> {
             cols: self.cfg.dims.cols,
             rows: self.cfg.dims.rows,
             subnets: self.cfg.subnets,
-            cycles: self.cycle,
+            cycles: self.cycle(),
             selector: self.selector.name().to_string(),
             gating: self.cfg.gating_policy.name().to_string(),
         };
@@ -171,8 +164,8 @@ impl<S: Sink> MultiNoc<S> {
     /// `cycles` and the parallel and pool counters stay zero.
     pub fn dispatch_stats(&self) -> DispatchStats {
         DispatchStats {
-            cycles: self.cycle,
-            phase_serial: self.cycle,
+            cycles: self.cycle(),
+            phase_serial: self.cycle(),
             ..DispatchStats::default()
         }
     }
@@ -187,9 +180,9 @@ impl<S: Sink> MultiNoc<S> {
         self.cfg.dims
     }
 
-    /// Current cycle.
+    /// Current cycle: the subnets' clock (they step together).
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.subnets[0].cycle()
     }
 
     /// Number of subnets.
@@ -238,15 +231,16 @@ impl<S: Sink> MultiNoc<S> {
             let s = self.selector.select(idx, &self.congested_buf);
             if self.nis[idx].slot_free(s) {
                 if S::ENABLED {
+                    let cycle = self.cycle();
                     self.policy_sink.record(Event::Select {
-                        cycle: self.cycle,
+                        cycle,
                         node: idx as u16,
                         subnet: s as u8,
                         congested_mask: congestion_mask(&self.congested_buf),
                     });
                     if let Some(desc) = self.nis[idx].head_packet() {
                         self.policy_sink.record(Event::PacketInject {
-                            cycle: self.cycle,
+                            cycle,
                             id: desc.id.0,
                             subnet: s as u8,
                             src: desc.src.0,
@@ -313,6 +307,7 @@ impl<S: Sink> MultiNoc<S> {
     /// scan-everything variant of each phase at compile time.
     fn advance<const REFERENCE: bool>(&mut self) {
         let k = self.cfg.subnets;
+        self.delivered.clear();
 
         // --- Network interfaces: refill, subnet assignment, injection ---
         if REFERENCE {
@@ -346,32 +341,27 @@ impl<S: Sink> MultiNoc<S> {
                 net.step();
             }
         }
-        self.cycle = self.subnets[0].cycle();
+        let cycle = self.cycle();
 
-        // --- Ejection and latency accounting ---
+        // --- End-to-end latency of the delivered packets ---
         for s in 0..k {
             self.eject_buf.clear();
             self.subnets[s].drain_ejected_into(&mut self.eject_buf);
             for &(node, flit) in &self.eject_buf {
-                self.ejected_flits_per_subnet[s] += 1;
-                self.delivered_flits += 1;
                 if flit.kind.is_tail() {
-                    self.delivered_packets += 1;
-                    let lat = self.cycle.saturating_sub(flit.created_cycle);
+                    let lat = cycle.saturating_sub(flit.created_cycle);
                     self.latency_sum += lat;
                     self.latency_max = self.latency_max.max(lat);
                     if S::ENABLED {
                         self.policy_sink.record(Event::PacketEject {
-                            cycle: self.cycle,
+                            cycle,
                             id: flit.packet.0,
                             subnet: s as u8,
                             dst: node.0,
                             latency: lat.min(u64::from(u32::MAX)) as u32,
                         });
                     }
-                    if self.track_deliveries {
-                        self.delivered_tails.push(flit);
-                    }
+                    self.delivered.push(flit);
                 }
             }
         }
@@ -398,7 +388,7 @@ impl<S: Sink> MultiNoc<S> {
                     }
                     if S::ENABLED {
                         self.policy_sink.record(Event::Lcs {
-                            cycle: self.cycle,
+                            cycle,
                             subnet: s as u8,
                             node: idx as u16,
                             on: now,
@@ -409,8 +399,8 @@ impl<S: Sink> MultiNoc<S> {
             }
         }
         if REFERENCE {
-            for idx in 0..self.nis.len() {
-                self.close_ni_cycle(idx);
+            for ni in &mut self.nis {
+                ni.end_cycle();
             }
         }
         // Only busy NIs can have injected this cycle; this is also where
@@ -420,7 +410,7 @@ impl<S: Sink> MultiNoc<S> {
         list.retain(|&idxu| {
             let idx = idxu as usize;
             if !REFERENCE {
-                self.close_ni_cycle(idx);
+                self.nis[idx].end_cycle();
             }
             let keep = !self.nis[idx].is_idle();
             if !keep {
@@ -436,16 +426,15 @@ impl<S: Sink> MultiNoc<S> {
             if !REFERENCE && self.lcs_set[s] == 0 && !self.or_nets[s].any() {
                 // All-false sample into an all-clear network: a latch (if
                 // one falls here) observes no set bit and reports no
-                // change, so only the countdown moves — which the
-                // one-cycle closed form reproduces exactly.
-                self.or_nets[s].fast_forward(1);
+                // change, so only the countdown moves.
+                self.or_nets[s].tick_all_clear();
                 continue;
             }
             let latched = self.or_nets[s].tick(|n| lcs[n.index()]);
             if S::ENABLED && latched {
                 for region in self.or_nets[s].changed_regions() {
                     self.policy_sink.record(Event::Rcs {
-                        cycle: self.cycle,
+                        cycle,
                         subnet: s as u8,
                         region: region.0,
                         on: self.or_nets[s].rcs_of(region),
@@ -455,42 +444,32 @@ impl<S: Sink> MultiNoc<S> {
         }
     }
 
-    /// Books NI `idx`'s injections of the cycle into the per-subnet
-    /// counters and resets its per-cycle state.
-    fn close_ni_cycle(&mut self, idx: usize) {
-        let ni = &mut self.nis[idx];
-        for (s, &flits) in ni.injected_flits_this_cycle.iter().enumerate() {
-            self.injected_flits_per_subnet[s] += u64::from(flits);
-        }
-        ni.end_cycle();
+    /// Appends the tails of the packets delivered in the last cycle to
+    /// `buf` (the closed loop advances coherence transactions with
+    /// them). The next cycle drops tails not taken.
+    pub fn drain_delivered_into(&mut self, buf: &mut Vec<Flit>) {
+        buf.append(&mut self.delivered);
     }
 
-    /// Enables per-packet delivery tracking (off by default so open-loop
-    /// runs don't accumulate an unbounded buffer).
-    pub fn set_track_deliveries(&mut self, on: bool) {
-        self.track_deliveries = on;
+    /// Packets delivered so far: the subnets' ejected packets.
+    fn delivered_packets(&self) -> u64 {
+        self.subnets.iter().map(|n| n.stats().packets_ejected).sum()
     }
 
-    /// Drains the tail flits of packets delivered since the last call
-    /// (the closed-loop multicore substrate uses these to advance
-    /// coherence transactions). Requires
-    /// [`MultiNoc::set_track_deliveries`] to have been enabled.
-    pub fn drain_delivered(&mut self) -> Vec<catnap_noc::Flit> {
-        std::mem::take(&mut self.delivered_tails)
-    }
-
-    /// Cumulative counters at this instant (diff two snapshots for
-    /// windowed measurements).
+    /// Cumulative counters at this instant, read from their owners (diff
+    /// two snapshots for windowed measurements).
     pub fn snapshot(&self) -> Snapshot {
+        let activity_per_subnet: Vec<RouterActivity> = self.subnets.iter().map(|n| n.total_activity()).collect();
+        let ejected_flits_per_subnet: Vec<u64> = activity_per_subnet.iter().map(|a| a.ejected_flits).collect();
         Snapshot {
-            cycle: self.cycle,
+            cycle: self.cycle(),
             generated_packets: self.generated_packets,
-            delivered_packets: self.delivered_packets,
-            delivered_flits: self.delivered_flits,
+            delivered_packets: self.delivered_packets(),
+            delivered_flits: ejected_flits_per_subnet.iter().sum(),
             latency_sum: self.latency_sum,
-            ejected_flits_per_subnet: self.ejected_flits_per_subnet.clone(),
-            injected_flits_per_subnet: self.injected_flits_per_subnet.clone(),
-            activity_per_subnet: self.subnets.iter().map(|n| n.total_activity()).collect(),
+            ejected_flits_per_subnet,
+            injected_flits_per_subnet: self.subnets.iter().map(|n| n.stats().flits_injected).collect(),
+            activity_per_subnet,
             gating_per_subnet: self.subnets.iter().map(|n| n.total_gating()).collect(),
             or_switch_events: self.or_nets.iter().map(OrNetwork::switch_events).sum(),
         }
@@ -498,7 +477,7 @@ impl<S: Sink> MultiNoc<S> {
 
     /// Number of packets still queued or in flight.
     pub fn packets_outstanding(&self) -> u64 {
-        self.generated_packets - self.delivered_packets
+        self.generated_packets - self.delivered_packets()
     }
 
     /// Routers currently active / sleeping / waking, summed over subnets.
@@ -516,26 +495,16 @@ impl<S: Sink> MultiNoc<S> {
     /// instance of the *same* configuration (the public checkpoint
     /// container in [`crate::checkpoint`] guards that with a
     /// fingerprint), and rebuilds what follows from the stored state:
-    /// the busy-NI worklist and the local congestion bits. Telemetry
-    /// sinks are not captured: a resumed recording sink starts empty and
-    /// its suffix matches a straight-through run's suffix bit for bit.
+    /// the busy-NI worklist and the local congestion bits. The subnets
+    /// store the clock and the network counts; delivered tails are not
+    /// stored. Telemetry sinks are not captured: a resumed recording
+    /// sink starts empty and its suffix matches a straight-through run's
+    /// suffix bit for bit.
     pub(crate) fn save_state(&mut self, w: &mut ByteWriter) {
         let k = self.cfg.subnets;
-        w.put_u64(self.cycle);
         w.put_u64(self.generated_packets);
-        w.put_u64(self.delivered_packets);
-        w.put_u64(self.delivered_flits);
         w.put_u64(self.latency_sum);
         w.put_u64(self.latency_max);
-        for s in 0..k {
-            w.put_u64(self.ejected_flits_per_subnet[s]);
-            w.put_u64(self.injected_flits_per_subnet[s]);
-        }
-        w.put_bool(self.track_deliveries);
-        w.put_usize(self.delivered_tails.len());
-        for f in &self.delivered_tails {
-            put_flit(w, f);
-        }
         for &hw in &self.head_wait {
             w.put_u32(hw);
         }
@@ -563,30 +532,15 @@ impl<S: Sink> MultiNoc<S> {
     ///
     /// # Errors
     ///
-    /// [`CodecError`] on a truncated or inconsistent stream; the
-    /// instance must then be discarded.
+    /// [`CodecError`] on a truncated or inconsistent stream, including
+    /// subnets at different cycles and more packets delivered than
+    /// generated; the instance must then be discarded.
     pub(crate) fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         let k = self.cfg.subnets;
         let nodes = self.cfg.dims.num_nodes();
-        self.cycle = r.get_u64()?;
         self.generated_packets = r.get_u64()?;
-        self.delivered_packets = r.get_u64()?;
-        self.delivered_flits = r.get_u64()?;
         self.latency_sum = r.get_u64()?;
         self.latency_max = r.get_u64()?;
-        for s in 0..k {
-            self.ejected_flits_per_subnet[s] = r.get_u64()?;
-            self.injected_flits_per_subnet[s] = r.get_u64()?;
-        }
-        self.track_deliveries = r.get_bool()?;
-        let tails = r.get_usize()?;
-        if tails > 1 << 24 {
-            return Err(CodecError::Invalid("delivery buffer implausibly large"));
-        }
-        self.delivered_tails.clear();
-        for _ in 0..tails {
-            self.delivered_tails.push(get_flit(r, nodes, self.cfg.vcs, |_| Port::Local)?);
-        }
         for hw in self.head_wait.iter_mut() {
             *hw = r.get_u32()?;
         }
@@ -600,10 +554,16 @@ impl<S: Sink> MultiNoc<S> {
         for net in self.subnets.iter_mut() {
             net.load_state(r)?;
         }
+        if self.subnets.iter().any(|n| n.cycle() != self.cycle()) {
+            return Err(CodecError::Invalid("subnets at different cycles"));
+        }
         for idx in 0..nodes {
             self.nis[idx] = crate::ni::NodeNi::decode(r, NodeId(idx as u16), &self.cfg)?;
         }
-        if self.generated_packets < self.delivered_packets {
+        for (s, net) in self.subnets.iter().enumerate() {
+            net.check_wormholes(|node| self.nis[node.index()].next_flit(s))?;
+        }
+        if self.generated_packets < self.delivered_packets() {
             return Err(CodecError::Invalid("delivered more packets than generated"));
         }
         for s in 0..k {
@@ -614,58 +574,42 @@ impl<S: Sink> MultiNoc<S> {
         }
         self.ni_busy = self.nis.iter().map(|ni| !ni.is_idle()).collect();
         self.busy_nis = (0..nodes as u32).filter(|&idx| self.ni_busy[idx as usize]).collect();
+        self.delivered.clear();
         self.eject_buf.clear();
         self.congested_buf.clear();
         Ok(())
     }
 
-    /// Finalizes gating accounting and produces the run report.
+    /// Finalizes gating accounting and reports the whole-run [`Snapshot`].
     pub fn finish(&mut self) -> RunReport {
         for net in &mut self.subnets {
             net.finalize();
         }
         let snap = self.snapshot();
-        let gating = snap
-            .gating_per_subnet
-            .iter()
-            .fold(GatingActivity::default(), |acc, g| acc.merged(*g));
-        let nodes = self.cfg.dims.num_nodes() as f64;
-        let cycles = self.cycle.max(1) as f64;
-        let inj_total: u64 = snap.injected_flits_per_subnet.iter().sum();
-        let utilization = snap
-            .injected_flits_per_subnet
-            .iter()
-            .map(|&f| {
-                if inj_total == 0 {
-                    0.0
-                } else {
-                    f as f64 / inj_total as f64
-                }
-            })
-            .collect();
+        let gating = snap.total_gating();
+        let nodes = self.cfg.dims.num_nodes();
+        let injected: u64 = snap.injected_flits_per_subnet.iter().sum();
         RunReport {
             name: self.cfg.name.clone(),
-            cycles: self.cycle,
-            packets_generated: self.generated_packets,
-            packets_delivered: self.delivered_packets,
-            avg_packet_latency: if self.delivered_packets == 0 {
-                0.0
-            } else {
-                self.latency_sum as f64 / self.delivered_packets as f64
-            },
+            cycles: snap.cycle,
+            packets_generated: snap.generated_packets,
+            packets_delivered: snap.delivered_packets,
+            avg_packet_latency: snap.avg_latency(),
             max_packet_latency: self.latency_max,
-            accepted_packets_per_node_cycle: self.delivered_packets as f64 / (nodes * cycles),
-            accepted_flits_per_node_cycle: self.delivered_flits as f64 / (nodes * cycles),
+            accepted_packets_per_node_cycle: snap.accepted_packets_per_node_cycle(nodes),
+            accepted_flits_per_node_cycle: snap.delivered_flits as f64 / (nodes as f64 * snap.cycle.max(1) as f64),
             csc_fraction: gating.csc_fraction(),
             sleep_transitions: gating.sleep_transitions,
-            subnet_utilization: utilization,
+            subnet_utilization: (snap.injected_flits_per_subnet.iter())
+                .map(|&f| if injected == 0 { 0.0 } else { f as f64 / injected as f64 })
+                .collect(),
         }
     }
 }
 
 impl<S: Sink> PacketSink for MultiNoc<S> {
     fn now(&self) -> u64 {
-        self.cycle
+        self.cycle()
     }
 
     fn submit(&mut self, desc: PacketDescriptor) {
@@ -684,9 +628,9 @@ impl<S: Sink> std::fmt::Debug for MultiNoc<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MultiNoc")
             .field("name", &self.cfg.name)
-            .field("cycle", &self.cycle)
+            .field("cycle", &self.cycle())
             .field("generated", &self.generated_packets)
-            .field("delivered", &self.delivered_packets)
+            .field("delivered", &self.delivered_packets())
             .finish_non_exhaustive()
     }
 }
@@ -825,8 +769,6 @@ fn sub_vec(a: &[u64], b: &[u64]) -> Vec<u64> {
 fn sub_activity(a: &RouterActivity, b: &RouterActivity) -> RouterActivity {
     RouterActivity {
         buffer_writes: a.buffer_writes - b.buffer_writes,
-        buffer_reads: a.buffer_reads - b.buffer_reads,
-        xbar_traversals: a.xbar_traversals - b.xbar_traversals,
         link_flits: a.link_flits - b.link_flits,
         ejected_flits: a.ejected_flits - b.ejected_flits,
         arb_requests: a.arb_requests - b.arb_requests,
@@ -1022,6 +964,47 @@ mod tests {
         }
         assert_eq!(mixed.snapshot(), plain.snapshot());
         assert_eq!(mixed.finish(), plain.finish());
+    }
+
+    /// The subnets own the clock and step together, so a checkpoint
+    /// whose subnets disagree on the cycle cannot decode.
+    #[test]
+    fn decode_rejects_subnets_at_different_cycles() {
+        let resume = |skew: bool| {
+            let cfg = MultiNocConfig::catnap_4x128().gating(true);
+            let mut net = MultiNoc::new(cfg.clone());
+            for _ in 0..20 {
+                net.step();
+            }
+            if skew {
+                net.subnets[2].step();
+            }
+            MultiNoc::resume_from(cfg, &net.save_checkpoint(&[])).map(|_| ())
+        };
+        assert_eq!(resume(false), Ok(()));
+        assert_eq!(resume(true), Err(CodecError::Invalid("subnets at different cycles")));
+    }
+
+    /// An open-loop run nobody drains holds only the tails of its last
+    /// cycle: each drain (every third cycle here) hands out exactly the
+    /// packets the subnets ejected in the cycle just stepped.
+    #[test]
+    fn delivered_tails_are_kept_for_one_cycle() {
+        let mut net = MultiNoc::new(MultiNocConfig::catnap_4x128().gating(true));
+        let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.30, 512, net.dims(), 3);
+        let (mut tails, mut ejected, mut most) = (Vec::new(), 0, 0);
+        for c in 0..3_000u64 {
+            load.drive(&mut net);
+            net.step();
+            let before = std::mem::replace(&mut ejected, net.delivered_packets());
+            if c % 3 == 0 {
+                net.drain_delivered_into(&mut tails);
+                assert_eq!(tails.len() as u64, ejected - before, "cycle {c}");
+                most = most.max(tails.len());
+                tails.clear();
+            }
+        }
+        assert!(most > 1, "the load must deliver several packets in a cycle");
     }
 
     #[test]

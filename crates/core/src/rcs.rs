@@ -113,28 +113,20 @@ impl OrNetwork {
         true
     }
 
-    /// Advances `dt` cycles in closed form, equivalent to `dt` calls of
-    /// [`OrNetwork::tick`] with an all-false LCS sample while every
-    /// latched RCS bit is already false.
-    ///
-    /// Under that precondition every latch edge crossed re-latches
-    /// false-from-false: no switching events, no changed flags — only
-    /// the countdown phase moves. `MultiNoc::step` uses it
-    /// to elide the tick of a subnet whose LCS and RCS bits are all
-    /// clear.
-    pub fn fast_forward(&mut self, dt: u64) {
+    /// One [`OrNetwork::tick`] with an all-false LCS sample, while every
+    /// latched RCS bit is already false. A latch then re-latches false
+    /// from false: no switching event, every changed flag false — only
+    /// the countdown moves. `MultiNoc::step` uses it to elide the
+    /// region sweep of a subnet whose LCS and RCS bits are all clear.
+    pub fn tick_all_clear(&mut self) {
         debug_assert!(
             !self.any(),
-            "fast-forward with a latched RCS bit set: the next latch would be a falling edge"
+            "all-clear tick with a latched RCS bit set: the next latch would be a falling edge"
         );
-        let cd = u64::from(self.countdown);
-        if dt >= cd {
-            // At least one latch crossed; flags are overwritten to false.
-            let into_period = (dt - cd) % u64::from(self.period);
-            self.countdown = self.period - into_period as u32;
+        self.countdown -= 1;
+        if self.countdown == 0 {
+            self.countdown = self.period;
             self.changed.fill(false);
-        } else {
-            self.countdown = (cd - dt) as u32;
         }
     }
 
@@ -247,35 +239,30 @@ mod tests {
     }
 
     #[test]
-    fn fast_forward_matches_idle_ticks() {
-        // Exercise every countdown phase against every skip length around
-        // multiple periods, including dt == 0 and exact latch-edge skips.
+    fn all_clear_tick_matches_tick_in_every_phase() {
+        // One cycle from every countdown phase, the latch edge included.
         for phase in 0..6u64 {
-            for dt in [0u64, 1, 2, 5, 6, 7, 11, 12, 13, 100] {
-                let mut stepped = OrNetwork::paper(quadrants());
-                for _ in 0..phase {
-                    stepped.tick(|_| false);
-                }
-                let mut skipped = stepped.clone();
-                for _ in 0..dt {
-                    stepped.tick(|_| false);
-                }
-                skipped.fast_forward(dt);
-                assert_eq!(skipped, stepped, "divergence at phase {phase}, dt {dt}");
+            let mut stepped = OrNetwork::paper(quadrants());
+            for _ in 0..phase {
+                stepped.tick(|_| false);
             }
+            let mut cleared = stepped.clone();
+            stepped.tick(|_| false);
+            cleared.tick_all_clear();
+            assert_eq!(cleared, stepped, "divergence at phase {phase}");
         }
     }
 
     #[test]
-    fn fast_forward_clears_stale_edge_flags() {
+    fn all_clear_tick_clears_stale_edge_flags() {
         let mut or = OrNetwork::new(quadrants(), 1);
         or.tick(|n| n == NodeId(0));
         or.tick(|_| false); // falling edge: changed flag set, latched clear
         assert_eq!(or.changed_regions().count(), 1);
         let mut stepped = or.clone();
         stepped.tick(|_| false);
-        or.fast_forward(1);
+        or.tick_all_clear();
         assert_eq!(or, stepped);
-        assert_eq!(or.changed_regions().count(), 0, "crossed latch overwrites stale flags");
+        assert_eq!(or.changed_regions().count(), 0, "a latch overwrites stale flags");
     }
 }

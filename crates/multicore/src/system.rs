@@ -18,7 +18,7 @@ pub struct System {
     pub net: MultiNoc,
     cores: Vec<Core>,
     /// Transactions in flight.
-    tx: Transactions,
+    pub(crate) tx: Transactions,
     rng: SimRng,
     misses_issued: u64,
     misses_completed: u64,
@@ -30,8 +30,8 @@ impl System {
     /// Builds a system running `mix` on the given network design.
     pub fn new(cfg: SystemConfig, net_cfg: MultiNocConfig, mix: WorkloadMix, seed: u64) -> Self {
         cfg.validate().unwrap_or_else(|e| panic!("invalid system config: {e}"));
-        let mut net = MultiNoc::new(net_cfg);
-        let tx = Transactions::new(&cfg, &mut net);
+        let net = MultiNoc::new(net_cfg);
+        let tx = Transactions::new(&cfg, &net);
         let num_cores = cfg.num_cores(net.dims());
         let assignment = mix.assign(num_cores);
         let cores = assignment

@@ -2,15 +2,14 @@
 //!
 //! The per-structure `encode`/`decode` functions live next to the
 //! structures they serialize (Rust privacy is module-scoped), but the
-//! plain-data types with public fields — flits, stats counters, port
-//! tags — are encoded here so the `catnap` core crate can reuse the
-//! exact same byte layout for its own state (NI queues, delivered
-//! tails). See DESIGN.md §13 for the container format and for what is
-//! stored and what decode rebuilds.
+//! plain-data types with public fields — flits, packet descriptors,
+//! port tags — are encoded here so the `catnap` core crate can reuse the
+//! exact same byte layout for its own state (NI queues). See DESIGN.md
+//! §13 for the container format and for what is stored and what decode
+//! rebuilds.
 
 use crate::flit::{Flit, FlitKind, MessageClass, PacketDescriptor, PacketId};
 use crate::geometry::{NodeId, Port};
-use crate::stats::{NetworkStats, RouterActivity};
 use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
 
 /// Encodes a [`Port`] as its stable index (N=0, E=1, S=2, W=3, L=4).
@@ -169,60 +168,6 @@ pub fn get_packet_descriptor(r: &mut ByteReader<'_>, nodes: usize) -> Result<Pac
     };
     check_nodes(desc.src, desc.dst, nodes)?;
     Ok(desc)
-}
-
-/// Encodes [`NetworkStats`].
-pub fn put_network_stats(w: &mut ByteWriter, s: &NetworkStats) {
-    w.put_u64(s.cycles);
-    w.put_u64(s.flits_injected);
-    w.put_u64(s.flits_ejected);
-    w.put_u64(s.packets_ejected);
-    w.put_u64(s.net_latency_sum);
-}
-
-/// Decodes [`NetworkStats`].
-///
-/// # Errors
-///
-/// Propagates reader errors.
-pub fn get_network_stats(r: &mut ByteReader<'_>) -> Result<NetworkStats, CodecError> {
-    Ok(NetworkStats {
-        cycles: r.get_u64()?,
-        flits_injected: r.get_u64()?,
-        flits_ejected: r.get_u64()?,
-        packets_ejected: r.get_u64()?,
-        net_latency_sum: r.get_u64()?,
-    })
-}
-
-/// Encodes [`RouterActivity`].
-pub fn put_router_activity(w: &mut ByteWriter, a: &RouterActivity) {
-    w.put_u64(a.buffer_writes);
-    w.put_u64(a.buffer_reads);
-    w.put_u64(a.xbar_traversals);
-    w.put_u64(a.link_flits);
-    w.put_u64(a.ejected_flits);
-    w.put_u64(a.arb_requests);
-    w.put_u64(a.arb_grants);
-    w.put_u64(a.head_blocked_cycles);
-}
-
-/// Decodes [`RouterActivity`].
-///
-/// # Errors
-///
-/// Propagates reader errors.
-pub fn get_router_activity(r: &mut ByteReader<'_>) -> Result<RouterActivity, CodecError> {
-    Ok(RouterActivity {
-        buffer_writes: r.get_u64()?,
-        buffer_reads: r.get_u64()?,
-        xbar_traversals: r.get_u64()?,
-        link_flits: r.get_u64()?,
-        ejected_flits: r.get_u64()?,
-        arb_requests: r.get_u64()?,
-        arb_grants: r.get_u64()?,
-        head_blocked_cycles: r.get_u64()?,
-    })
 }
 
 #[cfg(test)]

@@ -172,6 +172,19 @@ impl Flit {
         assert!(width_bits > 0, "link width must be non-zero");
         packet_bits.div_ceil(width_bits).max(1) as u16
     }
+
+    /// Whether this flit may come right behind `prev` in one VC's
+    /// stream (wormhole order): a tail is followed by a head, any other
+    /// flit by the next flit of its packet.
+    pub fn follows(&self, prev: &Flit) -> bool {
+        if prev.kind.is_tail() {
+            return self.kind.is_head();
+        }
+        !self.kind.is_head()
+            && self.packet == prev.packet
+            && self.dst == prev.dst
+            && u32::from(self.seq) == u32::from(prev.seq) + 1
+    }
 }
 
 /// Descriptor of a packet awaiting injection (the NI-side representation:

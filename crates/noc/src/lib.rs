@@ -49,7 +49,7 @@
 //! for cycle in 0..100 {
 //!     net.step();
 //! }
-//! assert_eq!(net.stats().flits_ejected, 1);
+//! assert_eq!(net.stats().packets_ejected, 1);
 //! ```
 
 pub mod checkpoint;

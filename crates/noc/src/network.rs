@@ -635,7 +635,6 @@ impl<S: Sink> Network<S> {
         #[cfg(debug_assertions)]
         self.check_scheduler();
         self.cycle += 1;
-        self.stats.cycles += 1;
         let cycle = self.cycle;
 
         // Collect this cycle's run set: routers queued by the previous
@@ -674,15 +673,7 @@ impl<S: Sink> Network<S> {
         // becomes the empty backing store for this cycle's link pushes.
         delivered.clear();
         self.staged_flits = std::mem::replace(&mut self.link_stage, delivered);
-        let mut credits = std::mem::take(&mut self.staged_credits);
-        for &(idx, port, vc) in &credits {
-            // Credit returns are time-invariant and cannot create work
-            // for a drained router (nothing buffered to send), so the
-            // receiver is not scheduled.
-            self.routers[idx].return_credit(port, vc);
-        }
-        credits.clear();
-        self.staged_credits = credits;
+        self.return_staged_credits();
 
         // Phase 2: run the hot set in ascending index order. A wake
         // request raised mid-phase inserts its target ahead of the scan,
@@ -725,7 +716,6 @@ impl<S: Sink> Network<S> {
             self.active_mask[idx] = self.routers[idx].port_active_mask();
             self.reschedule(idx);
         } else {
-            let n = self.cfg.dims.num_nodes();
             let adj = self.adj[idx];
             let node = self.routers[idx].node();
             // Snapshot which neighbours can accept flits this cycle:
@@ -751,30 +741,7 @@ impl<S: Sink> Network<S> {
             {
                 self.sched.stalled_runs += 1;
             }
-
-            for ob in &out.outbound {
-                let opi = ob.out_port.index();
-                let nbr = adj[opi];
-                debug_assert!(nbr != NO_NEIGHBOR, "link to nowhere");
-                let in_port = ob.out_port.opposite();
-                let mut flit = ob.flit;
-                // Look-ahead routing: compute the output port at the
-                // next router before the flit arrives there.
-                flit.lookahead = self.route_lut[nbr * n + flit.dst.index()];
-                self.inflight[nbr * NUM_PORTS + in_port.index()] += 1;
-                self.link_stage.push((nbr, in_port, flit));
-            }
-            for cr in &out.credits {
-                let ipi = cr.in_port.index();
-                let upstream = adj[ipi];
-                debug_assert!(upstream != NO_NEIGHBOR, "credit to nowhere");
-                // The upstream router's output port towards us.
-                let up_out = cr.in_port.opposite();
-                self.staged_credits.push((upstream, up_out, cr.vc));
-            }
-            for flit in out.ejected.drain(..) {
-                self.record_ejection(node, flit);
-            }
+            self.stage_outputs(idx, &mut out);
             for &ping in &out.wake_pings {
                 self.wake_neighbor_instep(node, ping, idx);
             }
@@ -805,7 +772,6 @@ impl<S: Sink> Network<S> {
     pub fn step_reference(&mut self) {
         self.sync_all();
         self.cycle += 1;
-        self.stats.cycles += 1;
 
         // Phase 1: deliver flits that completed their link cycle, and
         // advance flits leaving crossbars onto the link.
@@ -819,15 +785,9 @@ impl<S: Sink> Network<S> {
         }
         delivered.clear();
         self.staged_flits = std::mem::replace(&mut self.link_stage, delivered);
-        let mut credits = std::mem::take(&mut self.staged_credits);
-        for &(idx, port, vc) in &credits {
-            self.routers[idx].return_credit(port, vc);
-        }
-        credits.clear();
-        self.staged_credits = credits;
+        self.return_staged_credits();
 
         // Phase 2: step every router; collect outputs into fresh staging.
-        let n = self.cfg.dims.num_nodes();
         let cycle = self.cycle;
         for idx in 0..self.routers.len() {
             let adj = self.adj[idx];
@@ -844,27 +804,7 @@ impl<S: Sink> Network<S> {
             let mut out = std::mem::take(&mut self.scratch);
             self.routers[idx].step_reference(&neighbor_active, &mut out);
             self.cursor[idx] = cycle;
-
-            for ob in &out.outbound {
-                let opi = ob.out_port.index();
-                let nbr = adj[opi];
-                debug_assert!(nbr != NO_NEIGHBOR, "link to nowhere");
-                let in_port = ob.out_port.opposite();
-                let mut flit = ob.flit;
-                flit.lookahead = self.route_lut[nbr * n + flit.dst.index()];
-                self.inflight[nbr * NUM_PORTS + in_port.index()] += 1;
-                self.link_stage.push((nbr, in_port, flit));
-            }
-            for cr in &out.credits {
-                let ipi = cr.in_port.index();
-                let upstream = adj[ipi];
-                debug_assert!(upstream != NO_NEIGHBOR, "credit to nowhere");
-                let up_out = cr.in_port.opposite();
-                self.staged_credits.push((upstream, up_out, cr.vc));
-            }
-            for flit in out.ejected.drain(..) {
-                self.record_ejection(node, flit);
-            }
+            self.stage_outputs(idx, &mut out);
             for &ping in &out.wake_pings {
                 self.wake_neighbor_reference(node, ping);
             }
@@ -879,9 +819,46 @@ impl<S: Sink> Network<S> {
         self.sched_stale = true;
     }
 
+    /// Returns the credits staged last cycle to their routers. Credit
+    /// returns are time-invariant and cannot create work for a drained
+    /// router (nothing buffered to send), so no receiver is scheduled.
+    fn return_staged_credits(&mut self) {
+        let mut credits = std::mem::take(&mut self.staged_credits);
+        for &(idx, port, vc) in &credits {
+            self.routers[idx].return_credit(port, vc);
+        }
+        credits.clear();
+        self.staged_credits = credits;
+    }
+
+    /// Stages router `idx`'s outputs of this cycle, in both steps: flits
+    /// leaving on links (with the look-ahead route at the next router),
+    /// credits back upstream, and ejections. Wake pings are the caller's.
+    #[inline]
+    fn stage_outputs(&mut self, idx: usize, out: &mut RouterOutput) {
+        let (n, adj, node) = (self.cfg.dims.num_nodes(), self.adj[idx], self.routers[idx].node());
+        for ob in &out.outbound {
+            let nbr = adj[ob.out_port.index()];
+            debug_assert!(nbr != NO_NEIGHBOR, "link to nowhere");
+            let in_port = ob.out_port.opposite();
+            let mut flit = ob.flit;
+            flit.lookahead = self.route_lut[nbr * n + flit.dst.index()];
+            self.inflight[nbr * NUM_PORTS + in_port.index()] += 1;
+            self.link_stage.push((nbr, in_port, flit));
+        }
+        for cr in &out.credits {
+            let upstream = adj[cr.in_port.index()];
+            debug_assert!(upstream != NO_NEIGHBOR, "credit to nowhere");
+            // The upstream router's output port towards us.
+            self.staged_credits.push((upstream, cr.in_port.opposite(), cr.vc));
+        }
+        for flit in out.ejected.drain(..) {
+            self.record_ejection(node, flit);
+        }
+    }
+
     fn record_ejection(&mut self, node: NodeId, flit: Flit) {
         debug_assert_eq!(flit.dst, node, "flit ejected at wrong node");
-        self.stats.flits_ejected += 1;
         if flit.kind.is_tail() {
             self.stats.packets_ejected += 1;
             let lat = self.cycle.saturating_sub(flit.net_inject_cycle);
@@ -1022,10 +999,10 @@ impl<S: Sink> Network<S> {
     /// Must be called at a cycle edge (between steps). Deferred idle
     /// stretches are materialized first so every router's counters are
     /// exact; materialization is representation-only, so saving does not
-    /// perturb the run. What is stored: clock, packet-id counter,
-    /// statistics, every router, the link and staging buffers, the
-    /// credits in flight and the ejected flits. Everything else is
-    /// derived, and [`Network::load_state`] rebuilds it: the adjacency
+    /// perturb the run. What is stored: clock, packet-id counter, the
+    /// statistics no router counts, every router, the link and staging
+    /// buffers, the credits in flight and the ejected flits. Everything
+    /// else is derived, and [`Network::load_state`] rebuilds it: the adjacency
     /// and route tables (functions of the config), every flit's
     /// look-ahead, the routers' credits, the in-flight counters, the
     /// event-scheduler sets and the telemetry shadows. The scheduler's
@@ -1036,7 +1013,9 @@ impl<S: Sink> Network<S> {
         self.sync_all();
         w.put_u64(self.cycle);
         w.put_u64(self.next_packet_id);
-        checkpoint::put_network_stats(w, &self.stats);
+        w.put_u64(self.stats.flits_injected);
+        w.put_u64(self.stats.packets_ejected);
+        w.put_u64(self.stats.net_latency_sum);
         for r in &self.routers {
             r.encode(w);
         }
@@ -1072,20 +1051,28 @@ impl<S: Sink> Network<S> {
     /// [`CodecError`] if the stream is truncated or names a state the
     /// simulation cannot reach: bad tags; a router, node id or VC out of
     /// range; a gating-unit count that does not match the granularity; a
-    /// flit or binding at an input port without a link; a downstream VC
-    /// bound twice; a staged flit that does not enter through a linked,
-    /// powered mesh port; a crossbar flit toward a gated port; a staged
-    /// credit for a port without a link; or a downstream VC owing more
-    /// flits and credits than its depth. On error the network is left in
-    /// an unspecified but memory-safe state and must be discarded.
+    /// gating unit slept or woke for more cycles than have elapsed; a
+    /// flit or binding at an input port without a link; a binding toward
+    /// a port without a link; a downstream VC bound twice; a staged flit
+    /// that does not enter through a linked, powered mesh port; a
+    /// crossbar flit toward a gated port; a staged credit for a port
+    /// without a link; or a downstream VC owing more flits and credits
+    /// than its depth. Wormhole order also depends on what the network
+    /// interfaces inject next, so [`Network::check_wormholes`] checks it
+    /// once they are decoded. On error the network is left in an
+    /// unspecified but memory-safe state and must be discarded.
     pub fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         let n = self.routers.len();
         let vcs = self.cfg.vcs_per_port;
         self.cycle = r.get_u64()?;
         self.next_packet_id = r.get_u64()?;
-        self.stats = checkpoint::get_network_stats(r)?;
+        self.stats = NetworkStats {
+            flits_injected: r.get_u64()?,
+            packets_ejected: r.get_u64()?,
+            net_latency_sum: r.get_u64()?,
+        };
         for idx in 0..n {
-            self.routers[idx] = Router::decode(r, NodeId(idx as u16), &self.cfg)?;
+            self.routers[idx] = Router::decode(r, NodeId(idx as u16), &self.cfg, self.cycle)?;
         }
         let decode_staged = |r: &mut ByteReader<'_>| -> Result<Vec<(usize, Port, Flit)>, CodecError> {
             let len = r.get_usize()?;
@@ -1171,6 +1158,103 @@ impl<S: Sink> Network<S> {
         Ok(())
     }
 
+    /// Checks wormhole order after checkpoint decode (DESIGN.md §13):
+    /// every flit of a packet carries one destination, and along each
+    /// input VC's arrival stream — its buffer, what arrives next at it
+    /// (staged, link and upstream crossbar flits, or at a local port the
+    /// interface's next flit), then up to the first tail the stream of
+    /// the upstream VC bound to it — an unbound VC's stream starts with
+    /// a head, each flit [follows](Flit::follows) the one before, and a
+    /// bound packet routes through its binding up to its tail, which the
+    /// stream holds unless it ends at an interface part-way through the
+    /// packet. `next(node)` is that flit of `node`'s interface on this
+    /// subnet, with its local VC.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Invalid`] if any of this does not hold.
+    pub fn check_wormholes(&self, next: impl Fn(NodeId) -> Option<(usize, Flit)>) -> Result<(), CodecError> {
+        let (n, vcs) = (self.routers.len(), self.cfg.vcs_per_port);
+        // VCs are indexed `(router * NUM_PORTS + port) * vcs + vc`.
+        let vc_at = |i: usize| (i / (NUM_PORTS * vcs), Port::from_index(i / vcs % NUM_PORTS), i % vcs);
+        let at = |idx: usize, port: Port, vc: usize| (idx * NUM_PORTS + port.index()) * vcs + vc;
+        let buffered = (0..n * NUM_PORTS * vcs).flat_map(|i| {
+            let (idx, port, vc) = vc_at(i);
+            self.routers[idx].vc_flits(port, vc)
+        });
+        let mut dsts: Vec<(u64, u16)> = buffered
+            .chain(self.routers.iter().flat_map(|r| r.xbar_entries().iter().map(|(flit, _)| flit)))
+            .chain(self.link_stage.iter().chain(&self.staged_flits).map(|(_, _, flit)| flit))
+            .chain(self.ejected.iter().map(|(_, flit)| flit))
+            .map(|flit| (flit.packet.0, flit.dst.0))
+            .collect();
+        dsts.sort_unstable();
+        dsts.dedup();
+        if dsts.windows(2).any(|pair| pair[0].0 == pair[1].0) {
+            return Err(CodecError::Invalid("packet's flits bound for different nodes"));
+        }
+
+        // Per VC: the flits arriving next, in order, and the upstream VC
+        // bound to it.
+        let mut inflight: Vec<Vec<Flit>> = vec![Vec::new(); n * NUM_PORTS * vcs];
+        let mut upstream: Vec<Option<usize>> = vec![None; n * NUM_PORTS * vcs];
+        for &(idx, port, flit) in self.staged_flits.iter().chain(&self.link_stage) {
+            inflight[at(idx, port, flit.vc as usize)].push(flit);
+        }
+        for (idx, router) in self.routers.iter().enumerate() {
+            for &(flit, out) in router.xbar_entries() {
+                if out != Port::Local {
+                    inflight[at(self.adj[idx][out.index()], out.opposite(), flit.vc as usize)].push(flit);
+                }
+            }
+            if let Some((vc, flit)) = next(router.node()).filter(|&(vc, _)| vc < vcs) {
+                inflight[at(idx, Port::Local, vc)].push(flit);
+            }
+        }
+        for i in 0..upstream.len() {
+            let (idx, port, vc) = vc_at(i);
+            if let Some(b) = self.routers[idx].binding(port, vc).filter(|b| b.out_port != Port::Local) {
+                let downstream = self.adj[idx][b.out_port.index()];
+                upstream[at(downstream, b.out_port.opposite(), b.out_vc as usize)] = Some(i);
+            }
+        }
+
+        for i in 0..upstream.len() {
+            let (idx, port, vc) = vc_at(i);
+            let mut bound = self.routers[idx].binding(port, vc).map(|b| b.out_port);
+            let mut prev: Option<&Flit> = None;
+            let mut link = i;
+            // A packet's bindings run along its X-Y path: a longer chain
+            // is a cycle, and its bound packet never ends.
+            'chain: for _ in 0..n {
+                let (jdx, jport, jvc) = vc_at(link);
+                for flit in self.routers[jdx].vc_flits(jport, jvc).chain(&inflight[link]) {
+                    if !prev.map_or(bound.is_some() || flit.kind.is_head(), |p| flit.follows(p)) {
+                        return Err(CodecError::Invalid("flits out of wormhole order"));
+                    }
+                    if let Some(out) = bound {
+                        if self.route_lut[idx * n + flit.dst.index()] != out {
+                            return Err(CodecError::Invalid("bound VC's packet routes away from its binding"));
+                        }
+                        if flit.kind.is_tail() {
+                            bound = None;
+                        }
+                    }
+                    prev = Some(flit);
+                    if link != i && flit.kind.is_tail() {
+                        break 'chain;
+                    }
+                }
+                let Some(up) = upstream[link] else { break };
+                link = up;
+            }
+            if bound.is_some() && (vc_at(link).1 != Port::Local || inflight[link].is_empty()) {
+                return Err(CodecError::Invalid("bound VC's packet has no tail upstream"));
+            }
+        }
+        Ok(())
+    }
+
     /// Rebuilds every router's credits from the decoded flits and
     /// credits (credit-based flow control's invariant): a mesh output
     /// VC's credit is `vc_depth` less the flits in the downstream VC, on
@@ -1240,6 +1324,164 @@ mod tests {
         Network::new(NetworkConfig::paper().dims(MeshDims::new(4, 4)).granularity(granularity))
     }
 
+    /// Every flit of a packet carries the packet's destination: a tail
+    /// queued behind its head but bound elsewhere cannot decode.
+    #[test]
+    fn decode_rejects_a_packet_bound_for_two_nodes() {
+        let with_body_to = |dst: NodeId| {
+            let mut net = small_net(false);
+            let head = head_to_15(&mut net, 2);
+            let tail = Flit { dst, ..behind(head, 1) };
+            assert!(net.try_inject_flit(NodeId(0), 0, head) && net.try_inject_flit(NodeId(0), 0, tail));
+            reload_checked(&mut net)
+        };
+        assert_eq!(with_body_to(NodeId(15)), Ok(()));
+        assert_eq!(
+            with_body_to(NodeId(14)),
+            Err(CodecError::Invalid("packet's flits bound for different nodes"))
+        );
+    }
+
+    /// A head of `len` flits from node 0 to node 15 of a 4x4 mesh, where
+    /// it leaves East.
+    fn head_to_15(net: &mut Network, len: u16) -> Flit {
+        let single = net.make_single_flit_packet(NodeId(0), NodeId(15), 0);
+        Flit {
+            kind: FlitKind::Head,
+            packet_len: len,
+            ..single
+        }
+    }
+
+    /// Flit `seq` of `head`'s packet: the head itself, a body, or the
+    /// tail if last.
+    fn behind(head: Flit, seq: u16) -> Flit {
+        let kind = match seq {
+            0 => head.kind,
+            s if s + 1 >= head.packet_len => FlitKind::Tail,
+            _ => FlitKind::Body,
+        };
+        Flit { kind, seq, ..head }
+    }
+
+    /// [`reload`], then the wormhole check with no interface part-way
+    /// through a packet.
+    fn reload_checked(net: &mut Network) -> Result<(), CodecError> {
+        reload(net)?.check_wormholes(|_| None)
+    }
+
+    /// An unbound VC holds no packet yet, so its stream starts with a
+    /// head.
+    #[test]
+    fn decode_rejects_an_unbound_vc_fronted_by_a_non_head_flit() {
+        let fronted_by = |seq: u16| {
+            let mut net = small_net(false);
+            let head = head_to_15(&mut net, 1);
+            assert!(net.try_inject_flit(NodeId(0), 0, behind(head, seq)));
+            reload_checked(&mut net)
+        };
+        assert_eq!(fronted_by(0), Ok(()));
+        assert_eq!(fronted_by(1), Err(CodecError::Invalid("flits out of wormhole order")));
+    }
+
+    /// Node 0's local VC stays bound East until the tail leaves, so a
+    /// tail routed South from there (toward node 12) cannot decode.
+    #[test]
+    fn decode_rejects_a_bound_packet_routed_away_from_its_binding() {
+        let tail_to = |dst: NodeId| {
+            let mut net = small_net(false);
+            let head = head_to_15(&mut net, 2);
+            assert!(net.try_inject_flit(NodeId(0), 0, head));
+            while net.drain_ejected().is_empty() {
+                net.step();
+            }
+            assert!(net.try_inject_flit(NodeId(0), 0, Flit { dst, ..behind(head, 1) }));
+            reload_checked(&mut net)
+        };
+        assert_eq!(tail_to(NodeId(15)), Ok(()));
+        assert_eq!(
+            tail_to(NodeId(12)),
+            Err(CodecError::Invalid("bound VC's packet routes away from its binding"))
+        );
+    }
+
+    /// A VC's binding holds until its packet's tail leaves, and the
+    /// packet's other flits reach it from upstream: router 1's West VC,
+    /// bound for a head that arrived with no upstream binding and no
+    /// tail behind it, cannot decode.
+    #[test]
+    fn decode_rejects_a_bound_packet_without_its_tail() {
+        let with_flits = |len: u16| {
+            let mut net = small_net(false);
+            let head = head_to_15(&mut net, 2);
+            for seq in 0..len {
+                net.routers[1].deliver(Port::West, behind(head, seq));
+            }
+            net.step_reference();
+            reload_checked(&mut net)
+        };
+        assert_eq!(with_flits(2), Ok(()));
+        assert_eq!(
+            with_flits(1),
+            Err(CodecError::Invalid("bound VC's packet has no tail upstream"))
+        );
+    }
+
+    /// After node 0's head leaves, its local VC 0 is bound for the rest
+    /// of the packet, which the interface injects: its next flit must
+    /// follow the head into VC 0, and VC 0 cannot be left without it.
+    #[test]
+    fn interface_flits_continue_the_local_vc_they_are_bound_for() {
+        let mut net = small_net(false);
+        let head = head_to_15(&mut net, 3);
+        assert!(net.try_inject_flit(NodeId(0), 0, head));
+        net.step();
+        let next = |vc: usize, seq: u16| move |node: NodeId| (node == NodeId(0)).then_some((vc, behind(head, seq)));
+        assert_eq!(net.check_wormholes(next(0, 1)), Ok(()));
+        assert_eq!(
+            net.check_wormholes(next(0, 2)),
+            Err(CodecError::Invalid("flits out of wormhole order"))
+        );
+        for unfed in [net.check_wormholes(next(1, 1)), net.check_wormholes(|_| None)] {
+            assert_eq!(
+                unfed,
+                Err(CodecError::Invalid("bound VC's packet has no tail upstream"))
+            );
+        }
+    }
+
+    /// A gating unit's active residency is the elapsed cycles less its
+    /// sleep and wake-up residencies: a network whose clock (the first
+    /// eight payload bytes) reads fewer cycles than a router slept
+    /// cannot decode.
+    #[test]
+    fn decode_rejects_gated_residency_beyond_the_elapsed_cycles() {
+        let mut net = small_net(true);
+        for _ in 0..10 {
+            net.step();
+        }
+        assert!(net.request_sleep(NodeId(5), 0));
+        for _ in 0..20 {
+            net.step();
+        }
+        let mut w = ByteWriter::new();
+        net.save_state(&mut w);
+        let saved = w.into_inner();
+        let at_cycle = |cycle: u64| {
+            let mut bytes = saved.clone();
+            bytes[..8].copy_from_slice(&cycle.to_le_bytes());
+            small_net(true).load_state(&mut ByteReader::new(&bytes))
+        };
+        assert_eq!(at_cycle(30), Ok(()));
+        assert_eq!(at_cycle(20), Ok(()), "slept exactly the elapsed cycles");
+        assert_eq!(
+            at_cycle(19),
+            Err(CodecError::Invalid(
+                "sleep and wake-up residency exceed the elapsed cycles"
+            ))
+        );
+    }
+
     #[test]
     fn single_flit_end_to_end() {
         let mut net = small_net(false);
@@ -1296,7 +1538,7 @@ mod tests {
         }
         net.drain_ejected();
         assert_eq!(net.stats().packets_ejected, sent);
-        assert_eq!(net.stats().flits_ejected, net.stats().flits_injected);
+        assert_eq!(net.total_activity().ejected_flits, net.stats().flits_injected);
     }
 
     #[test]
@@ -1640,7 +1882,7 @@ mod tests {
         net.step();
         net.step();
         let in_net = net.flits_in_network() as u64;
-        assert_eq!(net.stats().flits_injected, net.stats().flits_ejected + in_net);
+        assert_eq!(net.stats().flits_injected, net.total_activity().ejected_flits + in_net);
     }
 }
 

@@ -14,6 +14,7 @@
 //! `t_breakeven` cycles of leakage-equivalent energy for switching the sleep
 //! transistor and recharging decoupling capacitance.
 
+use crate::config::GatingConfig;
 use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
 
 /// Power state of a router.
@@ -74,7 +75,9 @@ pub enum WakeReason {
 /// Power-state machine plus gating statistics for one gating unit (a
 /// router, or one input port at port granularity). Equality compares
 /// every field, which the debug-mode shadow replay uses to check a
-/// closed-form fast-forward against cycle-by-cycle ticking.
+/// closed-form fast-forward against cycle-by-cycle ticking. A tick is
+/// spent in one state, so the active residency is not counted: it is
+/// the elapsed ticks less the other two ([`crate::Router::gating_activity`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PowerStateMachine {
     state: PowerState,
@@ -86,8 +89,6 @@ pub struct PowerStateMachine {
     pub sleep_cycles: u64,
     /// Total cycles spent in the wake-up transition.
     pub wakeup_cycles: u64,
-    /// Total cycles spent active.
-    pub active_cycles: u64,
     /// Number of completed or in-progress sleep periods (active→sleep
     /// transitions).
     pub sleep_transitions: u64,
@@ -108,7 +109,6 @@ impl PowerStateMachine {
             sleep_started: 0,
             sleep_cycles: 0,
             wakeup_cycles: 0,
-            active_cycles: 0,
             sleep_transitions: 0,
             compensated_sleep_cycles: 0,
             wake_reasons: [0; 4],
@@ -138,8 +138,7 @@ impl PowerStateMachine {
     /// routers only).
     pub fn request_wake(&mut self, cycle: u64, reason: WakeReason) {
         if self.state == PowerState::Sleep {
-            let period = cycle.saturating_sub(self.sleep_started);
-            self.compensated_sleep_cycles += period.saturating_sub(self.t_breakeven as u64);
+            self.compensated_sleep_cycles = self.compensated_at(cycle);
             self.wake_reasons[reason as usize] += 1;
             if self.t_wakeup == 0 {
                 self.state = PowerState::Active;
@@ -155,7 +154,7 @@ impl PowerStateMachine {
     /// and completing wake-up countdowns.
     pub fn tick(&mut self) {
         match self.state {
-            PowerState::Active => self.active_cycles += 1,
+            PowerState::Active => {}
             PowerState::Sleep => self.sleep_cycles += 1,
             PowerState::WakeUp { remaining } => {
                 self.wakeup_cycles += 1;
@@ -186,7 +185,7 @@ impl PowerStateMachine {
     /// normally so telemetry sees the Wake→Active edge).
     pub fn fast_forward(&mut self, dt: u64) {
         match self.state {
-            PowerState::Active => self.active_cycles += dt,
+            PowerState::Active => {}
             PowerState::Sleep => self.sleep_cycles += dt,
             PowerState::WakeUp { remaining } => {
                 assert!(
@@ -227,15 +226,15 @@ impl PowerStateMachine {
     /// restarted at `cycle` so neither a second `finalize` nor
     /// [`PowerStateMachine::compensated_at`] double-counts it.
     pub fn finalize(&mut self, cycle: u64) {
+        self.compensated_sleep_cycles = self.compensated_at(cycle);
         if self.state == PowerState::Sleep {
-            let period = cycle.saturating_sub(self.sleep_started);
-            self.compensated_sleep_cycles += period.saturating_sub(self.t_breakeven as u64);
             self.sleep_started = cycle;
         }
     }
 
     /// Serializes the machine's state (checkpointing). The timings come
-    /// from the configuration and are not written.
+    /// from the configuration and are not written, nor is the active
+    /// residency, which the elapsed cycles give.
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
         match self.state {
             PowerState::Active => w.put_u8(0),
@@ -248,7 +247,6 @@ impl PowerStateMachine {
         w.put_u64(self.sleep_started);
         w.put_u64(self.sleep_cycles);
         w.put_u64(self.wakeup_cycles);
-        w.put_u64(self.active_cycles);
         w.put_u64(self.sleep_transitions);
         w.put_u64(self.compensated_sleep_cycles);
         for n in self.wake_reasons {
@@ -256,9 +254,10 @@ impl PowerStateMachine {
         }
     }
 
-    /// Rebuilds a machine serialized by [`PowerStateMachine::encode`],
-    /// with the configured gating timings.
-    pub(crate) fn decode(r: &mut ByteReader<'_>, t_wakeup: u32, t_breakeven: u32) -> Result<Self, CodecError> {
+    /// Rebuilds a machine serialized by [`PowerStateMachine::encode`]
+    /// with the configured timings, for a unit that has run `elapsed`
+    /// ticks, which its sleep and wake-up residencies must fit in.
+    pub(crate) fn decode(r: &mut ByteReader<'_>, gating: &GatingConfig, elapsed: u64) -> Result<Self, CodecError> {
         let state = match r.get_u8()? {
             0 => PowerState::Active,
             1 => PowerState::Sleep,
@@ -271,12 +270,16 @@ impl PowerStateMachine {
             }
             _ => return Err(CodecError::Invalid("power state tag")),
         };
-        let mut m = PowerStateMachine::new(t_wakeup, t_breakeven);
+        let mut m = PowerStateMachine::new(gating.t_wakeup, gating.t_breakeven);
         m.state = state;
         m.sleep_started = r.get_u64()?;
         m.sleep_cycles = r.get_u64()?;
         m.wakeup_cycles = r.get_u64()?;
-        m.active_cycles = r.get_u64()?;
+        if m.sleep_cycles.checked_add(m.wakeup_cycles).is_none_or(|gated| gated > elapsed) {
+            return Err(CodecError::Invalid(
+                "sleep and wake-up residency exceed the elapsed cycles",
+            ));
+        }
         m.sleep_transitions = r.get_u64()?;
         m.compensated_sleep_cycles = r.get_u64()?;
         for slot in m.wake_reasons.iter_mut() {
@@ -358,10 +361,9 @@ mod tests {
         for _ in 0..8 {
             m.tick();
         }
-        assert_eq!(m.active_cycles + m.sleep_cycles + m.wakeup_cycles, 20);
+        // The other 10 of the 20 ticks were active.
         assert_eq!(m.sleep_cycles, 7);
         assert_eq!(m.wakeup_cycles, 3);
-        assert_eq!(m.active_cycles, 10);
     }
 
     #[test]

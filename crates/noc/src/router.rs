@@ -384,6 +384,16 @@ impl Router {
         self.inputs.len(port.index(), vc)
     }
 
+    /// The flits in VC `vc` of input port `port`, front first.
+    pub(crate) fn vc_flits(&self, port: Port, vc: usize) -> impl Iterator<Item = &Flit> + '_ {
+        self.inputs.iter(port.index(), vc)
+    }
+
+    /// The wormhole binding of VC `vc` of input port `port`, if any.
+    pub(crate) fn binding(&self, port: Port, vc: usize) -> Option<Binding> {
+        self.inputs.binding(port.index(), vc)
+    }
+
     /// Delivers an arriving flit into the input buffer `(port, flit.vc)`.
     /// Returns the direction to send a look-ahead wake-up ping, if the flit
     /// is a head flit bound for a mesh neighbour.
@@ -523,7 +533,6 @@ impl Router {
     /// or out of the local port.
     fn switch_traversal(&mut self, out: &mut RouterOutput) {
         for (flit, out_port) in self.xbar_reg.drain(..) {
-            self.activity.xbar_traversals += 1;
             if out_port == Port::Local {
                 self.activity.ejected_flits += 1;
                 out.ejected.push(flit);
@@ -704,7 +713,6 @@ impl Router {
                 let next = vc + 1;
                 self.in_rr[pi] = if next == vcs { 0 } else { next };
                 let mut flit = self.inputs.pop(pi, vc).expect("granted VC must be non-empty");
-                self.activity.buffer_reads += 1;
                 flit.vc = binding.out_vc;
                 let opi = binding.out_port.index();
                 if binding.out_port != Port::Local {
@@ -852,7 +860,6 @@ impl Router {
             grants += 1;
             self.in_rr[pi] = (vc + 1) % self.vcs;
             let mut flit = self.inputs.pop(pi, vc).expect("granted VC must be non-empty");
-            self.activity.buffer_reads += 1;
             flit.vc = binding.out_vc;
             let opi = binding.out_port.index();
             if binding.out_port != Port::Local {
@@ -880,32 +887,31 @@ impl Router {
     }
 
     /// Power-gating residency statistics summed over the gating units
-    /// (router-cycles, or port-cycles at port granularity). `cycle` is
-    /// the current simulation cycle, used to credit compensated sleep
-    /// cycles of a still-open sleep period. `lag` deferred idle ticks
-    /// that the event scheduler has not materialized are credited to
-    /// whichever residency counter each machine's *current* state class
-    /// accrues into — exact because the class is constant across a
-    /// deferred stretch (the scheduler materializes a router before any
-    /// class transition can land), and `compensated_at` is already
-    /// time-based.
+    /// (router-cycles, or port-cycles at port granularity). Every unit
+    /// ticks once per cycle, so at the current `cycle` its active
+    /// residency is `cycle` less its sleep and wake-up residencies; an
+    /// open sleep period is credited with its compensated sleep cycles.
+    /// `lag` deferred idle ticks that the event scheduler has not
+    /// materialized are credited to the *current* state's residency —
+    /// exact because the state class is constant across a deferred
+    /// stretch, and `compensated_at` is already time-based.
     pub fn gating_activity(&self, cycle: u64, lag: u64) -> GatingActivity {
         let mut total = GatingActivity::default();
         for unit in &self.units {
             let p = &unit.psm;
-            let mut g = GatingActivity {
-                active_cycles: p.active_cycles,
-                sleep_cycles: p.sleep_cycles,
-                wakeup_cycles: p.wakeup_cycles,
+            let (mut sleep_cycles, mut wakeup_cycles) = (p.sleep_cycles, p.wakeup_cycles);
+            match p.state() {
+                PowerState::Active => {}
+                PowerState::Sleep => sleep_cycles += lag,
+                PowerState::WakeUp { .. } => wakeup_cycles += lag,
+            }
+            total = total.merged(GatingActivity {
+                active_cycles: cycle - sleep_cycles - wakeup_cycles,
+                sleep_cycles,
+                wakeup_cycles,
                 sleep_transitions: p.sleep_transitions,
                 compensated_sleep_cycles: p.compensated_at(cycle),
-            };
-            match p.state() {
-                PowerState::Active => g.active_cycles += lag,
-                PowerState::Sleep => g.sleep_cycles += lag,
-                PowerState::WakeUp { .. } => g.wakeup_cycles += lag,
-            }
-            total = total.merged(g);
+            });
         }
         total
     }
@@ -960,15 +966,26 @@ impl Router {
             unit.psm.encode(w);
             w.put_u32(unit.idle);
         }
-        checkpoint::put_router_activity(w, &self.activity);
+        let a = &self.activity;
+        w.put_u64(a.buffer_writes);
+        w.put_u64(a.link_flits);
+        w.put_u64(a.ejected_flits);
+        w.put_u64(a.arb_requests);
+        w.put_u64(a.arb_grants);
+        w.put_u64(a.head_blocked_cycles);
     }
 
-    /// Rebuilds router `node` of a network configured by `cfg` from
-    /// [`Router::encode`] output. Every flit's look-ahead is the X-Y
-    /// route at this router, and a crossbar flit leaves through its
-    /// look-ahead. The credits stay at `vc_depth` until the network
-    /// calls [`Router::restore_credits`].
-    pub(crate) fn decode(r: &mut ByteReader<'_>, node: NodeId, cfg: &NetworkConfig) -> Result<Self, CodecError> {
+    /// Rebuilds router `node` of a network configured by `cfg`, at
+    /// cycle `cycle`, from [`Router::encode`] output. Every flit's
+    /// look-ahead is the X-Y route at this router, and a crossbar flit
+    /// leaves through its look-ahead. The credits stay at `vc_depth`
+    /// until the network calls [`Router::restore_credits`].
+    pub(crate) fn decode(
+        r: &mut ByteReader<'_>,
+        node: NodeId,
+        cfg: &NetworkConfig,
+        cycle: u64,
+    ) -> Result<Self, CodecError> {
         if r.get_u16()? != node.0 {
             return Err(CodecError::Invalid("router out of order"));
         }
@@ -988,6 +1005,9 @@ impl Router {
                 let vc = bound.trailing_zeros() as usize;
                 bound &= bound - 1;
                 let b = router.inputs.bound_binding(pi, vc);
+                if !router.connected[b.out_port.index()] {
+                    return Err(CodecError::Invalid("binding toward a port without a link"));
+                }
                 let owned = &mut router.out_owned[b.out_port.index()];
                 if *owned & (1 << b.out_vc) != 0 {
                     return Err(CodecError::Invalid("downstream VC bound twice"));
@@ -1025,10 +1045,17 @@ impl Router {
             return Err(CodecError::Invalid("gating units do not match the granularity"));
         }
         for unit in router.units.iter_mut() {
-            unit.psm = PowerStateMachine::decode(r, cfg.gating.t_wakeup, cfg.gating.t_breakeven)?;
+            unit.psm = PowerStateMachine::decode(r, &cfg.gating, cycle)?;
             unit.idle = r.get_u32()?;
         }
-        router.activity = checkpoint::get_router_activity(r)?;
+        router.activity = RouterActivity {
+            buffer_writes: r.get_u64()?,
+            link_flits: r.get_u64()?,
+            ejected_flits: r.get_u64()?,
+            arb_requests: r.get_u64()?,
+            arb_grants: r.get_u64()?,
+            head_blocked_cycles: r.get_u64()?,
+        };
         Ok(router)
     }
 
@@ -1090,8 +1117,7 @@ mod tests {
         r.step(&ALL_ACTIVE, &mut out);
         assert_eq!(out.outbound.len(), 1);
         assert_eq!(out.outbound[0].out_port, Port::East);
-        assert_eq!(r.activity.buffer_reads, 1);
-        assert_eq!(r.activity.xbar_traversals, 1);
+        assert_eq!(r.activity.arb_grants, 1);
         assert_eq!(r.activity.link_flits, 1);
     }
 
@@ -1203,7 +1229,7 @@ mod tests {
             r.step(&east_off, &mut out);
             assert!(out.outbound.is_empty());
         }
-        assert_eq!(r.activity.buffer_reads, 0);
+        assert_eq!(r.activity.arb_grants, 0);
         assert!(r.activity.head_blocked_cycles >= 5);
         // Neighbour wakes: flit proceeds.
         r.step(&ALL_ACTIVE, &mut out);
@@ -1278,9 +1304,10 @@ mod tests {
             r.step(&ALL_ACTIVE, &mut out);
         }
         assert!(r.power_state().is_active());
-        let g = r.gating_activity(20, 0);
+        // 15 ticks: 4 active, 1 asleep, 10 waking.
+        let g = r.gating_activity(15, 0);
         assert_eq!(g.sleep_transitions, 1);
-        assert!(g.wakeup_cycles == 10);
+        assert_eq!((g.active_cycles, g.sleep_cycles, g.wakeup_cycles), (4, 1, 10));
     }
 
     #[test]
@@ -1382,7 +1409,7 @@ mod tests {
         let mut w = ByteWriter::new();
         r.encode(&mut w);
         let bytes = w.into_inner();
-        Router::decode(&mut ByteReader::new(&bytes), r.node, &NetworkConfig::paper())
+        Router::decode(&mut ByteReader::new(&bytes), r.node, &NetworkConfig::paper(), 0)
     }
 
     /// Look-aheads are not stored: decode gives every buffered and
@@ -1419,6 +1446,22 @@ mod tests {
         assert_eq!(
             round_trip(&r).map(|_| ()),
             Err(CodecError::Invalid("downstream VC bound twice"))
+        );
+    }
+
+    /// Corner router 0 has no North link, so no VC can be bound toward
+    /// it.
+    #[test]
+    fn decode_rejects_a_binding_toward_a_port_without_a_link() {
+        let bound_toward = |out_port| {
+            let mut r = Router::new(NodeId(0), &NetworkConfig::paper());
+            r.inputs.bind(Port::Local.index(), 0, Binding { out_port, out_vc: 0 });
+            round_trip(&r).map(|_| ())
+        };
+        assert_eq!(bound_toward(Port::East), Ok(()));
+        assert_eq!(
+            bound_toward(Port::North),
+            Err(CodecError::Invalid("binding toward a port without a link"))
         );
     }
 

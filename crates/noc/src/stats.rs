@@ -4,16 +4,14 @@
 //! model (`catnap-power`) converts into energy: buffer writes/reads,
 //! crossbar traversals, link flits and arbitration activity. The counters
 //! are pure data so the power model stays decoupled from the simulator.
+//! Each event is counted once: a count that equals another count, or a
+//! sum of counts, is a method (see DESIGN.md §4, "Who counts what").
 
 /// Per-router event counters accumulated over a simulation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RouterActivity {
     /// Flits written into input VC buffers (arrivals and injections).
     pub buffer_writes: u64,
-    /// Flits read out of input VC buffers (switch-allocation winners).
-    pub buffer_reads: u64,
-    /// Flits that traversed the crossbar.
-    pub xbar_traversals: u64,
     /// Flits placed on inter-router links (excludes ejection to the NI).
     pub link_flits: u64,
     /// Flits ejected through the local port to the NI.
@@ -32,8 +30,6 @@ impl RouterActivity {
     pub fn merged(self, other: RouterActivity) -> RouterActivity {
         RouterActivity {
             buffer_writes: self.buffer_writes + other.buffer_writes,
-            buffer_reads: self.buffer_reads + other.buffer_reads,
-            xbar_traversals: self.xbar_traversals + other.xbar_traversals,
             link_flits: self.link_flits + other.link_flits,
             ejected_flits: self.ejected_flits + other.ejected_flits,
             arb_requests: self.arb_requests + other.arb_requests,
@@ -42,12 +38,24 @@ impl RouterActivity {
         }
     }
 
+    /// Flits read out of input VC buffers: one per switch-allocation
+    /// grant, so this is [`RouterActivity::arb_grants`].
+    pub fn buffer_reads(&self) -> u64 {
+        self.arb_grants
+    }
+
+    /// Flits that traversed the crossbar: every traversal leaves on a
+    /// link or is ejected to the NI.
+    pub fn xbar_traversals(&self) -> u64 {
+        self.link_flits + self.ejected_flits
+    }
+
     /// Average blocking delay per switched flit, in cycles.
     pub fn avg_blocking_delay(&self) -> f64 {
-        if self.buffer_reads == 0 {
+        if self.arb_grants == 0 {
             0.0
         } else {
-            self.head_blocked_cycles as f64 / self.buffer_reads as f64
+            self.head_blocked_cycles as f64 / self.arb_grants as f64
         }
     }
 }
@@ -90,15 +98,12 @@ impl GatingActivity {
     }
 }
 
-/// Aggregate statistics for one subnet.
+/// The statistics of one subnet that no router counts (flits ejected
+/// are the routers' [`RouterActivity::ejected_flits`]).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct NetworkStats {
-    /// Cycles simulated.
-    pub cycles: u64,
     /// Flits injected at local ports.
     pub flits_injected: u64,
-    /// Flits ejected at destinations.
-    pub flits_ejected: u64,
     /// Packets whose tail flit has been ejected.
     pub packets_ejected: u64,
     /// Sum of network latencies (tail ejection − head network injection) of
@@ -115,24 +120,6 @@ impl NetworkStats {
             self.net_latency_sum as f64 / self.packets_ejected as f64
         }
     }
-
-    /// Accepted throughput in flits per node per cycle.
-    pub fn accepted_flits_per_node_cycle(&self, nodes: usize) -> f64 {
-        if self.cycles == 0 || nodes == 0 {
-            0.0
-        } else {
-            self.flits_ejected as f64 / (self.cycles as f64 * nodes as f64)
-        }
-    }
-
-    /// Accepted throughput in packets per node per cycle.
-    pub fn accepted_packets_per_node_cycle(&self, nodes: usize) -> f64 {
-        if self.cycles == 0 || nodes == 0 {
-            0.0
-        } else {
-            self.packets_ejected as f64 / (self.cycles as f64 * nodes as f64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -143,8 +130,6 @@ mod tests {
     fn activity_merge_adds_fields() {
         let a = RouterActivity {
             buffer_writes: 1,
-            buffer_reads: 2,
-            xbar_traversals: 3,
             link_flits: 4,
             ejected_flits: 5,
             arb_requests: 6,
@@ -154,12 +139,13 @@ mod tests {
         let m = a.merged(a);
         assert_eq!(m.buffer_writes, 2);
         assert_eq!(m.head_blocked_cycles, 16);
+        assert_eq!((m.buffer_reads(), m.xbar_traversals()), (14, 18));
     }
 
     #[test]
     fn blocking_delay_average() {
         let a = RouterActivity {
-            buffer_reads: 4,
+            arb_grants: 4,
             head_blocked_cycles: 6,
             ..Default::default()
         };
@@ -183,16 +169,11 @@ mod tests {
     #[test]
     fn network_stats_rates() {
         let s = NetworkStats {
-            cycles: 100,
-            flits_ejected: 200,
             packets_ejected: 50,
             net_latency_sum: 1000,
             ..Default::default()
         };
         assert!((s.avg_net_latency() - 20.0).abs() < 1e-12);
-        assert!((s.accepted_flits_per_node_cycle(4) - 0.5).abs() < 1e-12);
-        assert!((s.accepted_packets_per_node_cycle(4) - 0.125).abs() < 1e-12);
         assert_eq!(NetworkStats::default().avg_net_latency(), 0.0);
-        assert_eq!(s.accepted_flits_per_node_cycle(0), 0.0);
     }
 }

@@ -153,6 +153,13 @@ impl InputBuffers {
         (self.len[i] > 0).then(|| &self.slab[self.slot(i, self.head[i])])
     }
 
+    /// The flits of VC `(port index, vc)`, front first.
+    pub(crate) fn iter(&self, pi: usize, vc: usize) -> impl Iterator<Item = &Flit> + '_ {
+        let i = self.at(pi, vc);
+        let (head, depth) = (self.head[i] as usize, self.depth as usize);
+        (0..self.len[i] as usize).map(move |k| &self.slab[self.slot(i, ((head + k) % depth) as u8)])
+    }
+
     /// Enqueues an arriving flit into VC `(port index, vc)`.
     ///
     /// # Panics
@@ -245,16 +252,9 @@ impl InputBuffers {
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
         for pi in 0..NUM_PORTS {
             for vc in 0..self.vcs {
-                let i = self.at(pi, vc);
-                let len = self.len[i];
-                w.put_u8(len);
-                let mut pos = self.head[i];
-                for _ in 0..len {
-                    checkpoint::put_flit(w, &self.slab[self.slot(i, pos)]);
-                    pos += 1;
-                    if pos == self.depth {
-                        pos = 0;
-                    }
+                w.put_u8(self.len(pi, vc) as u8);
+                for flit in self.iter(pi, vc) {
+                    checkpoint::put_flit(w, flit);
                 }
                 match self.binding(pi, vc) {
                     None => w.put_bool(false),

@@ -61,10 +61,10 @@ impl RouterPowerModel {
         let scale = t.dynamic_scale(self.vdd) * PJ;
         let w = self.width_bits as f64;
         PowerBreakdown {
-            buffer: (a.buffer_writes as f64 * t.buf_write_pj_per_bit + a.buffer_reads as f64 * t.buf_read_pj_per_bit)
+            buffer: (a.buffer_writes as f64 * t.buf_write_pj_per_bit + a.buffer_reads() as f64 * t.buf_read_pj_per_bit)
                 * w
                 * scale,
-            crossbar: a.xbar_traversals as f64 * t.xbar_pj_per_bit2 * w * w * scale,
+            crossbar: a.xbar_traversals() as f64 * t.xbar_pj_per_bit2 * w * w * scale,
             control: a.arb_grants as f64 * t.arb_pj_per_grant * scale,
             clock: 0.0,
             link: a.link_flits as f64 * t.link_pj_per_bit * w * scale,
@@ -299,9 +299,8 @@ mod tests {
     fn dynamic_energy_scales_with_voltage_squared() {
         let a = RouterActivity {
             buffer_writes: 1000,
-            buffer_reads: 1000,
-            xbar_traversals: 1000,
             link_flits: 800,
+            ejected_flits: 200,
             arb_grants: 1000,
             ..Default::default()
         };

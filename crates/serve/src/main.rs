@@ -46,11 +46,10 @@ fn main() {
         }
     }
 
-    let cache = match cache_dir {
-        Some(dir) => SimCache::new(dir, max_entries),
-        None => SimCache::from_env_or("catnap-cache"),
-    };
-    let cache = cache.unwrap_or_else(|e| {
+    let dir = cache_dir
+        .or_else(|| std::env::var("CATNAP_CACHE_DIR").ok().filter(|d| !d.is_empty()))
+        .unwrap_or_else(|| "catnap-cache".to_string());
+    let cache = SimCache::new(dir, max_entries).unwrap_or_else(|e| {
         eprintln!("catnap-serve: cannot open cache directory: {e}");
         exit(1);
     });

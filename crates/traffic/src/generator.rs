@@ -48,8 +48,8 @@ pub struct SyntheticWorkload {
     packet_bits: u32,
     dims: MeshDims,
     rng: SimRng,
+    /// Id of the next packet, which is also the number generated so far.
     next_id: u64,
-    generated: u64,
 }
 
 impl SyntheticWorkload {
@@ -74,7 +74,6 @@ impl SyntheticWorkload {
             dims,
             rng: SimRng::seed_from_u64(seed),
             next_id: 0,
-            generated: 0,
         }
     }
 
@@ -85,7 +84,7 @@ impl SyntheticWorkload {
 
     /// Packets generated so far.
     pub fn generated(&self) -> u64 {
-        self.generated
+        self.next_id
     }
 
     /// Generates this cycle's packets into `sink` (call once per cycle,
@@ -114,13 +113,12 @@ impl SyntheticWorkload {
                 created_cycle: cycle,
             };
             self.next_id += 1;
-            self.generated += 1;
             sink.submit(desc);
         }
     }
 
     /// Serializes the workload's *position* — RNG stream and id
-    /// counters — as an opaque blob for checkpointing (typically stored
+    /// counter — as an opaque blob for checkpointing (typically stored
     /// inside a `catnap` checkpoint, next to the network state). The
     /// workload *parameters* (pattern, schedule, packet size, mesh) are
     /// part of the job description and are not serialized; see
@@ -131,7 +129,6 @@ impl SyntheticWorkload {
             w.put_u64(word);
         }
         w.put_u64(self.next_id);
-        w.put_u64(self.generated);
         w.into_inner()
     }
 
@@ -160,7 +157,6 @@ impl SyntheticWorkload {
         let mut w = SyntheticWorkload::with_schedule(pattern, schedule, packet_bits, dims, 0);
         w.rng = SimRng::from_state(state);
         w.next_id = r.get_u64()?;
-        w.generated = r.get_u64()?;
         if !r.is_empty() {
             return Err(CodecError::Invalid("trailing bytes in workload position"));
         }

@@ -312,17 +312,15 @@ fn an_extra_save_leaves_later_checkpoints_byte_identical() {
 /// Hostile payloads fail with a typed error, never with a panic: each
 /// trial changes one to three bytes of a mid-run payload (flip a bit,
 /// add one, or overwrite with a random byte), re-seals it so the
-/// checksum holds, resumes, and steps the resumed network. Release
-/// only: debug builds still trip two wormhole `debug_assert`s (an
-/// unbound VC fronted by a non-head flit, a flit ejected at the wrong
-/// node) on buffer contents that decode does not reject yet.
-#[cfg(not(debug_assertions))]
+/// checksum holds, resumes, and steps the resumed network. Debug builds,
+/// where the wormhole `debug_assert`s are live, run the first 2,000
+/// trials; release builds run 10,000.
 #[test]
 fn mutated_checkpoints_fail_typed_or_run_but_never_panic() {
     use catnap_repro::util::SimRng;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    const TRIALS: usize = 10_000;
+    const TRIALS: usize = if cfg!(debug_assertions) { 2_000 } else { 10_000 };
     let cfg = MultiNocConfig::catnap_2x128_64core().gating(true).seed(5);
     let mut net = MultiNoc::new(cfg.clone());
     let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.25, 512, net.dims(), 5);

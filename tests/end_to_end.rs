@@ -78,17 +78,24 @@ fn all_packets_delivered_8_subnets() {
 #[test]
 fn delivery_tracking_sees_every_tail() {
     let mut net = MultiNoc::new(MultiNocConfig::catnap_4x128().gating(true));
-    net.set_track_deliveries(true);
     let mut load = SyntheticWorkload::new(SyntheticPattern::Transpose, 0.08, 512, net.dims(), 8);
-    let mut tails = 0u64;
-    for _ in 0..5_000 {
-        load.drive(&mut net);
+    let (mut buf, mut tails) = (Vec::new(), 0u64);
+    for cycle in 0..105_000 {
+        if cycle < 5_000 {
+            load.drive(&mut net);
+        } else if net.packets_outstanding() == 0 {
+            break;
+        }
         net.step();
-        tails += net.drain_delivered().len() as u64;
+        net.drain_delivered_into(&mut buf);
+        tails += buf.len() as u64;
+        buf.clear();
     }
-    drain(&mut net, 100_000);
-    tails += net.drain_delivered().len() as u64;
     let report = net.finish();
+    assert_eq!(
+        report.packets_delivered, report.packets_generated,
+        "network failed to drain"
+    );
     assert_eq!(tails, report.packets_delivered);
 }
 

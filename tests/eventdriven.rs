@@ -47,14 +47,15 @@ fn step<S: Sink>(net: &mut MultiNoc<S>, reference: bool) {
 fn golden_run(selector: SelectorKind, gating: bool, cycles: u64, reference: bool) -> (MultiNoc, LatencyHistogram) {
     let cfg = MultiNocConfig::catnap_4x128().selector(selector).gating(gating).seed(7);
     let mut net = MultiNoc::new(cfg);
-    net.set_track_deliveries(true);
     let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.08, 512, net.dims(), 7);
     let mut histogram = LatencyHistogram::new();
+    let mut tails = Vec::new();
     for _ in 0..cycles {
         load.drive(&mut net);
         step(&mut net, reference);
         let now = net.cycle();
-        for tail in net.drain_delivered() {
+        net.drain_delivered_into(&mut tails);
+        for tail in tails.drain(..) {
             *histogram.entry(now.saturating_sub(tail.created_cycle)).or_insert(0) += 1;
         }
     }
@@ -192,14 +193,15 @@ fn step_reference_bypasses_scheduler_entirely() {
     let run = |reference: bool| {
         let cfg = MultiNocConfig::catnap_4x128().gating(true).seed(13);
         let mut net = MultiNoc::new(cfg);
-        net.set_track_deliveries(true);
         let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.03, 512, net.dims(), 13);
+        let mut tails = Vec::new();
         for _ in 0..4_000 {
             load.drive(&mut net);
             step(&mut net, reference);
+            net.drain_delivered_into(&mut tails);
         }
         let sched: Vec<SchedStats> = (0..net.num_subnets()).map(|s| net.subnet(s).sched_stats()).collect();
-        (net.drain_delivered(), net.snapshot(), net.finish(), sched)
+        (tails, net.snapshot(), net.finish(), sched)
     };
     let (tails_full, snap_full, report_full, sched_full) = run(true);
     let (tails_event, snap_event, report_event, sched_event) = run(false);
@@ -236,7 +238,6 @@ fn protocol_class_traffic_matches_the_oracle() {
             let mut cfg = MultiNocConfig::catnap_4x128().gating(true).seed(seed);
             cfg.vcs = vcs;
             let mut net = MultiNoc::new(cfg);
-            net.set_track_deliveries(true);
             let nodes = net.dims().num_nodes() as u64;
             let mut rng = SimRng::new(seed);
             let mut next_id = 0u64;
@@ -260,7 +261,7 @@ fn protocol_class_traffic_matches_the_oracle() {
                     net.submit(desc);
                 }
                 step(&mut net, reference);
-                tails.extend(net.drain_delivered());
+                net.drain_delivered_into(&mut tails);
             }
             (tails, net.snapshot(), net.finish())
         };
@@ -379,13 +380,14 @@ fn prop_eventdriven_equals_percycle() {
         |input| {
             let run = |reference: bool| {
                 let mut net = MultiNoc::new(prop_cfg(input));
-                net.set_track_deliveries(true);
                 let mut load = prop_load(input, net.dims());
+                let mut tails = Vec::new();
                 for _ in 0..CYCLES {
                     load.drive(&mut net);
                     step(&mut net, reference);
+                    net.drain_delivered_into(&mut tails);
                 }
-                (net.drain_delivered(), net.snapshot(), net.finish())
+                (tails, net.snapshot(), net.finish())
             };
             let (tails_full, snap_full, report_full) = run(true);
             let (tails_event, snap_event, report_event) = run(false);

@@ -166,7 +166,7 @@ fn packet_injected_at_sleep_transition_is_still_delivered() {
     }
     assert_eq!(ejected.len(), 1, "packet stranded by sleep transition");
     assert_eq!(ejected[0].0, NodeId(15));
-    assert_eq!(net.stats().flits_ejected, net.stats().flits_injected);
+    assert_eq!(net.total_activity().ejected_flits, net.stats().flits_injected);
 }
 
 #[test]

@@ -64,7 +64,6 @@ fn protocol_classes_travel_on_disjoint_vcs() {
     // Submit interleaved request/response packets between the same pair
     // and check the flits eject with VCs from the expected disjoint sets.
     let mut net = MultiNoc::new(MultiNocConfig::single_noc_512b());
-    net.set_track_deliveries(true);
     for i in 0..20u64 {
         let class = if i % 2 == 0 {
             MessageClass::Request
@@ -83,7 +82,7 @@ fn protocol_classes_travel_on_disjoint_vcs() {
     let mut tails: Vec<Flit> = Vec::new();
     for _ in 0..1_500 {
         net.step();
-        tails.extend(net.drain_delivered());
+        net.drain_delivered_into(&mut tails);
     }
     assert_eq!(tails.len(), 20);
     let vcs = 4usize;

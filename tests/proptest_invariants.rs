@@ -291,13 +291,14 @@ fn flits_arrive_in_order_per_packet() {
             cfg.subnet_width_bits = width;
             cfg.dims = MeshDims::new(4, 4);
             let mut net = MultiNoc::new(cfg);
-            net.set_track_deliveries(true);
             let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, rate, 512, net.dims(), seed);
             let mut done: HashMap<u64, bool> = HashMap::new();
+            let mut tails = Vec::new();
             for _ in 0..800 {
                 load.drive(&mut net);
                 net.step();
-                for tail in net.drain_delivered() {
+                net.drain_delivered_into(&mut tails);
+                for tail in tails.drain(..) {
                     let id = tail.packet.0;
                     if done.get(&id).copied().unwrap_or(false) {
                         return Err(format!("duplicate tail for packet {id}"));
