@@ -16,16 +16,19 @@ cargo build --release --offline
 echo "== test =="
 cargo test -q --offline
 
-echo "== test (release: differential, checkpoint and determinism suites) =="
+echo "== test (release: differential, checkpoint, determinism and router edge-case suites) =="
 # Release builds wrap on integer overflow instead of panicking and
 # compile out the debug_assert cross-checks (buffered-flit and in-flight
-# counters against the rings), so the router buffer index arithmetic
-# must also pass these suites as the benchmark runs it. The checkpoint
-# suite's mutation test
-# (mutated_checkpoints_fail_typed_or_run_but_never_panic: re-sealed
-# hostile payloads, none may panic) runs 10,000 trials here; the debug
-# run above, with the wormhole debug_asserts live, ran 2,000.
-cargo test -q --release --offline --test eventdriven --test checkpoint --test determinism
+# counters against the rings, the allocator's masks against the state
+# they summarize), so the router buffer index arithmetic and the inline
+# u8 rings, masks and pointers must also pass these suites as the
+# benchmark runs them; noc_edge_cases and proptest_invariants cover the
+# 1-VC, 16-deep and random-shape routers. The checkpoint suite's
+# mutation test (mutated_checkpoints_fail_typed_or_run_but_never_panic:
+# re-sealed hostile payloads, none may panic) runs 10,000 trials here;
+# the debug run above, with the wormhole debug_asserts live, ran 2,000.
+cargo test -q --release --offline --test eventdriven --test checkpoint --test determinism \
+  --test noc_edge_cases --test proptest_invariants
 
 echo "== trace diff (production step vs the per-cycle oracle at near-idle load) =="
 # Diffs full telemetry traces and CSV timelines at router granularity

@@ -230,15 +230,11 @@ mod tests {
                 Flit {
                     packet: PacketId(i as u64),
                     kind: FlitKind::Single,
-                    src: NodeId(1),
                     dst: NodeId(4),
                     seq: 0,
-                    packet_len: 1,
                     class: MessageClass::Synthetic,
                     lookahead: Port::East,
                     vc,
-                    created_cycle: 0,
-                    net_inject_cycle: 0,
                 },
             );
         }

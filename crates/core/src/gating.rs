@@ -7,7 +7,6 @@
 
 use crate::ni::NodeNi;
 use crate::rcs::OrNetwork;
-use catnap_noc::power_state::WakeReason;
 use catnap_noc::{Granularity, MeshDims, Network, Port};
 use catnap_telemetry::Sink;
 
@@ -111,7 +110,7 @@ impl GatingPolicy {
                     }
                     for node in dims.nodes() {
                         if or_nets[h - 1].rcs_at(node) {
-                            subnets[h].request_wake(node, WakeReason::RegionalCongestion);
+                            subnets[h].request_wake(node);
                         } else {
                             subnets[h].request_sleep(node, 0);
                         }

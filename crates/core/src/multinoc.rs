@@ -8,7 +8,7 @@ use crate::ni::NodeNi;
 use crate::rcs::OrNetwork;
 use crate::select::{congestion_mask, CatnapPriority, RandomSelect, RoundRobin, SubnetSelector};
 use catnap_noc::stats::{GatingActivity, RouterActivity};
-use catnap_noc::{Flit, MeshDims, Network, NodeId, PacketDescriptor, RegionMap};
+use catnap_noc::{Delivery, MeshDims, Network, NodeId, PacketDescriptor, PacketId, RegionMap};
 use catnap_telemetry::{Event, NopSink, Sink, SinkScope, Trace, TraceMeta};
 use catnap_traffic::generator::PacketSink;
 use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
@@ -40,9 +40,9 @@ pub struct MultiNoc<S: Sink = NopSink> {
     generated_packets: u64,
     latency_sum: u64,
     latency_max: u64,
-    /// Tails of the packets delivered in the last cycle, until drained
-    /// or the next cycle starts.
-    delivered: Vec<Flit>,
+    /// The packets delivered in the last cycle, until drained or the
+    /// next cycle starts.
+    delivered: Vec<Delivery>,
     /// Cycles each node's NI-queue head has waited behind a busy slot.
     head_wait: Vec<u32>,
     /// Whether each NI is on the busy worklist (`busy_nis`).
@@ -58,9 +58,6 @@ pub struct MultiNoc<S: Sink = NopSink> {
     /// Per-subnet count of set local-congestion bits (`lcs[s]`), so the
     /// detector and OR-network elisions can test "all clear" in O(1).
     lcs_set: Vec<usize>,
-    /// Reusable buffer for per-subnet ejection drains (no per-cycle
-    /// allocation).
-    eject_buf: Vec<(NodeId, Flit)>,
     /// Reusable per-subnet congestion mask handed to the selector.
     congested_buf: Vec<bool>,
     /// Sink for policy-layer events (selection, congestion flips,
@@ -132,7 +129,6 @@ impl<S: Sink> MultiNoc<S> {
             ni_busy: vec![false; nodes],
             busy_nis: Vec::new(),
             lcs_set: vec![0; k],
-            eject_buf: Vec::new(),
             congested_buf: Vec::with_capacity(k),
             policy_sink: sinks(SinkScope::Policy),
             cfg,
@@ -345,23 +341,20 @@ impl<S: Sink> MultiNoc<S> {
 
         // --- End-to-end latency of the delivered packets ---
         for s in 0..k {
-            self.eject_buf.clear();
-            self.subnets[s].drain_ejected_into(&mut self.eject_buf);
-            for &(node, flit) in &self.eject_buf {
-                if flit.kind.is_tail() {
-                    let lat = cycle.saturating_sub(flit.created_cycle);
-                    self.latency_sum += lat;
-                    self.latency_max = self.latency_max.max(lat);
-                    if S::ENABLED {
-                        self.policy_sink.record(Event::PacketEject {
-                            cycle,
-                            id: flit.packet.0,
-                            subnet: s as u8,
-                            dst: node.0,
-                            latency: lat.min(u64::from(u32::MAX)) as u32,
-                        });
-                    }
-                    self.delivered.push(flit);
+            let from = self.delivered.len();
+            self.subnets[s].drain_ejected_into(&mut self.delivered);
+            for d in &self.delivered[from..] {
+                let lat = cycle.saturating_sub(d.created_cycle);
+                self.latency_sum += lat;
+                self.latency_max = self.latency_max.max(lat);
+                if S::ENABLED {
+                    self.policy_sink.record(Event::PacketEject {
+                        cycle,
+                        id: d.tail.packet.0,
+                        subnet: s as u8,
+                        dst: d.tail.dst.0,
+                        latency: lat.min(u64::from(u32::MAX)) as u32,
+                    });
                 }
             }
         }
@@ -444,10 +437,10 @@ impl<S: Sink> MultiNoc<S> {
         }
     }
 
-    /// Appends the tails of the packets delivered in the last cycle to
-    /// `buf` (the closed loop advances coherence transactions with
-    /// them). The next cycle drops tails not taken.
-    pub fn drain_delivered_into(&mut self, buf: &mut Vec<Flit>) {
+    /// Appends the packets delivered in the last cycle to `buf` (the
+    /// closed loop advances coherence transactions with them). The next
+    /// cycle drops deliveries not taken.
+    pub fn drain_delivered_into(&mut self, buf: &mut Vec<Delivery>) {
         buf.append(&mut self.delivered);
     }
 
@@ -496,8 +489,8 @@ impl<S: Sink> MultiNoc<S> {
     /// container in [`crate::checkpoint`] guards that with a
     /// fingerprint), and rebuilds what follows from the stored state:
     /// the busy-NI worklist and the local congestion bits. The subnets
-    /// store the clock and the network counts; delivered tails are not
-    /// stored. Telemetry sinks are not captured: a resumed recording
+    /// store the clock, the network counts and their packet tables; the
+    /// last cycle's deliveries are not stored. Telemetry sinks are not captured: a resumed recording
     /// sink starts empty and its suffix matches a straight-through run's
     /// suffix bit for bit.
     pub(crate) fn save_state(&mut self, w: &mut ByteWriter) {
@@ -533,8 +526,9 @@ impl<S: Sink> MultiNoc<S> {
     /// # Errors
     ///
     /// [`CodecError`] on a truncated or inconsistent stream, including
-    /// subnets at different cycles and more packets delivered than
-    /// generated; the instance must then be discarded.
+    /// subnets at different cycles, a packet id held twice (waiting at
+    /// an interface and in flight, or twice in either) and more packets
+    /// delivered than generated; the instance must then be discarded.
     pub(crate) fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         let k = self.cfg.subnets;
         let nodes = self.cfg.dims.num_nodes();
@@ -563,6 +557,15 @@ impl<S: Sink> MultiNoc<S> {
         for (s, net) in self.subnets.iter().enumerate() {
             net.check_wormholes(|node| self.nis[node.index()].next_flit(s))?;
         }
+        // A packet id names one packet: waiting at an interface, or in
+        // flight on one subnet (a packet part-way through injection is in
+        // flight, and `check_wormholes` ties it to its subnet's table).
+        let waiting = self.nis.iter().flat_map(|ni| ni.waiting_packets());
+        let mut ids: Vec<PacketId> = waiting.chain(self.subnets.iter().flat_map(|n| n.packets_in_flight())).collect();
+        ids.sort_unstable();
+        if ids.windows(2).any(|pair| pair[0] == pair[1]) {
+            return Err(CodecError::Invalid("packet id held twice"));
+        }
         if self.generated_packets < self.delivered_packets() {
             return Err(CodecError::Invalid("delivered more packets than generated"));
         }
@@ -575,7 +578,6 @@ impl<S: Sink> MultiNoc<S> {
         self.ni_busy = self.nis.iter().map(|ni| !ni.is_idle()).collect();
         self.busy_nis = (0..nodes as u32).filter(|&idx| self.ni_busy[idx as usize]).collect();
         self.delivered.clear();
-        self.eject_buf.clear();
         self.congested_buf.clear();
         Ok(())
     }

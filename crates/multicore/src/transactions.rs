@@ -15,7 +15,7 @@ use crate::core_model::MissId;
 use crate::memory::{MemToken, MemoryController};
 use crate::protocol::TransactionScript;
 use catnap::MultiNoc;
-use catnap_noc::{Flit, MessageClass, NodeId, PacketDescriptor, PacketId};
+use catnap_noc::{Delivery, MessageClass, NodeId, PacketDescriptor, PacketId};
 use catnap_traffic::generator::PacketSink;
 use std::collections::{BTreeMap, HashMap};
 
@@ -44,8 +44,8 @@ pub(crate) struct Transactions {
     next_packet: u64,
     next_token: u64,
     ready: Vec<MemToken>,
-    /// The tails `net` delivered in the cycle being handled (reused).
-    tails: Vec<Flit>,
+    /// The packets `net` delivered in the cycle being handled (reused).
+    delivered: Vec<Delivery>,
     /// Misses completed since the system last drained them.
     pub(crate) completed: Vec<Miss>,
 }
@@ -70,7 +70,7 @@ impl Transactions {
             next_packet: 0,
             next_token: 0,
             ready: Vec::new(),
-            tails: Vec::new(),
+            delivered: Vec::new(),
             completed: Vec::new(),
         }
     }
@@ -123,9 +123,9 @@ impl Transactions {
     /// Advances the transactions whose packets `net` delivered in the
     /// cycle it just stepped.
     pub(crate) fn deliver(&mut self, net: &mut MultiNoc, now: u64) {
-        let mut tails = std::mem::take(&mut self.tails);
-        net.drain_delivered_into(&mut tails);
-        for tail in tails.drain(..) {
+        let mut delivered = std::mem::take(&mut self.delivered);
+        net.drain_delivered_into(&mut delivered);
+        for Delivery { tail, .. } in delivered.drain(..) {
             debug_assert!(tail.class != MessageClass::Synthetic);
             if let Some((tx_id, leg_idx)) = self.pkt_to_tx.remove(&tail.packet) {
                 if let Some(next) = self.after_delivery(tx_id, leg_idx, now) {
@@ -133,7 +133,7 @@ impl Transactions {
                 }
             }
         }
-        self.tails = tails;
+        self.delivered = delivered;
     }
 
     /// Starts leg `leg_idx`, chaining through zero-delay self-legs.

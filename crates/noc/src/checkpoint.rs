@@ -86,14 +86,10 @@ pub fn get_message_class(r: &mut ByteReader<'_>) -> Result<MessageClass, CodecEr
 pub fn put_flit(w: &mut ByteWriter, f: &Flit) {
     w.put_u64(f.packet.0);
     put_flit_kind(w, f.kind);
-    w.put_u16(f.src.0);
     w.put_u16(f.dst.0);
     w.put_u16(f.seq);
-    w.put_u16(f.packet_len);
     put_message_class(w, f.class);
     w.put_u8(f.vc);
-    w.put_u64(f.created_cycle);
-    w.put_u64(f.net_inject_cycle);
 }
 
 /// Decodes a [`Flit`] of a network with `nodes` routers and `vcs` VCs
@@ -104,8 +100,8 @@ pub fn put_flit(w: &mut ByteWriter, f: &Flit) {
 /// # Errors
 ///
 /// Propagates reader errors and bad tags; [`CodecError::Invalid`] on a
-/// source or destination outside the mesh or a VC at or past `vcs`
-/// (either would index routing tables or buffers out of range).
+/// destination outside the mesh or a VC at or past `vcs` (either would
+/// index routing tables or buffers out of range).
 pub fn get_flit(
     r: &mut ByteReader<'_>,
     nodes: usize,
@@ -115,17 +111,13 @@ pub fn get_flit(
     let mut flit = Flit {
         packet: PacketId(r.get_u64()?),
         kind: get_flit_kind(r)?,
-        src: NodeId(r.get_u16()?),
         dst: NodeId(r.get_u16()?),
         seq: r.get_u16()?,
-        packet_len: r.get_u16()?,
         class: get_message_class(r)?,
         lookahead: Port::Local,
         vc: r.get_u8()?,
-        created_cycle: r.get_u64()?,
-        net_inject_cycle: r.get_u64()?,
     };
-    check_nodes(flit.src, flit.dst, nodes)?;
+    check_nodes(&[flit.dst], nodes)?;
     if flit.vc as usize >= vcs {
         return Err(CodecError::Invalid("flit VC out of range"));
     }
@@ -133,9 +125,9 @@ pub fn get_flit(
     Ok(flit)
 }
 
-/// Rejects a source or destination outside a mesh of `nodes` routers.
-fn check_nodes(src: NodeId, dst: NodeId, nodes: usize) -> Result<(), CodecError> {
-    if src.index() >= nodes || dst.index() >= nodes {
+/// Rejects a node outside a mesh of `nodes` routers.
+fn check_nodes(ids: &[NodeId], nodes: usize) -> Result<(), CodecError> {
+    if ids.iter().any(|id| id.index() >= nodes) {
         return Err(CodecError::Invalid("node id outside the mesh"));
     }
     Ok(())
@@ -166,7 +158,7 @@ pub fn get_packet_descriptor(r: &mut ByteReader<'_>, nodes: usize) -> Result<Pac
         class: get_message_class(r)?,
         created_cycle: r.get_u64()?,
     };
-    check_nodes(desc.src, desc.dst, nodes)?;
+    check_nodes(&[desc.src, desc.dst], nodes)?;
     Ok(desc)
 }
 
@@ -179,15 +171,11 @@ mod tests {
         let f = Flit {
             packet: PacketId(0xDEAD_BEEF),
             kind: FlitKind::Tail,
-            src: NodeId(3),
             dst: NodeId(60),
             seq: 3,
-            packet_len: 4,
             class: MessageClass::Response,
             lookahead: Port::West,
             vc: 2,
-            created_cycle: 1234,
-            net_inject_cycle: 1260,
         };
         let mut w = ByteWriter::new();
         put_flit(&mut w, &f);

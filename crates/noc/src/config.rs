@@ -56,7 +56,8 @@ pub struct NetworkConfig {
     /// Mesh dimensions (paper: 8x8 concentrated mesh for 256 cores, 4x4 for
     /// 64 cores).
     pub dims: MeshDims,
-    /// Virtual channels per input port (paper: 4).
+    /// Virtual channels per input port (paper: 4; at most
+    /// [`MAX_VCS`](crate::MAX_VCS)).
     pub vcs_per_port: usize,
     /// Buffer depth per virtual channel, in flits (paper: 4; constant
     /// across subnet widths because flits shrink with the datapath).
@@ -106,8 +107,12 @@ impl NetworkConfig {
     ///
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.vcs_per_port == 0 || self.vcs_per_port > 64 {
-            return Err(format!("vcs_per_port must be in 1..=64, got {}", self.vcs_per_port));
+        if self.vcs_per_port == 0 || self.vcs_per_port > crate::vc::MAX_VCS {
+            return Err(format!(
+                "vcs_per_port must be in 1..={}, got {}",
+                crate::vc::MAX_VCS,
+                self.vcs_per_port
+            ));
         }
         if self.vc_depth == 0 {
             return Err("vc_depth must be non-zero".to_string());
@@ -157,6 +162,11 @@ mod tests {
     #[test]
     fn validation_rejects_bad_configs() {
         assert!(NetworkConfig::paper().buffers(0, 4).validate().is_err());
+        assert!(NetworkConfig::paper().buffers(8, 4).validate().is_ok());
+        assert_eq!(
+            NetworkConfig::paper().buffers(9, 4).validate(),
+            Err("vcs_per_port must be in 1..=8, got 9".to_string())
+        );
         assert!(NetworkConfig::paper().buffers(4, 0).validate().is_err());
         assert!(NetworkConfig::paper().buffers(4, 17).validate().is_err());
         let one = NetworkConfig::paper().dims(MeshDims::new(1, 1));

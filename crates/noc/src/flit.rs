@@ -110,21 +110,21 @@ impl FlitKind {
     }
 }
 
-/// A flow-control unit traversing the network.
+/// A flow-control unit traversing the network: 16 bytes, what routers
+/// and links read. When a packet was created and when its head entered
+/// the network are kept once per packet, by the subnet it travels on
+/// (see [`crate::Network::try_inject_flit`]), and handed out with its
+/// tail as a [`Delivery`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Flit {
     /// Packet this flit belongs to.
     pub packet: PacketId,
     /// Head/body/tail position.
     pub kind: FlitKind,
-    /// Source node.
-    pub src: NodeId,
     /// Destination node.
     pub dst: NodeId,
     /// Index of this flit within the packet (0 = head).
     pub seq: u16,
-    /// Total number of flits in the packet.
-    pub packet_len: u16,
     /// Message class (controls the VC mask).
     pub class: MessageClass,
     /// Output port to take at the router currently buffering this flit.
@@ -136,12 +136,17 @@ pub struct Flit {
     /// Virtual channel this flit travels on (assigned per-hop by the
     /// upstream router's VC allocation).
     pub vc: u8,
-    /// Cycle at which the packet was created at the source (for end-to-end
-    /// latency, including source queueing).
+}
+
+/// A packet delivered to its destination: its tail flit, which ejected
+/// at `tail.dst`, and the cycle the packet was created at its source.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Delivery {
+    /// The packet's last flit.
+    pub tail: Flit,
+    /// Cycle at which the packet was created at the source (for
+    /// end-to-end latency, including source queueing).
     pub created_cycle: u64,
-    /// Cycle at which the head flit entered the network proper (first
-    /// router buffer), for network-only latency.
-    pub net_inject_cycle: u64,
 }
 
 impl Flit {
@@ -151,15 +156,11 @@ impl Flit {
     pub const PLACEHOLDER: Flit = Flit {
         packet: PacketId(u64::MAX),
         kind: FlitKind::Single,
-        src: NodeId(0),
         dst: NodeId(0),
         seq: 0,
-        packet_len: 0,
         class: MessageClass::Synthetic,
         lookahead: Port::Local,
         vc: 0,
-        created_cycle: 0,
-        net_inject_cycle: 0,
     };
 
     /// Number of flits needed to carry `packet_bits` over a `width_bits`
@@ -218,7 +219,7 @@ impl PacketDescriptor {
     /// # Panics
     ///
     /// Panics if `seq` is out of range for the packet length.
-    pub fn flit(&self, seq: u16, width_bits: u32, lookahead: Port, net_inject_cycle: u64) -> Flit {
+    pub fn flit(&self, seq: u16, width_bits: u32, lookahead: Port) -> Flit {
         let len = self.len_flits(width_bits);
         assert!(seq < len, "flit seq {seq} out of range for packet of {len} flits");
         let kind = match (seq, len) {
@@ -230,15 +231,11 @@ impl PacketDescriptor {
         Flit {
             packet: self.id,
             kind,
-            src: self.src,
             dst: self.dst,
             seq,
-            packet_len: len,
             class: self.class,
             lookahead,
             vc: 0,
-            created_cycle: self.created_cycle,
-            net_inject_cycle,
         }
     }
 }
@@ -273,7 +270,7 @@ mod tests {
             class: MessageClass::Synthetic,
             created_cycle: 0,
         };
-        let kinds: Vec<FlitKind> = (0..4).map(|s| d.flit(s, 128, Port::East, 0).kind).collect();
+        let kinds: Vec<FlitKind> = (0..4).map(|s| d.flit(s, 128, Port::East).kind).collect();
         assert_eq!(
             kinds,
             vec![FlitKind::Head, FlitKind::Body, FlitKind::Body, FlitKind::Tail]
@@ -290,11 +287,18 @@ mod tests {
             class: MessageClass::Request,
             created_cycle: 10,
         };
-        let f = d.flit(0, 512, Port::Local, 12);
+        let f = d.flit(0, 512, Port::Local);
         assert_eq!(f.kind, FlitKind::Single);
         assert!(f.kind.is_head() && f.kind.is_tail());
-        assert_eq!(f.created_cycle, 10);
-        assert_eq!(f.net_inject_cycle, 12);
+        assert_eq!((f.packet, f.dst, f.class), (d.id, d.dst, d.class));
+    }
+
+    /// Routers, links and ejection lists move flits by value, so the
+    /// flit stays at 16 bytes: packet id, destination, sequence number,
+    /// kind, class, look-ahead and VC.
+    #[test]
+    fn a_flit_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Flit>(), 16);
     }
 
     #[test]

@@ -265,10 +265,10 @@ impl RegionId {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RegionMap {
     dims: MeshDims,
-    region_cols: u16,
-    region_rows: u16,
     regions_x: u16,
     regions_y: u16,
+    /// The region of each node, by node index, worked out once.
+    node_region: Vec<RegionId>,
 }
 
 impl RegionMap {
@@ -284,12 +284,18 @@ impl RegionMap {
         assert!(region_cols > 0 && region_rows > 0, "region dimensions must be non-zero");
         let regions_x = dims.cols.div_ceil(region_cols);
         let regions_y = dims.rows.div_ceil(region_rows);
+        let node_region = dims
+            .nodes()
+            .map(|node| {
+                let (x, y) = dims.coords(node);
+                RegionId(((y / region_rows) * regions_x + x / region_cols) as u8)
+            })
+            .collect();
         RegionMap {
             dims,
-            region_cols,
-            region_rows,
             regions_x,
             regions_y,
+            node_region,
         }
     }
 
@@ -316,10 +322,7 @@ impl RegionMap {
 
     /// The region containing `node`.
     pub fn region_of(&self, node: NodeId) -> RegionId {
-        let (x, y) = self.dims.coords(node);
-        let rx = x / self.region_cols;
-        let ry = y / self.region_rows;
-        RegionId((ry * self.regions_x + rx) as u8)
+        self.node_region[node.index()]
     }
 
     /// Iterator over the nodes belonging to `region`.

@@ -44,8 +44,8 @@
 //! let dst = NodeId::new(63);
 //! // Inject a single-flit packet directly at the local port (normally the
 //! // network interface in the `catnap` crate does this).
-//! let flit = net.make_single_flit_packet(src, dst, 0);
-//! assert!(net.try_inject_flit(src, 0, flit));
+//! let flit = net.make_single_flit_packet(src, dst);
+//! assert!(net.try_inject_flit(src, 0, flit, 0));
 //! for cycle in 0..100 {
 //!     net.step();
 //! }
@@ -63,10 +63,10 @@ pub mod stats;
 pub mod vc;
 
 pub use config::{GatingConfig, Granularity, NetworkConfig};
-pub use flit::{Flit, FlitKind, MessageClass, PacketDescriptor, PacketId};
+pub use flit::{Delivery, Flit, FlitKind, MessageClass, PacketDescriptor, PacketId};
 pub use geometry::{Direction, MeshDims, NodeId, Port, RegionId, RegionMap};
 pub use network::{Network, SchedStats};
-pub use power_state::{PowerState, WakeReason};
+pub use power_state::PowerState;
 pub use router::Router;
 pub use stats::{NetworkStats, RouterActivity};
-pub use vc::MAX_VC_DEPTH;
+pub use vc::{MAX_VCS, MAX_VC_DEPTH};

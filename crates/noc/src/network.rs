@@ -4,20 +4,21 @@
 
 use crate::checkpoint;
 use crate::config::{Granularity, NetworkConfig};
-use crate::flit::{Flit, FlitKind, MessageClass, PacketId};
+use crate::flit::{Delivery, Flit, FlitKind, MessageClass, PacketId};
 use crate::geometry::{MeshDims, NodeId, Port, NUM_PORTS};
-use crate::power_state::{PowerState, WakeReason};
+use crate::power_state::PowerState;
 use crate::router::{Router, RouterOutput};
 use crate::stats::{GatingActivity, NetworkStats, RouterActivity};
 use catnap_telemetry::{Event, NopSink, PowerPhase, Sink};
 use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
+use std::collections::HashMap;
 
 /// A single physical network-on-chip (one subnet of a Multi-NoC).
 ///
 /// The network advances in discrete cycles via [`Network::step`]. Flits are
 /// injected at local ports between steps (by the network interface layer in
-/// the `catnap` crate, or directly in tests) and ejected flits are drained
-/// via [`Network::drain_ejected`].
+/// the `catnap` crate, or directly in tests) and delivered packets are
+/// drained via [`Network::drain_ejected`].
 ///
 /// The network is generic over a telemetry [`Sink`], defaulting to
 /// [`NopSink`]: the default monomorphization carries no instrumentation
@@ -30,14 +31,18 @@ pub struct Network<S: Sink = NopSink> {
     routers: Vec<Router>,
     /// Flits that completed switch traversal this cycle and are entering
     /// the link: `(router index, input port, flit)`.
-    link_stage: Vec<(usize, Port, Flit)>,
+    link_stage: Vec<(u32, Port, Flit)>,
     /// Flits finishing their link cycle: delivered to input buffers at the
     /// start of the next step. `(router index, input port, flit)`.
-    staged_flits: Vec<(usize, Port, Flit)>,
+    staged_flits: Vec<(u32, Port, Flit)>,
     /// Credits in flight: `(router index, output port, vc)`.
-    staged_credits: Vec<(usize, Port, u8)>,
-    /// Flits ejected this step, awaiting pickup by the NI layer.
-    ejected: Vec<(NodeId, Flit)>,
+    staged_credits: Vec<(u32, Port, u8)>,
+    /// Packets whose tail ejected, awaiting pickup by the NI layer.
+    ejected: Vec<Delivery>,
+    /// The packets in flight whose head has entered: written when the
+    /// head enters, removed when the tail ejects. Only lookups read it;
+    /// a checkpoint writes it in id order.
+    packets: HashMap<PacketId, PacketTimes>,
     stats: NetworkStats,
     cycle: u64,
     next_packet_id: u64,
@@ -115,6 +120,14 @@ pub struct Network<S: Sink = NopSink> {
 
 /// Marker in the adjacency table for "no link in this direction".
 const NO_NEIGHBOR: usize = usize::MAX;
+
+/// When a packet in flight was created at its source and when its head
+/// entered the network: what its tail's ejection reads.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct PacketTimes {
+    created: u64,
+    injected: u64,
+}
 
 /// A set of router indices, one bit per router in `u64` words.
 #[derive(Clone, Debug)]
@@ -253,6 +266,7 @@ impl<S: Sink> Network<S> {
             staged_flits: Vec::new(),
             staged_credits: Vec::new(),
             ejected: Vec::new(),
+            packets: HashMap::new(),
             stats: NetworkStats::default(),
             cycle: 0,
             next_packet_id: 0,
@@ -347,8 +361,13 @@ impl<S: Sink> Network<S> {
     /// The caller (network interface) is responsible for wormhole
     /// discipline: flits of one packet must be injected contiguously into
     /// one VC, with `flit.lookahead` set to the route at this first router
-    /// (see [`Network::route_at`]).
-    pub fn try_inject_flit(&mut self, node: NodeId, vc: usize, mut flit: Flit) -> bool {
+    /// (see [`Network::route_at`]). A head enters the packet into the
+    /// network's packet table with `created_cycle`, the cycle the packet
+    /// was created at its source, and the next cycle as its network
+    /// injection cycle; other flits ignore `created_cycle`. The tail's
+    /// ejection hands the packet out with its creation cycle (see
+    /// [`Network::drain_ejected`]).
+    pub fn try_inject_flit(&mut self, node: NodeId, vc: usize, mut flit: Flit, created_cycle: u64) -> bool {
         let router = &mut self.routers[node.index()];
         if !router.port_active(Port::Local) || router.local_vc_free_space(vc) == 0 {
             return false;
@@ -360,11 +379,24 @@ impl<S: Sink> Network<S> {
         // for the next step.
         self.sync_to(idx, self.cycle);
         self.mark_next(idx);
+        if flit.kind.is_head() {
+            let times = PacketTimes {
+                created: created_cycle,
+                injected: self.cycle + 1,
+            };
+            self.packets.insert(flit.packet, times);
+        }
         if let Some(ping_dir) = self.routers[idx].deliver(Port::Local, flit) {
-            self.wake_neighbor_prestep(node, ping_dir);
+            self.wake_neighbor_prestep(idx, ping_dir);
         }
         self.stats.flits_injected += 1;
         true
+    }
+
+    /// The packets in flight whose head has entered this network and
+    /// whose tail has not ejected, in no particular order.
+    pub fn packets_in_flight(&self) -> impl Iterator<Item = PacketId> + '_ {
+        self.packets.keys().copied()
     }
 
     /// The X-Y route output port for a packet at `at` headed to `dst`
@@ -419,11 +451,28 @@ impl<S: Sink> Network<S> {
 
     /// Debug cross-check at a cycle edge: `next` holds exactly the
     /// non-drained routers, and `waking` exactly the drained ones with a
-    /// pending countdown, each due on the cycle its countdown completes.
+    /// pending countdown, each due on the cycle its countdown completes;
+    /// each router's allocator masks and counts match the state they
+    /// summarize; and every flit in the subnet has a packet-table entry.
     #[cfg(debug_assertions)]
     fn check_scheduler(&self) {
+        let has_entry = |flit: &Flit| {
+            assert!(
+                self.packets.contains_key(&flit.packet),
+                "flit of {} has no packet entry",
+                flit.packet
+            );
+        };
+        self.link_stage
+            .iter()
+            .chain(&self.staged_flits)
+            .for_each(|(_, _, flit)| has_entry(flit));
         for (idx, r) in self.routers.iter().enumerate() {
+            r.check_masks();
             let drained = r.is_drained();
+            if !drained {
+                r.for_each_flit(has_entry);
+            }
             assert_eq!(self.next.contains(idx), !drained, "run set out of sync at router {idx}");
             let due = r.next_wake_completion().filter(|_| drained).map(|dt| self.cursor[idx] + dt);
             assert_eq!(
@@ -501,10 +550,10 @@ impl<S: Sink> Network<S> {
     /// already happened, so its deferred stretch is materialized through
     /// `cycle` before the request, and any new countdown enters the
     /// waking set.
-    pub fn request_wake(&mut self, node: NodeId, reason: WakeReason) {
+    pub fn request_wake(&mut self, node: NodeId) {
         let idx = node.index();
         self.sync_to(idx, self.cycle);
-        self.apply_wake(idx, Port::Local, reason);
+        self.apply_wake(idx, Port::Local);
         self.reschedule(idx);
     }
 
@@ -512,13 +561,13 @@ impl<S: Sink> Network<S> {
     /// input port `port`, maintaining the sleeper count and telemetry.
     /// The caller is responsible for cursor discipline (sync before,
     /// reschedule or queue after).
-    fn apply_wake(&mut self, idx: usize, port: Port, reason: WakeReason) {
+    fn apply_wake(&mut self, idx: usize, port: Port) {
         let cycle = self.cycle;
         let r = &mut self.routers[idx];
         if r.power_state().is_sleeping() {
             self.sleepers -= 1;
         }
-        r.request_wake(port, cycle, reason);
+        r.request_wake(port, cycle);
         self.active_mask[idx] = self.routers[idx].port_active_mask();
         self.note_power(idx);
     }
@@ -557,7 +606,7 @@ impl<S: Sink> Network<S> {
             self.staged_flits
                 .iter()
                 .chain(self.link_stage.iter())
-                .filter(|&&(i, p, _)| i == idx && powers(p))
+                .filter(|&&(i, p, _)| i as usize == idx && powers(p))
                 .count(),
             "in-flight counters out of sync at {}",
             router.node()
@@ -607,17 +656,18 @@ impl<S: Sink> Network<S> {
         slept
     }
 
-    /// Drains flits ejected during the most recent step, with their
-    /// destination nodes.
-    pub fn drain_ejected(&mut self) -> Vec<(NodeId, Flit)> {
+    /// Drains the packets whose tail ejected since the last drain, each
+    /// with its creation cycle. A tail ejects at its destination,
+    /// `tail.dst`.
+    pub fn drain_ejected(&mut self) -> Vec<Delivery> {
         std::mem::take(&mut self.ejected)
     }
 
-    /// Appends the flits ejected during the most recent step to `buf`,
-    /// leaving the internal ejection buffer empty but with its capacity
-    /// intact. Allocation-free steady state, unlike
+    /// Appends the packets whose tail ejected since the last drain to
+    /// `buf`, leaving the internal ejection buffer empty but with its
+    /// capacity intact. Allocation-free steady state, unlike
     /// [`Network::drain_ejected`].
-    pub fn drain_ejected_into(&mut self, buf: &mut Vec<(NodeId, Flit)>) {
+    pub fn drain_ejected_into(&mut self, buf: &mut Vec<Delivery>) {
         buf.append(&mut self.ejected);
     }
 
@@ -657,15 +707,15 @@ impl<S: Sink> Network<S> {
         // deferred stretch ends exactly at the previous cycle edge).
         let mut delivered = std::mem::take(&mut self.staged_flits);
         for &(idx, port, flit) in &delivered {
+            let idx = idx as usize;
             self.inflight[idx * NUM_PORTS + port.index()] -= 1;
             self.sync_to(idx, cycle - 1);
-            let node = self.routers[idx].node();
             let ping = self.routers[idx].deliver(port, flit);
             self.mark_in(idx);
             if let Some(ping_dir) = ping {
                 // Position 0: every router's tick for this cycle is
                 // still ahead.
-                self.wake_neighbor_instep(node, ping_dir, 0);
+                self.wake_neighbor_instep(idx, ping_dir, 0);
             }
         }
         // Rotate buffers so their capacity is reused: flits placed on
@@ -717,7 +767,6 @@ impl<S: Sink> Network<S> {
             self.reschedule(idx);
         } else {
             let adj = self.adj[idx];
-            let node = self.routers[idx].node();
             // Snapshot which neighbours can accept flits this cycle:
             // the downstream unit powering the input port our link
             // feeds must be active. Deferred neighbours read exactly:
@@ -733,19 +782,22 @@ impl<S: Sink> Network<S> {
                 };
             }
 
-            let mut out = std::mem::take(&mut self.scratch);
-            self.routers[idx].step(&neighbor_active, &mut out);
+            self.routers[idx].step(&neighbor_active, &mut self.scratch);
             self.cursor[idx] = cycle;
             self.active_mask[idx] = self.routers[idx].port_active_mask();
+            let out = &self.scratch;
             if out.outbound.is_empty() && out.credits.is_empty() && out.ejected.is_empty() && out.wake_pings.is_empty()
             {
                 self.sched.stalled_runs += 1;
             }
-            self.stage_outputs(idx, &mut out);
-            for &ping in &out.wake_pings {
-                self.wake_neighbor_instep(node, ping, idx);
+            self.stage_outputs(idx);
+            if !self.scratch.wake_pings.is_empty() {
+                let pings = std::mem::take(&mut self.scratch.wake_pings);
+                for &ping in &pings {
+                    self.wake_neighbor_instep(idx, ping, idx);
+                }
+                self.scratch.wake_pings = pings;
             }
-            self.scratch = out;
 
             if self.routers[idx].is_drained() {
                 self.reschedule(idx);
@@ -777,10 +829,10 @@ impl<S: Sink> Network<S> {
         // advance flits leaving crossbars onto the link.
         let mut delivered = std::mem::take(&mut self.staged_flits);
         for &(idx, port, flit) in &delivered {
+            let idx = idx as usize;
             self.inflight[idx * NUM_PORTS + port.index()] -= 1;
-            let node = self.routers[idx].node();
             if let Some(ping_dir) = self.routers[idx].deliver(port, flit) {
-                self.wake_neighbor_reference(node, ping_dir);
+                self.wake_neighbor_reference(idx, ping_dir);
             }
         }
         delivered.clear();
@@ -791,7 +843,6 @@ impl<S: Sink> Network<S> {
         let cycle = self.cycle;
         for idx in 0..self.routers.len() {
             let adj = self.adj[idx];
-            let node = self.routers[idx].node();
             let mut neighbor_active = [true; NUM_PORTS];
             for port in [Port::North, Port::East, Port::South, Port::West] {
                 let pi = port.index();
@@ -801,14 +852,14 @@ impl<S: Sink> Network<S> {
                 };
             }
 
-            let mut out = std::mem::take(&mut self.scratch);
-            self.routers[idx].step_reference(&neighbor_active, &mut out);
+            self.routers[idx].step_reference(&neighbor_active, &mut self.scratch);
             self.cursor[idx] = cycle;
-            self.stage_outputs(idx, &mut out);
-            for &ping in &out.wake_pings {
-                self.wake_neighbor_reference(node, ping);
+            self.stage_outputs(idx);
+            let pings = std::mem::take(&mut self.scratch.wake_pings);
+            for &ping in &pings {
+                self.wake_neighbor_reference(idx, ping);
             }
-            self.scratch = out;
+            self.scratch.wake_pings = pings;
         }
 
         if S::ENABLED {
@@ -825,18 +876,20 @@ impl<S: Sink> Network<S> {
     fn return_staged_credits(&mut self) {
         let mut credits = std::mem::take(&mut self.staged_credits);
         for &(idx, port, vc) in &credits {
-            self.routers[idx].return_credit(port, vc);
+            self.routers[idx as usize].return_credit(port, vc);
         }
         credits.clear();
         self.staged_credits = credits;
     }
 
-    /// Stages router `idx`'s outputs of this cycle, in both steps: flits
-    /// leaving on links (with the look-ahead route at the next router),
-    /// credits back upstream, and ejections. Wake pings are the caller's.
+    /// Stages router `idx`'s outputs of this cycle, left in `scratch`, in
+    /// both steps: flits leaving on links (with the look-ahead route at
+    /// the next router), credits back upstream, and ejections. Wake pings
+    /// are the caller's.
     #[inline]
-    fn stage_outputs(&mut self, idx: usize, out: &mut RouterOutput) {
-        let (n, adj, node) = (self.cfg.dims.num_nodes(), self.adj[idx], self.routers[idx].node());
+    fn stage_outputs(&mut self, idx: usize) {
+        let (n, adj) = (self.cfg.dims.num_nodes(), self.adj[idx]);
+        let out = &self.scratch;
         for ob in &out.outbound {
             let nbr = adj[ob.out_port.index()];
             debug_assert!(nbr != NO_NEIGHBOR, "link to nowhere");
@@ -844,41 +897,57 @@ impl<S: Sink> Network<S> {
             let mut flit = ob.flit;
             flit.lookahead = self.route_lut[nbr * n + flit.dst.index()];
             self.inflight[nbr * NUM_PORTS + in_port.index()] += 1;
-            self.link_stage.push((nbr, in_port, flit));
+            self.link_stage.push((nbr as u32, in_port, flit));
         }
         for cr in &out.credits {
             let upstream = adj[cr.in_port.index()];
             debug_assert!(upstream != NO_NEIGHBOR, "credit to nowhere");
             // The upstream router's output port towards us.
-            self.staged_credits.push((upstream, cr.in_port.opposite(), cr.vc));
+            self.staged_credits.push((upstream as u32, cr.in_port.opposite(), cr.vc));
         }
-        for flit in out.ejected.drain(..) {
-            self.record_ejection(node, flit);
+        if !out.ejected.is_empty() {
+            let mut ejected = std::mem::take(&mut self.scratch.ejected);
+            for flit in ejected.drain(..) {
+                debug_assert_eq!(flit.dst.index(), idx, "flit ejected at wrong node");
+                if flit.kind.is_tail() {
+                    self.record_delivery(flit);
+                }
+            }
+            self.scratch.ejected = ejected;
         }
     }
 
-    fn record_ejection(&mut self, node: NodeId, flit: Flit) {
-        debug_assert_eq!(flit.dst, node, "flit ejected at wrong node");
-        if flit.kind.is_tail() {
-            self.stats.packets_ejected += 1;
-            let lat = self.cycle.saturating_sub(flit.net_inject_cycle);
-            self.stats.net_latency_sum += lat;
+    /// A tail ejected: its packet leaves the packet table, and the
+    /// network counts the packet and its network latency.
+    fn record_delivery(&mut self, tail: Flit) {
+        // Decode and the debug scheduler check guarantee the entry.
+        let times = self.packets.remove(&tail.packet).unwrap_or_default();
+        self.stats.packets_ejected += 1;
+        self.stats.net_latency_sum += self.cycle.saturating_sub(times.injected);
+        self.ejected.push(Delivery {
+            tail,
+            created_cycle: times.created,
+        });
+    }
+
+    /// The router across mesh port `dir_port` of router `idx`, with the
+    /// input port the link enters it by, if there is one.
+    fn across(&self, idx: usize, dir_port: Port) -> Option<(usize, Port)> {
+        match self.adj[idx][dir_port.index()] {
+            NO_NEIGHBOR => None,
+            nbr => Some((nbr, dir_port.opposite())),
         }
-        self.ejected.push((node, flit));
     }
 
     /// Look-ahead wake ping arriving *between* steps (injection time).
     /// The target's tick for the current cycle has already happened in
     /// canonical order, so the deferred stretch is materialized through
     /// the current cycle before the request lands.
-    fn wake_neighbor_prestep(&mut self, node: NodeId, dir_port: Port) {
-        if let Some(dir) = dir_port.direction() {
-            if let Some(nbr) = self.cfg.dims.neighbor(node, dir) {
-                let idx = nbr.index();
-                self.sync_to(idx, self.cycle);
-                self.apply_wake(idx, Port::from(dir.opposite()), WakeReason::LookaheadSignal);
-                self.reschedule(idx);
-            }
+    fn wake_neighbor_prestep(&mut self, from: usize, dir_port: Port) {
+        if let Some((idx, in_port)) = self.across(from, dir_port) {
+            self.sync_to(idx, self.cycle);
+            self.apply_wake(idx, in_port);
+            self.reschedule(idx);
         }
     }
 
@@ -895,21 +964,17 @@ impl<S: Sink> Network<S> {
     /// - otherwise the target ticks later in this same cycle: the
     ///   request lands with the target at the cycle edge, and the target
     ///   joins the current run set so its tick happens in phase 2.
-    fn wake_neighbor_instep(&mut self, node: NodeId, dir_port: Port, pos: usize) {
-        if let Some(dir) = dir_port.direction() {
-            if let Some(nbr) = self.cfg.dims.neighbor(node, dir) {
-                let idx = nbr.index();
-                let cycle = self.cycle;
-                let in_port = Port::from(dir.opposite());
-                if idx < pos || self.cursor[idx] == cycle {
-                    self.sync_to(idx, cycle);
-                    self.apply_wake(idx, in_port, WakeReason::LookaheadSignal);
-                    self.reschedule(idx);
-                } else {
-                    self.sync_to(idx, cycle - 1);
-                    self.apply_wake(idx, in_port, WakeReason::LookaheadSignal);
-                    self.mark_in(idx);
-                }
+    fn wake_neighbor_instep(&mut self, from: usize, dir_port: Port, pos: usize) {
+        if let Some((idx, in_port)) = self.across(from, dir_port) {
+            let cycle = self.cycle;
+            if idx < pos || self.cursor[idx] == cycle {
+                self.sync_to(idx, cycle);
+                self.apply_wake(idx, in_port);
+                self.reschedule(idx);
+            } else {
+                self.sync_to(idx, cycle - 1);
+                self.apply_wake(idx, in_port);
+                self.mark_in(idx);
             }
         }
     }
@@ -917,11 +982,9 @@ impl<S: Sink> Network<S> {
     /// Look-ahead wake ping inside [`Network::step_reference`]: no
     /// scheduler bookkeeping, matching the original loop verbatim (the
     /// reference step keeps every cursor current).
-    fn wake_neighbor_reference(&mut self, node: NodeId, dir_port: Port) {
-        if let Some(dir) = dir_port.direction() {
-            if let Some(nbr) = self.cfg.dims.neighbor(node, dir) {
-                self.apply_wake(nbr.index(), Port::from(dir.opposite()), WakeReason::LookaheadSignal);
-            }
+    fn wake_neighbor_reference(&mut self, from: usize, dir_port: Port) {
+        if let Some((idx, in_port)) = self.across(from, dir_port) {
+            self.apply_wake(idx, in_port);
         }
     }
 
@@ -1001,7 +1064,9 @@ impl<S: Sink> Network<S> {
     /// exact; materialization is representation-only, so saving does not
     /// perturb the run. What is stored: clock, packet-id counter, the
     /// statistics no router counts, every router, the link and staging
-    /// buffers, the credits in flight and the ejected flits. Everything
+    /// buffers, the credits in flight, the delivered packets not yet
+    /// drained and, once per packet in flight, its creation and
+    /// injection cycles. Everything
     /// else is derived, and [`Network::load_state`] rebuilds it: the adjacency
     /// and route tables (functions of the config), every flit's
     /// look-ahead, the routers' credits, the in-flight counters, the
@@ -1021,22 +1086,31 @@ impl<S: Sink> Network<S> {
         }
         for stage in [&self.link_stage, &self.staged_flits] {
             w.put_usize(stage.len());
-            for (idx, port, flit) in stage {
-                w.put_u32(*idx as u32);
-                checkpoint::put_port(w, *port);
+            for &(idx, port, ref flit) in stage {
+                w.put_u32(idx);
+                checkpoint::put_port(w, port);
                 checkpoint::put_flit(w, flit);
             }
         }
         w.put_usize(self.staged_credits.len());
-        for (idx, port, vc) in &self.staged_credits {
-            w.put_u32(*idx as u32);
-            checkpoint::put_port(w, *port);
-            w.put_u8(*vc);
+        for &(idx, port, vc) in &self.staged_credits {
+            w.put_u32(idx);
+            checkpoint::put_port(w, port);
+            w.put_u8(vc);
         }
-        // An ejected flit's node is its destination.
         w.put_usize(self.ejected.len());
-        for (_, flit) in &self.ejected {
-            checkpoint::put_flit(w, flit);
+        for d in &self.ejected {
+            checkpoint::put_flit(w, &d.tail);
+            w.put_u64(d.created_cycle);
+        }
+        // In id order, so equal tables are equal bytes.
+        let mut packets: Vec<_> = self.packets.iter().collect();
+        packets.sort_unstable_by_key(|&(id, _)| *id);
+        w.put_usize(packets.len());
+        for (id, times) in packets {
+            w.put_u64(id.0);
+            w.put_u64(times.created);
+            w.put_u64(times.injected);
         }
     }
 
@@ -1057,10 +1131,12 @@ impl<S: Sink> Network<S> {
     /// that does not enter through a linked, powered mesh port; a
     /// crossbar flit toward a gated port; a staged credit for a port
     /// without a link; or a downstream VC owing more flits and credits
-    /// than its depth. Wormhole order also depends on what the network
-    /// interfaces inject next, so [`Network::check_wormholes`] checks it
-    /// once they are decoded. On error the network is left in an
-    /// unspecified but memory-safe state and must be discarded.
+    /// than its depth; a packet-table entry out of id order; or a flit
+    /// whose packet has no table entry. Wormhole order and which packets
+    /// the table may hold also depend on what the network interfaces
+    /// inject next, so [`Network::check_wormholes`] checks them once they
+    /// are decoded. On error the network is left in an unspecified but
+    /// memory-safe state and must be discarded.
     pub fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         let n = self.routers.len();
         let vcs = self.cfg.vcs_per_port;
@@ -1074,7 +1150,7 @@ impl<S: Sink> Network<S> {
         for idx in 0..n {
             self.routers[idx] = Router::decode(r, NodeId(idx as u16), &self.cfg, self.cycle)?;
         }
-        let decode_staged = |r: &mut ByteReader<'_>| -> Result<Vec<(usize, Port, Flit)>, CodecError> {
+        let decode_staged = |r: &mut ByteReader<'_>| -> Result<Vec<(u32, Port, Flit)>, CodecError> {
             let len = r.get_usize()?;
             if len > n * NUM_PORTS * 64 {
                 return Err(CodecError::Invalid("staging buffer implausibly large"));
@@ -1094,7 +1170,7 @@ impl<S: Sink> Network<S> {
                     return Err(CodecError::Invalid("staged flit not entering a linked, powered port"));
                 }
                 let flit = checkpoint::get_flit(r, n, vcs, |dst| self.route_lut[idx * n + dst.index()])?;
-                out.push((idx, port, flit));
+                out.push((idx as u32, port, flit));
             }
             Ok(out)
         };
@@ -1118,7 +1194,7 @@ impl<S: Sink> Network<S> {
             if vc as usize >= vcs {
                 return Err(CodecError::Invalid("staged credit VC out of range"));
             }
-            self.staged_credits.push((idx, port, vc));
+            self.staged_credits.push((idx as u32, port, vc));
         }
         let ejected_len = r.get_usize()?;
         if ejected_len > n * 64 {
@@ -1126,15 +1202,43 @@ impl<S: Sink> Network<S> {
         }
         self.ejected.clear();
         for _ in 0..ejected_len {
-            let flit = checkpoint::get_flit(r, n, vcs, |_| Port::Local)?;
-            self.ejected.push((flit.dst, flit));
+            let tail = checkpoint::get_flit(r, n, vcs, |_| Port::Local)?;
+            if !tail.kind.is_tail() {
+                return Err(CodecError::Invalid("delivered packet without its tail"));
+            }
+            let created_cycle = r.get_u64()?;
+            self.ejected.push(Delivery { tail, created_cycle });
+        }
+        let packets_len = r.get_usize()?;
+        if packets_len > self.flits_in_network() + n {
+            return Err(CodecError::Invalid("packet table larger than the packets in flight"));
+        }
+        self.packets.clear();
+        let mut last = None;
+        for _ in 0..packets_len {
+            let id = PacketId(r.get_u64()?);
+            if last.is_some_and(|last| id <= last) {
+                return Err(CodecError::Invalid("packet table out of id order"));
+            }
+            last = Some(id);
+            let times = PacketTimes {
+                created: r.get_u64()?,
+                injected: r.get_u64()?,
+            };
+            self.packets.insert(id, times);
+        }
+        let mut in_network: Vec<&Flit> = self.link_stage.iter().chain(&self.staged_flits).map(|(_, _, f)| f).collect();
+        self.routers.iter().for_each(|r| r.for_each_flit(|f| in_network.push(f)));
+        if in_network.iter().any(|f| !self.packets.contains_key(&f.packet)) {
+            return Err(CodecError::Invalid("flit of a packet with no table entry"));
         }
         // A granted flit crosses its crossbar next cycle into a
         // downstream unit that was active at the grant and cannot gate
         // while the flit is headed for it. (Its port is its X-Y route,
         // which always has a link.)
         for idx in 0..n {
-            for &(_, port) in self.routers[idx].xbar_entries() {
+            for flit in self.routers[idx].xbar_flits() {
+                let port = flit.lookahead;
                 if port != Port::Local && !self.routers[self.adj[idx][port.index()]].port_active(port.opposite()) {
                     return Err(CodecError::Invalid("crossbar flit toward a gated port"));
                 }
@@ -1147,7 +1251,7 @@ impl<S: Sink> Network<S> {
         self.scratch = RouterOutput::default();
         self.inflight = vec![0; n * NUM_PORTS];
         for &(idx, port, _) in self.link_stage.iter().chain(&self.staged_flits) {
-            self.inflight[idx * NUM_PORTS + port.index()] += 1;
+            self.inflight[idx as usize * NUM_PORTS + port.index()] += 1;
         }
         self.cursor = vec![self.cycle; n];
         self.sleepers = self.routers.iter().filter(|r| r.power_state().is_sleeping()).count();
@@ -1170,6 +1274,11 @@ impl<S: Sink> Network<S> {
     /// packet. `next(node)` is that flit of `node`'s interface on this
     /// subnet, with its local VC.
     ///
+    /// It also checks the packet table against the flits: no flit is
+    /// held twice, every flit in the network or next at an interface has
+    /// its packet's entry, and every entry's packet has a flit left in
+    /// the network or at an interface.
+    ///
     /// # Errors
     ///
     /// [`CodecError::Invalid`] if any of this does not hold.
@@ -1178,20 +1287,33 @@ impl<S: Sink> Network<S> {
         // VCs are indexed `(router * NUM_PORTS + port) * vcs + vc`.
         let vc_at = |i: usize| (i / (NUM_PORTS * vcs), Port::from_index(i / vcs % NUM_PORTS), i % vcs);
         let at = |idx: usize, port: Port, vc: usize| (idx * NUM_PORTS + port.index()) * vcs + vc;
-        let buffered = (0..n * NUM_PORTS * vcs).flat_map(|i| {
-            let (idx, port, vc) = vc_at(i);
-            self.routers[idx].vc_flits(port, vc)
-        });
-        let mut dsts: Vec<(u64, u16)> = buffered
-            .chain(self.routers.iter().flat_map(|r| r.xbar_entries().iter().map(|(flit, _)| flit)))
-            .chain(self.link_stage.iter().chain(&self.staged_flits).map(|(_, _, flit)| flit))
-            .chain(self.ejected.iter().map(|(_, flit)| flit))
-            .map(|flit| (flit.packet.0, flit.dst.0))
+        let mut in_network: Vec<&Flit> = self.link_stage.iter().chain(&self.staged_flits).map(|(_, _, f)| f).collect();
+        self.routers.iter().for_each(|r| r.for_each_flit(|f| in_network.push(f)));
+        let mut dsts: Vec<(PacketId, NodeId)> = (in_network.iter().copied())
+            .chain(self.ejected.iter().map(|d| &d.tail))
+            .map(|flit| (flit.packet, flit.dst))
             .collect();
         dsts.sort_unstable();
         dsts.dedup();
         if dsts.windows(2).any(|pair| pair[0].0 == pair[1].0) {
             return Err(CodecError::Invalid("packet's flits bound for different nodes"));
+        }
+        let mut held: Vec<(PacketId, u16)> = in_network.iter().map(|f| (f.packet, f.seq)).collect();
+        let at_interfaces: Vec<Flit> = (0..n).filter_map(|i| next(NodeId(i as u16))).map(|(_, f)| f).collect();
+        held.extend(at_interfaces.iter().map(|f| (f.packet, f.seq)));
+        held.sort_unstable();
+        if held.windows(2).any(|pair| pair[0] == pair[1]) {
+            return Err(CodecError::Invalid("flit held twice"));
+        }
+        if at_interfaces.iter().any(|f| !self.packets.contains_key(&f.packet)) {
+            return Err(CodecError::Invalid("flit of a packet with no table entry"));
+        }
+        let has_flit = |id: &PacketId| {
+            let first = held.partition_point(|(p, _)| p < id);
+            held.get(first).is_some_and(|(p, _)| p == id)
+        };
+        if self.packets.keys().any(|id| !has_flit(id)) {
+            return Err(CodecError::Invalid("packet entry with no flit left"));
         }
 
         // Per VC: the flits arriving next, in order, and the upstream VC
@@ -1199,10 +1321,11 @@ impl<S: Sink> Network<S> {
         let mut inflight: Vec<Vec<Flit>> = vec![Vec::new(); n * NUM_PORTS * vcs];
         let mut upstream: Vec<Option<usize>> = vec![None; n * NUM_PORTS * vcs];
         for &(idx, port, flit) in self.staged_flits.iter().chain(&self.link_stage) {
-            inflight[at(idx, port, flit.vc as usize)].push(flit);
+            inflight[at(idx as usize, port, flit.vc as usize)].push(flit);
         }
         for (idx, router) in self.routers.iter().enumerate() {
-            for &(flit, out) in router.xbar_entries() {
+            for &flit in router.xbar_flits() {
+                let out = flit.lookahead;
                 if out != Port::Local {
                     inflight[at(self.adj[idx][out.index()], out.opposite(), flit.vc as usize)].push(flit);
                 }
@@ -1273,17 +1396,21 @@ impl<S: Sink> Network<S> {
                     }
                 }
             }
-            for &(flit, out) in router.xbar_entries() {
-                if out != Port::Local {
-                    owed[at(idx, out, flit.vc as usize)] += 1;
+            for flit in router.xbar_flits() {
+                if flit.lookahead != Port::Local {
+                    owed[at(idx, flit.lookahead, flit.vc as usize)] += 1;
                 }
             }
         }
         for &(idx, in_port, flit) in self.link_stage.iter().chain(&self.staged_flits) {
-            owed[at(self.adj[idx][in_port.index()], in_port.opposite(), flit.vc as usize)] += 1;
+            owed[at(
+                self.adj[idx as usize][in_port.index()],
+                in_port.opposite(),
+                flit.vc as usize,
+            )] += 1;
         }
         for &(idx, out, vc) in &self.staged_credits {
-            owed[at(idx, out, vc as usize)] += 1;
+            owed[at(idx as usize, out, vc as usize)] += 1;
         }
         for (router, owed) in self.routers.iter_mut().zip(owed.chunks(NUM_PORTS * vcs)) {
             router.restore_credits(owed)?;
@@ -1294,21 +1421,17 @@ impl<S: Sink> Network<S> {
     /// Convenience for tests and examples: builds a single-flit synthetic
     /// packet from `src` to `dst` with the correct look-ahead field, ready
     /// for [`Network::try_inject_flit`].
-    pub fn make_single_flit_packet(&mut self, src: NodeId, dst: NodeId, created_cycle: u64) -> Flit {
+    pub fn make_single_flit_packet(&mut self, src: NodeId, dst: NodeId) -> Flit {
         let id = PacketId(self.next_packet_id);
         self.next_packet_id += 1;
         Flit {
             packet: id,
             kind: FlitKind::Single,
-            src,
             dst,
             seq: 0,
-            packet_len: 1,
             class: MessageClass::Synthetic,
             lookahead: self.route_at(src, dst),
             vc: 0,
-            created_cycle,
-            net_inject_cycle: self.cycle + 1,
         }
     }
 }
@@ -1330,9 +1453,12 @@ mod tests {
     fn decode_rejects_a_packet_bound_for_two_nodes() {
         let with_body_to = |dst: NodeId| {
             let mut net = small_net(false);
-            let head = head_to_15(&mut net, 2);
-            let tail = Flit { dst, ..behind(head, 1) };
-            assert!(net.try_inject_flit(NodeId(0), 0, head) && net.try_inject_flit(NodeId(0), 0, tail));
+            let head = head_to_15(&mut net);
+            let tail = Flit {
+                dst,
+                ..behind(head, 1, 2)
+            };
+            assert!(net.try_inject_flit(NodeId(0), 0, head, 0) && net.try_inject_flit(NodeId(0), 0, tail, 0));
             reload_checked(&mut net)
         };
         assert_eq!(with_body_to(NodeId(15)), Ok(()));
@@ -1342,23 +1468,22 @@ mod tests {
         );
     }
 
-    /// A head of `len` flits from node 0 to node 15 of a 4x4 mesh, where
-    /// it leaves East.
-    fn head_to_15(net: &mut Network, len: u16) -> Flit {
-        let single = net.make_single_flit_packet(NodeId(0), NodeId(15), 0);
+    /// The head of a multi-flit packet from node 0 to node 15 of a 4x4
+    /// mesh, where it leaves East.
+    fn head_to_15(net: &mut Network) -> Flit {
+        let single = net.make_single_flit_packet(NodeId(0), NodeId(15));
         Flit {
             kind: FlitKind::Head,
-            packet_len: len,
             ..single
         }
     }
 
-    /// Flit `seq` of `head`'s packet: the head itself, a body, or the
-    /// tail if last.
-    fn behind(head: Flit, seq: u16) -> Flit {
+    /// Flit `seq` of `head`'s packet of `len` flits: the head itself, a
+    /// body, or the tail if last.
+    fn behind(head: Flit, seq: u16, len: u16) -> Flit {
         let kind = match seq {
             0 => head.kind,
-            s if s + 1 >= head.packet_len => FlitKind::Tail,
+            s if s + 1 >= len => FlitKind::Tail,
             _ => FlitKind::Body,
         };
         Flit { kind, seq, ..head }
@@ -1376,8 +1501,9 @@ mod tests {
     fn decode_rejects_an_unbound_vc_fronted_by_a_non_head_flit() {
         let fronted_by = |seq: u16| {
             let mut net = small_net(false);
-            let head = head_to_15(&mut net, 1);
-            assert!(net.try_inject_flit(NodeId(0), 0, behind(head, seq)));
+            let head = head_to_15(&mut net);
+            net.packets.insert(head.packet, PacketTimes::default());
+            assert!(net.try_inject_flit(NodeId(0), 0, behind(head, seq, 2), 0));
             reload_checked(&mut net)
         };
         assert_eq!(fronted_by(0), Ok(()));
@@ -1390,12 +1516,20 @@ mod tests {
     fn decode_rejects_a_bound_packet_routed_away_from_its_binding() {
         let tail_to = |dst: NodeId| {
             let mut net = small_net(false);
-            let head = head_to_15(&mut net, 2);
-            assert!(net.try_inject_flit(NodeId(0), 0, head));
-            while net.drain_ejected().is_empty() {
+            let head = head_to_15(&mut net);
+            assert!(net.try_inject_flit(NodeId(0), 0, head, 0));
+            while net.total_activity().ejected_flits == 0 {
                 net.step();
             }
-            assert!(net.try_inject_flit(NodeId(0), 0, Flit { dst, ..behind(head, 1) }));
+            assert!(net.try_inject_flit(
+                NodeId(0),
+                0,
+                Flit {
+                    dst,
+                    ..behind(head, 1, 2)
+                },
+                0
+            ));
             reload_checked(&mut net)
         };
         assert_eq!(tail_to(NodeId(15)), Ok(()));
@@ -1413,9 +1547,10 @@ mod tests {
     fn decode_rejects_a_bound_packet_without_its_tail() {
         let with_flits = |len: u16| {
             let mut net = small_net(false);
-            let head = head_to_15(&mut net, 2);
+            let head = head_to_15(&mut net);
+            net.packets.insert(head.packet, PacketTimes::default());
             for seq in 0..len {
-                net.routers[1].deliver(Port::West, behind(head, seq));
+                net.routers[1].deliver(Port::West, behind(head, seq, 2));
             }
             net.step_reference();
             reload_checked(&mut net)
@@ -1433,10 +1568,10 @@ mod tests {
     #[test]
     fn interface_flits_continue_the_local_vc_they_are_bound_for() {
         let mut net = small_net(false);
-        let head = head_to_15(&mut net, 3);
-        assert!(net.try_inject_flit(NodeId(0), 0, head));
+        let head = head_to_15(&mut net);
+        assert!(net.try_inject_flit(NodeId(0), 0, head, 0));
         net.step();
-        let next = |vc: usize, seq: u16| move |node: NodeId| (node == NodeId(0)).then_some((vc, behind(head, seq)));
+        let next = |vc: usize, seq: u16| move |node: NodeId| (node == NodeId(0)).then_some((vc, behind(head, seq, 3)));
         assert_eq!(net.check_wormholes(next(0, 1)), Ok(()));
         assert_eq!(
             net.check_wormholes(next(0, 2)),
@@ -1487,15 +1622,15 @@ mod tests {
         let mut net = small_net(false);
         let src = NodeId(0);
         let dst = NodeId(15);
-        let flit = net.make_single_flit_packet(src, dst, 0);
-        assert!(net.try_inject_flit(src, 0, flit));
+        let flit = net.make_single_flit_packet(src, dst);
+        assert!(net.try_inject_flit(src, 0, flit, 0));
         let mut ejections = Vec::new();
         for _ in 0..60 {
             net.step();
             ejections.extend(net.drain_ejected());
         }
         assert_eq!(ejections.len(), 1);
-        assert_eq!(ejections[0].0, dst);
+        assert_eq!(ejections[0].tail.dst, dst);
         assert_eq!(net.stats().packets_ejected, 1);
         // 6 hops on a 4x4 mesh corner-to-corner, ~3 cycles/hop.
         let lat = net.stats().avg_net_latency();
@@ -1508,11 +1643,14 @@ mod tests {
         let src = NodeId(0);
         let dst = NodeId(3);
         for _ in 0..4 {
-            let f = net.make_single_flit_packet(src, dst, 0);
-            assert!(net.try_inject_flit(src, 0, f));
+            let f = net.make_single_flit_packet(src, dst);
+            assert!(net.try_inject_flit(src, 0, f, 0));
         }
-        let f = net.make_single_flit_packet(src, dst, 0);
-        assert!(!net.try_inject_flit(src, 0, f), "fifth flit must not fit in depth-4 VC");
+        let f = net.make_single_flit_packet(src, dst);
+        assert!(
+            !net.try_inject_flit(src, 0, f, 0),
+            "fifth flit must not fit in depth-4 VC"
+        );
     }
 
     #[test]
@@ -1526,8 +1664,8 @@ mod tests {
                 if dst == node {
                     continue;
                 }
-                let f = net.make_single_flit_packet(node, dst, 0);
-                if net.try_inject_flit(node, round as usize % 4, f) {
+                let f = net.make_single_flit_packet(node, dst);
+                if net.try_inject_flit(node, round as usize % 4, f, 0) {
                     sent += 1;
                 }
             }
@@ -1556,17 +1694,13 @@ mod tests {
         assert_eq!(active, 0);
         assert_eq!(sleeping, 16);
         // Wake the source and let a packet force wake-ups along its path.
-        net.request_wake(NodeId(0), WakeReason::External);
+        net.request_wake(NodeId(0));
         for _ in 0..GatingConfig::paper().t_wakeup as usize {
             net.step();
         }
         assert!(net.is_active(NodeId(0)));
-        let f = net.make_single_flit_packet(NodeId(0), NodeId(15), 0);
-        let f = Flit {
-            net_inject_cycle: net.cycle() + 1,
-            ..f
-        };
-        assert!(net.try_inject_flit(NodeId(0), 0, f));
+        let f = net.make_single_flit_packet(NodeId(0), NodeId(15));
+        assert!(net.try_inject_flit(NodeId(0), 0, f, 0));
         let mut got = Vec::new();
         for _ in 0..200 {
             net.step();
@@ -1608,19 +1742,15 @@ mod tests {
             flits.push(Flit {
                 packet: id,
                 kind,
-                src,
                 dst,
                 seq,
-                packet_len: 4,
                 class: MessageClass::Synthetic,
                 lookahead: net.route_at(src, dst),
                 vc: 0,
-                created_cycle: 0,
-                net_inject_cycle: 1,
             });
         }
         for f in flits {
-            assert!(net.try_inject_flit(src, 0, f));
+            assert!(net.try_inject_flit(src, 0, f, 0));
         }
         // Step until the head reaches node 1 and opens a wormhole onward.
         for _ in 0..3 {
@@ -1655,8 +1785,8 @@ mod tests {
                 if dst == node {
                     continue;
                 }
-                let f = net.make_single_flit_packet(node, dst, 0);
-                net.try_inject_flit(node, round as usize % 4, f);
+                let f = net.make_single_flit_packet(node, dst);
+                net.try_inject_flit(node, round as usize % 4, f, 0);
             }
             net.step();
         }
@@ -1684,9 +1814,9 @@ mod tests {
                     let dst = NodeId((round * 7 + 1) % 16);
                     if src != dst {
                         let cycle = net.cycle();
-                        let f = net.make_single_flit_packet(src, dst, cycle);
-                        if !net.try_inject_flit(src, 0, f) {
-                            net.request_wake(src, WakeReason::NiInjection);
+                        let f = net.make_single_flit_packet(src, dst);
+                        if !net.try_inject_flit(src, 0, f, cycle) {
+                            net.request_wake(src);
                         }
                     }
                 }
@@ -1725,11 +1855,11 @@ mod tests {
                 }
                 if let Some(&(src, dst)) = queue.front() {
                     let cycle = net.cycle();
-                    let f = net.make_single_flit_packet(src, dst, cycle);
-                    if src == dst || net.try_inject_flit(src, 0, f) {
+                    let f = net.make_single_flit_packet(src, dst);
+                    if src == dst || net.try_inject_flit(src, 0, f, cycle) {
                         queue.pop_front();
                     } else {
-                        net.request_wake(src, WakeReason::NiInjection);
+                        net.request_wake(src);
                     }
                 }
                 if c % 16 == 0 {
@@ -1790,10 +1920,11 @@ mod tests {
 
     /// A flit from router 0 staged into router 1 through its West port,
     /// the link between them; at router 1, its destination, it looks
-    /// ahead to Local.
+    /// ahead to Local. Its packet enters the packet table.
     fn staged_into_1(net: &mut Network) -> Flit {
-        let mut flit = net.make_single_flit_packet(NodeId(0), NodeId(1), 0);
+        let mut flit = net.make_single_flit_packet(NodeId(0), NodeId(1));
         flit.lookahead = Port::Local;
+        net.packets.insert(flit.packet, PacketTimes::default());
         flit
     }
 
@@ -1835,7 +1966,7 @@ mod tests {
         }
         let ejected = back.drain_ejected();
         assert_eq!(ejected.len(), 1);
-        assert_eq!((ejected[0].0, ejected[0].1.packet), (NodeId(1), flit.packet));
+        assert_eq!((ejected[0].tail.dst, ejected[0].tail.packet), (NodeId(1), flit.packet));
 
         net.staged_flits.clear();
         assert!(net.request_sleep(NodeId(1), 0));
@@ -1846,7 +1977,7 @@ mod tests {
         );
 
         let mut net = small_net(true);
-        let mut flit = net.make_single_flit_packet(NodeId(1), NodeId(0), 0);
+        let mut flit = net.make_single_flit_packet(NodeId(1), NodeId(0));
         flit.lookahead = Port::Local;
         net.staged_flits.push((0, Port::West, flit));
         assert!(matches!(reload(&mut net), Err(CodecError::Invalid(_))), "no link");
@@ -1876,8 +2007,8 @@ mod tests {
         let (a, s, w) = net.power_state_census();
         assert_eq!((a, s, w), (16, 0, 0));
         for i in 0..8u16 {
-            let f = net.make_single_flit_packet(NodeId(i), NodeId(15 - i), 0);
-            net.try_inject_flit(NodeId(i), 0, f);
+            let f = net.make_single_flit_packet(NodeId(i), NodeId(15 - i));
+            net.try_inject_flit(NodeId(i), 0, f, 0);
         }
         net.step();
         net.step();
@@ -1929,18 +2060,16 @@ mod port_gating_tests {
             gated += NUM_PORTS as u32 - n.router(node).port_active_mask().count_ones();
         }
         assert!(gated > 60, "most ports should gate, got {gated}");
-        let f = n.make_single_flit_packet(NodeId(0), NodeId(15), 0);
+        let f = n.make_single_flit_packet(NodeId(0), NodeId(15));
         // The source's local port sleeps: injection fails, wake, retry.
         let mut injected = false;
         let mut got = Vec::new();
         for _ in 0..300 {
             if !injected {
-                let mut f2 = f;
-                f2.net_inject_cycle = n.cycle() + 1;
-                if n.try_inject_flit(NodeId(0), 0, f2) {
+                if n.try_inject_flit(NodeId(0), 0, f, 0) {
                     injected = true;
                 } else {
-                    n.request_wake(NodeId(0), WakeReason::NiInjection);
+                    n.request_wake(NodeId(0));
                 }
             }
             n.step();

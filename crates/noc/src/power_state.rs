@@ -57,21 +57,6 @@ impl From<PowerState> for catnap_telemetry::PowerPhase {
     }
 }
 
-/// Why a wake-up was requested (for diagnostics and policy evaluation).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum WakeReason {
-    /// The regional congestion status of the next-lower-order subnet turned
-    /// on (Catnap policy, Section 3.3).
-    RegionalCongestion,
-    /// An upstream router's look-ahead routing computation determined this
-    /// router is the next hop of an arriving packet.
-    LookaheadSignal,
-    /// The local network interface holds a packet bound for this router.
-    NiInjection,
-    /// An explicit request from an external controller or test.
-    External,
-}
-
 /// Power-state machine plus gating statistics for one gating unit (a
 /// router, or one input port at port granularity). Equality compares
 /// every field, which the debug-mode shadow replay uses to check a
@@ -95,8 +80,6 @@ pub struct PowerStateMachine {
     /// Sum over completed sleep periods of `max(0, length - t_breakeven)`:
     /// the compensated sleep cycles.
     pub compensated_sleep_cycles: u64,
-    /// Count of wake reasons, indexed like [`WakeReason`] discriminants.
-    pub wake_reasons: [u64; 4],
 }
 
 impl PowerStateMachine {
@@ -111,7 +94,6 @@ impl PowerStateMachine {
             wakeup_cycles: 0,
             sleep_transitions: 0,
             compensated_sleep_cycles: 0,
-            wake_reasons: [0; 4],
         }
     }
 
@@ -134,12 +116,10 @@ impl PowerStateMachine {
     }
 
     /// Requests a wake-up. Idempotent: waking an active or already-waking
-    /// router is a no-op (but the reason is still recorded for sleeping
-    /// routers only).
-    pub fn request_wake(&mut self, cycle: u64, reason: WakeReason) {
+    /// router is a no-op.
+    pub fn request_wake(&mut self, cycle: u64) {
         if self.state == PowerState::Sleep {
             self.compensated_sleep_cycles = self.compensated_at(cycle);
-            self.wake_reasons[reason as usize] += 1;
             if self.t_wakeup == 0 {
                 self.state = PowerState::Active;
             } else {
@@ -249,9 +229,6 @@ impl PowerStateMachine {
         w.put_u64(self.wakeup_cycles);
         w.put_u64(self.sleep_transitions);
         w.put_u64(self.compensated_sleep_cycles);
-        for n in self.wake_reasons {
-            w.put_u64(n);
-        }
     }
 
     /// Rebuilds a machine serialized by [`PowerStateMachine::encode`]
@@ -282,9 +259,6 @@ impl PowerStateMachine {
         }
         m.sleep_transitions = r.get_u64()?;
         m.compensated_sleep_cycles = r.get_u64()?;
-        for slot in m.wake_reasons.iter_mut() {
-            *slot = r.get_u64()?;
-        }
         Ok(m)
     }
 }
@@ -298,7 +272,7 @@ mod tests {
         let mut m = PowerStateMachine::new(10, 12);
         m.enter_sleep(0);
         assert!(m.state().is_sleeping());
-        m.request_wake(5, WakeReason::External);
+        m.request_wake(5);
         assert_eq!(m.state(), PowerState::WakeUp { remaining: 10 });
         for _ in 0..9 {
             m.tick();
@@ -314,14 +288,14 @@ mod tests {
         let mut m = PowerStateMachine::new(10, 12);
         // Period of 50 cycles: contributes 38.
         m.enter_sleep(0);
-        m.request_wake(50, WakeReason::RegionalCongestion);
+        m.request_wake(50);
         assert_eq!(m.compensated_sleep_cycles, 38);
         // Unprofitable period of 5 cycles: contributes 0, not negative.
         for _ in 0..10 {
             m.tick();
         }
         m.enter_sleep(100);
-        m.request_wake(105, WakeReason::LookaheadSignal);
+        m.request_wake(105);
         assert_eq!(m.compensated_sleep_cycles, 38);
         assert_eq!(m.sleep_transitions, 2);
     }
@@ -330,12 +304,10 @@ mod tests {
     fn wake_is_idempotent() {
         let mut m = PowerStateMachine::new(4, 12);
         m.enter_sleep(0);
-        m.request_wake(8, WakeReason::NiInjection);
+        m.request_wake(8);
         let before = m.state();
-        m.request_wake(9, WakeReason::External);
+        m.request_wake(9);
         assert_eq!(m.state(), before, "second wake must not restart the countdown");
-        assert_eq!(m.wake_reasons[WakeReason::NiInjection as usize], 1);
-        assert_eq!(m.wake_reasons[WakeReason::External as usize], 0);
     }
 
     #[test]
@@ -343,7 +315,7 @@ mod tests {
     fn cannot_sleep_while_waking() {
         let mut m = PowerStateMachine::new(4, 12);
         m.enter_sleep(0);
-        m.request_wake(1, WakeReason::External);
+        m.request_wake(1);
         m.enter_sleep(2);
     }
 
@@ -357,7 +329,7 @@ mod tests {
         for _ in 0..7 {
             m.tick();
         }
-        m.request_wake(12, WakeReason::External);
+        m.request_wake(12);
         for _ in 0..8 {
             m.tick();
         }
@@ -386,7 +358,7 @@ mod tests {
                 }
                 if setup == 2 {
                     m.tick();
-                    m.request_wake(2, WakeReason::External);
+                    m.request_wake(2);
                 }
                 m
             };
@@ -406,7 +378,7 @@ mod tests {
     fn fast_forward_across_wake_completion_panics() {
         let mut m = PowerStateMachine::new(4, 12);
         m.enter_sleep(0);
-        m.request_wake(1, WakeReason::External);
+        m.request_wake(1);
         assert_eq!(m.stable_ticks(), Some(3));
         m.fast_forward(4);
     }
@@ -415,7 +387,7 @@ mod tests {
     fn zero_wakeup_latency_wakes_immediately() {
         let mut m = PowerStateMachine::new(0, 12);
         m.enter_sleep(0);
-        m.request_wake(3, WakeReason::External);
+        m.request_wake(3);
         assert!(m.state().is_active());
     }
 }

@@ -20,11 +20,11 @@
 
 use crate::checkpoint;
 use crate::config::{Granularity, NetworkConfig};
-use crate::flit::Flit;
+use crate::flit::{Flit, MessageClass};
 use crate::geometry::{Direction, NodeId, Port, NUM_PORTS};
-use crate::power_state::{PowerState, PowerStateMachine, WakeReason};
+use crate::power_state::{PowerState, PowerStateMachine};
 use crate::stats::{GatingActivity, RouterActivity};
-use crate::vc::{Binding, InputBuffers};
+use crate::vc::{Binding, InputBuffers, PORT_VCS};
 use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
 
 /// Port mask of a unit that powers every input port.
@@ -101,19 +101,29 @@ pub struct Router {
     connected: [bool; NUM_PORTS],
     /// Per output port, bitmask of downstream VCs currently allocated to a
     /// packet of this router.
-    out_owned: [u64; NUM_PORTS],
-    /// Credits per output port per downstream VC, flattened. Unused for
-    /// [`Port::Local`].
-    credits: Vec<u16>,
+    out_owned: [u8; NUM_PORTS],
+    /// Credits per output port per downstream VC, `[port][vc]`. Unused
+    /// for [`Port::Local`].
+    credits: [u8; PORT_VCS],
+    /// Per output port, bitmask of the downstream VCs that hold a credit:
+    /// bit `v` of `has_credit[p]` is set exactly when `p`'s VC `v` has a
+    /// credit left. A credit return sets the bit, a grant that spends the
+    /// last credit clears it.
+    has_credit: [u8; NUM_PORTS],
+    /// [`MessageClass::vc_mask`] of each class at this router's VC
+    /// count, indexed by the class's discriminant.
+    class_vcs: [u8; 4],
     /// Crossbar pipeline register: flits granted in stage 1 last cycle,
-    /// traversing the switch this cycle. At most one per input port.
-    xbar_reg: Vec<(Flit, Port)>,
+    /// traversing the switch this cycle, at most one per input port. Each
+    /// leaves through its look-ahead, the output port of its binding.
+    xbar: [Flit; NUM_PORTS],
+    xbar_len: u8,
     /// Round-robin pointer per input port for input-side SA.
-    in_rr: [usize; NUM_PORTS],
+    in_rr: [u8; NUM_PORTS],
     /// Round-robin pointer per output port for output-side SA.
-    out_rr: [usize; NUM_PORTS],
+    out_rr: [u8; NUM_PORTS],
     /// Round-robin pointer per output port for VC allocation.
-    vc_rr: [usize; NUM_PORTS],
+    vc_rr: [u8; NUM_PORTS],
     /// Power-gating units: one for the whole router, or one per input
     /// port at [`Granularity::Port`].
     units: Vec<GatingUnit>,
@@ -141,15 +151,20 @@ impl Router {
         } else {
             1
         };
+        let inputs = InputBuffers::new(vcs, vc_depth);
+        let all_vcs = ((1u32 << vcs) - 1) as u8;
         Router {
             node,
             vcs,
             vc_depth,
-            inputs: InputBuffers::new(vcs, vc_depth),
+            inputs,
             connected,
             out_owned: [0; NUM_PORTS],
-            credits: vec![vc_depth as u16; NUM_PORTS * vcs],
-            xbar_reg: Vec::with_capacity(NUM_PORTS),
+            credits: [vc_depth as u8; PORT_VCS],
+            has_credit: [all_vcs; NUM_PORTS],
+            class_vcs: MessageClass::ALL.map(|c| c.vc_mask(vcs) as u8),
+            xbar: [Flit::PLACEHOLDER; NUM_PORTS],
+            xbar_len: 0,
             in_rr: [0; NUM_PORTS],
             out_rr: [0; NUM_PORTS],
             vc_rr: [0; NUM_PORTS],
@@ -205,11 +220,11 @@ impl Router {
 
     /// Requests a wake-up of the unit that powers input port `port`
     /// (no-op unless it sleeps).
-    pub(crate) fn request_wake(&mut self, port: Port, cycle: u64, reason: WakeReason) {
+    pub(crate) fn request_wake(&mut self, port: Port, cycle: u64) {
         let u = self.unit_of(port);
         let unit = &mut self.units[u];
         if unit.psm.state().is_sleeping() {
-            unit.psm.request_wake(cycle, reason);
+            unit.psm.request_wake(cycle);
             if unit.psm.state().is_active() {
                 // Woken at once (`t_wakeup` 0): restart the idle count as
                 // a completed countdown does in `tick_power`, or the
@@ -344,39 +359,74 @@ impl Router {
             "buffered-flit counter out of sync at {}",
             self.node
         );
-        self.inputs.buffered() == 0 && self.xbar_reg.is_empty()
+        self.inputs.buffered() == 0 && self.xbar_len == 0
     }
 
     /// Flits currently inside the router (input buffers plus the crossbar
     /// pipeline register).
     pub fn occupancy(&self) -> usize {
-        self.inputs.buffered() as usize + self.xbar_reg.len()
+        self.inputs.buffered() as usize + self.xbar_len()
     }
 
     /// Bitmask over mesh ports of outputs with at least one downstream VC
     /// currently allocated (an open wormhole towards that neighbour).
     pub fn outbound_binding_ports(&self) -> [bool; NUM_PORTS] {
-        let mut mask = [false; NUM_PORTS];
-        for p in Port::ALL {
-            mask[p.index()] = self.out_owned[p.index()] != 0;
-        }
-        mask
+        self.out_owned.map(|owned| owned != 0)
     }
 
     /// Whether the crossbar register holds a flit headed out of `port`.
     pub fn xbar_holds_toward(&self, port: Port) -> bool {
-        self.xbar_reg.iter().any(|(_, p)| *p == port)
+        self.xbar_flits().iter().any(|f| f.lookahead == port)
     }
 
     /// Number of flits in the crossbar pipeline register.
     pub fn xbar_len(&self) -> usize {
-        self.xbar_reg.len()
+        self.xbar_len as usize
     }
 
-    /// The crossbar pipeline register: each flit with the output port it
-    /// leaves through.
-    pub(crate) fn xbar_entries(&self) -> &[(Flit, Port)] {
-        &self.xbar_reg
+    /// The crossbar pipeline register. Each flit leaves through its
+    /// look-ahead.
+    pub(crate) fn xbar_flits(&self) -> &[Flit] {
+        &self.xbar[..self.xbar_len as usize]
+    }
+
+    /// Calls `f` on every flit inside the router: the input buffers'
+    /// and the crossbar register's.
+    pub(crate) fn for_each_flit<'a>(&'a self, mut f: impl FnMut(&'a Flit)) {
+        for pi in 0..NUM_PORTS {
+            let mut nonempty = self.inputs.nonempty(pi);
+            while nonempty != 0 {
+                let vc = nonempty.trailing_zeros() as usize;
+                nonempty &= nonempty - 1;
+                self.inputs.iter(pi, vc).for_each(&mut f);
+            }
+        }
+        self.xbar_flits().iter().for_each(f);
+    }
+
+    /// Debug cross-check of the allocator's masks and counts: every
+    /// output's credit mask equals `credits > 0` per downstream VC, and
+    /// the non-empty VC count equals the non-empty masks' popcount.
+    #[cfg(debug_assertions)]
+    pub(crate) fn check_masks(&self) {
+        for pi in 0..NUM_PORTS {
+            let mut want = 0u8;
+            for vc in 0..self.vcs {
+                if self.credits[pi * self.vcs + vc] > 0 {
+                    want |= 1 << vc;
+                }
+            }
+            assert!(
+                self.has_credit[pi] == want,
+                "credit mask out of sync at {} port {pi}",
+                self.node
+            );
+        }
+        assert!(
+            u32::from(self.inputs.nonempty_vcs()) == self.inputs.mask_total(),
+            "non-empty VC count out of sync at {}",
+            self.node
+        );
     }
 
     /// Flits buffered in VC `vc` of input port `port`.
@@ -421,14 +471,28 @@ impl Router {
     /// Returns one credit for `(out_port, vc)` (the downstream router
     /// dequeued a flit).
     pub fn return_credit(&mut self, out_port: Port, vc: u8) {
-        let idx = out_port.index() * self.vcs + vc as usize;
+        let opi = out_port.index();
+        let idx = opi * self.vcs + vc as usize;
         self.credits[idx] += 1;
+        self.has_credit[opi] |= 1 << vc;
         debug_assert!(
             self.credits[idx] as usize <= self.vc_depth,
             "credit overflow on {}:{:?}",
             self.node,
             out_port
         );
+    }
+
+    /// Spends one credit of downstream VC `out_vc` of mesh output `opi`
+    /// on a granted flit, clearing the VC's credit bit with the last one.
+    #[inline]
+    fn spend_credit(&mut self, opi: usize, out_vc: u8) {
+        let idx = opi * self.vcs + out_vc as usize;
+        debug_assert!(self.credits[idx] > 0);
+        self.credits[idx] -= 1;
+        if self.credits[idx] == 0 {
+            self.has_credit[opi] &= !(1 << out_vc);
+        }
     }
 
     /// One cycle of router operation. `neighbor_active[p]` tells whether
@@ -532,7 +596,9 @@ impl Router {
     /// Stage 2: flits granted last cycle traverse the crossbar onto links
     /// or out of the local port.
     fn switch_traversal(&mut self, out: &mut RouterOutput) {
-        for (flit, out_port) in self.xbar_reg.drain(..) {
+        for i in 0..self.xbar_len as usize {
+            let flit = self.xbar[i];
+            let out_port = flit.lookahead;
             if out_port == Port::Local {
                 self.activity.ejected_flits += 1;
                 out.ejected.push(flit);
@@ -541,10 +607,18 @@ impl Router {
                 out.outbound.push(OutboundFlit { out_port, flit });
             }
         }
+        self.xbar_len = 0;
+    }
+
+    /// Moves a granted flit into the crossbar register.
+    #[inline]
+    fn enter_crossbar(&mut self, flit: Flit) {
+        self.xbar[self.xbar_len as usize] = flit;
+        self.xbar_len += 1;
     }
 
     /// Stage 1: speculative VC allocation plus separable switch
-    /// allocation, with busy-path fast exits. Bit-identical to
+    /// allocation, on bitmasks. Bit-identical to
     /// [`Router::allocate_reference`] (asserted by the differential
     /// suite): skipped work is exactly the work the reference performs
     /// on empty inputs, which reads nothing, writes nothing, and leaves
@@ -556,7 +630,7 @@ impl Router {
             // scan is a pure no-op in this state.
             return;
         }
-        let vcs = self.vcs;
+        let vcs = self.vcs as u8;
         // --- VC allocation for head flits without a binding ---
         // Only a non-empty, unbound VC can hold a head awaiting VA (an
         // unbound VC's front flit is always a head: the binding exists
@@ -565,8 +639,7 @@ impl Router {
         // `continue`s on every other VC without reading or writing
         // anything, so iterating the mask bits in ascending order is
         // bit-identical — including the order of wake pings.
-        for port in Port::ALL {
-            let pi = port.index();
+        for pi in 0..NUM_PORTS {
             let mut pending = self.inputs.nonempty(pi) & !self.inputs.bound(pi);
             while pending != 0 {
                 let vc = pending.trailing_zeros() as usize;
@@ -574,177 +647,152 @@ impl Router {
                 let head = self.inputs.front(pi, vc).expect("non-empty by mask");
                 debug_assert!(head.kind.is_head(), "unbound VC fronted by a non-head flit");
                 let out_port = head.lookahead;
+                let opi = out_port.index();
                 debug_assert!(
-                    self.connected[out_port.index()],
+                    self.connected[opi],
                     "route towards a disconnected port at {}",
                     self.node
                 );
-                if out_port != Port::Local && !neighbor_active[out_port.index()] {
+                if out_port != Port::Local && !neighbor_active[opi] {
                     // Liveness: re-request the wake-up while the head is
                     // waiting for the downstream router to power on.
                     out.wake_pings.push(out_port);
                     continue;
                 }
-                let mask = head.class.vc_mask(vcs) & !self.out_owned[out_port.index()];
-                if mask == 0 {
+                let free = self.class_vcs[head.class as usize] & !self.out_owned[opi];
+                if free == 0 {
                     continue;
                 }
                 // Round-robin winner: the first free VC at or after the
                 // pointer, else the first free VC from zero (equivalent
                 // to the reference's wrapping scan).
-                let start = self.vc_rr[out_port.index()];
-                let from_start = mask >> start;
-                let ovc = if from_start != 0 {
-                    start + from_start.trailing_zeros() as usize
-                } else {
-                    mask.trailing_zeros() as usize
-                };
-                let next = ovc + 1;
-                self.vc_rr[out_port.index()] = if next == vcs { 0 } else { next };
-                self.out_owned[out_port.index()] |= 1u64 << ovc;
-                self.inputs.bind(
-                    pi,
-                    vc,
-                    Binding {
-                        out_port,
-                        out_vc: ovc as u8,
-                    },
-                );
+                let out_vc = first_at_or_after(free, self.vc_rr[opi]);
+                let next = out_vc + 1;
+                self.vc_rr[opi] = if next == vcs { 0 } else { next };
+                self.out_owned[opi] |= 1 << out_vc;
+                self.inputs.bind(pi, vc, Binding { out_port, out_vc });
             }
         }
 
         // --- Input-side switch arbitration: one candidate VC per port ---
         // Only bound VCs can request the switch; unbound non-empty VCs
-        // contribute to the blocked count and nothing else, and empty
-        // VCs are skipped entirely. The bound VCs are visited in the
-        // same wrapping round-robin order as the reference scan, so
-        // candidate choice, `arb_requests` and wake-ping order all
-        // match.
-        let mut candidate: [Option<(usize, Binding)>; NUM_PORTS] = [None; NUM_PORTS];
-        let mut nonempty_vcs = 0u64;
-        let mut any_candidate = false;
-        for port in Port::ALL {
-            let pi = port.index();
-            let ne = self.inputs.nonempty(pi);
-            if ne == 0 {
-                continue;
-            }
-            nonempty_vcs += u64::from(ne.count_ones());
-            let bound = ne & self.inputs.bound(pi);
+        // contribute to the blocked count and nothing else. A bound VC
+        // requests its output when the output is local, or its neighbour
+        // accepts flits and the downstream VC has a credit: one bit test
+        // on the output's credit mask. The candidate is the first
+        // requesting VC in the reference's wrapping round-robin order.
+        // Requests toward a sleeping neighbour ping it, in that same
+        // order; a pinging VC never requests, so the pings can be issued
+        // apart from the request scan.
+        let nonempty_vcs = u64::from(self.inputs.nonempty_vcs());
+        let mut cand_vc = [0u8; NUM_PORTS];
+        // Per output port, the input ports whose candidate requests it.
+        let mut requesters = [0u8; NUM_PORTS];
+        let mut requests = 0u64;
+        for (pi, cand) in cand_vc.iter_mut().enumerate() {
+            let mut bound = self.inputs.nonempty(pi) & self.inputs.bound(pi);
             if bound == 0 {
                 continue;
             }
             let start = self.in_rr[pi];
-            // Split the mask at the round-robin pointer: VCs at/after
-            // `start` first (in ascending order), then the wrapped ones.
-            let mut segment = bound >> start;
-            let mut base = start;
-            loop {
-                while segment != 0 {
-                    let vc = base + segment.trailing_zeros() as usize;
-                    segment &= segment - 1;
-                    let binding = self.inputs.bound_binding(pi, vc);
-                    let opi = binding.out_port.index();
-                    if binding.out_port != Port::Local && !neighbor_active[opi] {
-                        // Liveness: keep requesting the sleeping
-                        // neighbour's wake-up while we hold flits for
-                        // it.
-                        out.wake_pings.push(binding.out_port);
-                    }
-                    let eligible = binding.out_port == Port::Local
-                        || (neighbor_active[opi] && self.credits[opi * vcs + binding.out_vc as usize] > 0);
-                    if eligible {
-                        self.activity.arb_requests += 1;
-                        if candidate[pi].is_none() {
-                            candidate[pi] = Some((vc, binding));
-                            any_candidate = true;
-                        }
+            // The first requesting VC at or after the pointer, and the
+            // first one before it: the round-robin candidate is the
+            // former if there is one.
+            let (mut from_start, mut wrapped) = (None, None);
+            let mut asleep = 0u8;
+            while bound != 0 {
+                let vc = bound.trailing_zeros() as u8;
+                bound &= bound - 1;
+                let binding = self.inputs.bound_binding(pi, vc as usize);
+                let opi = binding.out_port.index();
+                if binding.out_port == Port::Local
+                    || (neighbor_active[opi] && self.has_credit[opi] & (1 << binding.out_vc) != 0)
+                {
+                    requests += 1;
+                    let first = if vc >= start { &mut from_start } else { &mut wrapped };
+                    first.get_or_insert((vc, opi));
+                } else if !neighbor_active[opi] {
+                    asleep |= 1 << vc;
+                }
+            }
+            if asleep != 0 {
+                // Liveness: keep requesting the sleeping neighbour's
+                // wake-up while we hold flits for it.
+                for vc in (start..vcs).chain(0..start) {
+                    if asleep & (1 << vc) != 0 {
+                        out.wake_pings.push(self.inputs.bound_binding(pi, vc as usize).out_port);
                     }
                 }
-                if base == 0 || start == 0 {
-                    break;
-                }
-                segment = bound & ((1u64 << start) - 1);
-                base = 0;
+            }
+            if let Some((vc, opi)) = from_start.or(wrapped) {
+                *cand = vc;
+                requesters[opi] |= 1 << pi;
+            }
+        }
+        self.activity.arb_requests += requests;
+
+        // --- Output-side arbitration: one grant per output port ---
+        // Each output grants the first requesting input port at or after
+        // its round-robin pointer. Output ports nobody requests grant
+        // nothing and leave their pointer untouched, as in the reference.
+        let mut granted = 0u8; // by input port
+        for (&req, rr) in requesters.iter().zip(&mut self.out_rr) {
+            if req != 0 {
+                let winner = first_at_or_after(req, *rr);
+                let next = winner + 1;
+                *rr = if next as usize == NUM_PORTS { 0 } else { next };
+                granted |= 1 << winner;
             }
         }
 
+        // --- Winners: dequeue, update credits/bindings, enter the
+        //     crossbar register; return credits upstream. ---
         let mut grants = 0u64;
-        if any_candidate {
-            // --- Output-side arbitration: one grant per output port ---
-            // Output ports nobody requests grant nothing and leave their
-            // round-robin pointer untouched in the reference scan, so
-            // they can be skipped outright.
-            let mut requested = 0u32;
-            for (_, binding) in candidate.iter().flatten() {
-                requested |= 1u32 << binding.out_port.index();
+        while granted != 0 {
+            let pi = granted.trailing_zeros() as usize;
+            granted &= granted - 1;
+            grants += 1;
+            let vc = cand_vc[pi];
+            let binding = self.inputs.bound_binding(pi, vc as usize);
+            let next = vc + 1;
+            self.in_rr[pi] = if next == vcs { 0 } else { next };
+            let mut flit = self.inputs.pop(pi, vc as usize).expect("granted VC must be non-empty");
+            flit.vc = binding.out_vc;
+            flit.lookahead = binding.out_port;
+            let opi = binding.out_port.index();
+            if binding.out_port != Port::Local {
+                self.spend_credit(opi, binding.out_vc);
             }
-            let mut granted: [Option<(usize, Binding)>; NUM_PORTS] = [None; NUM_PORTS]; // by input port
-            for out_port in Port::ALL {
-                let opi = out_port.index();
-                if requested & (1u32 << opi) == 0 {
-                    continue;
-                }
-                let start = self.out_rr[opi];
-                let mut in_pi = start;
-                for _ in 0..NUM_PORTS {
-                    if let Some((vc, binding)) = candidate[in_pi] {
-                        if binding.out_port == out_port {
-                            granted[in_pi] = Some((vc, binding));
-                            candidate[in_pi] = None;
-                            let next = in_pi + 1;
-                            self.out_rr[opi] = if next == NUM_PORTS { 0 } else { next };
-                            break;
-                        }
-                    }
-                    in_pi += 1;
-                    if in_pi == NUM_PORTS {
-                        in_pi = 0;
-                    }
-                }
+            if flit.kind.is_tail() {
+                self.inputs.unbind(pi, vc as usize);
+                self.out_owned[opi] &= !(1 << binding.out_vc);
             }
-
-            // --- Winners: dequeue, update credits/bindings, enter the
-            //     crossbar register; return credits upstream. ---
-            for in_port in Port::ALL {
-                let pi = in_port.index();
-                let Some((vc, binding)) = granted[pi] else { continue };
-                grants += 1;
-                let next = vc + 1;
-                self.in_rr[pi] = if next == vcs { 0 } else { next };
-                let mut flit = self.inputs.pop(pi, vc).expect("granted VC must be non-empty");
-                flit.vc = binding.out_vc;
-                let opi = binding.out_port.index();
-                if binding.out_port != Port::Local {
-                    let cidx = opi * vcs + binding.out_vc as usize;
-                    debug_assert!(self.credits[cidx] > 0);
-                    self.credits[cidx] -= 1;
-                }
-                if flit.kind.is_tail() {
-                    self.inputs.unbind(pi, vc);
-                    self.out_owned[opi] &= !(1u64 << binding.out_vc);
-                }
-                if in_port != Port::Local {
-                    // The credit is for the buffer slot freed at the
-                    // *arrival* VC, not the downstream VC just written
-                    // into the flit.
-                    out.credits.push(CreditReturn { in_port, vc: vc as u8 });
-                }
-                self.xbar_reg.push((flit, binding.out_port));
+            if pi != Port::Local.index() {
+                // The credit is for the buffer slot freed at the
+                // *arrival* VC, not the downstream VC just written into
+                // the flit.
+                out.credits.push(CreditReturn {
+                    in_port: Port::from_index(pi),
+                    vc,
+                });
             }
+            self.enter_crossbar(flit);
         }
         self.activity.arb_grants += grants;
-        // Blocked accounting: every non-empty VC whose front flit did not
-        // move waits one more cycle. This includes credit-starved and
-        // VA-starved waiting, which is exactly the back-pressure the
-        // blocking-delay congestion metric should observe.
-        self.activity.head_blocked_cycles += nonempty_vcs.saturating_sub(grants);
+        // Blocked accounting: every VC that was non-empty at arbitration
+        // and whose front flit did not move waits one more cycle. This
+        // includes credit-starved and VA-starved waiting, which is
+        // exactly the back-pressure the blocking-delay congestion metric
+        // should observe.
+        self.activity.head_blocked_cycles += nonempty_vcs - grants;
     }
 
     /// Stage 1, reference implementation: the original scan-everything
-    /// allocator, byte-for-byte the pre-scheduler behaviour. Kept as an
-    /// independent twin of [`Router::allocate`] for the reference
-    /// baseline and the differential tests.
+    /// allocator. Kept as an independent twin of [`Router::allocate`]
+    /// for the reference baseline and the differential tests: it reads
+    /// every VC's state and the credit counters themselves, and keeps
+    /// the credit mask up to date through the same credit calls without
+    /// ever reading it.
     fn allocate_reference(&mut self, neighbor_active: &[bool; NUM_PORTS], out: &mut RouterOutput) {
         // --- VC allocation for head flits without a binding ---
         for port in Port::ALL {
@@ -768,12 +816,12 @@ impl Router {
                     out.wake_pings.push(out_port);
                     continue;
                 }
-                let mask = head.class.vc_mask(self.vcs) & !self.out_owned[out_port.index()];
+                let mask = head.class.vc_mask(self.vcs) & !u64::from(self.out_owned[out_port.index()]);
                 if mask == 0 {
                     continue;
                 }
                 // Round-robin scan for a free downstream VC.
-                let start = self.vc_rr[out_port.index()];
+                let start = self.vc_rr[out_port.index()] as usize;
                 let mut chosen = None;
                 for off in 0..self.vcs {
                     let cand = (start + off) % self.vcs;
@@ -783,8 +831,8 @@ impl Router {
                     }
                 }
                 if let Some(ovc) = chosen {
-                    self.vc_rr[out_port.index()] = (ovc + 1) % self.vcs;
-                    self.out_owned[out_port.index()] |= 1u64 << ovc;
+                    self.vc_rr[out_port.index()] = ((ovc + 1) % self.vcs) as u8;
+                    self.out_owned[out_port.index()] |= 1 << ovc;
                     self.inputs.bind(
                         pi,
                         vc,
@@ -803,7 +851,7 @@ impl Router {
         let mut nonempty_vcs = 0u64;
         for port in Port::ALL {
             let pi = port.index();
-            let start = self.in_rr[pi];
+            let start = self.in_rr[pi] as usize;
             for off in 0..self.vcs {
                 let vc = (start + off) % self.vcs;
                 if self.inputs.len(pi, vc) == 0 {
@@ -837,14 +885,14 @@ impl Router {
         let mut granted: [Option<(usize, Binding)>; NUM_PORTS] = [None; NUM_PORTS]; // by input port
         for out_port in Port::ALL {
             let opi = out_port.index();
-            let start = self.out_rr[opi];
+            let start = self.out_rr[opi] as usize;
             for off in 0..NUM_PORTS {
                 let in_pi = (start + off) % NUM_PORTS;
                 if let Some((vc, binding)) = candidate[in_pi] {
                     if binding.out_port == out_port {
                         granted[in_pi] = Some((vc, binding));
                         candidate[in_pi] = None;
-                        self.out_rr[opi] = (in_pi + 1) % NUM_PORTS;
+                        self.out_rr[opi] = ((in_pi + 1) % NUM_PORTS) as u8;
                         break;
                     }
                 }
@@ -858,25 +906,24 @@ impl Router {
             let pi = in_port.index();
             let Some((vc, binding)) = granted[pi] else { continue };
             grants += 1;
-            self.in_rr[pi] = (vc + 1) % self.vcs;
+            self.in_rr[pi] = ((vc + 1) % self.vcs) as u8;
             let mut flit = self.inputs.pop(pi, vc).expect("granted VC must be non-empty");
             flit.vc = binding.out_vc;
+            flit.lookahead = binding.out_port;
             let opi = binding.out_port.index();
             if binding.out_port != Port::Local {
-                let cidx = opi * self.vcs + binding.out_vc as usize;
-                debug_assert!(self.credits[cidx] > 0);
-                self.credits[cidx] -= 1;
+                self.spend_credit(opi, binding.out_vc);
             }
             if flit.kind.is_tail() {
                 self.inputs.unbind(pi, vc);
-                self.out_owned[opi] &= !(1u64 << binding.out_vc);
+                self.out_owned[opi] &= !(1 << binding.out_vc);
             }
             if in_port != Port::Local {
                 // The credit is for the buffer slot freed at the *arrival*
                 // VC, not the downstream VC just written into the flit.
                 out.credits.push(CreditReturn { in_port, vc: vc as u8 });
             }
-            self.xbar_reg.push((flit, binding.out_port));
+            self.enter_crossbar(flit);
         }
         self.activity.arb_grants += grants;
         // Blocked accounting: every non-empty VC whose front flit did not
@@ -948,18 +995,14 @@ impl Router {
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
         w.put_u16(self.node.0);
         self.inputs.encode(w);
-        w.put_usize(self.xbar_reg.len());
-        for (flit, _) in &self.xbar_reg {
+        w.put_u8(self.xbar_len);
+        for flit in self.xbar_flits() {
             checkpoint::put_flit(w, flit);
         }
-        for rr in self.in_rr {
-            w.put_usize(rr);
-        }
-        for rr in self.out_rr {
-            w.put_usize(rr);
-        }
-        for rr in self.vc_rr {
-            w.put_usize(rr);
+        for rr in [self.in_rr, self.out_rr, self.vc_rr] {
+            for p in rr {
+                w.put_u8(p);
+            }
         }
         w.put_u8(self.units.len() as u8);
         for unit in &self.units {
@@ -1015,30 +1058,24 @@ impl Router {
                 *owned |= 1 << b.out_vc;
             }
         }
-        let xbar_len = r.get_usize()?;
-        if xbar_len > NUM_PORTS {
+        let xbar_len = r.get_u8()?;
+        if usize::from(xbar_len) > NUM_PORTS {
             return Err(CodecError::Invalid("crossbar register overfull"));
         }
         for _ in 0..xbar_len {
-            let flit = checkpoint::get_flit(r, nodes, vcs, route)?;
-            router.xbar_reg.push((flit, flit.lookahead));
+            router.enter_crossbar(checkpoint::get_flit(r, nodes, vcs, route)?);
         }
-        for rr in router.in_rr.iter_mut() {
-            *rr = r.get_usize()?;
-            if *rr >= vcs {
-                return Err(CodecError::Invalid("input round-robin pointer out of range"));
-            }
-        }
-        for rr in router.out_rr.iter_mut() {
-            *rr = r.get_usize()?;
-            if *rr >= NUM_PORTS {
-                return Err(CodecError::Invalid("output round-robin pointer out of range"));
-            }
-        }
-        for rr in router.vc_rr.iter_mut() {
-            *rr = r.get_usize()?;
-            if *rr >= vcs {
-                return Err(CodecError::Invalid("VC round-robin pointer out of range"));
+        let pointers = [
+            (&mut router.in_rr, vcs, "input round-robin pointer out of range"),
+            (&mut router.out_rr, NUM_PORTS, "output round-robin pointer out of range"),
+            (&mut router.vc_rr, vcs, "VC round-robin pointer out of range"),
+        ];
+        for (rr, bound, what) in pointers {
+            for p in rr.iter_mut() {
+                *p = r.get_u8()?;
+                if usize::from(*p) >= bound {
+                    return Err(CodecError::Invalid(what));
+                }
             }
         }
         if usize::from(r.get_u8()?) != router.units.len() {
@@ -1059,19 +1096,38 @@ impl Router {
         Ok(router)
     }
 
-    /// Sets the credit counters at checkpoint decode: each output VC's
-    /// credit is `vc_depth` less what the network counted against it,
-    /// `owed`, indexed like the counters (`port * vcs + vc`).
+    /// Sets the credit counters and the credit masks at checkpoint
+    /// decode: each output VC's credit is `vc_depth` less what the
+    /// network counted against it, `owed`, indexed like the counters
+    /// (`port * vcs + vc`).
     ///
     /// # Errors
     ///
     /// [`CodecError::Invalid`] if a VC owes more than its depth.
     pub(crate) fn restore_credits(&mut self, owed: &[u32]) -> Result<(), CodecError> {
-        for (credit, &owed) in self.credits.iter_mut().zip(owed) {
+        self.has_credit = [0; NUM_PORTS];
+        for (i, &owed) in owed.iter().enumerate().take(NUM_PORTS * self.vcs) {
             let left = (self.vc_depth as u32).checked_sub(owed);
-            *credit = left.ok_or(CodecError::Invalid("downstream VC over-committed"))? as u16;
+            let left = left.ok_or(CodecError::Invalid("downstream VC over-committed"))? as u8;
+            self.credits[i] = left;
+            if left > 0 {
+                self.has_credit[i / self.vcs] |= 1 << (i % self.vcs);
+            }
         }
         Ok(())
+    }
+}
+
+/// The first set bit of `mask` at or after bit `start`, else the first
+/// set bit: a round-robin pick. `mask` must be non-zero.
+#[inline]
+fn first_at_or_after(mask: u8, start: u8) -> u8 {
+    debug_assert!(mask != 0);
+    let from_start = mask >> start;
+    if from_start != 0 {
+        start + from_start.trailing_zeros() as u8
+    } else {
+        mask.trailing_zeros() as u8
     }
 }
 
@@ -1089,19 +1145,15 @@ mod tests {
         Router::new(NodeId(9), &NetworkConfig::paper())
     }
 
-    fn flit(packet: u64, kind: FlitKind, seq: u16, len: u16, lookahead: Port, vc: u8) -> Flit {
+    fn flit(packet: u64, kind: FlitKind, seq: u16, lookahead: Port, vc: u8) -> Flit {
         Flit {
             packet: PacketId(packet),
             kind,
-            src: NodeId(0),
             dst: NodeId(63),
             seq,
-            packet_len: len,
             class: MessageClass::Synthetic,
             lookahead,
             vc,
-            created_cycle: 0,
-            net_inject_cycle: 0,
         }
     }
 
@@ -1109,7 +1161,7 @@ mod tests {
     fn single_flit_crosses_in_two_cycles() {
         let mut r = router();
         let mut out = RouterOutput::default();
-        r.deliver(Port::West, flit(1, FlitKind::Single, 0, 1, Port::East, 0));
+        r.deliver(Port::West, flit(1, FlitKind::Single, 0, Port::East, 0));
         // Cycle 1: VA + SA grant into the crossbar register.
         r.step(&ALL_ACTIVE, &mut out);
         assert!(out.outbound.is_empty());
@@ -1125,7 +1177,7 @@ mod tests {
     fn credit_returned_for_arrival_vc() {
         let mut r = router();
         let mut out = RouterOutput::default();
-        r.deliver(Port::North, flit(1, FlitKind::Single, 0, 1, Port::South, 3));
+        r.deliver(Port::North, flit(1, FlitKind::Single, 0, Port::South, 3));
         r.step(&ALL_ACTIVE, &mut out);
         assert_eq!(out.credits.len(), 1);
         assert_eq!(out.credits[0].in_port, Port::North);
@@ -1138,7 +1190,7 @@ mod tests {
         // frees a buffer slot, so a credit goes back upstream...
         let mut r = router();
         let mut out = RouterOutput::default();
-        r.deliver(Port::North, flit(1, FlitKind::Single, 0, 1, Port::Local, 0));
+        r.deliver(Port::North, flit(1, FlitKind::Single, 0, Port::Local, 0));
         r.step(&ALL_ACTIVE, &mut out);
         assert_eq!(out.credits.len(), 1);
         assert_eq!(out.credits[0].in_port, Port::North);
@@ -1150,7 +1202,7 @@ mod tests {
         // ...whereas a locally injected flit produces no credit (the NI
         // observes buffer space directly).
         let mut r2 = router();
-        r2.deliver(Port::Local, flit(2, FlitKind::Single, 0, 1, Port::East, 0));
+        r2.deliver(Port::Local, flit(2, FlitKind::Single, 0, Port::East, 0));
         r2.step(&ALL_ACTIVE, &mut out);
         assert!(out.credits.is_empty());
     }
@@ -1159,13 +1211,13 @@ mod tests {
     fn wormhole_binding_held_until_tail() {
         let mut r = router();
         let mut out = RouterOutput::default();
-        r.deliver(Port::West, flit(1, FlitKind::Head, 0, 3, Port::East, 0));
+        r.deliver(Port::West, flit(1, FlitKind::Head, 0, Port::East, 0));
         r.step(&ALL_ACTIVE, &mut out);
         assert!(r.outbound_binding_ports()[Port::East.index()]);
-        r.deliver(Port::West, flit(1, FlitKind::Body, 1, 3, Port::East, 0));
+        r.deliver(Port::West, flit(1, FlitKind::Body, 1, Port::East, 0));
         r.step(&ALL_ACTIVE, &mut out);
         assert!(r.outbound_binding_ports()[Port::East.index()]);
-        r.deliver(Port::West, flit(1, FlitKind::Tail, 2, 3, Port::East, 0));
+        r.deliver(Port::West, flit(1, FlitKind::Tail, 2, Port::East, 0));
         r.step(&ALL_ACTIVE, &mut out);
         // Tail was granted this cycle, releasing the binding.
         assert!(!r.outbound_binding_ports()[Port::East.index()]);
@@ -1177,10 +1229,10 @@ mod tests {
         let mut out = RouterOutput::default();
         // Two whole packets from different input ports to the same output
         // port, delivered up front.
-        r.deliver(Port::West, flit(1, FlitKind::Head, 0, 2, Port::East, 0));
-        r.deliver(Port::North, flit(2, FlitKind::Head, 0, 2, Port::East, 0));
-        r.deliver(Port::West, flit(1, FlitKind::Tail, 1, 2, Port::East, 0));
-        r.deliver(Port::North, flit(2, FlitKind::Tail, 1, 2, Port::East, 0));
+        r.deliver(Port::West, flit(1, FlitKind::Head, 0, Port::East, 0));
+        r.deliver(Port::North, flit(2, FlitKind::Head, 0, Port::East, 0));
+        r.deliver(Port::West, flit(1, FlitKind::Tail, 1, Port::East, 0));
+        r.deliver(Port::North, flit(2, FlitKind::Tail, 1, Port::East, 0));
         let mut seen = Vec::new();
         for _ in 0..10 {
             r.step(&ALL_ACTIVE, &mut out);
@@ -1207,8 +1259,8 @@ mod tests {
     fn only_one_grant_per_output_port_per_cycle() {
         let mut r = router();
         let mut out = RouterOutput::default();
-        r.deliver(Port::West, flit(1, FlitKind::Single, 0, 1, Port::East, 0));
-        r.deliver(Port::North, flit(2, FlitKind::Single, 0, 1, Port::East, 1));
+        r.deliver(Port::West, flit(1, FlitKind::Single, 0, Port::East, 0));
+        r.deliver(Port::North, flit(2, FlitKind::Single, 0, Port::East, 1));
         r.step(&ALL_ACTIVE, &mut out);
         assert_eq!(r.activity.arb_grants, 1, "output port conflict must serialize");
         assert!(r.activity.head_blocked_cycles >= 1);
@@ -1224,7 +1276,7 @@ mod tests {
         let mut out = RouterOutput::default();
         let mut east_off = ALL_ACTIVE;
         east_off[Port::East.index()] = false;
-        r.deliver(Port::West, flit(1, FlitKind::Single, 0, 1, Port::East, 0));
+        r.deliver(Port::West, flit(1, FlitKind::Single, 0, Port::East, 0));
         for _ in 0..5 {
             r.step(&east_off, &mut out);
             assert!(out.outbound.is_empty());
@@ -1247,7 +1299,7 @@ mod tests {
             .iter()
             .enumerate()
         {
-            r.deliver(Port::West, flit(1, *kind, i as u16, 6, Port::East, 0));
+            r.deliver(Port::West, flit(1, *kind, i as u16, Port::East, 0));
         }
         let mut sent = 0;
         for _ in 0..12 {
@@ -1257,7 +1309,7 @@ mod tests {
         assert_eq!(sent, 4, "only vc_depth flits may be in flight without credit returns");
         // Return one credit for the VC that was allocated.
         let alloc_vc = (0..4).find(|&v| r.out_owned[Port::East.index()] & (1 << v) != 0).unwrap();
-        r.deliver(Port::West, flit(1, FlitKind::Body, 4, 6, Port::East, 0));
+        r.deliver(Port::West, flit(1, FlitKind::Body, 4, Port::East, 0));
         r.return_credit(Port::East, alloc_vc as u8);
         let mut sent2 = 0;
         for _ in 0..4 {
@@ -1282,7 +1334,7 @@ mod tests {
         r.step(&ALL_ACTIVE, &mut out);
         assert!(r.sleep_guard_ok(0, 0));
         // A delivery resets idleness.
-        r.deliver(Port::West, flit(1, FlitKind::Single, 0, 1, Port::East, 0));
+        r.deliver(Port::West, flit(1, FlitKind::Single, 0, Port::East, 0));
         assert_eq!(r.units[0].idle, 0);
     }
 
@@ -1298,7 +1350,7 @@ mod tests {
         // Sleeping routers do nothing.
         r.step(&ALL_ACTIVE, &mut out);
         assert!(out.outbound.is_empty());
-        r.request_wake(Port::East, 6, WakeReason::LookaheadSignal);
+        r.request_wake(Port::East, 6);
         for _ in 0..10 {
             assert!(!r.power_state().is_active());
             r.step(&ALL_ACTIVE, &mut out);
@@ -1319,15 +1371,15 @@ mod tests {
             r.step(&ALL_ACTIVE, &mut out);
         }
         r.enter_sleep(0, 4);
-        r.deliver(Port::West, flit(1, FlitKind::Single, 0, 1, Port::East, 0));
+        r.deliver(Port::West, flit(1, FlitKind::Single, 0, Port::East, 0));
     }
 
     #[test]
     fn bfm_is_max_port_occupancy() {
         let mut r = router();
-        r.deliver(Port::West, flit(1, FlitKind::Head, 0, 9, Port::East, 0));
-        r.deliver(Port::West, flit(1, FlitKind::Body, 1, 9, Port::East, 0));
-        r.deliver(Port::North, flit(2, FlitKind::Head, 0, 9, Port::East, 1));
+        r.deliver(Port::West, flit(1, FlitKind::Head, 0, Port::East, 0));
+        r.deliver(Port::West, flit(1, FlitKind::Body, 1, Port::East, 0));
+        r.deliver(Port::North, flit(2, FlitKind::Head, 0, Port::East, 1));
         assert_eq!(r.port_occupancy(Port::West), 2);
         assert_eq!(r.port_occupancy(Port::North), 1);
         assert_eq!(r.max_port_occupancy(), 2);
@@ -1337,9 +1389,9 @@ mod tests {
         // North or West link) divides by three.
         let mut corner = Router::new(NodeId(0), &NetworkConfig::paper());
         assert_eq!(corner.connected, [false, true, true, false, true]);
-        corner.deliver(Port::East, flit(1, FlitKind::Head, 0, 9, Port::South, 0));
-        corner.deliver(Port::East, flit(1, FlitKind::Body, 1, 9, Port::South, 0));
-        corner.deliver(Port::Local, flit(2, FlitKind::Head, 0, 9, Port::South, 1));
+        corner.deliver(Port::East, flit(1, FlitKind::Head, 0, Port::South, 0));
+        corner.deliver(Port::East, flit(1, FlitKind::Body, 1, Port::South, 0));
+        corner.deliver(Port::Local, flit(2, FlitKind::Head, 0, Port::South, 1));
         assert!((corner.avg_port_occupancy() - 1.0).abs() < 1e-12);
     }
 
@@ -1364,7 +1416,7 @@ mod tests {
         assert_eq!(a.units, c.units);
         // Waking router: the closed form holds up to the tick before the
         // countdown completes.
-        a.request_wake(Port::Local, 1004, WakeReason::External);
+        a.request_wake(Port::Local, 1004);
         let mut d = a.clone();
         for _ in 0..9 {
             a.idle_tick();
@@ -1397,11 +1449,11 @@ mod tests {
     #[test]
     fn deliver_returns_lookahead_wake_ping() {
         let mut r = router();
-        let ping = r.deliver(Port::West, flit(1, FlitKind::Head, 0, 2, Port::East, 0));
+        let ping = r.deliver(Port::West, flit(1, FlitKind::Head, 0, Port::East, 0));
         assert_eq!(ping, Some(Port::East));
-        let no_ping = r.deliver(Port::West, flit(1, FlitKind::Tail, 1, 2, Port::East, 0));
+        let no_ping = r.deliver(Port::West, flit(1, FlitKind::Tail, 1, Port::East, 0));
         assert_eq!(no_ping, None);
-        let local = r.deliver(Port::North, flit(2, FlitKind::Single, 0, 1, Port::Local, 0));
+        let local = r.deliver(Port::North, flit(2, FlitKind::Single, 0, Port::Local, 0));
         assert_eq!(local, None, "ejecting flits need no wake ping");
     }
 
@@ -1415,18 +1467,18 @@ mod tests {
     /// Look-aheads are not stored: decode gives every buffered and
     /// crossbar flit the X-Y route at its router, and a crossbar entry
     /// leaves through it. Corner router 0 has no North link; a head
-    /// saved looking ahead North, and a crossbar entry saved leaving
-    /// South, come back routed East, toward node 63.
+    /// saved looking ahead North, and a crossbar flit saved looking
+    /// ahead South, come back routed East, toward node 63.
     #[test]
     fn decoded_lookaheads_follow_the_route() {
-        let head = |lookahead| flit(1, FlitKind::Head, 0, 2, lookahead, 0);
+        let head = |lookahead| flit(1, FlitKind::Head, 0, lookahead, 0);
         let mut r = Router::new(NodeId(0), &NetworkConfig::paper());
         r.deliver(Port::Local, head(Port::North));
-        r.xbar_reg.push((head(Port::North), Port::South));
+        r.enter_crossbar(head(Port::South));
         let back = round_trip(&r).unwrap();
         let buffered = back.inputs.front(Port::Local.index(), 0).map(|f| f.lookahead);
         assert_eq!(buffered, Some(Port::East));
-        assert_eq!(back.xbar_reg, [(head(Port::East), Port::East)]);
+        assert_eq!(back.xbar_flits(), [head(Port::East)]);
     }
 
     /// The downstream-VC ownership masks are rebuilt from the bindings,
@@ -1471,7 +1523,7 @@ mod tests {
     fn decode_rejects_state_at_an_input_port_without_a_link() {
         let mut r = Router::new(NodeId(0), &NetworkConfig::paper());
         r.inputs
-            .push(Port::West.index(), 0, flit(1, FlitKind::Single, 0, 1, Port::East, 0));
+            .push(Port::West.index(), 0, flit(1, FlitKind::Single, 0, Port::East, 0));
         assert!(matches!(round_trip(&r), Err(CodecError::Invalid(_))));
         let mut r = Router::new(NodeId(0), &NetworkConfig::paper());
         r.inputs.bind(

@@ -12,6 +12,15 @@ use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
 /// depth 4; 16 covers the deep-buffer edge-case configs.
 pub const MAX_VC_DEPTH: usize = 16;
 
+/// Most virtual channels per port that `NetworkConfig::validate` and
+/// checkpoint decode accept. The paper's routers use 4. Eight bounds
+/// every per-port VC mask to a `u8` and lets the per-VC state live
+/// inline in the router.
+pub const MAX_VCS: usize = 8;
+
+/// Per-VC state slots of one router: every VC of every port.
+pub(crate) const PORT_VCS: usize = NUM_PORTS * MAX_VCS;
+
 /// The downstream resources a packet at the head of an input VC has been
 /// allocated: an output port and a VC at the downstream router. Held from
 /// successful VC allocation until the tail flit leaves (wormhole
@@ -24,19 +33,32 @@ pub struct Binding {
     pub out_vc: u8,
 }
 
+/// One input VC's ring and binding: 6 bytes, inline.
+#[derive(Clone, Copy, Debug)]
+struct VcState {
+    /// Slab index of the ring's first slot.
+    base: u16,
+    head: u8,
+    len: u8,
+    /// Meaningful while the VC's `bound` bit is set.
+    binding: Binding,
+}
+
 /// The input buffers of one router: `NUM_PORTS × vcs` virtual-channel
 /// FIFOs of `depth` flits each, stored as router-level arrays.
 ///
 /// * `slab` holds every VC's ring back to back, `[port][vc][slot]`: one
 ///   allocation of exactly `NUM_PORTS × vcs × depth` flits.
-/// * `head`/`len` are the ring positions per VC (`[port][vc]`). A
-///   position wraps by comparison with the depth; a pop does not
-///   overwrite the slot it vacates.
-/// * `nonempty`/`bound` are per-port bitmasks over VCs, and `bindings`
-///   holds the binding of every VC whose `bound` bit is set: the one
+/// * `state` holds each VC's ring (its slab base, head and length) and
+///   its binding, inline, at `[port][vc]` with a stride of
+///   [`MAX_VCS`]. A position wraps by comparison with the depth; a pop
+///   does not overwrite the slot it vacates.
+/// * `nonempty`/`bound` are per-port bitmasks over VCs, and a VC's
+///   binding is meaningful while its `bound` bit is set: the one
 ///   binding store. The allocator walks the masks and never touches an
 ///   empty or unbound VC's state.
-/// * `buffered`/`port_occ` count flits (router-wide and per port) so
+/// * `nonempty_vcs` counts the non-empty VCs, and `buffered`/`port_occ`
+///   count flits (router-wide and per port), so the blocked count,
 ///   drain and occupancy checks are O(1).
 ///
 /// Every mutation goes through [`push`](Self::push),
@@ -48,11 +70,10 @@ pub(crate) struct InputBuffers {
     vcs: usize,
     depth: u8,
     slab: Vec<Flit>,
-    head: Vec<u8>,
-    len: Vec<u8>,
-    nonempty: [u64; NUM_PORTS],
-    bound: [u64; NUM_PORTS],
-    bindings: Vec<Binding>,
+    state: [VcState; PORT_VCS],
+    nonempty: [u8; NUM_PORTS],
+    bound: [u8; NUM_PORTS],
+    nonempty_vcs: u8,
     buffered: u32,
     port_occ: [u32; NUM_PORTS],
 }
@@ -62,58 +83,65 @@ impl InputBuffers {
     ///
     /// # Panics
     ///
-    /// Panics if `vcs` is outside `1..=64` or `depth` outside
+    /// Panics if `vcs` is outside `1..=`[`MAX_VCS`] or `depth` outside
     /// `1..=`[`MAX_VC_DEPTH`].
     pub(crate) fn new(vcs: usize, depth: usize) -> Self {
-        assert!(vcs > 0 && vcs <= 64, "vcs must be in 1..=64");
+        assert!(vcs > 0 && vcs <= MAX_VCS, "vcs must be in 1..={MAX_VCS}");
         assert!(depth > 0, "VC depth must be non-zero");
         assert!(
             depth <= MAX_VC_DEPTH,
             "VC depth {depth} exceeds the validation bound {MAX_VC_DEPTH}"
         );
-        let n = NUM_PORTS * vcs;
+        let empty = VcState {
+            base: 0,
+            head: 0,
+            len: 0,
+            binding: Binding {
+                out_port: Port::Local,
+                out_vc: 0,
+            },
+        };
+        let mut state = [empty; PORT_VCS];
+        for pi in 0..NUM_PORTS {
+            for vc in 0..vcs {
+                state[pi * MAX_VCS + vc].base = ((pi * vcs + vc) * depth) as u16;
+            }
+        }
         InputBuffers {
             vcs,
             depth: depth as u8,
-            slab: vec![Flit::PLACEHOLDER; n * depth],
-            head: vec![0; n],
-            len: vec![0; n],
+            slab: vec![Flit::PLACEHOLDER; NUM_PORTS * vcs * depth],
+            state,
             nonempty: [0; NUM_PORTS],
             bound: [0; NUM_PORTS],
-            bindings: vec![
-                Binding {
-                    out_port: Port::Local,
-                    out_vc: 0,
-                };
-                n
-            ],
+            nonempty_vcs: 0,
             buffered: 0,
             port_occ: [0; NUM_PORTS],
         }
     }
 
-    /// Flat `[port][vc]` index of a VC.
+    /// Index of a VC's state, `[port][vc]`.
     #[inline]
-    fn at(&self, pi: usize, vc: usize) -> usize {
-        pi * self.vcs + vc
+    fn at(pi: usize, vc: usize) -> usize {
+        pi * MAX_VCS + vc
     }
 
-    /// Slab index of ring position `pos` of VC `i`.
+    /// Slab index of ring position `pos` of VC state `s`.
     #[inline]
-    fn slot(&self, i: usize, pos: u8) -> usize {
-        i * self.depth as usize + pos as usize
+    fn slot(s: &VcState, pos: u8) -> usize {
+        usize::from(s.base) + usize::from(pos)
     }
 
     /// Flits buffered in VC `(port index, vc)`.
     #[inline]
     pub(crate) fn len(&self, pi: usize, vc: usize) -> usize {
-        self.len[self.at(pi, vc)] as usize
+        self.state[Self::at(pi, vc)].len as usize
     }
 
     /// Free flit slots in VC `(port index, vc)`.
     #[inline]
     pub(crate) fn free_space(&self, pi: usize, vc: usize) -> usize {
-        (self.depth - self.len[self.at(pi, vc)]) as usize
+        (self.depth - self.state[Self::at(pi, vc)].len) as usize
     }
 
     /// Total flits buffered across all VCs.
@@ -128,36 +156,49 @@ impl InputBuffers {
         &self.port_occ
     }
 
+    /// Non-empty VCs across all ports.
+    #[inline]
+    pub(crate) fn nonempty_vcs(&self) -> u8 {
+        self.nonempty_vcs
+    }
+
     /// Sum of the ring lengths, computed from the rings themselves (the
     /// debug cross-check of [`InputBuffers::buffered`]).
     pub(crate) fn ring_total(&self) -> usize {
-        self.len.iter().map(|&l| l as usize).sum()
+        self.state.iter().map(|s| s.len as usize).sum()
+    }
+
+    /// The non-empty VCs counted from the masks (the debug cross-check
+    /// of [`InputBuffers::nonempty_vcs`]).
+    #[cfg(any(debug_assertions, test))]
+    pub(crate) fn mask_total(&self) -> u32 {
+        self.nonempty.iter().map(|m| m.count_ones()).sum()
     }
 
     /// Bitmask of the non-empty VCs of one port.
     #[inline]
-    pub(crate) fn nonempty(&self, pi: usize) -> u64 {
+    pub(crate) fn nonempty(&self, pi: usize) -> u8 {
         self.nonempty[pi]
     }
 
     /// Bitmask of the VCs of one port that hold a wormhole binding.
     #[inline]
-    pub(crate) fn bound(&self, pi: usize) -> u64 {
+    pub(crate) fn bound(&self, pi: usize) -> u8 {
         self.bound[pi]
     }
 
     /// The flit at the head of VC `(port index, vc)`.
     #[inline]
     pub(crate) fn front(&self, pi: usize, vc: usize) -> Option<&Flit> {
-        let i = self.at(pi, vc);
-        (self.len[i] > 0).then(|| &self.slab[self.slot(i, self.head[i])])
+        let s = &self.state[Self::at(pi, vc)];
+        (s.len > 0).then(|| &self.slab[Self::slot(s, s.head)])
     }
 
     /// The flits of VC `(port index, vc)`, front first.
     pub(crate) fn iter(&self, pi: usize, vc: usize) -> impl Iterator<Item = &Flit> + '_ {
-        let i = self.at(pi, vc);
-        let (head, depth) = (self.head[i] as usize, self.depth as usize);
-        (0..self.len[i] as usize).map(move |k| &self.slab[self.slot(i, ((head + k) % depth) as u8)])
+        let s = &self.state[Self::at(pi, vc)];
+        let depth = self.depth as usize;
+        (0..s.len as usize).map(move |k| &self.slab[Self::slot(s, ((s.head as usize + k) % depth) as u8)])
     }
 
     /// Enqueues an arriving flit into VC `(port index, vc)`.
@@ -167,17 +208,20 @@ impl InputBuffers {
     /// Panics if the VC is full (a credit protocol violation).
     #[inline]
     pub(crate) fn push(&mut self, pi: usize, vc: usize, flit: Flit) {
-        let i = self.at(pi, vc);
-        let len = self.len[i];
-        assert!(len < self.depth, "VC buffer overflow: credit protocol violated");
-        let mut tail = self.head[i] + len;
-        if tail >= self.depth {
-            tail -= self.depth;
+        let depth = self.depth;
+        let s = &mut self.state[Self::at(pi, vc)];
+        let len = s.len;
+        assert!(len < depth, "VC buffer overflow: credit protocol violated");
+        let mut tail = s.head + len;
+        if tail >= depth {
+            tail -= depth;
         }
-        let s = self.slot(i, tail);
-        self.slab[s] = flit;
-        self.len[i] = len + 1;
-        self.nonempty[pi] |= 1u64 << vc;
+        s.len = len + 1;
+        self.slab[Self::slot(s, tail)] = flit;
+        if len == 0 {
+            self.nonempty[pi] |= 1 << vc;
+            self.nonempty_vcs += 1;
+        }
         self.buffered += 1;
         self.port_occ[pi] += 1;
     }
@@ -185,18 +229,19 @@ impl InputBuffers {
     /// Dequeues the head flit of VC `(port index, vc)`.
     #[inline]
     pub(crate) fn pop(&mut self, pi: usize, vc: usize) -> Option<Flit> {
-        let i = self.at(pi, vc);
-        let len = self.len[i];
+        let depth = self.depth;
+        let s = &mut self.state[Self::at(pi, vc)];
+        let (head, len) = (s.head, s.len);
         if len == 0 {
             return None;
         }
-        let head = self.head[i];
-        let flit = self.slab[self.slot(i, head)];
+        let flit = self.slab[Self::slot(s, head)];
         let next = head + 1;
-        self.head[i] = if next == self.depth { 0 } else { next };
-        self.len[i] = len - 1;
+        s.head = if next == depth { 0 } else { next };
+        s.len = len - 1;
         if len == 1 {
-            self.nonempty[pi] &= !(1u64 << vc);
+            self.nonempty[pi] &= !(1 << vc);
+            self.nonempty_vcs -= 1;
         }
         self.buffered -= 1;
         self.port_occ[pi] -= 1;
@@ -207,14 +252,14 @@ impl InputBuffers {
     /// its head has been allocated downstream resources.
     #[inline]
     pub(crate) fn binding(&self, pi: usize, vc: usize) -> Option<Binding> {
-        (self.bound[pi] & (1u64 << vc) != 0).then(|| self.bindings[self.at(pi, vc)])
+        (self.bound[pi] & (1 << vc) != 0).then(|| self.state[Self::at(pi, vc)].binding)
     }
 
     /// The binding of a VC known to be bound (its `bound` bit is set).
     #[inline]
     pub(crate) fn bound_binding(&self, pi: usize, vc: usize) -> Binding {
-        debug_assert!(self.bound[pi] & (1u64 << vc) != 0, "VC holds no binding");
-        self.bindings[self.at(pi, vc)]
+        debug_assert!(self.bound[pi] & (1 << vc) != 0, "VC holds no binding");
+        self.state[Self::at(pi, vc)].binding
     }
 
     /// Records a successful VC allocation.
@@ -224,11 +269,10 @@ impl InputBuffers {
     /// Panics if the VC already holds a binding.
     #[inline]
     pub(crate) fn bind(&mut self, pi: usize, vc: usize, binding: Binding) {
-        let bit = 1u64 << vc;
+        let bit = 1 << vc;
         assert!(self.bound[pi] & bit == 0, "VC already holds a wormhole binding");
         self.bound[pi] |= bit;
-        let i = self.at(pi, vc);
-        self.bindings[i] = binding;
+        self.state[Self::at(pi, vc)].binding = binding;
     }
 
     /// Releases the binding of VC `(port index, vc)` (after the tail
@@ -239,7 +283,7 @@ impl InputBuffers {
     /// Panics if the VC holds no binding.
     #[inline]
     pub(crate) fn unbind(&mut self, pi: usize, vc: usize) {
-        let bit = 1u64 << vc;
+        let bit = 1 << vc;
         assert!(self.bound[pi] & bit != 0, "no wormhole binding to release");
         self.bound[pi] &= !bit;
     }
@@ -315,15 +359,11 @@ mod tests {
         Flit {
             packet: PacketId(7),
             kind: FlitKind::Body,
-            src: NodeId(0),
             dst: NodeId(1),
             seq,
-            packet_len: 4,
             class: MessageClass::Synthetic,
             lookahead: Port::East,
             vc: 0,
-            created_cycle: 0,
-            net_inject_cycle: 0,
         }
     }
 
@@ -447,6 +487,7 @@ mod tests {
                 }
                 assert_eq!(buf.ring_total(), buf.buffered() as usize);
                 assert_eq!(buf.nonempty(pi) != 0, buf.len(pi, vc) > 0);
+                assert_eq!(u32::from(buf.nonempty_vcs()), buf.mask_total());
             }
             while let Some(f) = buf.pop(pi, vc) {
                 assert_eq!(f.seq, next_out);

@@ -14,7 +14,7 @@
 //! [`Snapshot`]: catnap_repro::catnap::Snapshot
 
 use catnap_repro::catnap::{
-    config_fingerprint, GatingPolicy, MultiNoc, MultiNocConfig, SelectorKind, CHECKPOINT_VERSION,
+    config_fingerprint, GatingPolicy, MultiNoc, MultiNocConfig, SelectorKind, Snapshot, CHECKPOINT_VERSION,
 };
 use catnap_repro::noc::SchedStats;
 use catnap_repro::telemetry::RecordingSink;
@@ -98,73 +98,103 @@ fn work_since(end: SchedStats, start: SchedStats) -> SchedStats {
 #[test]
 fn resume_is_bit_identical_to_straight_through_for_every_golden() {
     for (name, cfg, want) in golden_cases() {
-        // Straight-through run, checkpointing (but not using the blob)
-        // at the split so both runs share one code path up to it.
-        let mut net = MultiNoc::new(cfg.clone());
-        let mut load = golden_load(&net);
-        for _ in 0..SPLIT_CYCLE {
-            load.drive(&mut net);
-            net.step();
-        }
-        let blob = net.save_checkpoint(&load.encode_position());
-        let at_split = sched_stats(&net);
-        for _ in SPLIT_CYCLE..TOTAL_CYCLES {
-            load.drive(&mut net);
-            net.step();
-        }
-        let straight_snap = net.snapshot();
-        let straight_sched: Vec<_> = sched_stats(&net)
-            .into_iter()
-            .zip(at_split)
-            .map(|(end, start)| work_since(end, start))
-            .collect();
-        let straight = (
-            net.finish().packets_delivered,
-            straight_snap.latency_sum,
-            straight_snap.or_switch_events,
-        );
-
-        // Resumed run: fresh simulator and workload rebuilt from the blob.
-        let (mut resumed, driver) =
-            MultiNoc::resume_from(cfg.clone(), &blob).unwrap_or_else(|e| panic!("resume failed for {name}: {e:?}"));
-        assert_eq!(resumed.cycle(), SPLIT_CYCLE, "checkpoint cycle for {name}");
-        let mut rload = SyntheticWorkload::decode_position(
-            SyntheticPattern::UniformRandom,
-            LoadSchedule::constant(0.08),
-            512,
-            resumed.dims(),
-            &driver,
-        )
-        .expect("workload position decodes");
-        for _ in SPLIT_CYCLE..TOTAL_CYCLES {
-            rload.drive(&mut resumed);
-            resumed.step();
-        }
-        let resumed_snap = resumed.snapshot();
-        assert_eq!(
-            resumed_snap, straight_snap,
-            "resumed snapshot diverged from straight-through for {name}"
-        );
-        // The scheduler is rebuilt from live state on resume, and its
-        // counters, which checkpoints do not store, start from zero; it
-        // must then do exactly the work the straight-through run did
-        // after the split.
-        let resumed_sched = sched_stats(&resumed);
-        assert_eq!(
-            resumed_sched, straight_sched,
-            "resumed scheduler counters diverged for {name}"
-        );
-        let got = (
-            resumed.finish().packets_delivered,
-            resumed_snap.latency_sum,
-            resumed_snap.or_switch_events,
-        );
-        assert_eq!(got, straight, "resumed fingerprint diverged for {name}");
-
-        if std::env::var_os("CATNAP_PRINT_GOLDENS").is_none() {
-            assert_eq!(got, want, "golden fingerprint changed for {name}");
-        }
+        assert_resume_matches(&name, cfg, 0.08, want);
     }
+}
+
+/// The `fig10_high_load` benchmark configuration: 4NT-128b-PG under
+/// uniform random 512-bit packets at 0.30 packets/node/cycle, seed 7.
+/// Its subnets saturate, so hundreds of VCs wait on a credit or a VC
+/// every cycle, and decode's rebuilt credits, credit masks and packet
+/// tables are checked where credits actually run out.
+const SATURATED: (u64, u64, u64) = (27841, 1466234, 427);
+
+#[test]
+fn resume_is_bit_identical_to_straight_through_at_saturation() {
+    let cfg = MultiNocConfig::catnap_4x128().gating(true).seed(7);
+    let after_split = assert_resume_matches("fig10_high_load", cfg, 0.30, SATURATED);
+    let blocked: u64 = after_split.activity_per_subnet.iter().map(|a| a.head_blocked_cycles).sum();
+    let per_cycle = blocked / after_split.cycle;
+    assert!(per_cycle >= 200, "not saturated: {per_cycle} blocked VCs per cycle");
+}
+
+/// Runs `cfg` under uniform random 512-bit packets at `rate` for
+/// `TOTAL_CYCLES`, straight through and resumed from a checkpoint taken
+/// at `SPLIT_CYCLE`, and asserts both agree on the fingerprint tuple
+/// (which must be `want` unless `CATNAP_PRINT_GOLDENS` is set), the
+/// cumulative snapshot and the scheduler's work after the split.
+/// Returns the resumed run's snapshot of what happened after the split.
+fn assert_resume_matches(name: &str, cfg: MultiNocConfig, rate: f64, want: (u64, u64, u64)) -> Snapshot {
+    // Straight-through run, checkpointing (but not using the blob)
+    // at the split so both runs share one code path up to it.
+    let mut net = MultiNoc::new(cfg.clone());
+    let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, rate, 512, net.dims(), 7);
+    for _ in 0..SPLIT_CYCLE {
+        load.drive(&mut net);
+        net.step();
+    }
+    let blob = net.save_checkpoint(&load.encode_position());
+    let at_split = sched_stats(&net);
+    let split_snap = net.snapshot();
+    for _ in SPLIT_CYCLE..TOTAL_CYCLES {
+        load.drive(&mut net);
+        net.step();
+    }
+    let straight_snap = net.snapshot();
+    let straight_sched: Vec<_> = sched_stats(&net)
+        .into_iter()
+        .zip(at_split)
+        .map(|(end, start)| work_since(end, start))
+        .collect();
+    let straight = (
+        net.finish().packets_delivered,
+        straight_snap.latency_sum,
+        straight_snap.or_switch_events,
+    );
+
+    // Resumed run: fresh simulator and workload rebuilt from the blob.
+    let (mut resumed, driver) =
+        MultiNoc::resume_from(cfg.clone(), &blob).unwrap_or_else(|e| panic!("resume failed for {name}: {e:?}"));
+    assert_eq!(resumed.cycle(), SPLIT_CYCLE, "checkpoint cycle for {name}");
+    let mut rload = SyntheticWorkload::decode_position(
+        SyntheticPattern::UniformRandom,
+        LoadSchedule::constant(rate),
+        512,
+        resumed.dims(),
+        &driver,
+    )
+    .expect("workload position decodes");
+    for _ in SPLIT_CYCLE..TOTAL_CYCLES {
+        rload.drive(&mut resumed);
+        resumed.step();
+    }
+    let resumed_snap = resumed.snapshot();
+    assert_eq!(
+        resumed_snap, straight_snap,
+        "resumed snapshot diverged from straight-through for {name}"
+    );
+    // The scheduler is rebuilt from live state on resume, and its
+    // counters, which checkpoints do not store, start from zero; it
+    // must then do exactly the work the straight-through run did
+    // after the split.
+    let resumed_sched = sched_stats(&resumed);
+    assert_eq!(
+        resumed_sched, straight_sched,
+        "resumed scheduler counters diverged for {name}"
+    );
+    let got = (
+        resumed.finish().packets_delivered,
+        resumed_snap.latency_sum,
+        resumed_snap.or_switch_events,
+    );
+    assert_eq!(got, straight, "resumed fingerprint diverged for {name}");
+
+    if std::env::var_os("CATNAP_PRINT_GOLDENS").is_some() {
+        println!("{name}: {got:?}");
+    } else {
+        assert_eq!(got, want, "golden fingerprint changed for {name}");
+    }
+    resumed_snap.delta(&split_snap)
 }
 
 /// With recording sinks on both halves, the pre-checkpoint trace plus

@@ -270,12 +270,12 @@ fn protocol_class_traffic_matches_the_oracle() {
 
         for class in [MessageClass::Request, MessageClass::Forward, MessageClass::Response] {
             assert!(
-                tails_full.iter().any(|t| t.class == class),
+                tails_full.iter().any(|t| t.tail.class == class),
                 "{vcs} VCs: no {class:?} packet delivered"
             );
         }
         assert!(
-            tails_full.iter().any(|t| t.packet_len == 5),
+            tails_full.iter().any(|t| t.tail.seq == 4),
             "{vcs} VCs: responses must be 5-flit packets"
         );
         assert_eq!(tails_event, tails_full, "{vcs} VCs: ejection streams diverged");

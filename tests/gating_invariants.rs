@@ -143,8 +143,8 @@ fn packet_injected_at_sleep_transition_is_still_delivered() {
     for _ in 0..10 {
         net.step();
     }
-    let flit = net.make_single_flit_packet(NodeId(0), NodeId(15), net.cycle());
-    assert!(net.try_inject_flit(NodeId(0), 0, flit));
+    let flit = net.make_single_flit_packet(NodeId(0), NodeId(15));
+    assert!(net.try_inject_flit(NodeId(0), 0, flit, net.cycle()));
     for node in net.dims().nodes() {
         net.request_sleep(node, 0); // refused where the guard says no
     }
@@ -165,7 +165,7 @@ fn packet_injected_at_sleep_transition_is_still_delivered() {
         }
     }
     assert_eq!(ejected.len(), 1, "packet stranded by sleep transition");
-    assert_eq!(ejected[0].0, NodeId(15));
+    assert_eq!(ejected[0].tail.dst, NodeId(15));
     assert_eq!(net.total_activity().ejected_flits, net.stats().flits_injected);
 }
 

@@ -16,10 +16,10 @@ fn run_all_pairs(cfg: NetworkConfig) {
             if src == dst {
                 continue;
             }
-            let f = net.make_single_flit_packet(src, dst, 0);
+            let f = net.make_single_flit_packet(src, dst);
             // Stagger injection to avoid exceeding VC capacity.
             let vc = (i % net.router(src).vcs()).min(net.router(src).vcs() - 1);
-            if net.try_inject_flit(src, vc, f) {
+            if net.try_inject_flit(src, vc, f, 0) {
                 sent += 1;
             }
             net.step();
@@ -79,11 +79,12 @@ fn protocol_classes_travel_on_disjoint_vcs() {
             created_cycle: 0,
         });
     }
-    let mut tails: Vec<Flit> = Vec::new();
+    let mut delivered = Vec::new();
     for _ in 0..1_500 {
         net.step();
-        net.drain_delivered_into(&mut tails);
+        net.drain_delivered_into(&mut delivered);
     }
+    let tails: Vec<Flit> = delivered.iter().map(|d| d.tail).collect();
     assert_eq!(tails.len(), 20);
     let vcs = 4usize;
     for t in &tails {

@@ -22,7 +22,6 @@
 
 use catnap_repro::bench::{run_job_uncached, run_synthetic_cached, CacheOutcome, SimJob};
 use catnap_repro::catnap::{MultiNoc, MultiNocConfig, SimCache, Snapshot};
-use catnap_repro::noc::power_state::WakeReason;
 use catnap_repro::noc::{Granularity, Network, NetworkConfig, NodeId};
 use catnap_repro::telemetry::{NopSink, RecordingSink, Sink};
 use catnap_repro::traffic::{LoadSchedule, SyntheticPattern, SyntheticWorkload};
@@ -85,12 +84,12 @@ fn light_gated_cycles_per_sec_with<S: Sink>(warmup: u64, measure: u64, sink: S) 
         }
         if let Some((src, dst)) = pending {
             if net.can_inject(src) {
-                let flit = net.make_single_flit_packet(src, dst, cycle);
-                if net.try_inject_flit(src, 0, flit) {
+                let flit = net.make_single_flit_packet(src, dst);
+                if net.try_inject_flit(src, 0, flit, cycle) {
                     pending = None;
                 }
             } else {
-                net.request_wake(src, WakeReason::NiInjection);
+                net.request_wake(src);
             }
         }
         if cycle.is_multiple_of(16) {

@@ -298,13 +298,15 @@ fn flits_arrive_in_order_per_packet() {
                 load.drive(&mut net);
                 net.step();
                 net.drain_delivered_into(&mut tails);
-                for tail in tails.drain(..) {
+                for delivered in tails.drain(..) {
+                    let tail = delivered.tail;
                     let id = tail.packet.0;
                     if done.get(&id).copied().unwrap_or(false) {
                         return Err(format!("duplicate tail for packet {id}"));
                     }
                     done.insert(id, true);
-                    if i32::from(tail.seq) != i32::from(tail.packet_len) - 1 {
+                    let len = catnap_repro::noc::Flit::flits_for_bits(512, width);
+                    if !tail.kind.is_tail() || tail.seq + 1 != len {
                         return Err("tail must be the last flit".to_string());
                     }
                 }
