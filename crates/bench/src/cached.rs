@@ -346,7 +346,7 @@ mod tests {
         let a = job_at(0.02);
         let b = job_at(0.05); // same warm-up prefix, different measure rate
 
-        let (mut net, load) = warm_up(&a);
+        let (net, load) = warm_up(&a);
         let blob = net.save_checkpoint(&load.encode_position());
         let fp = config_fingerprint(&a.cfg);
         let payload = codec::open(&blob, CHECKPOINT_VERSION, fp).expect("fresh blob opens");

@@ -29,7 +29,7 @@ use catnap_util::codec::{self, ByteReader, ByteWriter, CodecError, Fnv64};
 /// Current checkpoint format version. Bump on any layout change — old
 /// checkpoints are rejected with
 /// [`CodecError::UnsupportedVersion`], never misparsed.
-pub const CHECKPOINT_VERSION: u32 = 8;
+pub const CHECKPOINT_VERSION: u32 = 9;
 
 /// Version of the [`config_fingerprint`] *input schema*: which config
 /// fields are hashed, and in what encoding. Bump whenever that set or
@@ -112,8 +112,9 @@ impl<S: Sink> MultiNoc<S> {
     /// the whole simulation; pass `&[]` when there is no driver state.
     ///
     /// Must be called at a cycle edge (after a [`MultiNoc::step`],
-    /// before the next cycle's traffic drive).
-    pub fn save_checkpoint(&mut self, driver: &[u8]) -> Vec<u8> {
+    /// before the next cycle's traffic drive). Saving only reads the
+    /// simulation, so a run that saves is the run that does not.
+    pub fn save_checkpoint(&self, driver: &[u8]) -> Vec<u8> {
         let mut w = ByteWriter::new();
         self.save_state(&mut w);
         w.put_bytes(driver);

@@ -236,6 +236,7 @@ mod tests {
                     lookahead: Port::East,
                     vc,
                 },
+                0,
             );
         }
         r
@@ -343,7 +344,7 @@ mod tests {
         let mut blocked_nbrs = [true; 5];
         blocked_nbrs[Port::East.index()] = false;
         for _ in 0..4 {
-            r.step(&blocked_nbrs, &mut out);
+            r.step(0, &blocked_nbrs, &mut out);
             d.update(&metric, &r, &NodeSignals::default());
         }
         assert!(d.is_congested(), "waiting flits with zero reads are infinite delay");

@@ -493,7 +493,7 @@ impl<S: Sink> MultiNoc<S> {
     /// last cycle's deliveries are not stored. Telemetry sinks are not captured: a resumed recording
     /// sink starts empty and its suffix matches a straight-through run's
     /// suffix bit for bit.
-    pub(crate) fn save_state(&mut self, w: &mut ByteWriter) {
+    pub(crate) fn save_state(&self, w: &mut ByteWriter) {
         let k = self.cfg.subnets;
         w.put_u64(self.generated_packets);
         w.put_u64(self.latency_sum);
@@ -508,7 +508,7 @@ impl<S: Sink> MultiNoc<S> {
             self.or_nets[s].encode(w);
         }
         self.selector.encode_state(w);
-        for net in &mut self.subnets {
+        for net in &self.subnets {
             net.save_state(w);
         }
         for ni in &self.nis {
@@ -956,7 +956,7 @@ mod tests {
             lp.drive(&mut plain);
             plain.step();
             // Alternate 37-cycle stretches of the two steps, so switches
-            // land mid-packet, mid-wake-up and on deferred routers.
+            // land mid-packet, mid-wake-up and on routers left idle for long.
             lm.drive(&mut mixed);
             if (c / 37) % 2 == 0 {
                 mixed.step_reference();

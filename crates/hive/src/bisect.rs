@@ -93,7 +93,7 @@ struct Side {
 
 impl Side {
     fn new(job: &SimJob) -> Side {
-        let mut net = MultiNoc::new(job.cfg.clone());
+        let net = MultiNoc::new(job.cfg.clone());
         let load =
             SyntheticWorkload::with_schedule(job.pattern, job.schedule.clone(), job.packet_bits, net.dims(), job.seed);
         let blob = net.save_checkpoint(&load.encode_position());

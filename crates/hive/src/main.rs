@@ -116,15 +116,25 @@ fn cmd_sweep(args: &mut Args) {
     let workers = args.take("--workers");
     let spawn: Option<usize> = args.take_parsed("--spawn");
     let config = args.take("--config").unwrap_or_else(|| usage());
+    // Loads and packet sizes are held to the bounds `catnap-serve`
+    // puts on a job, before any worker is contacted.
     let loads: Vec<f64> = args
         .take("--loads")
         .unwrap_or_else(|| usage())
         .split(',')
-        .map(|l| l.parse().unwrap_or_else(|_| fail(&format!("bad load '{l}'"))))
+        .map(|l| match l.parse::<f64>() {
+            Ok(load) if load.is_finite() && load >= 0.0 => load,
+            _ => fail(&format!(
+                "--loads got a bad load '{l}' (each must be a finite non-negative number)"
+            )),
+        })
         .collect();
     let pattern = parse_pattern(&args.take("--pattern").unwrap_or_else(|| "uniform-random".to_string()));
     let gating = args.take_parsed::<bool>("--gating").unwrap_or(true);
     let packet_bits = args.take_parsed::<u32>("--packet-bits").unwrap_or(512);
+    if !(1..=65_536).contains(&packet_bits) {
+        fail(&format!("--packet-bits got {packet_bits} (must be 1..=65536)"));
+    }
     let warmup = args.take_parsed::<u64>("--warmup").unwrap_or(500);
     let measure = args.take_parsed::<u64>("--measure").unwrap_or(1500);
     let seed = args.take_parsed::<u64>("--seed").unwrap_or(7);

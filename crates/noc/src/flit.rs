@@ -189,7 +189,7 @@ impl Flit {
 }
 
 /// Descriptor of a packet awaiting injection (the NI-side representation:
-/// flits are materialized lazily as they enter the network).
+/// flits are built only as they enter the network).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PacketDescriptor {
     /// Unique packet id.

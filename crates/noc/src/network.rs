@@ -58,14 +58,6 @@ pub struct Network<S: Sink = NopSink> {
     /// entries of `link_stage` plus `staged_flits` headed to that input,
     /// so the sleep guards need no linear scan.
     inflight: Vec<u32>,
-    /// Event scheduler: the cycle through which each router's *time
-    /// accounting* (idle counters, power-state residencies) has been
-    /// advanced. Flit-path state (buffers, credits, bindings, crossbar)
-    /// is always live. Invariant: `cursor[i] < cycle` implies router `i`
-    /// was drained at `cursor[i]` and has received nothing since, so the
-    /// deferred stretch is a run of pure idle ticks, materializable in
-    /// closed form by [`Network::sync_to`].
-    cursor: Vec<u64>,
     /// Run set of the step in progress, scanned in ascending index order
     /// (index order is load-bearing: wake completions flip `port_active`
     /// mid-phase at the completing router's position, and later routers
@@ -77,13 +69,12 @@ pub struct Network<S: Sink = NopSink> {
     /// step starts. At a cycle edge this is exactly the set of
     /// non-drained routers.
     next: RouterSet,
-    /// Deferred routers with a pending wake-up countdown, which
-    /// completes on cycle `wake_due[i]`. A deferred stretch shortens a
-    /// countdown by exactly its length, so materializing the stretch
-    /// never moves the due cycle. Queued routers are never in here: they
-    /// run anyway, and re-enter when they settle drained.
+    /// Drained routers with a pending wake-up, which completes on cycle
+    /// `wake_due[i]`: the one cycle such a router must run although
+    /// nothing reaches it. Queued routers are never in here: they run
+    /// anyway, and re-enter when they settle drained.
     waking: RouterSet,
-    /// Absolute wake-up completion cycle per router, meaningful while its
+    /// Wake-up completion cycle per router, meaningful while its
     /// `waking` bit is set.
     wake_due: Vec<u64>,
     /// Routers whose router-level power state is Sleep (for the policy
@@ -101,10 +92,10 @@ pub struct Network<S: Sink = NopSink> {
     /// Cache of [`Router::port_active_mask`] per router, so a stepping
     /// router's four neighbour-acceptance reads hit one dense byte
     /// array instead of four cache-cold router structs. Refreshed at
-    /// every power transition and after every phase-2 run (wake-up
-    /// countdowns complete inside the tick); a *deferred* router's mask
-    /// is exact because its power class is constant across the deferred
-    /// stretch. Only read on the scheduled path — the reference step
+    /// every power transition and after every phase-2 run (wake-ups
+    /// complete inside the tick); a router that does not run keeps its
+    /// mask, because only its own tick completes a wake-up. Only read on
+    /// the scheduled path — the reference step
     /// reads the routers directly, and the cache is recomputed when
     /// `step` next re-seeds the scheduler.
     active_mask: Vec<u8>,
@@ -112,14 +103,18 @@ pub struct Network<S: Sink = NopSink> {
     /// instrumentation point at monomorphization.
     sink: S,
     /// Last power phase reported per router, so transitions that happen
-    /// inside `Router::step`/`idle_tick` (wake-up countdowns completing)
-    /// are detected by comparison at the end of the step. Empty for the
+    /// inside `Router::step`/`idle_tick` (wake-ups completing) are
+    /// detected by comparison at the end of the step. Empty for the
     /// `NopSink` monomorphization.
     power_shadow: Vec<PowerPhase>,
 }
 
 /// Marker in the adjacency table for "no link in this direction".
 const NO_NEIGHBOR: usize = usize::MAX;
+
+/// The phase-2 position of a wake request raised between steps, after
+/// every router's tick of the current cycle (see [`Network::wake`]).
+const BETWEEN_STEPS: usize = usize::MAX;
 
 /// When a packet in flight was created at its source and when its head
 /// entered the network: what its tail's ejection reads.
@@ -186,30 +181,24 @@ pub struct SchedStats {
     pub router_runs: u64,
     /// Phase-2 runs that were scheduled idle ticks of drained routers.
     pub idle_runs: u64,
-    /// Deferred routers whose wake-up countdown completed, each run on
-    /// its completion cycle.
+    /// Drained routers whose wake-up completed, each run on its
+    /// completion cycle.
     pub wakeup_pops: u64,
-    /// No longer counted: the scheduler holds no entries that can go
-    /// stale. Kept only because the repository benchmark builds this
-    /// struct by literal.
+    /// Always 0: the scheduler holds no entries that can go stale. Kept
+    /// only because the repository benchmark builds this struct by
+    /// literal.
     pub stale_wakeups: u64,
-    /// Deferred idle stretches materialized via the closed form.
+    /// Always 0: routers keep time as timestamps, so nothing is caught
+    /// up. Kept only because the repository benchmark builds this struct
+    /// by literal.
     pub syncs: u64,
-    /// Total cycles covered by those materializations.
+    /// Always 0, like [`SchedStats::syncs`].
     pub synced_cycles: u64,
     /// Full phase-2 steps of non-drained routers that produced no
     /// outputs at all (no traversal, no credit, no ejection, no ping):
     /// the router was stalled on downstream backpressure.
     pub stalled_runs: u64,
 }
-
-/// Debug builds cross-check each deferred-stretch materialization
-/// ([`Network::sync_to`]) against a cycle-by-cycle replay of a cloned
-/// router for stretches up to this many cycles (longer ones would make
-/// debug runs quadratic; the bounded replay still covers every shape,
-/// since idle maturation and wake-up countdowns are far shorter).
-#[cfg(debug_assertions)]
-const SHADOW_REPLAY_MAX: u64 = 512;
 
 impl Network {
     /// Builds a network from a validated configuration, without
@@ -274,7 +263,6 @@ impl<S: Sink> Network<S> {
             adj,
             route_lut,
             inflight: vec![0; n * NUM_PORTS],
-            cursor: vec![0; n],
             hot: RouterSet::new(n),
             next: RouterSet::new(n),
             waking: RouterSet::new(n),
@@ -347,11 +335,9 @@ impl<S: Sink> Network<S> {
         self.routers[node.index()].power_state().is_active()
     }
 
-    /// Power state of a node's router (lag-aware: a deferred wake-up
-    /// countdown reads as it would after materialization).
+    /// Power state of a node's router.
     pub fn power_state(&self, node: NodeId) -> PowerState {
-        let idx = node.index();
-        self.routers[idx].power_state_lagged(self.cycle - self.cursor[idx])
+        self.routers[node.index()].power_state()
     }
 
     /// Attempts to inject a flit at `node`'s local port into virtual
@@ -374,10 +360,7 @@ impl<S: Sink> Network<S> {
         }
         flit.vc = vc as u8;
         let idx = node.index();
-        // The router gains work: materialize its deferred stretch (its
-        // tick for the current cycle already happened) and schedule it
-        // for the next step.
-        self.sync_to(idx, self.cycle);
+        // The router gains work: schedule it for the next step.
         self.mark_next(idx);
         if flit.kind.is_head() {
             let times = PacketTimes {
@@ -386,8 +369,8 @@ impl<S: Sink> Network<S> {
             };
             self.packets.insert(flit.packet, times);
         }
-        if let Some(ping_dir) = self.routers[idx].deliver(Port::Local, flit) {
-            self.wake_neighbor_prestep(idx, ping_dir);
+        if let Some(ping_dir) = self.routers[idx].deliver(Port::Local, flit, self.cycle) {
+            self.wake_neighbor(idx, ping_dir, BETWEEN_STEPS, true);
         }
         self.stats.flits_injected += 1;
         true
@@ -405,16 +388,6 @@ impl<S: Sink> Network<S> {
         self.route_lut[at.index() * self.cfg.dims.num_nodes() + dst.index()]
     }
 
-    /// Materializes every router's deferred idle stretch (cursors catch
-    /// up to the current cycle). Results are unchanged — the scheduler's
-    /// laziness is purely an internal representation — but raw per-router
-    /// reads (idle counters, power-state residencies) are only meaningful
-    /// on a materialized network, so differential tests call this before
-    /// comparing router state field-for-field.
-    pub fn materialize(&mut self) {
-        self.sync_all();
-    }
-
     /// Event-scheduler effectiveness counters. All-zero when the
     /// network has only ever been stepped by [`Network::step_reference`]
     /// — the differential suite relies on that to prove the oracle
@@ -423,23 +396,15 @@ impl<S: Sink> Network<S> {
         self.sched
     }
 
-    fn sync_all(&mut self) {
-        for idx in 0..self.routers.len() {
-            self.sync_to(idx, self.cycle);
-        }
-    }
-
     /// Rebuilds the scheduler's derived state from the live routers:
     /// non-drained routers are queued for the next step, drained ones
-    /// with a pending countdown enter the waking set. Used by the first
-    /// `step` after a reference step and at checkpoint resume, where
-    /// every cursor is current.
+    /// with a pending wake-up enter the waking set. Used by the first
+    /// `step` after a reference step and at checkpoint resume.
     fn reseed_scheduler(&mut self) {
         self.sched_stale = false;
         self.next.clear();
         self.waking.clear();
         for idx in 0..self.routers.len() {
-            debug_assert_eq!(self.cursor[idx], self.cycle);
             self.active_mask[idx] = self.routers[idx].port_active_mask();
             if self.routers[idx].is_drained() {
                 self.reschedule(idx);
@@ -451,9 +416,11 @@ impl<S: Sink> Network<S> {
 
     /// Debug cross-check at a cycle edge: `next` holds exactly the
     /// non-drained routers, and `waking` exactly the drained ones with a
-    /// pending countdown, each due on the cycle its countdown completes;
-    /// each router's allocator masks and counts match the state they
-    /// summarize; and every flit in the subnet has a packet-table entry.
+    /// pending wake-up, each due on the cycle its wake-up completes;
+    /// every router's timestamps fit the edge as checkpoint decode
+    /// requires ([`Router::time_error`]); each router's allocator masks
+    /// and counts match the state they summarize; and every flit in the
+    /// subnet has a packet-table entry.
     #[cfg(debug_assertions)]
     fn check_scheduler(&self) {
         let has_entry = |flit: &Flit| {
@@ -469,12 +436,15 @@ impl<S: Sink> Network<S> {
             .for_each(|(_, _, flit)| has_entry(flit));
         for (idx, r) in self.routers.iter().enumerate() {
             r.check_masks();
+            if let Some(what) = r.time_error(self.cycle) {
+                panic!("{what} at router {idx}, cycle {}", self.cycle);
+            }
             let drained = r.is_drained();
             if !drained {
                 r.for_each_flit(has_entry);
             }
             assert_eq!(self.next.contains(idx), !drained, "run set out of sync at router {idx}");
-            let due = r.next_wake_completion().filter(|_| drained).map(|dt| self.cursor[idx] + dt);
+            let due = r.next_wake_completion().filter(|_| drained);
             assert_eq!(
                 self.waking.contains(idx).then(|| self.wake_due[idx]),
                 due,
@@ -483,45 +453,16 @@ impl<S: Sink> Network<S> {
         }
     }
 
-    /// Materializes router `idx`'s deferred idle stretch through cycle
-    /// `target` in closed form. In debug builds the closed form is
-    /// shadow-replayed tick by tick and must match field for field.
-    fn sync_to(&mut self, idx: usize, target: u64) {
-        debug_assert!(self.cursor[idx] <= target, "cursor beyond target at router {idx}");
-        let lag = target - self.cursor[idx];
-        if lag == 0 {
-            return;
-        }
-        self.sched.syncs += 1;
-        self.sched.synced_cycles += lag;
-        #[cfg(debug_assertions)]
-        let shadow = (lag <= SHADOW_REPLAY_MAX).then(|| self.routers[idx].clone());
-        self.routers[idx].fast_forward(lag);
-        self.cursor[idx] = target;
-        #[cfg(debug_assertions)]
-        if let Some(mut shadow) = shadow {
-            for _ in 0..lag {
-                shadow.idle_tick();
-            }
-            debug_assert_eq!(
-                shadow.units(),
-                self.routers[idx].units(),
-                "deferred-stretch materialization diverged from replay at {} over {lag} cycles",
-                self.routers[idx].node()
-            );
-        }
-    }
-
-    /// Enters router `idx` into the waking set if it is deferred with a
-    /// pending wake-up countdown. Called whenever a router settles drained
-    /// after a run or a wake request lands on it; a queued router is left
-    /// out, as it runs anyway.
+    /// Enters router `idx` into the waking set if it has a pending
+    /// wake-up and is not queued. Called whenever a router settles
+    /// drained after a run or a wake request lands on it; a queued
+    /// router is left out, as it runs anyway.
     fn reschedule(&mut self, idx: usize) {
         if self.next.contains(idx) {
             return;
         }
-        if let Some(dt) = self.routers[idx].next_wake_completion() {
-            self.wake_due[idx] = self.cursor[idx] + dt;
+        if let Some(until) = self.routers[idx].next_wake_completion() {
+            self.wake_due[idx] = until;
             self.waking.insert(idx);
         }
     }
@@ -546,30 +487,41 @@ impl<S: Sink> Network<S> {
 
     /// Requests a wake-up of the unit that powers `node`'s local input
     /// port: the whole router, or only that port at port granularity.
-    /// Called between steps: the target's tick for the current cycle
-    /// already happened, so its deferred stretch is materialized through
-    /// `cycle` before the request, and any new countdown enters the
-    /// waking set.
+    /// Called between steps, after every router's tick of the current
+    /// cycle; a wake-up it starts enters the waking set.
     pub fn request_wake(&mut self, node: NodeId) {
-        let idx = node.index();
-        self.sync_to(idx, self.cycle);
-        self.apply_wake(idx, Port::Local);
-        self.reschedule(idx);
+        self.wake(node.index(), Port::Local, BETWEEN_STEPS, true);
     }
 
-    /// Applies a wake request to the unit of router `idx` that powers
-    /// input port `port`, maintaining the sleeper count and telemetry.
-    /// The caller is responsible for cursor discipline (sync before,
-    /// reschedule or queue after).
-    fn apply_wake(&mut self, idx: usize, port: Port) {
+    /// Wakes the unit of router `idx` that powers input port `port`,
+    /// maintaining the sleeper count and telemetry. The request is
+    /// raised at phase-2 position `pos` of the current cycle, so it
+    /// lands on the cycle edge after the router's tick of the cycle if
+    /// `idx < pos`, and on the edge before it otherwise: phase-1
+    /// deliveries pass 0, and calls between steps [`BETWEEN_STEPS`]. With
+    /// `schedule`, the scheduler's sets follow: a router already past
+    /// may enter the waking set, and one still ahead joins the current
+    /// run set, so its tick happens in phase 2. The reference step
+    /// passes no `schedule`, as it runs every router and re-seeds the
+    /// sets afterwards.
+    fn wake(&mut self, idx: usize, port: Port, pos: usize, schedule: bool) {
         let cycle = self.cycle;
+        let past = idx < pos;
+        let edge = if past { cycle } else { cycle - 1 };
         let r = &mut self.routers[idx];
         if r.power_state().is_sleeping() {
             self.sleepers -= 1;
         }
-        r.request_wake(port, cycle);
+        r.request_wake(port, edge, cycle);
         self.active_mask[idx] = self.routers[idx].port_active_mask();
         self.note_power(idx);
+        if schedule {
+            if past {
+                self.reschedule(idx);
+            } else {
+                self.mark_in(idx);
+            }
+        }
     }
 
     /// Whether the gating unit that powers input port `port` of `node`'s
@@ -592,7 +544,7 @@ impl<S: Sink> Network<S> {
             return false;
         }
         let router = &self.routers[idx];
-        if !router.sleep_guard_ok(unit, self.cycle - self.cursor[idx]) {
+        if !router.sleep_guard_ok(unit, self.cycle) {
             return false;
         }
         let ports = router.unit_ports(unit);
@@ -641,7 +593,6 @@ impl<S: Sink> Network<S> {
             if self.routers[idx].unit_ports(unit) & keep_awake != 0 || !self.unit_can_sleep(idx, unit) {
                 continue;
             }
-            self.sync_to(idx, self.cycle);
             let cycle = self.cycle;
             self.routers[idx].enter_sleep(unit, cycle);
             slept = true;
@@ -673,9 +624,10 @@ impl<S: Sink> Network<S> {
 
     /// Advances the network by one cycle through the event scheduler: a
     /// cycle only touches routers that have work (non-drained), receive
-    /// a delivery, or whose wake-up countdown completes this cycle;
-    /// everything else stays deferred, its idle time materialized in
-    /// closed form when something next touches it. Bit-identical to
+    /// a delivery or a wake request, or whose wake-up completes this
+    /// cycle. Every other router is left untouched: its gating units
+    /// keep time as timestamps, exact at every cycle edge without a
+    /// tick. Bit-identical to
     /// [`Network::step_reference`] (asserted by the differential suite in
     /// `tests/eventdriven.rs`).
     pub fn step(&mut self) {
@@ -688,7 +640,7 @@ impl<S: Sink> Network<S> {
         let cycle = self.cycle;
 
         // Collect this cycle's run set: routers queued by the previous
-        // step, plus deferred routers whose countdown completes now.
+        // step, plus drained routers whose wake-up completes now.
         std::mem::swap(&mut self.hot, &mut self.next);
         let mut from = 0;
         while let Some(i) = self.waking.next_from(from) {
@@ -696,26 +648,22 @@ impl<S: Sink> Network<S> {
             debug_assert!(self.wake_due[i] >= cycle, "wake-up completion missed at router {i}");
             if self.wake_due[i] == cycle {
                 self.sched.wakeup_pops += 1;
-                self.sync_to(i, cycle - 1);
                 self.mark_in(i);
             }
         }
 
-        // Phase 1: deliver flits that completed their link cycle, and
-        // advance flits leaving crossbars onto the link. Delivery
-        // targets join the run set (cycle-edge staging means their
-        // deferred stretch ends exactly at the previous cycle edge).
+        // Phase 1: deliver flits that completed their link cycle, on the
+        // edge before every router's tick of this cycle, and advance
+        // flits leaving crossbars onto the link. Delivery targets join
+        // the run set.
         let mut delivered = std::mem::take(&mut self.staged_flits);
         for &(idx, port, flit) in &delivered {
             let idx = idx as usize;
             self.inflight[idx * NUM_PORTS + port.index()] -= 1;
-            self.sync_to(idx, cycle - 1);
-            let ping = self.routers[idx].deliver(port, flit);
+            let ping = self.routers[idx].deliver(port, flit, cycle - 1);
             self.mark_in(idx);
             if let Some(ping_dir) = ping {
-                // Position 0: every router's tick for this cycle is
-                // still ahead.
-                self.wake_neighbor_instep(idx, ping_dir, 0);
+                self.wake_neighbor(idx, ping_dir, 0, true);
             }
         }
         // Rotate buffers so their capacity is reused: flits placed on
@@ -735,8 +683,8 @@ impl<S: Sink> Network<S> {
         }
 
         // Telemetry: catch transitions that happened inside the router
-        // steps themselves (wake-up countdowns completing in
-        // `psm.tick`), which no explicit request call observed. Only
+        // steps themselves (wake-ups completing in `psm.tick`), which no
+        // explicit request call observed. Only
         // routers that ticked this cycle can have transitioned, and the
         // sweep visits them in ascending order, as the full loop's 0..n
         // sweep does.
@@ -757,22 +705,18 @@ impl<S: Sink> Network<S> {
     /// the tick so later routers in the same phase observe wake-up
     /// countdowns that completed inside it.
     fn run_scheduled_router(&mut self, idx: usize, cycle: u64) {
-        debug_assert_eq!(self.cursor[idx], cycle - 1, "scheduled router not at the cycle edge");
         self.sched.router_runs += 1;
         if self.routers[idx].is_drained() {
             self.sched.idle_runs += 1;
-            self.routers[idx].idle_tick();
-            self.cursor[idx] = cycle;
+            self.routers[idx].idle_tick(cycle);
             self.active_mask[idx] = self.routers[idx].port_active_mask();
             self.reschedule(idx);
         } else {
             let adj = self.adj[idx];
             // Snapshot which neighbours can accept flits this cycle:
             // the downstream unit powering the input port our link
-            // feeds must be active. Deferred neighbours read exactly:
-            // their state class is constant across the deferred
-            // stretch, and the mask cache is refreshed at every power
-            // transition.
+            // feeds must be active. The mask cache is refreshed at
+            // every power transition.
             let mut neighbor_active = [true; NUM_PORTS];
             for port in [Port::North, Port::East, Port::South, Port::West] {
                 let pi = port.index();
@@ -782,8 +726,7 @@ impl<S: Sink> Network<S> {
                 };
             }
 
-            self.routers[idx].step(&neighbor_active, &mut self.scratch);
-            self.cursor[idx] = cycle;
+            self.routers[idx].step(cycle, &neighbor_active, &mut self.scratch);
             self.active_mask[idx] = self.routers[idx].port_active_mask();
             let out = &self.scratch;
             if out.outbound.is_empty() && out.credits.is_empty() && out.ejected.is_empty() && out.wake_pings.is_empty()
@@ -794,7 +737,7 @@ impl<S: Sink> Network<S> {
             if !self.scratch.wake_pings.is_empty() {
                 let pings = std::mem::take(&mut self.scratch.wake_pings);
                 for &ping in &pings {
-                    self.wake_neighbor_instep(idx, ping, idx);
+                    self.wake_neighbor(idx, ping, idx, true);
                 }
                 self.scratch.wake_pings = pings;
             }
@@ -815,15 +758,13 @@ impl<S: Sink> Network<S> {
     /// differential suites diff it against `step`, and the benchmarks
     /// time it as the naive baseline.
     ///
-    /// Calls may be freely interleaved with `step`: deferred routers
-    /// are materialized first, and the scheduler's sets are marked stale
-    /// afterwards, so the next `step` re-seeds them from live state. A
-    /// run stepped only by this method leaves [`Network::sched_stats`]
-    /// at zero and does no scheduler work beyond the initial cursor
-    /// check.
+    /// Calls may be freely interleaved with `step`: the scheduler's
+    /// sets are marked stale afterwards, so the next `step` re-seeds
+    /// them from live state. A run stepped only by this method leaves
+    /// [`Network::sched_stats`] at zero and does no scheduler work.
     pub fn step_reference(&mut self) {
-        self.sync_all();
         self.cycle += 1;
+        let cycle = self.cycle;
 
         // Phase 1: deliver flits that completed their link cycle, and
         // advance flits leaving crossbars onto the link.
@@ -831,8 +772,8 @@ impl<S: Sink> Network<S> {
         for &(idx, port, flit) in &delivered {
             let idx = idx as usize;
             self.inflight[idx * NUM_PORTS + port.index()] -= 1;
-            if let Some(ping_dir) = self.routers[idx].deliver(port, flit) {
-                self.wake_neighbor_reference(idx, ping_dir);
+            if let Some(ping_dir) = self.routers[idx].deliver(port, flit, cycle - 1) {
+                self.wake_neighbor(idx, ping_dir, 0, false);
             }
         }
         delivered.clear();
@@ -840,7 +781,6 @@ impl<S: Sink> Network<S> {
         self.return_staged_credits();
 
         // Phase 2: step every router; collect outputs into fresh staging.
-        let cycle = self.cycle;
         for idx in 0..self.routers.len() {
             let adj = self.adj[idx];
             let mut neighbor_active = [true; NUM_PORTS];
@@ -852,12 +792,11 @@ impl<S: Sink> Network<S> {
                 };
             }
 
-            self.routers[idx].step_reference(&neighbor_active, &mut self.scratch);
-            self.cursor[idx] = cycle;
+            self.routers[idx].step_reference(cycle, &neighbor_active, &mut self.scratch);
             self.stage_outputs(idx);
             let pings = std::mem::take(&mut self.scratch.wake_pings);
             for &ping in &pings {
-                self.wake_neighbor_reference(idx, ping);
+                self.wake_neighbor(idx, ping, idx, false);
             }
             self.scratch.wake_pings = pings;
         }
@@ -930,61 +869,14 @@ impl<S: Sink> Network<S> {
         });
     }
 
-    /// The router across mesh port `dir_port` of router `idx`, with the
-    /// input port the link enters it by, if there is one.
-    fn across(&self, idx: usize, dir_port: Port) -> Option<(usize, Port)> {
-        match self.adj[idx][dir_port.index()] {
-            NO_NEIGHBOR => None,
-            nbr => Some((nbr, dir_port.opposite())),
-        }
-    }
-
-    /// Look-ahead wake ping arriving *between* steps (injection time).
-    /// The target's tick for the current cycle has already happened in
-    /// canonical order, so the deferred stretch is materialized through
-    /// the current cycle before the request lands.
-    fn wake_neighbor_prestep(&mut self, from: usize, dir_port: Port) {
-        if let Some((idx, in_port)) = self.across(from, dir_port) {
-            self.sync_to(idx, self.cycle);
-            self.apply_wake(idx, in_port);
-            self.reschedule(idx);
-        }
-    }
-
-    /// Look-ahead wake ping raised *inside* a step, by the router at
-    /// phase-2 position `pos` (phase-1 deliveries pass `pos == 0`: every
-    /// router's tick is still ahead). Exactness hinges on where the
-    /// target's tick for this cycle falls relative to the request in the
-    /// canonical full loop:
-    ///
-    /// - target index `< pos`, or target already ticked (`cursor ==
-    ///   cycle`): the canonical tick precedes the request, so the
-    ///   deferred stretch is absorbed in closed form through the current
-    ///   cycle and the request lands after it;
-    /// - otherwise the target ticks later in this same cycle: the
-    ///   request lands with the target at the cycle edge, and the target
-    ///   joins the current run set so its tick happens in phase 2.
-    fn wake_neighbor_instep(&mut self, from: usize, dir_port: Port, pos: usize) {
-        if let Some((idx, in_port)) = self.across(from, dir_port) {
-            let cycle = self.cycle;
-            if idx < pos || self.cursor[idx] == cycle {
-                self.sync_to(idx, cycle);
-                self.apply_wake(idx, in_port);
-                self.reschedule(idx);
-            } else {
-                self.sync_to(idx, cycle - 1);
-                self.apply_wake(idx, in_port);
-                self.mark_in(idx);
-            }
-        }
-    }
-
-    /// Look-ahead wake ping inside [`Network::step_reference`]: no
-    /// scheduler bookkeeping, matching the original loop verbatim (the
-    /// reference step keeps every cursor current).
-    fn wake_neighbor_reference(&mut self, from: usize, dir_port: Port) {
-        if let Some((idx, in_port)) = self.across(from, dir_port) {
-            self.apply_wake(idx, in_port);
+    /// Look-ahead wake ping from router `from` toward `dir_port`,
+    /// raised at phase-2 position `pos` (see [`Network::wake`]): wakes
+    /// the unit that powers the input port the link enters, if there is
+    /// a router across it.
+    fn wake_neighbor(&mut self, from: usize, dir_port: Port, pos: usize, schedule: bool) {
+        let nbr = self.adj[from][dir_port.index()];
+        if nbr != NO_NEIGHBOR {
+            self.wake(nbr, dir_port.opposite(), pos, schedule);
         }
     }
 
@@ -1013,14 +905,11 @@ impl<S: Sink> Network<S> {
             .fold(RouterActivity::default(), RouterActivity::merged)
     }
 
-    /// Sum of power-gating residency across the network (lag-aware:
-    /// deferred stretches are credited to their routers' current state
-    /// class without materializing them).
+    /// Sum of power-gating residency across the network.
     pub fn total_gating(&self) -> GatingActivity {
         self.routers
             .iter()
-            .enumerate()
-            .map(|(i, r)| r.gating_activity(self.cycle, self.cycle - self.cursor[i]))
+            .map(|r| r.gating_activity(self.cycle))
             .fold(GatingActivity::default(), GatingActivity::merged)
     }
 
@@ -1047,10 +936,8 @@ impl<S: Sink> Network<S> {
     }
 
     /// Closes out gating accounting (call once at the end of a run before
-    /// reading [`Network::total_gating`]). Materializes all deferred
-    /// stretches first so the routers' own counters are final.
+    /// reading [`Network::total_gating`]).
     pub fn finalize(&mut self) {
-        self.sync_all();
         let cycle = self.cycle;
         for r in &mut self.routers {
             r.finalize(cycle);
@@ -1059,11 +946,11 @@ impl<S: Sink> Network<S> {
 
     /// Serializes the subnet's simulation state (checkpointing).
     ///
-    /// Must be called at a cycle edge (between steps). Deferred idle
-    /// stretches are materialized first so every router's counters are
-    /// exact; materialization is representation-only, so saving does not
-    /// perturb the run. What is stored: clock, packet-id counter, the
-    /// statistics no router counts, every router, the link and staging
+    /// Must be called at a cycle edge (between steps). Saving reads the
+    /// network and changes nothing, so it cannot perturb the run. What
+    /// is stored: clock, packet-id counter, the statistics no router
+    /// counts, every router with its gating units' timestamps as held,
+    /// the link and staging
     /// buffers, the credits in flight, the delivered packets not yet
     /// drained and, once per packet in flight, its creation and
     /// injection cycles. Everything
@@ -1074,8 +961,7 @@ impl<S: Sink> Network<S> {
     /// [`SchedStats`] are instrumentation, not simulation state: a
     /// resumed network counts its own work from zero, so checkpoints of
     /// equal state are equal bytes however often the run was saved.
-    pub fn save_state(&mut self, w: &mut ByteWriter) {
-        self.sync_all();
+    pub fn save_state(&self, w: &mut ByteWriter) {
         w.put_u64(self.cycle);
         w.put_u64(self.next_packet_id);
         w.put_u64(self.stats.flits_injected);
@@ -1125,7 +1011,9 @@ impl<S: Sink> Network<S> {
     /// [`CodecError`] if the stream is truncated or names a state the
     /// simulation cannot reach: bad tags; a router, node id or VC out of
     /// range; a gating-unit count that does not match the granularity; a
-    /// gating unit slept or woke for more cycles than have elapsed; a
+    /// gating unit's timestamp after the clock, a wake-up that does not
+    /// complete within the wake-up latency after it, or a gating unit
+    /// slept or woke for more cycles than have elapsed; a
     /// flit or binding at an input port without a link; a binding toward
     /// a port without a link; a downstream VC bound twice; a staged flit
     /// that does not enter through a linked, powered mesh port; a
@@ -1253,7 +1141,6 @@ impl<S: Sink> Network<S> {
         for &(idx, port, _) in self.link_stage.iter().chain(&self.staged_flits) {
             self.inflight[idx as usize * NUM_PORTS + port.index()] += 1;
         }
-        self.cursor = vec![self.cycle; n];
         self.sleepers = self.routers.iter().filter(|r| r.power_state().is_sleeping()).count();
         if S::ENABLED {
             self.power_shadow = self.routers.iter().map(|r| PowerPhase::from(r.power_state())).collect();
@@ -1459,7 +1346,7 @@ mod tests {
                 ..behind(head, 1, 2)
             };
             assert!(net.try_inject_flit(NodeId(0), 0, head, 0) && net.try_inject_flit(NodeId(0), 0, tail, 0));
-            reload_checked(&mut net)
+            reload_checked(&net)
         };
         assert_eq!(with_body_to(NodeId(15)), Ok(()));
         assert_eq!(
@@ -1491,7 +1378,7 @@ mod tests {
 
     /// [`reload`], then the wormhole check with no interface part-way
     /// through a packet.
-    fn reload_checked(net: &mut Network) -> Result<(), CodecError> {
+    fn reload_checked(net: &Network) -> Result<(), CodecError> {
         reload(net)?.check_wormholes(|_| None)
     }
 
@@ -1504,7 +1391,7 @@ mod tests {
             let head = head_to_15(&mut net);
             net.packets.insert(head.packet, PacketTimes::default());
             assert!(net.try_inject_flit(NodeId(0), 0, behind(head, seq, 2), 0));
-            reload_checked(&mut net)
+            reload_checked(&net)
         };
         assert_eq!(fronted_by(0), Ok(()));
         assert_eq!(fronted_by(1), Err(CodecError::Invalid("flits out of wormhole order")));
@@ -1530,7 +1417,7 @@ mod tests {
                 },
                 0
             ));
-            reload_checked(&mut net)
+            reload_checked(&net)
         };
         assert_eq!(tail_to(NodeId(15)), Ok(()));
         assert_eq!(
@@ -1550,10 +1437,10 @@ mod tests {
             let head = head_to_15(&mut net);
             net.packets.insert(head.packet, PacketTimes::default());
             for seq in 0..len {
-                net.routers[1].deliver(Port::West, behind(head, seq, 2));
+                net.routers[1].deliver(Port::West, behind(head, seq, 2), 0);
             }
             net.step_reference();
-            reload_checked(&mut net)
+            reload_checked(&net)
         };
         assert_eq!(with_flits(2), Ok(()));
         assert_eq!(
@@ -1585,10 +1472,13 @@ mod tests {
         }
     }
 
-    /// A gating unit's active residency is the elapsed cycles less its
+    /// A gating unit's open sleep period runs from its start to the
+    /// clock, and its active residency is the elapsed cycles less its
     /// sleep and wake-up residencies: a network whose clock (the first
-    /// eight payload bytes) reads fewer cycles than a router slept
-    /// cannot decode.
+    /// eight payload bytes) reads earlier than a router began to sleep
+    /// cannot decode, nor one whose clock is past a router's wake-up
+    /// completion, nor one that slept longer than the clock has run
+    /// (see the power-state machine's decode tests).
     #[test]
     fn decode_rejects_gated_residency_beyond_the_elapsed_cycles() {
         let mut net = small_net(true);
@@ -1599,21 +1489,25 @@ mod tests {
         for _ in 0..20 {
             net.step();
         }
-        let mut w = ByteWriter::new();
-        net.save_state(&mut w);
-        let saved = w.into_inner();
-        let at_cycle = |cycle: u64| {
-            let mut bytes = saved.clone();
+        let at_cycle = |net: &Network, cycle: u64| {
+            let mut w = ByteWriter::new();
+            net.save_state(&mut w);
+            let mut bytes = w.into_inner();
             bytes[..8].copy_from_slice(&cycle.to_le_bytes());
             small_net(true).load_state(&mut ByteReader::new(&bytes))
         };
-        assert_eq!(at_cycle(30), Ok(()));
-        assert_eq!(at_cycle(20), Ok(()), "slept exactly the elapsed cycles");
+        assert_eq!(at_cycle(&net, 30), Ok(()));
+        assert_eq!(at_cycle(&net, 10), Ok(()), "slept no cycle yet");
         assert_eq!(
-            at_cycle(19),
-            Err(CodecError::Invalid(
-                "sleep and wake-up residency exceed the elapsed cycles"
-            ))
+            at_cycle(&net, 9),
+            Err(CodecError::Invalid("timestamp after the checkpoint's cycle"))
+        );
+        net.request_wake(NodeId(5));
+        let t_wakeup = u64::from(net.config().gating.t_wakeup);
+        assert_eq!(at_cycle(&net, 30 + t_wakeup - 1), Ok(()));
+        assert_eq!(
+            at_cycle(&net, 30 + t_wakeup),
+            Err(CodecError::Invalid("wake-up completion outside the wake-up latency"))
         );
     }
 
@@ -1825,8 +1719,6 @@ mod tests {
             assert_eq!(net.drain_ejected(), resumed.drain_ejected(), "ejections diverged");
         }
         assert_eq!(net.stats(), resumed.stats());
-        net.materialize();
-        resumed.materialize();
         for node in dims.nodes() {
             assert_eq!(
                 net.router(node).units(),
@@ -1839,7 +1731,7 @@ mod tests {
     /// One network stepped by the scheduler only, its twin switching
     /// between the scheduler and the reference oracle every 3 cycles,
     /// under traffic plus periodic sleep sweeps so the switches land on
-    /// deferred, sleeping and waking routers, and right after injections
+    /// untouched, sleeping and waking routers, and right after injections
     /// (which queue the router for the next step).
     fn assert_interleaving_matches(dims: MeshDims, granularity: Granularity) {
         let cfg = NetworkConfig::paper().dims(dims).granularity(granularity);
@@ -1885,8 +1777,6 @@ mod tests {
         let ejected = plain.stats().packets_ejected;
         assert!(ejected >= 20, "traffic must actually flow, got {ejected} packets");
         assert_eq!(plain.stats(), mixed.stats());
-        plain.materialize();
-        mixed.materialize();
         assert_eq!(plain.power_state_census(), mixed.power_state_census());
         for node in dims.nodes() {
             assert_eq!(
@@ -1910,7 +1800,7 @@ mod tests {
 
     /// Saves `net` and loads the bytes into a fresh network of the same
     /// configuration.
-    fn reload(net: &mut Network) -> Result<Network, CodecError> {
+    fn reload(net: &Network) -> Result<Network, CodecError> {
         let mut w = ByteWriter::new();
         net.save_state(&mut w);
         let bytes = w.into_inner();
@@ -1940,7 +1830,7 @@ mod tests {
             flit.vc = vc;
             flit.dst = dst;
             net.staged_flits.push((1, Port::West, flit));
-            let loaded = reload(&mut net).map(|_| ());
+            let loaded = reload(&net).map(|_| ());
             assert!(
                 matches!(loaded, Err(CodecError::Invalid(_))),
                 "VC {vc}, destination {dst}: {loaded:?}"
@@ -1960,7 +1850,7 @@ mod tests {
         }
         let flit = staged_into_1(&mut net);
         net.staged_flits.push((1, Port::West, flit));
-        let mut back = reload(&mut net).expect("an active receiver loads");
+        let mut back = reload(&net).expect("an active receiver loads");
         for _ in 0..10 {
             back.step();
         }
@@ -1971,16 +1861,13 @@ mod tests {
         net.staged_flits.clear();
         assert!(net.request_sleep(NodeId(1), 0));
         net.staged_flits.push((1, Port::West, flit));
-        assert!(
-            matches!(reload(&mut net), Err(CodecError::Invalid(_))),
-            "gated receiver"
-        );
+        assert!(matches!(reload(&net), Err(CodecError::Invalid(_))), "gated receiver");
 
         let mut net = small_net(true);
         let mut flit = net.make_single_flit_packet(NodeId(1), NodeId(0));
         flit.lookahead = Port::Local;
         net.staged_flits.push((0, Port::West, flit));
-        assert!(matches!(reload(&mut net), Err(CodecError::Invalid(_))), "no link");
+        assert!(matches!(reload(&net), Err(CodecError::Invalid(_))), "no link");
     }
 
     /// Credits are rebuilt from the flits they stand for, so a flit
@@ -1990,13 +1877,13 @@ mod tests {
         let mut net = small_net(false);
         let flit = staged_into_1(&mut net);
         for _ in 1..net.config().vc_depth {
-            net.routers[1].deliver(Port::West, flit);
+            net.routers[1].deliver(Port::West, flit, 0);
         }
         net.staged_flits.push((1, Port::West, flit));
-        assert!(reload(&mut net).is_ok(), "the VC's depth in flits fits");
-        net.routers[1].deliver(Port::West, flit);
+        assert!(reload(&net).is_ok(), "the VC's depth in flits fits");
+        net.routers[1].deliver(Port::West, flit, 0);
         assert_eq!(
-            reload(&mut net).map(|_| ()),
+            reload(&net).map(|_| ()),
             Err(CodecError::Invalid("downstream VC over-committed"))
         );
     }

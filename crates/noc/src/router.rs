@@ -31,17 +31,20 @@ use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
 const ALL_PORTS: u8 = (1 << NUM_PORTS) - 1;
 
 /// One power-gating unit: a power-state machine and its idle-detect
-/// counter. A router gates as one unit (router granularity, also used
+/// timestamp. A router gates as one unit (router granularity, also used
 /// with gating off) or as five, one per input port, indexed like
 /// [`Port::index`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct GatingUnit {
     psm: PowerStateMachine,
-    /// Consecutive cycles, while the router was up, in which the unit's
-    /// inputs held no flit: drained cycles (buffers and crossbar
-    /// register empty) for a router unit, cycles with its port's buffers
-    /// empty for a port unit.
-    idle: u32,
+    /// The cycle edge the unit's idle count last restarted: a flit
+    /// delivered to the unit, a tick that ends with its inputs holding a
+    /// flit (the buffers or crossbar register for a router unit, its
+    /// port's buffers for a port unit), or a completed or immediate
+    /// wake-up. At cycle edge `c` the unit has been idle `c - idle_from`
+    /// consecutive cycles; a router unit's count means nothing while it
+    /// sleeps or wakes, and the sleep guard reads it only when active.
+    idle_from: u64,
 }
 
 /// A flit leaving a router through a mesh output port, to be delivered to
@@ -144,7 +147,7 @@ impl Router {
         let (vcs, vc_depth) = (cfg.vcs_per_port, cfg.vc_depth);
         let unit = GatingUnit {
             psm: PowerStateMachine::new(cfg.gating.t_wakeup, cfg.gating.t_breakeven),
-            idle: 0,
+            idle_from: 0,
         };
         let units = if cfg.granularity == Granularity::Port {
             NUM_PORTS
@@ -219,50 +222,43 @@ impl Router {
     }
 
     /// Requests a wake-up of the unit that powers input port `port`
-    /// (no-op unless it sleeps).
-    pub(crate) fn request_wake(&mut self, port: Port, cycle: u64) {
+    /// (no-op unless it sleeps), landing on cycle edge `edge`; `cycle`
+    /// is the network's clock (see [`PowerStateMachine::request_wake`]).
+    pub(crate) fn request_wake(&mut self, port: Port, edge: u64, cycle: u64) {
         let u = self.unit_of(port);
         let unit = &mut self.units[u];
         if unit.psm.state().is_sleeping() {
-            unit.psm.request_wake(cycle);
+            unit.psm.request_wake(edge, cycle);
             if unit.psm.state().is_active() {
                 // Woken at once (`t_wakeup` 0): restart the idle count as
-                // a completed countdown does in `tick_power`, or the
-                // policy re-gates the unit before the pinging head
-                // arrives.
-                unit.idle = 0;
+                // a completed wake-up does in `tick_power`, or the policy
+                // re-gates the unit before the pinging head arrives.
+                unit.idle_from = edge;
             }
         }
     }
 
-    /// Whether gating unit `unit` satisfies the router-local sleep guard,
-    /// crediting `lag` cycles that the event scheduler has deferred but
-    /// not yet materialized into its idle counter: the unit is active,
-    /// its idle count plus `lag` reaches `t_idle_detect`, and its inputs
-    /// are empty. For a router unit that means drained (buffers and
-    /// crossbar register); for a port unit, no flit and no open wormhole
-    /// binding on any VC of its port (a packet may still have flits
-    /// upstream of the router — e.g. in the NI — while the buffer is
-    /// momentarily empty). The network adds link-level conditions (no
-    /// inbound wormholes or in-flight flits) before actually gating.
-    ///
-    /// Crediting the lag is exact: a deferred router is drained and no
-    /// unit's state class changes across the deferred stretch, so every
-    /// deferred cycle of an active unit advanced its counter (an active
-    /// router unit keeps the router up, and port units never take it
-    /// down).
-    pub(crate) fn sleep_guard_ok(&self, unit: usize, lag: u64) -> bool {
+    /// Whether gating unit `unit` satisfies the router-local sleep guard
+    /// at cycle edge `cycle`: the unit is active, it has been idle for
+    /// `t_idle_detect` cycles, and its inputs are empty. For a router
+    /// unit that means drained (buffers and crossbar register); for a
+    /// port unit, no flit and no open wormhole binding on any VC of its
+    /// port (a packet may still have flits upstream of the router — e.g.
+    /// in the NI — while the buffer is momentarily empty). The network
+    /// adds link-level conditions (no inbound wormholes or in-flight
+    /// flits) before actually gating.
+    pub(crate) fn sleep_guard_ok(&self, unit: usize, cycle: u64) -> bool {
         let u = &self.units[unit];
         let empty = if self.units.len() == 1 {
             self.is_drained()
         } else {
             self.inputs.nonempty(unit) == 0 && self.inputs.bound(unit) == 0
         };
-        u.psm.state().is_active() && u64::from(u.idle) + lag >= u64::from(self.t_idle_detect) && empty
+        u.psm.state().is_active() && cycle - u.idle_from >= u64::from(self.t_idle_detect) && empty
     }
 
-    /// Gates unit `unit`. The caller must have checked
-    /// [`Router::sleep_guard_ok`] and the network-level inbound
+    /// Gates unit `unit` at cycle edge `cycle`. The caller must have
+    /// checked [`Router::sleep_guard_ok`] and the network-level inbound
     /// conditions.
     ///
     /// # Panics
@@ -270,20 +266,41 @@ impl Router {
     /// Panics if the guard does not hold.
     pub(crate) fn enter_sleep(&mut self, unit: usize, cycle: u64) {
         assert!(
-            self.sleep_guard_ok(unit, 0),
+            self.sleep_guard_ok(unit, cycle),
             "sleep guard violated for {} unit {unit}",
             self.node
         );
         self.units[unit].psm.enter_sleep(cycle);
     }
 
-    /// Ticks until the earliest pending wake-up countdown of any unit
-    /// completes: after exactly that many idle ticks the machine reaches
-    /// Active. `None` when no countdown is pending — Sleep and Active
-    /// are stable indefinitely under idle ticks, so a deferred router in
-    /// those classes never needs to be woken by the scheduler.
+    /// The cycle the earliest pending wake-up of any unit completes on:
+    /// the router's tick of that cycle makes the unit active. `None`
+    /// when no wake-up is pending — nothing else changes a unit that no
+    /// request touches, so a router that does not run in that state
+    /// never needs to be run by the scheduler.
     pub fn next_wake_completion(&self) -> Option<u64> {
-        self.units.iter().filter_map(|u| u.psm.stable_ticks()).map(|s| s + 1).min()
+        (self.units.iter())
+            .filter_map(|u| match u.psm.state() {
+                PowerState::WakeUp { until } => Some(until),
+                PowerState::Active | PowerState::Sleep => None,
+            })
+            .min()
+    }
+
+    /// Why the router's gating units cannot be at cycle edge `cycle`, if
+    /// they cannot: an idle count restarted after it, or a power-state
+    /// machine that does not fit it
+    /// ([`PowerStateMachine::time_error`]). Checkpoint decode refuses
+    /// such a router, and debug builds check every router at every edge
+    /// ([`crate::Network`]'s scheduler check).
+    pub(crate) fn time_error(&self, cycle: u64) -> Option<&'static str> {
+        (self.units.iter()).find_map(|u| {
+            if u.idle_from > cycle {
+                Some("timestamp after the checkpoint's cycle")
+            } else {
+                u.psm.time_error(cycle)
+            }
+        })
     }
 
     /// This router's node id.
@@ -294,7 +311,7 @@ impl Router {
     /// Router-level power state: the router unit's state, and Active at
     /// port granularity, where crossbar, control and clock stay powered.
     /// The router is up — runs allocation and traversal, and its idle
-    /// counters advance — exactly when this is Active.
+    /// counts advance — exactly when this is Active.
     pub fn power_state(&self) -> PowerState {
         match &self.units[..] {
             [router] => router.psm.state(),
@@ -444,15 +461,16 @@ impl Router {
         self.inputs.binding(port.index(), vc)
     }
 
-    /// Delivers an arriving flit into the input buffer `(port, flit.vc)`.
-    /// Returns the direction to send a look-ahead wake-up ping, if the flit
-    /// is a head flit bound for a mesh neighbour.
+    /// Delivers an arriving flit into the input buffer `(port, flit.vc)`
+    /// on cycle edge `edge`, restarting the idle count of the unit that
+    /// powers `port`. Returns the direction to send a look-ahead wake-up
+    /// ping, if the flit is a head flit bound for a mesh neighbour.
     ///
     /// # Panics
     ///
     /// Panics if the port is not powered (the flow-control protocol never
     /// delivers flits to gated routers or ports) or on buffer overflow.
-    pub fn deliver(&mut self, port: Port, flit: Flit) -> Option<Port> {
+    pub fn deliver(&mut self, port: Port, flit: Flit, edge: u64) -> Option<Port> {
         assert!(
             self.port_active(port),
             "flit delivered to non-active router/port {} {port} (protocol violation)",
@@ -464,7 +482,7 @@ impl Router {
         self.inputs.push(port.index(), vc, flit);
         self.activity.buffer_writes += 1;
         let u = self.unit_of(port);
-        self.units[u].idle = 0;
+        self.units[u].idle_from = edge;
         ping
     }
 
@@ -495,19 +513,19 @@ impl Router {
         }
     }
 
-    /// One cycle of router operation. `neighbor_active[p]` tells whether
-    /// the router across output port `p` can accept flits this cycle
-    /// (`true` for the local port).
+    /// The router's operation in cycle `cycle`. `neighbor_active[p]`
+    /// tells whether the router across output port `p` can accept flits
+    /// this cycle (`true` for the local port).
     ///
     /// Outputs are written into `out` (cleared first).
-    pub fn step(&mut self, neighbor_active: &[bool; NUM_PORTS], out: &mut RouterOutput) {
+    pub fn step(&mut self, cycle: u64, neighbor_active: &[bool; NUM_PORTS], out: &mut RouterOutput) {
         out.clear();
         if self.power_state().is_active() {
             self.switch_traversal(out);
             self.allocate(neighbor_active, out);
-            self.update_idle_counters();
+            self.update_idle_counts(cycle);
         }
-        self.tick_power();
+        self.tick_power(cycle);
     }
 
     /// [`Router::step`] through the *reference* allocator: the original
@@ -517,80 +535,56 @@ impl Router {
     /// allocators (an optimization bug in [`Router::step`] cannot cancel
     /// out against itself) and the reference benchmark baseline stays
     /// the naive per-cycle walk.
-    pub fn step_reference(&mut self, neighbor_active: &[bool; NUM_PORTS], out: &mut RouterOutput) {
+    pub fn step_reference(&mut self, cycle: u64, neighbor_active: &[bool; NUM_PORTS], out: &mut RouterOutput) {
         out.clear();
         if self.power_state().is_active() {
             self.switch_traversal(out);
             self.allocate_reference(neighbor_active, out);
-            self.update_idle_counters();
+            self.update_idle_counts(cycle);
         }
-        self.tick_power();
+        self.tick_power(cycle);
     }
 
-    /// Idle detection after the move stages: each unit counts a cycle in
-    /// which its inputs held no flit (see [`GatingUnit`]'s counter).
-    fn update_idle_counters(&mut self) {
+    /// Idle detection after the move stages of cycle `cycle`: a unit
+    /// whose inputs still hold a flit restarts its idle count (see
+    /// [`GatingUnit`]'s timestamp); an empty one counts on.
+    fn update_idle_counts(&mut self, cycle: u64) {
         let drained = self.is_drained();
         let whole = self.units.len() == 1;
         let occ = self.inputs.port_occ();
         for (u, unit) in self.units.iter_mut().enumerate() {
             let empty = if whole { drained } else { occ[u] == 0 };
-            unit.idle = if empty { unit.idle.saturating_add(1) } else { 0 };
+            if !empty {
+                unit.idle_from = cycle;
+            }
         }
     }
 
-    /// Advances the power-state machines by one tick.
-    fn tick_power(&mut self) {
+    /// The power-state machines' tick of cycle `cycle`: completes the
+    /// wake-ups due on it.
+    fn tick_power(&mut self, cycle: u64) {
         for unit in &mut self.units {
-            let was_active = unit.psm.state().is_active();
-            unit.psm.tick();
-            if !was_active && unit.psm.state().is_active() {
+            if unit.psm.tick(cycle) {
                 // A freshly woken unit must stay up long enough for the
                 // in-flight flit that caused the wake-up to arrive;
                 // otherwise an eager gating controller could re-gate it
                 // instantly and strand the packet (the wake ping is
                 // one-shot).
-                unit.idle = 0;
+                unit.idle_from = cycle;
             }
         }
     }
 
-    /// One cycle of a **drained** router, equivalent to [`Router::step`]
-    /// with empty buffers and an empty crossbar register: no allocation or
-    /// traversal work can happen, so only the idle counters and the
-    /// power-state machines advance, and no outputs are produced. Never
-    /// reads neighbour state, which is what lets the network skip drained
-    /// routers without computing their `neighbor_active` masks.
-    pub fn idle_tick(&mut self) {
+    /// Cycle `cycle` of a **drained** router, equivalent to
+    /// [`Router::step`] with empty buffers and an empty crossbar
+    /// register: no allocation or traversal work can happen and every
+    /// idle count runs on, so only a wake-up due on `cycle` completes,
+    /// and no outputs are produced. Never reads neighbour state, which
+    /// is what lets the network skip drained routers without computing
+    /// their `neighbor_active` masks.
+    pub fn idle_tick(&mut self, cycle: u64) {
         debug_assert!(self.is_drained(), "idle_tick on a non-drained router {}", self.node);
-        if self.power_state().is_active() {
-            for unit in &mut self.units {
-                unit.idle = unit.idle.saturating_add(1);
-            }
-        }
-        self.tick_power();
-    }
-
-    /// Advances a **drained** router by `dt` cycles in O(units)
-    /// arithmetic, equivalent to `dt` calls of [`Router::idle_tick`]
-    /// provided no power-state machine completes a wake-up inside the
-    /// interval (idle counters would reset and telemetry would miss the
-    /// edge): `dt` must stay below [`Router::next_wake_completion`],
-    /// which the network's scheduler guarantees by running the router
-    /// on the completing cycle.
-    pub fn fast_forward(&mut self, dt: u64) {
-        debug_assert!(self.is_drained(), "fast_forward on a non-drained router {}", self.node);
-        if dt == 0 {
-            return;
-        }
-        let d32 = dt.min(u32::MAX as u64) as u32;
-        let up = self.power_state().is_active();
-        for unit in &mut self.units {
-            if up {
-                unit.idle = unit.idle.saturating_add(d32);
-            }
-            unit.psm.fast_forward(dt);
-        }
+        self.tick_power(cycle);
     }
 
     /// Stage 2: flits granted last cycle traverse the crossbar onto links
@@ -934,45 +928,12 @@ impl Router {
     }
 
     /// Power-gating residency statistics summed over the gating units
-    /// (router-cycles, or port-cycles at port granularity). Every unit
-    /// ticks once per cycle, so at the current `cycle` its active
-    /// residency is `cycle` less its sleep and wake-up residencies; an
-    /// open sleep period is credited with its compensated sleep cycles.
-    /// `lag` deferred idle ticks that the event scheduler has not
-    /// materialized are credited to the *current* state's residency —
-    /// exact because the state class is constant across a deferred
-    /// stretch, and `compensated_at` is already time-based.
-    pub fn gating_activity(&self, cycle: u64, lag: u64) -> GatingActivity {
-        let mut total = GatingActivity::default();
-        for unit in &self.units {
-            let p = &unit.psm;
-            let (mut sleep_cycles, mut wakeup_cycles) = (p.sleep_cycles, p.wakeup_cycles);
-            match p.state() {
-                PowerState::Active => {}
-                PowerState::Sleep => sleep_cycles += lag,
-                PowerState::WakeUp { .. } => wakeup_cycles += lag,
-            }
-            total = total.merged(GatingActivity {
-                active_cycles: cycle - sleep_cycles - wakeup_cycles,
-                sleep_cycles,
-                wakeup_cycles,
-                sleep_transitions: p.sleep_transitions,
-                compensated_sleep_cycles: p.compensated_at(cycle),
-            });
-        }
-        total
-    }
-
-    /// Router-level power state as it would read after `lag` further idle
-    /// ticks (a wake-up countdown shortened by the deferred stretch;
-    /// Sleep and Active unchanged).
-    pub fn power_state_lagged(&self, lag: u64) -> PowerState {
-        match self.power_state() {
-            PowerState::WakeUp { remaining } => PowerState::WakeUp {
-                remaining: remaining - (lag.min(u64::from(remaining) - 1) as u32),
-            },
-            s => s,
-        }
+    /// (router-cycles, or port-cycles at port granularity) at cycle edge
+    /// `cycle` ([`PowerStateMachine::activity`]).
+    pub fn gating_activity(&self, cycle: u64) -> GatingActivity {
+        (self.units.iter())
+            .map(|unit| unit.psm.activity(cycle))
+            .fold(GatingActivity::default(), GatingActivity::merged)
     }
 
     /// Closes the power-state accounting at the end of a simulation.
@@ -1007,7 +968,7 @@ impl Router {
         w.put_u8(self.units.len() as u8);
         for unit in &self.units {
             unit.psm.encode(w);
-            w.put_u32(unit.idle);
+            w.put_u64(unit.idle_from);
         }
         let a = &self.activity;
         w.put_u64(a.buffer_writes);
@@ -1082,8 +1043,11 @@ impl Router {
             return Err(CodecError::Invalid("gating units do not match the granularity"));
         }
         for unit in router.units.iter_mut() {
-            unit.psm = PowerStateMachine::decode(r, &cfg.gating, cycle)?;
-            unit.idle = r.get_u32()?;
+            unit.psm = PowerStateMachine::decode(r, &cfg.gating)?;
+            unit.idle_from = r.get_u64()?;
+        }
+        if let Some(what) = router.time_error(cycle) {
+            return Err(CodecError::Invalid(what));
         }
         router.activity = RouterActivity {
             buffer_writes: r.get_u64()?,
@@ -1138,6 +1102,9 @@ mod tests {
 
     const ALL_ACTIVE: [bool; NUM_PORTS] = [true; NUM_PORTS];
 
+    // Only the gating units read the cycle: tests that never gate run
+    // and deliver at cycle 0 throughout.
+
     /// An inner router (every port linked) of the paper's 8x8 mesh:
     /// 4 VCs of depth 4, `t_wakeup` 10, `t_breakeven` 12, `t_idle_detect`
     /// 4.
@@ -1161,12 +1128,12 @@ mod tests {
     fn single_flit_crosses_in_two_cycles() {
         let mut r = router();
         let mut out = RouterOutput::default();
-        r.deliver(Port::West, flit(1, FlitKind::Single, 0, Port::East, 0));
+        r.deliver(Port::West, flit(1, FlitKind::Single, 0, Port::East, 0), 0);
         // Cycle 1: VA + SA grant into the crossbar register.
-        r.step(&ALL_ACTIVE, &mut out);
+        r.step(0, &ALL_ACTIVE, &mut out);
         assert!(out.outbound.is_empty());
         // Cycle 2: switch traversal.
-        r.step(&ALL_ACTIVE, &mut out);
+        r.step(0, &ALL_ACTIVE, &mut out);
         assert_eq!(out.outbound.len(), 1);
         assert_eq!(out.outbound[0].out_port, Port::East);
         assert_eq!(r.activity.arb_grants, 1);
@@ -1177,8 +1144,8 @@ mod tests {
     fn credit_returned_for_arrival_vc() {
         let mut r = router();
         let mut out = RouterOutput::default();
-        r.deliver(Port::North, flit(1, FlitKind::Single, 0, Port::South, 3));
-        r.step(&ALL_ACTIVE, &mut out);
+        r.deliver(Port::North, flit(1, FlitKind::Single, 0, Port::South, 3), 0);
+        r.step(0, &ALL_ACTIVE, &mut out);
         assert_eq!(out.credits.len(), 1);
         assert_eq!(out.credits[0].in_port, Port::North);
         assert_eq!(out.credits[0].vc, 3);
@@ -1190,11 +1157,11 @@ mod tests {
         // frees a buffer slot, so a credit goes back upstream...
         let mut r = router();
         let mut out = RouterOutput::default();
-        r.deliver(Port::North, flit(1, FlitKind::Single, 0, Port::Local, 0));
-        r.step(&ALL_ACTIVE, &mut out);
+        r.deliver(Port::North, flit(1, FlitKind::Single, 0, Port::Local, 0), 0);
+        r.step(0, &ALL_ACTIVE, &mut out);
         assert_eq!(out.credits.len(), 1);
         assert_eq!(out.credits[0].in_port, Port::North);
-        r.step(&ALL_ACTIVE, &mut out);
+        r.step(0, &ALL_ACTIVE, &mut out);
         assert_eq!(out.ejected.len(), 1);
         assert_eq!(r.activity.ejected_flits, 1);
         assert_eq!(r.activity.link_flits, 0);
@@ -1202,8 +1169,8 @@ mod tests {
         // ...whereas a locally injected flit produces no credit (the NI
         // observes buffer space directly).
         let mut r2 = router();
-        r2.deliver(Port::Local, flit(2, FlitKind::Single, 0, Port::East, 0));
-        r2.step(&ALL_ACTIVE, &mut out);
+        r2.deliver(Port::Local, flit(2, FlitKind::Single, 0, Port::East, 0), 0);
+        r2.step(0, &ALL_ACTIVE, &mut out);
         assert!(out.credits.is_empty());
     }
 
@@ -1211,14 +1178,14 @@ mod tests {
     fn wormhole_binding_held_until_tail() {
         let mut r = router();
         let mut out = RouterOutput::default();
-        r.deliver(Port::West, flit(1, FlitKind::Head, 0, Port::East, 0));
-        r.step(&ALL_ACTIVE, &mut out);
+        r.deliver(Port::West, flit(1, FlitKind::Head, 0, Port::East, 0), 0);
+        r.step(0, &ALL_ACTIVE, &mut out);
         assert!(r.outbound_binding_ports()[Port::East.index()]);
-        r.deliver(Port::West, flit(1, FlitKind::Body, 1, Port::East, 0));
-        r.step(&ALL_ACTIVE, &mut out);
+        r.deliver(Port::West, flit(1, FlitKind::Body, 1, Port::East, 0), 0);
+        r.step(0, &ALL_ACTIVE, &mut out);
         assert!(r.outbound_binding_ports()[Port::East.index()]);
-        r.deliver(Port::West, flit(1, FlitKind::Tail, 2, Port::East, 0));
-        r.step(&ALL_ACTIVE, &mut out);
+        r.deliver(Port::West, flit(1, FlitKind::Tail, 2, Port::East, 0), 0);
+        r.step(0, &ALL_ACTIVE, &mut out);
         // Tail was granted this cycle, releasing the binding.
         assert!(!r.outbound_binding_ports()[Port::East.index()]);
     }
@@ -1229,13 +1196,13 @@ mod tests {
         let mut out = RouterOutput::default();
         // Two whole packets from different input ports to the same output
         // port, delivered up front.
-        r.deliver(Port::West, flit(1, FlitKind::Head, 0, Port::East, 0));
-        r.deliver(Port::North, flit(2, FlitKind::Head, 0, Port::East, 0));
-        r.deliver(Port::West, flit(1, FlitKind::Tail, 1, Port::East, 0));
-        r.deliver(Port::North, flit(2, FlitKind::Tail, 1, Port::East, 0));
+        r.deliver(Port::West, flit(1, FlitKind::Head, 0, Port::East, 0), 0);
+        r.deliver(Port::North, flit(2, FlitKind::Head, 0, Port::East, 0), 0);
+        r.deliver(Port::West, flit(1, FlitKind::Tail, 1, Port::East, 0), 0);
+        r.deliver(Port::North, flit(2, FlitKind::Tail, 1, Port::East, 0), 0);
         let mut seen = Vec::new();
         for _ in 0..10 {
-            r.step(&ALL_ACTIVE, &mut out);
+            r.step(0, &ALL_ACTIVE, &mut out);
             for ob in &out.outbound {
                 seen.push((ob.flit.packet, ob.flit.vc));
             }
@@ -1259,14 +1226,14 @@ mod tests {
     fn only_one_grant_per_output_port_per_cycle() {
         let mut r = router();
         let mut out = RouterOutput::default();
-        r.deliver(Port::West, flit(1, FlitKind::Single, 0, Port::East, 0));
-        r.deliver(Port::North, flit(2, FlitKind::Single, 0, Port::East, 1));
-        r.step(&ALL_ACTIVE, &mut out);
+        r.deliver(Port::West, flit(1, FlitKind::Single, 0, Port::East, 0), 0);
+        r.deliver(Port::North, flit(2, FlitKind::Single, 0, Port::East, 1), 0);
+        r.step(0, &ALL_ACTIVE, &mut out);
         assert_eq!(r.activity.arb_grants, 1, "output port conflict must serialize");
         assert!(r.activity.head_blocked_cycles >= 1);
-        r.step(&ALL_ACTIVE, &mut out);
+        r.step(0, &ALL_ACTIVE, &mut out);
         assert_eq!(out.outbound.len(), 1);
-        r.step(&ALL_ACTIVE, &mut out);
+        r.step(0, &ALL_ACTIVE, &mut out);
         assert_eq!(out.outbound.len(), 1);
     }
 
@@ -1276,16 +1243,16 @@ mod tests {
         let mut out = RouterOutput::default();
         let mut east_off = ALL_ACTIVE;
         east_off[Port::East.index()] = false;
-        r.deliver(Port::West, flit(1, FlitKind::Single, 0, Port::East, 0));
+        r.deliver(Port::West, flit(1, FlitKind::Single, 0, Port::East, 0), 0);
         for _ in 0..5 {
-            r.step(&east_off, &mut out);
+            r.step(0, &east_off, &mut out);
             assert!(out.outbound.is_empty());
         }
         assert_eq!(r.activity.arb_grants, 0);
         assert!(r.activity.head_blocked_cycles >= 5);
         // Neighbour wakes: flit proceeds.
-        r.step(&ALL_ACTIVE, &mut out);
-        r.step(&ALL_ACTIVE, &mut out);
+        r.step(0, &ALL_ACTIVE, &mut out);
+        r.step(0, &ALL_ACTIVE, &mut out);
         assert_eq!(out.outbound.len(), 1);
     }
 
@@ -1299,21 +1266,21 @@ mod tests {
             .iter()
             .enumerate()
         {
-            r.deliver(Port::West, flit(1, *kind, i as u16, Port::East, 0));
+            r.deliver(Port::West, flit(1, *kind, i as u16, Port::East, 0), 0);
         }
         let mut sent = 0;
         for _ in 0..12 {
-            r.step(&ALL_ACTIVE, &mut out);
+            r.step(0, &ALL_ACTIVE, &mut out);
             sent += out.outbound.len();
         }
         assert_eq!(sent, 4, "only vc_depth flits may be in flight without credit returns");
         // Return one credit for the VC that was allocated.
         let alloc_vc = (0..4).find(|&v| r.out_owned[Port::East.index()] & (1 << v) != 0).unwrap();
-        r.deliver(Port::West, flit(1, FlitKind::Body, 4, Port::East, 0));
+        r.deliver(Port::West, flit(1, FlitKind::Body, 4, Port::East, 0), 0);
         r.return_credit(Port::East, alloc_vc as u8);
         let mut sent2 = 0;
         for _ in 0..4 {
-            r.step(&ALL_ACTIVE, &mut out);
+            r.step(0, &ALL_ACTIVE, &mut out);
             sent2 += out.outbound.len();
         }
         assert_eq!(sent2, 1);
@@ -1324,40 +1291,43 @@ mod tests {
         let mut r = router();
         let mut out = RouterOutput::default();
         assert!(!r.sleep_guard_ok(0, 0));
-        for _ in 0..3 {
-            r.step(&ALL_ACTIVE, &mut out);
+        for cycle in 1..=3 {
+            r.step(cycle, &ALL_ACTIVE, &mut out);
         }
-        assert_eq!(r.units[0].idle, 3);
-        assert!(!r.sleep_guard_ok(0, 0));
-        // The lag-aware guard credits deferred idle cycles.
-        assert!(r.sleep_guard_ok(0, 1));
-        r.step(&ALL_ACTIVE, &mut out);
-        assert!(r.sleep_guard_ok(0, 0));
-        // A delivery resets idleness.
-        r.deliver(Port::West, flit(1, FlitKind::Single, 0, Port::East, 0));
-        assert_eq!(r.units[0].idle, 0);
+        assert!(!r.sleep_guard_ok(0, 3));
+        // The count is exact at every edge, whether the router ran or not.
+        assert!(r.sleep_guard_ok(0, 4));
+        r.step(4, &ALL_ACTIVE, &mut out);
+        assert!(r.sleep_guard_ok(0, 4));
+        // A delivery restarts the count.
+        r.deliver(Port::West, flit(1, FlitKind::Single, 0, Port::East, 0), 4);
+        assert_eq!(r.units[0].idle_from, 4);
+        // A tick that ends with a flit inside restarts it again.
+        r.step(5, &ALL_ACTIVE, &mut out);
+        assert_eq!(r.units[0].idle_from, 5);
     }
 
     #[test]
     fn sleep_and_wake_cycle() {
         let mut r = router();
         let mut out = RouterOutput::default();
-        for _ in 0..4 {
-            r.step(&ALL_ACTIVE, &mut out);
+        for cycle in 1..=4 {
+            r.step(cycle, &ALL_ACTIVE, &mut out);
         }
         r.enter_sleep(0, 4);
         assert!(r.power_state().is_sleeping());
         // Sleeping routers do nothing.
-        r.step(&ALL_ACTIVE, &mut out);
+        r.step(5, &ALL_ACTIVE, &mut out);
         assert!(out.outbound.is_empty());
-        r.request_wake(Port::East, 6);
-        for _ in 0..10 {
+        r.request_wake(Port::East, 5, 6);
+        for cycle in 6..=15 {
             assert!(!r.power_state().is_active());
-            r.step(&ALL_ACTIVE, &mut out);
+            r.step(cycle, &ALL_ACTIVE, &mut out);
         }
         assert!(r.power_state().is_active());
+        assert_eq!(r.units[0].idle_from, 15, "a completed wake-up restarts the idle count");
         // 15 ticks: 4 active, 1 asleep, 10 waking.
-        let g = r.gating_activity(15, 0);
+        let g = r.gating_activity(15);
         assert_eq!(g.sleep_transitions, 1);
         assert_eq!((g.active_cycles, g.sleep_cycles, g.wakeup_cycles), (4, 1, 10));
     }
@@ -1367,19 +1337,19 @@ mod tests {
     fn delivery_to_sleeping_router_panics() {
         let mut r = router();
         let mut out = RouterOutput::default();
-        for _ in 0..4 {
-            r.step(&ALL_ACTIVE, &mut out);
+        for cycle in 1..=4 {
+            r.step(cycle, &ALL_ACTIVE, &mut out);
         }
         r.enter_sleep(0, 4);
-        r.deliver(Port::West, flit(1, FlitKind::Single, 0, Port::East, 0));
+        r.deliver(Port::West, flit(1, FlitKind::Single, 0, Port::East, 0), 4);
     }
 
     #[test]
     fn bfm_is_max_port_occupancy() {
         let mut r = router();
-        r.deliver(Port::West, flit(1, FlitKind::Head, 0, Port::East, 0));
-        r.deliver(Port::West, flit(1, FlitKind::Body, 1, Port::East, 0));
-        r.deliver(Port::North, flit(2, FlitKind::Head, 0, Port::East, 1));
+        r.deliver(Port::West, flit(1, FlitKind::Head, 0, Port::East, 0), 0);
+        r.deliver(Port::West, flit(1, FlitKind::Body, 1, Port::East, 0), 0);
+        r.deliver(Port::North, flit(2, FlitKind::Head, 0, Port::East, 1), 0);
         assert_eq!(r.port_occupancy(Port::West), 2);
         assert_eq!(r.port_occupancy(Port::North), 1);
         assert_eq!(r.max_port_occupancy(), 2);
@@ -1389,71 +1359,20 @@ mod tests {
         // North or West link) divides by three.
         let mut corner = Router::new(NodeId(0), &NetworkConfig::paper());
         assert_eq!(corner.connected, [false, true, true, false, true]);
-        corner.deliver(Port::East, flit(1, FlitKind::Head, 0, Port::South, 0));
-        corner.deliver(Port::East, flit(1, FlitKind::Body, 1, Port::South, 0));
-        corner.deliver(Port::Local, flit(2, FlitKind::Head, 0, Port::South, 1));
+        corner.deliver(Port::East, flit(1, FlitKind::Head, 0, Port::South, 0), 0);
+        corner.deliver(Port::East, flit(1, FlitKind::Body, 1, Port::South, 0), 0);
+        corner.deliver(Port::Local, flit(2, FlitKind::Head, 0, Port::South, 1), 0);
         assert!((corner.avg_port_occupancy() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fast_forward_matches_idle_ticks() {
-        // Drained active router, whole-router granularity, up to the
-        // cycle its idle detect matures.
-        let mut a = router();
-        let mut b = a.clone();
-        for _ in 0..4 {
-            a.idle_tick();
-        }
-        b.fast_forward(4);
-        assert_eq!(a.units, b.units);
-        // Sleeping router: the closed form matches over any stretch.
-        a.enter_sleep(0, 4);
-        let mut c = a.clone();
-        for _ in 0..1000 {
-            a.idle_tick();
-        }
-        c.fast_forward(1000);
-        assert_eq!(a.units, c.units);
-        // Waking router: the closed form holds up to the tick before the
-        // countdown completes.
-        a.request_wake(Port::Local, 1004);
-        let mut d = a.clone();
-        for _ in 0..9 {
-            a.idle_tick();
-        }
-        d.fast_forward(9);
-        assert_eq!(a.units, d.units);
-    }
-
-    #[test]
-    fn fast_forward_matches_idle_ticks_with_port_gating() {
-        let mut a = Router::new(NodeId(9), &NetworkConfig::paper().granularity(Granularity::Port));
-        assert_eq!(a.units.len(), NUM_PORTS);
-        let mut out = RouterOutput::default();
-        for _ in 0..4 {
-            a.step(&ALL_ACTIVE, &mut out);
-        }
-        a.enter_sleep(a.unit_of(Port::East), 4);
-        assert_eq!(a.port_active_mask(), ALL_PORTS & !(1 << Port::East.index()));
-        assert!(a.power_state().is_active(), "the router core never gates");
-        let mut b = a.clone();
-        for _ in 0..700 {
-            a.idle_tick();
-        }
-        b.fast_forward(700);
-        assert_eq!(a.units, b.units);
-        // A sleeping port's counter keeps advancing while the router is up.
-        assert_eq!(a.units[Port::East.index()].idle, 704);
     }
 
     #[test]
     fn deliver_returns_lookahead_wake_ping() {
         let mut r = router();
-        let ping = r.deliver(Port::West, flit(1, FlitKind::Head, 0, Port::East, 0));
+        let ping = r.deliver(Port::West, flit(1, FlitKind::Head, 0, Port::East, 0), 0);
         assert_eq!(ping, Some(Port::East));
-        let no_ping = r.deliver(Port::West, flit(1, FlitKind::Tail, 1, Port::East, 0));
+        let no_ping = r.deliver(Port::West, flit(1, FlitKind::Tail, 1, Port::East, 0), 0);
         assert_eq!(no_ping, None);
-        let local = r.deliver(Port::North, flit(2, FlitKind::Single, 0, Port::Local, 0));
+        let local = r.deliver(Port::North, flit(2, FlitKind::Single, 0, Port::Local, 0), 0);
         assert_eq!(local, None, "ejecting flits need no wake ping");
     }
 
@@ -1473,7 +1392,7 @@ mod tests {
     fn decoded_lookaheads_follow_the_route() {
         let head = |lookahead| flit(1, FlitKind::Head, 0, lookahead, 0);
         let mut r = Router::new(NodeId(0), &NetworkConfig::paper());
-        r.deliver(Port::Local, head(Port::North));
+        r.deliver(Port::Local, head(Port::North), 0);
         r.enter_crossbar(head(Port::South));
         let back = round_trip(&r).unwrap();
         let buffered = back.inputs.front(Port::Local.index(), 0).map(|f| f.lookahead);

@@ -159,8 +159,18 @@ fn run() -> Result<(), String> {
                 let p = args.get("pattern").unwrap_or("uniform");
                 pattern_by_name(p).ok_or_else(|| format!("unknown pattern {p}"))?
             };
+            // The bounds `catnap-serve` puts on a job's rate and packet
+            // size.
             let load: f64 = args.num("load", 0.05f64)?;
+            if !(load.is_finite() && load >= 0.0) {
+                return Err(format!(
+                    "invalid value for --load: {load} (must be a finite non-negative number)"
+                ));
+            }
             let bits: u32 = args.num("packet-bits", 512u32)?;
+            if !(1..=65_536).contains(&bits) {
+                return Err(format!("invalid value for --packet-bits: {bits} (must be 1..=65536)"));
+            }
             let seed: u64 = args.num("seed", 42u64)?;
             println!(
                 "running {} | {} @ {load} packets/node/cycle, {cycles} cycles",

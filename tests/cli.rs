@@ -41,6 +41,14 @@ fn bad_flags_are_rejected_by_name() {
     assert_rejected(&["mix", "--gating", "on", "--cycles", "10"], "--gating");
     assert_rejected(&["mix", "--cycles", "10", "--cycles", "20"], "--cycles");
     assert_rejected(&["list", "--config", "4NT-128b"], "--config");
+    // Values the simulator cannot run: a negative or non-finite load,
+    // and a packet size of no bits or more than 65,536.
+    for load in ["-1", "nan", "inf"] {
+        assert_rejected(&["synthetic", "--load", load, "--cycles", "10"], "--load");
+    }
+    for bits in ["0", "65537", "4000000000"] {
+        assert_rejected(&["synthetic", "--packet-bits", bits, "--cycles", "10"], "--packet-bits");
+    }
 }
 
 #[test]
