@@ -254,6 +254,11 @@ impl MultiNocConfig {
         if self.rcs_period == 0 {
             return Err("rcs_period must be non-zero".into());
         }
+        if let CongestionMetric::InjectionRate { window: 0, .. } | CongestionMetric::Delay { window: 0, .. } =
+            self.metric
+        {
+            return Err("congestion metric window must be non-zero".into());
+        }
         if self.ni_queue_flits == 0 {
             return Err("NI queue capacity must be non-zero".into());
         }
@@ -351,6 +356,11 @@ mod tests {
         assert!(cfg.validate().is_err());
         let mut cfg = MultiNocConfig::catnap_4x128();
         cfg.subnet_width_bits = 0;
+        assert!(cfg.validate().is_err());
+        let cfg = MultiNocConfig::catnap_4x128().metric(CongestionMetric::Delay {
+            threshold: 1.5,
+            window: 0,
+        });
         assert!(cfg.validate().is_err());
     }
 }

@@ -3,7 +3,7 @@
 //! policies.
 
 use crate::config::{MultiNocConfig, RegionMode, SelectorKind};
-use crate::congestion::{CongestionMetric, LocalDetector, NodeSignals};
+use crate::congestion::{CongestionMetric, Window};
 use crate::ni::NodeNi;
 use crate::rcs::OrNetwork;
 use crate::select::{congestion_mask, CatnapPriority, RandomSelect, RoundRobin, SubnetSelector};
@@ -33,8 +33,13 @@ pub struct MultiNoc<S: Sink = NopSink> {
     cfg: MultiNocConfig,
     subnets: Vec<Network<S>>,
     nis: Vec<NodeNi>,
-    detectors: Vec<Vec<LocalDetector>>,
+    /// Each subnet's local congestion status (LCS) bit per node: the
+    /// only copy, read by the selector, the OR networks and the
+    /// detectors' next update.
     lcs: Vec<Vec<bool>>,
+    /// Each subnet's window per node under a windowed metric (IR,
+    /// Delay); empty under the others.
+    windows: Vec<Vec<Window>>,
     or_nets: Vec<OrNetwork>,
     selector: Box<dyn SubnetSelector + Send>,
     generated_packets: u64,
@@ -117,8 +122,8 @@ impl<S: Sink> MultiNoc<S> {
         MultiNoc {
             subnets,
             nis,
-            detectors: vec![vec![LocalDetector::default(); nodes]; k],
             lcs: vec![vec![false; nodes]; k],
+            windows: vec![vec![Window::default(); if cfg.metric.windowed() { nodes } else { 0 }]; k],
             or_nets,
             selector,
             generated_packets: 0,
@@ -253,7 +258,9 @@ impl<S: Sink> MultiNoc<S> {
             self.head_wait[idx] = 0;
         }
         for s in 0..k {
-            self.nis[idx].inject_into(s, &mut self.subnets[s]);
+            if self.nis[idx].inject_into(s, &mut self.subnets[s]) {
+                self.cfg.metric.count_injection(self.windows[s].get_mut(idx));
+            }
         }
     }
 
@@ -262,8 +269,8 @@ impl<S: Sink> MultiNoc<S> {
     /// hysteresis metrics observing an all-zero sample against an
     /// all-clear status vector — and only with a non-degenerate set
     /// threshold (a `set` of zero would latch congestion on a zero
-    /// sample). The windowed metrics (InjectionRate, Delay) mutate their
-    /// window position every cycle and are never skipped.
+    /// sample). The windowed metrics (InjectionRate, Delay) close their
+    /// windows on the clock and are never skipped.
     fn detector_sweep_elidable(&self, s: usize) -> bool {
         if self.lcs_set[s] != 0 {
             return false;
@@ -313,7 +320,7 @@ impl<S: Sink> MultiNoc<S> {
         } else {
             // Only NIs with pending work; their per-cycle body is the
             // identity for the rest. Worklist drops happen at the end of
-            // the cycle (after injection counters are consumed).
+            // the cycle.
             let list = std::mem::take(&mut self.busy_nis);
             for &idxu in &list {
                 self.ni_cycle(idxu as usize);
@@ -365,15 +372,12 @@ impl<S: Sink> MultiNoc<S> {
                 continue;
             }
             for idx in 0..self.nis.len() {
-                let node = NodeId(idx as u16);
-                let signals = NodeSignals {
-                    ni_queue_flits: self.nis[idx].ni_queue_occupancy_flits(),
-                    injected_flits_this_cycle: self.nis[idx].injected_flits_this_cycle[s],
-                };
-                let det = &mut self.detectors[s][idx];
-                det.update(&self.cfg.metric, self.subnets[s].router(node), &signals);
-                let now = det.is_congested();
-                if now != self.lcs[s][idx] {
+                let bit = self.lcs[s][idx];
+                let router = self.subnets[s].router(NodeId(idx as u16));
+                let window = self.windows[s].get_mut(idx);
+                let now = self.cfg.metric.update(bit, cycle, router, &self.nis[idx], window);
+                if now != bit {
+                    self.lcs[s][idx] = now;
                     if now {
                         self.lcs_set[s] += 1;
                     } else {
@@ -388,23 +392,12 @@ impl<S: Sink> MultiNoc<S> {
                         });
                     }
                 }
-                self.lcs[s][idx] = now;
             }
         }
-        if REFERENCE {
-            for ni in &mut self.nis {
-                ni.end_cycle();
-            }
-        }
-        // Only busy NIs can have injected this cycle; this is also where
-        // NIs observed idle leave the worklist (after their counters were
-        // consumed by the detectors above).
+        // NIs observed idle leave the worklist.
         let mut list = std::mem::take(&mut self.busy_nis);
         list.retain(|&idxu| {
             let idx = idxu as usize;
-            if !REFERENCE {
-                self.nis[idx].end_cycle();
-            }
             let keep = !self.nis[idx].is_idle();
             if !keep {
                 self.ni_busy[idx] = false;
@@ -415,15 +408,15 @@ impl<S: Sink> MultiNoc<S> {
 
         // --- Regional OR networks ---
         for s in 0..k {
-            let lcs = &self.lcs[s];
             if !REFERENCE && self.lcs_set[s] == 0 && !self.or_nets[s].any() {
                 // All-false sample into an all-clear network: a latch (if
-                // one falls here) observes no set bit and reports no
-                // change, so only the countdown moves.
-                self.or_nets[s].tick_all_clear();
+                // one falls here) re-latches false, with no switching
+                // event and no change. The change flags it would clear
+                // are read only on a cycle that latched.
                 continue;
             }
-            let latched = self.or_nets[s].tick(|n| lcs[n.index()]);
+            let lcs = &self.lcs[s];
+            let latched = self.or_nets[s].tick(cycle, |n| lcs[n.index()]);
             if S::ENABLED && latched {
                 for region in self.or_nets[s].changed_regions() {
                     self.policy_sink.record(Event::Rcs {
@@ -488,28 +481,31 @@ impl<S: Sink> MultiNoc<S> {
     /// instance of the *same* configuration (the public checkpoint
     /// container in [`crate::checkpoint`] guards that with a
     /// fingerprint), and rebuilds what follows from the stored state:
-    /// the busy-NI worklist and the local congestion bits. The subnets
-    /// store the clock, the network counts and their packet tables; the
-    /// last cycle's deliveries are not stored. Telemetry sinks are not captured: a resumed recording
+    /// the busy-NI worklist and the per-subnet counts of set LCS bits.
+    /// The subnets store the clock, the network counts and their packet
+    /// tables; each subnet's policy layer stores its LCS bits, its
+    /// detectors' window state (none for BFM, BFA and IQOcc) and its OR
+    /// network's latched bits. The last cycle's deliveries are not
+    /// stored. Telemetry sinks are not captured: a resumed recording
     /// sink starts empty and its suffix matches a straight-through run's
     /// suffix bit for bit.
     pub(crate) fn save_state(&self, w: &mut ByteWriter) {
-        let k = self.cfg.subnets;
         w.put_u64(self.generated_packets);
         w.put_u64(self.latency_sum);
         w.put_u64(self.latency_max);
         for &hw in &self.head_wait {
             w.put_u32(hw);
         }
-        for s in 0..k {
-            for det in &self.detectors[s] {
-                det.encode(w);
-            }
-            self.or_nets[s].encode(w);
-        }
         self.selector.encode_state(w);
         for net in &self.subnets {
             net.save_state(w);
+        }
+        for ((lcs, windows), or_net) in self.lcs.iter().zip(&self.windows).zip(&self.or_nets) {
+            for &bit in lcs {
+                w.put_bool(bit);
+            }
+            windows.iter().for_each(|window| window.encode(w));
+            or_net.encode(w);
         }
         for ni in &self.nis {
             ni.encode(w);
@@ -519,18 +515,18 @@ impl<S: Sink> MultiNoc<S> {
     /// Overlays serialized state from [`MultiNoc::save_state`] onto this
     /// freshly-built instance (same configuration). Derived structures —
     /// the busy-NI worklist (the NIs that are not idle, in node order)
-    /// and its membership flags, the local congestion bits (each
-    /// detector's status) and their per-subnet censuses, scratch
-    /// buffers — are recomputed, never deserialized.
+    /// and its membership flags, the per-subnet counts of set LCS bits,
+    /// scratch buffers — are recomputed, never deserialized.
     ///
     /// # Errors
     ///
     /// [`CodecError`] on a truncated or inconsistent stream, including
-    /// subnets at different cycles, a packet id held twice (waiting at
-    /// an interface and in flight, or twice in either) and more packets
-    /// delivered than generated; the instance must then be discarded.
+    /// subnets at different cycles, detector windows no run reaches
+    /// (see [`Window::decode`]), a packet id held twice (waiting
+    /// at an interface and in flight, or twice in either) and more
+    /// packets delivered than generated; the instance must then be
+    /// discarded.
     pub(crate) fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        let k = self.cfg.subnets;
         let nodes = self.cfg.dims.num_nodes();
         self.generated_packets = r.get_u64()?;
         self.latency_sum = r.get_u64()?;
@@ -538,18 +534,23 @@ impl<S: Sink> MultiNoc<S> {
         for hw in self.head_wait.iter_mut() {
             *hw = r.get_u32()?;
         }
-        for s in 0..k {
-            for det in self.detectors[s].iter_mut() {
-                *det = LocalDetector::decode(r)?;
-            }
-            self.or_nets[s] = OrNetwork::decode(r, self.or_nets[s].regions().clone(), self.cfg.rcs_period)?;
-        }
         self.selector.decode_state(r)?;
         for net in self.subnets.iter_mut() {
             net.load_state(r)?;
         }
-        if self.subnets.iter().any(|n| n.cycle() != self.cycle()) {
+        let cycle = self.cycle();
+        if self.subnets.iter().any(|n| n.cycle() != cycle) {
             return Err(CodecError::Invalid("subnets at different cycles"));
+        }
+        for (s, net) in self.subnets.iter().enumerate() {
+            for bit in self.lcs[s].iter_mut() {
+                *bit = r.get_bool()?;
+            }
+            self.lcs_set[s] = self.lcs[s].iter().filter(|&&on| on).count();
+            for (idx, window) in self.windows[s].iter_mut().enumerate() {
+                *window = Window::decode(r, &self.cfg.metric, cycle, net.router(NodeId(idx as u16)))?;
+            }
+            self.or_nets[s] = OrNetwork::decode(r, self.or_nets[s].regions().clone(), self.cfg.rcs_period)?;
         }
         for idx in 0..nodes {
             self.nis[idx] = crate::ni::NodeNi::decode(r, NodeId(idx as u16), &self.cfg)?;
@@ -568,12 +569,6 @@ impl<S: Sink> MultiNoc<S> {
         }
         if self.generated_packets < self.delivered_packets() {
             return Err(CodecError::Invalid("delivered more packets than generated"));
-        }
-        for s in 0..k {
-            for (lcs, det) in self.lcs[s].iter_mut().zip(&self.detectors[s]) {
-                *lcs = det.is_congested();
-            }
-            self.lcs_set[s] = self.lcs[s].iter().filter(|&&on| on).count();
         }
         self.ni_busy = self.nis.iter().map(|ni| !ni.is_idle()).collect();
         self.busy_nis = (0..nodes as u32).filter(|&idx| self.ni_busy[idx as usize]).collect();

@@ -18,8 +18,9 @@ use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OrNetwork {
     regions: RegionMap,
+    /// Latch period in cycles: the network latches on every cycle edge
+    /// that is a multiple of it, counted from cycle 0.
     period: u32,
-    countdown: u32,
     /// Latched RCS value per region.
     latched: Vec<bool>,
     /// Change flags (either edge) from the most recent latch (consumed
@@ -44,7 +45,6 @@ impl OrNetwork {
         OrNetwork {
             regions,
             period,
-            countdown: period,
             latched: vec![false; n],
             changed: vec![false; n],
             switch_events: 0,
@@ -92,15 +92,13 @@ impl OrNetwork {
         self.switch_events
     }
 
-    /// Advances one cycle; every `period` cycles, samples the LCS of every
-    /// node via `lcs(node)` and latches new per-region values. Returns
-    /// `true` when a latch happened this cycle.
-    pub fn tick<F: FnMut(NodeId) -> bool>(&mut self, mut lcs: F) -> bool {
-        self.countdown -= 1;
-        if self.countdown > 0 {
+    /// The OR network at cycle edge `cycle`: on a multiple of the
+    /// period, samples the LCS of every node via `lcs(node)` and latches
+    /// new per-region values. Returns `true` when it latched.
+    pub fn tick<F: FnMut(NodeId) -> bool>(&mut self, cycle: u64, mut lcs: F) -> bool {
+        if !cycle.is_multiple_of(u64::from(self.period)) {
             return false;
         }
-        self.countdown = self.period;
         for i in 0..self.latched.len() {
             let region = RegionId(i as u8);
             let new = self.regions.nodes_in(region).any(&mut lcs);
@@ -113,28 +111,11 @@ impl OrNetwork {
         true
     }
 
-    /// One [`OrNetwork::tick`] with an all-false LCS sample, while every
-    /// latched RCS bit is already false. A latch then re-latches false
-    /// from false: no switching event, every changed flag false — only
-    /// the countdown moves. `MultiNoc::step` uses it to elide the
-    /// region sweep of a subnet whose LCS and RCS bits are all clear.
-    pub fn tick_all_clear(&mut self) {
-        debug_assert!(
-            !self.any(),
-            "all-clear tick with a latched RCS bit set: the next latch would be a falling edge"
-        );
-        self.countdown -= 1;
-        if self.countdown == 0 {
-            self.countdown = self.period;
-            self.changed.fill(false);
-        }
-    }
-
     /// Serializes the OR network's mutable state (checkpointing). The
     /// region partition and period are functions of the configuration
-    /// and are reconstructed by [`OrNetwork::decode`].
+    /// and are reconstructed by [`OrNetwork::decode`]; the clock gives
+    /// the latch phase.
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
-        w.put_u32(self.countdown);
         for &b in &self.latched {
             w.put_bool(b);
         }
@@ -145,10 +126,6 @@ impl OrNetwork {
     /// given (configuration-derived) region partition and period.
     pub(crate) fn decode(r: &mut ByteReader<'_>, regions: RegionMap, period: u32) -> Result<Self, CodecError> {
         let mut or = OrNetwork::new(regions, period);
-        or.countdown = r.get_u32()?;
-        if or.countdown == 0 || or.countdown > period {
-            return Err(CodecError::Invalid("RCS countdown out of phase"));
-        }
         for b in or.latched.iter_mut() {
             *b = r.get_bool()?;
         }
@@ -169,21 +146,16 @@ mod tests {
     #[test]
     fn latches_only_every_period() {
         let mut or = OrNetwork::paper(quadrants());
-        let mut latches = 0;
-        for _ in 0..30 {
-            if or.tick(|_| true) {
-                latches += 1;
-            }
-        }
-        assert_eq!(latches, 5, "6-cycle period over 30 cycles");
+        let latched: Vec<u64> = (1..=30).filter(|&c| or.tick(c, |_| true)).collect();
+        assert_eq!(latched, [6, 12, 18, 24, 30], "6-cycle period over 30 cycles");
     }
 
     #[test]
     fn rcs_is_or_over_region_nodes() {
         let mut or = OrNetwork::paper(quadrants());
         // Only node (0,0) congested: region 0 on, others off.
-        for _ in 0..6 {
-            or.tick(|n| n == NodeId(0));
+        for c in 1..=6 {
+            or.tick(c, |n| n == NodeId(0));
         }
         assert!(or.rcs_at(NodeId(0)));
         assert!(or.rcs_at(NodeId(27)), "node (3,3) shares region 0");
@@ -194,12 +166,12 @@ mod tests {
     #[test]
     fn update_has_latency() {
         let mut or = OrNetwork::paper(quadrants());
-        // Congestion appears at cycle 0 but is only visible at the next
+        // Congestion appears at cycle 1 but is only visible at the next
         // latch point.
-        or.tick(|_| true);
+        or.tick(1, |_| true);
         assert!(!or.any(), "RCS must lag by the propagation delay");
-        for _ in 0..5 {
-            or.tick(|_| true);
+        for c in 2..=6 {
+            or.tick(c, |_| true);
         }
         assert!(or.any());
     }
@@ -207,20 +179,20 @@ mod tests {
     #[test]
     fn switch_events_count_transitions() {
         let mut or = OrNetwork::new(quadrants(), 1);
-        or.tick(|_| true); // 4 regions rise
-        or.tick(|_| true); // stable
-        or.tick(|_| false); // 4 regions fall
+        or.tick(1, |_| true); // 4 regions rise
+        or.tick(2, |_| true); // stable
+        or.tick(3, |_| false); // 4 regions fall
         assert_eq!(or.switch_events(), 8);
     }
 
     #[test]
     fn changed_regions_report_both_edges() {
         let mut or = OrNetwork::new(quadrants(), 1);
-        or.tick(|n| n == NodeId(0));
+        or.tick(1, |n| n == NodeId(0));
         assert_eq!(or.changed_regions().count(), 1, "rise is a change");
-        or.tick(|n| n == NodeId(0));
+        or.tick(2, |n| n == NodeId(0));
         assert_eq!(or.changed_regions().count(), 0, "level-stable");
-        or.tick(|_| false);
+        or.tick(3, |_| false);
         let changed: Vec<RegionId> = or.changed_regions().collect();
         assert_eq!(changed, vec![RegionId(0)], "fall is a change too");
     }
@@ -228,7 +200,7 @@ mod tests {
     #[test]
     fn global_region_map_degenerates_to_global_detector() {
         let mut or = OrNetwork::new(RegionMap::global(MeshDims::new(8, 8)), 1);
-        or.tick(|n| n == NodeId(63));
+        or.tick(1, |n| n == NodeId(63));
         assert!(or.rcs_at(NodeId(0)), "global region: any LCS sets everyone's RCS");
     }
 
@@ -236,33 +208,5 @@ mod tests {
     #[should_panic]
     fn zero_period_panics() {
         OrNetwork::new(quadrants(), 0);
-    }
-
-    #[test]
-    fn all_clear_tick_matches_tick_in_every_phase() {
-        // One cycle from every countdown phase, the latch edge included.
-        for phase in 0..6u64 {
-            let mut stepped = OrNetwork::paper(quadrants());
-            for _ in 0..phase {
-                stepped.tick(|_| false);
-            }
-            let mut cleared = stepped.clone();
-            stepped.tick(|_| false);
-            cleared.tick_all_clear();
-            assert_eq!(cleared, stepped, "divergence at phase {phase}");
-        }
-    }
-
-    #[test]
-    fn all_clear_tick_clears_stale_edge_flags() {
-        let mut or = OrNetwork::new(quadrants(), 1);
-        or.tick(|n| n == NodeId(0));
-        or.tick(|_| false); // falling edge: changed flag set, latched clear
-        assert_eq!(or.changed_regions().count(), 1);
-        let mut stepped = or.clone();
-        stepped.tick(|_| false);
-        or.tick_all_clear();
-        assert_eq!(or, stepped);
-        assert_eq!(or.changed_regions().count(), 0, "a latch overwrites stale flags");
     }
 }

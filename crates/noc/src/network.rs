@@ -103,7 +103,7 @@ pub struct Network<S: Sink = NopSink> {
     /// instrumentation point at monomorphization.
     sink: S,
     /// Last power phase reported per router, so transitions that happen
-    /// inside `Router::step`/`idle_tick` (wake-ups completing) are
+    /// inside `Router::step` (wake-ups completing) are
     /// detected by comparison at the end of the step. Empty for the
     /// `NopSink` monomorphization.
     power_shadow: Vec<PowerPhase>,
@@ -177,9 +177,10 @@ impl RouterSet {
 /// and a resumed network counts its own work from zero.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Routers run in phase 2 (full steps plus scheduled idle ticks).
+    /// Routers run in phase 2.
     pub router_runs: u64,
-    /// Phase-2 runs that were scheduled idle ticks of drained routers.
+    /// Phase-2 runs of routers that were drained when they ran: a
+    /// drained router runs only on the cycle a wake-up completes on it.
     pub idle_runs: u64,
     /// Drained routers whose wake-up completed, each run on its
     /// completion cycle.
@@ -194,7 +195,7 @@ pub struct SchedStats {
     pub syncs: u64,
     /// Always 0, like [`SchedStats::syncs`].
     pub synced_cycles: u64,
-    /// Full phase-2 steps of non-drained routers that produced no
+    /// Phase-2 runs of non-drained routers that produced no
     /// outputs at all (no traversal, no credit, no ejection, no ping):
     /// the router was stalled on downstream backpressure.
     pub stalled_runs: u64,
@@ -498,28 +499,29 @@ impl<S: Sink> Network<S> {
     /// raised at phase-2 position `pos` of the current cycle, so it
     /// lands on the cycle edge after the router's tick of the cycle if
     /// `idx < pos`, and on the edge before it otherwise: phase-1
-    /// deliveries pass 0, and calls between steps [`BETWEEN_STEPS`]. With
-    /// `schedule`, the scheduler's sets follow: a router already past
-    /// may enter the waking set, and one still ahead joins the current
-    /// run set, so its tick happens in phase 2. The reference step
-    /// passes no `schedule`, as it runs every router and re-seeds the
-    /// sets afterwards.
+    /// deliveries pass 0, and calls between steps [`BETWEEN_STEPS`]. A
+    /// request that starts no wake-up changes nothing. With `schedule`,
+    /// a started wake-up enters the waking set, or the current run set
+    /// if it completes in this cycle's tick (`t_wakeup` 1 on a router
+    /// still ahead). The reference step passes no `schedule`, as it runs
+    /// every router and re-seeds the sets afterwards.
     fn wake(&mut self, idx: usize, port: Port, pos: usize, schedule: bool) {
         let cycle = self.cycle;
         let past = idx < pos;
         let edge = if past { cycle } else { cycle - 1 };
         let r = &mut self.routers[idx];
-        if r.power_state().is_sleeping() {
-            self.sleepers -= 1;
+        let was_sleeping = r.power_state().is_sleeping();
+        if !r.request_wake(port, edge, cycle) {
+            return;
         }
-        r.request_wake(port, edge, cycle);
+        self.sleepers -= usize::from(was_sleeping);
         self.active_mask[idx] = self.routers[idx].port_active_mask();
         self.note_power(idx);
         if schedule {
-            if past {
-                self.reschedule(idx);
-            } else {
+            if !past && self.routers[idx].next_wake_completion() == Some(cycle) {
                 self.mark_in(idx);
+            } else {
+                self.reschedule(idx);
             }
         }
     }
@@ -706,47 +708,42 @@ impl<S: Sink> Network<S> {
     /// countdowns that completed inside it.
     fn run_scheduled_router(&mut self, idx: usize, cycle: u64) {
         self.sched.router_runs += 1;
+        // A drained router runs only when a wake-up completes on it; its
+        // step does no allocation or traversal and produces no outputs.
+        let idle = self.routers[idx].is_drained();
+        self.sched.idle_runs += u64::from(idle);
+        let adj = self.adj[idx];
+        // Snapshot which neighbours can accept flits this cycle: the
+        // downstream unit powering the input port our link feeds must be
+        // active. The mask cache is refreshed at every power transition.
+        let mut neighbor_active = [true; NUM_PORTS];
+        for port in [Port::North, Port::East, Port::South, Port::West] {
+            let pi = port.index();
+            neighbor_active[pi] = match adj[pi] {
+                NO_NEIGHBOR => false,
+                nbr => self.active_mask[nbr] & (1u8 << port.opposite().index()) != 0,
+            };
+        }
+
+        self.routers[idx].step(cycle, &neighbor_active, &mut self.scratch);
+        self.active_mask[idx] = self.routers[idx].port_active_mask();
+        let out = &self.scratch;
+        if out.outbound.is_empty() && out.credits.is_empty() && out.ejected.is_empty() && out.wake_pings.is_empty() {
+            self.sched.stalled_runs += u64::from(!idle);
+        }
+        self.stage_outputs(idx);
+        if !self.scratch.wake_pings.is_empty() {
+            let pings = std::mem::take(&mut self.scratch.wake_pings);
+            for &ping in &pings {
+                self.wake_neighbor(idx, ping, idx, true);
+            }
+            self.scratch.wake_pings = pings;
+        }
+
         if self.routers[idx].is_drained() {
-            self.sched.idle_runs += 1;
-            self.routers[idx].idle_tick(cycle);
-            self.active_mask[idx] = self.routers[idx].port_active_mask();
             self.reschedule(idx);
         } else {
-            let adj = self.adj[idx];
-            // Snapshot which neighbours can accept flits this cycle:
-            // the downstream unit powering the input port our link
-            // feeds must be active. The mask cache is refreshed at
-            // every power transition.
-            let mut neighbor_active = [true; NUM_PORTS];
-            for port in [Port::North, Port::East, Port::South, Port::West] {
-                let pi = port.index();
-                neighbor_active[pi] = match adj[pi] {
-                    NO_NEIGHBOR => false,
-                    nbr => self.active_mask[nbr] & (1u8 << port.opposite().index()) != 0,
-                };
-            }
-
-            self.routers[idx].step(cycle, &neighbor_active, &mut self.scratch);
-            self.active_mask[idx] = self.routers[idx].port_active_mask();
-            let out = &self.scratch;
-            if out.outbound.is_empty() && out.credits.is_empty() && out.ejected.is_empty() && out.wake_pings.is_empty()
-            {
-                self.sched.stalled_runs += 1;
-            }
-            self.stage_outputs(idx);
-            if !self.scratch.wake_pings.is_empty() {
-                let pings = std::mem::take(&mut self.scratch.wake_pings);
-                for &ping in &pings {
-                    self.wake_neighbor(idx, ping, idx, true);
-                }
-                self.scratch.wake_pings = pings;
-            }
-
-            if self.routers[idx].is_drained() {
-                self.reschedule(idx);
-            } else {
-                self.mark_next(idx);
-            }
+            self.mark_next(idx);
         }
     }
 
@@ -1162,7 +1159,9 @@ impl<S: Sink> Network<S> {
     /// subnet, with its local VC.
     ///
     /// It also checks the packet table against the flits: no flit is
-    /// held twice, every flit in the network or next at an interface has
+    /// held twice or after its packet's tail (a crossbar flit leaving
+    /// through the local port is in no arrival stream), every flit in
+    /// the network or next at an interface has
     /// its packet's entry, and every entry's packet has a flit left in
     /// the network or at an interface.
     ///
@@ -1185,19 +1184,26 @@ impl<S: Sink> Network<S> {
         if dsts.windows(2).any(|pair| pair[0].0 == pair[1].0) {
             return Err(CodecError::Invalid("packet's flits bound for different nodes"));
         }
-        let mut held: Vec<(PacketId, u16)> = in_network.iter().map(|f| (f.packet, f.seq)).collect();
+        let mut held: Vec<(PacketId, u16, bool)> =
+            in_network.iter().map(|f| (f.packet, f.seq, f.kind.is_tail())).collect();
         let at_interfaces: Vec<Flit> = (0..n).filter_map(|i| next(NodeId(i as u16))).map(|(_, f)| f).collect();
-        held.extend(at_interfaces.iter().map(|f| (f.packet, f.seq)));
+        held.extend(at_interfaces.iter().map(|f| (f.packet, f.seq, f.kind.is_tail())));
         held.sort_unstable();
-        if held.windows(2).any(|pair| pair[0] == pair[1]) {
+        if held.windows(2).any(|pair| (pair[0].0, pair[0].1) == (pair[1].0, pair[1].1)) {
             return Err(CodecError::Invalid("flit held twice"));
+        }
+        // A tail is its packet's last flit, wherever it sits (a crossbar
+        // flit on its way out through the local port is in no VC's
+        // arrival stream below).
+        if held.windows(2).any(|pair| pair[0].2 && pair[0].0 == pair[1].0) {
+            return Err(CodecError::Invalid("flit held after its packet's tail"));
         }
         if at_interfaces.iter().any(|f| !self.packets.contains_key(&f.packet)) {
             return Err(CodecError::Invalid("flit of a packet with no table entry"));
         }
         let has_flit = |id: &PacketId| {
-            let first = held.partition_point(|(p, _)| p < id);
-            held.get(first).is_some_and(|(p, _)| p == id)
+            let first = held.partition_point(|(p, ..)| p < id);
+            held.get(first).is_some_and(|(p, ..)| p == id)
         };
         if self.packets.keys().any(|id| !has_flit(id)) {
             return Err(CodecError::Invalid("packet entry with no flit left"));
@@ -1446,6 +1452,50 @@ mod tests {
         assert_eq!(
             with_flits(1),
             Err(CodecError::Invalid("bound VC's packet has no tail upstream"))
+        );
+    }
+
+    /// A tail is its packet's last flit. A crossbar flit leaving through
+    /// the local port is in no VC's arrival stream, so a head there read
+    /// as a tail, with the rest of its packet buffered behind it, is
+    /// caught by the packet's flits alone: its ejection would drop the
+    /// table entry the rest still needs.
+    #[test]
+    fn decode_rejects_a_flit_held_after_its_packets_tail() {
+        let mut net = small_net(false);
+        let head = Flit {
+            packet: PacketId(0x5eed_cafe),
+            dst: NodeId(1),
+            lookahead: Port::Local,
+            ..head_to_15(&mut net)
+        };
+        net.packets.insert(head.packet, PacketTimes::default());
+        for seq in 0..4 {
+            net.routers[1].deliver(Port::West, behind(head, seq, 4), 0);
+        }
+        net.step_reference();
+        // The head is in router 1's crossbar register on its way out;
+        // find it by packet, kind, destination and sequence number.
+        let mut w = ByteWriter::new();
+        net.save_state(&mut w);
+        let mut bytes = w.into_inner();
+        let mut stored = ByteWriter::new();
+        crate::checkpoint::put_flit(&mut stored, &head);
+        let stored = &stored.into_inner()[..13];
+        let at = bytes
+            .windows(stored.len())
+            .position(|b| b == stored)
+            .expect("crossbar head stored");
+        let decode = |bytes: &[u8]| {
+            let mut back = Network::new(net.config().clone());
+            back.load_state(&mut ByteReader::new(bytes))?;
+            back.check_wormholes(|_| None)
+        };
+        assert_eq!(decode(&bytes), Ok(()));
+        bytes[at + 8] = 2; // the kind byte: Tail
+        assert_eq!(
+            decode(&bytes),
+            Err(CodecError::Invalid("flit held after its packet's tail"))
         );
     }
 

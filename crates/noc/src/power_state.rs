@@ -209,10 +209,14 @@ impl PowerStateMachine {
 
     /// Why the machine cannot be at cycle edge `cycle`, if it cannot: a
     /// sleep period that begins after it, a wake-up that does not
-    /// complete within the `t_wakeup` cycles after it, or residencies
-    /// that exceed the elapsed cycles. Checkpoint decode refuses such a
-    /// machine ([`crate::Router`]'s decode), and debug builds check
-    /// every machine at every edge.
+    /// complete within the `t_wakeup` cycles after it, residencies that
+    /// exceed the elapsed cycles, more sleep transitions than the edges
+    /// up to it (a unit is gated at most once per edge), or more
+    /// compensated sleep cycles than the closed sleep residency plus the
+    /// transitions (a wake that lands before the unit's tick charges its
+    /// period at the clock, one cycle past the residency it closes).
+    /// Checkpoint decode refuses such a machine ([`crate::Router`]'s
+    /// decode), and debug builds check every machine at every edge.
     pub(crate) fn time_error(&self, cycle: u64) -> Option<&'static str> {
         if self.sleep_started > cycle {
             return Some("timestamp after the checkpoint's cycle");
@@ -227,6 +231,12 @@ impl PowerStateMachine {
             .and_then(|closed| closed.checked_add(open_sleep + open_wakeup));
         if gated.is_none_or(|gated| gated > cycle) {
             return Some("sleep and wake-up residency exceed the elapsed cycles");
+        }
+        if self.sleep_transitions > cycle.saturating_add(1) {
+            return Some("more sleep transitions than cycle edges");
+        }
+        if self.compensated_sleep_cycles > self.sleep_cycles.saturating_add(self.sleep_transitions) {
+            return Some("compensated sleep cycles exceed the sleep residency");
         }
         None
     }
@@ -400,5 +410,42 @@ mod tests {
             m.time_error(40),
             Some("sleep and wake-up residency exceed the elapsed cycles")
         );
+    }
+
+    /// Decode bounds a machine's counts as well as its timestamps: at
+    /// most one sleep transition per cycle edge, and per closed period at
+    /// most one compensated cycle past its residency. Two units decoded
+    /// with 2^63 compensated sleep cycles used to pass and then overflow
+    /// `GatingActivity::merged` when summed.
+    #[test]
+    fn time_error_bounds_transitions_and_compensated_sleep_cycles() {
+        let gating = GatingConfig {
+            t_breakeven: 0,
+            ..GatingConfig::paper()
+        };
+        let mut m = PowerStateMachine::new(gating.t_wakeup, gating.t_breakeven);
+        m.enter_sleep(0);
+        // Lands before the tick of cycle 50: residency 49, charged 50.
+        m.request_wake(49, 50);
+        assert_eq!((m.sleep_cycles, m.compensated_sleep_cycles), (49, 50));
+        assert_eq!(m.time_error(50), None);
+        let decoded = |m: &PowerStateMachine| {
+            let mut w = ByteWriter::new();
+            m.encode(&mut w);
+            let bytes = w.into_inner();
+            PowerStateMachine::decode(&mut ByteReader::new(&bytes), &gating).expect("decodes")
+        };
+        m.compensated_sleep_cycles = 1 << 63;
+        for unit in [decoded(&m), decoded(&m)] {
+            assert_eq!(
+                unit.time_error(50),
+                Some("compensated sleep cycles exceed the sleep residency")
+            );
+        }
+        m.compensated_sleep_cycles = 50;
+        m.sleep_transitions = 52;
+        assert_eq!(m.time_error(50), Some("more sleep transitions than cycle edges"));
+        m.sleep_transitions = 51;
+        assert_eq!(m.time_error(50), None);
     }
 }

@@ -224,10 +224,12 @@ impl Router {
     /// Requests a wake-up of the unit that powers input port `port`
     /// (no-op unless it sleeps), landing on cycle edge `edge`; `cycle`
     /// is the network's clock (see [`PowerStateMachine::request_wake`]).
-    pub(crate) fn request_wake(&mut self, port: Port, edge: u64, cycle: u64) {
+    /// Returns whether it started a wake-up.
+    pub(crate) fn request_wake(&mut self, port: Port, edge: u64, cycle: u64) -> bool {
         let u = self.unit_of(port);
         let unit = &mut self.units[u];
-        if unit.psm.state().is_sleeping() {
+        let sleeping = unit.psm.state().is_sleeping();
+        if sleeping {
             unit.psm.request_wake(edge, cycle);
             if unit.psm.state().is_active() {
                 // Woken at once (`t_wakeup` 0): restart the idle count as
@@ -236,6 +238,7 @@ impl Router {
                 unit.idle_from = edge;
             }
         }
+        sleeping
     }
 
     /// Whether gating unit `unit` satisfies the router-local sleep guard
@@ -287,13 +290,28 @@ impl Router {
             .min()
     }
 
-    /// Why the router's gating units cannot be at cycle edge `cycle`, if
-    /// they cannot: an idle count restarted after it, or a power-state
-    /// machine that does not fit it
-    /// ([`PowerStateMachine::time_error`]). Checkpoint decode refuses
-    /// such a router, and debug builds check every router at every edge
-    /// ([`crate::Network`]'s scheduler check).
+    /// Why the router cannot be at cycle edge `cycle`, if it cannot: an
+    /// idle count restarted after it, a power-state machine that does
+    /// not fit it ([`PowerStateMachine::time_error`]), or an activity
+    /// count above what the edges up to it allow (one flit into each
+    /// input port per edge, and one request, grant or blocked cycle per
+    /// VC per cycle). Checkpoint decode refuses such a router, and debug
+    /// builds check every router at every edge ([`crate::Network`]'s
+    /// scheduler check).
     pub(crate) fn time_error(&self, cycle: u64) -> Option<&'static str> {
+        let most = ((NUM_PORTS * self.vcs) as u64).saturating_mul(cycle.saturating_add(1));
+        let a = &self.activity;
+        let counts = [
+            a.buffer_writes,
+            a.link_flits,
+            a.ejected_flits,
+            a.arb_requests,
+            a.arb_grants,
+            a.head_blocked_cycles,
+        ];
+        if counts.into_iter().any(|count| count > most) {
+            return Some("router activity exceeds the elapsed cycles");
+        }
         (self.units.iter()).find_map(|u| {
             if u.idle_from > cycle {
                 Some("timestamp after the checkpoint's cycle")
@@ -573,18 +591,6 @@ impl Router {
                 unit.idle_from = cycle;
             }
         }
-    }
-
-    /// Cycle `cycle` of a **drained** router, equivalent to
-    /// [`Router::step`] with empty buffers and an empty crossbar
-    /// register: no allocation or traversal work can happen and every
-    /// idle count runs on, so only a wake-up due on `cycle` completes,
-    /// and no outputs are produced. Never reads neighbour state, which
-    /// is what lets the network skip drained routers without computing
-    /// their `neighbor_active` masks.
-    pub fn idle_tick(&mut self, cycle: u64) {
-        debug_assert!(self.is_drained(), "idle_tick on a non-drained router {}", self.node);
-        self.tick_power(cycle);
     }
 
     /// Stage 2: flits granted last cycle traverse the crossbar onto links
@@ -1046,9 +1052,6 @@ impl Router {
             unit.psm = PowerStateMachine::decode(r, &cfg.gating)?;
             unit.idle_from = r.get_u64()?;
         }
-        if let Some(what) = router.time_error(cycle) {
-            return Err(CodecError::Invalid(what));
-        }
         router.activity = RouterActivity {
             buffer_writes: r.get_u64()?,
             link_flits: r.get_u64()?,
@@ -1057,6 +1060,9 @@ impl Router {
             arb_grants: r.get_u64()?,
             head_blocked_cycles: r.get_u64()?,
         };
+        if let Some(what) = router.time_error(cycle) {
+            return Err(CodecError::Invalid(what));
+        }
         Ok(router)
     }
 
@@ -1381,6 +1387,25 @@ mod tests {
         r.encode(&mut w);
         let bytes = w.into_inner();
         Router::decode(&mut ByteReader::new(&bytes), r.node, &NetworkConfig::paper(), 0)
+    }
+
+    /// A router takes at most one flit into each input port per cycle
+    /// edge, and counts at most one request, grant or blocked cycle per
+    /// VC per cycle: at cycle 0 a paper router (5 ports, 4 VCs) can have
+    /// counted 20 of each, and decode refuses more, which would otherwise
+    /// overflow `RouterActivity::merged` when a network sums its routers.
+    #[test]
+    fn decode_rejects_activity_beyond_the_elapsed_cycles() {
+        let mut r = Router::new(NodeId(9), &NetworkConfig::paper());
+        r.activity.head_blocked_cycles = 20;
+        assert!(round_trip(&r).is_ok());
+        for count in [21, 1 << 63] {
+            r.activity.buffer_writes = count;
+            assert_eq!(
+                round_trip(&r).map(|_| ()),
+                Err(CodecError::Invalid("router activity exceeds the elapsed cycles"))
+            );
+        }
     }
 
     /// Look-aheads are not stored: decode gives every buffered and

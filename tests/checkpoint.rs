@@ -1,8 +1,9 @@
 //! Checkpoint/resume round-trips for every determinism golden.
 //!
 //! For each pinned `(selector, gating)` golden from `tests/determinism.rs`,
-//! and for the port-gated (`LocalIdlePort`) gating golden there, the run
-//! is split at cycle 750 of 1500: the full simulator state plus
+//! for the port-gated (`LocalIdlePort`) gating golden there, and for one
+//! golden per other congestion metric and local-only BFM, the run
+//! is split at cycle 751 of 1500: the full simulator state plus
 //! the workload position is sealed into a checkpoint blob, a fresh
 //! simulator is rebuilt from the blob, and both halves are driven to the
 //! end. The resumed run must be **bit-identical** to the straight-through
@@ -14,7 +15,8 @@
 //! [`Snapshot`]: catnap_repro::catnap::Snapshot
 
 use catnap_repro::catnap::{
-    config_fingerprint, GatingPolicy, MultiNoc, MultiNocConfig, SelectorKind, Snapshot, CHECKPOINT_VERSION,
+    config_fingerprint, CongestionMetric, GatingPolicy, MetricKind, MultiNoc, MultiNocConfig, SelectorKind, Snapshot,
+    CHECKPOINT_VERSION,
 };
 use catnap_repro::noc::SchedStats;
 use catnap_repro::telemetry::RecordingSink;
@@ -38,15 +40,34 @@ const PINNED: [(SelectorKind, bool, (u64, u64, u64)); 6] = [
 /// same way.
 const PORT_GATED: (u64, u64, u64) = (7250, 505537, 1132);
 
-/// Every golden configuration with a name and its pinned tuple: the six
-/// selector × gating goldens plus the port-gated one.
-fn golden_cases() -> Vec<(String, MultiNocConfig, (u64, u64, u64))> {
+/// The tuples of the other four congestion metrics and of local-only
+/// BFM (no RCS), printed at the commit that added them. `step` and
+/// `step_reference` share the detectors, so only a pinned tuple notices
+/// a change to what a metric decides. Each runs at a load at which its
+/// detectors set bits.
+const METRIC_GOLDENS: [(&str, f64, (u64, u64, u64)); 5] = [
+    ("BFA", 0.30, (28142, 1064361, 604)),
+    ("IR", 0.30, (21713, 4848252, 180)),
+    ("IQOcc", 0.08, (7450, 239398, 1680)),
+    ("Delay", 0.30, (28014, 1341016, 200)),
+    ("BFM local-only", 0.08, (7435, 268307, 201)),
+];
+
+/// A golden's fingerprint: packets delivered, latency sum and
+/// OR-network switch events.
+type Fingerprint = (u64, u64, u64);
+
+/// Every golden configuration with a name, its load and its pinned
+/// fingerprint: the six selector × gating goldens, the port-gated one
+/// and one per congestion metric.
+fn golden_cases() -> Vec<(String, MultiNocConfig, f64, Fingerprint)> {
     let mut cases: Vec<_> = PINNED
         .iter()
         .map(|&(selector, gating, want)| {
             (
                 format!("{selector:?} gating={gating}"),
                 golden_cfg(selector, gating),
+                0.08,
                 want,
             )
         })
@@ -56,20 +77,35 @@ fn golden_cases() -> Vec<(String, MultiNocConfig, (u64, u64, u64))> {
         MultiNocConfig::catnap_4x128()
             .gating_policy(GatingPolicy::LocalIdlePort)
             .seed(7),
+        0.08,
         PORT_GATED,
     ));
+    for (name, rate, want) in METRIC_GOLDENS {
+        let cfg = MultiNocConfig::catnap_4x128();
+        let cfg = match name {
+            "BFA" => cfg.metric(CongestionMetric::paper_default(MetricKind::Bfa)),
+            "IR" => cfg.metric(CongestionMetric::paper_default(MetricKind::InjectionRate)),
+            "IQOcc" => cfg.metric(CongestionMetric::paper_default(MetricKind::IqOcc)),
+            "Delay" => cfg.metric(CongestionMetric::paper_default(MetricKind::Delay)),
+            _ => cfg.local_only(),
+        };
+        cases.push((name.to_string(), cfg.gating(true).seed(7), rate, want));
+    }
     cases
 }
 
 const TOTAL_CYCLES: u64 = 1_500;
-const SPLIT_CYCLE: u64 = 750;
+/// Inside every window: not an OR-network latch edge (751 % 6 = 1), and
+/// part-way through the Delay and IR windows (751 % 32 = 15, 751 % 64 =
+/// 47), so a resume must carry open windows.
+const SPLIT_CYCLE: u64 = 751;
 
 fn golden_cfg(selector: SelectorKind, gating: bool) -> MultiNocConfig {
     MultiNocConfig::catnap_4x128().selector(selector).gating(gating).seed(7)
 }
 
-fn golden_load<S: catnap_repro::telemetry::Sink>(net: &MultiNoc<S>) -> SyntheticWorkload {
-    SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.08, 512, net.dims(), 7)
+fn golden_load<S: catnap_repro::telemetry::Sink>(net: &MultiNoc<S>, rate: f64) -> SyntheticWorkload {
+    SyntheticWorkload::new(SyntheticPattern::UniformRandom, rate, 512, net.dims(), 7)
 }
 
 /// Every subnet's event-scheduler counters.
@@ -97,8 +133,8 @@ fn work_since(end: SchedStats, start: SchedStats) -> SchedStats {
 /// event-scheduler work after the split.
 #[test]
 fn resume_is_bit_identical_to_straight_through_for_every_golden() {
-    for (name, cfg, want) in golden_cases() {
-        assert_resume_matches(&name, cfg, 0.08, want);
+    for (name, cfg, rate, want) in golden_cases() {
+        assert_resume_matches(&name, cfg, rate, want);
     }
 }
 
@@ -204,9 +240,9 @@ fn assert_resume_matches(name: &str, cfg: MultiNocConfig, rate: f64, want: (u64,
 /// covers only the suffix, which is exactly what this splices back.)
 #[test]
 fn recorded_trace_prefix_plus_resumed_suffix_equals_straight_through() {
-    for (name, cfg, _) in golden_cases() {
+    for (name, cfg, rate, _) in golden_cases() {
         let mut net = MultiNoc::with_sinks(cfg.clone(), |_| RecordingSink::new());
-        let mut load = golden_load(&net);
+        let mut load = golden_load(&net, rate);
         for _ in 0..TOTAL_CYCLES {
             load.drive(&mut net);
             net.step();
@@ -215,7 +251,7 @@ fn recorded_trace_prefix_plus_resumed_suffix_equals_straight_through() {
         assert!(full.num_events() > 0, "straight-through trace is empty for {name}");
 
         let mut net = MultiNoc::with_sinks(cfg.clone(), |_| RecordingSink::new());
-        let mut load = golden_load(&net);
+        let mut load = golden_load(&net, rate);
         for _ in 0..SPLIT_CYCLE {
             load.drive(&mut net);
             net.step();
@@ -227,7 +263,7 @@ fn recorded_trace_prefix_plus_resumed_suffix_equals_straight_through() {
             MultiNoc::resume_with_sinks(cfg, |_| RecordingSink::new(), &blob).expect("recorded resume");
         let mut rload = SyntheticWorkload::decode_position(
             SyntheticPattern::UniformRandom,
-            LoadSchedule::constant(0.08),
+            LoadSchedule::constant(rate),
             512,
             resumed.dims(),
             &driver,
@@ -265,7 +301,7 @@ fn recorded_trace_prefix_plus_resumed_suffix_equals_straight_through() {
 fn rejects_corrupted_version_mismatched_and_foreign_checkpoints() {
     let cfg = golden_cfg(SelectorKind::CatnapPriority, true);
     let mut net = MultiNoc::new(cfg.clone());
-    let mut load = golden_load(&net);
+    let mut load = golden_load(&net, 0.08);
     for _ in 0..100 {
         load.drive(&mut net);
         net.step();
@@ -343,58 +379,67 @@ fn an_extra_save_leaves_later_checkpoints_byte_identical() {
 /// add one, or overwrite with a random byte), re-seals it so the
 /// checksum holds, resumes, and steps the resumed network. Debug builds,
 /// where the wormhole `debug_assert`s are live, run the first 2,000
-/// trials; release builds run 10,000.
+/// trials; release builds run 10,000. Under BFM the detectors keep no
+/// state beyond the LCS bits; the Delay config adds a windowed metric's
+/// counter snapshots, which decode must bound by their routers'
+/// counters.
 #[test]
 fn mutated_checkpoints_fail_typed_or_run_but_never_panic() {
     use catnap_repro::util::SimRng;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     const TRIALS: usize = if cfg!(debug_assertions) { 2_000 } else { 10_000 };
-    let cfg = MultiNocConfig::catnap_2x128_64core().gating(true).seed(5);
-    let mut net = MultiNoc::new(cfg.clone());
-    let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.25, 512, net.dims(), 5);
-    for _ in 0..400 {
-        load.drive(&mut net);
-        net.step();
-    }
-    let fp = config_fingerprint(&cfg);
-    let blob = net.save_checkpoint(&[]);
-    let payload = codec::open(&blob, CHECKPOINT_VERSION, fp).expect("fresh blob opens").to_vec();
+    let bfm = MultiNocConfig::catnap_2x128_64core().gating(true).seed(5);
+    let delay = bfm.clone().metric(CongestionMetric::paper_default(MetricKind::Delay));
+    for (name, cfg) in [("BFM", bfm), ("Delay", delay)] {
+        let mut net = MultiNoc::new(cfg.clone());
+        let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.25, 512, net.dims(), 5);
+        for _ in 0..400 {
+            load.drive(&mut net);
+            net.step();
+        }
+        let fp = config_fingerprint(&cfg);
+        let blob = net.save_checkpoint(&[]);
+        let payload = codec::open(&blob, CHECKPOINT_VERSION, fp).expect("fresh blob opens").to_vec();
 
-    let mut rng = SimRng::new(1);
-    let (mut typed, mut clean, mut panics) = (0, 0, Vec::new());
-    for trial in 0..TRIALS {
-        let mut bytes = payload.clone();
-        for _ in 0..1 + rng.u64_below(3) {
-            let at = rng.u64_below(bytes.len() as u64) as usize;
-            bytes[at] = match rng.u64_below(3) {
-                0 => bytes[at] ^ (1 << rng.u64_below(8)),
-                1 => bytes[at].wrapping_add(1),
-                _ => rng.next_u64() as u8,
-            };
-        }
-        let sealed = codec::seal(CHECKPOINT_VERSION, fp, &bytes);
-        let outcome = catch_unwind(AssertUnwindSafe(|| match MultiNoc::resume_from(cfg.clone(), &sealed) {
-            Err(_) => false,
-            Ok((mut resumed, _)) => {
-                for _ in 0..300 {
-                    resumed.step();
-                }
-                true
+        let mut rng = SimRng::new(1);
+        let (mut typed, mut clean, mut panics) = (0, 0, Vec::new());
+        for trial in 0..TRIALS {
+            let mut bytes = payload.clone();
+            for _ in 0..1 + rng.u64_below(3) {
+                let at = rng.u64_below(bytes.len() as u64) as usize;
+                bytes[at] = match rng.u64_below(3) {
+                    0 => bytes[at] ^ (1 << rng.u64_below(8)),
+                    1 => bytes[at].wrapping_add(1),
+                    _ => rng.next_u64() as u8,
+                };
             }
-        }));
-        match outcome {
-            Ok(false) => typed += 1,
-            Ok(true) => clean += 1,
-            Err(_) => panics.push(trial),
+            let sealed = codec::seal(CHECKPOINT_VERSION, fp, &bytes);
+            let outcome = catch_unwind(AssertUnwindSafe(|| match MultiNoc::resume_from(cfg.clone(), &sealed) {
+                Err(_) => false,
+                Ok((mut resumed, _)) => {
+                    for _ in 0..300 {
+                        resumed.step();
+                    }
+                    true
+                }
+            }));
+            match outcome {
+                Ok(false) => typed += 1,
+                Ok(true) => clean += 1,
+                Err(_) => panics.push(trial),
+            }
         }
+        assert!(
+            typed > 0 && clean > 0,
+            "{name}: {typed} typed errors, {clean} clean runs"
+        );
+        assert!(
+            panics.is_empty(),
+            "{name}: {} of {TRIALS} mutated checkpoints panicked (trials {panics:?}); {typed} typed errors, {clean} clean runs",
+            panics.len()
+        );
     }
-    assert!(typed > 0 && clean > 0, "{typed} typed errors, {clean} clean runs");
-    assert!(
-        panics.is_empty(),
-        "{} of {TRIALS} mutated checkpoints panicked (trials {panics:?}); {typed} typed errors, {clean} clean runs",
-        panics.len()
-    );
 }
 
 /// A checkpoint taken while a router is mid wake-up resumes

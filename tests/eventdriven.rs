@@ -11,8 +11,9 @@
 //!
 //! Four layers of evidence: the six pinned determinism goldens (stats
 //! fingerprints, full snapshots, per-packet latency histograms), the
-//! recording-telemetry trace and CSV-timeline diffs under moderate,
-//! near-idle and bursty trace-driven traffic, protocol-class packets
+//! recording-telemetry trace and CSV-timeline diffs under congested
+//! (LCS and RCS bits flipping), moderate, near-idle and bursty
+//! trace-driven traffic, protocol-class packets
 //! through the class-restricted VC masks, and a randomized property
 //! over topology / subnet count / buffer shape / gating policy /
 //! congestion metric under bursty and saturating loads, which reports
@@ -20,7 +21,7 @@
 
 use catnap_repro::catnap::{CongestionMetric, GatingPolicy, MetricKind, MultiNoc, MultiNocConfig, SelectorKind};
 use catnap_repro::noc::{MeshDims, MessageClass, NodeId, PacketDescriptor, PacketId, SchedStats};
-use catnap_repro::telemetry::{diff_csv_timelines, diff_traces, power_timeline_csv, RecordingSink, Sink};
+use catnap_repro::telemetry::{diff_csv_timelines, diff_traces, power_timeline_csv, Event, RecordingSink, Sink, Trace};
 use catnap_repro::traffic::schedule::LoadSchedule;
 use catnap_repro::traffic::trace::{TracePlayer, TraceRecord};
 use catnap_repro::traffic::{PacketSink, SyntheticPattern, SyntheticWorkload};
@@ -105,7 +106,13 @@ fn goldens_bit_identical_eventdriven_vs_full_step() {
 /// its own copy of `traffic`: snapshots, reports, event traces and
 /// exported CSV timelines must all be identical. Divergences go through
 /// the trace-diff tooling so a failure names the first bad cycle.
-fn assert_traces_and_timelines_match<D>(name: &str, cfg: MultiNocConfig, cycles: u64, traffic: impl Fn(MeshDims) -> D)
+/// Returns the oracle's trace.
+fn assert_traces_and_timelines_match<D>(
+    name: &str,
+    cfg: MultiNocConfig,
+    cycles: u64,
+    traffic: impl Fn(MeshDims) -> D,
+) -> Trace
 where
     D: FnMut(&mut MultiNoc<RecordingSink>),
 {
@@ -137,16 +144,37 @@ where
             "{name}: CSV timelines diverged at epoch {epoch}:\n{cd}"
         );
     }
+    trace_full
 }
 
 /// The event-driven twin must produce byte-identical event traces and
-/// CSV timelines under three traffic shapes: a moderate load that keeps
-/// subnet 0 busy, a near-idle load whose long all-drained stretches
-/// leave every router untouched for hundreds of cycles, and a bursty
-/// hand-built trace whose 2,400-cycle silences leave the whole system
-/// drained between bursts.
+/// CSV timelines under five traffic shapes: the golden load (0.08), at
+/// which BFM flips LCS bits and the OR networks flip RCS bits; the Delay
+/// metric at a load that flips its bits at window ends; a moderate load
+/// that keeps subnet 0 busy; a near-idle load whose long all-drained
+/// stretches leave every router untouched for hundreds of cycles; and a
+/// bursty hand-built trace whose 2,400-cycle silences leave the whole
+/// system drained between bursts. The first two traces must hold LCS and
+/// RCS events, so a wrong detector or OR-network skip shows in the diff.
 #[test]
 fn eventdriven_preserves_traces_and_timelines() {
+    let delay = MultiNocConfig::catnap_4x128().metric(CongestionMetric::paper_default(MetricKind::Delay));
+    let congested = [("BFM", MultiNocConfig::catnap_4x128(), 0.08), ("Delay", delay, 0.30)];
+    for (metric, cfg, rate) in congested {
+        let trace = assert_traces_and_timelines_match(
+            &format!("{metric} at {rate} load"),
+            cfg.gating(true).seed(7),
+            1_500,
+            |dims| {
+                let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, rate, 512, dims, 7);
+                move |net: &mut MultiNoc<RecordingSink>| load.drive(net)
+            },
+        );
+        let count = |kind: fn(&Event) -> bool| trace.policy.iter().filter(|&e| kind(e)).count();
+        let lcs = count(|e| matches!(e, Event::Lcs { .. }));
+        let rcs = count(|e| matches!(e, Event::Rcs { .. }));
+        assert!(lcs > 0 && rcs > 0, "{metric}: {lcs} LCS and {rcs} RCS events");
+    }
     for (rate, seed, cycles) in [(0.02, 31, 6_000), (0.0005, 23, 20_000)] {
         assert_traces_and_timelines_match(
             &format!("{rate} load"),
@@ -223,6 +251,33 @@ fn step_reference_bypasses_scheduler_entirely() {
     assert_eq!(tails_event, tails_full, "ejection streams diverged");
     assert_eq!(snap_event, snap_full);
     assert_eq!(report_event, report_full);
+}
+
+/// A drained router runs only on the cycle its wake-up completes: a wake
+/// request that starts nothing schedules nothing, and a started wake-up
+/// waits in the waking set instead of running at once. So at router
+/// granularity every idle run is a wake-up pop. At port granularity a
+/// popped router may have taken a delivery on another port in the same
+/// cycle, so it can run with work: idle runs are at most the pops.
+#[test]
+fn drained_routers_run_only_when_a_wake_up_completes() {
+    for (policy, exact) in [(GatingPolicy::CatnapRcs, true), (GatingPolicy::LocalIdlePort, false)] {
+        let mut net = MultiNoc::new(MultiNocConfig::catnap_4x128().gating_policy(policy).seed(7));
+        let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.08, 512, net.dims(), 7);
+        for _ in 0..1_500 {
+            load.drive(&mut net);
+            net.step();
+        }
+        let (idle, pops) = (0..net.num_subnets())
+            .map(|s| net.subnet(s).sched_stats())
+            .fold((0, 0), |(i, p), st| (i + st.idle_runs, p + st.wakeup_pops));
+        assert!(pops > 0, "{policy:?}: no wake-up completed");
+        if exact {
+            assert_eq!(idle, pops, "{policy:?}: idle runs that completed no wake-up");
+        } else {
+            assert!(idle <= pops, "{policy:?}: {idle} idle runs against {pops} wake-up pops");
+        }
+    }
 }
 
 /// Coherence-protocol traffic: `Request` and `Forward` packets may only
@@ -302,6 +357,11 @@ struct PropInput {
     /// Valley offered load (near-idle so the mesh drains and gates).
     off_rate: f64,
     seed: u64,
+    /// Wake-up latency: at 1, a wake-up a ping starts on a router still
+    /// ahead in phase-2 order completes in the same cycle, so that
+    /// router joins the cycle's run set; at 10 (the paper's) it waits in
+    /// the waking set.
+    t_wakeup: u32,
 }
 
 /// Builds the config for one property case.
@@ -314,6 +374,7 @@ fn prop_cfg(input: &PropInput) -> MultiNocConfig {
     cfg.dims = input.dims;
     cfg.vcs = input.vcs;
     cfg.vc_depth = input.vc_depth;
+    cfg.gating_cfg.t_wakeup = input.t_wakeup;
     cfg
 }
 
@@ -346,7 +407,7 @@ fn first_divergent_cycle(input: &PropInput, cycles: u64) -> Option<u64> {
 }
 
 /// Property: for arbitrary mesh shape, subnet count, buffer shape,
-/// selector, gating policy and congestion metric, the event-driven core
+/// selector, gating policy, congestion metric and wake-up latency, the event-driven core
 /// yields the same ejection stream, snapshot and final report as the
 /// per-cycle oracle under a bursty, saturating load.
 #[test]
@@ -379,6 +440,7 @@ fn prop_eventdriven_equals_percycle() {
             on_rate: 0.15 + rng.gen::<f64>() * 0.35,
             off_rate: rng.gen::<f64>() * 0.002,
             seed: rng.gen_range(0u64..10_000),
+            t_wakeup: *rng.choose(&[1, 10]),
         },
         |input| {
             let run = |reference: bool| {
