@@ -35,10 +35,12 @@ echo "== test (release: differential, checkpoint, determinism, router edge-case 
 cargo test -q --release --offline --test eventdriven --test checkpoint --test determinism \
   --test noc_edge_cases --test proptest_invariants --test gating_invariants --test power_accounting
 
-echo "== trace diff (production step vs the per-cycle oracle at near-idle load) =="
-# Diffs full telemetry traces and CSV timelines at router granularity
-# (CatnapRcs) and at port granularity (LocalIdlePort); exits 1 on a
-# divergence in either, naming the first divergent cycle.
+echo "== trace diff (production step vs the per-cycle oracle, near idle and at load 0.08) =="
+# Diffs full telemetry traces and CSV timelines of step against
+# step_reference at router granularity (CatnapRcs) and port granularity
+# (LocalIdlePort) near idle, and under CatnapRcs and LocalIdle (router
+# units) at load 0.08, where the gating and detector worklists are busy;
+# exits 1 on a divergence in any, naming the first divergent cycle.
 cargo run -q --release --offline --example trace_diff -- --demo
 
 echo "== CLI (System via mix, the open-loop network via synthetic: two runs, same bytes) =="

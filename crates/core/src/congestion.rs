@@ -117,6 +117,39 @@ impl CongestionMetric {
         }
     }
 
+    /// Which nodes' LCS bits [`MultiNoc::step`](crate::MultiNoc::step)
+    /// updates at cycle edge `cycle`: for every other node the update
+    /// would return the bit unchanged.
+    ///
+    /// BFM, BFA and IQOcc with a positive set threshold keep every bit a
+    /// fixed point of its node's sample ([`CongestionMetric::settled`]):
+    /// the start state (bit off, sample 0) is one, hysteresis makes one
+    /// (`h(h(b, v), v) == h(b, v)`), and a sample changes only at a node
+    /// on the worklist. A router's buffers change only in a step that
+    /// runs it, and an NI's queue only while it is busy. A set threshold
+    /// of 0 or less makes the start state congested, so those sweep.
+    /// Delay changes a bit only as a window closes; IR sets its bit from
+    /// its estimate on every update, and sweeps.
+    pub(crate) fn visits(&self, cycle: u64) -> Visit {
+        match *self {
+            CongestionMetric::Bfm { set, .. } if set > 0 => Visit::RunSet,
+            CongestionMetric::Bfa { set, .. } if set > 0.0 => Visit::RunSet,
+            CongestionMetric::IqOcc { set, .. } if set > 0 => Visit::BusyNis,
+            CongestionMetric::Delay { window, .. } if !cycle.is_multiple_of(u64::from(window)) => Visit::Nobody,
+            _ => Visit::Everyone,
+        }
+    }
+
+    /// Whether a node's LCS bit is a fixed point of its sample,
+    /// `h(bit, sample) == bit`, as every cycle edge keeps it under a
+    /// metric updated from a worklist (see [`CongestionMetric::visits`]);
+    /// always true under the others.
+    pub(crate) fn settled(&self, bit: bool, router: &Router, ni: &NodeNi) -> bool {
+        // A worklist metric's update reads neither the clock nor a window.
+        let worklist = matches!(self.visits(0), Visit::RunSet | Visit::BusyNis);
+        !worklist || self.update(bit, 0, router, ni, None) == bit
+    }
+
     /// A node's LCS bit after cycle edge `cycle`, from its bit before
     /// (`bit`), its router after the cycle's step, its NI and, for a
     /// windowed metric, its window.
@@ -165,6 +198,20 @@ impl CongestionMetric {
             }
         }
     }
+}
+
+/// The nodes whose LCS bits a detector phase updates
+/// ([`CongestionMetric::visits`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Visit {
+    /// The routers the subnet's last step ran.
+    RunSet,
+    /// The NIs on the busy worklist.
+    BusyNis,
+    /// None.
+    Nobody,
+    /// Every node.
+    Everyone,
 }
 
 /// A windowed metric's state for one node on one subnet: for IR, the

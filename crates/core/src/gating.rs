@@ -7,7 +7,7 @@
 
 use crate::ni::NodeNi;
 use crate::rcs::OrNetwork;
-use catnap_noc::{Granularity, MeshDims, Network, Port};
+use catnap_noc::{Granularity, MeshDims, Network, NodeId, NodeSet, Port};
 use catnap_telemetry::Sink;
 
 /// Which power-gating policy a [`MultiNoc`](crate::MultiNoc) runs.
@@ -61,36 +61,33 @@ impl GatingPolicy {
     /// granted transition is reported through each network's telemetry
     /// sink.
     ///
-    /// With `elide` set, sweeps over a fully sleeping subnet are skipped
-    /// (they are provable no-ops). `MultiNoc::step_reference` passes
-    /// `false`, so the oracle issues every request and the differential
-    /// suites check the shortcut and the sleeper census it reads.
+    /// With `sweep` set, every node gets its request, as
+    /// `MultiNoc::step_reference` asks. Otherwise, at router granularity,
+    /// only the nodes whose request can do something get one, in the
+    /// same ascending node order: a wake request to a sleeping router,
+    /// and a sleep request to one that is neither asleep nor holding
+    /// flits ([`Network::queued`]). The rest are no-ops: a wake request
+    /// to a router that is not asleep starts nothing, and the sleep guard
+    /// refuses a router that is asleep or not drained. Port units keep
+    /// the sweep, as a router holding flits can still gate an empty port.
     pub fn apply<S: Sink>(
         self,
         dims: MeshDims,
         subnets: &mut [Network<S>],
         or_nets: &[OrNetwork],
         nis: &[NodeNi],
-        elide: bool,
+        sweep: bool,
     ) {
         let k = subnets.len();
+        let n = dims.num_nodes();
         match self {
             GatingPolicy::None => {}
-            GatingPolicy::LocalIdle | GatingPolicy::LocalIdlePort => {
+            GatingPolicy::LocalIdlePort => {
                 // Port units never gate the local port out from under an
-                // in-flight NI injection. A router unit has no such veto:
-                // NI demand wakes it instead.
-                let veto_local = self.granularity() == Granularity::Port;
+                // in-flight NI injection.
                 for (s, net) in subnets.iter_mut().enumerate() {
-                    // A fully sleeping subnet rejects every request (the
-                    // sleep guard needs an Active machine), so the sweep
-                    // is a provable no-op. Never true at port
-                    // granularity, where routers never sleep whole.
-                    if elide && net.all_asleep() {
-                        continue;
-                    }
                     for node in dims.nodes() {
-                        let keep_awake = if veto_local && nis[node.index()].wants_subnet(s) {
+                        let keep_awake = if nis[node.index()].wants_subnet(s) {
                             1 << Port::Local.index()
                         } else {
                             0
@@ -99,20 +96,41 @@ impl GatingPolicy {
                     }
                 }
             }
-            GatingPolicy::CatnapRcs => {
-                for h in 1..k {
-                    // With subnet h-1's RCS fully clear, every branch
-                    // below is a sleep request; if subnet h is already
-                    // fully asleep those are all rejected by the sleep
-                    // guard, so the sweep is a provable no-op.
-                    if elide && !or_nets[h - 1].any() && subnets[h].all_asleep() {
-                        continue;
-                    }
-                    for node in dims.nodes() {
-                        if or_nets[h - 1].rcs_at(node) {
-                            subnets[h].request_wake(node);
+            // A router unit has no local-port veto: NI demand wakes it.
+            GatingPolicy::LocalIdle => {
+                for net in subnets.iter_mut() {
+                    for w in 0..n.div_ceil(64) {
+                        let candidates = if sweep {
+                            !0
                         } else {
-                            subnets[h].request_sleep(node, 0);
+                            !(net.asleep().words()[w] | net.queued().words()[w])
+                        };
+                        for idx in NodeSet::members_of(w, candidates).take_while(|&idx| idx < n) {
+                            net.request_sleep(NodeId(idx as u16), 0);
+                        }
+                    }
+                }
+            }
+            GatingPolicy::CatnapRcs => {
+                // Subnet h's routers wake where subnet h-1's RCS is on and
+                // may sleep where it is off.
+                for h in 1..k {
+                    let net = &mut subnets[h];
+                    for w in 0..n.div_ceil(64) {
+                        let rcs = or_nets[h - 1].rcs_nodes().words()[w];
+                        let asleep = net.asleep().words()[w];
+                        let candidates = if sweep {
+                            !0
+                        } else {
+                            (asleep & rcs) | !(asleep | net.queued().words()[w] | rcs)
+                        };
+                        for idx in NodeSet::members_of(w, candidates).take_while(|&idx| idx < n) {
+                            let node = NodeId(idx as u16);
+                            if rcs & (1 << (idx % 64)) != 0 {
+                                net.request_wake(node);
+                            } else {
+                                net.request_sleep(node, 0);
+                            }
                         }
                     }
                 }

@@ -3,12 +3,12 @@
 //! policies.
 
 use crate::config::{MultiNocConfig, RegionMode, SelectorKind};
-use crate::congestion::{CongestionMetric, Window};
+use crate::congestion::{Visit, Window};
 use crate::ni::NodeNi;
 use crate::rcs::OrNetwork;
 use crate::select::{congestion_mask, CatnapPriority, RandomSelect, RoundRobin, SubnetSelector};
 use catnap_noc::stats::{GatingActivity, RouterActivity};
-use catnap_noc::{Delivery, MeshDims, Network, NodeId, PacketDescriptor, PacketId, RegionMap};
+use catnap_noc::{Delivery, MeshDims, Network, NodeId, NodeSet, PacketDescriptor, PacketId, RegionMap};
 use catnap_telemetry::{Event, NopSink, Sink, SinkScope, Trace, TraceMeta};
 use catnap_traffic::generator::PacketSink;
 use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
@@ -61,7 +61,7 @@ pub struct MultiNoc<S: Sink = NopSink> {
     /// still prunes the list so the two steps can be interleaved.
     busy_nis: Vec<u32>,
     /// Per-subnet count of set local-congestion bits (`lcs[s]`), so the
-    /// detector and OR-network elisions can test "all clear" in O(1).
+    /// OR-network elision can test "all clear" in O(1).
     lcs_set: Vec<usize>,
     /// Reusable per-subnet congestion mask handed to the selector.
     congested_buf: Vec<bool>,
@@ -264,28 +264,41 @@ impl<S: Sink> MultiNoc<S> {
         }
     }
 
-    /// Whether this cycle's detector sweep over subnet `s` is a provable
-    /// no-op that may be skipped. Holds only for the memoryless
-    /// hysteresis metrics observing an all-zero sample against an
-    /// all-clear status vector — and only with a non-degenerate set
-    /// threshold (a `set` of zero would latch congestion on a zero
-    /// sample). The windowed metrics (InjectionRate, Delay) close their
-    /// windows on the clock and are never skipped.
-    fn detector_sweep_elidable(&self, s: usize) -> bool {
-        if self.lcs_set[s] != 0 {
-            return false;
+    /// Node `idx`'s detector update of subnet `s` at cycle edge `cycle`,
+    /// recording the flip if its LCS bit changes.
+    fn detect(&mut self, s: usize, idx: usize, cycle: u64) {
+        let bit = self.lcs[s][idx];
+        let router = self.subnets[s].router(NodeId(idx as u16));
+        let window = self.windows[s].get_mut(idx);
+        let now = self.cfg.metric.update(bit, cycle, router, &self.nis[idx], window);
+        if now == bit {
+            return;
         }
-        match self.cfg.metric {
-            // Zero buffer occupancy everywhere: guaranteed by every
-            // router of the subnet being drained (flits still on links
-            // are invisible to port occupancy until delivered).
-            CongestionMetric::Bfm { set, .. } => set > 0 && self.subnets[s].all_drained(),
-            CongestionMetric::Bfa { set, .. } => set > 0.0 && self.subnets[s].all_drained(),
-            // Zero NI-queue occupancy everywhere: guaranteed by an empty
-            // busy worklist (every NI idle).
-            CongestionMetric::IqOcc { set, .. } => set > 0 && self.busy_nis.is_empty(),
-            CongestionMetric::InjectionRate { .. } | CongestionMetric::Delay { .. } => false,
+        self.lcs[s][idx] = now;
+        if now {
+            self.lcs_set[s] += 1;
+        } else {
+            self.lcs_set[s] -= 1;
         }
+        if S::ENABLED {
+            self.policy_sink.record(Event::Lcs {
+                cycle,
+                subnet: s as u8,
+                node: idx as u16,
+                on: now,
+            });
+        }
+    }
+
+    /// The first node and subnet whose LCS bit is not a fixed point of
+    /// its sample ([`crate::CongestionMetric::settled`]), if any.
+    fn unsettled(&self) -> Option<(usize, usize)> {
+        (0..self.cfg.subnets).find_map(|s| {
+            let router = |idx: usize| self.subnets[s].router(NodeId(idx as u16));
+            (0..self.nis.len())
+                .find(|&idx| !self.cfg.metric.settled(self.lcs[s][idx], router(idx), &self.nis[idx]))
+                .map(|idx| (s, idx))
+        })
     }
 
     /// Advances the whole design by one cycle.
@@ -295,8 +308,8 @@ impl<S: Sink> MultiNoc<S> {
 
     /// The per-cycle oracle for [`MultiNoc::step`]: one cycle with every
     /// worklist and elision off. Every NI runs its per-cycle body, the
-    /// gating policy sweeps every subnet (no all-asleep shortcut), every
-    /// detector updates, every OR network ticks, and each subnet steps
+    /// gating policy sends every node its request, every detector
+    /// updates, every OR network ticks, and each subnet steps
     /// through [`Network::step_reference`]. Bit-identical to `step`
     /// (asserted by `tests/eventdriven.rs`), and freely interleavable
     /// with it. The per-cycle loop `drive(); step_reference()` is the
@@ -331,7 +344,7 @@ impl<S: Sink> MultiNoc<S> {
         // --- Power-gating policy ---
         self.cfg
             .gating_policy
-            .apply(self.cfg.dims, &mut self.subnets, &self.or_nets, &self.nis, !REFERENCE);
+            .apply(self.cfg.dims, &mut self.subnets, &self.or_nets, &self.nis, REFERENCE);
 
         // --- Step every subnet ---
         // Each `Network::step` is self-contained (no cross-subnet state,
@@ -367,32 +380,33 @@ impl<S: Sink> MultiNoc<S> {
         }
 
         // --- Local congestion detection (post-step state) ---
+        // Only the nodes whose bit can change (`CongestionMetric::visits`);
+        // the oracle updates every node.
+        let visit = if REFERENCE {
+            Visit::Everyone
+        } else {
+            self.cfg.metric.visits(cycle)
+        };
         for s in 0..k {
-            if !REFERENCE && self.detector_sweep_elidable(s) {
-                continue;
-            }
-            for idx in 0..self.nis.len() {
-                let bit = self.lcs[s][idx];
-                let router = self.subnets[s].router(NodeId(idx as u16));
-                let window = self.windows[s].get_mut(idx);
-                let now = self.cfg.metric.update(bit, cycle, router, &self.nis[idx], window);
-                if now != bit {
-                    self.lcs[s][idx] = now;
-                    if now {
-                        self.lcs_set[s] += 1;
-                    } else {
-                        self.lcs_set[s] -= 1;
-                    }
-                    if S::ENABLED {
-                        self.policy_sink.record(Event::Lcs {
-                            cycle,
-                            subnet: s as u8,
-                            node: idx as u16,
-                            on: now,
-                        });
+            match visit {
+                Visit::RunSet => {
+                    for w in 0..self.subnets[s].ran().words().len() {
+                        let ran = self.subnets[s].ran().words()[w];
+                        NodeSet::members_of(w, ran).for_each(|idx| self.detect(s, idx, cycle));
                     }
                 }
+                Visit::BusyNis => {
+                    for i in 0..self.busy_nis.len() {
+                        self.detect(s, self.busy_nis[i] as usize, cycle);
+                    }
+                }
+                Visit::Nobody => {}
+                Visit::Everyone => (0..self.nis.len()).for_each(|idx| self.detect(s, idx, cycle)),
             }
+        }
+        #[cfg(debug_assertions)]
+        if let Some((s, idx)) = self.unsettled() {
+            panic!("LCS bit of node {idx} on subnet {s} not settled on its sample at cycle {cycle}");
         }
         // NIs observed idle leave the worklist.
         let mut list = std::mem::take(&mut self.busy_nis);
@@ -557,6 +571,12 @@ impl<S: Sink> MultiNoc<S> {
         }
         for (s, net) in self.subnets.iter().enumerate() {
             net.check_wormholes(|node| self.nis[node.index()].next_flit(s))?;
+        }
+        // The detectors update a worklist metric's bits only where a
+        // sample changes, so a bit off its fixed point would never be
+        // corrected.
+        if self.unsettled().is_some() {
+            return Err(CodecError::Invalid("LCS bit not settled on its sample"));
         }
         // A packet id names one packet: waiting at an interface, or in
         // flight on one subnet (a packet part-way through injection is in
@@ -829,6 +849,7 @@ catnap_util::impl_to_json_struct!(RunReport {
 mod tests {
     use super::*;
     use crate::config::MultiNocConfig;
+    use crate::CongestionMetric;
     use catnap_noc::MessageClass;
     use catnap_traffic::{SyntheticPattern, SyntheticWorkload};
 
@@ -938,11 +959,14 @@ mod tests {
         assert!(s.contains("MultiNoc") && s.contains("4NT-128b"));
     }
 
-    #[test]
-    fn step_reference_interleaves_with_step_bit_identically() {
-        let cfg = MultiNocConfig::catnap_2x128_64core().gating(true).seed(11);
+    /// A Multi-NoC stepped by `step` alone against a twin that
+    /// alternates `stretch`-cycle stretches of `step_reference` and
+    /// `step`, so switches land mid-packet, mid-wake-up, on routers left
+    /// idle for long, and on the gating phase of the first `step` after
+    /// an oracle stretch, which must not read the run sets the oracle
+    /// left stale.
+    fn assert_interleaving_matches(cfg: MultiNocConfig, stretch: u64) {
         let load = |dims| SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.05, 512, dims, 5);
-
         let mut plain = MultiNoc::new(cfg.clone());
         let mut lp = load(plain.dims());
         let mut mixed = MultiNoc::new(cfg);
@@ -950,17 +974,33 @@ mod tests {
         for c in 0..3_000u64 {
             lp.drive(&mut plain);
             plain.step();
-            // Alternate 37-cycle stretches of the two steps, so switches
-            // land mid-packet, mid-wake-up and on routers left idle for long.
             lm.drive(&mut mixed);
-            if (c / 37) % 2 == 0 {
+            if (c / stretch).is_multiple_of(2) {
                 mixed.step_reference();
             } else {
                 mixed.step();
             }
         }
-        assert_eq!(mixed.snapshot(), plain.snapshot());
-        assert_eq!(mixed.finish(), plain.finish());
+        let name = format!(
+            "{} under {}, {stretch}-cycle stretches",
+            plain.cfg.name,
+            plain.cfg.gating_policy.name()
+        );
+        assert_eq!(mixed.snapshot(), plain.snapshot(), "{name}");
+        assert_eq!(mixed.finish(), plain.finish(), "{name}");
+    }
+
+    #[test]
+    fn step_reference_interleaves_with_step_bit_identically() {
+        for cfg in [
+            MultiNocConfig::catnap_2x128_64core().gating(true),
+            MultiNocConfig::catnap_4x128().gating(true),
+            MultiNocConfig::catnap_4x128().gating_policy(crate::GatingPolicy::LocalIdle),
+        ] {
+            for stretch in [1, 3, 37] {
+                assert_interleaving_matches(cfg.clone().seed(11), stretch);
+            }
+        }
     }
 
     /// The subnets own the clock and step together, so a checkpoint
@@ -980,6 +1020,34 @@ mod tests {
         };
         assert_eq!(resume(false), Ok(()));
         assert_eq!(resume(true), Err(CodecError::Invalid("subnets at different cycles")));
+    }
+
+    /// The detectors update a worklist metric's LCS bit only where its
+    /// sample changed, so decode refuses a bit that is not a fixed point
+    /// of its sample: it would never be corrected. An idle router's BFM
+    /// sample is 0, below the clear threshold, so only the bit off is
+    /// settled. A degenerate set threshold of 0 sweeps every cycle, and
+    /// decode takes either bit.
+    #[test]
+    fn decode_rejects_an_lcs_bit_off_its_fixed_point() {
+        let resume = |metric: CongestionMetric, on: bool| {
+            let cfg = MultiNocConfig::catnap_4x128().gating(true).metric(metric);
+            let mut net = MultiNoc::new(cfg.clone());
+            for _ in 0..20 {
+                net.step();
+            }
+            net.lcs[1][5] = on;
+            MultiNoc::resume_from(cfg, &net.save_checkpoint(&[])).map(|_| ())
+        };
+        let bfm = CongestionMetric::paper_default(crate::MetricKind::Bfm);
+        assert_eq!(resume(bfm, false), Ok(()));
+        assert_eq!(
+            resume(bfm, true),
+            Err(CodecError::Invalid("LCS bit not settled on its sample"))
+        );
+        let degenerate = CongestionMetric::Bfm { set: 0, clear: 0 };
+        assert_eq!(resume(degenerate, false), Ok(()));
+        assert_eq!(resume(degenerate, true), Ok(()));
     }
 
     /// An open-loop run nobody drains holds only the tails of its last

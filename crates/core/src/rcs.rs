@@ -10,7 +10,7 @@
 //! nodes latch a fresh regional value every 6 cycles; each switching event
 //! costs 8.7 pJ (paper Section 4.1).
 
-use catnap_noc::{NodeId, RegionId, RegionMap};
+use catnap_noc::{NodeId, NodeSet, RegionId, RegionMap};
 use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
 
 /// The per-subnet OR network aggregating LCS bits into per-region RCS
@@ -23,6 +23,10 @@ pub struct OrNetwork {
     period: u32,
     /// Latched RCS value per region.
     latched: Vec<bool>,
+    /// The nodes whose region's latched RCS is on, rebuilt whenever a
+    /// latch changes a region: the gating policy's wake and sleep
+    /// worklists read it word by word.
+    rcs_nodes: NodeSet,
     /// Change flags (either edge) from the most recent latch (consumed
     /// by telemetry to emit one event per RCS flip). Read only on a
     /// cycle that latches, and every latch rewrites them, so checkpoints
@@ -43,6 +47,7 @@ impl OrNetwork {
         assert!(period > 0, "update period must be non-zero");
         let n = regions.num_regions();
         OrNetwork {
+            rcs_nodes: NodeSet::new(regions.dims().num_nodes()),
             regions,
             period,
             latched: vec![false; n],
@@ -69,6 +74,11 @@ impl OrNetwork {
     /// Latched RCS of a region.
     pub fn rcs_of(&self, region: RegionId) -> bool {
         self.latched[region.index()]
+    }
+
+    /// The nodes whose region's latched RCS is on.
+    pub fn rcs_nodes(&self) -> &NodeSet {
+        &self.rcs_nodes
     }
 
     /// Whether any region is congested.
@@ -99,22 +109,37 @@ impl OrNetwork {
         if !cycle.is_multiple_of(u64::from(self.period)) {
             return false;
         }
+        let mut any_changed = false;
         for i in 0..self.latched.len() {
             let region = RegionId(i as u8);
             let new = self.regions.nodes_in(region).any(&mut lcs);
             self.changed[i] = new != self.latched[i];
             if new != self.latched[i] {
                 self.switch_events += 1;
+                any_changed = true;
             }
             self.latched[i] = new;
         }
+        if any_changed {
+            self.rebuild_rcs_nodes();
+        }
         true
+    }
+
+    /// Rebuilds [`OrNetwork::rcs_nodes`] from the latched bits.
+    fn rebuild_rcs_nodes(&mut self) {
+        self.rcs_nodes.clear();
+        for node in self.regions.dims().nodes() {
+            if self.rcs_at(node) {
+                self.rcs_nodes.insert(node.index());
+            }
+        }
     }
 
     /// Serializes the OR network's mutable state (checkpointing). The
     /// region partition and period are functions of the configuration
     /// and are reconstructed by [`OrNetwork::decode`]; the clock gives
-    /// the latch phase.
+    /// the latch phase, and the latched bits the RCS-on nodes.
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
         for &b in &self.latched {
             w.put_bool(b);
@@ -130,6 +155,7 @@ impl OrNetwork {
             *b = r.get_bool()?;
         }
         or.switch_events = r.get_u64()?;
+        or.rebuild_rcs_nodes();
         Ok(or)
     }
 }
@@ -161,6 +187,11 @@ mod tests {
         assert!(or.rcs_at(NodeId(27)), "node (3,3) shares region 0");
         assert!(!or.rcs_at(NodeId(63)), "far quadrant unaffected");
         assert!(or.any());
+        assert_eq!(
+            or.rcs_nodes().words(),
+            [0x0f0f_0f0f],
+            "the node mask is region 0's 16 nodes"
+        );
     }
 
     #[test]

@@ -45,6 +45,8 @@ pub struct Core {
     window: u64,
     mshrs: usize,
     rng: SimRng,
+    /// Misses in issue order, so in order of deadline: the first blocks
+    /// retirement first.
     outstanding: Vec<Outstanding>,
     next_miss: u64,
     /// Remaining misses of the current miss cluster.
@@ -126,7 +128,7 @@ impl Core {
     /// Completes an outstanding miss (response arrived).
     pub fn complete(&mut self, id: MissId) {
         if let Some(pos) = self.outstanding.iter().position(|o| o.id == id) {
-            self.outstanding.swap_remove(pos);
+            self.outstanding.remove(pos);
         }
     }
 
@@ -144,8 +146,8 @@ impl Core {
         // would require an MSHR none is free for.
         let mut committed = 0;
         while committed < self.commit_width {
-            if let Some(oldest) = self.outstanding.iter().map(|o| o.deadline_insts).min() {
-                if self.instructions >= oldest {
+            if let Some(oldest) = self.outstanding.first() {
+                if self.instructions >= oldest.deadline_insts {
                     break; // ROB full behind the oldest miss.
                 }
             }

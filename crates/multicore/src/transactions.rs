@@ -17,7 +17,8 @@ use crate::protocol::TransactionScript;
 use catnap::MultiNoc;
 use catnap_noc::{Delivery, MessageClass, NodeId, PacketDescriptor, PacketId};
 use catnap_traffic::generator::PacketSink;
-use std::collections::{BTreeMap, HashMap};
+use catnap_util::IdMap;
+use std::collections::BTreeMap;
 
 /// A miss a core waits on: (core, miss, issue cycle).
 pub(crate) type Miss = (usize, MissId, u64);
@@ -31,13 +32,13 @@ struct Tx {
 
 /// Running coherence transactions and the memory controllers they use.
 pub(crate) struct Transactions {
-    txs: HashMap<u64, Tx>,
-    pkt_to_tx: HashMap<PacketId, (u64, usize)>,
+    txs: IdMap<u64, Tx>,
+    pkt_to_tx: IdMap<PacketId, (u64, usize)>,
     /// Legs waiting out a fixed service delay: cycle -> (tx, leg).
     delayed: BTreeMap<u64, Vec<(u64, usize)>>,
     mc_nodes: Vec<NodeId>,
     mcs: Vec<MemoryController>,
-    mc_tokens: HashMap<u64, (u64, usize)>,
+    mc_tokens: IdMap<u64, (u64, usize)>,
     /// Memory legs a full controller refused: (controller, tx, leg).
     pub(crate) mc_retry: Vec<(usize, u64, usize)>,
     next_tx: u64,
@@ -59,12 +60,12 @@ impl Transactions {
             .map(|_| MemoryController::new(cfg.memory_latency, cfg.mc_requests_per_cycle, cfg.mc_queue_depth))
             .collect();
         Transactions {
-            txs: HashMap::new(),
-            pkt_to_tx: HashMap::new(),
+            txs: IdMap::default(),
+            pkt_to_tx: IdMap::default(),
             delayed: BTreeMap::new(),
             mc_nodes,
             mcs,
-            mc_tokens: HashMap::new(),
+            mc_tokens: IdMap::default(),
             mc_retry: Vec::new(),
             next_tx: 0,
             next_packet: 0,

@@ -216,8 +216,11 @@ impl MeshDims {
     /// Routes fully in X first, then in Y; returns [`Port::Local`] when
     /// `at == dst`.
     pub fn xy_route(self, at: NodeId, dst: NodeId) -> Port {
-        let (ax, ay) = self.coords(at);
-        let (dx, dy) = self.coords(dst);
+        MeshDims::xy_route_coords(self.coords(at), self.coords(dst))
+    }
+
+    /// [`MeshDims::xy_route`] from `at`'s to `dst`'s `(x, y)` coordinates.
+    pub fn xy_route_coords((ax, ay): (u16, u16), (dx, dy): (u16, u16)) -> Port {
         if ax < dx {
             Port::East
         } else if ax > dx {

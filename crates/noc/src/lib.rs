@@ -65,7 +65,7 @@ pub mod vc;
 pub use config::{GatingConfig, Granularity, NetworkConfig};
 pub use flit::{Delivery, Flit, FlitKind, MessageClass, PacketDescriptor, PacketId};
 pub use geometry::{Direction, MeshDims, NodeId, Port, RegionId, RegionMap};
-pub use network::{Network, SchedStats};
+pub use network::{Network, NodeSet, SchedStats};
 pub use power_state::PowerState;
 pub use router::Router;
 pub use stats::{NetworkStats, RouterActivity};

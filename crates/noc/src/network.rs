@@ -11,7 +11,7 @@ use crate::router::{Router, RouterOutput};
 use crate::stats::{GatingActivity, NetworkStats, RouterActivity};
 use catnap_telemetry::{Event, NopSink, PowerPhase, Sink};
 use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
-use std::collections::HashMap;
+use catnap_util::IdMap;
 
 /// A single physical network-on-chip (one subnet of a Multi-NoC).
 ///
@@ -41,8 +41,11 @@ pub struct Network<S: Sink = NopSink> {
     ejected: Vec<Delivery>,
     /// The packets in flight whose head has entered: written when the
     /// head enters, removed when the tail ejects. Only lookups read it;
-    /// a checkpoint writes it in id order.
-    packets: HashMap<PacketId, PacketTimes>,
+    /// a checkpoint writes it in id order. Its fixed hasher suits the
+    /// sequential ids of a run; a checkpoint's ids are chosen by its
+    /// writer, and decode bounds their count by the flits in the
+    /// network before inserting any.
+    packets: IdMap<PacketId, PacketTimes>,
     stats: NetworkStats,
     cycle: u64,
     next_packet_id: u64,
@@ -63,27 +66,29 @@ pub struct Network<S: Sink = NopSink> {
     /// mid-phase at the completing router's position, and later routers
     /// must observe that exactly as the per-cycle loop would). The scan
     /// re-reads the set after every run, so an in-step wake request for
-    /// a router ahead of it still runs this cycle. Empty between steps.
-    hot: RouterSet,
+    /// a router ahead of it still runs this cycle. Between steps it holds
+    /// the routers the last step ran ([`Network::ran`]).
+    hot: NodeSet,
     /// Routers queued to run on the next step; it becomes `hot` when the
     /// step starts. At a cycle edge this is exactly the set of
     /// non-drained routers.
-    next: RouterSet,
+    next: NodeSet,
     /// Drained routers with a pending wake-up, which completes on cycle
     /// `wake_due[i]`: the one cycle such a router must run although
     /// nothing reaches it. Queued routers are never in here: they run
     /// anyway, and re-enter when they settle drained.
-    waking: RouterSet,
+    waking: NodeSet,
     /// Wake-up completion cycle per router, meaningful while its
     /// `waking` bit is set.
     wake_due: Vec<u64>,
-    /// Routers whose router-level power state is Sleep (for the policy
-    /// layer's all-asleep elision; never counted at port granularity).
-    sleepers: usize,
+    /// Routers whose router-level power state is Sleep ([`Network::asleep`];
+    /// always empty at port granularity). Kept by the sleep and wake
+    /// requests in both steps.
+    asleep: NodeSet,
     /// Set by [`Network::step_reference`], which leaves `next`, `waking`
-    /// and `active_mask` unmaintained; the next [`Network::step`]
-    /// re-seeds them from live state first. Keeps the oracle's per-cycle
-    /// cost to its scan alone.
+    /// and `active_mask` unmaintained; the next [`Network::step`], or a
+    /// read of [`Network::queued`], re-seeds them from live state first.
+    /// Keeps the oracle's per-cycle cost to its scan alone.
     sched_stale: bool,
     /// Event-scheduler effectiveness counters (left untouched by
     /// [`Network::step_reference`] — the regression suite asserts the
@@ -124,33 +129,51 @@ struct PacketTimes {
     injected: u64,
 }
 
-/// A set of router indices, one bit per router in `u64` words.
-#[derive(Clone, Debug)]
-struct RouterSet(Vec<u64>);
+/// A set of node (router) indices, one bit per node in `u64` words:
+/// the event scheduler's sets, and the policy layer's worklists built
+/// from them ([`Network::ran`], [`Network::asleep`], [`Network::queued`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct NodeSet(Vec<u64>);
 
-impl RouterSet {
-    fn new(n: usize) -> Self {
-        RouterSet(vec![0; n.div_ceil(64)])
+impl NodeSet {
+    /// An empty set over `n` nodes.
+    pub fn new(n: usize) -> Self {
+        NodeSet(vec![0; n.div_ceil(64)])
     }
 
-    fn insert(&mut self, i: usize) {
+    /// Adds node index `i`.
+    pub fn insert(&mut self, i: usize) {
         self.0[i / 64] |= 1 << (i % 64);
     }
 
-    fn remove(&mut self, i: usize) {
+    /// Removes node index `i`.
+    pub(crate) fn remove(&mut self, i: usize) {
         self.0[i / 64] &= !(1 << (i % 64));
     }
 
-    fn contains(&self, i: usize) -> bool {
+    /// Whether node index `i` is a member.
+    pub(crate) fn contains(&self, i: usize) -> bool {
         self.0[i / 64] & (1 << (i % 64)) != 0
     }
 
-    fn is_empty(&self) -> bool {
-        self.0.iter().all(|&w| w == 0)
+    /// Removes every member.
+    pub fn clear(&mut self) {
+        self.0.fill(0);
     }
 
-    fn clear(&mut self) {
-        self.0.fill(0);
+    /// The bits, word `w` holding node indices `64 * w ..`.
+    pub fn words(&self) -> &[u64] {
+        &self.0
+    }
+
+    /// The node indices whose bits are set in `bits`, taken as word `w`
+    /// of a set, in ascending order.
+    pub fn members_of(w: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+        std::iter::from_fn(move || {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits.wrapping_sub(1);
+            (i < 64).then_some(w * 64 + i)
+        })
     }
 
     /// The smallest member `>= from`. Reads the words afresh on every
@@ -242,11 +265,11 @@ impl<S: Sink> Network<S> {
                 row
             })
             .collect();
+        // Row-major coordinates in node order, so no entry divides.
+        let coords: Vec<(u16, u16)> = (0..dims.rows).flat_map(|y| (0..dims.cols).map(move |x| (x, y))).collect();
         let mut route_lut = Vec::with_capacity(n * n);
-        for at in dims.nodes() {
-            for dst in dims.nodes() {
-                route_lut.push(dims.xy_route(at, dst));
-            }
+        for &at in &coords {
+            route_lut.extend(coords.iter().map(|&dst| MeshDims::xy_route_coords(at, dst)));
         }
         let active_mask = routers.iter().map(Router::port_active_mask).collect();
         Network {
@@ -256,7 +279,7 @@ impl<S: Sink> Network<S> {
             staged_flits: Vec::new(),
             staged_credits: Vec::new(),
             ejected: Vec::new(),
-            packets: HashMap::new(),
+            packets: IdMap::default(),
             stats: NetworkStats::default(),
             cycle: 0,
             next_packet_id: 0,
@@ -264,11 +287,11 @@ impl<S: Sink> Network<S> {
             adj,
             route_lut,
             inflight: vec![0; n * NUM_PORTS],
-            hot: RouterSet::new(n),
-            next: RouterSet::new(n),
-            waking: RouterSet::new(n),
+            hot: NodeSet::new(n),
+            next: NodeSet::new(n),
+            waking: NodeSet::new(n),
             wake_due: vec![0; n],
-            sleepers: 0,
+            asleep: NodeSet::new(n),
             sched_stale: false,
             sched: SchedStats::default(),
             active_mask,
@@ -400,7 +423,8 @@ impl<S: Sink> Network<S> {
     /// Rebuilds the scheduler's derived state from the live routers:
     /// non-drained routers are queued for the next step, drained ones
     /// with a pending wake-up enter the waking set. Used by the first
-    /// `step` after a reference step and at checkpoint resume.
+    /// `step` or [`Network::queued`] after a reference step and at
+    /// checkpoint resume.
     fn reseed_scheduler(&mut self) {
         self.sched_stale = false;
         self.next.clear();
@@ -416,8 +440,9 @@ impl<S: Sink> Network<S> {
     }
 
     /// Debug cross-check at a cycle edge: `next` holds exactly the
-    /// non-drained routers, and `waking` exactly the drained ones with a
-    /// pending wake-up, each due on the cycle its wake-up completes;
+    /// non-drained routers, `asleep` exactly the sleeping ones, and
+    /// `waking` exactly the drained ones with a pending wake-up, each due
+    /// on the cycle its wake-up completes;
     /// every router's timestamps fit the edge as checkpoint decode
     /// requires ([`Router::time_error`]); each router's allocator masks
     /// and counts match the state they summarize; and every flit in the
@@ -445,6 +470,12 @@ impl<S: Sink> Network<S> {
                 r.for_each_flit(has_entry);
             }
             assert_eq!(self.next.contains(idx), !drained, "run set out of sync at router {idx}");
+            let sleeping = r.power_state().is_sleeping();
+            assert_eq!(
+                self.asleep.contains(idx),
+                sleeping,
+                "asleep set out of sync at router {idx}"
+            );
             let due = r.next_wake_completion().filter(|_| drained);
             assert_eq!(
                 self.waking.contains(idx).then(|| self.wake_due[idx]),
@@ -495,7 +526,7 @@ impl<S: Sink> Network<S> {
     }
 
     /// Wakes the unit of router `idx` that powers input port `port`,
-    /// maintaining the sleeper count and telemetry. The request is
+    /// maintaining the asleep set and telemetry. The request is
     /// raised at phase-2 position `pos` of the current cycle, so it
     /// lands on the cycle edge after the router's tick of the cycle if
     /// `idx < pos`, and on the edge before it otherwise: phase-1
@@ -510,11 +541,10 @@ impl<S: Sink> Network<S> {
         let past = idx < pos;
         let edge = if past { cycle } else { cycle - 1 };
         let r = &mut self.routers[idx];
-        let was_sleeping = r.power_state().is_sleeping();
         if !r.request_wake(port, edge, cycle) {
             return;
         }
-        self.sleepers -= usize::from(was_sleeping);
+        self.asleep.remove(idx);
         self.active_mask[idx] = self.routers[idx].port_active_mask();
         self.note_power(idx);
         if schedule {
@@ -601,7 +631,7 @@ impl<S: Sink> Network<S> {
         }
         if slept {
             if self.routers[idx].power_state().is_sleeping() {
-                self.sleepers += 1;
+                self.asleep.insert(idx);
             }
             self.active_mask[idx] = self.routers[idx].port_active_mask();
             self.note_power(idx);
@@ -644,6 +674,7 @@ impl<S: Sink> Network<S> {
         // Collect this cycle's run set: routers queued by the previous
         // step, plus drained routers whose wake-up completes now.
         std::mem::swap(&mut self.hot, &mut self.next);
+        self.next.clear();
         let mut from = 0;
         while let Some(i) = self.waking.next_from(from) {
             from = i + 1;
@@ -697,7 +728,6 @@ impl<S: Sink> Network<S> {
                 self.note_power(idx);
             }
         }
-        self.hot.clear();
     }
 
     /// Runs one router of the current cycle's hot set (phase 2 of
@@ -756,9 +786,11 @@ impl<S: Sink> Network<S> {
     /// time it as the naive baseline.
     ///
     /// Calls may be freely interleaved with `step`: the scheduler's
-    /// sets are marked stale afterwards, so the next `step` re-seeds
-    /// them from live state. A run stepped only by this method leaves
-    /// [`Network::sched_stats`] at zero and does no scheduler work.
+    /// sets are marked stale afterwards, so the next `step` (or
+    /// [`Network::queued`]) re-seeds them from live state, and
+    /// [`Network::ran`] holds every router. A run stepped only by this
+    /// method leaves [`Network::sched_stats`] at zero and does no
+    /// scheduler work.
     pub fn step_reference(&mut self) {
         self.cycle += 1;
         let cycle = self.cycle;
@@ -803,7 +835,15 @@ impl<S: Sink> Network<S> {
                 self.note_power(idx);
             }
         }
+        self.ran_all();
         self.sched_stale = true;
+    }
+
+    /// Marks every router as run in the last step: after a reference
+    /// step, and at checkpoint resume, where no step has been observed.
+    fn ran_all(&mut self) {
+        self.hot.clear();
+        (0..self.routers.len()).for_each(|idx| self.hot.insert(idx));
     }
 
     /// Returns the credits staged last cycle to their routers. Credit
@@ -877,21 +917,31 @@ impl<S: Sink> Network<S> {
         }
     }
 
-    /// Whether every router is in the `Sleep` power state. O(1) via the
-    /// scheduler's census counter; always `false` at port granularity
-    /// (the router-level state never leaves Active).
-    pub fn all_asleep(&self) -> bool {
-        self.sleepers == self.routers.len()
+    /// The routers the last step ran, or every router after a
+    /// [`Network::step_reference`] or a checkpoint resume. A router's
+    /// buffers change only in a step that runs it: deliveries and grants
+    /// happen in the step, and a flit injected between steps queues its
+    /// router for the next. So right after a step, a router outside this
+    /// set holds the buffers it held before the step.
+    pub fn ran(&self) -> &NodeSet {
+        &self.hot
     }
 
-    /// Whether no router holds any flit in its input buffers or crossbar
-    /// register: the scheduler queues exactly the non-drained routers for
-    /// the next step, so this reads whether that set is empty.
-    /// Conservatively `false` right after a reference step (the set is
-    /// rebuilt by the next `step`). Flits on links or in staging are
-    /// *not* covered (see [`Network::flits_in_network`]).
-    pub fn all_drained(&self) -> bool {
-        !self.sched_stale && self.next.is_empty()
+    /// The routers whose router-level power state is Sleep (none at
+    /// port granularity).
+    pub fn asleep(&self) -> &NodeSet {
+        &self.asleep
+    }
+
+    /// The routers queued to run on the next step: at a cycle edge,
+    /// exactly the routers that are not drained (a flit injected since
+    /// the edge queues its router). Re-seeds the scheduler first if a
+    /// [`Network::step_reference`] left it stale.
+    pub fn queued(&mut self) -> &NodeSet {
+        if self.sched_stale {
+            self.reseed_scheduler();
+        }
+        &self.next
     }
 
     /// Sum of router activity counters across the network.
@@ -1138,11 +1188,17 @@ impl<S: Sink> Network<S> {
         for &(idx, port, _) in self.link_stage.iter().chain(&self.staged_flits) {
             self.inflight[idx as usize * NUM_PORTS + port.index()] += 1;
         }
-        self.sleepers = self.routers.iter().filter(|r| r.power_state().is_sleeping()).count();
+        self.asleep.clear();
+        for (idx, r) in self.routers.iter().enumerate() {
+            if r.power_state().is_sleeping() {
+                self.asleep.insert(idx);
+            }
+        }
         if S::ENABLED {
             self.power_shadow = self.routers.iter().map(|r| PowerPhase::from(r.power_state())).collect();
         }
         self.reseed_scheduler();
+        self.ran_all();
         Ok(())
     }
 
@@ -1982,7 +2038,7 @@ mod port_gating_tests {
         assert!(n.request_sleep(node, 0));
         assert_eq!(n.router(node).port_active_mask(), 0);
         assert!(n.router(node).power_state().is_active());
-        assert!(!n.all_asleep());
+        assert!(!n.asleep().contains(node.index()));
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //!   shrink-by-halving.
 //! * [`pool`] — [`par_map`], an order-preserving parallel map on
 //!   scoped threads that fans out sweep points.
+//! * [`hash`] — [`IdMap`], a `HashMap` with a fixed multiplicative
+//!   hasher for maps keyed by sequential ids.
 //! * [`codec`] — the checkpoint binary format: little-endian
 //!   [`ByteWriter`]/[`ByteReader`] primitives, an incremental FNV-1a
 //!   hasher, and the versioned magic + fingerprint + checksum container
@@ -26,12 +28,14 @@
 
 pub mod check;
 pub mod codec;
+pub mod hash;
 pub mod json;
 pub mod pool;
 pub mod rng;
 
 pub use check::Checker;
 pub use codec::{ByteReader, ByteWriter, CodecError, Fnv64};
+pub use hash::IdMap;
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use pool::par_map;
 pub use rng::SimRng;

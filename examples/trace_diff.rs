@@ -11,17 +11,21 @@
 //! cargo run --release --example trace_diff -- --demo
 //! ```
 //!
-//! With `--demo` it generates the comparison in-process, at a near-idle
-//! load, for two gating granularities: `4NT-128b-PG` (Catnap RCS gating,
-//! one gating unit per router) and `4NT-128b` under `LocalIdlePort`
-//! (five gating units per router, one per input port). Each design runs
-//! twice, once stepped through the reference oracle
-//! (`MultiNoc::step_reference`) and once through the production
-//! event-driven `step`, which leaves idle routers untouched across the
-//! long all-drained stretches, so the sleep guard reads most idle counts
-//! from timestamps of routers that have not run for many cycles; the
-//! demo diffs the full event traces and the exported CSV timelines
-//! (both must come out identical for both designs).
+//! With `--demo` it generates the comparison in-process for both gating
+//! granularities: `4NT-128b-PG` (Catnap RCS gating, one gating unit per
+//! router) and `4NT-128b` under `LocalIdlePort` (five gating units per
+//! router, one per input port) at a near-idle load, and `4NT-128b-PG`
+//! again and `4NT-128b` under `LocalIdle` (router units) at 0.08, where
+//! LCS bits flip, RCS rises, and subnets 1–3 wake and re-gate. Each
+//! design runs twice, once stepped through the reference oracle
+//! (`MultiNoc::step_reference`), which sweeps every node in the gating
+//! and detector phases, and once through the production event-driven
+//! `step`, which leaves idle routers untouched across the long
+//! all-drained stretches (so the sleep guard reads most idle counts from
+//! timestamps of routers that have not run for many cycles) and visits
+//! only the gating and detector worklists; the demo diffs the full event
+//! traces and the exported CSV timelines (both must come out identical
+//! for every design).
 //! Exits 0 when identical, 1 on any divergence, 2 on usage errors.
 
 use catnap_repro::catnap::{GatingPolicy, MultiNoc, MultiNocConfig};
@@ -32,12 +36,12 @@ use std::process::ExitCode;
 const DEMO_CYCLES: u64 = 20_000;
 const DEMO_EPOCH: u64 = 512;
 
-/// Runs `cfg` through the oracle and through `step`, prints the router
-/// runs `step` made against the oracle's router-cycles and both diffs,
-/// and returns whether both are identical.
-fn demo_pair(name: &str, cfg: MultiNocConfig) -> bool {
-    println!("== {name} ==");
-    let load = |dims| SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.0005, 512, dims, 23);
+/// Runs `cfg` at `rate` through the oracle and through `step`, prints
+/// the router runs `step` made against the oracle's router-cycles and
+/// both diffs, and returns whether both are identical.
+fn demo_pair(name: &str, cfg: MultiNocConfig, rate: f64) -> bool {
+    println!("== {name}, load {rate} ==");
+    let load = |dims| SyntheticWorkload::new(SyntheticPattern::UniformRandom, rate, 512, dims, 23);
     let run = |reference: bool| {
         let mut net = MultiNoc::with_sinks(cfg.clone(), |_| RecordingSink::new());
         let mut l = load(net.dims());
@@ -75,19 +79,25 @@ fn demo_pair(name: &str, cfg: MultiNocConfig) -> bool {
 }
 
 fn demo() -> ExitCode {
+    let catnap = || MultiNocConfig::catnap_4x128().gating(true);
+    let policy = |policy| MultiNocConfig::catnap_4x128().gating_policy(policy);
     let designs = [
-        (
-            "4NT-128b-PG, CatnapRcs (router units)",
-            MultiNocConfig::catnap_4x128().gating(true),
-        ),
+        ("4NT-128b-PG, CatnapRcs (router units)", catnap(), 0.0005),
         (
             "4NT-128b, LocalIdlePort (port units)",
-            MultiNocConfig::catnap_4x128().gating_policy(GatingPolicy::LocalIdlePort),
+            policy(GatingPolicy::LocalIdlePort),
+            0.0005,
+        ),
+        ("4NT-128b-PG, CatnapRcs (router units)", catnap(), 0.08),
+        (
+            "4NT-128b, LocalIdle (router units)",
+            policy(GatingPolicy::LocalIdle),
+            0.08,
         ),
     ];
     let mut identical = true;
-    for (name, cfg) in designs {
-        identical &= demo_pair(name, cfg.seed(23));
+    for (name, cfg, rate) in designs {
+        identical &= demo_pair(name, cfg.seed(23), rate);
     }
     if identical {
         ExitCode::SUCCESS
